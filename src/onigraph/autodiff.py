@@ -185,7 +185,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def block_matmul(a: Tensor, z: Tensor, block_rows: int) -> Tensor:
     """Apply the square matrix ``a`` to each consecutive ``block_rows``-row
     block of ``z``. Used to run one shared adjacency over a stacked batch
-    of per-sample node matrices.
+    of per-sample node matrices, in the sample-major layout: row
+    ``b * block_rows + i`` of ``z`` is node ``i`` of sample ``b``.
+
+    Forward and both gradients are BLAS matrix products: ``a`` times each
+    block, ``a^T`` times each output-gradient block, and one contraction
+    over samples and features for the gradient of ``a``.
     """
     n = block_rows
     if a.data.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != n:
@@ -194,17 +199,12 @@ def block_matmul(a: Tensor, z: Tensor, block_rows: int) -> Tensor:
         raise DimensionError(f"block_matmul rows {z.shape} not a multiple of {n}")
     batch = z.shape[0] // n
     blocks = z.data.reshape(batch, n, z.shape[1])
-    out_data = np.einsum("ij,bjd->bid", a.data, blocks).reshape(z.shape)
-    out = _make_output(out_data, a, z)
+    out = _make_output(np.matmul(a.data, blocks).reshape(z.shape), a, z)
 
     def rule(g: Array):
         g3 = g.reshape(batch, n, z.shape[1])
-        da = np.einsum("bid,bjd->ij", g3, blocks) if a.requires_grad else None
-        dz = (
-            np.einsum("ji,bjd->bid", a.data, g3).reshape(z.shape)
-            if z.requires_grad
-            else None
-        )
+        da = np.tensordot(g3, blocks, axes=([0, 2], [0, 2])) if a.requires_grad else None
+        dz = np.matmul(a.data.T, g3).reshape(z.shape) if z.requires_grad else None
         return (da, dz)
 
     return record_op(out, (a, z), rule)

@@ -120,8 +120,13 @@ def load_gridset(path: str | Path) -> GridSet:
         variables = list(manifest["variables"])
         mask_file = manifest["mask_file"]
         data_file = manifest["data_file"]
+        lat0, dlat = float(manifest["lat0"]), float(manifest["dlat"])
+        lon0, dlon = float(manifest["lon0"]), float(manifest["dlon"])
+        start_month = str(manifest["start_month"])
     except KeyError as exc:
         raise FormatError(f"manifest missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
     for name in variables:
         if name not in KNOWN_VARIABLES:
             raise FormatError(f"unknown variable name {name!r} in manifest")
@@ -146,11 +151,11 @@ def load_gridset(path: str | Path) -> GridSet:
     return GridSet(
         n_lat=n_lat,
         n_lon=n_lon,
-        lat0=float(manifest["lat0"]),
-        dlat=float(manifest["dlat"]),
-        lon0=float(manifest["lon0"]),
-        dlon=float(manifest["dlon"]),
-        start_month=str(manifest["start_month"]),
+        lat0=lat0,
+        dlat=dlat,
+        lon0=lon0,
+        dlon=dlon,
+        start_month=start_month,
         n_time=n_time,
         variables=variables,
         land_mask=mask,

@@ -255,7 +255,11 @@ def gcn_layer(
 
 def _layer(adj, z, weight, norm, activation, use_residual, mode, n_nodes) -> Tensor:
     a = adj.matrix if isinstance(adj, Adjacency) else adj
-    h = ad.matmul(ad.block_matmul(a, z, n_nodes), weight)
+    # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
+    if weight.shape[1] < weight.shape[0]:
+        h = ad.block_matmul(a, ad.matmul(z, weight), n_nodes)
+    else:
+        h = ad.matmul(ad.block_matmul(a, z, n_nodes), weight)
     if norm is not None:
         h = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running)
     out = ad.unary_activation(h, activation)

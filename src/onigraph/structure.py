@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add_const, matmul, mul_mask, scale, transpose, unary_activation
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -87,19 +87,29 @@ def top_edges_mask(scores: Array, max_edges: int) -> Array:
     """Boolean mask of the ``max_edges`` largest off-diagonal entries.
 
     Ties are broken toward the smallest (row, col) pair so the selection is
-    fully deterministic. The diagonal never competes for the budget.
+    fully deterministic. The diagonal never competes for the budget; a
+    budget above the off-diagonal count keeps every off-diagonal entry.
+    Infinite scores rank like any other value; NaN scores have no rank and
+    are rejected.
     """
     n = scores.shape[0]
     if max_edges < 0:
         raise ConfigError(f"edge budget must be non-negative, got {max_edges}")
     off = ~np.eye(n, dtype=bool)
-    rows, cols = np.nonzero(off)
-    values = scores[rows, cols]
-    # lexsort: last key is primary, so sort by value desc, then row, then col
-    order = np.lexsort((cols, rows, -values))
-    keep = order[:max_edges]
+    values = scores[off]  # row-major, so position order is the (row, col) order
+    if np.isnan(values).any():
+        raise NumericError("edge scores contain NaN")
     mask = np.zeros((n, n), dtype=bool)
-    mask[rows[keep], cols[keep]] = True
+    e = min(max_edges, values.size)
+    if e == 0:
+        return mask
+    # partial sort for the e-th largest value; everything above it is kept,
+    # and the remaining slots go to its ties in (row, col) order
+    kth = -np.partition(-values, e - 1)[e - 1]
+    keep = values > kth
+    ties = np.flatnonzero(values == kth)
+    keep[ties[: e - np.count_nonzero(keep)]] = True
+    mask[off] = keep
     return mask
 
 
@@ -137,9 +147,11 @@ def build_adjacency(params: StructureParams, kept_mask: Array | None = None) -> 
     checks, where re-selection would make finite differences meaningless).
     """
     scores = compute_scores(params)
+    eye = np.eye(params.node_count, dtype=bool)
     if kept_mask is None:
         sparse = sparsify_top_e(scores, params.max_edges)
     else:
-        off_mask = kept_mask & ~np.eye(params.node_count, dtype=bool)
+        off_mask = kept_mask & ~eye
         sparse = Adjacency(mul_mask(scores, off_mask), off_mask)
-    return add_self_loops(sparse)
+    # both paths leave the diagonal at zero, so the self-loops are one add
+    return Adjacency(add_const(sparse.matrix, eye), sparse.kept_mask | eye)

@@ -344,11 +344,16 @@ def load_checkpoint(path: str | Path) -> ModelState:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
-    (manifest_len,) = struct.unpack("<Q", raw[4:12])
     try:
-        manifest = json.loads(raw[12 : 12 + manifest_len].decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"bad checkpoint manifest: {exc}") from exc
+        return _decode_checkpoint(raw)
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        # truncated header, undecodable manifest, missing or mistyped field
+        raise FormatError(f"bad checkpoint {path}: {exc!r}") from exc
+
+
+def _decode_checkpoint(raw: bytes) -> ModelState:
+    (manifest_len,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12 : 12 + manifest_len].decode())
     blob = raw[12 + manifest_len :]
     if len(blob) != manifest["blob_bytes"]:
         raise FormatError(

@@ -379,6 +379,39 @@ def test_grad_check_block_ops():
     assert grad_check(f, [a, w], step=1e-5) <= 1e-6
 
 
+def test_grad_check_block_matmul_input_gradient():
+    rng = np.random.default_rng(12)
+    a = t(rng.random((3, 3)), grad=True)
+    z = t(rng.normal(size=(9, 2)), grad=True)  # batch of 3 blocks
+
+    def f():
+        pooled = block_reduce(block_matmul(a, z, 3), 3, "sum")
+        return mse_loss(flatten(pooled), t(np.linspace(-1.0, 1.0, 6)))
+
+    assert grad_check(f, [a, z], step=1e-5) <= 1e-6
+
+
+def test_block_matmul_matches_einsum_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n, batch, d = (int(v) for v in rng.integers(1, 9, size=3))
+        a = t(rng.normal(size=(n, n)), grad=True)
+        z = t(rng.normal(size=(batch * n, d)), grad=True)
+        g = rng.normal(size=(batch * n, d))
+        with Tape() as tape:
+            out = block_matmul(a, z, n)
+            da, dz = tape.entries[-1].rule(g)
+        blocks = z.data.reshape(batch, n, d)
+        g3 = g.reshape(batch, n, d)
+        references = (
+            (out.data, np.einsum("ij,bjd->bid", a.data, blocks).reshape(batch * n, d)),
+            (da, np.einsum("bid,bjd->ij", g3, blocks)),
+            (dz, np.einsum("ji,bjd->bid", a.data, g3).reshape(batch * n, d)),
+        )
+        for got, want in references:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 # --- optimizer --------------------------------------------------------------
 
 

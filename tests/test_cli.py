@@ -1,10 +1,16 @@
 import json
+import os
+import shutil
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import onigraph
 from onigraph.cli import cli_dispatch
+from onigraph.training import CHECKPOINT_MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +177,43 @@ def test_ablation_prints_table(synth_dir, small_config, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "learned" in out and "local" in out and "gap=" in out
+
+
+def _run_cli(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(onigraph.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "onigraph", *args], capture_output=True, text=True, env=env
+    )
+
+
+def _checkpoint_without_manifest_key(good, bad, key):
+    raw = good.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12 : 12 + manifest_len])
+    del manifest[key]
+    payload = json.dumps(manifest).encode()
+    header = CHECKPOINT_MAGIC + struct.pack("<Q", len(payload))
+    bad.write_bytes(header + payload + raw[12 + manifest_len :])
+
+
+@pytest.mark.parametrize(
+    "corruption", ["truncated_checkpoint", "checkpoint_missing_key", "grid_missing_lat0"]
+)
+def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_dir, tmp_path):
+    ckpt, data = checkpoint, synth_dir
+    if corruption == "truncated_checkpoint":
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(checkpoint.read_bytes()[:8])
+    elif corruption == "checkpoint_missing_key":
+        ckpt = tmp_path / "nokey.ckpt"
+        _checkpoint_without_manifest_key(checkpoint, ckpt, "seed")
+    else:
+        data = tmp_path / "grid"
+        shutil.copytree(synth_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["lat0"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error:")

@@ -87,6 +87,21 @@ def test_unknown_variable_rejected(tmp_path):
         load_gridset(tmp_path / "g")
 
 
+@pytest.mark.parametrize(
+    "field, value", [("lat0", None), ("start_month", None), ("dlon", "east"), ("n_lat", [2])]
+)
+def test_bad_manifest_field_is_format_error(tmp_path, field, value):
+    save_gridset(make_grid(), tmp_path / "g")
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    if value is None:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=field if value is None else "bad manifest field"):
+        load_gridset(tmp_path / "g")
+
+
 def test_hand_encoded_fixture_decodes(tmp_path):
     d = tmp_path / "g"
     d.mkdir()

@@ -230,6 +230,32 @@ def test_forward_gradients_end_to_end():
     assert grad_check(f, params, step=1e-5) <= 1e-4
 
 
+def test_forward_gradients_through_narrowing_layer():
+    # 4 -> 2 aggregates after the transform, so the reordered path is checked
+    state = tiny_state(n=5, layer_dims=(4, 2), seed=6)
+    batch = 2
+    x = rand_input(state, batch=batch, seed=10)
+    targets = Tensor(np.random.default_rng(7).normal(size=batch))
+    frozen_mask = build_adjacency(state.structure).kept_mask
+
+    def f():
+        pred = forward_batch(state, x, batch, mode="train", kept_mask=frozen_mask)
+        return mse_loss(pred, targets)
+
+    params = [t for _, t in state.parameters()]
+    assert grad_check(f, params, step=1e-5) <= 1e-4
+
+
+def test_layer_aggregation_order_does_not_change_values():
+    rng = np.random.default_rng(14)
+    a = rng.random((4, 4))
+    z = rng.normal(size=(4, 5))
+    for width in (2, 5, 7):  # narrowing, equal and widening layers
+        w = rng.normal(size=(5, width))
+        out = gcn_layer(Tensor(a), Tensor(z), Tensor(w), norm=None, activation="identity")
+        np.testing.assert_allclose(out.data, a @ z @ w, rtol=1e-12, atol=1e-12)
+
+
 def test_forward_shape_mismatch_rejected():
     state = tiny_state()
     with pytest.raises(DimensionError):

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onigraph.autodiff import Tensor, Tape, backward, flatten, grad_check, mse_loss, reduce_nodes
-from onigraph.errors import ConfigError
+from onigraph.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    flatten,
+    grad_check,
+    mse_loss,
+    mul_mask,
+    reduce_nodes,
+)
+from onigraph.errors import ConfigError, NumericError
 from onigraph.structure import (
     Adjacency,
     StructureParams,
@@ -116,6 +125,75 @@ def test_sparsify_matches_bruteforce_sort():
         np.testing.assert_array_equal(mask, expected)
 
 
+def bruteforce_mask(scores, e):
+    n = scores.shape[0]
+    ranked = sorted(
+        ((i, j) for i in range(n) for j in range(n) if i != j),
+        key=lambda ij: (-scores[ij], ij[0], ij[1]),
+    )
+    expected = np.zeros((n, n), dtype=bool)
+    for i, j in ranked[:e]:
+        expected[i, j] = True
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.sampled_from([-math.inf, -1.0, 0.0, 0.25, 0.5, 1.0, math.inf]),
+                min_size=n * n,
+                max_size=n * n,
+            ),
+            st.integers(min_value=0, max_value=n * (n - 1) + 5),
+        ).map(lambda pair: (np.array(pair[0]).reshape(n, n), pair[1]))
+    )
+)
+def test_top_edges_matches_bruteforce_with_heavy_ties(case):
+    scores, e = case
+    np.testing.assert_array_equal(top_edges_mask(scores, e), bruteforce_mask(scores, e))
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+def test_budget_at_or_above_offdiagonal_count_keeps_every_edge(extra):
+    scores = np.random.default_rng(8).random((6, 6))
+    mask = top_edges_mask(scores, 6 * 5 + extra)
+    np.testing.assert_array_equal(mask, ~np.eye(6, dtype=bool))
+
+
+def test_all_equal_scores_fill_in_row_major_order():
+    n, e = 5, 7
+    mask = top_edges_mask(np.full((n, n), 0.3), e)
+    expected = np.zeros(n * (n - 1), dtype=bool)
+    expected[:e] = True
+    np.testing.assert_array_equal(mask[~np.eye(n, dtype=bool)], expected)
+
+
+def test_infinite_scores_are_ranked_exactly():
+    scores = np.array(
+        [
+            [math.inf, -math.inf, 0.5, math.inf],
+            [0.2, math.inf, -math.inf, 0.5],
+            [math.inf, 0.1, -math.inf, -math.inf],
+            [-math.inf, 0.5, 0.0, math.inf],
+        ]
+    )
+    for e in range(4 * 3 + 1):
+        np.testing.assert_array_equal(top_edges_mask(scores, e), bruteforce_mask(scores, e))
+    # the infinite diagonal never takes a slot from the two infinite edges
+    expected = np.zeros((4, 4), dtype=bool)
+    expected[0, 3] = expected[2, 0] = True
+    np.testing.assert_array_equal(top_edges_mask(scores, 2), expected)
+
+
+def test_nan_scores_rejected():
+    scores = np.full((3, 3), 0.5)
+    scores[1, 2] = math.nan
+    with pytest.raises(NumericError):
+        top_edges_mask(scores, 2)
+
+
 # --- self-loops ---------------------------------------------------------------
 
 
@@ -146,6 +224,33 @@ def test_build_adjacency_equals_three_steps():
     stepwise = add_self_loops(sparsify_top_e(compute_scores(p), p.max_edges))
     np.testing.assert_array_equal(direct.matrix.data, stepwise.matrix.data)
     np.testing.assert_array_equal(direct.kept_mask, stepwise.kept_mask)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_build_adjacency_gradients_equal_three_steps(frozen):
+    weights = np.random.default_rng(17).normal(size=(6, 6))
+    p = make_params(n=6, seed=4, max_edges=9)
+    mask = build_adjacency(p).kept_mask if frozen else None
+
+    def grads(make):
+        for w in (p.w_from, p.w_to):
+            w.zero_grad()
+        with Tape():
+            adj = make()
+            pooled = reduce_nodes(mul_mask(adj.matrix, weights), "sum")
+            backward(mse_loss(pooled, Tensor(np.zeros(6))))
+        return adj.matrix.data, p.w_from.grad.copy(), p.w_to.grad.copy()
+
+    def three_steps():
+        scores = compute_scores(p)
+        if mask is None:
+            return add_self_loops(sparsify_top_e(scores, p.max_edges))
+        off = mask & ~np.eye(6, dtype=bool)
+        return add_self_loops(Adjacency(mul_mask(scores, off), off))
+
+    direct = grads(lambda: build_adjacency(p, kept_mask=mask))
+    for got, want in zip(direct, grads(three_steps)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_edge_budget_of_eight_per_node_average():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,34 @@ def test_checkpoint_tampered_blob_rejected(tmp_path):
     save_checkpoint(state, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def _rewrite_manifest(raw, edit):
+    (length,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12 : 12 + length])
+    edit(manifest)
+    payload = json.dumps(manifest).encode()
+    return raw[:4] + struct.pack("<Q", len(payload)) + payload + raw[12 + length :]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:8],  # header cut inside the manifest length
+        lambda raw: raw[:12],  # manifest cut away
+        lambda raw: _rewrite_manifest(raw, lambda m: m.pop("tensors")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
+    ],
+    ids=["truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape"],
+)
+def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
+    _, _, _, state = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
