@@ -117,7 +117,8 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], rule: BackwardRule) ->
 
 
 def _make_output(data: Array, *inputs: Tensor) -> Tensor:
-    assert np.all(np.isfinite(data)), "non-finite value produced by a tensor op"
+    if not np.all(np.isfinite(data)):
+        raise NumericError("non-finite value produced by a tensor op")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -210,10 +211,127 @@ def block_matmul(a: Tensor, z: Tensor, block_rows: int) -> Tensor:
     return record_op(out, (a, z), rule)
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """Directed off-diagonal edges of an ``n``-node graph in row-major
+    order: edge ``k`` runs from node ``rows[k]`` to node ``cols[k]``, and
+    ``indptr`` holds the CSR row pointers of that order."""
+
+    n: int
+    rows: Array
+    cols: Array
+    indptr: Array
+
+    @classmethod
+    def from_mask(cls, mask: Array) -> "EdgeIndex":
+        """The True entries of an (n, n) boolean mask with a False diagonal."""
+        n = mask.shape[0]
+        rows, cols = np.nonzero(mask)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n, rows.astype(np.int32), cols.astype(np.int32), indptr)
+
+    def csr(self, values: Array):
+        """The n x n scipy CSR matrix holding ``values`` on the edges."""
+        # imported here so that dense-only runs never load scipy
+        from scipy.sparse import csr_array
+
+        return csr_array((values, self.cols, self.indptr), shape=(self.n, self.n))
+
+
+# Elements per operand of one gathered chunk in the edge-value gradient:
+# small enough to stay in cache, and never more than one activation.
+_EDGE_CHUNK = 1 << 15
+
+
+def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
+    """Apply I + A to each consecutive ``edges.n``-row block of ``z``, in
+    the sample-major layout of :func:`block_matmul`, where A holds
+    ``values`` on ``edges`` and zeros elsewhere (unit self-loops on top).
+    Equals ``block_matmul(I + A, z, n)`` at a cost linear in the edge count.
+
+    Forward and the gradient of ``z`` are scipy CSR products per block;
+    the gradient of ``values`` is one dot product per edge over samples
+    and features, gathered in chunks no larger than one activation.
+    """
+    n = edges.n
+    if values.shape != edges.rows.shape:
+        raise DimensionError(f"{values.shape} edge values for {edges.rows.size} edges")
+    if z.data.ndim != 2 or z.shape[0] % n != 0:
+        raise DimensionError(f"edge_block_matmul rows {z.shape} not a multiple of {n}")
+    batch, width = z.shape[0] // n, z.shape[1]
+    blocks = z.data.reshape(batch, n, width)
+    a = edges.csr(values.data)
+    data = blocks.copy()
+    for b in range(batch):
+        data[b] += a @ blocks[b]
+    out = _make_output(data.reshape(z.shape), values, z)
+
+    def rule(g: Array):
+        g3 = g.reshape(batch, n, width)
+        dv = _edge_dots(g3, blocks, edges) if values.requires_grad else None
+        dz = None
+        if z.requires_grad:
+            a_t = a.T
+            dz = g3.copy()
+            for b in range(batch):
+                dz[b] += a_t @ g3[b]
+            dz = dz.reshape(z.shape)
+        return (dv, dz)
+
+    return record_op(out, (values, z), rule)
+
+
+def _edge_dots(g3: Array, z3: Array, edges: EdgeIndex) -> Array:
+    """``sum(g3[:, i, :] * z3[:, j, :])`` for every edge (i, j)."""
+    batch, n, width = g3.shape
+    g_nodes = g3.transpose(1, 0, 2).reshape(n, batch * width)
+    z_nodes = z3.transpose(1, 0, 2).reshape(n, batch * width)
+    out = np.empty(edges.rows.size)
+    step = min(n, max(1, _EDGE_CHUNK // (batch * width)))
+    for lo in range(0, out.size, step):
+        hi = lo + step
+        np.einsum(
+            "kc,kc->k", g_nodes[edges.rows[lo:hi]], z_nodes[edges.cols[lo:hi]], out=out[lo:hi]
+        )
+    return out
+
+
+def edge_scores(emb_from: Tensor, emb_to: Tensor, edges: EdgeIndex, gain: float) -> Tensor:
+    """``sigmoid(gain * emb_from @ emb_to^T)`` at the entries ``edges``
+    only, without the N x N matrix. Backward scatters the score gradient
+    into one sparse matrix and returns its CSR products with the two
+    embeddings."""
+    if emb_from.data.ndim != 2 or emb_from.shape != emb_to.shape or emb_from.shape[0] != edges.n:
+        raise DimensionError(
+            f"embeddings {emb_from.shape}/{emb_to.shape} do not fit {edges.n} nodes"
+        )
+    logits = np.einsum("kd,kd->k", emb_from.data[edges.rows], emb_to.data[edges.cols])
+    logits *= gain
+    out = _make_output(_sigmoid(logits), emb_from, emb_to)
+
+    def rule(g: Array):
+        y = out.data
+        grad = edges.csr(g * y * (1.0 - y) * gain)
+        return (
+            grad @ emb_to.data if emb_from.requires_grad else None,
+            grad.T @ emb_from.data if emb_to.requires_grad else None,
+        )
+
+    return record_op(out, (emb_from, emb_to), rule)
+
+
 def _sigmoid(x: Array) -> Array:
-    # exp of a non-positive argument only, so no overflow
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below, with the same bits as evaluating each branch,
+    # but no branch, and exp only of non-positive arguments (no overflow)
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    np.add(den, 1.0, out=den)
+    return np.divide(num, den, out=num)
 
 
 _ACTIVATIONS = {

@@ -148,6 +148,7 @@ def load_gridset(path: str | Path) -> GridSet:
         .reshape(n_time, len(variables), n_lat, n_lon)
         .astype(np.float64)
     )
+    _require_finite(data, directory)
     return GridSet(
         n_lat=n_lat,
         n_lon=n_lon,
@@ -225,7 +226,15 @@ def gridset_from_csv(path: str | Path, start_month: str = "2000-01") -> GridSet:
         grid.land_mask[lat_index[lat], lon_index[lon]] = False
         grid.data[t, var_index[var], lat_index[lat], lon_index[lon]] = np.float32(value)
     grid.data[:, :, grid.land_mask] = 0.0
+    _require_finite(grid.data, path)
     return grid
+
+
+def _require_finite(data: Array, source) -> None:
+    # land cells hold 0.0, so a NaN or infinity is never valid data
+    if not np.all(np.isfinite(data)):
+        bad = int(np.count_nonzero(~np.isfinite(data)))
+        raise DataError(f"{source} holds {bad} non-finite grid value(s)")
 
 
 # ---------------------------------------------------------------------------

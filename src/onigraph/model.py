@@ -9,6 +9,15 @@ graph pooling, and a two-layer MLP head that emits one scalar.
 A batch of samples is processed as independent graph passes sharing one
 adjacency; normalization statistics are taken over the stacked
 (batch * nodes) row axis.
+
+Graph aggregation takes one of two paths with the same result. A sparse
+graph, whose kept edges plus self-loops fill less than ``SPARSE_SHARE``
+of the N x N entries, is aggregated over its edge list
+(:func:`model_edges`, ``autodiff.edge_block_matmul``, scipy CSR
+products), and a learned graph is then scored and differentiated on its
+kept edges only. A denser graph is aggregated with the dense adjacency
+(:func:`model_adjacency`, ``autodiff.block_matmul``). scipy is imported
+on the sparse path only.
 """
 
 from __future__ import annotations
@@ -20,13 +29,22 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RunningStats, Tensor
 from .errors import ConfigError, DimensionError
-from .structure import Adjacency, StructureParams, build_adjacency
+from .structure import Adjacency, StructureParams, build_adjacency, kept_edges
 
 Array = np.ndarray
 
 BN_EPS = 1e-5
 
 POOLINGS = ("mean", "sum_and_mean")
+
+# Largest share of nonzero adjacency entries (kept edges plus self-loops)
+# aggregated over an edge list. Aggregation forward plus backward at width
+# 16, one BLAS thread on a 2-vCPU Xeon, edge list against dense: N=1345,
+# batch 8: 10 against 44 ms at 2%, 40 against 55 ms at 6.25%, 68 against
+# 42 ms at 14%; N=300, batch 8: 1.6 against 1.9 ms at 6.25%, 3.6 against
+# 2.2 ms at 14%. At desk size (N=65, 8N edges, 14%) dense wins: 0.6 ms
+# against 2.2 ms, and scipy is never imported.
+SPARSE_SHARE = 1 / 16
 
 
 @dataclass
@@ -250,16 +268,19 @@ def gcn_layer(
         raise ConfigError(
             f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
         )
-    return _layer(adj, z, weight, norm, activation, use_residual, mode, z.shape[0])
-
-
-def _layer(adj, z, weight, norm, activation, use_residual, mode, n_nodes) -> Tensor:
     a = adj.matrix if isinstance(adj, Adjacency) else adj
+    n = z.shape[0]
+    return _layer(
+        lambda h: ad.block_matmul(a, h, n), z, weight, norm, activation, use_residual, mode
+    )
+
+
+def _layer(aggregate, z, weight, norm, activation, use_residual, mode) -> Tensor:
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
     if weight.shape[1] < weight.shape[0]:
-        h = ad.block_matmul(a, ad.matmul(z, weight), n_nodes)
+        h = aggregate(ad.matmul(z, weight))
     else:
-        h = ad.matmul(ad.block_matmul(a, z, n_nodes), weight)
+        h = ad.matmul(aggregate(z), weight)
     if norm is not None:
         h = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running)
     out = ad.unary_activation(h, activation)
@@ -306,11 +327,38 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
 
 
 def model_adjacency(state: ModelState, kept_mask: Array | None = None) -> Tensor:
-    """Adjacency used by the forward pass: rebuilt from the structure
-    learner, or the fixed local matrix in ablation mode."""
+    """The model's graph as a dense (N, N) matrix with self-loops: rebuilt
+    from the structure learner, or the fixed local matrix in ablation mode.
+    The forward pass aggregates with it when :func:`model_edges` finds the
+    graph too dense for an edge list; exports and centrality always read
+    this form."""
     if state.edge_mode == "local":
         return Tensor(state.fixed_adjacency)
     return build_adjacency(state.structure, kept_mask=kept_mask).matrix
+
+
+def model_edges(
+    state: ModelState, kept_mask: Array | None = None
+) -> tuple[ad.EdgeIndex, Tensor] | None:
+    """The model's graph as off-diagonal edges and their values, the
+    self-loops implicit; None when kept edges plus self-loops fill
+    ``SPARSE_SHARE`` of the N x N entries or more (or a fixed local matrix
+    has a diagonal other than ones). Same graph as :func:`model_adjacency`."""
+    n = state.node_count
+    if state.edge_mode == "local":
+        fixed = state.fixed_adjacency
+        if np.count_nonzero(fixed) >= SPARSE_SHARE * n * n or np.any(np.diag(fixed) != 1.0):
+            return None
+        off = fixed != 0.0
+        np.fill_diagonal(off, False)
+        edges = ad.EdgeIndex.from_mask(off)
+        return edges, Tensor(fixed[edges.rows, edges.cols])
+    kept = state.structure.max_edges
+    if kept_mask is not None:
+        kept = np.count_nonzero(kept_mask) - np.count_nonzero(np.diag(kept_mask))
+    if kept + n >= SPARSE_SHARE * n * n:
+        return None
+    return kept_edges(state.structure, kept_mask)
 
 
 def forward_batch(
@@ -323,21 +371,35 @@ def forward_batch(
     """Predictions for ``batch`` stacked samples: (batch * N, w * D) input,
     (batch,) output. In train mode the whole pass, adjacency included, is
     recorded on the ambient tape so one backward reaches the network and
-    the structure learner jointly."""
+    the structure learner jointly.
+
+    A sparse graph (see ``SPARSE_SHARE``) is aggregated over the edge list
+    of :func:`model_edges`, a dense one with :func:`model_adjacency`; both
+    give the same predictions and gradients up to rounding."""
     cfg = state.config
     n = state.node_count
     if x.shape != (batch * n, cfg.input_width):
         raise DimensionError(
             f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
         )
-    adj = model_adjacency(state, kept_mask=kept_mask)
+    graph = model_edges(state, kept_mask=kept_mask)
+    if graph is None:
+        adj = model_adjacency(state, kept_mask=kept_mask)
+
+        def aggregate(h):
+            return ad.block_matmul(adj, h, n)
+    else:
+        edges, values = graph
+
+        def aggregate(h):
+            return ad.edge_block_matmul(values, edges, h)
     z = x
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):
         z = _layer(
-            adj, z, weight, norm, cfg.activation,
+            aggregate, z, weight, norm, cfg.activation,
             cfg.use_residual and weight.shape[0] == weight.shape[1],
-            mode, n,
+            mode,
         )
         layer_outputs.append(z)
     rep = jumping_knowledge_concat(layer_outputs) if cfg.use_jumping_knowledge else z

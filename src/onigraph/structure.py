@@ -7,6 +7,11 @@ need not be symmetric, and both directions of a pair may survive
 sparsification. Only the largest ``max_edges`` off-diagonal entries are
 kept (a budget on the total edge count, not per node), so informative
 nodes are free to accumulate many more connections than others.
+
+The graph comes in two forms that select the same edges: a dense N x N
+adjacency with self-loops (:func:`build_adjacency`), and an edge list of
+the kept scores (:func:`kept_edges`) whose tape and gradients touch only
+the kept edges.
 """
 
 from __future__ import annotations
@@ -15,7 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add_const, matmul, mul_mask, scale, transpose, unary_activation
+from .autodiff import (
+    EdgeIndex,
+    Tensor,
+    _sigmoid,
+    add_const,
+    edge_scores,
+    matmul,
+    mul_mask,
+    scale,
+    transpose,
+    unary_activation,
+)
 from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
@@ -71,16 +87,16 @@ class Adjacency:
     kept_mask: Array  # bool (N, N), True where the entry is nonzero
 
 
+def _embedding(params: StructureParams, w: Tensor) -> Tensor:
+    return unary_activation(scale(matmul(params.static_features, w), params.feature_gain), "tanh")
+
+
 def compute_scores(params: StructureParams) -> Tensor:
     """Dense edge scores sigmoid(score_gain * E_from @ E_to^T) where
     E_* = tanh(feature_gain * static_features @ w_*). Fully differentiable
     with respect to w_from and w_to."""
-    emb_from = unary_activation(
-        scale(matmul(params.static_features, params.w_from), params.feature_gain), "tanh"
-    )
-    emb_to = unary_activation(
-        scale(matmul(params.static_features, params.w_to), params.feature_gain), "tanh"
-    )
+    emb_from = _embedding(params, params.w_from)
+    emb_to = _embedding(params, params.w_to)
     return unary_activation(
         scale(matmul(emb_from, transpose(emb_to)), params.score_gain), "sigmoid"
     )
@@ -158,3 +174,25 @@ def build_adjacency(params: StructureParams, kept_mask: Array | None = None) -> 
         sparse = Adjacency(mul_mask(scores, off_mask), off_mask)
     # both paths leave the diagonal at zero, so the self-loops are one add
     return Adjacency(add_const(sparse.matrix, eye), sparse.kept_mask | eye)
+
+
+def kept_edges(params: StructureParams, kept_mask: Array | None = None) -> tuple[EdgeIndex, Tensor]:
+    """The off-diagonal edges :func:`build_adjacency` keeps, and their
+    scores as a differentiable vector; self-loops are left implicit.
+
+    Selection runs on dense scores computed off the tape, with the same
+    bits as :func:`compute_scores` (one product, one sigmoid); only the
+    kept scores are recorded, so neither the tape nor the gradient of
+    w_from / w_to holds an N x N array. ``kept_mask`` fixes the edge set
+    as in :func:`build_adjacency`.
+    """
+    emb_from = _embedding(params, params.w_from)
+    emb_to = _embedding(params, params.w_to)
+    if kept_mask is None:
+        logits = emb_from.data @ emb_to.data.T.copy()
+        logits *= params.score_gain
+        mask = top_edges_mask(_sigmoid(logits), params.max_edges)
+    else:
+        mask = kept_mask & ~np.eye(params.node_count, dtype=bool)
+    edges = EdgeIndex.from_mask(mask)
+    return edges, edge_scores(emb_from, emb_to, edges, params.score_gain)

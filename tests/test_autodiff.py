@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onigraph
 from onigraph.autodiff import (
     OptimizerState,
     RunningStats,
@@ -30,6 +35,7 @@ from onigraph.autodiff import (
     sgd_nesterov_step,
     transpose,
     unary_activation,
+    _sigmoid,
 )
 from onigraph.errors import ConfigError, DimensionError, NumericError
 
@@ -112,6 +118,55 @@ def test_activation_scalar_oracle_values():
 def test_unknown_activation_rejected():
     with pytest.raises(ConfigError):
         unary_activation(t([[0.0]]), "relu")
+
+
+def _two_branch_sigmoid(x):
+    # the formula the branch-free sigmoid replaced
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_formula():
+    rng = np.random.default_rng(31)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 709.0, -709.0,
+               1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+    inputs = [
+        rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64),
+        np.array(special),
+        np.array(0.3),
+    ] + [rng.normal(scale=s, size=20_000) for s in (0.1, 1.0, 10.0, 800.0)]
+    for x in inputs:
+        want = _two_branch_sigmoid(x)
+        got = _sigmoid(x)
+        assert got.shape == x.shape
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        # NaN payloads may differ; every other result must match bit for bit
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_nonfinite_op_output_raises_numeric_error():
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        scale(t([1.0, 1e308]), 10.0)
+    with pytest.raises(NumericError):
+        add(t([math.nan]), t([1.0]))
+
+
+def test_nonfinite_check_survives_optimized_mode():
+    code = (
+        "from onigraph.autodiff import Tensor, scale\n"
+        "from onigraph.errors import NumericError\n"
+        "try:\n"
+        "    scale(Tensor([1e308]), 10.0)\n"
+        "except NumericError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(onigraph.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 # --- batchnorm --------------------------------------------------------------

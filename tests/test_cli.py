@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onigraph
@@ -214,6 +215,26 @@ def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_d
         del manifest["lat0"]
         (data / "manifest.json").write_text(json.dumps(manifest))
     proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error:")
+
+
+def test_nan_grid_exits_2_without_traceback(synth_dir, small_config, tmp_path):
+    from onigraph.data import load_gridset, save_gridset
+
+    grid = load_gridset(synth_dir)
+    ocean = np.argwhere(~grid.land_mask)[0]
+    grid.data[5, 0, ocean[0], ocean[1]] = np.nan
+    save_gridset(grid, tmp_path / "nan_grid")
+    proc = _run_cli(
+        [
+            "train",
+            "--config", str(small_config),
+            "--data", str(tmp_path / "nan_grid"),
+            "--out", str(tmp_path / "m.ckpt"),
+        ]
+    )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error:")

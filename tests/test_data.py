@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -140,6 +141,26 @@ def test_csv_import(tmp_path):
     assert grid.n_lat == grid.n_lon == 1
     assert grid.variables == ["sst_anomaly"]
     np.testing.assert_array_equal(grid.data[:, 0, 0, 0], [0.0, 3.0, 6.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_load_rejects_nonfinite_values(tmp_path, bad):
+    grid = make_grid()
+    grid.data[2, 1, 0, 3] = bad
+    save_gridset(grid, tmp_path / "g")
+    with pytest.raises(DataError):
+        load_gridset(tmp_path / "g")
+
+
+def test_csv_rejects_nan_value(tmp_path):
+    path = tmp_path / "fixture.csv"
+    path.write_text(
+        "time,lat,lon,var,value\n"
+        "0,0,190,sst_anomaly,0\n"
+        "1,0,190,sst_anomaly,nan\n"
+    )
+    with pytest.raises(DataError):
+        gridset_from_csv(path)
 
 
 # --- nodes ---------------------------------------------------------------------
