@@ -17,15 +17,15 @@ from .data import (
     save_gridset,
     synth_teleconnection_dataset,
 )
-from .model import GcnConfig, ModelState, PRESETS, init_params, model_forward
+from .model import GcnConfig, ModelState, PRESETS, init_params
 from .structure import Adjacency, StructureParams, build_adjacency
 from .training import (
     EvalReport,
     TrainConfig,
     build_model,
-    ensemble_predict,
     evaluate,
     load_checkpoint,
+    predict_samples,
     save_checkpoint,
     train,
 )

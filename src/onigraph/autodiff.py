@@ -471,23 +471,6 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
     return record_op(out, tuple(parts), rule)
 
 
-def reduce_nodes(z: Tensor, kind: str) -> Tensor:
-    """Column-wise mean or sum over the rows of a rank-2 tensor."""
-    if kind not in ("mean", "sum"):
-        raise ConfigError(f"reduce kind must be 'mean' or 'sum', got {kind!r}")
-    if z.data.ndim != 2 or z.shape[0] == 0:
-        raise DimensionError(f"cannot reduce shape {z.shape} over rows")
-    n = z.shape[0]
-    data = z.data.mean(axis=0) if kind == "mean" else z.data.sum(axis=0)
-    out = _make_output(data, z)
-    scale_back = 1.0 / n if kind == "mean" else 1.0
-
-    def rule(g: Array):
-        return (np.broadcast_to(g * scale_back, z.shape).copy(),)
-
-    return record_op(out, (z,), rule)
-
-
 def block_reduce(z: Tensor, block_rows: int, kind: str) -> Tensor:
     """Per-block column mean or sum: (B*n, D) -> (B, D)."""
     if kind not in ("mean", "sum"):

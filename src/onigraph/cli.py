@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .training import (
     evaluate,
     load_checkpoint,
     model_config_from_preset,
+    predict_samples,
     save_checkpoint,
     train,
     write_history_csv,
@@ -179,24 +180,33 @@ def _pick_split(bundle: dat.DatasetBundle, split: str) -> dat.SampleSet:
         return bundle.train
     if split == "test":
         return bundle.test
-    merged, _ = dat.split_samples(
-        dat.SampleSet(
-            inputs=bundle.train.inputs + bundle.test.inputs,
-            targets=np.concatenate([bundle.train.targets, bundle.test.targets]),
-            window_end=np.concatenate([bundle.train.window_end, bundle.test.window_end]),
-            end_calendar_month=np.concatenate(
-                [bundle.train.end_calendar_month, bundle.test.end_calendar_month]
-            ),
-            window=bundle.train.window,
-            lead=bundle.train.lead,
-        ),
-        1.0,
+    train, test = bundle.train, bundle.test
+    return replace(
+        train,
+        inputs=np.concatenate([train.inputs, test.inputs]),
+        targets=np.concatenate([train.targets, test.targets]),
+        window_end=np.concatenate([train.window_end, test.window_end]),
+        end_calendar_month=np.concatenate([train.end_calendar_month, test.end_calendar_month]),
+        split="all",
     )
-    return merged
 
 
-def _load_models(args) -> list:
-    return [load_checkpoint(p) for p in args.checkpoint]
+def _load_members(args) -> tuple[list, dat.SampleSet]:
+    """The --checkpoint models and the --split samples, prepared with the
+    first model's window, lead and ONI node."""
+    config = _load_config(args.config)
+    models = [load_checkpoint(p) for p in args.checkpoint]
+    first = models[0]
+    _, _, data_opts = _resolve_configs(args, config)
+    bundle = dat.prepare_dataset(
+        dat.load_gridset(args.data),
+        window=first.config.window,
+        lead=first.config.lead_months,
+        train_fraction=data_opts["train_fraction"],
+        oni_node=first.has_oni_node,
+        smoothing_k=data_opts["smoothing_k"],
+    )
+    return models, _pick_split(bundle, args.split)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +268,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    models = _load_models(args)
-    first = models[0]
-    _, train_cfg, data_opts = _resolve_configs(args, config)
-    samples = _pick_split(
-        dat.prepare_dataset(
-            dat.load_gridset(args.data),
-            window=first.config.window,
-            lead=first.config.lead_months,
-            train_fraction=data_opts["train_fraction"],
-            oni_node=first.has_oni_node,
-            smoothing_k=data_opts["smoothing_k"],
-        ),
-        args.split,
-    )
-    report = evaluate(models if len(models) > 1 else models[0], samples)
+    models, samples = _load_members(args)
+    report = evaluate(models, samples)
     print(
         f"lead={report.lead_months} r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"
     )
@@ -285,24 +281,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = _load_config(args.config)
-    models = _load_models(args)
-    first = models[0]
-    _, _, data_opts = _resolve_configs(args, config)
-    samples = _pick_split(
-        dat.prepare_dataset(
-            dat.load_gridset(args.data),
-            window=first.config.window,
-            lead=first.config.lead_months,
-            train_fraction=data_opts["train_fraction"],
-            oni_node=first.has_oni_node,
-            smoothing_k=data_opts["smoothing_k"],
-        ),
-        args.split,
-    )
-    from .training import predict_samples
-
-    preds = predict_samples(models if len(models) > 1 else models[0], samples)
+    models, samples = _load_members(args)
+    preds = predict_samples(models, samples)
     lines = ["index,prediction"]
     for i, p in enumerate(preds):
         lines.append(f"{i},{float(p)!r}")

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigError, DataError, FormatError
 
 Array = np.ndarray
@@ -311,14 +310,16 @@ def compute_oni_series(grid: GridSet, k: int = 3) -> Array:
 
 @dataclass
 class SampleSet:
-    """Flattened node-feature inputs paired with lead-h ONI targets.
+    """Node-feature windows paired with lead-h ONI targets.
 
-    Each input covers months [window_end - w + 1, window_end] only, so a
-    sample can never see past its window end; the target is the ONI value
-    at month window_end + lead.
+    ``inputs`` is one C-contiguous float64 array of shape (S, N, w * D):
+    sample s holds, for each of the N nodes, the D variables of months
+    [window_end[s] - w + 1, window_end[s]], time-major. A sample never sees
+    past its window end; its target is the ONI value at month
+    window_end + lead.
     """
 
-    inputs: list[Tensor]  # each (N, w * D)
+    inputs: Array  # (S, N, w * D)
     targets: Array  # (S,)
     window_end: Array  # (S,) month index of the last input month
     end_calendar_month: Array  # (S,) 1..12
@@ -334,35 +335,34 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     """Every month window whose lead-h target is defined becomes a sample.
 
     Input columns are time-major: the D per-variable values of the first
-    window month, then the second, and so on (width w * D).
+    window month, then the second, and so on (width w * D). Node rows
+    follow ``nodes``; the aggregate ONI node, when present, carries the
+    ONI-region mean of each variable (:func:`regional_means`).
     """
     if window < 1 or lead < 1:
         raise ConfigError(f"window and lead must be >= 1, got {window}, {lead}")
-    if nodes.has_oni_node:
-        raise ConfigError("build samples from grid nodes first, then append the ONI node")
     n_vars = len(grid.variables)
+    grid_nodes = nodes.grid_count
     flat = grid.data.reshape(grid.n_time, n_vars, -1)
-    node_flat = nodes.cells[:, 0] * grid.n_lon + nodes.cells[:, 1]
-    monthly = flat[:, :, node_flat].transpose(0, 2, 1)  # (T, N, D)
+    node_flat = nodes.cells[:grid_nodes, 0] * grid.n_lon + nodes.cells[:grid_nodes, 1]
+    monthly = np.empty((grid.n_time, nodes.count, n_vars))  # (T, N, D)
+    monthly[:, :grid_nodes] = flat[:, :, node_flat].transpose(0, 2, 1)
+    if nodes.has_oni_node:
+        monthly[:, -1] = regional_means(grid)
 
-    inputs, targets, ends = [], [], []
-    for start in range(grid.n_time - window + 1):
-        end = start + window - 1
-        target_month = end + lead
-        if target_month >= grid.n_time or not np.isfinite(oni[target_month]):
-            continue
-        x = monthly[start : end + 1].transpose(1, 0, 2).reshape(nodes.count, window * n_vars)
-        inputs.append(Tensor(x.copy()))
-        targets.append(oni[target_month])
-        ends.append(end)
-    if not inputs:
+    oni = np.asarray(oni)
+    ends = np.arange(window - 1, grid.n_time - lead)
+    ends = ends[np.isfinite(oni[ends + lead])]
+    if ends.size == 0:
         raise DataError("no sample window has a defined target")
-    ends_arr = np.asarray(ends, dtype=int)
+    inputs = np.empty((ends.size, nodes.count, window * n_vars))
+    for k in range(window):
+        inputs[:, :, k * n_vars : (k + 1) * n_vars] = monthly[ends - (window - 1 - k)]
     return SampleSet(
         inputs=inputs,
-        targets=np.asarray(targets),
-        window_end=ends_arr,
-        end_calendar_month=np.asarray([grid.calendar_month(t) for t in ends_arr]),
+        targets=oni[ends + lead],
+        window_end=ends,
+        end_calendar_month=np.asarray([grid.calendar_month(t) for t in ends]),
         window=window,
         lead=lead,
     )
@@ -396,31 +396,6 @@ def extend_nodes_with_oni(nodes: NodeIndex) -> NodeIndex:
         latlon=np.vstack([nodes.latlon, [[np.nan, np.nan]]]),
         cells=np.vstack([nodes.cells, [[-1, -1]]]),
         has_oni_node=True,
-    )
-
-
-def add_oni_node(x: Tensor, grid: GridSet, nodes: NodeIndex, window_end: int) -> Tensor:
-    """Append one node whose features are the ONI-region spatial means of
-    each variable for each window month, in the same column layout."""
-    n_vars = len(grid.variables)
-    if x.shape[1] % n_vars != 0:
-        raise ConfigError(f"input width {x.shape[1]} is not a multiple of {n_vars} variables")
-    window = x.shape[1] // n_vars
-    means = regional_means(grid)[window_end - window + 1 : window_end + 1]
-    return Tensor(np.vstack([x.data, means.reshape(1, window * n_vars)]))
-
-
-def append_oni_node(
-    samples: SampleSet, grid: GridSet, nodes: NodeIndex
-) -> tuple[SampleSet, NodeIndex]:
-    """ONI-node injection over a whole sample set."""
-    extended = [
-        add_oni_node(x, grid, nodes, int(end))
-        for x, end in zip(samples.inputs, samples.window_end)
-    ]
-    return (
-        replace(samples, inputs=extended),
-        extend_nodes_with_oni(nodes),
     )
 
 
@@ -634,16 +609,19 @@ def prepare_dataset(
     oni_node: bool = True,
     smoothing_k: int = 3,
 ) -> DatasetBundle:
-    """Grid -> nodes -> labels -> windowed samples -> chronological split.
+    """Grid -> nodes (plus the ONI node) -> labels -> windowed samples ->
+    chronological split.
 
-    Static features for the connectivity learner are computed over the
-    months covered by the training split only.
+    The samples are built once, as one array over the final node set; the
+    train and test splits are views of it. Static features for the
+    connectivity learner are computed over the months covered by the
+    training split only.
     """
     nodes = land_filter_nodes(grid)
+    if oni_node:
+        nodes = extend_nodes_with_oni(nodes)
     oni = compute_oni_series(grid, smoothing_k)
     samples = build_samples(grid, nodes, window, lead, oni)
-    if oni_node:
-        samples, nodes = append_oni_node(samples, grid, nodes)
     train, test = split_samples(samples, train_fraction)
     if len(train) == 0:
         raise DataError("training split is empty")

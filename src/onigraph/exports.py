@@ -13,7 +13,7 @@ import numpy as np
 from .centrality import CentralityScores
 from .data import NodeIndex
 from .errors import DataError, DimensionError
-from .training import EvalReport
+from .training import EvalReport, write_predictions_csv
 
 Array = np.ndarray
 
@@ -99,10 +99,7 @@ def export_forecast_timeseries(report: EvalReport, path: str | Path) -> tuple[Pa
     csv_path = Path(str(base) + ".csv")
     svg_path = Path(str(base) + ".svg")
 
-    lines = ["index,target,prediction"]
-    for i, (t, p) in enumerate(zip(report.targets, report.predictions)):
-        lines.append(f"{i},{float(t)!r},{float(p)!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_predictions_csv(report, csv_path)
 
     both = np.concatenate([report.targets, report.predictions])
     lo, hi = float(both.min()), float(both.max())

@@ -22,6 +22,7 @@ on the sparse path only.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RunningStats, Tensor
 from .errors import ConfigError, DimensionError
-from .structure import Adjacency, StructureParams, build_adjacency, kept_edges
+from .structure import StructureParams, build_adjacency, kept_edges
 
 Array = np.ndarray
 
@@ -253,7 +254,7 @@ def init_params(
 
 
 def gcn_layer(
-    adj: Adjacency | Tensor,
+    aggregate: Callable[[Tensor], Tensor],
     z: Tensor,
     weight: Tensor,
     norm: NormParams | None = None,
@@ -261,21 +262,14 @@ def gcn_layer(
     use_residual: bool = False,
     mode: str = "train",
 ) -> Tensor:
-    """One graph convolution on a single graph: aggregate with the
-    adjacency, transform, normalize over features, activate, then add the
+    """One graph convolution over stacked node rows: aggregate with
+    ``aggregate`` (a function of the (B * N, D) rows applying I + A per
+    graph), transform, normalize over features, activate, then add the
     input back when a residual is requested (widths must match)."""
     if use_residual and weight.shape[0] != weight.shape[1]:
         raise ConfigError(
             f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
         )
-    a = adj.matrix if isinstance(adj, Adjacency) else adj
-    n = z.shape[0]
-    return _layer(
-        lambda h: ad.block_matmul(a, h, n), z, weight, norm, activation, use_residual, mode
-    )
-
-
-def _layer(aggregate, z, weight, norm, activation, use_residual, mode) -> Tensor:
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
     if weight.shape[1] < weight.shape[0]:
         h = aggregate(ad.matmul(z, weight))
@@ -284,7 +278,7 @@ def _layer(aggregate, z, weight, norm, activation, use_residual, mode) -> Tensor
     if norm is not None:
         h = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running)
     out = ad.unary_activation(h, activation)
-    if use_residual and weight.shape[0] == weight.shape[1]:
+    if use_residual:
         out = ad.add(out, z)
     return out
 
@@ -294,18 +288,16 @@ def jumping_knowledge_concat(layers: list[Tensor]) -> Tensor:
     return ad.concat_features(layers)
 
 
-def pool_graph(z: Tensor, kind: str) -> Tensor:
-    """Aggregate node embeddings of one graph into a single vector:
-    column mean, or column sum concatenated with column mean."""
+def pool_graph(z: Tensor, block_rows: int, kind: str) -> Tensor:
+    """Aggregate the node embeddings of each graph of ``block_rows`` stacked
+    rows into one vector: column mean, or column sum concatenated with
+    column mean. (B * N, D) -> (B, D) or (B, 2D)."""
     if kind not in POOLINGS:
         raise ConfigError(f"pooling must be one of {POOLINGS}, got {kind!r}")
-    if kind == "mean":
-        return ad.reduce_nodes(z, "mean")
-    n = z.shape[0]
-    both = ad.concat_features(
-        [ad.block_reduce(z, n, "sum"), ad.block_reduce(z, n, "mean")]
-    )
-    return ad.flatten(both)
+    pooled = ad.block_reduce(z, block_rows, "mean")
+    if kind == "sum_and_mean":
+        pooled = ad.concat_features([ad.block_reduce(z, block_rows, "sum"), pooled])
+    return pooled
 
 
 def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
@@ -396,20 +388,11 @@ def forward_batch(
     z = x
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):
-        z = _layer(
+        z = gcn_layer(
             aggregate, z, weight, norm, cfg.activation,
             cfg.use_residual and weight.shape[0] == weight.shape[1],
             mode,
         )
         layer_outputs.append(z)
     rep = jumping_knowledge_concat(layer_outputs) if cfg.use_jumping_knowledge else z
-    pooled = ad.block_reduce(rep, n, "mean")
-    if cfg.pooling == "sum_and_mean":
-        pooled = ad.concat_features([ad.block_reduce(rep, n, "sum"), pooled])
-    return mlp_head(state, pooled, mode)
-
-
-def model_forward(state: ModelState, x: Tensor, mode: str = "eval") -> Tensor:
-    """Scalar forecast for a single (N, w * D) sample."""
-    out = forward_batch(state, x, 1, mode)
-    return ad.reshape(out, ())
+    return mlp_head(state, pool_graph(rep, n, cfg.pooling), mode)

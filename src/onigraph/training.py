@@ -20,7 +20,6 @@ import numpy as np
 
 from .autodiff import (
     OptimizerState,
-    RunningStats,
     Tape,
     Tensor,
     backward,
@@ -32,13 +31,10 @@ from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
     GcnConfig,
     ModelState,
-    NormParams,
     PRESETS,
     forward_batch,
     init_params,
-    model_forward,
 )
-from .structure import StructureParams
 
 Array = np.ndarray
 
@@ -130,11 +126,6 @@ def build_model(
     )
 
 
-def _stack_batch(samples: SampleSet, ids: Array) -> tuple[Tensor, Tensor]:
-    x = np.concatenate([samples.inputs[i].data for i in ids], axis=0)
-    return Tensor(x), Tensor(samples.targets[ids])
-
-
 def train(
     state: ModelState, samples: SampleSet, cfg: TrainConfig
 ) -> tuple[ModelState, list[tuple[int, int, float]]]:
@@ -157,11 +148,13 @@ def train(
             for name, t in params
         }
     history: list[tuple[int, int, float]] = []
+    width = samples.inputs.shape[2]
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(samples))
         for batch_idx, lo in enumerate(range(0, len(samples), cfg.batch_size)):
             ids = order[lo : lo + cfg.batch_size]
-            x, y = _stack_batch(samples, ids)
+            x = Tensor(samples.inputs[ids].reshape(-1, width))
+            y = Tensor(samples.targets[ids])
             with Tape():
                 pred = forward_batch(state, x, len(ids), mode="train")
                 loss = mse_loss(pred, y)
@@ -203,40 +196,35 @@ def pearson_r(a: Array, b: Array) -> float:
 def predict_samples(
     model: ModelState | list[ModelState], samples: SampleSet, chunk: int = 256
 ) -> Array:
-    """Evaluation-mode predictions; ensembles average member outputs."""
+    """Evaluation-mode predictions; ensembles average member outputs.
+
+    Members must forecast the same thing from the same inputs: equal lead,
+    window, input width and node set (ONI node and coordinates)."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
     first = members[0]
     for m in members[1:]:
         if (
-            m.node_count != first.node_count
+            m.config.lead_months != first.config.lead_months
+            or m.config.window != first.config.window
             or m.config.input_width != first.config.input_width
+            or m.has_oni_node != first.has_oni_node
+            or m.node_count != first.node_count
+            or not np.array_equal(m.node_latlon, first.node_latlon, equal_nan=True)
         ):
-            raise ConfigError("ensemble members disagree on node count or input width")
+            raise ConfigError(
+                "ensemble members disagree on lead, window, input width or nodes"
+            )
     total = np.zeros(len(samples))
     for member in members:
         outputs = []
         for lo in range(0, len(samples), chunk):
-            ids = np.arange(lo, min(lo + chunk, len(samples)))
-            x, _ = _stack_batch(samples, ids)
-            outputs.append(forward_batch(member, x, len(ids), mode="eval").data)
+            x = samples.inputs[lo : lo + chunk]
+            batch = Tensor(x.reshape(-1, x.shape[2]))
+            outputs.append(forward_batch(member, batch, len(x), mode="eval").data)
         total += np.concatenate(outputs)
     return total / len(members)
-
-
-def ensemble_predict(members: list[ModelState], x: Tensor) -> float:
-    """Unweighted mean of the members' forecasts for one sample."""
-    if not members:
-        raise ConfigError("ensemble is empty")
-    first = members[0]
-    for m in members[1:]:
-        if (
-            m.node_count != first.node_count
-            or m.config.input_width != first.config.input_width
-        ):
-            raise ConfigError("ensemble members disagree on node count or input width")
-    return float(np.mean([model_forward(m, x, mode="eval").item() for m in members]))
 
 
 def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalReport:
@@ -346,8 +334,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
     try:
         return _decode_checkpoint(raw)
-    except (struct.error, KeyError, TypeError, ValueError) as exc:
-        # truncated header, undecodable manifest, missing or mistyped field
+    except (struct.error, LookupError, TypeError, ValueError, ConfigError) as exc:
+        # truncated header, undecodable manifest, missing or mistyped field,
+        # or values the model cannot be built from
         raise FormatError(f"bad checkpoint {path}: {exc!r}") from exc
 
 
@@ -378,56 +367,38 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         return arrays[name]
 
-    config = GcnConfig(**manifest["model"])
-    structure = StructureParams(
-        static_features=Tensor(grab("structure.static_features")),
-        w_from=Tensor(grab("structure.w_from"), requires_grad=True),
-        w_to=Tensor(grab("structure.w_to"), requires_grad=True),
-        feature_gain=manifest["structure"]["feature_gain"],
-        score_gain=manifest["structure"]["score_gain"],
-        max_edges=manifest["structure"]["max_edges"],
-    )
-    gcn_weights, gcn_norms = [], []
-    for i in range(len(config.layer_dims)):
-        gcn_weights.append(Tensor(grab(f"gcn.{i}.weight"), requires_grad=True))
-        gcn_norms.append(
-            NormParams(
-                gamma=Tensor(grab(f"gcn.{i}.gamma"), requires_grad=True),
-                beta=Tensor(grab(f"gcn.{i}.beta"), requires_grad=True),
-                running=RunningStats(
-                    grab(f"gcn.{i}.running_mean"), grab(f"gcn.{i}.running_var")
-                ),
-            )
-        )
-    state = ModelState(
-        config=config,
-        structure=structure,
-        gcn_weights=gcn_weights,
-        gcn_norms=gcn_norms,
-        mlp_w1=Tensor(grab("mlp.w1"), requires_grad=True),
-        mlp_b1=Tensor(grab("mlp.b1"), requires_grad=True),
-        mlp_norm=NormParams(
-            gamma=Tensor(grab("mlp.gamma"), requires_grad=True),
-            beta=Tensor(grab("mlp.beta"), requires_grad=True),
-            running=RunningStats(grab("mlp.running_mean"), grab("mlp.running_var")),
-        ),
-        mlp_w2=Tensor(grab("mlp.w2"), requires_grad=True),
-        mlp_b2=Tensor(grab("mlp.b2"), requires_grad=True),
-        node_latlon=grab("node_latlon"),
-        has_oni_node=manifest["has_oni_node"],
-        edge_mode=manifest["edge_mode"],
-        fixed_adjacency=arrays.get("local_adjacency"),
+    # Build the model the way training does, then fill every tensor that
+    # save_checkpoint wrote, by the names the parameter and buffer tables emit.
+    structure = manifest["structure"]
+    state = init_params(
+        GcnConfig(**manifest["model"]),
+        grab("structure.static_features"),
+        grab("node_latlon"),
         seed=manifest["seed"],
+        has_oni_node=manifest["has_oni_node"],
+        embed_dim=grab("structure.w_from").shape[1],
+        feature_gain=structure["feature_gain"],
+        score_gain=structure["score_gain"],
+        max_edges=structure["max_edges"],
+        edge_mode=manifest["edge_mode"],
+        fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
     )
-    if manifest["optimizer"] is not None:
-        opt_cfg = manifest["optimizer"]
+    opt_cfg = manifest["optimizer"]
+    if opt_cfg is not None:
         state.optimizer = {
             name: OptimizerState(
-                grab(f"opt.{name}.velocity"),
+                np.zeros_like(t.data),
                 opt_cfg["learning_rate"],
                 opt_cfg["momentum"],
                 opt_cfg["weight_decay"],
             )
-            for name, _ in state.parameters()
+            for name, t in state.parameters()
         }
+    for name, target in _checkpoint_entries(state).items():
+        value = grab(name)
+        if value.shape != target.shape:
+            raise FormatError(
+                f"checkpoint tensor {name!r} has shape {value.shape}, expected {target.shape}"
+            )
+        target[...] = value
     return state

@@ -29,7 +29,6 @@ from onigraph.autodiff import (
     mse_loss,
     mul_mask,
     record_op,
-    reduce_nodes,
     reshape,
     scale,
     sgd_nesterov_step,
@@ -239,19 +238,19 @@ def test_concat_row_mismatch_rejected():
         concat_features([t(np.ones((2, 1))), t(np.ones((3, 1)))])
 
 
-def test_reduce_nodes_values():
+def test_block_reduce_single_block_values():
     np.testing.assert_array_equal(
-        reduce_nodes(t([[2.0, 5.0], [2.0, 5.0]]), "mean").data, [2.0, 5.0]
+        block_reduce(t([[2.0, 5.0], [2.0, 5.0]]), 2, "mean").data, [[2.0, 5.0]]
     )
-    np.testing.assert_array_equal(reduce_nodes(t([[1.0], [3.0]]), "sum").data, [4.0])
+    np.testing.assert_array_equal(block_reduce(t([[1.0], [3.0]]), 2, "sum").data, [[4.0]])
     np.testing.assert_array_equal(
-        reduce_nodes(t([[1.0, 0.0], [3.0, 2.0]]), "mean").data, [2.0, 1.0]
+        block_reduce(t([[1.0, 0.0], [3.0, 2.0]]), 2, "mean").data, [[2.0, 1.0]]
     )
 
 
 def test_reduce_empty_rejected():
     with pytest.raises(DimensionError):
-        reduce_nodes(t(np.ones((0, 2))), "mean")
+        block_reduce(t(np.ones((0, 2))), 0, "mean")
 
 
 def test_block_ops_match_per_sample_ops():
@@ -412,7 +411,7 @@ def test_grad_check_composite_ops():
         h = unary_activation(h, "elu")
         h = mul_mask(h, mask)
         h = add_const(h, np.full((4, 2), 0.25))
-        pooled = reduce_nodes(concat_features([h, scale(h, -0.5)]), "mean")
+        pooled = block_reduce(concat_features([h, scale(h, -0.5)]), 4, "mean")
         return mse_loss(
             flatten(transpose(reshape(pooled, (1, 4)))), t([0.1, 0.2, 0.3, 0.4])
         )

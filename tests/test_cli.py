@@ -112,6 +112,50 @@ def test_predict_writes_csv(checkpoint, synth_dir, tmp_path):
     assert len(lines) > 1
 
 
+def test_predict_all_is_train_then_test(checkpoint, synth_dir, tmp_path):
+    def predictions(split):
+        out = tmp_path / f"{split}.csv"
+        code = cli_dispatch(
+            [
+                "predict",
+                "--checkpoint", str(checkpoint),
+                "--data", str(synth_dir),
+                "--split", split,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(i) for i, _ in rows] == list(range(len(rows)))
+        return np.array([float(p) for _, p in rows])
+
+    train, test, both = predictions("train"), predictions("test"), predictions("all")
+    assert len(train) > 0 and len(test) > 0
+    np.testing.assert_allclose(both, np.concatenate([train, test]), rtol=1e-12, atol=0.0)
+
+
+def test_ensemble_of_different_leads_is_usage_error(checkpoint, synth_dir, small_config, tmp_path):
+    lead2 = tmp_path / "lead2.ckpt"
+    code = cli_dispatch(
+        [
+            "train",
+            "--config", str(small_config),
+            "--data", str(synth_dir),
+            "--lead", "2",
+            "--seed", "7",
+            "--out", str(lead2),
+        ]
+    )
+    assert code == 0
+    for command in ("evaluate", "predict"):
+        args = [command, "--checkpoint", str(checkpoint), "--checkpoint", str(lead2)]
+        args += ["--data", str(synth_dir)]
+        if command == "predict":
+            args += ["--out", str(tmp_path / "p.csv")]
+        assert cli_dispatch(args) == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_centrality_writes_heatmap(checkpoint, tmp_path):
     out = tmp_path / "heat"
     code = cli_dispatch(["centrality", "--checkpoint", str(checkpoint), "--out", str(out)])

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from onigraph.data import (
     GridSet,
-    add_oni_node,
-    append_oni_node,
     build_samples,
     build_static_features,
     compute_oni_series,
@@ -255,7 +253,7 @@ def test_single_sample_case():
     samples = build_samples(grid, nodes, window=1, lead=1, oni=np.array([5.0, 7.0]))
     assert len(samples) == 1
     np.testing.assert_array_equal(
-        samples.inputs[0].data, grid.data[0].reshape(2, -1).T
+        samples.inputs[0], grid.data[0].reshape(2, -1).T
     )
     assert samples.targets[0] == 7.0
 
@@ -292,14 +290,35 @@ def test_no_leakage_mutation():
         corrupted.data[end + 1 :] = 999.0
         again = build_samples(corrupted, nodes, window=3, lead=2, oni=oni)
         match = np.flatnonzero(again.window_end == end)[0]
-        np.testing.assert_array_equal(again.inputs[match].data, samples.inputs[idx].data)
+        np.testing.assert_array_equal(again.inputs[match], samples.inputs[idx])
+
+
+def test_samples_match_per_window_reference():
+    # reference: one window at a time, as a slice of the (T, N, D) node series
+    grid = make_grid(n_time=14, seed=6)
+    oni = compute_oni_series(grid, k=5)
+    for nodes in (land_filter_nodes(grid), extend_nodes_with_oni(land_filter_nodes(grid))):
+        cells = nodes.cells[: nodes.grid_count]
+        series = grid.data[:, :, cells[:, 0], cells[:, 1]].transpose(0, 2, 1)
+        if nodes.has_oni_node:
+            series = np.concatenate([series, regional_means(grid)[:, None, :]], axis=1)
+        for window, lead in ((1, 1), (3, 2), (4, 3)):
+            samples = build_samples(grid, nodes, window, lead, oni)
+            expected = [
+                (end, series[end - window + 1 : end + 1].transpose(1, 0, 2).reshape(nodes.count, -1))
+                for end in range(window - 1, grid.n_time - lead)
+                if np.isfinite(oni[end + lead])
+            ]
+            assert samples.window_end.tolist() == [end for end, _ in expected]
+            np.testing.assert_array_equal(samples.inputs, np.stack([x for _, x in expected]))
+            np.testing.assert_array_equal(samples.targets, oni[samples.window_end + lead])
 
 
 def test_time_major_column_layout():
     grid = make_grid(n_time=4)
     nodes = land_filter_nodes(grid)
     samples = build_samples(grid, nodes, window=2, lead=1, oni=np.arange(4.0))
-    x = samples.inputs[0].data
+    x = samples.inputs[0]
     node0 = nodes.cells[0]
     np.testing.assert_array_equal(
         x[0],
@@ -328,31 +347,66 @@ def test_split_is_chronological():
 def test_oni_node_constant_field():
     grid = make_grid(value=2.0)
     nodes = land_filter_nodes(grid)
-    x = build_samples(grid, nodes, 2, 1, np.arange(6.0)).inputs[0]
-    extended = add_oni_node(x, grid, nodes, window_end=1)
-    assert extended.shape == (nodes.count + 1, 4)
-    np.testing.assert_allclose(extended.data[-1], 2.0)
+    x = build_samples(grid, extend_nodes_with_oni(nodes), 2, 1, np.arange(6.0)).inputs[0]
+    assert x.shape == (nodes.count + 1, 4)
+    np.testing.assert_allclose(x[-1], 2.0)
 
 
 def test_oni_node_two_cell_mean():
     grid = make_grid(n_lat=1, n_lon=2, n_time=2, lat0=0.0, lon0=190.0)
     grid.data[0, 0] = [[1.0, 3.0]]
-    nodes = land_filter_nodes(grid)
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
     x = build_samples(grid, nodes, 1, 1, np.array([0.0, 1.0])).inputs[0]
-    extended = add_oni_node(x, grid, nodes, window_end=0)
-    assert extended.data[-1, 0] == pytest.approx(2.0)
+    assert x[-1, 0] == pytest.approx(2.0)
 
 
-def test_append_oni_node_extends_everything():
+def test_oni_node_extends_samples_and_static_features():
     grid = make_grid()
-    bundle_nodes = land_filter_nodes(grid)
-    samples = build_samples(grid, bundle_nodes, 3, 1, compute_oni_series(grid))
-    extended, nodes2 = append_oni_node(samples, grid, bundle_nodes)
-    assert nodes2.count == bundle_nodes.count + 1
+    grid_nodes = land_filter_nodes(grid)
+    nodes2 = extend_nodes_with_oni(grid_nodes)
+    oni = compute_oni_series(grid)
+    samples = build_samples(grid, nodes2, 3, 1, oni)
+    assert nodes2.count == grid_nodes.count + 1
     assert nodes2.has_oni_node
-    assert all(x.shape[0] == nodes2.count for x in extended.inputs)
+    assert samples.inputs.shape == (len(samples), nodes2.count, 6)
+    assert samples.inputs.flags.c_contiguous and samples.inputs.dtype == np.float64
+    # grid rows are those of the samples without the ONI node
+    plain = build_samples(grid, grid_nodes, 3, 1, oni)
+    np.testing.assert_array_equal(samples.inputs[:, :-1], plain.inputs)
     static = build_static_features(grid, nodes2, np.arange(4))
     assert static.shape == (nodes2.count, 4)
+
+
+def test_oni_node_row_holds_window_region_means():
+    grid = make_grid(n_time=9, seed=4)
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
+    samples = build_samples(grid, nodes, 3, 2, np.arange(9.0))
+    means = regional_means(grid)
+    for x, end in zip(samples.inputs, samples.window_end):
+        np.testing.assert_array_equal(x[-1], means[end - 2 : end + 1].reshape(-1))
+
+
+def test_prepare_dataset_computes_region_means_once_per_use(monkeypatch):
+    # the ONI series, the ONI node rows and its static features each take
+    # the region means once, however many samples there are
+    import onigraph.data as data_module
+
+    calls = []
+    original = data_module.regional_means
+
+    def counting(grid):
+        calls.append(1)
+        return original(grid)
+
+    monkeypatch.setattr(data_module, "regional_means", counting)
+    counts = []
+    for months in (48, 96):
+        grid, _ = synth_teleconnection_dataset(5, 5, months, 1, seed=3)
+        calls.clear()
+        bundle = prepare_dataset(grid, window=3, lead=1)
+        counts.append((len(calls), len(bundle.train) + len(bundle.test)))
+    assert counts[0][1] < counts[1][1]
+    assert [c for c, _ in counts] == [3, 3]
 
 
 # --- static features ------------------------------------------------------------

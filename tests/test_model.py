@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onigraph.autodiff import Tape, Tensor, grad_check, mse_loss
+from onigraph.autodiff import Tape, Tensor, block_matmul, grad_check, mse_loss
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import (
     GcnConfig,
@@ -13,7 +13,6 @@ from onigraph.model import (
     init_params,
     jumping_knowledge_concat,
     mlp_head,
-    model_forward,
     pool_graph,
 )
 from onigraph.structure import build_adjacency
@@ -53,6 +52,16 @@ def tiny_state(
     )
 
 
+def dense(a):
+    """Aggregation with a dense (n, n) adjacency over one stacked graph."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    return lambda h: block_matmul(a, h, a.shape[0])
+
+
+def predict_one(state, x):
+    return forward_batch(state, x, 1, mode="eval").item()
+
+
 def rand_input(state, batch=1, seed=5):
     rng = np.random.default_rng(seed)
     n = state.node_count
@@ -64,13 +73,13 @@ def rand_input(state, batch=1, seed=5):
 
 def test_layer_identity_passthrough():
     z = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-    out = gcn_layer(Tensor(np.eye(3)), z, Tensor(np.eye(3)), norm=None, activation="identity")
+    out = gcn_layer(dense(np.eye(3)), z, Tensor(np.eye(3)), norm=None, activation="identity")
     np.testing.assert_array_equal(out.data, z.data)
 
 
 def test_layer_hand_aggregation():
     out = gcn_layer(
-        Tensor([[1.0, 1.0], [0.0, 1.0]]),
+        dense([[1.0, 1.0], [0.0, 1.0]]),
         Tensor([[1.0], [2.0]]),
         Tensor([[1.0]]),
         norm=None,
@@ -81,7 +90,7 @@ def test_layer_hand_aggregation():
 
 def test_layer_elu_oracle():
     out = gcn_layer(
-        Tensor(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), norm=None, activation="elu"
+        dense(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), norm=None, activation="elu"
     )
     assert out.data[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
 
@@ -89,7 +98,7 @@ def test_layer_elu_oracle():
 def test_layer_residual_width_mismatch_rejected():
     with pytest.raises(ConfigError):
         gcn_layer(
-            Tensor(np.eye(2)),
+            dense(np.eye(2)),
             Tensor(np.ones((2, 2))),
             Tensor(np.ones((2, 3))),
             norm=None,
@@ -101,7 +110,7 @@ def test_layer_residual_identity_when_output_zero():
     state = tiny_state(n=3, layer_dims=(2, 2))
     z = Tensor(np.random.default_rng(1).normal(size=(3, 2)))
     out = gcn_layer(
-        Tensor(np.eye(3)),
+        dense(np.eye(3)),
         z,
         Tensor(np.zeros((2, 2))),
         norm=state.gcn_norms[1],
@@ -132,15 +141,15 @@ def test_jumping_knowledge_width_and_order():
 def test_pool_all_equal_rows():
     row = np.array([1.5, -2.0])
     z = Tensor(np.tile(row, (4, 1)))
-    np.testing.assert_allclose(pool_graph(z, "mean").data, row)
+    np.testing.assert_allclose(pool_graph(z, 4, "mean").data, [row])
     np.testing.assert_allclose(
-        pool_graph(z, "sum_and_mean").data, np.concatenate([4 * row, row])
+        pool_graph(z, 4, "sum_and_mean").data, [np.concatenate([4 * row, row])]
     )
 
 
 def test_pool_sum_and_mean_hand_value():
-    out = pool_graph(Tensor([[1.0], [3.0]]), "sum_and_mean")
-    np.testing.assert_array_equal(out.data, [4.0, 2.0])
+    out = pool_graph(Tensor([[1.0], [3.0]]), 2, "sum_and_mean")
+    np.testing.assert_array_equal(out.data, [[4.0, 2.0]])
 
 
 # --- mlp head ------------------------------------------------------------------
@@ -179,8 +188,8 @@ def test_mlp_output_scalar_shape():
 def test_forward_deterministic():
     state = tiny_state(seed=3)
     x = rand_input(state)
-    a = model_forward(state, x).item()
-    b = model_forward(state, x).item()
+    a = predict_one(state, x)
+    b = predict_one(state, x)
     assert a == b
 
 
@@ -205,12 +214,12 @@ def test_forward_permutation_invariance():
         static = rng.normal(size=(n, 4))
         state = tiny_state(n=n, seed=trial, static_features=static)
         x = rand_input(state, seed=trial + 50)
-        base = model_forward(state, x).item()
+        base = predict_one(state, x)
 
         perm = rng.permutation(n)
         state_p = tiny_state(n=n, seed=trial, static_features=static[perm])
         x_p = Tensor(x.data[perm])
-        permuted = model_forward(state_p, x_p).item()
+        permuted = predict_one(state_p, x_p)
         worst = max(worst, abs(base - permuted))
     assert worst <= 1e-9
 
@@ -252,7 +261,7 @@ def test_layer_aggregation_order_does_not_change_values():
     z = rng.normal(size=(4, 5))
     for width in (2, 5, 7):  # narrowing, equal and widening layers
         w = rng.normal(size=(5, width))
-        out = gcn_layer(Tensor(a), Tensor(z), Tensor(w), norm=None, activation="identity")
+        out = gcn_layer(dense(a), Tensor(z), Tensor(w), norm=None, activation="identity")
         np.testing.assert_allclose(out.data, a @ z @ w, rtol=1e-12, atol=1e-12)
 
 

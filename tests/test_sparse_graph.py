@@ -240,7 +240,7 @@ def test_edge_path_matches_dense_path(case, monkeypatch):
     x = Tensor(rng.normal(size=(batch * N, 4)))
     y = Tensor(rng.normal(size=batch))
     samples = SampleSet(
-        inputs=[Tensor(rng.normal(size=(N, 4))) for _ in range(5)],
+        inputs=rng.normal(size=(5, N, 4)),
         targets=rng.normal(size=5),
         window_end=np.arange(5),
         end_calendar_month=np.arange(5) % 12 + 1,

@@ -9,11 +9,11 @@ from onigraph.autodiff import (
     Tape,
     Tensor,
     backward,
+    block_reduce,
     flatten,
     grad_check,
     mse_loss,
     mul_mask,
-    reduce_nodes,
 )
 from onigraph.errors import ConfigError, NumericError
 from onigraph.structure import (
@@ -237,7 +237,7 @@ def test_build_adjacency_gradients_equal_three_steps(frozen):
             w.zero_grad()
         with Tape():
             adj = make()
-            pooled = reduce_nodes(mul_mask(adj.matrix, weights), "sum")
+            pooled = flatten(block_reduce(mul_mask(adj.matrix, weights), 6, "sum"))
             backward(mse_loss(pooled, Tensor(np.zeros(6))))
         return adj.matrix.data, p.w_from.grad.copy(), p.w_to.grad.copy()
 
@@ -319,7 +319,7 @@ def test_structure_gradients_with_frozen_mask():
 
     def f():
         adj = build_adjacency(p, kept_mask=mask)
-        pooled = reduce_nodes(adj.matrix, "mean")
+        pooled = flatten(block_reduce(adj.matrix, 5, "mean"))
         return mse_loss(pooled, Tensor(np.linspace(0.0, 1.0, 5)))
 
     assert grad_check(f, [p.w_from, p.w_to], step=1e-5) <= 1e-4

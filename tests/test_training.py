@@ -1,18 +1,21 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from onigraph.autodiff import OptimizerState
 from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
-from onigraph.model import GcnConfig
+from onigraph.model import GcnConfig, init_params
 from onigraph.structure import compute_scores, top_edges_mask
 from onigraph.training import (
     EvalReport,
     TrainConfig,
     build_model,
-    ensemble_predict,
     evaluate,
     load_checkpoint,
     model_config_from_preset,
@@ -182,25 +185,54 @@ def test_evaluate_does_not_mutate_state():
 # --- ensembling -----------------------------------------------------------------
 
 
+def first_sample(samples):
+    return replace(
+        samples,
+        inputs=samples.inputs[:1],
+        targets=samples.targets[:1],
+        window_end=samples.window_end[:1],
+        end_calendar_month=samples.end_calendar_month[:1],
+    )
+
+
 def test_ensemble_identical_members_match_single():
     bundle, state = constant_output_model(1.2)
-    x = bundle.train.inputs[0]
+    one = first_sample(bundle.train)
     single = float(np.mean(predict_samples(state, bundle.train)))
-    assert ensemble_predict([state, state], x) == pytest.approx(single)
+    assert predict_samples([state, state], one)[0] == pytest.approx(single)
 
 
 def test_ensemble_mean_of_two():
     bundle, a = constant_output_model(1.0)
     _, b = constant_output_model(3.0)
-    x = bundle.train.inputs[0]
-    assert ensemble_predict([a, b], x) == pytest.approx(2.0)
-    assert ensemble_predict([b, a], x) == pytest.approx(2.0)
+    one = first_sample(bundle.train)
+    assert predict_samples([a, b], one)[0] == pytest.approx(2.0)
+    assert predict_samples([b, a], one)[0] == pytest.approx(2.0)
 
 
 def test_ensemble_empty_rejected():
     bundle, _, _, _ = tiny_setup()
     with pytest.raises(ConfigError):
-        ensemble_predict([], bundle.train.inputs[0])
+        predict_samples([], first_sample(bundle.train))
+
+
+@pytest.mark.parametrize(
+    "differ",
+    [
+        lambda s: setattr(s.config, "lead_months", 2),
+        # same input width (6 x 1 against 3 x 2 columns), other window
+        lambda s: (setattr(s.config, "window", 6), setattr(s.config, "features_per_node", 1)),
+        lambda s: setattr(s, "has_oni_node", False),
+        lambda s: s.node_latlon.__setitem__((0, 1), s.node_latlon[0, 1] + 5.0),
+    ],
+    ids=["lead", "window", "oni_node", "node_latlon"],
+)
+def test_ensemble_members_must_agree(differ):
+    bundle, a = constant_output_model(1.0)
+    _, b = constant_output_model(3.0)
+    differ(b)
+    with pytest.raises(ConfigError):
+        predict_samples([a, b], bundle.train)
 
 
 def test_ensemble_predict_samples_averages():
@@ -228,6 +260,85 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(slot.velocity, loaded.optimizer[name].velocity)
     save_checkpoint(loaded, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def pinned_state(edge_mode):
+    """A small model whose every checkpointed value comes from uniform draws
+    (no BLAS, so its bytes do not depend on the host): an ONI node with NaN
+    coordinates, non-default running statistics, and optimizer slots in
+    learned mode."""
+    rng = np.random.default_rng(2024)
+    n = 7
+    static = rng.uniform(-2.0, 2.0, (n, 4))
+    latlon = np.column_stack([rng.uniform(-20.0, 20.0, n), rng.uniform(150.0, 260.0, n)])
+    latlon[-1] = np.nan
+    fixed = None
+    if edge_mode == "local":
+        fixed = (rng.uniform(size=(n, n)) < 0.4).astype(float)
+        np.fill_diagonal(fixed, 1.0)
+    cfg = GcnConfig(layer_dims=[5, 3], pooling="sum_and_mean", window=2, lead_months=2)
+    state = init_params(
+        cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, feature_gain=0.5,
+        max_edges=10, edge_mode=edge_mode, fixed_adjacency=fixed,
+    )
+    for norm in state.gcn_norms + [state.mlp_norm]:
+        norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
+        norm.running.var[...] = rng.uniform(0.5, 2.0, norm.running.var.shape)
+    if edge_mode == "learned":
+        state.optimizer = {
+            name: OptimizerState(rng.uniform(-0.1, 0.1, t.shape), 0.005, 0.9, 1e-4)
+            for name, t in state.parameters()
+        }
+    return state
+
+
+@pytest.mark.parametrize(
+    "edge_mode, sha1",
+    [
+        ("learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
+        ("local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
+    ],
+)
+def test_checkpoint_bytes_are_pinned(tmp_path, edge_mode, sha1):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state(edge_mode), path)
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == sha1
+    # what loads saves back to the same bytes
+    save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_missing_tensor_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("local"), path)
+    raw = _rewrite_manifest(
+        path.read_bytes(),
+        lambda m: m.update(tensors=[t for t in m["tensors"] if t["name"] != "local_adjacency"]),
+    )
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="local_adjacency"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("mlp.b2", [1, 1]),  # checked against the model built from the manifest
+        ("node_latlon", [2, 7]),  # checked while that model is built
+    ],
+)
+def test_checkpoint_tensor_of_wrong_shape_rejected(tmp_path, name, shape):
+    # each new shape holds as many values as the saved one, so the blob still parses
+    def reshape(manifest):
+        for t in manifest["tensors"]:
+            if t["name"] == name:
+                t["shape"] = shape
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("learned"), path)
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), reshape))
+    with pytest.raises(FormatError, match=name):
+        load_checkpoint(path)
 
 
 def test_checkpoint_keeps_its_own_feature_gain(tmp_path):
