@@ -26,8 +26,8 @@ def run(n_lat, n_lon, months, lead, noise, background, epochs, dims, seeds, embe
             train(state, bundle.train, cfg)
             row[edges] = evaluate(state, bundle.test).r
             if edges == "learned":
-                adj = model_adjacency(state).data
-                cent = eigenvector_centrality(adj)
+                # transposed: rank the nodes the graph reads from
+                cent = eigenvector_centrality(model_adjacency(state).data.T)
                 order = np.argsort(-cent.scores)
                 rank_of = np.empty(len(order), dtype=int)
                 rank_of[order] = np.arange(1, len(order) + 1)

@@ -18,7 +18,7 @@ from .data import (
     synth_teleconnection_dataset,
 )
 from .model import GcnConfig, ModelState, PRESETS, init_params
-from .structure import Adjacency, StructureParams, build_adjacency
+from .structure import StructureParams, kept_edges
 from .training import (
     EvalReport,
     TrainConfig,

@@ -1,11 +1,17 @@
-"""Eigenvector centrality of the learned adjacency.
+"""Eigenvector centrality of a graph's weight matrix.
 
-A node scores high when it connects to other high-scoring nodes; the
-scores are the entries of the dominant right eigenvector, A v = lambda v,
-computed by power iteration. For a non-negative matrix with a simple
-dominant eigenvalue the iteration started from a uniform positive vector
-converges to the non-negative dominant eigenvector; degenerate spectra
-surface as a convergence error rather than a silently wrong answer.
+The scores are the entries of the dominant right eigenvector of the
+matrix M passed in, M v = lambda v, computed by power iteration: node i
+scores high when row i puts weight on high-scoring nodes. The model's
+aggregation makes node i read from node j where ``A[i, j] > 0``, so the
+nodes the graph reads from are ranked by passing the transpose of its
+I + A, as ``onigraph centrality`` does (networkx's in-edge convention
+for directed graphs).
+
+For a non-negative matrix with a simple dominant eigenvalue the
+iteration started from a uniform positive vector converges to the
+non-negative dominant eigenvector; degenerate spectra surface as a
+convergence error rather than a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NumericError
-from .structure import Adjacency
 
 Array = np.ndarray
 
@@ -29,9 +34,9 @@ class CentralityScores:
 
 
 def eigenvector_centrality(
-    adjacency: Adjacency | Array, tol: float = 1e-10, max_iter: int = 10_000
+    adjacency: Array, tol: float = 1e-10, max_iter: int = 10_000
 ) -> CentralityScores:
-    a = adjacency.matrix.data if isinstance(adjacency, Adjacency) else np.asarray(adjacency, float)
+    a = np.asarray(adjacency, float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got {a.shape}")
     if np.any(a < 0.0):

@@ -27,8 +27,7 @@ from .errors import (
     UsageError,
 )
 from .exports import export_centrality_heatmap, export_forecast_timeseries
-from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency
-from .structure import build_adjacency
+from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency, model_edges
 from .training import (
     TrainConfig,
     build_model,
@@ -293,8 +292,9 @@ def cmd_predict(args) -> int:
 
 def cmd_centrality(args) -> int:
     state = load_checkpoint(args.checkpoint[0])
-    adjacency = model_adjacency(state).data
-    scores = eigenvector_centrality(adjacency)
+    # node i reads from node j where A[i, j] > 0: the transpose ranks the
+    # nodes the graph reads from
+    scores = eigenvector_centrality(model_adjacency(state).data.T)
     nodes = dat.NodeIndex(
         latlon=state.node_latlon,
         cells=np.full((state.node_count, 2), -1, dtype=int),
@@ -312,25 +312,32 @@ def cmd_centrality(args) -> int:
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed + 99)
-    n, batch = 6, 3
+    batch = 3
     config = GcnConfig(layer_dims=[4, 4], window=2, features_per_node=2)
-    state = init_params(
-        config,
-        rng.normal(size=(n, 4)),
-        np.column_stack([rng.uniform(-60, 60, n), rng.uniform(0, 360, n)]),
-        seed=seed,
-        embed_dim=3,
-        max_edges=3 * n,
-    )
-    x = Tensor(rng.normal(size=(batch * n, config.input_width)))
-    y = Tensor(rng.normal(size=batch))
-    frozen_mask = build_adjacency(state.structure).kept_mask
+    worst = 0.0
+    # a graph dense enough for the dense aggregation kernels, and one
+    # sparse enough for the CSR kernels
+    for n, max_edges in ((6, 18), (40, 40)):
+        state = init_params(
+            config,
+            rng.normal(size=(n, 4)),
+            np.column_stack([rng.uniform(-60, 60, n), rng.uniform(0, 360, n)]),
+            seed=seed,
+            embed_dim=3,
+            max_edges=max_edges,
+        )
+        x = Tensor(rng.normal(size=(batch * n, config.input_width)))
+        y = Tensor(rng.normal(size=batch))
+        frozen, _ = model_edges(state)
 
-    def f():
-        pred = forward_batch(state, x, batch, mode="train", kept_mask=frozen_mask)
-        return mse_loss(pred, y)
+        def f():
+            pred = forward_batch(state, x, batch, mode="train", edges=frozen)
+            return mse_loss(pred, y)
 
-    worst = grad_check(f, [t for _, t in state.parameters()], step=1e-5)
+        error = grad_check(f, [t for _, t in state.parameters()], step=1e-5)
+        kernel = "CSR" if frozen.sparse else "dense"
+        print(f"{n} nodes, {frozen.rows.size} edges, {kernel} kernels: error {error:.3e}")
+        worst = max(worst, error)
     print(f"max relative gradient error: {worst:.3e} (tolerance {GRADCHECK_TOLERANCE})")
     if worst > GRADCHECK_TOLERANCE:
         print("gradcheck FAILED")

@@ -53,7 +53,7 @@ def export_centrality_heatmap(
     lines = ["lat,lon,centrality"]
     for i in range(grid_nodes):
         lat, lon = nodes.latlon[i]
-        lines.append(f"{_fmt(lat)},{_fmt(lon)},{values[i]!r}")
+        lines.append(f"{_fmt(lat)},{_fmt(lon)},{float(values[i])!r}")
     csv_path.write_text("\n".join(lines) + "\n")
 
     lats = np.unique(nodes.latlon[:grid_nodes, 0])

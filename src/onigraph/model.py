@@ -7,17 +7,16 @@ equal-width layers, jumping-knowledge concatenation of all layer outputs,
 graph pooling, and a two-layer MLP head that emits one scalar.
 
 A batch of samples is processed as independent graph passes sharing one
-adjacency; normalization statistics are taken over the stacked
+graph; normalization statistics are taken over the stacked
 (batch * nodes) row axis.
 
-Graph aggregation takes one of two paths with the same result. A sparse
-graph, whose kept edges plus self-loops fill less than ``SPARSE_SHARE``
-of the N x N entries, is aggregated over its edge list
-(:func:`model_edges`, ``autodiff.edge_block_matmul``, scipy CSR
-products), and a learned graph is then scored and differentiated on its
-kept edges only. A denser graph is aggregated with the dense adjacency
-(:func:`model_adjacency`, ``autodiff.block_matmul``). scipy is imported
-on the sparse path only.
+The graph is an edge list with implicit unit self-loops
+(:func:`model_edges`): the kept edges of the structure learner, or the
+nonzero off-diagonal entries of a fixed local matrix. Every layer
+aggregates over it with ``autodiff.edge_block_matmul``, which runs CSR
+products on a sparse graph and dense BLAS products otherwise; scipy is
+imported for sparse graphs only. :func:`model_adjacency` scatters the
+same graph into the dense I + A that centrality and exports read.
 """
 
 from __future__ import annotations
@@ -30,23 +29,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RunningStats, Tensor
 from .errors import ConfigError, DimensionError
-from .structure import StructureParams, build_adjacency, kept_edges
+from .structure import StructureParams, kept_edges
 
 Array = np.ndarray
 
 BN_EPS = 1e-5
 
 POOLINGS = ("mean", "sum_and_mean")
-
-# Largest share of nonzero adjacency entries (kept edges plus self-loops)
-# aggregated over an edge list. Aggregation forward plus backward at width
-# 16, one BLAS thread on a 2-vCPU Xeon, edge list against dense: N=1345,
-# batch 8: 10 against 44 ms at 2%, 40 against 55 ms at 6.25%, 68 against
-# 42 ms at 14%; N=300, batch 8: 1.6 against 1.9 ms at 6.25%, 3.6 against
-# 2.2 ms at 14%. At desk size (N=65, 8N edges, 14%) dense wins: 0.6 ms
-# against 2.2 ms, and scipy is never imported.
-SPARSE_SHARE = 1 / 16
-
 
 @dataclass
 class GcnConfig:
@@ -203,6 +192,8 @@ def init_params(
     if edge_mode == "local":
         if fixed_adjacency is None or fixed_adjacency.shape != (n, n):
             raise ConfigError("local edge mode needs a fixed (N, N) adjacency")
+        if np.any(np.diag(fixed_adjacency) != 1.0):
+            raise ConfigError("a fixed local adjacency needs ones on its diagonal (self-loops)")
     if max_edges is None:
         max_edges = min(8 * n, n * (n - 1))
 
@@ -318,39 +309,27 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
     return ad.flatten(out)
 
 
-def model_adjacency(state: ModelState, kept_mask: Array | None = None) -> Tensor:
-    """The model's graph as a dense (N, N) matrix with self-loops: rebuilt
-    from the structure learner, or the fixed local matrix in ablation mode.
-    The forward pass aggregates with it when :func:`model_edges` finds the
-    graph too dense for an edge list; exports and centrality always read
-    this form."""
-    if state.edge_mode == "local":
-        return Tensor(state.fixed_adjacency)
-    return build_adjacency(state.structure, kept_mask=kept_mask).matrix
-
-
 def model_edges(
-    state: ModelState, kept_mask: Array | None = None
-) -> tuple[ad.EdgeIndex, Tensor] | None:
-    """The model's graph as off-diagonal edges and their values, the
-    self-loops implicit; None when kept edges plus self-loops fill
-    ``SPARSE_SHARE`` of the N x N entries or more (or a fixed local matrix
-    has a diagonal other than ones). Same graph as :func:`model_adjacency`."""
-    n = state.node_count
+    state: ModelState, edges: ad.EdgeIndex | None = None
+) -> tuple[ad.EdgeIndex, Tensor]:
+    """The model's graph as off-diagonal edges and their values, the unit
+    self-loops implicit: the structure learner's kept edges (scored at the
+    frozen ``edges`` if given), or the nonzero off-diagonal entries of the
+    fixed local matrix in ablation mode."""
     if state.edge_mode == "local":
-        fixed = state.fixed_adjacency
-        if np.count_nonzero(fixed) >= SPARSE_SHARE * n * n or np.any(np.diag(fixed) != 1.0):
-            return None
-        off = fixed != 0.0
+        off = state.fixed_adjacency != 0.0
         np.fill_diagonal(off, False)
-        edges = ad.EdgeIndex.from_mask(off)
-        return edges, Tensor(fixed[edges.rows, edges.cols])
-    kept = state.structure.max_edges
-    if kept_mask is not None:
-        kept = np.count_nonzero(kept_mask) - np.count_nonzero(np.diag(kept_mask))
-    if kept + n >= SPARSE_SHARE * n * n:
-        return None
-    return kept_edges(state.structure, kept_mask)
+        local = ad.EdgeIndex.from_mask(off)
+        return local, Tensor(state.fixed_adjacency[local.rows, local.cols])
+    return kept_edges(state.structure, edges)
+
+
+def model_adjacency(state: ModelState) -> Tensor:
+    """The model's graph as the dense (N, N) matrix I + A, a constant
+    scattered from :func:`model_edges`: node i reads from node j where
+    ``A[i, j] > 0``. Exports and centrality read this form."""
+    edges, values = model_edges(state)
+    return Tensor(edges.dense(values.data, self_loops=True))
 
 
 def forward_batch(
@@ -358,33 +337,24 @@ def forward_batch(
     x: Tensor,
     batch: int,
     mode: str = "train",
-    kept_mask: Array | None = None,
+    edges: ad.EdgeIndex | None = None,
 ) -> Tensor:
     """Predictions for ``batch`` stacked samples: (batch * N, w * D) input,
-    (batch,) output. In train mode the whole pass, adjacency included, is
+    (batch,) output. In train mode the whole pass, graph included, is
     recorded on the ambient tape so one backward reaches the network and
-    the structure learner jointly.
-
-    A sparse graph (see ``SPARSE_SHARE``) is aggregated over the edge list
-    of :func:`model_edges`, a dense one with :func:`model_adjacency`; both
-    give the same predictions and gradients up to rounding."""
+    the structure learner jointly. ``edges`` freezes the learned edge set
+    (see :func:`model_edges`)."""
     cfg = state.config
     n = state.node_count
     if x.shape != (batch * n, cfg.input_width):
         raise DimensionError(
             f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
         )
-    graph = model_edges(state, kept_mask=kept_mask)
-    if graph is None:
-        adj = model_adjacency(state, kept_mask=kept_mask)
+    edges, values = model_edges(state, edges)
 
-        def aggregate(h):
-            return ad.block_matmul(adj, h, n)
-    else:
-        edges, values = graph
+    def aggregate(h):
+        return ad.edge_block_matmul(values, edges, h)
 
-        def aggregate(h):
-            return ad.edge_block_matmul(values, edges, h)
     z = x
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):

@@ -1,5 +1,5 @@
-"""Learned global connectivity: a continuous adjacency matrix computed from
-static node features, sparsified to a total edge budget, with self-loops.
+"""Learned global connectivity: a sparse graph computed from static node
+features, cut to a total edge budget, with implicit unit self-loops.
 
 Edge scores are bilinear in two learned embeddings of the static node
 features. Each entry is a weighted directed connection, the score matrix
@@ -8,10 +8,12 @@ sparsification. Only the largest ``max_edges`` off-diagonal entries are
 kept (a budget on the total edge count, not per node), so informative
 nodes are free to accumulate many more connections than others.
 
-The graph comes in two forms that select the same edges: a dense N x N
-adjacency with self-loops (:func:`build_adjacency`), and an edge list of
-the kept scores (:func:`kept_edges`) whose tape and gradients touch only
-the kept edges.
+The graph has one form, built in :func:`kept_edges`: the list of kept
+edges and their scores. One dense pass off the tape scores every pair and
+selects the kept edges; only the kept scores are recorded, so neither the
+tape nor the gradient of the embedding maps holds an N x N array. Ops on
+the graph pick a dense or a CSR kernel from its density
+(:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    EdgeIndex,
-    Tensor,
-    _sigmoid,
-    add_const,
-    edge_scores,
-    matmul,
-    mul_mask,
-    scale,
-    transpose,
-    unary_activation,
-)
+from .autodiff import EdgeIndex, Tensor, _sigmoid, edge_scores, matmul, scale, unary_activation
 from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
@@ -79,27 +70,8 @@ class StructureParams:
         return self.static_features.shape[0]
 
 
-@dataclass
-class Adjacency:
-    """Sparsified adjacency: entries in [0, 1], plus the survivor mask."""
-
-    matrix: Tensor
-    kept_mask: Array  # bool (N, N), True where the entry is nonzero
-
-
 def _embedding(params: StructureParams, w: Tensor) -> Tensor:
     return unary_activation(scale(matmul(params.static_features, w), params.feature_gain), "tanh")
-
-
-def compute_scores(params: StructureParams) -> Tensor:
-    """Dense edge scores sigmoid(score_gain * E_from @ E_to^T) where
-    E_* = tanh(feature_gain * static_features @ w_*). Fully differentiable
-    with respect to w_from and w_to."""
-    emb_from = _embedding(params, params.w_from)
-    emb_to = _embedding(params, params.w_to)
-    return unary_activation(
-        scale(matmul(emb_from, transpose(emb_to)), params.score_gain), "sigmoid"
-    )
 
 
 def top_edges_mask(scores: Array, max_edges: int) -> Array:
@@ -132,67 +104,29 @@ def top_edges_mask(scores: Array, max_edges: int) -> Array:
     return mask
 
 
-def sparsify_top_e(scores: Tensor, max_edges: int) -> Adjacency:
-    """Zero everything except the ``max_edges`` largest off-diagonal scores.
+def kept_edges(
+    params: StructureParams, edges: EdgeIndex | None = None
+) -> tuple[EdgeIndex, Tensor]:
+    """The ``max_edges`` top-scoring off-diagonal edges and their scores as
+    a differentiable vector; self-loops are left implicit.
 
-    Gradient is a masked pass-through: kept entries stay differentiable,
-    dropped entries (and the diagonal) receive zero gradient.
-    """
-    if scores.data.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise DimensionError(f"scores must be square, got {scores.shape}")
-    mask = top_edges_mask(scores.data, max_edges)
-    return Adjacency(mul_mask(scores, mask), mask)
-
-
-def add_self_loops(adj: Adjacency) -> Adjacency:
-    """Set every diagonal entry to exactly 1.0, off the tape.
-
-    Self-loops do not count against the edge budget and carry no gradient;
-    off-diagonal entries are untouched. Idempotent.
-    """
-    n = adj.matrix.shape[0]
-    eye = np.eye(n, dtype=bool)
-    cleared = mul_mask(adj.matrix, ~eye)
-    return Adjacency(add_const(cleared, np.eye(n)), adj.kept_mask | eye)
-
-
-def build_adjacency(params: StructureParams, kept_mask: Array | None = None) -> Adjacency:
-    """Scores -> top-e sparsification -> self-loops.
-
-    Recomputed from the current parameters on every call, so training sees
-    a fresh adjacency each optimization step. Passing ``kept_mask`` skips
-    edge selection and reuses a fixed survivor set, which keeps the forward
+    Scores are sigmoid(score_gain * E_from @ E_to^T) with
+    E_* = tanh(feature_gain * static_features @ w_*), computed densely off
+    the tape, selected by :func:`top_edges_mask` and gathered at the kept
+    edges. Recomputed from the current parameters on every call, so
+    training sees a fresh graph each optimization step. Passing ``edges``
+    skips selection and scores a fixed edge set, which keeps the forward
     pass differentiable at a frozen sparsity pattern (used by gradient
     checks, where re-selection would make finite differences meaningless).
     """
-    scores = compute_scores(params)
-    eye = np.eye(params.node_count, dtype=bool)
-    if kept_mask is None:
-        sparse = sparsify_top_e(scores, params.max_edges)
-    else:
-        off_mask = kept_mask & ~eye
-        sparse = Adjacency(mul_mask(scores, off_mask), off_mask)
-    # both paths leave the diagonal at zero, so the self-loops are one add
-    return Adjacency(add_const(sparse.matrix, eye), sparse.kept_mask | eye)
-
-
-def kept_edges(params: StructureParams, kept_mask: Array | None = None) -> tuple[EdgeIndex, Tensor]:
-    """The off-diagonal edges :func:`build_adjacency` keeps, and their
-    scores as a differentiable vector; self-loops are left implicit.
-
-    Selection runs on dense scores computed off the tape, with the same
-    bits as :func:`compute_scores` (one product, one sigmoid); only the
-    kept scores are recorded, so neither the tape nor the gradient of
-    w_from / w_to holds an N x N array. ``kept_mask`` fixes the edge set
-    as in :func:`build_adjacency`.
-    """
     emb_from = _embedding(params, params.w_from)
     emb_to = _embedding(params, params.w_to)
-    if kept_mask is None:
-        logits = emb_from.data @ emb_to.data.T.copy()
-        logits *= params.score_gain
-        mask = top_edges_mask(_sigmoid(logits), params.max_edges)
-    else:
-        mask = kept_mask & ~np.eye(params.node_count, dtype=bool)
-    edges = EdgeIndex.from_mask(mask)
-    return edges, edge_scores(emb_from, emb_to, edges, params.score_gain)
+    # a contiguous copy of E_to^T: BLAS rounds the product with a transposed
+    # view differently, and seeded training histories keep these bits
+    logits = emb_from.data @ emb_to.data.T.copy()
+    logits *= params.score_gain
+    scores = _sigmoid(logits)
+    if edges is None:
+        edges = EdgeIndex.from_mask(top_edges_mask(scores, params.max_edges))
+    kept = scores[edges.rows, edges.cols]
+    return edges, edge_scores(emb_from, emb_to, edges, params.score_gain, kept)

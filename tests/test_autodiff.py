@@ -10,29 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onigraph
+from onigraph import autodiff
 from onigraph.autodiff import (
+    EdgeIndex,
     OptimizerState,
     RunningStats,
     Tape,
     Tensor,
     add,
-    add_const,
     add_row_bias,
     backward,
     batchnorm_features,
-    block_matmul,
     block_reduce,
     concat_features,
+    edge_block_matmul,
     flatten,
     grad_check,
     matmul,
     mse_loss,
-    mul_mask,
     record_op,
     reshape,
     scale,
     sgd_nesterov_step,
-    transpose,
     unary_activation,
     _sigmoid,
 )
@@ -41,6 +40,14 @@ from onigraph.errors import ConfigError, DimensionError, NumericError
 
 def t(values, grad=False):
     return Tensor(values, requires_grad=grad)
+
+
+def full_graph(n):
+    """Every off-diagonal edge of an n-node graph: dense enough for the
+    dense kernel of edge_block_matmul."""
+    edges = EdgeIndex.from_mask(~np.eye(n, dtype=bool))
+    assert not edges.sparse
+    return edges
 
 
 # --- matmul -----------------------------------------------------------------
@@ -256,8 +263,10 @@ def test_reduce_empty_rejected():
 def test_block_ops_match_per_sample_ops():
     rng = np.random.default_rng(7)
     a = rng.random((3, 3))
+    np.fill_diagonal(a, 1.0)
+    edges = full_graph(3)
     z1, z2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    stacked = block_matmul(t(a), t(np.vstack([z1, z2])), 3)
+    stacked = edge_block_matmul(t(a[edges.rows, edges.cols]), edges, t(np.vstack([z1, z2])))
     np.testing.assert_allclose(stacked.data[:3], a @ z1)
     np.testing.assert_allclose(stacked.data[3:], a @ z2)
     pooled = block_reduce(t(np.vstack([z1, z2])), 3, "mean")
@@ -401,7 +410,6 @@ def test_grad_check_composite_ops():
     beta = t(np.zeros(2), grad=True)
     bias = t(rng.normal(size=2), grad=True)
     x = t(rng.normal(size=(4, 3)))
-    mask = rng.random((4, 2)) > 0.3
     running = RunningStats.initial(2)
 
     def f():
@@ -409,61 +417,66 @@ def test_grad_check_composite_ops():
         h = add_row_bias(h, bias)
         h = batchnorm_features(h, gamma, beta, mode="train", running=running)
         h = unary_activation(h, "elu")
-        h = mul_mask(h, mask)
-        h = add_const(h, np.full((4, 2), 0.25))
         pooled = block_reduce(concat_features([h, scale(h, -0.5)]), 4, "mean")
-        return mse_loss(
-            flatten(transpose(reshape(pooled, (1, 4)))), t([0.1, 0.2, 0.3, 0.4])
-        )
+        return mse_loss(flatten(reshape(pooled, (1, 4))), t([0.1, 0.2, 0.3, 0.4]))
 
     assert grad_check(f, [w, gamma, beta, bias], step=1e-5) <= 1e-6
 
 
 def test_grad_check_block_ops():
     rng = np.random.default_rng(11)
-    a = t(rng.random((3, 3)), grad=True)
+    edges = full_graph(3)
+    values = t(rng.random(6), grad=True)
     w = t(rng.normal(size=(2, 2)), grad=True)
     z = t(rng.normal(size=(6, 2)))
 
     def f():
-        h = matmul(block_matmul(a, z, 3), w)
+        h = matmul(edge_block_matmul(values, edges, z), w)
         pooled = block_reduce(h, 3, "sum")
         return mse_loss(flatten(pooled), t(np.zeros(4)))
 
-    assert grad_check(f, [a, w], step=1e-5) <= 1e-6
+    assert grad_check(f, [values, w], step=1e-5) <= 1e-6
 
 
 def test_grad_check_block_matmul_input_gradient():
     rng = np.random.default_rng(12)
-    a = t(rng.random((3, 3)), grad=True)
+    edges = full_graph(3)
+    values = t(rng.random(6), grad=True)
     z = t(rng.normal(size=(9, 2)), grad=True)  # batch of 3 blocks
 
     def f():
-        pooled = block_reduce(block_matmul(a, z, 3), 3, "sum")
+        pooled = block_reduce(edge_block_matmul(values, edges, z), 3, "sum")
         return mse_loss(flatten(pooled), t(np.linspace(-1.0, 1.0, 6)))
 
-    assert grad_check(f, [a, z], step=1e-5) <= 1e-6
+    assert grad_check(f, [values, z], step=1e-5) <= 1e-6
 
 
-def test_block_matmul_matches_einsum_reference():
+def test_block_matmul_matches_einsum_reference(monkeypatch):
+    monkeypatch.setattr(autodiff, "SPARSE_SHARE", 0.0)  # the dense kernel at any density
     rng = np.random.default_rng(13)
     for _ in range(20):
         n, batch, d = (int(v) for v in rng.integers(1, 9, size=3))
-        a = t(rng.normal(size=(n, n)), grad=True)
+        mask = rng.random((n, n)) < 0.6
+        np.fill_diagonal(mask, False)
+        edges = EdgeIndex.from_mask(mask)
+        values = t(rng.normal(size=edges.rows.size), grad=True)
         z = t(rng.normal(size=(batch * n, d)), grad=True)
         g = rng.normal(size=(batch * n, d))
         with Tape() as tape:
-            out = block_matmul(a, z, n)
-            da, dz = tape.entries[-1].rule(g)
+            out = edge_block_matmul(values, edges, z)
+            dv, dz = tape.entries[-1].rule(g)
+        a = np.eye(n)
+        a[edges.rows, edges.cols] = values.data
         blocks = z.data.reshape(batch, n, d)
         g3 = g.reshape(batch, n, d)
         references = (
-            (out.data, np.einsum("ij,bjd->bid", a.data, blocks).reshape(batch * n, d)),
-            (da, np.einsum("bid,bjd->ij", g3, blocks)),
-            (dz, np.einsum("ji,bjd->bid", a.data, g3).reshape(batch * n, d)),
+            (out.data, np.einsum("ij,bjd->bid", a, blocks).reshape(batch * n, d)),
+            (dv, np.einsum("bid,bjd->ij", g3, blocks)[edges.rows, edges.cols]),
+            (dz, np.einsum("ji,bjd->bid", a, g3).reshape(batch * n, d)),
         )
         for got, want in references:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            atol = 1e-12 * np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
 
 
 # --- optimizer --------------------------------------------------------------

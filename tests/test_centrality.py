@@ -3,7 +3,7 @@ import pytest
 
 from onigraph.centrality import eigenvector_centrality
 from onigraph.errors import ConvergenceError, NumericError
-from onigraph.structure import StructureParams, build_adjacency
+from onigraph.structure import StructureParams, kept_edges
 from onigraph.autodiff import Tensor
 
 
@@ -69,11 +69,12 @@ def test_learned_adjacency_centrality():
         w_to=Tensor(rng.normal(size=(4, 3))),
         max_edges=40,
     )
-    adj = build_adjacency(params)
+    edges, values = kept_edges(params)
+    adj = edges.dense(values.data, self_loops=True)
     out = eigenvector_centrality(adj)
     assert np.all(out.scores >= 0.0)
     assert np.linalg.norm(out.scores) == pytest.approx(1.0, abs=1e-12)
-    assert out.residual <= 1e-8 * np.linalg.norm(adj.matrix.data, "fro")
+    assert out.residual <= 1e-8 * np.linalg.norm(adj, "fro")
 
 
 def test_equal_modulus_spectrum_raises_convergence_error():

@@ -11,7 +11,8 @@ import pytest
 
 import onigraph
 from onigraph.cli import cli_dispatch
-from onigraph.training import CHECKPOINT_MAGIC
+from onigraph.model import GcnConfig, init_params
+from onigraph.training import CHECKPOINT_MAGIC, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +165,61 @@ def test_centrality_writes_heatmap(checkpoint, tmp_path):
     assert (tmp_path / "heat.svg").exists()
 
 
+def hub_checkpoint(path, hub=4):
+    """A local-mode model on a 3x3 grid whose fixed matrix makes every node
+    read from ``hub`` with weight 1, and from each other node with 0.1."""
+    n = 9
+    latlon = np.column_stack([np.repeat([-5.0, 0.0, 5.0], 3), np.tile([190.0, 200.0, 210.0], 3)])
+    fixed = np.full((n, n), 0.1)
+    fixed[:, hub] = 1.0
+    np.fill_diagonal(fixed, 1.0)
+    state = init_params(
+        GcnConfig(layer_dims=[4], window=2),
+        np.zeros((n, 4)),
+        latlon,
+        seed=0,
+        edge_mode="local",
+        fixed_adjacency=fixed,
+    )
+    save_checkpoint(state, path)
+    return latlon[hub]
+
+
+def test_centrality_ranks_the_node_every_node_reads_from_first(tmp_path):
+    hub = hub_checkpoint(tmp_path / "hub.ckpt")
+    args = ["--checkpoint", str(tmp_path / "hub.ckpt"), "--out", str(tmp_path / "heat")]
+    assert cli_dispatch(["centrality", *args]) == 0
+    rows = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 9
+    np.testing.assert_array_equal(rows[np.argmax(rows[:, 2]), :2], hub)
+
+
+def test_local_checkpoint_without_unit_diagonal_exits_2(tmp_path):
+    ckpt = tmp_path / "hub.ckpt"
+    hub_checkpoint(ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    (manifest_len,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12 : 12 + manifest_len])
+    (entry,) = [t for t in manifest["tensors"] if t["name"] == "local_adjacency"]
+    start = 12 + manifest_len + entry["offset"]  # entry (0, 0)
+    raw[start : start + 8] = struct.pack("<d", 0.5)
+    ckpt.write_bytes(bytes(raw))
+    proc = _run_cli(["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error:")
+    assert "diagonal" in proc.stderr
+
+
 def test_gradcheck_passes():
     assert cli_dispatch(["gradcheck", "--seed", "1"]) == 0
+
+
+def test_gradcheck_checks_a_dense_and_a_sparse_graph(capsys):
+    assert cli_dispatch(["gradcheck", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "6 nodes, 18 edges, dense kernels" in out
+    assert "40 nodes, 40 edges, CSR kernels" in out
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -41,6 +41,14 @@ def test_heatmap_csv_rows_match_ocean_nodes(tmp_path):
     ET.fromstring(svg_path.read_text())
 
 
+def test_heatmap_csv_values_parse_as_floats(tmp_path):
+    nodes = sample_nodes()
+    scores = np.linspace(0.1, 1.0, nodes.count)
+    csv_path, _ = export_centrality_heatmap(scores, nodes, tmp_path / "heat")
+    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 2], scores[: nodes.grid_count])
+
+
 def test_heatmap_uniform_scores_single_color(tmp_path):
     nodes = sample_nodes()
     _, svg_path = export_centrality_heatmap(np.full(nodes.count, 0.3), nodes, tmp_path / "h")

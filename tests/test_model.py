@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onigraph.autodiff import Tape, Tensor, block_matmul, grad_check, mse_loss
+from onigraph.autodiff import Tape, Tensor, grad_check, matmul, mse_loss
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import (
     GcnConfig,
@@ -13,9 +13,9 @@ from onigraph.model import (
     init_params,
     jumping_knowledge_concat,
     mlp_head,
+    model_edges,
     pool_graph,
 )
-from onigraph.structure import build_adjacency
 
 
 def tiny_state(
@@ -53,9 +53,9 @@ def tiny_state(
 
 
 def dense(a):
-    """Aggregation with a dense (n, n) adjacency over one stacked graph."""
+    """Aggregation with a dense (n, n) adjacency over one graph."""
     a = a if isinstance(a, Tensor) else Tensor(a)
-    return lambda h: block_matmul(a, h, a.shape[0])
+    return lambda h: matmul(a, h)
 
 
 def predict_one(state, x):
@@ -229,10 +229,10 @@ def test_forward_gradients_end_to_end():
     batch = 3
     x = rand_input(state, batch=batch, seed=9)
     targets = Tensor(np.random.default_rng(4).normal(size=batch))
-    frozen_mask = build_adjacency(state.structure).kept_mask
+    frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, mode="train", kept_mask=frozen_mask)
+        pred = forward_batch(state, x, batch, mode="train", edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]
@@ -245,10 +245,10 @@ def test_forward_gradients_through_narrowing_layer():
     batch = 2
     x = rand_input(state, batch=batch, seed=10)
     targets = Tensor(np.random.default_rng(7).normal(size=batch))
-    frozen_mask = build_adjacency(state.structure).kept_mask
+    frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, mode="train", kept_mask=frozen_mask)
+        pred = forward_batch(state, x, batch, mode="train", edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]

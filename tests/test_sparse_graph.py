@@ -1,5 +1,6 @@
-"""The edge-list graph path: its ops, its agreement with the dense path,
-and the lazy scipy import that keeps dense-only runs small."""
+"""The one graph form: edge lists, the aggregation and scoring ops on both
+sides of the density threshold that picks their dense or CSR kernels, and
+the lazy scipy import that keeps dense-only runs small."""
 
 import os
 import subprocess
@@ -10,26 +11,26 @@ import numpy as np
 import pytest
 
 import onigraph
-from onigraph import autodiff, model
+from onigraph import autodiff
 from onigraph.autodiff import (
     EdgeIndex,
     Tape,
     Tensor,
     backward,
-    block_matmul,
     edge_block_matmul,
-    edge_scores,
     flatten,
     grad_check,
     mse_loss,
-    mul_mask,
-    scale,
 )
 from onigraph.data import SampleSet
-from onigraph.errors import DimensionError
+from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
-from onigraph.structure import StructureParams, build_adjacency, compute_scores, kept_edges
+from onigraph.structure import StructureParams, kept_edges, top_edges_mask
 from onigraph.training import predict_samples
+
+# SPARSE_SHARE values that force one kernel at every density
+KERNELS = {"csr": 2.0, "dense": 0.0}
+N = 40
 
 
 def random_edges(rng, n, share=0.3, isolated=()):
@@ -55,6 +56,14 @@ def structure_params(rng, n=7, d_in=4, d_emb=3, max_edges=12):
     )
 
 
+def reference_scores(p):
+    """sigmoid(score_gain * E_from @ E_to^T), E_* = tanh(feature_gain * S @ w_*)."""
+    s = p.static_features.data
+    e_from = np.tanh(p.feature_gain * s @ p.w_from.data)
+    e_to = np.tanh(p.feature_gain * s @ p.w_to.data)
+    return 1.0 / (1.0 + np.exp(-p.score_gain * e_from @ e_to.T))
+
+
 # --- ops ---------------------------------------------------------------------
 
 
@@ -66,9 +75,22 @@ def test_edge_index_from_mask_is_row_major_csr():
     np.testing.assert_array_equal(edges.indptr, [0, 2, 2, 3])
     a = edges.csr(np.array([1.0, 2.0, 3.0])).toarray()
     np.testing.assert_array_equal(a, [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(edges.dense(np.array([1.0, 2.0, 3.0])), a)
 
 
-def test_edge_block_matmul_matches_dense_reference():
+def test_kernel_choice_follows_the_density_threshold():
+    # N=40: edges plus the 40 self-loops are sparse below 1600 / 16 = 100 entries
+    def first_edges(k):
+        off = np.flatnonzero(~np.eye(N, dtype=bool))
+        mask = np.zeros(N * N, dtype=bool)
+        mask[off[:k]] = True
+        return EdgeIndex.from_mask(mask.reshape(N, N))
+
+    assert first_edges(59).sparse
+    assert not first_edges(60).sparse
+
+
+def test_edge_block_matmul_matches_dense_reference(monkeypatch):
     rng = np.random.default_rng(21)
     for trial in range(20):
         n, batch, d = (int(v) for v in rng.integers(1, 9, size=3))
@@ -76,20 +98,26 @@ def test_edge_block_matmul_matches_dense_reference():
         values = Tensor(rng.random(edges.rows.size), requires_grad=True)
         z = Tensor(rng.normal(size=(batch * n, d)), requires_grad=True)
         g = rng.normal(size=(batch * n, d))
-        with Tape() as tape:
-            out = edge_block_matmul(values, edges, z)
-            dv, dz = tape.entries[-1].rule(g)
-        a = Tensor(dense(edges, values.data), requires_grad=True)
-        with Tape() as tape:
-            ref = block_matmul(a, z, n)
-            da, dz_ref = tape.entries[-1].rule(g)
-        for got, want in ((out.data, ref.data), (dv, da[edges.rows, edges.cols]), (dz, dz_ref)):
-            atol = 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        a = dense(edges, values.data)
+        blocks, g3 = z.data.reshape(batch, n, d), g.reshape(batch, n, d)
+        references = (
+            np.matmul(a, blocks).reshape(batch * n, d),
+            np.einsum("bid,bjd->ij", g3, blocks)[edges.rows, edges.cols],
+            np.matmul(a.T, g3).reshape(batch * n, d),
+        )
+        for share in KERNELS.values():
+            monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
+            with Tape() as tape:
+                out = edge_block_matmul(values, edges, z)
+                dv, dz = tape.entries[-1].rule(g)
+            for got, want in zip((out.data, dv, dz), references):
+                atol = 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
 
 
-def test_grad_check_edge_block_matmul_with_isolated_node():
+def test_grad_check_edge_block_matmul_with_isolated_node(monkeypatch):
     # node 4 keeps only its self-loop: no edge leaves or enters it
+    monkeypatch.setattr(autodiff, "SPARSE_SHARE", KERNELS["csr"])
     rng = np.random.default_rng(22)
     n, batch = 5, 3
     edges = random_edges(rng, n, share=0.6, isolated=(4,))
@@ -104,7 +132,25 @@ def test_grad_check_edge_block_matmul_with_isolated_node():
     assert grad_check(f, [values, z], step=1e-5) <= 1e-6
 
 
+def test_grad_check_dense_kernel_value_gradient(monkeypatch):
+    # the same check through the dense kernel, isolated node included
+    monkeypatch.setattr(autodiff, "SPARSE_SHARE", KERNELS["dense"])
+    rng = np.random.default_rng(22)
+    n, batch = 5, 3
+    edges = random_edges(rng, n, share=0.6, isolated=(4,))
+    values = Tensor(rng.random(edges.rows.size), requires_grad=True)
+    z = Tensor(rng.normal(size=(batch * n, 2)), requires_grad=True)
+    target = Tensor(rng.normal(size=batch * n * 2))
+
+    def f():
+        return mse_loss(flatten(edge_block_matmul(values, edges, z)), target)
+
+    assert not edges.sparse
+    assert grad_check(f, [values, z], step=1e-5) <= 1e-6
+
+
 def test_edge_value_gradient_does_not_depend_on_chunking(monkeypatch):
+    monkeypatch.setattr(autodiff, "SPARSE_SHARE", KERNELS["csr"])
     rng = np.random.default_rng(23)
     n, batch = 9, 4
     edges = random_edges(rng, n, share=0.5)
@@ -132,25 +178,27 @@ def test_edge_block_matmul_shape_errors():
 
 def test_edge_scores_equal_dense_scores_at_the_edges():
     rng = np.random.default_rng(24)
-    emb_from, emb_to = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(6, 3)))
-    edges = random_edges(rng, 6, share=0.5)
-    logits = 2.0 * emb_from.data @ emb_to.data.T
-    want = 1.0 / (1.0 + np.exp(-logits))
-    got = edge_scores(emb_from, emb_to, edges, 2.0).data
-    np.testing.assert_allclose(got, want[edges.rows, edges.cols], rtol=1e-14)
+    p = structure_params(rng, n=6, max_edges=10)
+    p.score_gain = 2.0
+    want = reference_scores(p)
+    for edges in (None, random_edges(rng, 6, share=0.5)):
+        edges, values = kept_edges(p, edges)
+        np.testing.assert_allclose(values.data, want[edges.rows, edges.cols], rtol=1e-14)
 
 
-def test_grad_check_kept_scores_against_both_embedding_maps():
+def test_grad_check_kept_scores_against_both_embedding_maps(monkeypatch):
     rng = np.random.default_rng(25)
     p = structure_params(rng)
-    mask = build_adjacency(p).kept_mask
+    frozen, _ = kept_edges(p)
     target = Tensor(rng.random(p.max_edges))
 
     def f():
-        _, values = kept_edges(p, kept_mask=mask)
+        _, values = kept_edges(p, frozen)
         return mse_loss(values, target)
 
-    assert grad_check(f, [p.w_from, p.w_to], step=1e-6) <= 1e-6
+    for share in KERNELS.values():
+        monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
+        assert grad_check(f, [p.w_from, p.w_to], step=1e-6) <= 1e-6
 
 
 def test_kept_edges_select_what_build_adjacency_keeps():
@@ -158,46 +206,41 @@ def test_kept_edges_select_what_build_adjacency_keeps():
     for trial in range(5):
         p = structure_params(rng, n=9, max_edges=int(rng.integers(0, 72)))
         edges, values = kept_edges(p)
-        adj = build_adjacency(p)
-        off = adj.kept_mask & ~np.eye(9, dtype=bool)
-        np.testing.assert_array_equal(EdgeIndex.from_mask(off).rows, edges.rows)
-        np.testing.assert_array_equal(EdgeIndex.from_mask(off).cols, edges.cols)
-        scores = compute_scores(p).data
+        scores = reference_scores(p)
+        want = EdgeIndex.from_mask(top_edges_mask(scores, p.max_edges))
+        np.testing.assert_array_equal(want.rows, edges.rows)
+        np.testing.assert_array_equal(want.cols, edges.cols)
         np.testing.assert_allclose(values.data, scores[edges.rows, edges.cols], rtol=1e-14)
 
 
-def test_kept_edges_gradients_match_dense_scores():
+def test_kept_edges_gradients_match_dense_scores(monkeypatch):
     rng = np.random.default_rng(27)
     p = structure_params(rng)
     weights = rng.normal(size=(7, 7))
+    edges, values = kept_edges(p)
+    # the chain rule by hand, over the dense scores with dropped entries at 0
+    s = p.static_features.data
+    e_from = np.tanh(p.feature_gain * s @ p.w_from.data)
+    e_to = np.tanh(p.feature_gain * s @ p.w_to.data)
+    y = reference_scores(p)
+    dy = np.zeros((7, 7))
+    dy[edges.rows, edges.cols] = 2.0 * (values.data - weights[edges.rows, edges.cols])
+    dlogits = dy / edges.rows.size * y * (1.0 - y) * p.score_gain
+    d_from = dlogits @ e_to * (1.0 - e_from**2) * p.feature_gain
+    d_to = dlogits.T @ e_from * (1.0 - e_to**2) * p.feature_gain
 
-    def grads(build):
+    for share in KERNELS.values():
+        monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
         p.w_from.zero_grad()
         p.w_to.zero_grad()
         with Tape():
-            backward(build())
-        return p.w_from.grad.copy(), p.w_to.grad.copy()
-
-    def sparse_loss():
-        edges, values = kept_edges(p)
-        w = Tensor(weights[edges.rows, edges.cols])
-        return mse_loss(values, w)
-
-    def dense_loss():
-        # the same loss over the masked dense scores: dropped entries add 0
-        edges, _ = kept_edges(p)
-        off = np.zeros((7, 7), dtype=bool)
-        off[edges.rows, edges.cols] = True
-        loss = mse_loss(flatten(mul_mask(compute_scores(p), off)), Tensor((weights * off).ravel()))
-        return scale(loss, 49 / edges.rows.size)
-
-    for got, want in zip(grads(sparse_loss), grads(dense_loss)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            edges, values = kept_edges(p)
+            backward(mse_loss(values, Tensor(weights[edges.rows, edges.cols])))
+        np.testing.assert_allclose(p.w_from.grad, s.T @ d_from, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(p.w_to.grad, s.T @ d_to, rtol=1e-12, atol=1e-14)
 
 
-# --- the model's two paths -----------------------------------------------------
-
-N = 40
+# --- the model on both sides of the threshold --------------------------------------
 
 
 def sparse_state(edge_mode="learned", seed=3):
@@ -217,12 +260,12 @@ def sparse_state(edge_mode="learned", seed=3):
     )
 
 
-def forward_and_grads(state, x, y, kept_mask):
+def forward_and_grads(state, x, y, edges):
     params = state.parameters()
     for _, t in params:
         t.zero_grad()
     with Tape():
-        pred = forward_batch(state, x, len(y.data), mode="train", kept_mask=kept_mask)
+        pred = forward_batch(state, x, len(y.data), mode="train", edges=edges)
         backward(mse_loss(pred, y))
     grads = {name: t.grad.copy() for name, t in params}
     for _, t in params:
@@ -232,9 +275,10 @@ def forward_and_grads(state, x, y, kept_mask):
 
 @pytest.mark.parametrize("case", ["learned", "learned_kept_mask", "local"])
 def test_edge_path_matches_dense_path(case, monkeypatch):
+    # the CSR and the dense kernels give the same predictions and gradients
     state = sparse_state("local" if case == "local" else "learned")
-    kept_mask = build_adjacency(state.structure).kept_mask if case == "learned_kept_mask" else None
-    assert model_edges(state, kept_mask) is not None  # below the density threshold
+    frozen = model_edges(state)[0] if case == "learned_kept_mask" else None
+    assert model_edges(state, frozen)[0].sparse  # below the density threshold
     rng = np.random.default_rng(4)
     batch = 3
     x = Tensor(rng.normal(size=(batch * N, 4)))
@@ -249,22 +293,24 @@ def test_edge_path_matches_dense_path(case, monkeypatch):
     )
     # running statistics stay untouched by the eval-mode predictions
     running = [norm.running.copy() for norm in state.gcn_norms + [state.mlp_norm]]
-    edge_pred, edge_grads = forward_and_grads(state, x, y, kept_mask)
-    edge_samples = predict_samples(state, samples, chunk=2)
+    results = {}
+    for kernel, share in KERNELS.items():
+        for norm, saved in zip(state.gcn_norms + [state.mlp_norm], running):
+            norm.running = saved.copy()
+        monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
+        pred, grads = forward_and_grads(state, x, y, frozen)
+        results[kernel] = pred, grads, predict_samples(state, samples, chunk=2)
 
-    for norm, saved in zip(state.gcn_norms + [state.mlp_norm], running):
-        norm.running = saved.copy()
-    monkeypatch.setattr(model, "SPARSE_SHARE", 0.0)
-    assert model_edges(state, kept_mask) is None
-    dense_pred, dense_grads = forward_and_grads(state, x, y, kept_mask)
-    dense_samples = predict_samples(state, samples, chunk=2)
-
-    np.testing.assert_allclose(edge_pred, dense_pred, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(edge_samples, dense_samples, rtol=1e-10, atol=1e-10)
-    assert edge_grads.keys() == dense_grads.keys()
-    for name in edge_grads:
+    (csr_pred, csr_grads, csr_samples), (dense_pred, dense_grads, dense_samples) = (
+        results["csr"],
+        results["dense"],
+    )
+    np.testing.assert_allclose(csr_pred, dense_pred, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(csr_samples, dense_samples, rtol=1e-10, atol=1e-10)
+    assert csr_grads.keys() == dense_grads.keys()
+    for name in csr_grads:
         np.testing.assert_allclose(
-            edge_grads[name], dense_grads[name], rtol=1e-10, atol=1e-10, err_msg=name
+            csr_grads[name], dense_grads[name], rtol=1e-10, atol=1e-10, err_msg=name
         )
 
 
@@ -272,18 +318,29 @@ def test_model_edges_describe_model_adjacency():
     for mode in ("learned", "local"):
         state = sparse_state(mode)
         edges, values = model_edges(state)
-        np.testing.assert_allclose(
-            dense(edges, values.data), model_adjacency(state).data, rtol=1e-14, atol=0.0
-        )
+        np.testing.assert_array_equal(dense(edges, values.data), model_adjacency(state).data)
+    np.testing.assert_array_equal(model_adjacency(state).data, state.fixed_adjacency)  # local
 
 
 def test_dense_graphs_keep_the_dense_path():
     state = sparse_state()
     state.structure.max_edges = 4 * N  # 200 of 1600 entries, above N^2 / 16
-    assert model_edges(state) is None
-    state = sparse_state("local")
-    state.fixed_adjacency[0, 0] = 0.5  # not a unit self-loop
-    assert model_edges(state) is None
+    edges, _ = model_edges(state)
+    assert edges.rows.size == 4 * N and not edges.sparse
+
+
+def test_local_matrix_needs_unit_self_loops():
+    ring = np.eye(N) + np.roll(np.eye(N), 1, axis=1)
+    ring[0, 0] = 0.5
+    with pytest.raises(ConfigError, match="diagonal"):
+        init_params(
+            GcnConfig(layer_dims=[6, 3], window=2, features_per_node=2),
+            np.zeros((N, 4)),
+            np.zeros((N, 2)),
+            seed=0,
+            edge_mode="local",
+            fixed_adjacency=ring,
+        )
 
 
 # --- the lazy scipy import -----------------------------------------------------

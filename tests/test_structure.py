@@ -6,25 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onigraph.autodiff import (
-    Tape,
+    EdgeIndex,
     Tensor,
-    backward,
     block_reduce,
+    edge_block_matmul,
     flatten,
     grad_check,
     mse_loss,
-    mul_mask,
 )
 from onigraph.errors import ConfigError, NumericError
-from onigraph.structure import (
-    Adjacency,
-    StructureParams,
-    add_self_loops,
-    build_adjacency,
-    compute_scores,
-    sparsify_top_e,
-    top_edges_mask,
-)
+from onigraph.model import GcnConfig, init_params, model_adjacency
+from onigraph.structure import StructureParams, kept_edges, top_edges_mask
 
 
 def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
@@ -38,6 +30,19 @@ def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
     )
 
 
+def all_scores(p):
+    """Every off-diagonal edge score as an (n, n) array with a zero diagonal."""
+    every = EdgeIndex.from_mask(~np.eye(p.node_count, dtype=bool))
+    _, values = kept_edges(p, every)
+    return every.dense(values.data)
+
+
+def adjacency(p):
+    """I + A of the kept edges."""
+    edges, values = kept_edges(p)
+    return edges.dense(values.data, self_loops=True)
+
+
 # --- score computation -------------------------------------------------------
 
 
@@ -45,7 +50,8 @@ def test_zero_weights_give_half_everywhere():
     p = make_params()
     p.w_from.data[...] = 0.0
     p.w_to.data[...] = 0.0
-    np.testing.assert_array_equal(compute_scores(p).data, np.full((5, 5), 0.5))
+    _, values = kept_edges(p)
+    np.testing.assert_array_equal(values.data, np.full(20, 0.5))
 
 
 def test_scalar_score_oracle():
@@ -57,7 +63,7 @@ def test_scalar_score_oracle():
         score_gain=1.0,
         max_edges=6,
     )
-    scores = compute_scores(p).data
+    scores = all_scores(p)
     # sender embed tanh(x), receiver embed tanh(-x); entry (0, 2) pairs +1 with -(-1)
     raw = math.tanh(1.0) * math.tanh(1.0)
     expected = 1.0 / (1.0 + math.exp(-raw))
@@ -68,8 +74,8 @@ def test_scalar_score_oracle():
 def test_score_gain_preserves_ordering():
     base = make_params(seed=3, score_gain=1.0)
     sharp = make_params(seed=3, score_gain=5.0)
-    lo = compute_scores(base).data
-    hi = compute_scores(sharp).data
+    lo = all_scores(base)
+    hi = all_scores(sharp)
     assert not np.allclose(lo, hi)
     assert np.array_equal(np.argsort(lo, axis=None), np.argsort(hi, axis=None))
 
@@ -78,24 +84,28 @@ def test_score_gain_preserves_ordering():
 
 
 def test_keep_all_when_budget_covers_offdiagonal():
-    p = make_params(n=4)
-    scores = compute_scores(p)
-    adj = sparsify_top_e(scores, 12)
-    off = ~np.eye(4, dtype=bool)
-    np.testing.assert_array_equal(adj.matrix.data[off], scores.data[off])
-    assert np.all(adj.matrix.data[np.eye(4, dtype=bool)] == 0.0)
+    p = make_params(n=4, max_edges=12)
+    edges, values = kept_edges(p)
+    assert edges.rows.size == 12
+    kept = edges.dense(values.data)
+    np.testing.assert_array_equal(kept, all_scores(p))
+    assert np.all(kept[np.eye(4, dtype=bool)] == 0.0)
 
 
 def test_two_node_example_keeps_largest():
-    scores = Tensor([[0.9, 0.1], [0.4, 0.9]])
-    adj = sparsify_top_e(scores, 1)
-    np.testing.assert_array_equal(adj.matrix.data, [[0.0, 0.0], [0.4, 0.0]])
-    assert adj.kept_mask[1, 0] and not adj.kept_mask[0, 1]
+    scores = np.array([[0.9, 0.1], [0.4, 0.9]])
+    mask = top_edges_mask(scores, 1)
+    edges = EdgeIndex.from_mask(mask)
+    np.testing.assert_array_equal(
+        edges.dense(scores[edges.rows, edges.cols]), [[0.0, 0.0], [0.4, 0.0]]
+    )
+    assert mask[1, 0] and not mask[0, 1]
 
 
 def test_zero_budget_clears_offdiagonal():
-    adj = sparsify_top_e(compute_scores(make_params()), 0)
-    np.testing.assert_array_equal(adj.matrix.data, np.zeros((5, 5)))
+    edges, values = kept_edges(make_params(max_edges=0))
+    assert edges.rows.size == 0 and values.shape == (0,)
+    np.testing.assert_array_equal(edges.dense(values.data), np.zeros((5, 5)))
 
 
 def test_tie_break_is_lexicographic():
@@ -198,74 +208,43 @@ def test_nan_scores_rejected():
 
 
 def test_self_loops_on_zero_matrix_give_identity():
-    adj = Adjacency(Tensor(np.zeros((3, 3))), np.zeros((3, 3), dtype=bool))
-    out = add_self_loops(adj)
-    np.testing.assert_array_equal(out.matrix.data, np.eye(3))
+    edges = EdgeIndex.from_mask(np.zeros((3, 3), dtype=bool))
+    np.testing.assert_array_equal(edges.dense(np.zeros(0), self_loops=True), np.eye(3))
 
 
 def test_self_loops_idempotent():
-    adj = Adjacency(Tensor(np.eye(2)), np.eye(2, dtype=bool))
-    out = add_self_loops(add_self_loops(adj))
-    np.testing.assert_array_equal(out.matrix.data, np.eye(2))
+    # a matrix with unit self-loops comes back unchanged from its edge list
+    base = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.8, 0.5, 1.0]])
+    off = base != 0.0
+    np.fill_diagonal(off, False)
+    edges = EdgeIndex.from_mask(off)
+    out = edges.dense(base[edges.rows, edges.cols], self_loops=True)
+    np.testing.assert_array_equal(out, base)
 
 
 def test_self_loops_leave_offdiagonal_untouched():
     base = np.array([[0.0, 0.7], [0.2, 0.0]])
-    out = add_self_loops(Adjacency(Tensor(base), base > 0))
-    np.testing.assert_array_equal(out.matrix.data, [[1.0, 0.7], [0.2, 1.0]])
+    edges = EdgeIndex.from_mask(base > 0)
+    out = edges.dense(base[edges.rows, edges.cols], self_loops=True)
+    np.testing.assert_array_equal(out, [[1.0, 0.7], [0.2, 1.0]])
 
 
-# --- composition --------------------------------------------------------------
-
-
-def test_build_adjacency_equals_three_steps():
-    p = make_params(n=6, max_edges=9)
-    direct = build_adjacency(p)
-    stepwise = add_self_loops(sparsify_top_e(compute_scores(p), p.max_edges))
-    np.testing.assert_array_equal(direct.matrix.data, stepwise.matrix.data)
-    np.testing.assert_array_equal(direct.kept_mask, stepwise.kept_mask)
-
-
-@pytest.mark.parametrize("frozen", [False, True])
-def test_build_adjacency_gradients_equal_three_steps(frozen):
-    weights = np.random.default_rng(17).normal(size=(6, 6))
-    p = make_params(n=6, seed=4, max_edges=9)
-    mask = build_adjacency(p).kept_mask if frozen else None
-
-    def grads(make):
-        for w in (p.w_from, p.w_to):
-            w.zero_grad()
-        with Tape():
-            adj = make()
-            pooled = flatten(block_reduce(mul_mask(adj.matrix, weights), 6, "sum"))
-            backward(mse_loss(pooled, Tensor(np.zeros(6))))
-        return adj.matrix.data, p.w_from.grad.copy(), p.w_to.grad.copy()
-
-    def three_steps():
-        scores = compute_scores(p)
-        if mask is None:
-            return add_self_loops(sparsify_top_e(scores, p.max_edges))
-        off = mask & ~np.eye(6, dtype=bool)
-        return add_self_loops(Adjacency(mul_mask(scores, off), off))
-
-    direct = grads(lambda: build_adjacency(p, kept_mask=mask))
-    for got, want in zip(direct, grads(three_steps)):
-        np.testing.assert_array_equal(got, want)
+# --- the kept graph -------------------------------------------------------------
 
 
 def test_edge_budget_of_eight_per_node_average():
     n = 10
     p = make_params(n=n, seed=9, max_edges=8 * n)
-    adj = build_adjacency(p)
     off = ~np.eye(n, dtype=bool)
-    assert np.count_nonzero(adj.matrix.data[off]) <= 8 * n
+    assert np.count_nonzero(adjacency(p)[off]) <= 8 * n
 
 
 def test_build_adjacency_deterministic():
     p = make_params(n=7, seed=5, max_edges=11)
-    a = build_adjacency(p).matrix.data
-    b = build_adjacency(p).matrix.data
-    np.testing.assert_array_equal(a, b)
+    (edges_a, a), (edges_b, b) = kept_edges(p), kept_edges(p)
+    np.testing.assert_array_equal(edges_a.rows, edges_b.rows)
+    np.testing.assert_array_equal(edges_a.cols, edges_b.cols)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_bidirectional_edges_possible():
@@ -280,10 +259,9 @@ def test_bidirectional_edges_possible():
         w_to=Tensor(w.copy()),
         max_edges=2,
     )
-    mask = build_adjacency(p).kept_mask
-    off = np.argwhere(mask & ~np.eye(4, dtype=bool))
-    assert len(off) == 2
-    (i1, j1), (i2, j2) = off
+    edges, _ = kept_edges(p)
+    assert edges.rows.size == 2
+    (i1, i2), (j1, j2) = edges.rows, edges.cols
     assert (i1, j1) == (j2, i2)
 
 
@@ -291,7 +269,8 @@ def test_kept_set_invariant_to_score_gain():
     masks = []
     for gain in (0.5, 2.0, 8.0):
         p = make_params(n=8, seed=13, max_edges=20, score_gain=gain)
-        masks.append(build_adjacency(p).kept_mask)
+        edges, _ = kept_edges(p)
+        masks.append(edges.dense(np.ones(edges.rows.size)))
     np.testing.assert_array_equal(masks[0], masks[1])
     np.testing.assert_array_equal(masks[1], masks[2])
 
@@ -304,9 +283,21 @@ def test_kept_set_invariant_to_score_gain():
 )
 def test_adjacency_invariants_random_params(n, budget_raw, seed):
     budget = budget_raw % (n * (n - 1) + 1)
-    p = make_params(n=n, seed=seed, max_edges=budget)
-    adj = build_adjacency(p)
-    a = adj.matrix.data
+    rng = np.random.default_rng(seed)
+    state = init_params(
+        GcnConfig(layer_dims=[2]),
+        rng.normal(size=(n, 4)),
+        np.zeros((n, 2)),
+        seed=seed,
+        embed_dim=3,
+        max_edges=budget,
+    )
+    edges, values = kept_edges(state.structure)
+    assert edges.rows.size <= budget
+    assert np.all(edges.rows != edges.cols)
+    assert np.all(values.data >= 0.0) and np.all(values.data <= 1.0)
+    a = model_adjacency(state).data
+    np.testing.assert_array_equal(a[edges.rows, edges.cols], values.data)
     off = ~np.eye(n, dtype=bool)
     assert np.count_nonzero(a[off]) <= budget
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
@@ -315,11 +306,12 @@ def test_adjacency_invariants_random_params(n, budget_raw, seed):
 
 def test_structure_gradients_with_frozen_mask():
     p = make_params(n=5, seed=21, max_edges=8)
-    mask = build_adjacency(p).kept_mask
+    frozen, _ = kept_edges(p)
 
     def f():
-        adj = build_adjacency(p, kept_mask=mask)
-        pooled = flatten(block_reduce(adj.matrix, 5, "mean"))
+        _, values = kept_edges(p, frozen)
+        adj = edge_block_matmul(values, frozen, Tensor(np.eye(5)))  # I + A
+        pooled = flatten(block_reduce(adj, 5, "mean"))
         return mse_loss(pooled, Tensor(np.linspace(0.0, 1.0, 5)))
 
     assert grad_check(f, [p.w_from, p.w_to], step=1e-5) <= 1e-4
