@@ -1,9 +1,18 @@
 """Command-line entry points.
 
 Subcommands: synth-data, train, evaluate, predict, centrality, gradcheck,
-ablation. A JSON config file (keys: model, train, structure, data) sets
-anything the flags do not; flags win on conflict. Exit codes: 0 success,
-1 usage error, 2 data or format error, 3 numeric failure.
+ablation. Exit codes: 0 success, 1 usage error, 2 data or format error,
+3 numeric failure.
+
+--config names a JSON object whose sections each set one record, with the
+keys listed below: train the fields of TrainConfig, model the architecture
+fields of GcnConfig, data the options of prepare_dataset. Any other section
+or key, or a value of another type, is a usage error. The model is the
+preset with the model section on top, the train section's window and
+lead_months, and the grid's variable count as features_per_node. --preset,
+--seed, --lead and ablation's --seeds win over the train section. evaluate
+and predict take the window, the lead and, unless data.oni_node is set, the
+ONI node from the first checkpoint.
 """
 
 from __future__ import annotations
@@ -11,21 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import data as dat
 from .autodiff import Tensor, grad_check, mse_loss
 from .centrality import eigenvector_centrality
-from .errors import (
-    ConfigError,
-    DataError,
-    FormatError,
-    NumericError,
-    UsageError,
-)
+from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
 from .exports import export_centrality_heatmap, export_forecast_timeseries
 from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency, model_edges
 from .training import (
@@ -44,168 +49,168 @@ from .training import (
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# GcnConfig fields that describe the data, not the architecture
+MODEL_FACTS = ("window", "lead_months", "features_per_node")
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no abbreviations: ablation --seed would set --seeds
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="onigraph", description=__doc__)
+    listing = "\n".join(
+        textwrap.fill(", ".join(keys), 76, initial_indent=f"  {name:<7}", subsequent_indent=" " * 9)
+        for name, keys in _section_types().items()
+    )
+    parser = _Parser(
+        prog="onigraph",
+        description=f"{__doc__}\nconfig keys:\n{listing}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    flags = {
+        "config": dict(help="JSON config file (sections: train, model, data)"),
+        "seed": dict(type=int, help="random seed"),
+        "lead": dict(type=int, help="forecast lead in months"),
+        "data": dict(required=True, help="grid container directory"),
+        "checkpoint": dict(action="append", required=True, help="model checkpoint file"),
+    }
 
-    def common(p, data=False, checkpoint=False, out=None):
-        p.add_argument("--config", help="JSON config file (keys: model, train, structure, data)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--lead", type=int, help="forecast lead in months")
-        if data:
-            p.add_argument("--data", required=True, help="grid container directory")
-        if checkpoint:
-            p.add_argument(
-                "--checkpoint", action="append", required=True, help="model checkpoint file"
-            )
-        if out is not None:
-            p.add_argument("--out", default=out, help=f"output path (default: {out})")
+    def command(name, help, *names):
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        return p
 
-    p = sub.add_parser("synth-data", help="generate a synthetic teleconnection dataset")
-    common(p, out="synth")
+    p = command("synth-data", "generate a synthetic teleconnection dataset", "seed", "lead")
+    p.set_defaults(seed=0, lead=1)
+    p.add_argument("--out", default="synth", help="output directory (default: synth)")
     p.add_argument("--lat", type=int, default=8, help="grid rows")
     p.add_argument("--lon", type=int, default=8, help="grid columns")
     p.add_argument("--months", type=int, default=120, help="timeseries length")
     p.add_argument("--noise", type=float, default=0.1, help="signal-cell noise sd")
     p.add_argument("--background", type=float, default=None, help="background-cell sd")
 
-    p = sub.add_parser("train", help="train one model and write a checkpoint")
-    common(p, data=True, out="model.ckpt")
+    p = command("train", "train one model and write a checkpoint", "config", "seed", "lead", "data")
+    p.add_argument("--out", default="model.ckpt", help="checkpoint path (default: model.ckpt)")
     p.add_argument("--preset", default=None, choices=sorted(PRESETS), help="ensemble member preset")
     p.add_argument("--edges", default="learned", choices=("learned", "local"))
 
-    p = sub.add_parser("evaluate", help="correlation skill and RMSE of a model or ensemble")
-    common(p, data=True, checkpoint=True, out=None)
+    p = command("evaluate", "r and RMSE of a model or ensemble", "config", "data", "checkpoint")
     p.add_argument("--out", default=None, help="basename for report and prediction CSVs")
     p.add_argument("--split", default="test", choices=("train", "test", "all"))
 
-    p = sub.add_parser("predict", help="per-sample forecasts of a model or ensemble")
-    common(p, data=True, checkpoint=True, out="predictions.csv")
+    p = command("predict", "per-sample model or ensemble forecasts", "config", "data", "checkpoint")
+    p.add_argument("--out", default="predictions.csv", help="CSV path (default: predictions.csv)")
     p.add_argument("--split", default="test", choices=("train", "test", "all"))
 
-    p = sub.add_parser("centrality", help="eigenvector centrality heatmap of the adjacency")
-    common(p, checkpoint=True, out="centrality")
+    p = command("centrality", "eigenvector centrality heatmap of the adjacency")
+    p.add_argument("--checkpoint", required=True, help="model checkpoint file")
+    p.add_argument("--out", default="centrality", help="output basename (default: centrality)")
 
-    p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    common(p)
+    command("gradcheck", "verify gradients against finite differences", "seed").set_defaults(seed=0)
 
-    p = sub.add_parser("ablation", help="learned vs fixed local connectivity comparison")
-    common(p, data=True, out=None)
+    p = command("ablation", "learned vs local connectivity comparison", "config", "lead", "data")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated training seeds")
     p.add_argument("--out", default=None, help="optional CSV for the result table")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# configuration
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    unknown = set(config) - {"model", "train", "structure", "data"}
+def _section_types() -> dict[str, dict]:
+    """The keys each config section takes, with their annotated types."""
+    model = get_type_hints(GcnConfig)
+    data = get_type_hints(dat.prepare_dataset)
+    return {
+        "train": get_type_hints(TrainConfig),
+        "model": {k: v for k, v in model.items() if k not in MODEL_FACTS},
+        "data": {k: data[k] for k in ("train_fraction", "oni_node", "smoothing_k")},
+    }
+
+
+def _typed(value, hint, where: str):
+    """value as the annotated type: ints widen to float, nothing else converts."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        if isinstance(value, list):
+            return [_typed(v, args[0], where) for v in value]
+    elif args:  # X | None
+        return None if value is None else _typed(value, args[0], where)
+    elif hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:
+        return value
+    name = "finite float" if hint is float else hint.__name__ if type(hint) is type else str(hint)
+    raise ConfigError(f"{where} must be of type {name}, got {value!r}")
+
+
+def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, TrainConfig, dict]:
+    """The model, training and data settings of a parsed config file, with
+    ``flags`` (TrainConfig values, None where unset) over the train section.
+    The data settings are keyword arguments of :func:`data.prepare_dataset`.
+    Raises ConfigError for an unknown section or key, a model key that
+    describes the data, or a value of another type."""
+    sections = _section_types()
+    if not isinstance(config, dict):
+        raise ConfigError(f"a config is a JSON object with sections {list(sections)}")
+    unknown = set(config) - set(sections)
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return config
+        raise ConfigError(f"unknown config sections {sorted(unknown)}; use {list(sections)}")
+    resolved = {}
+    for name, types in sections.items():
+        values = config.get(name, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        for key in values:
+            if name == "model" and key in MODEL_FACTS:
+                raise ConfigError(f"model.{key} describes the data, not the architecture")
+            if key not in types:
+                raise ConfigError(f"unknown config key {name}.{key}; {name} takes {list(types)}")
+        resolved[name] = {k: _typed(v, types[k], f"{name}.{k}") for k, v in values.items()}
+
+    train_cfg = TrainConfig(**resolved["train"] | {k: v for k, v in flags.items() if v is not None})
+    preset = model_config_from_preset(
+        train_cfg.preset, train_cfg.window, n_variables, train_cfg.lead_months
+    )
+    return replace(preset, **resolved["model"]), train_cfg, resolved["data"]
 
 
-def _resolve_configs(args, config: dict) -> tuple[GcnConfig, TrainConfig, dict]:
-    """Merge defaults, preset, config file and flags into the three configs."""
-    train_kw = dict(config.get("train", {}))
-    for key in ("embed_dim", "feature_gain", "score_gain", "max_edges"):
-        if key in config.get("structure", {}):
-            train_kw[key] = config["structure"][key]
-    preset = getattr(args, "preset", None) or train_kw.pop("preset", None) or "gcn2a"
-    if args.seed is not None:
-        train_kw["seed"] = args.seed
-    if args.lead is not None:
-        train_kw["lead_months"] = args.lead
-    train_kw.setdefault("lead_months", 1)
+def _prepare(args, checkpoint=None, **flags) -> tuple[GcnConfig, TrainConfig, dat.DatasetBundle]:
+    """Resolve --config against the --data grid and prepare its samples. A
+    checkpoint's model fixes the window, the lead and, unless data.oni_node
+    is set, the ONI node."""
     try:
-        train_cfg = TrainConfig(preset=preset, **train_kw)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
-
-    model_kw = dict(config.get("model", {}))
-    model_kw.setdefault("window", train_cfg.window)
-    model_kw["lead_months"] = train_cfg.lead_months
-    try:
-        if "layer_dims" in model_kw or "pooling" in model_kw:
-            base = model_config_from_preset(
-                preset,
-                window=model_kw.pop("window"),
-                lead_months=model_kw.pop("lead_months"),
-                layer_dims=model_kw.pop("layer_dims", None),
-            )
-            model_cfg = GcnConfig(**{**asdict(base), **model_kw})
-        else:
-            model_cfg = model_config_from_preset(
-                preset, window=model_kw["window"], lead_months=model_kw["lead_months"]
-            )
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
-
-    data_opts = {"train_fraction": 0.8, "oni_node": True, "smoothing_k": 3}
-    data_opts.update(config.get("data", {}))
-    return model_cfg, train_cfg, data_opts
-
-
-def _prepare(args, model_cfg: GcnConfig, train_cfg: TrainConfig, data_opts: dict):
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
+    except OSError as exc:
+        raise DataError(f"cannot read config file {args.config}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"config file {args.config} is not valid JSON: {exc}") from exc
     grid = dat.load_gridset(args.data)
-    return dat.prepare_dataset(
-        grid,
-        window=model_cfg.window,
-        lead=train_cfg.lead_months,
-        train_fraction=data_opts["train_fraction"],
-        oni_node=data_opts["oni_node"],
-        smoothing_k=data_opts["smoothing_k"],
-    )
-
-
-def _pick_split(bundle: dat.DatasetBundle, split: str) -> dat.SampleSet:
-    if split == "train":
-        return bundle.train
-    if split == "test":
-        return bundle.test
-    train, test = bundle.train, bundle.test
-    return replace(
-        train,
-        inputs=np.concatenate([train.inputs, test.inputs]),
-        targets=np.concatenate([train.targets, test.targets]),
-        window_end=np.concatenate([train.window_end, test.window_end]),
-        end_calendar_month=np.concatenate([train.end_calendar_month, test.end_calendar_month]),
-        split="all",
-    )
+    model_cfg, train_cfg, opts = resolve_configs(config, len(grid.variables), **flags)
+    if checkpoint is not None:
+        model_cfg = checkpoint.config
+        opts = {"oni_node": checkpoint.has_oni_node, **opts}
+    bundle = dat.prepare_dataset(grid, window=model_cfg.window, lead=model_cfg.lead_months, **opts)
+    return model_cfg, train_cfg, bundle
 
 
 def _load_members(args) -> tuple[list, dat.SampleSet]:
-    """The --checkpoint models and the --split samples, prepared with the
-    first model's window, lead and ONI node."""
-    config = _load_config(args.config)
+    """The --checkpoint models and the --split samples, prepared for the first."""
     models = [load_checkpoint(p) for p in args.checkpoint]
-    first = models[0]
-    _, _, data_opts = _resolve_configs(args, config)
-    bundle = dat.prepare_dataset(
-        dat.load_gridset(args.data),
-        window=first.config.window,
-        lead=first.config.lead_months,
-        train_fraction=data_opts["train_fraction"],
-        oni_node=first.has_oni_node,
-        smoothing_k=data_opts["smoothing_k"],
-    )
-    return models, _pick_split(bundle, args.split)
+    _, _, bundle = _prepare(args, models[0])
+    if args.split != "all":
+        return models, getattr(bundle, args.split)
+    parts = (bundle.train, bundle.test)
+    joined = {f: np.concatenate([getattr(p, f) for p in parts]) for f in dat.PER_SAMPLE}
+    return models, replace(bundle.train, split="all", **joined)
 
 
 # ---------------------------------------------------------------------------
@@ -213,42 +218,26 @@ def _load_members(args) -> tuple[list, dat.SampleSet]:
 
 
 def cmd_synth_data(args) -> int:
-    config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
-    lead = args.lead if args.lead is not None else 1
     grid, spec = dat.synth_teleconnection_dataset(
         args.lat,
         args.lon,
         args.months,
-        lead,
-        seed=seed,
+        args.lead,
+        seed=args.seed,
         noise_sd=args.noise,
         background_sd=args.background,
     )
     out = Path(args.out)
     dat.save_gridset(grid, out)
-    (out / "synth_spec.json").write_text(
-        json.dumps(
-            {
-                "driver_cells": spec.driver_cells,
-                "region_cells": spec.region_cells,
-                "lead": spec.lead,
-                "seed": spec.seed,
-                "noise_sd": spec.noise_sd,
-                "background_sd": spec.background_sd,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    (out / "synth_spec.json").write_text(json.dumps(asdict(spec), indent=2) + "\n")
     print(f"wrote {grid.n_lat}x{grid.n_lon} grid, {grid.n_time} months, to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    model_cfg, train_cfg, data_opts = _resolve_configs(args, config)
-    bundle = _prepare(args, model_cfg, train_cfg, data_opts)
+    model_cfg, train_cfg, bundle = _prepare(
+        args, preset=args.preset, seed=args.seed, lead_months=args.lead
+    )
     state = build_model(bundle, model_cfg, train_cfg, edge_mode=args.edges)
     _, history = train(state, bundle.train, train_cfg)
     save_checkpoint(state, args.out)
@@ -269,9 +258,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     models, samples = _load_members(args)
     report = evaluate(models, samples)
-    print(
-        f"lead={report.lead_months} r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"
-    )
+    print(f"lead={report.lead_months} r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}")
     if args.out:
         write_report_csv(report, str(args.out) + ".report.csv")
         write_predictions_csv(report, str(args.out) + ".predictions.csv")
@@ -291,7 +278,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    state = load_checkpoint(args.checkpoint[0])
+    state = load_checkpoint(args.checkpoint)
     # node i reads from node j where A[i, j] > 0: the transpose ranks the
     # nodes the graph reads from
     scores = eigenvector_centrality(model_adjacency(state).data.T)
@@ -310,7 +297,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     rng = np.random.default_rng(seed + 99)
     batch = 3
     config = GcnConfig(layer_dims=[4, 4], window=2, features_per_node=2)
@@ -347,20 +334,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    config = _load_config(args.config)
-    model_cfg, train_cfg, data_opts = _resolve_configs(args, config)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--seeds must be comma-separated ints, got {args.seeds!r}") from None
     if not seeds:
         raise UsageError("--seeds is empty")
+    model_cfg, train_cfg, bundle = _prepare(args, lead_months=args.lead)
 
     rows = []
     for seed in seeds:
+        cfg = replace(train_cfg, seed=seed)
         for edges in ("learned", "local"):
-            cfg = TrainConfig(**{**asdict(train_cfg), "seed": seed})
-            bundle = _prepare(args, model_cfg, cfg, data_opts)
             state = build_model(bundle, model_cfg, cfg, edge_mode=edges)
             train(state, bundle.train, cfg)
             report = evaluate(state, bundle.test)

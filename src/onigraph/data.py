@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +331,10 @@ class SampleSet:
         return len(self.inputs)
 
 
+# the SampleSet fields with one row per sample
+PER_SAMPLE = ("inputs", "targets", "window_end", "end_calendar_month")
+
+
 def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: Array) -> SampleSet:
     """Every month window whose lead-h target is defined becomes a sample.
 
@@ -368,24 +372,22 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     )
 
 
-def split_samples(samples: SampleSet, train_fraction: float) -> tuple[SampleSet, SampleSet]:
-    """Chronological split: the first fraction of samples trains, the rest test."""
+def split_samples(
+    samples: SampleSet, train_fraction: float, smoothing_k: int
+) -> tuple[SampleSet, SampleSet]:
+    """Chronological split: the first fraction of samples trains, the rest
+    test, less an embargo of ``lead + smoothing_k // 2`` samples between.
+    Labels are centered ``smoothing_k``-month means, so the embargo makes
+    every training label end before the first test window ends."""
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError(f"train_fraction must lie in (0, 1], got {train_fraction}")
     cut = int(round(len(samples) * train_fraction))
+    embargo = samples.lead + smoothing_k // 2
 
-    def take(lo, hi, tag):
-        return SampleSet(
-            inputs=samples.inputs[lo:hi],
-            targets=samples.targets[lo:hi],
-            window_end=samples.window_end[lo:hi],
-            end_calendar_month=samples.end_calendar_month[lo:hi],
-            window=samples.window,
-            lead=samples.lead,
-            split=tag,
-        )
+    def take(rows, tag):
+        return replace(samples, split=tag, **{f: getattr(samples, f)[rows] for f in PER_SAMPLE})
 
-    return take(0, cut, "train"), take(cut, len(samples), "test")
+    return take(slice(0, cut), "train"), take(slice(cut + embargo, None), "test")
 
 
 def extend_nodes_with_oni(nodes: NodeIndex) -> NodeIndex:
@@ -610,7 +612,7 @@ def prepare_dataset(
     smoothing_k: int = 3,
 ) -> DatasetBundle:
     """Grid -> nodes (plus the ONI node) -> labels -> windowed samples ->
-    chronological split.
+    chronological split with an embargo (:func:`split_samples`).
 
     The samples are built once, as one array over the final node set; the
     train and test splits are views of it. Static features for the
@@ -622,7 +624,7 @@ def prepare_dataset(
         nodes = extend_nodes_with_oni(nodes)
     oni = compute_oni_series(grid, smoothing_k)
     samples = build_samples(grid, nodes, window, lead, oni)
-    train, test = split_samples(samples, train_fraction)
+    train, test = split_samples(samples, train_fraction, smoothing_k)
     if len(train) == 0:
         raise DataError("training split is empty")
     train_months = np.arange(0, int(train.window_end.max()) + 1)

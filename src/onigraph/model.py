@@ -58,6 +58,8 @@ class GcnConfig:
             raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
         if self.window < 1 or self.features_per_node < 1 or self.lead_months < 1:
             raise ConfigError("window, features_per_node and lead_months must be >= 1")
+        if self.mlp_hidden is not None and self.mlp_hidden < 1:
+            raise ConfigError(f"mlp_hidden must be None or >= 1, got {self.mlp_hidden}")
 
     @property
     def input_width(self) -> int:

@@ -69,8 +69,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.learning_rate < 0 or not 0 <= self.momentum < 1:
             raise ConfigError("learning_rate must be >= 0 and momentum in [0, 1)")
-        if self.lead_months < 1 or self.window < 1:
-            raise ConfigError("lead_months and window must be >= 1")
+        if self.lead_months < 1 or self.window < 1 or self.embed_dim < 1:
+            raise ConfigError("lead_months, window and embed_dim must be >= 1")
 
     def resolved_weight_decay(self) -> float:
         if self.weight_decay is not None:
@@ -199,7 +199,8 @@ def predict_samples(
     """Evaluation-mode predictions; ensembles average member outputs.
 
     Members must forecast the same thing from the same inputs: equal lead,
-    window, input width and node set (ONI node and coordinates)."""
+    window, input width and node set (ONI node and coordinates). The
+    samples must have that window, lead, node count and input width."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
@@ -216,6 +217,14 @@ def predict_samples(
             raise ConfigError(
                 "ensemble members disagree on lead, window, input width or nodes"
             )
+    cfg = first.config
+    expected = (cfg.window, cfg.lead_months, first.node_count, cfg.input_width)
+    found = (samples.window, samples.lead, *samples.inputs.shape[1:])
+    if found != expected:
+        raise DataError(
+            f"samples (window, lead, nodes, inputs per node) {found} do not fit "
+            f"the model's {expected}"
+        )
     total = np.zeros(len(samples))
     for member in members:
         outputs = []

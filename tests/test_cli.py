@@ -6,11 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+from typing import get_args, get_origin, get_type_hints
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onigraph
-from onigraph.cli import cli_dispatch
+from onigraph import data as dat
+from onigraph.cli import _section_types, cli_dispatch, resolve_configs
+from onigraph.errors import ConfigError
 from onigraph.model import GcnConfig, init_params
 from onigraph.training import CHECKPOINT_MAGIC, save_checkpoint
 
@@ -242,6 +249,237 @@ def test_bad_config_is_usage_error(synth_dir, tmp_path):
     cfg.write_text(json.dumps({"nonsense": {}}))
     code = cli_dispatch(["train", "--config", str(cfg), "--data", str(synth_dir)])
     assert code == 1
+
+
+def _manifest(path):
+    raw = Path(path).read_bytes()
+    (manifest_len,) = struct.unpack("<Q", raw[4:12])
+    return json.loads(raw[12 : 12 + manifest_len])
+
+
+def _write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"train": {"epochs": 2.5}}, "train.epochs must be of type int"),
+        ({"train": {"batch_size": True}}, "train.batch_size must be of type int"),
+        ({"data": {"train_fraction": "x"}}, "data.train_fraction must be of type finite float"),
+        ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be"),
+        ({"model": {"layer_dims": [8, 8.0]}}, "model.layer_dims must be of type int"),
+        ({"structure": {"max_edges": 10}}, "unknown config sections ['structure']"),
+        ({"train": {"bogus": 1}}, "unknown config key train.bogus"),
+        ({"model": {"window": 3}}, "model.window describes the data"),
+        ({"model": {"lead_months": 2}}, "model.lead_months describes the data"),
+        ({"model": {"features_per_node": 1}}, "model.features_per_node describes the data"),
+        ({"data": []}, "config section 'data' must be a JSON object"),
+        ([], "a config is a JSON object"),
+        ({"train": {"embed_dim": -1}}, "embed_dim must be >= 1"),
+        ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
+    ],
+)
+def test_config_mistakes_are_usage_errors(config, message, synth_dir, tmp_path, capsys):
+    args = ["train", "--config", _write_config(tmp_path / "c.json", config)]
+    args += ["--data", str(synth_dir), "--out", str(tmp_path / "m.ckpt")]
+    assert cli_dispatch(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "not_json"])
+def test_unreadable_config_is_data_error(kind, synth_dir, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    elif kind == "not_json":
+        path.write_text("{train:")
+    args = ["train", "--config", str(path), "--data", str(synth_dir)]
+    assert cli_dispatch([*args, "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("synth-data", "--config"),
+        ("evaluate", "--seed"),
+        ("evaluate", "--lead"),
+        ("predict", "--seed"),
+        ("predict", "--lead"),
+        ("centrality", "--config"),
+        ("centrality", "--seed"),
+        ("centrality", "--lead"),
+        ("gradcheck", "--config"),
+        ("gradcheck", "--lead"),
+        ("ablation", "--seed"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(command, flag, capsys):
+    required = {
+        "evaluate": ["--checkpoint", "m.ckpt", "--data", "d"],
+        "predict": ["--checkpoint", "m.ckpt", "--data", "d"],
+        "centrality": ["--checkpoint", "m.ckpt"],
+        "ablation": ["--data", "d"],
+    }
+    assert cli_dispatch([command, *required.get(command, []), flag, "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"unrecognized arguments: {flag}" in err
+
+
+def test_model_section_sets_the_architecture(synth_dir, tmp_path):
+    out = tmp_path / "tanh.ckpt"
+    config = {"model": {"activation": "tanh"}, "train": {"epochs": 1}}
+    args = ["train", "--config", _write_config(tmp_path / "c.json", config)]
+    assert cli_dispatch([*args, "--data", str(synth_dir), "--out", str(out)]) == 0
+    model = _manifest(out)["model"]
+    assert model["activation"] == "tanh"
+    assert model["layer_dims"] == [250, 100]  # gcn2a, the default preset
+
+
+def _one_variable_grid(synth_dir, path):
+    grid = dat.load_gridset(synth_dir)
+    dat.save_gridset(replace(grid, variables=["sst_anomaly"], data=grid.data[:, :1].copy()), path)
+    return path
+
+
+def test_one_variable_grid_trains_one_feature_per_node(synth_dir, small_config, tmp_path):
+    grid = _one_variable_grid(synth_dir, tmp_path / "sst_only")
+    out = tmp_path / "m.ckpt"
+    args = ["train", "--config", str(small_config), "--data", str(grid), "--out", str(out)]
+    assert cli_dispatch(args) == 0
+    assert _manifest(out)["model"]["features_per_node"] == 1
+    assert cli_dispatch(["evaluate", "--checkpoint", str(out), "--data", str(grid)]) == 0
+
+
+def test_samples_that_do_not_fit_the_model_are_data_errors(checkpoint, synth_dir, tmp_path, capsys):
+    other_size = tmp_path / "5x5"
+    assert cli_dispatch(["synth-data", "--out", str(other_size), "--lat", "5", "--lon", "5"]) == 0
+    grids = (_one_variable_grid(synth_dir, tmp_path / "sst_only"), other_size)
+    for command in ("evaluate", "predict"):
+        for grid in grids:
+            args = [command, "--checkpoint", str(checkpoint), "--data", str(grid)]
+            assert cli_dispatch([*args, "--out", str(tmp_path / "p.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "do not fit the model" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_ablation_loads_the_grid_once(synth_dir, small_config, monkeypatch, capsys):
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    load = dat.load_gridset
+    monkeypatch.setattr(dat, "load_gridset", counting_load)
+    args = ["ablation", "--config", str(small_config), "--data", str(synth_dir)]
+    assert cli_dispatch([*args, "--seeds", "0,1"]) == 0
+    assert calls == [str(synth_dir)]
+    rows = capsys.readouterr().out.splitlines()
+    assert sum(row.startswith("learned ") for row in rows) == 2
+
+
+def _holds(value, hint) -> bool:
+    if get_origin(hint) is list:
+        return type(value) is list and all(_holds(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):
+        return any(_holds(value, h) for h in get_args(hint))
+    return type(value) is hint and (hint is not float or np.isfinite(value))
+
+
+_TYPES = _section_types()
+_KEYS = sorted({k for types in _TYPES.values() for k in types} | {"window", "bogus"})
+_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 300)
+    | st.integers()
+    | st.floats(-0.5, 2.0)
+    | st.floats()
+    | st.sampled_from(["gcn2a", "gcn3b", "elu", "tanh", "mean", "sum_and_mean", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _plausible(hint):
+    """Values of the hinted type, and near misses: a bool or a float for an
+    int, NaN or infinity for a float."""
+    if get_origin(hint) is list:
+        return st.lists(_plausible(get_args(hint)[0]), min_size=1, max_size=3)
+    if get_args(hint):
+        return st.none() | _plausible(get_args(hint)[0])
+    return {
+        int: st.integers(1, 300) | st.integers(1, 300) | st.booleans() | st.floats(1.0, 9.0),
+        float: st.floats(0.0, 0.95) | st.integers(0, 1) | st.sampled_from([np.nan, np.inf]),
+        bool: st.booleans(),
+        str: st.sampled_from(["gcn2a", "gcn3b", "tanh", "mean", "sum_and_mean"]),
+    }[hint]
+
+
+def _section(types, junk):
+    """The section's own keys with plausible values, and with junk,
+    sometimes another section's key or any JSON value."""
+
+    def entry(key):
+        if key not in types:
+            return st.tuples(st.just(key), _VALUES)
+        plausible = _plausible(types[key])
+        return st.tuples(st.just(key), st.one_of(plausible, _VALUES) if junk else plausible)
+
+    keys = sorted(types) * 3 + _KEYS if junk else sorted(types)
+    return st.lists(st.sampled_from(keys).flatmap(entry), max_size=4).map(dict)
+
+
+_CONFIG = st.one_of(
+    st.fixed_dictionaries({}, optional={name: _section(t, False) for name, t in _TYPES.items()}),
+    st.fixed_dictionaries({}, optional={name: _section(t, True) for name, t in _TYPES.items()}),
+    st.dictionaries(st.sampled_from(["train", "model", "data", "structure"]), _VALUES, max_size=3),
+    _VALUES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_CONFIG, n_variables=st.integers(1, 3), seed=st.none() | st.integers(0, 9))
+def test_resolved_configs_hold_their_annotated_types(config, n_variables, seed):
+    try:
+        model, train, data = resolve_configs(config, n_variables, seed=seed)
+    except ConfigError:
+        return
+    for cfg in (model, train):
+        for name, hint in get_type_hints(type(cfg)).items():
+            assert _holds(getattr(cfg, name), hint), (name, getattr(cfg, name))
+    types = get_type_hints(dat.prepare_dataset)
+    assert set(data) <= {"train_fraction", "oni_node", "smoothing_k"}
+    for name, value in data.items():
+        assert _holds(value, types[name]), (name, value)
+    assert (model.window, model.lead_months) == (train.window, train.lead_months)
+    assert model.features_per_node == n_variables
+    # every key given lands in its record unchanged (ints widen to float);
+    # the --seed flag wins over train.seed
+    flag = {} if seed is None else {"seed": seed}
+    expected = ((config.get("train", {}) | flag, train), (config.get("model", {}), model))
+    for values, record in expected:
+        for key, value in values.items():
+            assert getattr(record, key) == value
+    assert data == config.get("data", {})
+
+
+def test_help_names_every_config_key(capsys):
+    assert cli_dispatch(["--help"]) == 0
+    out = capsys.readouterr().out
+    for section, types in _TYPES.items():
+        assert f"  {section}  " in out
+        for key in types:
+            assert key in out, key
 
 
 def test_cross_process_evaluation_is_identical(checkpoint, synth_dir, tmp_path):

@@ -332,13 +332,19 @@ def test_time_major_column_layout():
 
 
 def test_split_is_chronological():
-    grid = make_grid(n_time=20, seed=2)
+    grid = make_grid(n_time=30, seed=2)
     nodes = land_filter_nodes(grid)
-    samples = build_samples(grid, nodes, 3, 1, compute_oni_series(grid))
-    train, test = split_samples(samples, 0.75)
-    assert train.split == "train" and test.split == "test"
-    assert len(train) + len(test) == len(samples)
-    assert train.window_end.max() < test.window_end.min()
+    for lead, k in ((1, 3), (2, 5), (3, 1)):
+        samples = build_samples(grid, nodes, 3, lead, compute_oni_series(grid, k))
+        train, test = split_samples(samples, 0.75, k)
+        assert train.split == "train" and test.split == "test"
+        assert len(train) == round(0.75 * len(samples)) and len(test) > 0
+        # an embargo of lead + k // 2 samples: the last training label, a
+        # k-month mean centered lead months after its window, ends before
+        # the first test window does
+        assert len(train) + lead + k // 2 + len(test) == len(samples)
+        assert train.window_end.max() + lead + k // 2 < test.window_end.min()
+        assert test.window_end.min() - train.window_end.max() == lead + k // 2 + 1
 
 
 # --- ONI node ---------------------------------------------------------------------
