@@ -205,10 +205,10 @@ class EdgeIndex:
     indptr: Array
 
     @classmethod
-    def from_mask(cls, mask: Array) -> "EdgeIndex":
-        """The True entries of an (n, n) boolean mask with a False diagonal."""
-        n = mask.shape[0]
-        rows, cols = np.nonzero(mask)
+    def from_flat(cls, n: int, flat: Array) -> "EdgeIndex":
+        """The edges at ascending row-major indices ``i * n + j`` of an
+        n x n array; indices on the diagonal are dropped."""
+        rows, cols = np.divmod(flat[flat % (n + 1) != 0], n)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, rows.astype(np.int32), cols.astype(np.int32), indptr)

@@ -242,11 +242,10 @@ def cmd_train(args) -> int:
     _, history = train(state, bundle.train, train_cfg)
     save_checkpoint(state, args.out)
     write_history_csv(history, str(args.out) + ".loss.csv")
-    final = np.mean([v for e, _, v in history if e == train_cfg.epochs - 1])
-    line = (
-        f"trained {args.edges} model ({len(bundle.train)} samples, "
-        f"{train_cfg.epochs} epochs): final train MSE {final:.5f}"
-    )
+    line = f"trained {args.edges} model ({len(bundle.train)} samples, {train_cfg.epochs} epochs)"
+    if history:
+        final = np.mean([v for e, _, v in history if e == train_cfg.epochs - 1])
+        line += f": final train MSE {final:.5f}"
     if len(bundle.test) >= 2:
         report = evaluate(state, bundle.test)
         line += f"; test r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"

@@ -111,17 +111,22 @@ def load_gridset(path: str | Path) -> GridSet:
         raise FormatError(f"no {MANIFEST_NAME} in {directory}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:
         n_lat, n_lon = int(manifest["n_lat"]), int(manifest["n_lon"])
         n_time = int(manifest["n_time"])
         variables = list(manifest["variables"])
-        mask_file = manifest["mask_file"]
-        data_file = manifest["data_file"]
+        mask_path = directory / manifest["mask_file"]
+        data_path = directory / manifest["data_file"]
         lat0, dlat = float(manifest["lat0"]), float(manifest["dlat"])
         lon0, dlon = float(manifest["lon0"]), float(manifest["dlon"])
         start_month = str(manifest["start_month"])
+        year, month = start_month.split("-")
+        if min(n_lat, n_lon, n_time) < 1:
+            raise ValueError(f"grid sizes must be positive, got {n_lat}x{n_lon}x{n_time}")
+        if not (year.isdigit() and 1 <= int(month) <= 12):
+            raise ValueError(f"start_month {start_month!r} is not YYYY-MM")
     except KeyError as exc:
         raise FormatError(f"manifest missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -130,12 +135,12 @@ def load_gridset(path: str | Path) -> GridSet:
         if name not in KNOWN_VARIABLES:
             raise FormatError(f"unknown variable name {name!r} in manifest")
 
-    mask_bytes = (directory / mask_file).read_bytes()
+    mask_bytes = mask_path.read_bytes()
     if len(mask_bytes) != n_lat * n_lon:
         raise FormatError(
             f"mask size mismatch: expected {n_lat * n_lon} bytes, found {len(mask_bytes)}"
         )
-    data_bytes = (directory / data_file).read_bytes()
+    data_bytes = data_path.read_bytes()
     expected = n_time * len(variables) * n_lat * n_lon * 4
     if len(data_bytes) != expected:
         raise FormatError(

@@ -319,9 +319,7 @@ def model_edges(
     frozen ``edges`` if given), or the nonzero off-diagonal entries of the
     fixed local matrix in ablation mode."""
     if state.edge_mode == "local":
-        off = state.fixed_adjacency != 0.0
-        np.fill_diagonal(off, False)
-        local = ad.EdgeIndex.from_mask(off)
+        local = ad.EdgeIndex.from_flat(state.node_count, np.flatnonzero(state.fixed_adjacency))
         return local, Tensor(state.fixed_adjacency[local.rows, local.cols])
     return kept_edges(state.structure, edges)
 

@@ -11,8 +11,12 @@ nodes are free to accumulate many more connections than others.
 The graph has one form, built in :func:`kept_edges`: the list of kept
 edges and their scores. One dense pass off the tape scores every pair and
 selects the kept edges; only the kept scores are recorded, so neither the
-tape nor the gradient of the embedding maps holds an N x N array. Ops on
-the graph pick a dense or a CSR kernel from its density
+tape nor the gradient of the embedding maps holds an N x N array.
+Selection (:func:`top_edges`) reads the scores as one row-major flat
+vector: a single copy, partitioned in place, gives the e-th largest
+off-diagonal score, and the ascending flat indices of the scores above it,
+then of its first ties, are the edge list. Ops on the graph pick a dense
+or a CSR kernel from its density
 (:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
@@ -74,34 +78,36 @@ def _embedding(params: StructureParams, w: Tensor) -> Tensor:
     return unary_activation(scale(matmul(params.static_features, w), params.feature_gain), "tanh")
 
 
-def top_edges_mask(scores: Array, max_edges: int) -> Array:
-    """Boolean mask of the ``max_edges`` largest off-diagonal entries.
+def top_edges(scores: Array, max_edges: int) -> EdgeIndex:
+    """Edge list of the ``max_edges`` largest off-diagonal entries.
 
     Ties are broken toward the smallest (row, col) pair so the selection is
     fully deterministic. The diagonal never competes for the budget; a
     budget above the off-diagonal count keeps every off-diagonal entry.
     Infinite scores rank like any other value; NaN scores have no rank and
-    are rejected.
+    are rejected. ``scores`` itself is left unchanged.
     """
     n = scores.shape[0]
     if max_edges < 0:
         raise ConfigError(f"edge budget must be non-negative, got {max_edges}")
-    off = ~np.eye(n, dtype=bool)
-    values = scores[off]  # row-major, so position order is the (row, col) order
-    if np.isnan(values).any():
+    flat = scores.ravel()
+    ranked = flat.copy()
+    ranked[:: n + 1] = -np.inf  # the diagonal ranks last and takes no slot
+    if np.isnan(ranked).any():
         raise NumericError("edge scores contain NaN")
-    mask = np.zeros((n, n), dtype=bool)
-    e = min(max_edges, values.size)
+    e = min(max_edges, n * (n - 1))
     if e == 0:
-        return mask
+        return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp))
     # partial sort for the e-th largest value; everything above it is kept,
-    # and the remaining slots go to its ties in (row, col) order
-    kth = -np.partition(-values, e - 1)[e - 1]
-    keep = values > kth
-    ties = np.flatnonzero(values == kth)
+    # and the remaining slots go to its off-diagonal ties in (row, col) order
+    ranked.partition(ranked.size - e)
+    kth = ranked[ranked.size - e]
+    keep = flat > kth
+    keep[:: n + 1] = False
+    ties = np.flatnonzero(flat == kth)
+    ties = ties[ties % (n + 1) != 0]
     keep[ties[: e - np.count_nonzero(keep)]] = True
-    mask[off] = keep
-    return mask
+    return EdgeIndex.from_flat(n, np.flatnonzero(keep))
 
 
 def kept_edges(
@@ -112,12 +118,13 @@ def kept_edges(
 
     Scores are sigmoid(score_gain * E_from @ E_to^T) with
     E_* = tanh(feature_gain * static_features @ w_*), computed densely off
-    the tape, selected by :func:`top_edges_mask` and gathered at the kept
-    edges. Recomputed from the current parameters on every call, so
-    training sees a fresh graph each optimization step. Passing ``edges``
-    skips selection and scores a fixed edge set, which keeps the forward
-    pass differentiable at a frozen sparsity pattern (used by gradient
-    checks, where re-selection would make finite differences meaningless).
+    the tape, selected by :func:`top_edges` straight into the row-major
+    edge list and gathered at the kept edges. Recomputed from the current
+    parameters on every call, so training sees a fresh graph each
+    optimization step. Passing ``edges`` skips selection and scores a fixed
+    edge set, which keeps the forward pass differentiable at a frozen
+    sparsity pattern (used by gradient checks, where re-selection would
+    make finite differences meaningless).
     """
     emb_from = _embedding(params, params.w_from)
     emb_to = _embedding(params, params.w_to)
@@ -127,6 +134,6 @@ def kept_edges(
     logits *= params.score_gain
     scores = _sigmoid(logits)
     if edges is None:
-        edges = EdgeIndex.from_mask(top_edges_mask(scores, params.max_edges))
+        edges = top_edges(scores, params.max_edges)
     kept = scores[edges.rows, edges.cols]
     return edges, edge_scores(emb_from, emb_to, edges, params.score_gain, kept)

@@ -12,6 +12,7 @@ after the configured number of epochs.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -65,8 +66,9 @@ class TrainConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 2 or self.epochs < 0:
+            # batch normalization needs two rows per batch
+            raise ConfigError("batch_size must be >= 2 and epochs >= 0")
         if self.learning_rate < 0 or not 0 <= self.momentum < 1:
             raise ConfigError("learning_rate must be >= 0 and momentum in [0, 1)")
         if self.lead_months < 1 or self.window < 1 or self.embed_dim < 1:
@@ -133,11 +135,13 @@ def train(
     as (epoch, batch, mse) triples.
 
     Batches are reshuffled every epoch from a seed derived as (seed,
-    epoch), the trailing partial batch is kept, and every parameter,
-    connectivity weights included, takes the same SGD step.
+    epoch), the trailing partial batch is kept (a single trailing sample
+    joins the batch before it, since batch normalization needs two rows),
+    and every parameter, connectivity weights included, takes the same SGD
+    step.
     """
-    if len(samples) == 0:
-        raise DataError("cannot train on an empty sample set")
+    if len(samples) < 2:
+        raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
     params = state.parameters()
     if state.optimizer is None:
         decay = cfg.resolved_weight_decay()
@@ -149,10 +153,12 @@ def train(
         }
     history: list[tuple[int, int, float]] = []
     width = samples.inputs.shape[2]
+    # no cut one sample before the end, so a single trailing sample joins
+    # the batch before it
+    cuts = range(cfg.batch_size, len(samples) - 1, cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(samples))
-        for batch_idx, lo in enumerate(range(0, len(samples), cfg.batch_size)):
-            ids = order[lo : lo + cfg.batch_size]
+        for batch_idx, ids in enumerate(np.split(order, cuts)):
             x = Tensor(samples.inputs[ids].reshape(-1, width))
             y = Tensor(samples.targets[ids])
             with Tape():
@@ -300,6 +306,9 @@ def _checkpoint_entries(state: ModelState) -> dict[str, Array]:
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
+    """Write the checkpoint to a temporary file beside ``path``, then rename
+    it over ``path``, so an interrupted write leaves any previous checkpoint
+    there intact."""
     entries = _checkpoint_entries(state)
     tensors = []
     blob = bytearray()
@@ -330,11 +339,18 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         "blob_bytes": len(blob),
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+            fh.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> ModelState:

@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from dataclasses import replace
@@ -279,6 +280,7 @@ def _write_config(path, config):
         ([], "a config is a JSON object"),
         ({"train": {"embed_dim": -1}}, "embed_dim must be >= 1"),
         ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
+        ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
     ],
 )
 def test_config_mistakes_are_usage_errors(config, message, synth_dir, tmp_path, capsys):
@@ -340,6 +342,39 @@ def test_model_section_sets_the_architecture(synth_dir, tmp_path):
     model = _manifest(out)["model"]
     assert model["activation"] == "tanh"
     assert model["layer_dims"] == [250, 100]  # gcn2a, the default preset
+
+
+TINY_MODEL = {"model": {"layer_dims": [8, 8]}, "train": {"epochs": 2, "embed_dim": 8}}
+
+
+def _train_tiny(synth_dir, tmp_path, train=(), data=()):
+    config = {**TINY_MODEL, "train": {**TINY_MODEL["train"], **dict(train)}, "data": dict(data)}
+    args = ["train", "--config", _write_config(tmp_path / "c.json", config), "--lead", "1"]
+    return cli_dispatch([*args, "--data", str(synth_dir), "--out", str(tmp_path / "m.ckpt")])
+
+
+def test_one_sample_remainder_joins_the_previous_batch(synth_dir, tmp_path, capsys):
+    # 45 training samples in batches of 44: the 45th joins the first batch
+    assert _train_tiny(synth_dir, tmp_path, train={"batch_size": 44}) == 0
+    assert "(45 samples, 2 epochs)" in capsys.readouterr().out
+    loss = (tmp_path / "m.ckpt.loss.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in loss[1:]] == [["0", "0"], ["1", "0"]]
+
+
+def test_one_sample_train_split_is_data_error(synth_dir, tmp_path, capsys):
+    assert _train_tiny(synth_dir, tmp_path, data={"train_fraction": 0.02}) == 2
+    assert "cannot train on 1 sample(s)" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_zero_epochs_print_no_training_mse(synth_dir, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _train_tiny(synth_dir, tmp_path, train={"epochs": 0}) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("trained learned model (45 samples, 0 epochs)")
+    assert "MSE" not in line and "nan" not in line
+    assert (tmp_path / "m.ckpt.loss.csv").read_text() == "epoch,batch,loss\n"
 
 
 def _one_variable_grid(synth_dir, path):
@@ -485,15 +520,8 @@ def test_help_names_every_config_key(capsys):
 def test_cross_process_evaluation_is_identical(checkpoint, synth_dir, tmp_path):
     def run(tag):
         out = tmp_path / tag
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "onigraph", "evaluate",
-                "--checkpoint", str(checkpoint),
-                "--data", str(synth_dir),
-                "--out", str(out),
-            ],
-            capture_output=True,
-            text=True,
+        proc = _run_cli(
+            ["evaluate", "--checkpoint", str(checkpoint), "--data", str(synth_dir), "--out", str(out)]
         )
         assert proc.returncode == 0, proc.stderr
         return (tmp_path / f"{tag}.predictions.csv").read_bytes()

@@ -87,7 +87,16 @@ def test_unknown_variable_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("lat0", None), ("start_month", None), ("dlon", "east"), ("n_lat", [2])]
+    "field, value",
+    [
+        ("lat0", None),
+        ("start_month", None),
+        ("dlon", "east"),
+        ("n_lat", [2]),
+        ("mask_file", 5),
+        ("start_month", "2000"),
+        ("start_month", "2000-13"),
+    ],
 )
 def test_bad_manifest_field_is_format_error(tmp_path, field, value):
     save_gridset(make_grid(), tmp_path / "g")
@@ -98,6 +107,20 @@ def test_bad_manifest_field_is_format_error(tmp_path, field, value):
         manifest[field] = value
     (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=field if value is None else "bad manifest field"):
+        load_gridset(tmp_path / "g")
+
+
+@pytest.mark.parametrize("case", ["negative_sizes", "not_utf8"])
+def test_malformed_manifest_is_format_error(tmp_path, case):
+    save_gridset(make_grid(), tmp_path / "g")
+    path = tmp_path / "g" / "manifest.json"
+    if case == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        manifest = json.loads(path.read_text())
+        manifest.update(n_lat=-3, n_lon=-4)  # still 12 cells, the mask's byte count
+        path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="bad manifest"):
         load_gridset(tmp_path / "g")
 
 

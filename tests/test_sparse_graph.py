@@ -25,7 +25,7 @@ from onigraph.autodiff import (
 from onigraph.data import SampleSet
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
-from onigraph.structure import StructureParams, kept_edges, top_edges_mask
+from onigraph.structure import StructureParams, kept_edges, top_edges
 from onigraph.training import predict_samples
 
 # SPARSE_SHARE values that force one kernel at every density
@@ -38,7 +38,7 @@ def random_edges(rng, n, share=0.3, isolated=()):
     np.fill_diagonal(mask, False)
     for i in isolated:
         mask[i, :] = mask[:, i] = False
-    return EdgeIndex.from_mask(mask)
+    return EdgeIndex.from_flat(n, np.flatnonzero(mask))
 
 
 def dense(edges, values):
@@ -67,9 +67,9 @@ def reference_scores(p):
 # --- ops ---------------------------------------------------------------------
 
 
-def test_edge_index_from_mask_is_row_major_csr():
-    mask = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=bool)
-    edges = EdgeIndex.from_mask(mask)
+def test_edge_index_from_flat_is_row_major_csr():
+    # flat indices 0 and 4 fall on the diagonal and are dropped
+    edges = EdgeIndex.from_flat(3, np.array([0, 1, 2, 4, 6]))
     np.testing.assert_array_equal(edges.rows, [0, 0, 2])
     np.testing.assert_array_equal(edges.cols, [1, 2, 0])
     np.testing.assert_array_equal(edges.indptr, [0, 2, 2, 3])
@@ -82,9 +82,7 @@ def test_kernel_choice_follows_the_density_threshold():
     # N=40: edges plus the 40 self-loops are sparse below 1600 / 16 = 100 entries
     def first_edges(k):
         off = np.flatnonzero(~np.eye(N, dtype=bool))
-        mask = np.zeros(N * N, dtype=bool)
-        mask[off[:k]] = True
-        return EdgeIndex.from_mask(mask.reshape(N, N))
+        return EdgeIndex.from_flat(N, off[:k])
 
     assert first_edges(59).sparse
     assert not first_edges(60).sparse
@@ -169,7 +167,7 @@ def test_edge_value_gradient_does_not_depend_on_chunking(monkeypatch):
 
 
 def test_edge_block_matmul_shape_errors():
-    edges = EdgeIndex.from_mask(np.array([[False, True], [False, False]]))
+    edges = EdgeIndex.from_flat(2, np.array([1]))
     with pytest.raises(DimensionError):
         edge_block_matmul(Tensor([1.0, 2.0]), edges, Tensor(np.zeros((4, 1))))
     with pytest.raises(DimensionError):
@@ -207,7 +205,7 @@ def test_kept_edges_select_what_build_adjacency_keeps():
         p = structure_params(rng, n=9, max_edges=int(rng.integers(0, 72)))
         edges, values = kept_edges(p)
         scores = reference_scores(p)
-        want = EdgeIndex.from_mask(top_edges_mask(scores, p.max_edges))
+        want = top_edges(scores, p.max_edges)
         np.testing.assert_array_equal(want.rows, edges.rows)
         np.testing.assert_array_equal(want.cols, edges.cols)
         np.testing.assert_allclose(values.data, scores[edges.rows, edges.cols], rtol=1e-14)

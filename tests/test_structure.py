@@ -16,7 +16,7 @@ from onigraph.autodiff import (
 )
 from onigraph.errors import ConfigError, NumericError
 from onigraph.model import GcnConfig, init_params, model_adjacency
-from onigraph.structure import StructureParams, kept_edges, top_edges_mask
+from onigraph.structure import StructureParams, kept_edges, top_edges
 
 
 def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
@@ -32,9 +32,17 @@ def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
 
 def all_scores(p):
     """Every off-diagonal edge score as an (n, n) array with a zero diagonal."""
-    every = EdgeIndex.from_mask(~np.eye(p.node_count, dtype=bool))
+    every = EdgeIndex.from_flat(p.node_count, np.arange(p.node_count**2))
     _, values = kept_edges(p, every)
     return every.dense(values.data)
+
+
+def top_mask(scores, e):
+    """The edges :func:`top_edges` keeps, as an (n, n) boolean mask."""
+    edges = top_edges(scores, e)
+    mask = np.zeros(scores.shape, dtype=bool)
+    mask[edges.rows, edges.cols] = True
+    return mask
 
 
 def adjacency(p):
@@ -94,12 +102,11 @@ def test_keep_all_when_budget_covers_offdiagonal():
 
 def test_two_node_example_keeps_largest():
     scores = np.array([[0.9, 0.1], [0.4, 0.9]])
-    mask = top_edges_mask(scores, 1)
-    edges = EdgeIndex.from_mask(mask)
+    edges = top_edges(scores, 1)
     np.testing.assert_array_equal(
         edges.dense(scores[edges.rows, edges.cols]), [[0.0, 0.0], [0.4, 0.0]]
     )
-    assert mask[1, 0] and not mask[0, 1]
+    assert (edges.rows.tolist(), edges.cols.tolist()) == ([1], [0])
 
 
 def test_zero_budget_clears_offdiagonal():
@@ -110,7 +117,7 @@ def test_zero_budget_clears_offdiagonal():
 
 def test_tie_break_is_lexicographic():
     scores = np.full((3, 3), 0.5)
-    mask = top_edges_mask(scores, 2)
+    mask = top_mask(scores, 2)
     expected = np.zeros((3, 3), dtype=bool)
     expected[0, 1] = expected[0, 2] = True  # smallest (row, col) pairs win ties
     np.testing.assert_array_equal(mask, expected)
@@ -124,7 +131,7 @@ def test_sparsify_matches_bruteforce_sort():
         if rng.random() < 0.5:
             scores = np.round(scores, 1)  # force ties
         e = int(rng.integers(0, n * (n - 1) + 1))
-        mask = top_edges_mask(scores, e)
+        mask = top_mask(scores, e)
         ranked = sorted(
             ((i, j) for i in range(n) for j in range(n) if i != j),
             key=lambda ij: (-scores[ij], ij[0], ij[1]),
@@ -162,19 +169,19 @@ def bruteforce_mask(scores, e):
 )
 def test_top_edges_matches_bruteforce_with_heavy_ties(case):
     scores, e = case
-    np.testing.assert_array_equal(top_edges_mask(scores, e), bruteforce_mask(scores, e))
+    np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
 
 
 @pytest.mark.parametrize("extra", [0, 5])
 def test_budget_at_or_above_offdiagonal_count_keeps_every_edge(extra):
     scores = np.random.default_rng(8).random((6, 6))
-    mask = top_edges_mask(scores, 6 * 5 + extra)
+    mask = top_mask(scores, 6 * 5 + extra)
     np.testing.assert_array_equal(mask, ~np.eye(6, dtype=bool))
 
 
 def test_all_equal_scores_fill_in_row_major_order():
     n, e = 5, 7
-    mask = top_edges_mask(np.full((n, n), 0.3), e)
+    mask = top_mask(np.full((n, n), 0.3), e)
     expected = np.zeros(n * (n - 1), dtype=bool)
     expected[:e] = True
     np.testing.assert_array_equal(mask[~np.eye(n, dtype=bool)], expected)
@@ -190,41 +197,80 @@ def test_infinite_scores_are_ranked_exactly():
         ]
     )
     for e in range(4 * 3 + 1):
-        np.testing.assert_array_equal(top_edges_mask(scores, e), bruteforce_mask(scores, e))
+        np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
     # the infinite diagonal never takes a slot from the two infinite edges
     expected = np.zeros((4, 4), dtype=bool)
     expected[0, 3] = expected[2, 0] = True
-    np.testing.assert_array_equal(top_edges_mask(scores, 2), expected)
+    np.testing.assert_array_equal(top_mask(scores, 2), expected)
 
 
 def test_nan_scores_rejected():
     scores = np.full((3, 3), 0.5)
     scores[1, 2] = math.nan
     with pytest.raises(NumericError):
-        top_edges_mask(scores, 2)
+        top_edges(scores, 2)
+
+
+def test_top_edges_leaves_scores_untouched():
+    rng = np.random.default_rng(5)
+    for e in (0, 3, 20, 30):
+        scores = np.round(rng.normal(size=(6, 6)), 1)
+        scores[0, 1] = math.inf
+        scores[2, 2] = -math.inf
+        before = scores.copy()
+        top_edges(scores, e)
+        np.testing.assert_array_equal(scores, before)
+
+
+def test_top_edges_indptr_holds_csr_row_pointers():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n = int(rng.integers(1, 10))
+        scores = np.round(rng.random((n, n)), 1)
+        edges = top_edges(scores, int(rng.integers(0, n * (n - 1) + 1)))
+        assert edges.indptr.dtype == np.int32
+        assert edges.indptr[0] == 0 and edges.indptr[-1] == edges.rows.size
+        for i in range(n):
+            row = slice(edges.indptr[i], edges.indptr[i + 1])
+            np.testing.assert_array_equal(edges.rows[row], i)
+            assert np.all(np.diff(edges.cols[row]) > 0)
+
+
+def test_top_edges_at_full_grid_size_matches_lexsort():
+    # the full-grid node count and its default budget of 8N; scores on a
+    # grid of 1000 levels tie the e-th value many times over, and the
+    # diagonal sits above it
+    n, e = 1346, 8 * 1346
+    scores = np.round(np.random.default_rng(7).random((n, n)), 3)
+    np.fill_diagonal(scores, 1.0)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    off = np.flatnonzero(rows != cols)
+    ranked = off[np.lexsort((cols[off], rows[off], -scores.ravel()[off]))]
+    kept = np.sort(ranked[:e])
+    edges = top_edges(scores, e)
+    np.testing.assert_array_equal(edges.rows, kept // n)
+    np.testing.assert_array_equal(edges.cols, kept % n)
 
 
 # --- self-loops ---------------------------------------------------------------
 
 
 def test_self_loops_on_zero_matrix_give_identity():
-    edges = EdgeIndex.from_mask(np.zeros((3, 3), dtype=bool))
+    edges = EdgeIndex.from_flat(3, np.zeros(0, dtype=int))
     np.testing.assert_array_equal(edges.dense(np.zeros(0), self_loops=True), np.eye(3))
 
 
 def test_self_loops_idempotent():
     # a matrix with unit self-loops comes back unchanged from its edge list
     base = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.8, 0.5, 1.0]])
-    off = base != 0.0
-    np.fill_diagonal(off, False)
-    edges = EdgeIndex.from_mask(off)
+    edges = EdgeIndex.from_flat(3, np.flatnonzero(base))  # the diagonal is dropped
     out = edges.dense(base[edges.rows, edges.cols], self_loops=True)
     np.testing.assert_array_equal(out, base)
 
 
 def test_self_loops_leave_offdiagonal_untouched():
     base = np.array([[0.0, 0.7], [0.2, 0.0]])
-    edges = EdgeIndex.from_mask(base > 0)
+    edges = EdgeIndex.from_flat(2, np.flatnonzero(base > 0))
     out = edges.dense(base[edges.rows, edges.cols], self_loops=True)
     np.testing.assert_array_equal(out, [[1.0, 0.7], [0.2, 1.0]])
 
