@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: synth-data, train, evaluate, predict, centrality, gradcheck,
-ablation. Exit codes: 0 success, 1 usage error, 2 data or format error,
+ablation. Exit codes: 0 success, 1 usage error or a closed standard
+output, 2 data or format error or a file that cannot be read or written,
 3 numeric failure.
 
 --config names a JSON object whose sections each set one record, with the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import textwrap
 from dataclasses import asdict, replace
@@ -390,7 +392,9 @@ def cli_dispatch(argv: list[str]) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FormatError, FileNotFoundError) as exc:
+    except BrokenPipeError:  # stdout closed; main() ends the run
+        raise
+    except (DataError, FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
@@ -399,4 +403,13 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull so that the
+        # flush at exit cannot fail again, and exit 1 (Python's SIGPIPE recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

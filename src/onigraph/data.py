@@ -103,6 +103,13 @@ def save_gridset(grid: GridSet, path: str | Path) -> None:
     (directory / "data.bin").write_bytes(grid.data.astype("<f4").tobytes())
 
 
+def _read_file(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_gridset(path: str | Path) -> GridSet:
     """Read the container back; the float32 payload is promoted to float64."""
     directory = Path(path)
@@ -110,7 +117,7 @@ def load_gridset(path: str | Path) -> GridSet:
     if not manifest_path.exists():
         raise FormatError(f"no {MANIFEST_NAME} in {directory}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(_read_file(manifest_path).decode())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:
@@ -135,12 +142,12 @@ def load_gridset(path: str | Path) -> GridSet:
         if name not in KNOWN_VARIABLES:
             raise FormatError(f"unknown variable name {name!r} in manifest")
 
-    mask_bytes = mask_path.read_bytes()
+    mask_bytes = _read_file(mask_path)
     if len(mask_bytes) != n_lat * n_lon:
         raise FormatError(
             f"mask size mismatch: expected {n_lat * n_lon} bytes, found {len(mask_bytes)}"
         )
-    data_bytes = data_path.read_bytes()
+    data_bytes = _read_file(data_path)
     expected = n_time * len(variables) * n_lat * n_lon * 4
     if len(data_bytes) != expected:
         raise FormatError(

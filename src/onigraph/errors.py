@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: usage errors exit 1, data and format
-errors exit 2, numeric failures exit 3.
+errors exit 2, numeric failures exit 3. Two ``OSError``s end a run too: a
+file the CLI cannot read or write exits 2, and a standard output closed by
+its reader (``onigraph train ... | head -1``) exits 1 without a traceback.
 """
 
 

@@ -9,19 +9,24 @@ kept (a budget on the total edge count, not per node), so informative
 nodes are free to accumulate many more connections than others.
 
 The graph has one form, built in :func:`kept_edges`: the list of kept
-edges and their scores. One dense pass off the tape scores every pair and
-selects the kept edges; only the kept scores are recorded, so neither the
-tape nor the gradient of the embedding maps holds an N x N array.
-Selection (:func:`top_edges`) reads the scores as one row-major flat
-vector: a single copy, partitioned in place, gives the e-th largest
-off-diagonal score, and the ascending flat indices of the scores above it,
-then of its first ties, are the edge list. Ops on the graph pick a dense
-or a CSR kernel from its density
+edges and their scores. One dense pass off the tape computes every logit;
+only the kept scores are recorded, so neither the tape nor the gradient of
+the embedding maps holds an N x N array. Selection (:func:`top_edges`)
+ranks scores, but scores only a band of logits: a single copy of the flat
+logits, partitioned in place, gives the e-th largest off-diagonal logit,
+and the sigmoid runs only where the logit reaches the threshold whose
+score lies a fixed relative margin below that logit's score. The margin
+is far wider than the sigmoid's rounding error, so no entry outside the
+band can score as high as the e-th score, and the band holds about e
+entries instead of N². The ascending flat indices of the band's scores
+above the e-th score, then of its first ties, are the edge list. Ops on
+the graph pick a dense or a CSR kernel from its density
 (:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,36 +83,59 @@ def _embedding(params: StructureParams, w: Tensor) -> Tensor:
     return unary_activation(scale(matmul(params.static_features, w), params.feature_gain), "tanh")
 
 
-def top_edges(scores: Array, max_edges: int) -> EdgeIndex:
-    """Edge list of the ``max_edges`` largest off-diagonal entries.
+# How far below the e-th score the band of scored logits reaches, as a
+# share of that score. _sigmoid, the scalar score of the e-th logit and the
+# threshold's two logarithms each round within a few ulps (2^-52) of the
+# exact value; 2^-40 is thousands of ulps, so a logit below the threshold
+# scores strictly below the e-th score. Subnormal scores round to a fixed
+# step of 2^-1074 instead, and _BAND_FLOOR, 16 such steps, covers them.
+_BAND_MARGIN = 2.0**-40
+_BAND_FLOOR = 2.0**-1070
 
-    Ties are broken toward the smallest (row, col) pair so the selection is
-    fully deterministic. The diagonal never competes for the budget; a
-    budget above the off-diagonal count keeps every off-diagonal entry.
-    Infinite scores rank like any other value; NaN scores have no rank and
-    are rejected. ``scores`` itself is left unchanged.
+
+def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
+    """Edge list of the ``max_edges`` off-diagonal entries with the largest
+    scores ``sigmoid(logits)``, and those scores.
+
+    Ties in score are broken toward the smallest (row, col) pair so the
+    selection is fully deterministic; distinct logits that round to one
+    score tie. The diagonal never competes for the budget; a budget above
+    the off-diagonal count keeps every off-diagonal entry. Infinite logits
+    rank like any other value; NaN logits have no rank and are rejected.
+    ``logits`` itself is left unchanged.
+
+    The sigmoid runs only on the band of off-diagonal logits at or above
+    the logit whose score lies ``_BAND_MARGIN`` below the score of the
+    e-th largest logit. No logit below it can score as high as the e-th
+    score, so the band holds every kept entry and all of its ties.
     """
-    n = scores.shape[0]
+    n = logits.shape[0]
     if max_edges < 0:
         raise ConfigError(f"edge budget must be non-negative, got {max_edges}")
-    flat = scores.ravel()
+    flat = logits.ravel()
     ranked = flat.copy()
     ranked[:: n + 1] = -np.inf  # the diagonal ranks last and takes no slot
     if np.isnan(ranked).any():
-        raise NumericError("edge scores contain NaN")
+        raise NumericError("edge logits contain NaN")
     e = min(max_edges, n * (n - 1))
     if e == 0:
-        return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp))
-    # partial sort for the e-th largest value; everything above it is kept,
-    # and the remaining slots go to its off-diagonal ties in (row, col) order
+        return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0)
+    # partial sort for the e-th largest logit x; the band threshold t is the
+    # logit of its score (_sigmoid's formula, to within an ulp) less the margin
     ranked.partition(ranked.size - e)
-    kth = ranked[ranked.size - e]
-    keep = flat > kth
-    keep[:: n + 1] = False
-    ties = np.flatnonzero(flat == kth)
-    ties = ties[ties % (n + 1) != 0]
+    x = float(ranked[ranked.size - e])
+    target = math.exp(min(x, 0.0)) / (1.0 + math.exp(-abs(x))) * (1.0 - _BAND_MARGIN) - _BAND_FLOOR
+    t = math.log(target) - math.log1p(-target) if target > 0.0 else -math.inf
+    band = np.flatnonzero(flat >= t)
+    band = band[band % (n + 1) != 0]
+    scores = _sigmoid(flat[band])
+    # everything above the e-th largest score is kept, and the remaining
+    # slots go to its ties in (row, col) order
+    kth = np.partition(scores, scores.size - e)[scores.size - e]
+    keep = scores > kth
+    ties = np.flatnonzero(scores == kth)
     keep[ties[: e - np.count_nonzero(keep)]] = True
-    return EdgeIndex.from_flat(n, np.flatnonzero(keep))
+    return EdgeIndex.from_flat(n, band[keep]), scores[keep]
 
 
 def kept_edges(
@@ -117,12 +145,13 @@ def kept_edges(
     a differentiable vector; self-loops are left implicit.
 
     Scores are sigmoid(score_gain * E_from @ E_to^T) with
-    E_* = tanh(feature_gain * static_features @ w_*), computed densely off
-    the tape, selected by :func:`top_edges` straight into the row-major
-    edge list and gathered at the kept edges. Recomputed from the current
-    parameters on every call, so training sees a fresh graph each
-    optimization step. Passing ``edges`` skips selection and scores a fixed
-    edge set, which keeps the forward pass differentiable at a frozen
+    E_* = tanh(feature_gain * static_features @ w_*). The logits are
+    computed densely off the tape, and :func:`top_edges` selects the kept
+    edges straight into the row-major edge list, scoring only its band of
+    candidates. Recomputed from the current parameters on every call, so
+    training sees a fresh graph each optimization step. Passing ``edges``
+    skips selection and scores a fixed edge set, gathering only its
+    logits, which keeps the forward pass differentiable at a frozen
     sparsity pattern (used by gradient checks, where re-selection would
     make finite differences meaningless).
     """
@@ -132,8 +161,8 @@ def kept_edges(
     # view differently, and seeded training histories keep these bits
     logits = emb_from.data @ emb_to.data.T.copy()
     logits *= params.score_gain
-    scores = _sigmoid(logits)
     if edges is None:
-        edges = top_edges(scores, params.max_edges)
-    kept = scores[edges.rows, edges.cols]
+        edges, kept = top_edges(logits, params.max_edges)
+    else:
+        kept = _sigmoid(logits[edges.rows, edges.cols])
     return edges, edge_scores(emb_from, emb_to, edges, params.score_gain, kept)

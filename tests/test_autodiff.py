@@ -151,6 +151,21 @@ def test_sigmoid_is_bit_identical_to_two_branch_formula():
         np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+def test_sigmoid_of_a_gathered_subset_matches_the_dense_bits():
+    # selection scores only a gathered band of logits; each score must have
+    # the bits the dense pass gives it, at any length and offset
+    rng = np.random.default_rng(32)
+    special = [40.0, -40.0, math.inf, -math.inf, 745.0, -745.0, 744.6, -744.6, 0.0, -0.0]
+    x = np.concatenate([rng.normal(scale=30.0, size=4097), special, rng.normal(size=13)])
+    x = rng.permutation(x)
+    dense = _sigmoid(x).view(np.uint64)
+    for size in (1, 3, 7, 15, 17, 33, 1001):
+        index = np.sort(rng.choice(x.size, size=size, replace=False))
+        np.testing.assert_array_equal(_sigmoid(x[index]).view(np.uint64), dense[index])
+    for lo, hi in ((1, 2), (1, 8), (3, 30), (5, 4096), (7, x.size)):
+        np.testing.assert_array_equal(_sigmoid(x[lo:hi]).view(np.uint64), dense[lo:hi])
+
+
 def test_nonfinite_op_output_raises_numeric_error():
     with pytest.raises(NumericError), np.errstate(over="ignore"):
         scale(t([1.0, 1e308]), 10.0)

@@ -584,6 +584,52 @@ def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_d
     assert proc.stderr.startswith("data error:")
 
 
+def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path):
+    data = tmp_path / "grid"
+    shutil.copytree(synth_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["mask_file"] = ""
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    proc = _run_cli(
+        ["train", "--config", str(small_config), "--data", str(data), "--out", str(tmp_path / "m")]
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"data error: cannot read {data}")
+
+
+def test_train_out_naming_a_directory_exits_2(synth_dir, small_config, tmp_path):
+    out = tmp_path / "models"
+    out.mkdir()
+    proc = _run_cli(
+        ["train", "--config", str(small_config), "--data", str(synth_dir), "--out", str(out)]
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["models"]  # no temp file left
+    assert not any(out.iterdir())
+
+
+def test_closed_stdout_exits_1_without_traceback(synth_dir, small_config, tmp_path):
+    # the reader is gone before the first line is written, as in
+    # `onigraph train ... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(onigraph.__file__).parent.parent))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "onigraph", "train", "--config", str(small_config),
+             "--data", str(synth_dir), "--out", str(tmp_path / "m.ckpt")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "m.ckpt").exists()
+
+
 def test_nan_grid_exits_2_without_traceback(synth_dir, small_config, tmp_path):
     from onigraph.data import load_gridset, save_gridset
 

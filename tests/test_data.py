@@ -110,6 +110,16 @@ def test_bad_manifest_field_is_format_error(tmp_path, field, value):
         load_gridset(tmp_path / "g")
 
 
+@pytest.mark.parametrize("field", ["mask_file", "data_file"])
+def test_grid_file_naming_a_directory_is_format_error(tmp_path, field):
+    save_gridset(make_grid(), tmp_path / "g")
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    manifest[field] = ""  # the grid directory itself
+    (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"cannot read {tmp_path / 'g'}"):
+        load_gridset(tmp_path / "g")
+
+
 @pytest.mark.parametrize("case", ["negative_sizes", "not_utf8"])
 def test_malformed_manifest_is_format_error(tmp_path, case):
     save_gridset(make_grid(), tmp_path / "g")

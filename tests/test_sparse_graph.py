@@ -25,7 +25,7 @@ from onigraph.autodiff import (
 from onigraph.data import SampleSet
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
-from onigraph.structure import StructureParams, kept_edges, top_edges
+from onigraph.structure import StructureParams, kept_edges
 from onigraph.training import predict_samples
 
 # SPARSE_SHARE values that force one kernel at every density
@@ -205,9 +205,10 @@ def test_kept_edges_select_what_build_adjacency_keeps():
         p = structure_params(rng, n=9, max_edges=int(rng.integers(0, 72)))
         edges, values = kept_edges(p)
         scores = reference_scores(p)
-        want = top_edges(scores, p.max_edges)
-        np.testing.assert_array_equal(want.rows, edges.rows)
-        np.testing.assert_array_equal(want.cols, edges.cols)
+        off = np.flatnonzero(~np.eye(9, dtype=bool))
+        ranked = off[np.argsort(-scores.ravel()[off], kind="stable")]
+        want = np.sort(ranked[: p.max_edges])
+        np.testing.assert_array_equal(edges.rows * 9 + edges.cols, want)
         np.testing.assert_allclose(values.data, scores[edges.rows, edges.cols], rtol=1e-14)
 
 

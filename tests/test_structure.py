@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from onigraph.autodiff import (
     EdgeIndex,
     Tensor,
+    _sigmoid,
     block_reduce,
     edge_block_matmul,
     flatten,
@@ -37,10 +39,10 @@ def all_scores(p):
     return every.dense(values.data)
 
 
-def top_mask(scores, e):
+def top_mask(logits, e):
     """The edges :func:`top_edges` keeps, as an (n, n) boolean mask."""
-    edges = top_edges(scores, e)
-    mask = np.zeros(scores.shape, dtype=bool)
+    edges, _ = top_edges(logits, e)
+    mask = np.zeros(logits.shape, dtype=bool)
     mask[edges.rows, edges.cols] = True
     return mask
 
@@ -101,11 +103,9 @@ def test_keep_all_when_budget_covers_offdiagonal():
 
 
 def test_two_node_example_keeps_largest():
-    scores = np.array([[0.9, 0.1], [0.4, 0.9]])
-    edges = top_edges(scores, 1)
-    np.testing.assert_array_equal(
-        edges.dense(scores[edges.rows, edges.cols]), [[0.0, 0.0], [0.4, 0.0]]
-    )
+    logits = np.array([[0.9, 0.1], [0.4, 0.9]])
+    edges, kept = top_edges(logits, 1)
+    np.testing.assert_array_equal(edges.dense(kept), [[0.0, 0.0], [_sigmoid(logits)[1, 0], 0.0]])
     assert (edges.rows.tolist(), edges.cols.tolist()) == ([1], [0])
 
 
@@ -132,9 +132,10 @@ def test_sparsify_matches_bruteforce_sort():
             scores = np.round(scores, 1)  # force ties
         e = int(rng.integers(0, n * (n - 1) + 1))
         mask = top_mask(scores, e)
+        sig = _sigmoid(scores)
         ranked = sorted(
             ((i, j) for i in range(n) for j in range(n) if i != j),
-            key=lambda ij: (-scores[ij], ij[0], ij[1]),
+            key=lambda ij: (-sig[ij], ij[0], ij[1]),
         )
         expected = np.zeros((n, n), dtype=bool)
         for i, j in ranked[:e]:
@@ -169,7 +170,7 @@ def bruteforce_mask(scores, e):
 )
 def test_top_edges_matches_bruteforce_with_heavy_ties(case):
     scores, e = case
-    np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
+    np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(_sigmoid(scores), e))
 
 
 @pytest.mark.parametrize("extra", [0, 5])
@@ -197,7 +198,7 @@ def test_infinite_scores_are_ranked_exactly():
         ]
     )
     for e in range(4 * 3 + 1):
-        np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
+        np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(_sigmoid(scores), e))
     # the infinite diagonal never takes a slot from the two infinite edges
     expected = np.zeros((4, 4), dtype=bool)
     expected[0, 3] = expected[2, 0] = True
@@ -227,7 +228,7 @@ def test_top_edges_indptr_holds_csr_row_pointers():
     for _ in range(20):
         n = int(rng.integers(1, 10))
         scores = np.round(rng.random((n, n)), 1)
-        edges = top_edges(scores, int(rng.integers(0, n * (n - 1) + 1)))
+        edges, _ = top_edges(scores, int(rng.integers(0, n * (n - 1) + 1)))
         assert edges.indptr.dtype == np.int32
         assert edges.indptr[0] == 0 and edges.indptr[-1] == edges.rows.size
         for i in range(n):
@@ -237,19 +238,95 @@ def test_top_edges_indptr_holds_csr_row_pointers():
 
 
 def test_top_edges_at_full_grid_size_matches_lexsort():
-    # the full-grid node count and its default budget of 8N; scores on a
-    # grid of 1000 levels tie the e-th value many times over, and the
+    # the full-grid node count and its default budget of 8N; logits on a
+    # grid of 1000 levels tie the e-th score many times over, and the
     # diagonal sits above it
     n, e = 1346, 8 * 1346
     scores = np.round(np.random.default_rng(7).random((n, n)), 3)
     np.fill_diagonal(scores, 1.0)
+    sig = _sigmoid(scores).ravel()
     rows, cols = np.divmod(np.arange(n * n), n)
     off = np.flatnonzero(rows != cols)
-    ranked = off[np.lexsort((cols[off], rows[off], -scores.ravel()[off]))]
+    ranked = off[np.lexsort((cols[off], rows[off], -sig[off]))]
     kept = np.sort(ranked[:e])
-    edges = top_edges(scores, e)
+    edges, values = top_edges(scores, e)
     np.testing.assert_array_equal(edges.rows, kept // n)
     np.testing.assert_array_equal(edges.cols, kept % n)
+    np.testing.assert_array_equal(values.view(np.uint64), sig[kept].view(np.uint64))
+
+
+def assert_selects_like_bruteforce(logits, e):
+    """The kept edges and their score bits are those of a sort over the
+    sigmoid of every logit."""
+    scores = _sigmoid(logits)
+    flat = np.flatnonzero(bruteforce_mask(scores, e))
+    edges, values = top_edges(logits, e)
+    np.testing.assert_array_equal(edges.rows.astype(np.intp) * logits.shape[0] + edges.cols, flat)
+    np.testing.assert_array_equal(values.view(np.uint64), scores.ravel()[flat].view(np.uint64))
+
+
+# logits whose scores saturate at 1.0 (x >= 37) or round to a few subnormal
+# steps (x near -745), so distinct logits tie in score; rounded logits,
+# which tie exactly; and the infinities
+_BAND_LOGITS = st.one_of(
+    st.floats(min_value=37.0, max_value=800.0),
+    st.floats(min_value=-747.0, max_value=-37.0),
+    st.floats(min_value=-40.0, max_value=40.0).map(lambda v: round(v, 1)),
+    st.sampled_from([-math.inf, math.inf, 27.7, -744.4, -745.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(_BAND_LOGITS, min_size=n * n, max_size=n * n),
+            st.integers(min_value=0, max_value=n * (n - 1) + 5),
+        ).map(lambda pair: (np.array(pair[0]).reshape(n, n), pair[1]))
+    )
+)
+def test_band_selection_matches_bruteforce_over_every_score(case):
+    logits, e = case
+    assert_selects_like_bruteforce(logits, e)
+
+
+def test_subnormal_and_saturated_scores_tie_across_logits():
+    # the scores of -744.2 through -745.0 round to one subnormal step, those
+    # of -745.3 and below to 0, and every logit at or above 37 scores 1.0
+    logits = np.array(
+        [
+            [0.0, -744.0, -744.2, -744.4],
+            [-744.6, 0.0, -745.0, -745.3],
+            [37.0, 40.0, 0.0, -800.0],
+            [38.5, -746.0, -744.1, 0.0],
+        ]
+    )
+    scores = _sigmoid(logits)
+    assert scores[0, 1] > scores[0, 2] == scores[1, 2] > scores[1, 3] == scores[2, 3] == 0.0
+    assert scores[2, 0] == scores[2, 1] == scores[3, 0] == 1.0
+    for e in range(4 * 3 + 1):
+        assert_selects_like_bruteforce(logits, e)
+        assert_selects_like_bruteforce(logits[:, ::-1] - 3.0, e)
+
+
+def test_band_scores_match_the_frozen_edge_gather():
+    p = make_params(n=30, seed=17, max_edges=90, score_gain=40.0)
+    edges, values = kept_edges(p)
+    _, frozen = kept_edges(p, edges)
+    np.testing.assert_array_equal(values.data.view(np.uint64), frozen.data.view(np.uint64))
+
+
+def test_kept_edges_at_full_grid_size_stays_below_two_and_a_half_logit_arrays():
+    # the logits and one partitioned copy are the only N x N float arrays
+    n = 1345
+    p = make_params(n=n, d_in=6, d_emb=8, seed=4, max_edges=8 * n)
+    tracemalloc.start()
+    try:
+        kept_edges(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 # --- self-loops ---------------------------------------------------------------

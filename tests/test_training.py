@@ -12,7 +12,7 @@ from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
 from onigraph.model import GcnConfig, init_params
 from onigraph import training
-from onigraph.structure import kept_edges, top_edges
+from onigraph.structure import kept_edges
 from onigraph.training import (
     EvalReport,
     TrainConfig,
@@ -92,7 +92,7 @@ def test_structure_learner_moves_at_default_gain():
 
     def snapshot():
         scores = every.dense(kept_edges(structure, every)[1].data)
-        kept = top_edges(scores, structure.max_edges)
+        kept, _ = kept_edges(structure)
         return scores, set(zip(kept.rows.tolist(), kept.cols.tolist()))
 
     scores0, kept0 = snapshot()
