@@ -4,8 +4,9 @@ Everything differentiable in this package is built from the primitives in
 this module. A :class:`Tensor` wraps a rank-0/1/2 numpy array; operations
 executed inside a ``with Tape():`` block record their backward rules in
 execution order (define-by-run, so the tape is rebuilt on every forward
-pass), and :func:`backward` walks the tape once in reverse, accumulating
-gradients additively into ``Tensor.grad``.
+pass), and :func:`backward` walks the tape once in reverse, freeing each
+entry as it goes, and accumulates gradients additively into ``Tensor.grad``
+of the leaf tensors (those no recorded op produced) only.
 
 Outside a tape context the same functions run as plain forward numerics,
 which is how evaluation-mode inference avoids recording anything.
@@ -127,10 +128,13 @@ def _make_output(data: Array, *inputs: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``grad`` for every tensor that
-    requires gradients and is reachable from ``loss``; then clear the tape.
+    """Accumulate d(loss)/d(tensor) into ``grad`` for every leaf tensor
+    (one that no recorded op produced, such as a parameter) that requires
+    gradients and is reachable from ``loss``, and leave the tape empty.
 
-    Each tape entry is consumed exactly once, in reverse execution order.
+    Each tape entry is popped and consumed exactly once, in reverse
+    execution order, so an entry's buffers and the gradient at its output
+    are freed as the walk passes it. Op outputs keep ``grad`` None.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -142,13 +146,13 @@ def backward(loss: Tensor) -> None:
 
     pending: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for entry in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        entry = entries.pop()
         grad_out = pending.pop(id(entry.output), None)
         holders.pop(id(entry.output), None)
         if grad_out is None:
             continue
-        out = entry.output
-        out.grad = grad_out if out.grad is None else out.grad + grad_out
         for tensor, contrib in zip(entry.inputs, entry.rule(grad_out)):
             if contrib is None or not tensor.requires_grad:
                 continue
@@ -161,7 +165,6 @@ def backward(loss: Tensor) -> None:
     for key, grad in pending.items():
         tensor = holders[key]
         tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
-    tape.entries.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -345,50 +348,72 @@ def edge_scores(
     return record_op(out, (emb_from, emb_to), rule)
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e^-x) for x >= 0 and
     # e^x / (1 + e^x) below, with the same bits as evaluating each branch,
-    # but no branch, and exp only of non-positive arguments (no overflow)
-    num = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.exp(num, out=num)
+    # but no branch, and exp only of non-positive arguments (no overflow).
+    # ``out`` may be ``x`` itself: the denominator is taken first.
     den = np.abs(x, out=np.empty_like(x))
     np.negative(den, out=den)
     np.exp(den, out=den)
     np.add(den, 1.0, out=den)
+    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(num, out=num)
     return np.divide(num, den, out=num)
 
 
+def _elu(y: Array) -> Array:
+    # exp(y) - 1 on the negative branch (unit scale), identity elsewhere;
+    # expm1 sees only min(y, 0), so a large positive entry cannot overflow
+    neg = np.minimum(y, 0.0, out=np.empty_like(y))
+    np.expm1(neg, out=neg)
+    np.maximum(y, 0.0, out=y)
+    y += neg
+    return y
+
+
+def _elu_grad(g: Array, y: Array) -> Array:
+    # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below
+    d = np.minimum(y, 0.0, out=np.empty_like(y))
+    d += 1.0
+    d *= g
+    return d
+
+
+# kind -> (forward that overwrites its argument and returns it, gradient at
+# the input from the gradient g at the output and the output y alone, as a
+# fresh array the caller may overwrite)
 _ACTIVATIONS = {
     "tanh": (
-        lambda x: np.tanh(x),
-        lambda g, x, y: g * (1.0 - y * y),
+        lambda y: np.tanh(y, out=y),
+        lambda g, y: g * (1.0 - y * y),
     ),
     "sigmoid": (
-        _sigmoid,
-        lambda g, x, y: g * y * (1.0 - y),
+        lambda y: _sigmoid(y, out=y),
+        lambda g, y: g * y * (1.0 - y),
     ),
-    # exp(x) - 1 on the negative branch (unit scale), identity elsewhere
-    "elu": (
-        lambda x: np.where(x > 0.0, x, np.expm1(x)),
-        lambda g, x, y: np.where(x > 0.0, g, g * (y + 1.0)),
-    ),
+    "elu": (_elu, _elu_grad),
     "identity": (
-        lambda x: x.copy(),
-        lambda g, x, y: g,
+        lambda y: y,
+        lambda g, y: g.copy(),
     ),
 }
 
 
-def unary_activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise activation: tanh, sigmoid, elu, or identity."""
+def _activation(kind: str):
     try:
-        fwd, bwd = _ACTIVATIONS[kind]
+        return _ACTIVATIONS[kind]
     except KeyError:
         raise ConfigError(f"unknown activation {kind!r}") from None
-    out = _make_output(fwd(x.data), x)
+
+
+def unary_activation(x: Tensor, kind: str) -> Tensor:
+    """Elementwise activation: tanh, sigmoid, elu, or identity."""
+    fwd, grad = _activation(kind)
+    out = _make_output(fwd(x.data.copy()), x)
 
     def rule(g: Array):
-        return (bwd(g, x.data, out.data),)
+        return (grad(g, out.data),)
 
     return record_op(out, (x,), rule)
 
@@ -416,13 +441,23 @@ def batchnorm_features(
     eps: float = 1e-5,
     mode: str = "train",
     running: RunningStats | None = None,
+    activation: str = "identity",
 ) -> Tensor:
-    """Standardize each feature column over the rows of ``z``, then scale
-    by ``gamma`` and shift by ``beta``.
+    """Standardize each feature column over the rows of ``z``, scale by
+    ``gamma``, shift by ``beta``, then apply ``activation`` (one of the
+    kinds of :func:`unary_activation`), as one op.
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
     statistics are used and nothing is mutated.
+
+    The forward pass holds the standardized input and the output (one
+    buffer when nothing is recorded), and checks finiteness before the
+    activation, which can map -inf to a finite value. Backward takes the
+    activation gradient from the output alone and runs the batchnorm
+    backward (Ioffe & Szegedy 2015) in place on it. Values and gradients
+    match separate batchnorm and activation ops bit for bit, except that
+    ELU maps -0.0 to +0.0; a shift that starts at zero never gives -0.0.
     """
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -435,12 +470,17 @@ def batchnorm_features(
         )
     if eps <= 0.0:
         raise ConfigError(f"eps must be positive, got {eps}")
+    act, act_grad = _activation(activation)
 
+    y = None
     if mode == "train":
         if n < 2:
             raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
         mean = z.data.mean(axis=0)
-        var = z.data.var(axis=0)
+        xhat = np.subtract(z.data, mean)
+        # np.var's steps on the deviations already at hand: same bits
+        y = np.square(xhat)
+        var = y.sum(axis=0) / n
         if running is not None:
             m = running.momentum
             running.mean[...] = (1.0 - m) * running.mean + m * mean
@@ -448,26 +488,40 @@ def batchnorm_features(
     else:
         if running is None:
             raise ConfigError("eval-mode batchnorm needs running statistics")
-        mean = running.mean.copy()
-        var = running.var.copy()
+        xhat = np.subtract(z.data, running.mean)
+        var = running.var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (z.data - mean) * inv
-    out = _make_output(xhat * gamma.data + beta.data, z, gamma, beta)
+    xhat *= inv
+    records = active_tape() is not None and (
+        z.requires_grad or gamma.requires_grad or beta.requires_grad
+    )
+    y = np.multiply(xhat, gamma.data, out=y if records else xhat)
+    y += beta.data
+    out = _make_output(y, z, gamma, beta)
+    act(y)
+    if not records:
+        return out
 
     def rule(g: Array):
-        dgamma = (g * xhat).sum(axis=0) if gamma.requires_grad else None
-        dbeta = g.sum(axis=0) if beta.requires_grad else None
-        dz = None
-        if z.requires_grad:
-            dxhat = g * gamma.data
-            if mode == "train":
-                dz = (inv / n) * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-                )
-            else:
-                dz = dxhat * inv
-        return (dz, dgamma, dbeta)
+        d = act_grad(g, y)
+        tmp = np.multiply(d, xhat)
+        dgamma = tmp.sum(axis=0) if gamma.requires_grad else None
+        dbeta = d.sum(axis=0) if beta.requires_grad else None
+        if not z.requires_grad:
+            return (None, dgamma, dbeta)
+        d *= gamma.data  # dxhat
+        if mode == "train":
+            # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            s1 = d.sum(axis=0)
+            s2 = np.multiply(d, xhat, out=tmp).sum(axis=0)
+            d *= n
+            d -= s1
+            d -= np.multiply(xhat, s2, out=tmp)
+            d *= inv / n
+        else:
+            d *= inv
+        return (d, dgamma, dbeta)
 
     return record_op(out, (z, gamma, beta), rule)
 

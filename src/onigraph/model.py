@@ -2,9 +2,12 @@
 
 Stacked graph convolutions over a learned (or fixed local) adjacency,
 batch normalization over the feature dimension in place of in-degree
-normalization, ELU activations, optional residual connections between
-equal-width layers, jumping-knowledge concatenation of all layer outputs,
-graph pooling, and a two-layer MLP head that emits one scalar.
+normalization followed by ELU activations, optional residual connections
+between equal-width layers, jumping-knowledge concatenation of all layer
+outputs, graph pooling, and a two-layer MLP head that emits one scalar.
+Normalization and activation run as one fused op,
+``autodiff.batchnorm_features`` with an ``activation``, in every layer and
+in the head.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -257,8 +260,9 @@ def gcn_layer(
 ) -> Tensor:
     """One graph convolution over stacked node rows: aggregate with
     ``aggregate`` (a function of the (B * N, D) rows applying I + A per
-    graph), transform, normalize over features, activate, then add the
-    input back when a residual is requested (widths must match)."""
+    graph), transform, normalize over features and activate in one fused
+    op (activate only, without ``norm``), then add the input back when a
+    residual is requested (widths must match)."""
     if use_residual and weight.shape[0] != weight.shape[1]:
         raise ConfigError(
             f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
@@ -268,9 +272,12 @@ def gcn_layer(
         h = aggregate(ad.matmul(z, weight))
     else:
         h = ad.matmul(aggregate(z), weight)
-    if norm is not None:
-        h = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running)
-    out = ad.unary_activation(h, activation)
+    if norm is None:
+        out = ad.unary_activation(h, activation)
+    else:
+        out = ad.batchnorm_features(
+            h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation
+        )
     if use_residual:
         out = ad.add(out, z)
     return out
@@ -295,7 +302,8 @@ def pool_graph(z: Tensor, block_rows: int, kind: str) -> Tensor:
 
 def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
     """Two affine layers with feature batchnorm and the configured
-    activation in between; the final affine has no activation."""
+    activation in between, one fused op; the final affine has no
+    activation."""
     if pooled.data.ndim == 1:
         pooled = ad.reshape(pooled, (1, pooled.shape[0]))
     if pooled.shape[1] != state.mlp_w1.shape[0]:
@@ -303,10 +311,10 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
         )
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
+    norm = state.mlp_norm
     h = ad.batchnorm_features(
-        h, state.mlp_norm.gamma, state.mlp_norm.beta, BN_EPS, mode, state.mlp_norm.running
+        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, state.config.activation
     )
-    h = ad.unary_activation(h, state.config.activation)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 

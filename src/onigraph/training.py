@@ -244,16 +244,23 @@ def predict_samples(
 
 def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalReport:
     """Correlation skill (Pearson r) and RMSE over all samples, in
-    evaluation mode (frozen normalization statistics, nothing mutated)."""
+    evaluation mode (frozen normalization statistics, nothing mutated).
+    Predictions so large that either overflows (a diverged model) raise
+    ``NumericError``."""
     if len(samples) < 2:
         raise DataError(f"correlation undefined for {len(samples)} sample(s)")
     preds = predict_samples(model, samples)
     first = model[0] if isinstance(model, list) else model
     diff = preds - samples.targets
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = pearson_r(preds, samples.targets)
+        rmse = float(np.sqrt(np.mean(diff * diff)))
+    if not (np.isfinite(r) and np.isfinite(rmse)):
+        raise NumericError(f"test skill is not finite (r={r}, rmse={rmse}): the model diverged")
     return EvalReport(
         lead_months=first.config.lead_months,
-        r=pearson_r(preds, samples.targets),
-        rmse=float(np.sqrt(np.mean(diff * diff))),
+        r=r,
+        rmse=rmse,
         n=len(samples),
         predictions=preds,
         targets=samples.targets.copy(),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,152 @@ def test_batchnorm_running_stats_update_and_eval():
     np.testing.assert_array_equal(running.var, before[1])
 
 
+# --- fused batchnorm + activation -------------------------------------------
+
+ACTIVATION_KINDS = ("elu", "tanh", "sigmoid", "identity")
+
+# the separate ops the fused one replaced: forward of the pre-activation x,
+# and the gradient at x from the gradient g at the output y
+REFERENCE_ACTIVATIONS = {
+    "elu": (lambda x: np.where(x > 0.0, x, np.expm1(x)),
+            lambda g, x, y: np.where(x > 0.0, g, g * (y + 1.0))),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_two_branch_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x, lambda g, x, y: g),
+}
+
+
+def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
+    """Output, (dz, dgamma, dbeta) and the running statistics after the
+    call, by the textbook batchnorm and activation formulas."""
+    n = z.shape[0]
+    mean, var = (z.mean(axis=0), z.var(axis=0)) if mode == "train" else (running.mean, running.var)
+    new_mean, new_var = running.mean, running.var
+    if mode == "train":
+        m = running.momentum
+        new_mean = (1.0 - m) * running.mean + m * mean
+        new_var = (1.0 - m) * running.var + m * var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (z - mean) * inv
+    x = xhat * gamma + beta
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    y = fwd(x)
+    gx = bwd(g, x, y)
+    dxhat = gx * gamma
+    if mode == "train":
+        dz = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    else:
+        dz = dxhat * inv
+    return y, (dz, (gx * xhat).sum(axis=0), gx.sum(axis=0)), (new_mean, new_var)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
+    rng = np.random.default_rng(41)
+    batch, nodes, width = 3, 37, 5  # stacked (B * N, D) rows
+    z = t(rng.normal(scale=2.0, size=(batch * nodes, width)) + 0.5, grad=True)
+    gamma = t(rng.normal(size=width), grad=True)
+    beta = t(rng.normal(size=width), grad=True)
+    running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
+    g = rng.normal(size=z.shape)
+    want_y, want_grads, want_running = _reference_norm_act(
+        z.data, gamma.data, beta.data, 1e-5, mode, running.copy(), kind, g
+    )
+    with Tape() as tape:
+        out = batchnorm_features(z, gamma, beta, 1e-5, mode, running, kind)
+        grads = tape.entries[-1].rule(g)
+    assert out.data.tobytes() == want_y.tobytes()
+    for got, want in zip(grads, want_grads):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip((running.mean, running.var), want_running):
+        assert got.tobytes() == want.tobytes()
+    # nothing recorded: the single-buffer forward gives the same bits
+    frozen = RunningStats(*want_running)
+    want_eval = _reference_norm_act(z.data, gamma.data, beta.data, 1e-5, "eval", frozen, kind, g)[0]
+    got_eval = batchnorm_features(z, gamma, beta, 1e-5, "eval", frozen, kind)
+    assert got_eval.data.tobytes() == want_eval.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_grad_check_fused_norm_act(kind, mode):
+    rng = np.random.default_rng(42)
+    z = t(rng.normal(size=(6, 3)), grad=True)
+    gamma = t(rng.normal(loc=1.0, scale=0.3, size=3), grad=True)
+    beta = t(rng.normal(scale=0.5, size=3), grad=True)
+    running = RunningStats(rng.normal(size=3), rng.random(3) + 0.5)
+    target = t(rng.normal(size=18))
+
+    def f():
+        # train mode reads no running statistics, so f stays deterministic
+        out = batchnorm_features(z, gamma, beta, mode=mode, running=running.copy(), activation=kind)
+        return mse_loss(flatten(out), target)
+
+    assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
+
+
+def test_fused_norm_act_eval_mutates_nothing():
+    rng = np.random.default_rng(43)
+    z = t(rng.normal(size=(12, 4)), grad=True)
+    running = RunningStats(rng.normal(size=4), rng.random(4) + 0.5)
+    before = (z.data.copy(), running.mean.copy(), running.var.copy())
+    gamma, beta = t(np.ones(4), grad=True), t(np.zeros(4), grad=True)
+    batchnorm_features(z, gamma, beta, mode="eval", running=running, activation="elu")
+    with Tape():
+        loss = mse_loss(
+            flatten(batchnorm_features(z, gamma, beta, mode="eval", running=running,
+                                       activation="elu")),
+            t(np.zeros(48)),
+        )
+        backward(loss)
+    for got, want in zip((z.data, running.mean, running.var), before):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["elu", "tanh", "sigmoid"])
+def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
+    # xhat is about -1 on the second row, so the shifted value overflows to
+    # -inf, which these activations would map to a finite value
+    z = t([[1.0], [-1.0]])
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        batchnorm_features(z, t([1e308]), t([-1e308]), activation=kind)
+
+
+def test_fused_norm_act_rejects_unknown_activation():
+    with pytest.raises(ConfigError, match="relu"):
+        batchnorm_features(t(np.ones((2, 1))), t([1.0]), t([0.0]), activation="relu")
+
+
+def test_elu_of_negative_zero_is_positive_zero():
+    # the one signed-zero difference from where(x > 0, x, expm1(x)), which
+    # gives -0.0; a zero-initialized shift never produces -0.0
+    out = unary_activation(t([[-0.0, 0.0]]), "elu").data
+    np.testing.assert_array_equal(out, [[0.0, 0.0]])
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_activations_take_every_tensor_rank(kind):
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    for values in (-0.75, [0.5, -2.0], [[1.5, -0.25]]):
+        x = t(values, grad=True)
+        g = np.full(x.shape, 0.5)
+        with Tape() as tape:
+            out = unary_activation(x, kind)
+            (dx,) = tape.entries[-1].rule(g)
+        assert out.data.tobytes() == fwd(x.data).tobytes()
+        assert np.asarray(dx).tobytes() == bwd(g, x.data, out.data).tobytes()
+
+
+def test_elu_evaluates_expm1_on_the_negative_half_only():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = unary_activation(t([[800.0, -1.0]]), "elu").data
+    assert out[0, 0] == 800.0
+    assert out[0, 1] == math.expm1(-1.0)
+
+
 # --- concat / reduce --------------------------------------------------------
 
 
@@ -343,6 +490,20 @@ def test_backward_two_paths_gradients_sum():
         return mse_loss(pred, t([1.0]))
 
     assert grad_check(f, [w], step=1e-6) <= 1e-8
+
+
+def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
+    w = t([[1.5, -0.5]], grad=True)
+    x = t([[2.0], [1.0]])
+    with Tape() as tape:
+        hidden = unary_activation(matmul(w, x), "tanh")
+        loss = mse_loss(flatten(hidden), t([0.0]))
+        backward(loss)
+        assert tape.entries == []
+    assert hidden.grad is None and loss.grad is None
+    y = math.tanh(2.5)
+    want = np.array([[2.0, 1.0]]) * (2.0 * y * (1.0 - y * y))
+    np.testing.assert_allclose(w.grad, want, rtol=1e-14)
 
 
 def test_backward_requires_scalar():

@@ -377,6 +377,22 @@ def test_zero_epochs_print_no_training_mse(synth_dir, tmp_path, capsys):
     assert (tmp_path / "m.ckpt.loss.csv").read_text() == "epoch,batch,loss\n"
 
 
+def test_diverged_training_is_a_numeric_failure(synth_dir, tmp_path, capsys):
+    # at the default settings this seed's learned model diverges: its test
+    # predictions are finite but their squares overflow
+    out = tmp_path / "m.ckpt"
+    args = ["train", "--data", str(synth_dir), "--lead", "2", "--seed", "7",
+            "--edges", "learned", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure:")
+    assert "rmse=inf" in captured.err
+    assert captured.out == ""
+    assert out.exists()  # saved before the evaluation
+
+
 def _one_variable_grid(synth_dir, path):
     grid = dat.load_gridset(synth_dir)
     dat.save_gridset(replace(grid, variables=["sst_anomaly"], data=grid.data[:, :1].copy()), path)
