@@ -115,6 +115,33 @@ def test_fixed_seed_reproduces_history_and_weights():
         np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name], err_msg=name)
 
 
+@pytest.mark.parametrize(
+    "dims, pooling, edge_mode, jumping_knowledge, sha1",
+    [
+        # three equal widths, so every layer after the first adds its input back
+        ((8, 8, 8), "sum_and_mean", "learned", True, "2e0d1a42d1747bb7207747f9521d08861d8b3b98"),
+        ((12, 6), "mean", "local", True, "1645936d401d550b59c2d19cf32c4f26b90a1d59"),
+        ((8, 8), "sum_and_mean", "learned", False, "d89c8f3c250e7bc78ef05e016117a1f9313239da"),
+    ],
+)
+def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, jumping_knowledge, sha1):
+    # a refactor of the forward or backward pass must keep these bits: the
+    # loss history, every trained parameter and the test predictions
+    gridset, _ = synth_teleconnection_dataset(4, 4, 44, 1, seed=3)
+    bundle = prepare_dataset(gridset, window=3, lead=1, train_fraction=0.75)
+    model_cfg = GcnConfig(
+        layer_dims=list(dims), pooling=pooling, use_jumping_knowledge=jumping_knowledge
+    )
+    cfg = TrainConfig(seed=2, epochs=3, batch_size=8, embed_dim=4, weight_decay=1e-4)
+    state = build_model(bundle, model_cfg, cfg, edge_mode=edge_mode)
+    _, history = train(state, bundle.train, cfg)
+    digest = hashlib.sha1(np.array([v for _, _, v in history]).tobytes())
+    for _, tensor in state.parameters():
+        digest.update(tensor.data.tobytes())
+    digest.update(predict_samples(state, bundle.test).tobytes())
+    assert digest.hexdigest() == sha1
+
+
 def test_empty_sample_set_rejected():
     bundle, cfg, model_cfg, state = tiny_setup()
     with pytest.raises(DataError):
