@@ -526,47 +526,41 @@ def batchnorm_features(
     return record_op(out, (z, gamma, beta), rule)
 
 
-def concat_features(parts: Sequence[Tensor]) -> Tensor:
-    """Column-wise concatenation of rank-2 tensors sharing a row count."""
-    if not parts:
-        raise DimensionError("concat_features needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise DimensionError(
-                f"concat_features row mismatch: {[tuple(q.shape) for q in parts]}"
-            )
-    out = _make_output(np.concatenate([p.data for p in parts], axis=1), *parts)
-    widths = [p.shape[1] for p in parts]
-    edges = np.cumsum([0] + widths)
+POOLINGS = ("mean", "sum_and_mean")
+
+
+def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
+    """Pool each graph of ``block_rows`` stacked rows of every (B * n, D_l)
+    part into one row of the (B, P) output: each part's column means side
+    by side, with ``"sum_and_mean"`` every part's column sums before them.
+    Backward repeats over the block rows each part's gradient at its means
+    times 1/n, plus that at its sums."""
+    if kind not in POOLINGS:
+        raise ConfigError(f"pooling must be one of {POOLINGS}, got {kind!r}")
+    n = block_rows
+    shapes = [p.shape for p in parts]
+    if not shapes or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise DimensionError(f"pool_blocks needs rank-2 parts of one row count, got {shapes}")
+    if n < 1 or shapes[0][0] % n != 0:
+        raise DimensionError(f"pool_blocks rows {shapes[0][0]} not a multiple of {n}")
+    batch = shapes[0][0] // n
+    sums = [p.data.reshape(batch, n, p.shape[1]).sum(axis=1) for p in parts]
+    pooled = [s / n for s in sums]  # np.mean's bits
+    if kind == "sum_and_mean":
+        pooled = sums + pooled
+    out = _make_output(np.concatenate(pooled, axis=1), *parts)
+    bounds = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def rule(g: Array):
+        g_in = g[:, -bounds[-1] :] * (1.0 / n)
+        if kind == "sum_and_mean":
+            g_in += g[:, : bounds[-1]]
         return tuple(
-            g[:, edges[i] : edges[i + 1]] if p.requires_grad else None
-            for i, p in enumerate(parts)
+            np.repeat(g_in[:, lo:hi], n, axis=0) if p.requires_grad else None
+            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])
         )
 
     return record_op(out, tuple(parts), rule)
-
-
-def block_reduce(z: Tensor, block_rows: int, kind: str) -> Tensor:
-    """Per-block column mean or sum: (B*n, D) -> (B, D)."""
-    if kind not in ("mean", "sum"):
-        raise ConfigError(f"reduce kind must be 'mean' or 'sum', got {kind!r}")
-    n = block_rows
-    if z.data.ndim != 2 or n < 1 or z.shape[0] % n != 0:
-        raise DimensionError(f"block_reduce rows {z.shape} not a multiple of {n}")
-    batch = z.shape[0] // n
-    blocks = z.data.reshape(batch, n, z.shape[1])
-    data = blocks.mean(axis=1) if kind == "mean" else blocks.sum(axis=1)
-    out = _make_output(data, z)
-    scale_back = 1.0 / n if kind == "mean" else 1.0
-
-    def rule(g: Array):
-        expanded = np.repeat(g * scale_back, n, axis=0)
-        return (expanded,)
-
-    return record_op(out, (z,), rule)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

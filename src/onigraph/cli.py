@@ -237,6 +237,9 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train one model, save it and report. A run whose last epoch's mean
+    loss exceeds its first epoch's by more than a factor of 1e6 diverged:
+    it exits 3 after saving, like a run whose test skill is not finite."""
     model_cfg, train_cfg, bundle = _prepare(
         args, preset=args.preset, seed=args.seed, lead_months=args.lead
     )
@@ -246,11 +249,17 @@ def cmd_train(args) -> int:
     write_history_csv(history, str(args.out) + ".loss.csv")
     line = f"trained {args.edges} model ({len(bundle.train)} samples, {train_cfg.epochs} epochs)"
     if history:
-        final = np.mean([v for e, _, v in history if e == train_cfg.epochs - 1])
+        first, final = (
+            np.mean([v for e, _, v in history if e == k]) for k in (0, train_cfg.epochs - 1)
+        )
         line += f": final train MSE {final:.5f}"
     if len(bundle.test) >= 2:
         report = evaluate(state, bundle.test)
         line += f"; test r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"
+    if history and final > 1e6 * first:
+        raise NumericError(
+            f"training diverged: last epoch's mean loss {final:.3g}, first epoch's {first:.3g}"
+        )
     print(line)
     print(f"checkpoint: {args.out}")
     return 0
@@ -301,11 +310,11 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed
     rng = np.random.default_rng(seed + 99)
     batch = 3
-    config = GcnConfig(layer_dims=[4, 4], window=2, features_per_node=2)
     worst = 0.0
     # a graph dense enough for the dense aggregation kernels, and one
-    # sparse enough for the CSR kernels
-    for n, max_edges in ((6, 18), (40, 40)):
+    # sparse enough for the CSR kernels, each with one of the two poolings
+    for n, max_edges, pooling in ((6, 18, "mean"), (40, 40, "sum_and_mean")):
+        config = GcnConfig(layer_dims=[4, 4], pooling=pooling, window=2, features_per_node=2)
         state = init_params(
             config,
             rng.normal(size=(n, 4)),
@@ -324,7 +333,7 @@ def cmd_gradcheck(args) -> int:
 
         error = grad_check(f, [t for _, t in state.parameters()], step=1e-5)
         kernel = "CSR" if frozen.sparse else "dense"
-        print(f"{n} nodes, {frozen.rows.size} edges, {kernel} kernels: error {error:.3e}")
+        print(f"{n} nodes, {frozen.rows.size} edges, {kernel} kernels, {pooling}: {error:.3e}")
         worst = max(worst, error)
     print(f"max relative gradient error: {worst:.3e} (tolerance {GRADCHECK_TOLERANCE})")
     if worst > GRADCHECK_TOLERANCE:

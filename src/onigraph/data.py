@@ -14,7 +14,6 @@ container (e.g. when converting reanalysis archives such as SODA/GODAS).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -173,72 +172,6 @@ def load_gridset(path: str | Path) -> GridSet:
         land_mask=mask,
         data=data,
     )
-
-
-def gridset_from_csv(path: str | Path, start_month: str = "2000-01") -> GridSet:
-    """Tiny-fixture import: rows of ``time,lat,lon,var,value``.
-
-    The grid is inferred from the distinct lat/lon values (uniform spacing
-    required); cells never mentioned become land, absent (time, var)
-    entries default to 0. Values are quantized to float32 so that a save
-    and reload reproduces them bit-exactly.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            try:
-                rows.append(
-                    (
-                        int(record["time"]),
-                        float(record["lat"]),
-                        float(record["lon"]),
-                        record["var"],
-                        float(record["value"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"bad CSV row {record!r}: {exc}") from exc
-    if not rows:
-        raise FormatError(f"{path} holds no data rows")
-
-    lats = np.unique([r[1] for r in rows])
-    lons = np.unique([r[2] for r in rows])
-    variables = [v for v in KNOWN_VARIABLES if v in {r[3] for r in rows}]
-    for r in rows:
-        if r[3] not in KNOWN_VARIABLES:
-            raise FormatError(f"unknown variable name {r[3]!r}")
-
-    def spacing(values: Array) -> float:
-        if len(values) < 2:
-            return 5.0
-        steps = np.diff(values)
-        if not np.allclose(steps, steps[0]):
-            raise FormatError("grid spacing is not uniform")
-        return float(steps[0])
-
-    n_time = max(r[0] for r in rows) + 1
-    grid = GridSet(
-        n_lat=len(lats),
-        n_lon=len(lons),
-        lat0=float(lats[0]),
-        dlat=spacing(lats),
-        lon0=float(lons[0]),
-        dlon=spacing(lons),
-        start_month=start_month,
-        n_time=n_time,
-        variables=variables,
-        land_mask=np.ones((len(lats), len(lons)), dtype=bool),
-        data=np.zeros((n_time, len(variables), len(lats), len(lons))),
-    )
-    lat_index = {v: i for i, v in enumerate(lats)}
-    lon_index = {v: i for i, v in enumerate(lons)}
-    var_index = {v: i for i, v in enumerate(variables)}
-    for t, lat, lon, var, value in rows:
-        grid.land_mask[lat_index[lat], lon_index[lon]] = False
-        grid.data[t, var_index[var], lat_index[lat], lon_index[lon]] = np.float32(value)
-    grid.data[:, :, grid.land_mask] = 0.0
-    _require_finite(grid.data, path)
-    return grid
 
 
 def _require_finite(data: Array, source) -> None:

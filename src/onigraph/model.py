@@ -3,8 +3,9 @@
 Stacked graph convolutions over a learned (or fixed local) adjacency,
 batch normalization over the feature dimension in place of in-degree
 normalization followed by ELU activations, optional residual connections
-between equal-width layers, jumping-knowledge concatenation of all layer
-outputs, graph pooling, and a two-layer MLP head that emits one scalar.
+between equal-width layers, a jumping-knowledge readout that pools every
+layer's node rows per graph straight into the head input (one op,
+``autodiff.pool_blocks``), and a two-layer MLP head that emits one scalar.
 Normalization and activation run as one fused op,
 ``autodiff.batchnorm_features`` with an ``activation``, in every layer and
 in the head.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import RunningStats, Tensor
+from .autodiff import POOLINGS, RunningStats, Tensor
 from .errors import ConfigError, DimensionError
 from .structure import StructureParams, kept_edges
 
@@ -38,7 +39,6 @@ Array = np.ndarray
 
 BN_EPS = 1e-5
 
-POOLINGS = ("mean", "sum_and_mean")
 
 @dataclass
 class GcnConfig:
@@ -283,29 +283,10 @@ def gcn_layer(
     return out
 
 
-def jumping_knowledge_concat(layers: list[Tensor]) -> Tensor:
-    """Per-node concatenation of every layer's embeddings, in layer order."""
-    return ad.concat_features(layers)
-
-
-def pool_graph(z: Tensor, block_rows: int, kind: str) -> Tensor:
-    """Aggregate the node embeddings of each graph of ``block_rows`` stacked
-    rows into one vector: column mean, or column sum concatenated with
-    column mean. (B * N, D) -> (B, D) or (B, 2D)."""
-    if kind not in POOLINGS:
-        raise ConfigError(f"pooling must be one of {POOLINGS}, got {kind!r}")
-    pooled = ad.block_reduce(z, block_rows, "mean")
-    if kind == "sum_and_mean":
-        pooled = ad.concat_features([ad.block_reduce(z, block_rows, "sum"), pooled])
-    return pooled
-
-
 def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
     """Two affine layers with feature batchnorm and the configured
     activation in between, one fused op; the final affine has no
     activation."""
-    if pooled.data.ndim == 1:
-        pooled = ad.reshape(pooled, (1, pooled.shape[0]))
     if pooled.shape[1] != state.mlp_w1.shape[0]:
         raise DimensionError(
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
@@ -372,5 +353,5 @@ def forward_batch(
             mode,
         )
         layer_outputs.append(z)
-    rep = jumping_knowledge_concat(layer_outputs) if cfg.use_jumping_knowledge else z
-    return mlp_head(state, pool_graph(rep, n, cfg.pooling), mode)
+    pooled = ad.pool_blocks(layer_outputs if cfg.use_jumping_knowledge else [z], n, cfg.pooling)
+    return mlp_head(state, pooled, mode)

@@ -193,10 +193,12 @@ class EvalReport:
 def pearson_r(a: Array, b: Array) -> float:
     a = np.asarray(a, float) - np.mean(a)
     b = np.asarray(b, float) - np.mean(b)
-    denom = np.sqrt((a @ a) * (b @ b))
-    if denom == 0.0:
+    peak_a, peak_b = np.max(np.abs(a)), np.max(np.abs(b))
+    if peak_a == 0.0 or peak_b == 0.0:
         raise NumericError("correlation undefined: a series has zero variance")
-    return float((a @ b) / denom)
+    # each series at unit peak, so that no product below can overflow
+    a, b = a / peak_a, b / peak_b
+    return float((a @ b) / np.sqrt((a @ a) * (b @ b)))
 
 
 def predict_samples(

@@ -22,13 +22,12 @@ from onigraph.autodiff import (
     add_row_bias,
     backward,
     batchnorm_features,
-    block_reduce,
-    concat_features,
     edge_block_matmul,
     flatten,
     grad_check,
     matmul,
     mse_loss,
+    pool_blocks,
     record_op,
     reshape,
     scale,
@@ -380,46 +379,90 @@ def test_elu_evaluates_expm1_on_the_negative_half_only():
     assert out[0, 1] == math.expm1(-1.0)
 
 
-# --- concat / reduce --------------------------------------------------------
+# --- pooling: per-block reductions of every part, side by side ---------------
+# With one row per block both kinds keep each row, so the pooled parts are
+# their column-wise concatenation.
 
 
 def test_concat_single_part_unchanged():
     a = t([[1.0, 2.0]])
-    np.testing.assert_array_equal(concat_features([a]).data, a.data)
+    np.testing.assert_array_equal(pool_blocks([a], 1, "mean").data, a.data)
 
 
 def test_concat_shapes_and_order():
     a = t(np.ones((4, 2)))
     b = t(np.zeros((4, 3)))
-    out = concat_features([a, b])
+    out = pool_blocks([a, b], 1, "mean")
     assert out.shape == (4, 5)
     np.testing.assert_array_equal(out.data[:, :2], a.data)
     np.testing.assert_array_equal(out.data[:, 2:], b.data)
+    both = pool_blocks([a, b], 1, "sum_and_mean").data
+    np.testing.assert_array_equal(both, np.hstack([a.data, b.data, a.data, b.data]))
 
 
 def test_concat_enumerated_values():
-    out = concat_features([t([[1.0], [2.0]]), t([[3.0], [4.0]])])
+    out = pool_blocks([t([[1.0], [2.0]]), t([[3.0], [4.0]])], 1, "mean")
     np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_concat_row_mismatch_rejected():
     with pytest.raises(DimensionError):
-        concat_features([t(np.ones((2, 1))), t(np.ones((3, 1)))])
+        pool_blocks([t(np.ones((2, 1))), t(np.ones((3, 1)))], 1, "mean")
+    with pytest.raises(DimensionError):  # a part that is not rank 2
+        pool_blocks([t(np.ones((2, 1))), t(np.ones(2))], 1, "mean")
 
 
 def test_block_reduce_single_block_values():
     np.testing.assert_array_equal(
-        block_reduce(t([[2.0, 5.0], [2.0, 5.0]]), 2, "mean").data, [[2.0, 5.0]]
+        pool_blocks([t([[2.0, 5.0], [2.0, 5.0]])], 2, "mean").data, [[2.0, 5.0]]
     )
-    np.testing.assert_array_equal(block_reduce(t([[1.0], [3.0]]), 2, "sum").data, [[4.0]])
     np.testing.assert_array_equal(
-        block_reduce(t([[1.0, 0.0], [3.0, 2.0]]), 2, "mean").data, [[2.0, 1.0]]
+        pool_blocks([t([[1.0], [3.0]])], 2, "sum_and_mean").data, [[4.0, 2.0]]
     )
+    np.testing.assert_array_equal(
+        pool_blocks([t([[1.0, 0.0], [3.0, 2.0]])], 2, "mean").data, [[2.0, 1.0]]
+    )
+
+
+def test_pool_blocks_means_keep_np_mean_bits():
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(21, 4)), rng.normal(size=(21, 3))
+    out = pool_blocks([t(a), t(b)], 7, "sum_and_mean").data
+    blocks = [x.reshape(3, 7, -1) for x in (a, b)]
+    expected = [x.sum(axis=1) for x in blocks] + [x.mean(axis=1) for x in blocks]
+    np.testing.assert_array_equal(out, np.hstack(expected))
 
 
 def test_reduce_empty_rejected():
     with pytest.raises(DimensionError):
-        block_reduce(t(np.ones((0, 2))), 0, "mean")
+        pool_blocks([t(np.ones((0, 2)))], 0, "mean")
+    with pytest.raises(DimensionError):
+        pool_blocks([], 2, "mean")
+
+
+def test_pool_blocks_rows_must_fill_whole_blocks():
+    with pytest.raises(DimensionError):
+        pool_blocks([t(np.ones((6, 2)))], 4, "sum_and_mean")
+
+
+def test_pool_blocks_unknown_kind_rejected():
+    with pytest.raises(ConfigError, match="max"):
+        pool_blocks([t(np.ones((4, 2)))], 2, "max")
+
+
+@pytest.mark.parametrize("kind", ["mean", "sum_and_mean"])
+def test_grad_check_pool_blocks(kind):
+    rng = np.random.default_rng(19)
+    a = t(rng.normal(size=(6, 2)), grad=True)
+    b = t(rng.normal(size=(6, 3)))  # needs no gradient
+    c = t(rng.normal(size=(6, 1)), grad=True)
+    width = 6 if kind == "mean" else 12
+    target = t(rng.normal(size=2 * width))
+
+    def f():
+        return mse_loss(flatten(pool_blocks([a, b, c], 3, kind)), target)
+
+    assert grad_check(f, [a, c], step=1e-5) <= 1e-7
 
 
 def test_block_ops_match_per_sample_ops():
@@ -431,7 +474,7 @@ def test_block_ops_match_per_sample_ops():
     stacked = edge_block_matmul(t(a[edges.rows, edges.cols]), edges, t(np.vstack([z1, z2])))
     np.testing.assert_allclose(stacked.data[:3], a @ z1)
     np.testing.assert_allclose(stacked.data[3:], a @ z2)
-    pooled = block_reduce(t(np.vstack([z1, z2])), 3, "mean")
+    pooled = pool_blocks([t(np.vstack([z1, z2]))], 3, "mean")
     np.testing.assert_allclose(pooled.data, np.vstack([z1.mean(0), z2.mean(0)]))
 
 
@@ -593,7 +636,7 @@ def test_grad_check_composite_ops():
         h = add_row_bias(h, bias)
         h = batchnorm_features(h, gamma, beta, mode="train", running=running)
         h = unary_activation(h, "elu")
-        pooled = block_reduce(concat_features([h, scale(h, -0.5)]), 4, "mean")
+        pooled = pool_blocks([h, scale(h, -0.5)], 4, "mean")
         return mse_loss(flatten(reshape(pooled, (1, 4))), t([0.1, 0.2, 0.3, 0.4]))
 
     assert grad_check(f, [w, gamma, beta, bias], step=1e-5) <= 1e-6
@@ -608,8 +651,8 @@ def test_grad_check_block_ops():
 
     def f():
         h = matmul(edge_block_matmul(values, edges, z), w)
-        pooled = block_reduce(h, 3, "sum")
-        return mse_loss(flatten(pooled), t(np.zeros(4)))
+        pooled = pool_blocks([h], 3, "sum_and_mean")
+        return mse_loss(flatten(pooled), t(np.zeros(8)))
 
     assert grad_check(f, [values, w], step=1e-5) <= 1e-6
 
@@ -621,8 +664,8 @@ def test_grad_check_block_matmul_input_gradient():
     z = t(rng.normal(size=(9, 2)), grad=True)  # batch of 3 blocks
 
     def f():
-        pooled = block_reduce(edge_block_matmul(values, edges, z), 3, "sum")
-        return mse_loss(flatten(pooled), t(np.linspace(-1.0, 1.0, 6)))
+        pooled = pool_blocks([edge_block_matmul(values, edges, z)], 3, "sum_and_mean")
+        return mse_loss(flatten(pooled), t(np.linspace(-1.0, 1.0, 12)))
 
     assert grad_check(f, [values, z], step=1e-5) <= 1e-6
 

@@ -226,8 +226,8 @@ def test_gradcheck_passes():
 def test_gradcheck_checks_a_dense_and_a_sparse_graph(capsys):
     assert cli_dispatch(["gradcheck", "--seed", "2"]) == 0
     out = capsys.readouterr().out
-    assert "6 nodes, 18 edges, dense kernels" in out
-    assert "40 nodes, 40 edges, CSR kernels" in out
+    assert "6 nodes, 18 edges, dense kernels, mean" in out
+    assert "40 nodes, 40 edges, CSR kernels, sum_and_mean" in out
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -391,6 +391,23 @@ def test_diverged_training_is_a_numeric_failure(synth_dir, tmp_path, capsys):
     assert "rmse=inf" in captured.err
     assert captured.out == ""
     assert out.exists()  # saved before the evaluation
+
+
+def test_diverged_training_without_a_test_split_exits_3(synth_dir, tmp_path, capsys):
+    # no test skill to check; at four times the default learning rate the
+    # mean loss goes from about 1.9 in the first epoch to 7.6e11 in the sixth
+    out = tmp_path / "m.ckpt"
+    config = {"train": {"learning_rate": 0.02, "epochs": 6}, "data": {"train_fraction": 1.0}}
+    config = _write_config(tmp_path / "c.json", config)
+    args = ["train", "--config", config, "--data", str(synth_dir), "--lead", "2",
+            "--seed", "7", "--edges", "learned", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: training diverged")
+    assert captured.out == ""
+    assert out.exists()
 
 
 def _one_variable_grid(synth_dir, path):

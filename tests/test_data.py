@@ -13,7 +13,6 @@ from onigraph.data import (
     build_static_features,
     compute_oni_series,
     extend_nodes_with_oni,
-    gridset_from_csv,
     land_filter_nodes,
     load_gridset,
     local_adjacency,
@@ -160,20 +159,6 @@ def test_hand_encoded_fixture_decodes(tmp_path):
     assert grid.calendar_month(1) == 1
 
 
-def test_csv_import(tmp_path):
-    path = tmp_path / "fixture.csv"
-    path.write_text(
-        "time,lat,lon,var,value\n"
-        "0,0,190,sst_anomaly,0\n"
-        "1,0,190,sst_anomaly,3\n"
-        "2,0,190,sst_anomaly,6\n"
-    )
-    grid = gridset_from_csv(path)
-    assert grid.n_lat == grid.n_lon == 1
-    assert grid.variables == ["sst_anomaly"]
-    np.testing.assert_array_equal(grid.data[:, 0, 0, 0], [0.0, 3.0, 6.0])
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_load_rejects_nonfinite_values(tmp_path, bad):
     grid = make_grid()
@@ -181,17 +166,6 @@ def test_load_rejects_nonfinite_values(tmp_path, bad):
     save_gridset(grid, tmp_path / "g")
     with pytest.raises(DataError):
         load_gridset(tmp_path / "g")
-
-
-def test_csv_rejects_nan_value(tmp_path):
-    path = tmp_path / "fixture.csv"
-    path.write_text(
-        "time,lat,lon,var,value\n"
-        "0,0,190,sst_anomaly,0\n"
-        "1,0,190,sst_anomaly,nan\n"
-    )
-    with pytest.raises(DataError):
-        gridset_from_csv(path)
 
 
 # --- nodes ---------------------------------------------------------------------
@@ -228,15 +202,11 @@ def test_oni_constant_field():
     np.testing.assert_allclose(oni[1:-1], 1.0)
 
 
-def test_oni_hand_fixture(tmp_path):
-    path = tmp_path / "fixture.csv"
-    path.write_text(
-        "time,lat,lon,var,value\n"
-        "0,0,190,sst_anomaly,0\n"
-        "1,0,190,sst_anomaly,3\n"
-        "2,0,190,sst_anomaly,6\n"
-    )
-    oni = compute_oni_series(gridset_from_csv(path))
+def test_oni_hand_fixture():
+    # one ocean cell in the ONI region, SST anomalies 0, 3, 6
+    grid = make_grid(1, 1, n_time=3, lat0=0.0)
+    grid.data[:, 0, 0, 0] = [0.0, 3.0, 6.0]
+    oni = compute_oni_series(grid)
     assert oni[1] == pytest.approx(3.0)
     assert np.isnan(oni[0]) and np.isnan(oni[2])
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onigraph.autodiff import Tape, Tensor, grad_check, matmul, mse_loss
+from onigraph.autodiff import Tape, Tensor, grad_check, matmul, mse_loss, pool_blocks
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import (
     GcnConfig,
@@ -11,10 +11,8 @@ from onigraph.model import (
     forward_batch,
     gcn_layer,
     init_params,
-    jumping_knowledge_concat,
     mlp_head,
     model_edges,
-    pool_graph,
 )
 
 
@@ -125,30 +123,40 @@ def test_layer_residual_identity_when_output_zero():
 
 
 def test_jumping_knowledge_single_layer_identity():
-    z = Tensor(np.arange(6.0).reshape(3, 2))
-    np.testing.assert_array_equal(jumping_knowledge_concat([z]).data, z.data)
+    # with one layer, the readout of every layer is that of the last
+    state = tiny_state(layer_dims=(4,), pooling="sum_and_mean", seed=2)
+    x = rand_input(state, batch=3)
+    every_layer = forward_batch(state, x, 3, mode="eval").data
+    state.config.use_jumping_knowledge = False
+    np.testing.assert_array_equal(forward_batch(state, x, 3, mode="eval").data, every_layer)
 
 
 def test_jumping_knowledge_width_and_order():
-    a = Tensor(np.full((3, 2), 1.0))
-    b = Tensor(np.full((3, 3), 2.0))
-    out = jumping_knowledge_concat([a, b])
-    assert out.shape == (3, 5)
-    np.testing.assert_array_equal(out.data[:, :2], a.data)
-    np.testing.assert_array_equal(out.data[:, 2:], b.data)
+    # every layer's sums, then every layer's means; two graphs of two rows,
+    # layers 1 and 2 wide
+    a = Tensor([[1.0], [3.0], [5.0], [9.0]])
+    b = Tensor([[2.0, 0.0], [4.0, 2.0], [0.0, 6.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(
+        pool_blocks([a, b], 2, "sum_and_mean").data,
+        [[4.0, 6.0, 2.0, 2.0, 3.0, 1.0], [14.0, 0.0, 8.0, 7.0, 0.0, 4.0]],
+    )
+    np.testing.assert_array_equal(
+        pool_blocks([a, b], 2, "mean").data, [[2.0, 3.0, 1.0], [7.0, 0.0, 4.0]]
+    )
+    assert GcnConfig(layer_dims=[1, 2], pooling="sum_and_mean").pooled_width == 6
 
 
 def test_pool_all_equal_rows():
     row = np.array([1.5, -2.0])
     z = Tensor(np.tile(row, (4, 1)))
-    np.testing.assert_allclose(pool_graph(z, 4, "mean").data, [row])
+    np.testing.assert_allclose(pool_blocks([z], 4, "mean").data, [row])
     np.testing.assert_allclose(
-        pool_graph(z, 4, "sum_and_mean").data, [np.concatenate([4 * row, row])]
+        pool_blocks([z], 4, "sum_and_mean").data, [np.concatenate([4 * row, row])]
     )
 
 
 def test_pool_sum_and_mean_hand_value():
-    out = pool_graph(Tensor([[1.0], [3.0]]), 2, "sum_and_mean")
+    out = pool_blocks([Tensor([[1.0], [3.0]])], 2, "sum_and_mean")
     np.testing.assert_array_equal(out.data, [[4.0, 2.0]])
 
 
@@ -159,7 +167,7 @@ def test_mlp_zero_weights_give_zero():
     state = tiny_state()
     for t in (state.mlp_w1, state.mlp_b1, state.mlp_w2, state.mlp_b2):
         t.data[...] = 0.0
-    out = mlp_head(state, Tensor(np.ones(state.config.pooled_width)), mode="eval")
+    out = mlp_head(state, Tensor(np.ones((1, state.config.pooled_width))), mode="eval")
     assert out.data[0] == 0.0
 
 
@@ -170,7 +178,7 @@ def test_mlp_single_path_hand_value():
     state.mlp_w2.data[...] = [[3.0]]
     state.mlp_b2.data[...] = [-1.0]
     g = 0.8
-    out = mlp_head(state, Tensor([g]), mode="eval")
+    out = mlp_head(state, Tensor([[g]]), mode="eval")
     hidden = (2.0 * g + 0.5) / math.sqrt(1.0 + 1e-5)  # eval stats: mean 0, var 1
     expected = 3.0 * hidden - 1.0  # positive, so ELU is identity
     assert out.data[0] == pytest.approx(expected, abs=1e-12)
@@ -178,7 +186,7 @@ def test_mlp_single_path_hand_value():
 
 def test_mlp_output_scalar_shape():
     state = tiny_state()
-    out = mlp_head(state, Tensor(np.zeros(state.config.pooled_width)), mode="eval")
+    out = mlp_head(state, Tensor(np.zeros((1, state.config.pooled_width))), mode="eval")
     assert out.shape == (1,)
 
 

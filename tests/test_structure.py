@@ -10,11 +10,11 @@ from onigraph.autodiff import (
     EdgeIndex,
     Tensor,
     _sigmoid,
-    block_reduce,
     edge_block_matmul,
     flatten,
     grad_check,
     mse_loss,
+    pool_blocks,
 )
 from onigraph.errors import ConfigError, NumericError
 from onigraph.model import GcnConfig, init_params, model_adjacency
@@ -434,7 +434,7 @@ def test_structure_gradients_with_frozen_mask():
     def f():
         _, values = kept_edges(p, frozen)
         adj = edge_block_matmul(values, frozen, Tensor(np.eye(5)))  # I + A
-        pooled = flatten(block_reduce(adj, 5, "mean"))
+        pooled = flatten(pool_blocks([adj], 5, "mean"))
         return mse_loss(pooled, Tensor(np.linspace(0.0, 1.0, 5)))
 
     assert grad_check(f, [p.w_from, p.w_to], step=1e-5) <= 1e-4

@@ -167,6 +167,12 @@ def test_pearson_affine_invariance():
     assert pearson_r(pred, obs) == pytest.approx(1.0)
 
 
+def test_pearson_of_a_diverged_model_is_not_zero():
+    # the products of the raw centered series overflow to inf
+    obs = np.random.default_rng(47).normal(size=47)
+    assert pearson_r(obs * 1e153, obs) == pytest.approx(1.0)
+
+
 def test_pearson_zero_variance_rejected():
     with pytest.raises(NumericError):
         pearson_r(np.ones(5), np.arange(5.0))
