@@ -2,7 +2,7 @@
 own global connectivity structure, plus the centrality and skill tooling
 used to interpret and evaluate it."""
 
-from .autodiff import OptimizerState, RunningStats, Tape, Tensor, backward, grad_check
+from .autodiff import RunningStats, Sgd, Tape, Tensor, backward, grad_check
 from .centrality import CentralityScores, eigenvector_centrality
 from .data import (
     GridSet,

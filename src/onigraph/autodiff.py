@@ -418,20 +418,22 @@ def unary_activation(x: Tensor, kind: str) -> Tensor:
     return record_op(out, (x,), rule)
 
 
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+
+
 @dataclass
 class RunningStats:
     """Exponential-moving batch statistics for one normalized width."""
 
     mean: Array
     var: Array
-    momentum: float = 0.1
 
     @classmethod
-    def initial(cls, width: int, momentum: float = 0.1) -> "RunningStats":
-        return cls(np.zeros(width), np.ones(width), momentum)
+    def initial(cls, width: int) -> "RunningStats":
+        return cls(np.zeros(width), np.ones(width))
 
     def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy(), self.momentum)
+        return RunningStats(self.mean.copy(), self.var.copy())
 
 
 def batchnorm_features(
@@ -482,7 +484,7 @@ def batchnorm_features(
         y = np.square(xhat)
         var = y.sum(axis=0) / n
         if running is not None:
-            m = running.momentum
+            m = BN_MOMENTUM
             running.mean[...] = (1.0 - m) * running.mean + m * mean
             running.var[...] = (1.0 - m) * running.var + m * var
     else:
@@ -638,13 +640,15 @@ def flatten(x: Tensor) -> Tensor:
 
 
 @dataclass
-class OptimizerState:
-    """Per-parameter SGD slot: velocity buffer plus hyperparameters."""
+class Sgd:
+    """SGD with Nesterov momentum and coupled L2 decay: one set of
+    hyperparameters for the whole model, and a velocity per named
+    parameter."""
 
-    velocity: Array
     learning_rate: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
+    momentum: float
+    weight_decay: float
+    velocity: dict[str, Array]
 
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0.0:
@@ -655,26 +659,26 @@ class OptimizerState:
             raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
 
-def sgd_nesterov_step(param: Tensor, state: OptimizerState) -> None:
-    """One SGD step with Nesterov momentum and coupled L2 decay.
+def sgd_nesterov_step(params: Sequence[tuple[str, Tensor]], sgd: Sgd) -> None:
+    """One SGD step over the named parameters, each with its own velocity:
 
     g = grad + wd * param
     v <- mu * v - lr * g
     param <- param + mu * v - lr * g
 
-    The parameter's gradient is zeroed afterwards.
+    Each parameter's gradient is zeroed afterwards.
     """
-    if param.grad is None:
-        raise NumericError("sgd_nesterov_step needs a populated gradient")
-    if state.velocity.shape != param.shape:
-        raise DimensionError(
-            f"velocity shape {state.velocity.shape} does not match parameter {param.shape}"
-        )
-    g = param.grad + state.weight_decay * param.data
-    v = state.momentum * state.velocity - state.learning_rate * g
-    state.velocity = v
-    param.data = param.data + state.momentum * v - state.learning_rate * g
-    param.grad = np.zeros_like(param.data)
+    for name, param in params:
+        if param.grad is None:
+            raise NumericError(f"sgd_nesterov_step needs a populated gradient for {name!r}")
+        velocity = sgd.velocity.get(name)
+        if velocity is None or velocity.shape != param.shape:
+            raise DimensionError(f"no velocity of shape {param.shape} for parameter {name!r}")
+        g = param.grad + sgd.weight_decay * param.data
+        v = sgd.momentum * velocity - sgd.learning_rate * g
+        sgd.velocity[name] = v
+        param.data = param.data + sgd.momentum * v - sgd.learning_rate * g
+        param.grad = np.zeros_like(param.data)
 
 
 # ---------------------------------------------------------------------------

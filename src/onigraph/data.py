@@ -137,9 +137,6 @@ def load_gridset(path: str | Path) -> GridSet:
         raise FormatError(f"manifest missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
-    for name in variables:
-        if name not in KNOWN_VARIABLES:
-            raise FormatError(f"unknown variable name {name!r} in manifest")
 
     mask_bytes = _read_file(mask_path)
     if len(mask_bytes) != n_lat * n_lon:
@@ -435,7 +432,6 @@ def synth_teleconnection_dataset(
     seed: int = 0,
     noise_sd: float = 0.1,
     background_sd: float | None = None,
-    driver_block: tuple[int, int] = (2, 2),
 ) -> tuple[GridSet, SynthSpec]:
     """Desk-scale stand-in for reanalysis archives with a known, planted
     teleconnection.
@@ -477,17 +473,8 @@ def synth_teleconnection_dataset(
     lon_in = (lons >= ONI_LON[0]) & (lons <= ONI_LON[1])
     region = np.outer(lat_in, lon_in)
     region_cells = [(int(r), int(c)) for r, c in np.argwhere(region)]
-    if not region_cells:
-        raise ConfigError("grid placement left no cells in the ONI region")
-
-    block_rows, block_cols = driver_block
-    if not 1 <= block_rows <= n_lat or not 1 <= block_cols <= n_lon:
-        raise ConfigError(f"driver_block {driver_block} does not fit a {n_lat}x{n_lon} grid")
-    driver_cells = [
-        (r, c) for r in range(block_rows) for c in range(block_cols) if not region[r, c]
-    ]
-    if not driver_cells:
-        raise ConfigError("driver block is fully inside the ONI region")
+    # the 2x2 corner block; on 4 or more rows its row 0 lies south of the ONI band
+    driver_cells = [(r, c) for r in range(2) for c in range(2) if not region[r, c]]
 
     rng = np.random.default_rng(seed)
     # latent signal with `lead` months of extra history; stationary sd ~ 1

@@ -124,7 +124,7 @@ class ModelState:
     edge_mode: str = "learned"  # "learned" | "local"
     fixed_adjacency: Array | None = None
     seed: int = 0
-    optimizer: dict[str, ad.OptimizerState] | None = None
+    optimizer: ad.Sgd | None = None
 
     @property
     def node_count(self) -> int:
@@ -153,16 +153,21 @@ class ModelState:
         return params
 
     def buffers(self) -> list[tuple[str, Array]]:
-        """Non-trainable arrays that still belong in a checkpoint."""
-        buffers: list[tuple[str, Array]] = [
-            ("structure.static_features", self.structure.static_features.data),
-            ("node_latlon", self.node_latlon),
-        ]
+        """Non-trainable arrays that still belong in a checkpoint; in local
+        mode the unused structure weights first and the fixed matrix last."""
+        buffers: list[tuple[str, Array]] = []
+        if self.edge_mode == "local":
+            buffers.append(("structure.w_from", self.structure.w_from.data))
+            buffers.append(("structure.w_to", self.structure.w_to.data))
+        buffers.append(("structure.static_features", self.structure.static_features.data))
+        buffers.append(("node_latlon", self.node_latlon))
         for i, norm in enumerate(self.gcn_norms):
             buffers.append((f"gcn.{i}.running_mean", norm.running.mean))
             buffers.append((f"gcn.{i}.running_var", norm.running.var))
         buffers.append(("mlp.running_mean", self.mlp_norm.running.mean))
         buffers.append(("mlp.running_var", self.mlp_norm.running.var))
+        if self.edge_mode == "local":
+            buffers.append(("local_adjacency", self.fixed_adjacency))
         return buffers
 
 
@@ -253,7 +258,7 @@ def gcn_layer(
     aggregate: Callable[[Tensor], Tensor],
     z: Tensor,
     weight: Tensor,
-    norm: NormParams | None = None,
+    norm: NormParams,
     activation: str = "elu",
     use_residual: bool = False,
     mode: str = "train",
@@ -261,8 +266,8 @@ def gcn_layer(
     """One graph convolution over stacked node rows: aggregate with
     ``aggregate`` (a function of the (B * N, D) rows applying I + A per
     graph), transform, normalize over features and activate in one fused
-    op (activate only, without ``norm``), then add the input back when a
-    residual is requested (widths must match)."""
+    op, then add the input back when a residual is requested (widths must
+    match)."""
     if use_residual and weight.shape[0] != weight.shape[1]:
         raise ConfigError(
             f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
@@ -272,12 +277,7 @@ def gcn_layer(
         h = aggregate(ad.matmul(z, weight))
     else:
         h = ad.matmul(aggregate(z), weight)
-    if norm is None:
-        out = ad.unary_activation(h, activation)
-    else:
-        out = ad.batchnorm_features(
-            h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation
-        )
+    out = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation)
     if use_residual:
         out = ad.add(out, z)
     return out

@@ -19,14 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    OptimizerState,
-    Tape,
-    Tensor,
-    backward,
-    mse_loss,
-    sgd_nesterov_step,
-)
+from .autodiff import Sgd, Tape, Tensor, backward, mse_loss, sgd_nesterov_step
 from .data import DatasetBundle, SampleSet, local_adjacency
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
@@ -138,19 +131,16 @@ def train(
     epoch), the trailing partial batch is kept (a single trailing sample
     joins the batch before it, since batch normalization needs two rows),
     and every parameter, connectivity weights included, takes the same SGD
-    step.
+    step. A state that already holds an optimizer record (one trained or
+    loaded before) keeps its learning rate, momentum and weight decay and
+    ignores those of ``cfg``.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
     params = state.parameters()
     if state.optimizer is None:
-        decay = cfg.resolved_weight_decay()
-        state.optimizer = {
-            name: OptimizerState(
-                np.zeros_like(t.data), cfg.learning_rate, cfg.momentum, decay
-            )
-            for name, t in params
-        }
+        velocity = {name: np.zeros_like(t.data) for name, t in params}
+        state.optimizer = Sgd(cfg.learning_rate, cfg.momentum, cfg.resolved_weight_decay(), velocity)
     history: list[tuple[int, int, float]] = []
     width = samples.inputs.shape[2]
     # no cut one sample before the end, so a single trailing sample joins
@@ -170,8 +160,7 @@ def train(
                         f"non-finite training loss at epoch {epoch}, batch {batch_idx}: {value}"
                     )
                 backward(loss)
-            for name, tensor in params:
-                sgd_nesterov_step(tensor, state.optimizer[name])
+            sgd_nesterov_step(params, state.optimizer)
             history.append((epoch, batch_idx, value))
     return state, history
 
@@ -299,18 +288,11 @@ def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -
 
 
 def _checkpoint_entries(state: ModelState) -> dict[str, Array]:
-    entries: dict[str, Array] = {}
-    for name, tensor in state.parameters():
-        entries[name] = tensor.data
-    entries.setdefault("structure.w_from", state.structure.w_from.data)
-    entries.setdefault("structure.w_to", state.structure.w_to.data)
-    for name, arr in state.buffers():
-        entries[name] = arr
-    if state.edge_mode == "local":
-        entries["local_adjacency"] = state.fixed_adjacency
+    entries = {name: tensor.data for name, tensor in state.parameters()}
+    entries.update(state.buffers())
     if state.optimizer is not None:
-        for name, slot in state.optimizer.items():
-            entries[f"opt.{name}.velocity"] = slot.velocity
+        for name, velocity in state.optimizer.velocity.items():
+            entries[f"opt.{name}.velocity"] = velocity
     return entries
 
 
@@ -326,12 +308,8 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         blob.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     opt = None
     if state.optimizer is not None:
-        any_slot = next(iter(state.optimizer.values()))
-        opt = {
-            "learning_rate": any_slot.learning_rate,
-            "momentum": any_slot.momentum,
-            "weight_decay": any_slot.weight_decay,
-        }
+        # the hyperparameters by field name; the velocities go to the blob
+        opt = {k: v for k, v in vars(state.optimizer).items() if k != "velocity"}
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": asdict(state.config),
@@ -417,17 +395,11 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
         edge_mode=manifest["edge_mode"],
         fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
     )
-    opt_cfg = manifest["optimizer"]
-    if opt_cfg is not None:
-        state.optimizer = {
-            name: OptimizerState(
-                np.zeros_like(t.data),
-                opt_cfg["learning_rate"],
-                opt_cfg["momentum"],
-                opt_cfg["weight_decay"],
-            )
-            for name, t in state.parameters()
-        }
+    opt = manifest["optimizer"]
+    if opt is not None:
+        # a missing or extra hyperparameter is a TypeError, a bad value a ConfigError
+        velocity = {name: np.zeros_like(t.data) for name, t in state.parameters()}
+        state.optimizer = Sgd(**opt, velocity=velocity)
     for name, target in _checkpoint_entries(state).items():
         value = grab(name)
         if value.shape != target.shape:

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import onigraph
 from onigraph import autodiff
 from onigraph.autodiff import (
+    BN_MOMENTUM,
     EdgeIndex,
-    OptimizerState,
     RunningStats,
+    Sgd,
     Tape,
     Tensor,
     add,
@@ -255,7 +256,7 @@ def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
     mean, var = (z.mean(axis=0), z.var(axis=0)) if mode == "train" else (running.mean, running.var)
     new_mean, new_var = running.mean, running.var
     if mode == "train":
-        m = running.momentum
+        m = BN_MOMENTUM
         new_mean = (1.0 - m) * running.mean + m * mean
         new_var = (1.0 - m) * running.var + m * var
     inv = 1.0 / np.sqrt(var + eps)
@@ -704,17 +705,17 @@ def test_block_matmul_matches_einsum_reference(monkeypatch):
 def test_sgd_zero_lr_keeps_parameter():
     p = t([[1.0, -2.0]], grad=True)
     p.grad = np.array([[5.0, 5.0]])
-    state = OptimizerState(np.zeros((1, 2)), learning_rate=0.0, momentum=0.0)
-    sgd_nesterov_step(p, state)
+    sgd = Sgd(learning_rate=0.0, momentum=0.0, weight_decay=0.0, velocity={"p": np.zeros((1, 2))})
+    sgd_nesterov_step([("p", p)], sgd)
     np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
 
 
 def test_sgd_hand_values():
     p = t([1.0], grad=True)
     p.grad = np.array([1.0])
-    state = OptimizerState(np.zeros(1), learning_rate=0.1, momentum=0.9)
-    sgd_nesterov_step(p, state)
-    assert state.velocity[0] == pytest.approx(-0.1)
+    sgd = Sgd(learning_rate=0.1, momentum=0.9, weight_decay=0.0, velocity={"p": np.zeros(1)})
+    sgd_nesterov_step([("p", p)], sgd)
+    assert sgd.velocity["p"][0] == pytest.approx(-0.1)
     assert p.data[0] == pytest.approx(0.81)
     np.testing.assert_array_equal(p.grad, [0.0])
 
@@ -722,11 +723,32 @@ def test_sgd_hand_values():
 def test_sgd_pure_decay():
     p = t([2.0], grad=True)
     p.grad = np.array([0.0])
-    state = OptimizerState(np.zeros(1), learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-    sgd_nesterov_step(p, state)
+    sgd = Sgd(learning_rate=0.1, momentum=0.0, weight_decay=0.5, velocity={"p": np.zeros(1)})
+    sgd_nesterov_step([("p", p)], sgd)
     assert p.data[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
+
+
+def test_sgd_steps_each_parameter_with_its_own_velocity():
+    a, b = t([1.0], grad=True), t([1.0, 1.0], grad=True)
+    a.grad, b.grad = np.array([1.0]), np.array([2.0, 0.0])
+    velocity = {"a": np.zeros(1), "b": np.array([0.5, 0.0])}
+    sgd = Sgd(learning_rate=0.1, momentum=0.9, weight_decay=0.0, velocity=velocity)
+    sgd_nesterov_step([("a", a), ("b", b)], sgd)
+    np.testing.assert_allclose(sgd.velocity["a"], [-0.1])
+    np.testing.assert_allclose(sgd.velocity["b"], [0.25, 0.0])
+    np.testing.assert_allclose(a.data, [0.81])
+    np.testing.assert_allclose(b.data, [1.025, 1.0])
+
+
+def test_sgd_needs_a_velocity_of_the_parameter_shape():
+    p = t([1.0, 2.0], grad=True)
+    p.grad = np.zeros(2)
+    for velocity in ({}, {"p": np.zeros(3)}):
+        sgd = Sgd(learning_rate=0.1, momentum=0.9, weight_decay=0.0, velocity=velocity)
+        with pytest.raises(DimensionError, match="'p'"):
+            sgd_nesterov_step([("p", p)], sgd)
 
 
 def test_optimizer_state_validation():
     with pytest.raises(ConfigError):
-        OptimizerState(np.zeros(1), learning_rate=0.1, momentum=1.5)
+        Sgd(learning_rate=0.1, momentum=1.5, weight_decay=0.0, velocity={})

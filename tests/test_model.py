@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from onigraph.autodiff import Tape, Tensor, grad_check, matmul, mse_loss, pool_blocks
+from onigraph.autodiff import (
+    RunningStats,
+    Tape,
+    Tensor,
+    grad_check,
+    matmul,
+    mse_loss,
+    pool_blocks,
+)
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import (
+    BN_EPS,
     GcnConfig,
+    NormParams,
     PRESETS,
     forward_batch,
     gcn_layer,
@@ -56,6 +66,15 @@ def dense(a):
     return lambda h: matmul(a, h)
 
 
+UNIT_NORM_SCALE = 1 / np.sqrt(1 + BN_EPS)
+
+
+def unit_norm(width):
+    """Eval-mode batchnorm with unit scale, zero shift, running mean 0 and
+    variance 1: it only multiplies by UNIT_NORM_SCALE."""
+    return NormParams(Tensor(np.ones(width)), Tensor(np.zeros(width)), RunningStats.initial(width))
+
+
 def predict_one(state, x):
     return forward_batch(state, x, 1, mode="eval").item()
 
@@ -71,8 +90,10 @@ def rand_input(state, batch=1, seed=5):
 
 def test_layer_identity_passthrough():
     z = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-    out = gcn_layer(dense(np.eye(3)), z, Tensor(np.eye(3)), norm=None, activation="identity")
-    np.testing.assert_array_equal(out.data, z.data)
+    out = gcn_layer(
+        dense(np.eye(3)), z, Tensor(np.eye(3)), unit_norm(3), activation="identity", mode="eval"
+    )
+    np.testing.assert_array_equal(out.data, z.data * UNIT_NORM_SCALE)
 
 
 def test_layer_hand_aggregation():
@@ -80,17 +101,19 @@ def test_layer_hand_aggregation():
         dense([[1.0, 1.0], [0.0, 1.0]]),
         Tensor([[1.0], [2.0]]),
         Tensor([[1.0]]),
-        norm=None,
+        unit_norm(1),
         activation="identity",
+        mode="eval",
     )
-    np.testing.assert_array_equal(out.data, [[3.0], [2.0]])
+    np.testing.assert_array_equal(out.data, np.array([[3.0], [2.0]]) * UNIT_NORM_SCALE)
 
 
 def test_layer_elu_oracle():
     out = gcn_layer(
-        dense(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), norm=None, activation="elu"
+        dense(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), unit_norm(1), "elu", mode="eval"
     )
-    assert out.data[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
+    # the norm scales the pre-activation
+    assert out.data[0, 0] == pytest.approx(math.exp(-1.0 * UNIT_NORM_SCALE) - 1.0, abs=1e-12)
 
 
 def test_layer_residual_width_mismatch_rejected():
@@ -99,8 +122,9 @@ def test_layer_residual_width_mismatch_rejected():
             dense(np.eye(2)),
             Tensor(np.ones((2, 2))),
             Tensor(np.ones((2, 3))),
-            norm=None,
+            unit_norm(3),
             use_residual=True,
+            mode="eval",
         )
 
 
@@ -269,8 +293,10 @@ def test_layer_aggregation_order_does_not_change_values():
     z = rng.normal(size=(4, 5))
     for width in (2, 5, 7):  # narrowing, equal and widening layers
         w = rng.normal(size=(5, width))
-        out = gcn_layer(dense(a), Tensor(z), Tensor(w), norm=None, activation="identity")
-        np.testing.assert_allclose(out.data, a @ z @ w, rtol=1e-12, atol=1e-12)
+        out = gcn_layer(
+            dense(a), Tensor(z), Tensor(w), unit_norm(width), activation="identity", mode="eval"
+        )
+        np.testing.assert_allclose(out.data, a @ z @ w * UNIT_NORM_SCALE, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_shape_mismatch_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 from dataclasses import replace
 
-from onigraph.autodiff import EdgeIndex, OptimizerState
+from onigraph.autodiff import EdgeIndex, Sgd
 from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
 from onigraph.model import GcnConfig, init_params
@@ -292,16 +292,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(before, after)
     for (name, t_a), (_, t_b) in zip(state.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(t_a.data, t_b.data, err_msg=name)
-    for name, slot in state.optimizer.items():
-        np.testing.assert_array_equal(slot.velocity, loaded.optimizer[name].velocity)
+    for name, velocity in state.optimizer.velocity.items():
+        np.testing.assert_array_equal(velocity, loaded.optimizer.velocity[name])
     save_checkpoint(loaded, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edge_mode", ["learned", "local"])
+def test_training_resumes_from_a_checkpoint_exactly(tmp_path, edge_mode):
+    gridset, _ = synth_teleconnection_dataset(4, 4, 52, 1, seed=6)
+    bundle = prepare_dataset(gridset, window=3, lead=1, train_fraction=0.75)
+    model_cfg = model_config_from_preset("gcn2a", layer_dims=[8, 4])
+    cfg = TrainConfig(seed=6, epochs=2, batch_size=8, embed_dim=4)
+    state = build_model(bundle, model_cfg, cfg, edge_mode=edge_mode)
+    train(state, bundle.train, cfg)
+    save_checkpoint(state, tmp_path / "model.ckpt")
+    resumed = load_checkpoint(tmp_path / "model.ckpt")
+    # both keep the optimizer settings they were trained with, not these
+    more = replace(cfg, seed=9, epochs=1, learning_rate=0.5, momentum=0.0, weight_decay=0.1)
+    histories = [train(model, bundle.train, more)[1] for model in (state, resumed)]
+    assert histories[0] == histories[1]
+    for (name, t_a), (_, t_b) in zip(state.parameters(), resumed.parameters()):
+        assert t_a.data.tobytes() == t_b.data.tobytes(), name
+    predictions = [predict_samples(model, bundle.test).tobytes() for model in (state, resumed)]
+    assert predictions[0] == predictions[1]
 
 
 def pinned_state(edge_mode):
     """A small model whose every checkpointed value comes from uniform draws
     (no BLAS, so its bytes do not depend on the host): an ONI node with NaN
-    coordinates, non-default running statistics, and optimizer slots in
+    coordinates, non-default running statistics, and an optimizer record in
     learned mode."""
     rng = np.random.default_rng(2024)
     n = 7
@@ -321,10 +341,8 @@ def pinned_state(edge_mode):
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
         norm.running.var[...] = rng.uniform(0.5, 2.0, norm.running.var.shape)
     if edge_mode == "learned":
-        state.optimizer = {
-            name: OptimizerState(rng.uniform(-0.1, 0.1, t.shape), 0.005, 0.9, 1e-4)
-            for name, t in state.parameters()
-        }
+        velocity = {name: rng.uniform(-0.1, 0.1, t.shape) for name, t in state.parameters()}
+        state.optimizer = Sgd(0.005, 0.9, 1e-4, velocity)
     return state
 
 
@@ -454,6 +472,23 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"
     save_checkpoint(state, path)
     path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda opt: opt.update(momentum=1.5),
+        lambda opt: opt.pop("weight_decay"),
+        lambda opt: opt.update(nesterov=True),
+    ],
+    ids=["momentum_out_of_range", "missing_key", "extra_key"],
+)
+def test_checkpoint_bad_optimizer_section_rejected(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("learned"), path)
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), lambda m: edit(m["optimizer"])))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
