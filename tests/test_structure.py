@@ -17,8 +17,9 @@ from onigraph.autodiff import (
     pool_blocks,
 )
 from onigraph.errors import ConfigError, NumericError
+from onigraph import structure
 from onigraph.model import GcnConfig, init_params, model_adjacency
-from onigraph.structure import StructureParams, kept_edges, top_edges
+from onigraph.structure import _SAMPLE_SIZE, StructureParams, kept_edges, top_edges
 
 
 def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
@@ -237,22 +238,155 @@ def test_top_edges_indptr_holds_csr_row_pointers():
             assert np.all(np.diff(edges.cols[row]) > 0)
 
 
-def test_top_edges_at_full_grid_size_matches_lexsort():
-    # the full-grid node count and its default budget of 8N; logits on a
-    # grid of 1000 levels tie the e-th score many times over, and the
-    # diagonal sits above it
-    n, e = 1346, 8 * 1346
-    scores = np.round(np.random.default_rng(7).random((n, n)), 3)
-    np.fill_diagonal(scores, 1.0)
-    sig = _sigmoid(scores).ravel()
+def assert_selects_like_lexsort(logits, e):
+    """The kept edges and their score bits are the first ``e`` off-diagonal
+    entries of a lexsort by descending score, then row, then column."""
+    n = logits.shape[0]
+    sig = _sigmoid(logits).ravel()
     rows, cols = np.divmod(np.arange(n * n), n)
     off = np.flatnonzero(rows != cols)
     ranked = off[np.lexsort((cols[off], rows[off], -sig[off]))]
     kept = np.sort(ranked[:e])
-    edges, values = top_edges(scores, e)
+    edges, values = top_edges(logits, e)
     np.testing.assert_array_equal(edges.rows, kept // n)
     np.testing.assert_array_equal(edges.cols, kept % n)
     np.testing.assert_array_equal(values.view(np.uint64), sig[kept].view(np.uint64))
+
+
+def test_top_edges_at_full_grid_size_matches_lexsort():
+    # the full-grid node count and its default budget of 8N; logits on a
+    # grid of 1000 levels tie the e-th score many times over, and the
+    # diagonal sits above it
+    n = 1346
+    scores = np.round(np.random.default_rng(7).random((n, n)), 3)
+    np.fill_diagonal(scores, 1.0)
+    assert_selects_like_lexsort(scores, 8 * n)
+
+
+# --- selection from a strided sample -----------------------------------------
+
+
+def sampled(n):
+    """Flat positions of the strided sample that top_edges guesses from on
+    an (n, n) logit matrix of more than _SAMPLE_SIZE entries."""
+    return np.arange(0, n * n, n * n // _SAMPLE_SIZE)
+
+
+def off_sample(n):
+    """Off-diagonal flat positions outside the sample."""
+    rest = np.setdiff1d(np.arange(n * n), sampled(n))
+    return rest[rest % (n + 1) != 0]
+
+
+@pytest.fixture
+def guesses(monkeypatch):
+    """Whether each sampled guess held (True) or was retried over every
+    entry (False)."""
+    held = []
+    guess = structure._sampled_band
+
+    def spy(*args):
+        picked = guess(*args)
+        held.append(picked is not None)
+        return picked
+
+    monkeypatch.setattr(structure, "_sampled_band", spy)
+    return held
+
+
+# strides of 5 and 10: 211 is prime, so the sample visits every column; at
+# 300 it visits every tenth column of every row
+STRIDED_N = [211, 300]
+
+
+@pytest.mark.parametrize("n", STRIDED_N)
+def test_strided_selection_matches_lexsort_on_random_logits(n, guesses):
+    logits = np.random.default_rng(n).normal(size=(n, n))
+    for e in (1, 37, 8 * n, n * (n - 1) // 2, n * (n - 1)):
+        assert_selects_like_lexsort(logits, e)
+    assert guesses == [True] * 5
+
+
+@pytest.mark.parametrize("n", STRIDED_N)
+def test_large_logits_only_at_sampled_positions_force_the_retry(n, guesses):
+    rng = np.random.default_rng(n)
+    logits = rng.random((n, n))
+    flat = logits.ravel()
+    picks = sampled(n)
+    flat[picks] = 10.0 + rng.random(picks.size)
+    # fewer candidates than the budget: only the large logits reach the guess
+    e = picks.size + 3 * n
+    assert_selects_like_lexsort(logits, e)
+    # one tied level: the e-th logit is the guess itself, so its band
+    # reaches below it
+    flat[picks] = 10.0
+    assert_selects_like_lexsort(logits, picks.size // 2)
+    assert guesses == [False, False]
+
+
+@pytest.mark.parametrize("n", STRIDED_N)
+def test_large_logits_only_off_the_sampled_positions_widen_the_candidates(n, guesses):
+    rng = np.random.default_rng(n)
+    logits = np.full((n, n), -5.0)
+    flat = logits.ravel()
+    rest = off_sample(n)
+    flat[rest] = np.round(rng.random(rest.size), 2)  # ties as well
+    for e in (5, 8 * n, rest.size):
+        assert_selects_like_lexsort(logits, e)
+    assert guesses == [True] * 3
+
+
+_TIED_LOGITS = [-math.inf, -800.0, -1.0, 0.0, 0.5, 38.0, 40.0, math.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=91, max_value=140),
+    st.lists(st.sampled_from(_TIED_LOGITS), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_strided_selection_with_heavy_ties_and_infinities_matches_lexsort(n, levels, seed, share):
+    # a few levels, saturated scores and infinities tie across the whole
+    # matrix, the diagonal included
+    logits = np.random.default_rng(seed).choice(levels, size=(n, n))
+    assert_selects_like_lexsort(logits, round(share * n * (n - 1)))
+
+
+def test_off_diagonal_nan_at_an_unsampled_position_rejected(guesses):
+    n = 150
+    logits = np.random.default_rng(3).normal(size=(n, n))
+    logits.ravel()[off_sample(n)[1234]] = math.nan
+    for e in (8 * n, 0):
+        with pytest.raises(NumericError):
+            top_edges(logits, e)
+    assert guesses == []  # the sampled attempt raised, and a zero budget never samples
+
+
+def test_diagonal_nan_accepted_on_a_strided_sample(guesses):
+    n = 150
+    logits = np.random.default_rng(4).normal(size=(n, n))
+    np.fill_diagonal(logits, math.nan)  # position 0 is sampled and on the diagonal
+    assert_selects_like_lexsort(logits, 8 * n)
+    assert guesses == [True]
+
+
+def test_strided_selection_leaves_logits_untouched(guesses):
+    n = 150
+    rng = np.random.default_rng(5)
+    logits = np.round(rng.normal(size=(n, n)), 1)
+    logits.ravel()[sampled(n)[:50]] = math.inf
+    logits.ravel()[off_sample(n)[:50]] = -math.inf
+    logits[3, 3] = math.nan
+    before = logits.copy()
+    for e in (0, 7, 8 * n, n * (n - 1)):
+        top_edges(logits, e)
+        np.testing.assert_array_equal(logits, before)
+    logits.ravel()[sampled(n)] = 10.0  # a guess that needs the retry
+    before = logits.copy()
+    top_edges(logits, 8 * n)
+    np.testing.assert_array_equal(logits, before)
+    assert guesses[-1] is False
 
 
 def assert_selects_like_bruteforce(logits, e):
@@ -316,8 +450,9 @@ def test_band_scores_match_the_frozen_edge_gather():
     np.testing.assert_array_equal(values.data.view(np.uint64), frozen.data.view(np.uint64))
 
 
-def test_kept_edges_at_full_grid_size_stays_below_two_and_a_half_logit_arrays():
-    # the logits and one partitioned copy are the only N x N float arrays
+def test_kept_edges_at_full_grid_size_stays_below_one_and_a_half_logit_arrays():
+    # the logits are the only N x N float array; the candidate pass adds an
+    # N x N boolean mask, an eighth of one
     n = 1345
     p = make_params(n=n, d_in=6, d_emb=8, seed=4, max_edges=8 * n)
     tracemalloc.start()
@@ -326,7 +461,7 @@ def test_kept_edges_at_full_grid_size_stays_below_two_and_a_half_logit_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n * 8
+    assert peak < 1.5 * n * n * 8
 
 
 # --- self-loops ---------------------------------------------------------------

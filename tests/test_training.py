@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -491,6 +493,43 @@ def test_checkpoint_bad_optimizer_section_rejected(tmp_path, edit):
     path.write_bytes(_rewrite_manifest(path.read_bytes(), lambda m: edit(m["optimizer"])))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """The bytes of a small checkpoint after one epoch of training."""
+    bundle, cfg, _, state = tiny_setup(seed=3)
+    train(state, bundle.train, replace(cfg, epochs=1))
+    path = tmp_path_factory.mktemp("trained") / "model.ckpt"
+    save_checkpoint(state, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["length", "manifest", "blob"]),
+    st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)), max_size=3),
+    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_corrupted_checkpoint_loads_or_raises_format_error(
+    trained_checkpoint, tmp_path_factory, region, flips, cut
+):
+    # bytes flipped in the length header, the manifest or the blob, then
+    # the file cut at any point; a checkpoint that decodes may load
+    raw = bytearray(trained_checkpoint)
+    (length,) = struct.unpack("<Q", raw[4:12])
+    regions = {"length": (4, 12), "manifest": (12, 12 + length), "blob": (12 + length, len(raw))}
+    start, end = regions[region]
+    for at, mask in flips:
+        raw[start + int(at * (end - start))] ^= mask
+    if cut is not None:
+        raw = raw[: int(cut * len(raw))]
+    path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except FormatError:
+        pass
 
 
 def test_checkpoint_fresh_eval_report_matches(tmp_path):
