@@ -44,6 +44,7 @@ from .training import (
     predict_samples,
     save_checkpoint,
     train,
+    write_csv,
     write_history_csv,
     write_predictions_csv,
     write_report_csv,
@@ -279,10 +280,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     models, samples = _load_members(args)
     preds = predict_samples(models, samples)
-    lines = ["index,prediction"]
-    for i, p in enumerate(preds):
-        lines.append(f"{i},{float(p)!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_csv(args.out, "index,prediction", enumerate(preds))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
@@ -370,10 +368,7 @@ def cmd_ablation(args) -> int:
         f"gap={mean_learned - mean_local:.4f}"
     )
     if args.out:
-        lines = ["edges,seed,r,rmse"]
-        for edges, seed, r, rmse in rows:
-            lines.append(f"{edges},{seed},{r!r},{rmse!r}")
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_csv(args.out, "edges,seed,r,rmse", rows)
     return 0
 
 

@@ -32,6 +32,11 @@ ONI_LON = (190.0, 240.0)
 ONI_CENTER_LATLON = (0.0, 215.0)
 
 MANIFEST_NAME = "manifest.json"
+# the GridSet fields a manifest records, each with the type it is read back as
+MANIFEST_FIELDS = {
+    "n_lat": int, "n_lon": int, "lat0": float, "dlat": float, "lon0": float, "dlon": float,
+    "start_month": str, "n_time": int, "variables": list,
+}
 
 
 @dataclass
@@ -84,29 +89,18 @@ def save_gridset(grid: GridSet, path: str | Path) -> None:
     [time][variable][lat][lon] row-major)."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "n_lat": grid.n_lat,
-        "n_lon": grid.n_lon,
-        "lat0": grid.lat0,
-        "dlat": grid.dlat,
-        "lon0": grid.lon0,
-        "dlon": grid.dlon,
-        "start_month": grid.start_month,
-        "n_time": grid.n_time,
-        "variables": list(grid.variables),
-        "mask_file": "mask.bin",
-        "data_file": "data.bin",
-    }
+    manifest = {name: getattr(grid, name) for name in MANIFEST_FIELDS}
+    manifest |= {"mask_file": "mask.bin", "data_file": "data.bin"}
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (directory / "mask.bin").write_bytes(grid.land_mask.astype(np.uint8).tobytes())
-    (directory / "data.bin").write_bytes(grid.data.astype("<f4").tobytes())
+    (directory / manifest["mask_file"]).write_bytes(grid.land_mask.astype(np.uint8).tobytes())
+    (directory / manifest["data_file"]).write_bytes(grid.data.astype("<f4").tobytes())
 
 
 def _read_file(path: Path) -> bytes:
     try:
         return path.read_bytes()
-    except OSError as exc:  # a directory, no permission, an I/O error
-        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL in the name
+        raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def load_gridset(path: str | Path) -> GridSet:
@@ -120,22 +114,18 @@ def load_gridset(path: str | Path) -> GridSet:
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:
-        n_lat, n_lon = int(manifest["n_lat"]), int(manifest["n_lon"])
-        n_time = int(manifest["n_time"])
-        variables = list(manifest["variables"])
+        fields = {name: kind(manifest[name]) for name, kind in MANIFEST_FIELDS.items()}
         mask_path = directory / manifest["mask_file"]
         data_path = directory / manifest["data_file"]
-        lat0, dlat = float(manifest["lat0"]), float(manifest["dlat"])
-        lon0, dlon = float(manifest["lon0"]), float(manifest["dlon"])
-        start_month = str(manifest["start_month"])
-        year, month = start_month.split("-")
+        n_lat, n_lon, n_time = fields["n_lat"], fields["n_lon"], fields["n_time"]
+        year, month = fields["start_month"].split("-")
         if min(n_lat, n_lon, n_time) < 1:
             raise ValueError(f"grid sizes must be positive, got {n_lat}x{n_lon}x{n_time}")
         if not (year.isdigit() and 1 <= int(month) <= 12):
-            raise ValueError(f"start_month {start_month!r} is not YYYY-MM")
+            raise ValueError(f"start_month {fields['start_month']!r} is not YYYY-MM")
     except KeyError as exc:
         raise FormatError(f"manifest missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e999)
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
     mask_bytes = _read_file(mask_path)
@@ -144,31 +134,16 @@ def load_gridset(path: str | Path) -> GridSet:
             f"mask size mismatch: expected {n_lat * n_lon} bytes, found {len(mask_bytes)}"
         )
     data_bytes = _read_file(data_path)
-    expected = n_time * len(variables) * n_lat * n_lon * 4
+    n_vars = len(fields["variables"])
+    expected = n_time * n_vars * n_lat * n_lon * 4
     if len(data_bytes) != expected:
         raise FormatError(
             f"data size mismatch: expected {expected} bytes, found {len(data_bytes)}"
         )
     mask = np.frombuffer(mask_bytes, dtype=np.uint8).reshape(n_lat, n_lon).astype(bool)
-    data = (
-        np.frombuffer(data_bytes, dtype="<f4")
-        .reshape(n_time, len(variables), n_lat, n_lon)
-        .astype(np.float64)
-    )
-    _require_finite(data, directory)
-    return GridSet(
-        n_lat=n_lat,
-        n_lon=n_lon,
-        lat0=lat0,
-        dlat=dlat,
-        lon0=lon0,
-        dlon=dlon,
-        start_month=start_month,
-        n_time=n_time,
-        variables=variables,
-        land_mask=mask,
-        data=data,
-    )
+    data = np.frombuffer(data_bytes, "<f4").reshape(n_time, n_vars, n_lat, n_lon)
+    _require_finite(data, directory)  # before the cast, which warns on a signaling NaN
+    return GridSet(**fields, land_mask=mask, data=data.astype(np.float64))
 
 
 def _require_finite(data: Array, source) -> None:
@@ -527,12 +502,14 @@ def synth_teleconnection_dataset(
 
 @dataclass
 class DatasetBundle:
+    # nothing reads grid, but it keeps the grid alive with the samples: freeing
+    # its 5 MB lets glibc raise its mmap threshold, so later step arrays stay on
+    # the heap (wide_graph_train peak RSS 126 -> 140 MB; 2-vCPU x86-64, glibc 2.36)
     grid: GridSet
     nodes: NodeIndex
     train: SampleSet
     test: SampleSet
     static_features: Array
-    oni: Array
 
 
 def prepare_dataset(
@@ -561,6 +538,4 @@ def prepare_dataset(
         raise DataError("training split is empty")
     train_months = np.arange(0, int(train.window_end.max()) + 1)
     static = build_static_features(grid, nodes, train_months)
-    return DatasetBundle(
-        grid=grid, nodes=nodes, train=train, test=test, static_features=static, oni=oni
-    )
+    return DatasetBundle(grid=grid, nodes=nodes, train=train, test=test, static_features=static)

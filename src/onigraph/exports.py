@@ -13,7 +13,7 @@ import numpy as np
 from .centrality import CentralityScores
 from .data import NodeIndex
 from .errors import DataError, DimensionError
-from .training import EvalReport, write_predictions_csv
+from .training import EvalReport, write_csv, write_predictions_csv
 
 Array = np.ndarray
 
@@ -50,11 +50,11 @@ def export_centrality_heatmap(
     svg_path = Path(str(base) + ".svg")
 
     grid_nodes = nodes.grid_count
-    lines = ["lat,lon,centrality"]
-    for i in range(grid_nodes):
-        lat, lon = nodes.latlon[i]
-        lines.append(f"{_fmt(lat)},{_fmt(lon)},{float(values[i])!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    rows = [
+        (round(float(lat), 6), round(float(lon), 6), v)
+        for (lat, lon), v in zip(nodes.latlon, values[:grid_nodes])
+    ]
+    write_csv(csv_path, "lat,lon,centrality", rows)
 
     lats = np.unique(nodes.latlon[:grid_nodes, 0])
     lons = np.unique(nodes.latlon[:grid_nodes, 1])

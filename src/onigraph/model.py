@@ -69,13 +69,8 @@ class GcnConfig:
         return self.window * self.features_per_node
 
     @property
-    def representation_width(self) -> int:
-        d = sum(self.layer_dims) if self.use_jumping_knowledge else self.layer_dims[-1]
-        return d
-
-    @property
     def pooled_width(self) -> int:
-        d = self.representation_width
+        d = sum(self.layer_dims) if self.use_jumping_knowledge else self.layer_dims[-1]
         return 2 * d if self.pooling == "sum_and_mean" else d
 
 
@@ -95,8 +90,6 @@ PRESETS: dict[str, Preset] = {
     "gcn3a": Preset((200, 200, 200), "sum_and_mean", 1e-4),
     "gcn3b": Preset((250, 250, 250), "sum_and_mean", 1e-3),
 }
-
-DEFAULT_ENSEMBLE = ("gcn2a", "gcn2b", "gcn3a", "gcn3b")
 
 
 @dataclass

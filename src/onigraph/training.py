@@ -34,6 +34,8 @@ Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
 FORMAT_VERSION = 1
+# the StructureParams hyperparameters a checkpoint records, by field name
+STRUCTURE_KEYS = ("feature_gain", "score_gain", "max_edges")
 
 
 @dataclass
@@ -258,24 +260,29 @@ def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalRe
     )
 
 
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """Every CSV the package writes: the header line, then one line per row.
+    Floats are written as ``repr(float(v))``, which reads back exactly;
+    anything else with ``str``."""
+
+    def cell(v) -> str:
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        "lead,r,rmse,n\n" f"{report.lead_months},{report.r!r},{report.rmse!r},{report.n}\n"
-    )
+    write_csv(path, "lead,r,rmse,n", [(report.lead_months, report.r, report.rmse, report.n)])
 
 
 def write_predictions_csv(report: EvalReport, path: str | Path) -> None:
-    lines = ["index,target,prediction"]
-    for i, (t, p) in enumerate(zip(report.targets, report.predictions)):
-        lines.append(f"{i},{float(t)!r},{float(p)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(range(len(report.targets)), report.targets, report.predictions)
+    write_csv(path, "index,target,prediction", rows)
 
 
 def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -> None:
-    lines = ["epoch,batch,loss"]
-    for epoch, batch, value in history:
-        lines.append(f"{epoch},{batch},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "epoch,batch,loss", history)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +320,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": asdict(state.config),
-        "structure": {
-            "feature_gain": state.structure.feature_gain,
-            "score_gain": state.structure.score_gain,
-            "max_edges": state.structure.max_edges,
-        },
+        "structure": {k: getattr(state.structure, k) for k in STRUCTURE_KEYS},
         "edge_mode": state.edge_mode,
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
@@ -346,15 +349,20 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
     try:
         return _decode_checkpoint(raw)
-    except (struct.error, LookupError, TypeError, ValueError, ConfigError) as exc:
+    except (struct.error, LookupError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         # truncated header, undecodable manifest, missing or mistyped field,
-        # or values the model cannot be built from
+        # a size past any int (1e999), or values the model cannot be built from
         raise FormatError(f"bad checkpoint {path}: {exc!r}") from exc
 
 
 def _decode_checkpoint(raw: bytes) -> ModelState:
     (manifest_len,) = struct.unpack("<Q", raw[4:12])
     manifest = json.loads(raw[12 : 12 + manifest_len].decode())
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise FormatError(
+            f"checkpoint format version {manifest['format_version']!r}; "
+            f"this build reads version {FORMAT_VERSION}"
+        )
     blob = raw[12 + manifest_len :]
     if len(blob) != manifest["blob_bytes"]:
         raise FormatError(
@@ -381,7 +389,6 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
 
     # Build the model the way training does, then fill every tensor that
     # save_checkpoint wrote, by the names the parameter and buffer tables emit.
-    structure = manifest["structure"]
     state = init_params(
         GcnConfig(**manifest["model"]),
         grab("structure.static_features"),
@@ -389,11 +396,9 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
         seed=manifest["seed"],
         has_oni_node=manifest["has_oni_node"],
         embed_dim=grab("structure.w_from").shape[1],
-        feature_gain=structure["feature_gain"],
-        score_gain=structure["score_gain"],
-        max_edges=structure["max_edges"],
         edge_mode=manifest["edge_mode"],
         fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
+        **{k: manifest["structure"][k] for k in STRUCTURE_KEYS},
     )
     opt = manifest["optimizer"]
     if opt is not None:

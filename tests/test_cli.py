@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -584,11 +585,11 @@ def _run_cli(args):
     )
 
 
-def _checkpoint_without_manifest_key(good, bad, key):
+def _edit_checkpoint_manifest(good, bad, edit):
     raw = good.read_bytes()
     (manifest_len,) = struct.unpack("<Q", raw[4:12])
     manifest = json.loads(raw[12 : 12 + manifest_len])
-    del manifest[key]
+    edit(manifest)
     payload = json.dumps(manifest).encode()
     header = CHECKPOINT_MAGIC + struct.pack("<Q", len(payload))
     bad.write_bytes(header + payload + raw[12 + manifest_len :])
@@ -604,7 +605,7 @@ def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_d
         ckpt.write_bytes(checkpoint.read_bytes()[:8])
     elif corruption == "checkpoint_missing_key":
         ckpt = tmp_path / "nokey.ckpt"
-        _checkpoint_without_manifest_key(checkpoint, ckpt, "seed")
+        _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m.pop("seed"))
     else:
         data = tmp_path / "grid"
         shutil.copytree(synth_dir, data)
@@ -629,6 +630,38 @@ def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"data error: cannot read {data}")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_lat", "1e999"),  # JSON reads it as inf, which no int holds
+        ("n_time", "1e999"),
+        ("mask_file", '"mask.bin\\u0000"'),  # a NUL, which no file name holds
+        ("data_file", '"data\\u0000.bin"'),
+    ],
+)
+def test_malformed_grid_manifest_exits_2(field, value, synth_dir, small_config, tmp_path, capsys):
+    data = tmp_path / "grid"
+    shutil.copytree(synth_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[field] = "@"
+    (data / "manifest.json").write_text(json.dumps(manifest).replace('"@"', value))
+    args = ["train", "--config", str(small_config), "--data", str(data)]
+    assert cli_dispatch([*args, "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_checkpoint_shape_past_any_int_exits_2(checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "huge.ckpt"
+    # 1e999 is inf; JSON carries it as Infinity, which reads back as inf
+    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["tensors"][0].update(shape=[1e999, 4]))
+    args = ["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")]
+    assert cli_dispatch(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad checkpoint") and "OverflowError" in err
+    assert not (tmp_path / "heat.csv").exists()
 
 
 def test_train_out_naming_a_directory_exits_2(synth_dir, small_config, tmp_path):
@@ -681,3 +714,53 @@ def test_nan_grid_exits_2_without_traceback(synth_dir, small_config, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error:")
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """Every file the CLI writes on one small seeded run, by name."""
+    d = tmp_path_factory.mktemp("pinned")
+    grid, ckpt = d / "grid", d / "m.ckpt"
+    train = {"epochs": 2, "embed_dim": 4, "batch_size": 8}
+    config = _write_config(d / "c.json", {"model": {"layer_dims": [6, 6]}, "train": train})
+    runs = [
+        ["synth-data", "--out", str(grid), "--lat", "5", "--lon", "5", "--months", "48",
+         "--seed", "21"],
+        ["train", "--config", config, "--data", str(grid), "--seed", "4", "--out", str(ckpt)],
+        ["evaluate", "--checkpoint", str(ckpt), "--data", str(grid), "--out", str(d / "eval")],
+        ["predict", "--checkpoint", str(ckpt), "--data", str(grid), "--out", str(d / "p.csv")],
+        ["centrality", "--checkpoint", str(ckpt), "--out", str(d / "heat")],
+        ["ablation", "--config", config, "--data", str(grid), "--seeds", "2",
+         "--out", str(d / "ablation.csv")],
+    ]
+    for argv in runs:
+        assert cli_dispatch(argv) == 0, argv
+    return {p.relative_to(d).as_posix(): p for p in d.rglob("*") if p.is_file()}
+
+
+# SHA-1 of each file; any change to a written format or a seeded result shows here
+PINNED_OUTPUTS = {
+    "grid/manifest.json": "52756735e8d698b80fd2cac3293a4b206b8264be",
+    "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
+    "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
+    "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
+    "m.ckpt": "426218219a296459c36954e875f8b0863664525b",
+    "m.ckpt.loss.csv": "460738e493c2ac727bfd7d966b4b9e3b2b37e26d",
+    "eval.report.csv": "1d23350261badb6725df1e36bec2438818ec321a",
+    "eval.predictions.csv": "dfd6056e19bbed0a8a4daf51de6d3b6ead620be4",
+    "eval.series.csv": "dfd6056e19bbed0a8a4daf51de6d3b6ead620be4",
+    "eval.series.svg": "ae673d535402710c6ed2feac2f84c1a03a0a874e",
+    "p.csv": "5f263111f97b5c1d65569e9c98b249d8bc93b42f",
+    "heat.csv": "fbb7701f3e721989a80d8dbe3e6905f3e13e03a8",
+    "heat.svg": "93fa589b0c84a5d1cf671a70cad634143b3b073a",
+    "ablation.csv": "d0d2873792a1ed54e7bd957d92e6a9c2021589a7",
+}
+
+
+def test_cli_writes_exactly_the_pinned_files(pinned_run):
+    assert sorted(pinned_run) == sorted([*PINNED_OUTPUTS, "c.json"])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_cli_output_bytes_are_pinned(pinned_run, name):
+    assert hashlib.sha1(pinned_run[name].read_bytes()).hexdigest() == PINNED_OUTPUTS[name]

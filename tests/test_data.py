@@ -168,6 +168,52 @@ def test_load_rejects_nonfinite_values(tmp_path, bad):
         load_gridset(tmp_path / "g")
 
 
+def test_load_rejects_a_signaling_nan_without_a_warning(tmp_path):
+    # float32 exponent all ones, quiet bit clear: widening it to float64 sets
+    # the invalid flag, a RuntimeWarning (an error in this suite)
+    save_gridset(make_grid(), tmp_path / "g")
+    path = tmp_path / "g" / "data.bin"
+    raw = bytearray(path.read_bytes())
+    raw[40:44] = struct.pack("<I", 0x7F800001)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="1 non-finite"):
+        load_gridset(tmp_path / "g")
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """The bytes of each file of a small saved grid, by file name."""
+    directory = tmp_path_factory.mktemp("grid") / "g"
+    save_gridset(synth_teleconnection_dataset(4, 4, 40, 1, seed=8)[0], directory)
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["manifest.json", "mask.bin", "data.bin"]),
+    st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)), max_size=3),
+    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_corrupted_grid_loads_or_raises_format_or_data_error(
+    grid_files, tmp_path_factory, name, flips, cut
+):
+    # up to three bytes of one file flipped, then that file cut at any
+    # point; a container that still parses may load
+    raw = bytearray(grid_files[name])
+    for at, mask in flips:
+        raw[int(at * len(raw))] ^= mask
+    if cut is not None:
+        raw = raw[: int(cut * len(raw))]
+    directory = tmp_path_factory.getbasetemp() / "corrupt_grid"
+    directory.mkdir(exist_ok=True)
+    for file, content in grid_files.items():
+        (directory / file).write_bytes(bytes(raw) if file == name else content)
+    try:
+        load_gridset(directory)
+    except (FormatError, DataError):
+        pass
+
+
 # --- nodes ---------------------------------------------------------------------
 
 

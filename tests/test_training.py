@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from onigraph.autodiff import EdgeIndex, Sgd
 from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
 from onigraph.model import GcnConfig, init_params
 from onigraph import training
-from onigraph.structure import kept_edges
+from onigraph.structure import StructureParams, kept_edges
 from onigraph.training import (
     EvalReport,
     TrainConfig,
@@ -466,8 +466,15 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("tensors")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].pop("max_edges")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=2)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
     ],
-    ids=["truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape"],
+    ids=[
+        "truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape",
+        "no_max_edges", "newer_version", "version_string", "no_version",
+    ],
 )
 def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
     _, _, _, state = tiny_setup()
@@ -493,6 +500,12 @@ def test_checkpoint_bad_optimizer_section_rejected(tmp_path, edit):
     path.write_bytes(_rewrite_manifest(path.read_bytes(), lambda m: edit(m["optimizer"])))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_records_every_structure_hyperparameter():
+    tensors = {"static_features", "w_from", "w_to"}
+    hyper = {f.name for f in fields(StructureParams)} - tensors
+    assert sorted(training.STRUCTURE_KEYS) == sorted(hyper)
 
 
 @pytest.fixture(scope="module")
@@ -564,6 +577,14 @@ def test_csv_exports(tmp_path):
     )
     write_history_csv([(0, 0, 0.5), (0, 1, 0.25)], tmp_path / "loss.csv")
     assert (tmp_path / "loss.csv").read_text() == "epoch,batch,loss\n0,0,0.5\n0,1,0.25\n"
+
+
+def test_write_csv_prints_floats_by_repr_and_the_rest_by_str(tmp_path):
+    rows = [("learned", 3, np.float32(0.1), np.float64(1 / 3), True), ("x", -1, 2.0, 1e-300, None)]
+    training.write_csv(tmp_path / "t.csv", "a,b,c,d,e", rows)
+    assert (tmp_path / "t.csv").read_text() == (
+        "a,b,c,d,e\nlearned,3,0.10000000149011612,0.3333333333333333,True\nx,-1,2.0,1e-300,None\n"
+    )
 
 
 def test_train_config_validation():
