@@ -10,10 +10,19 @@ of the leaf tensors (those no recorded op produced) only.
 
 Outside a tape context the same functions run as plain forward numerics,
 which is how evaluation-mode inference avoids recording anything.
+
+Inside a ``with Workspace():`` block the ops write their step-sized
+arrays into reused buffers instead of fresh ones, with the same bits.
+``training.train`` holds one for exactly the length of the call, so
+evaluation allocates as before and no step buffer stays resident after
+training, when a large grid's run reaches its peak memory.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+import sys
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -109,6 +118,65 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
+class Workspace:
+    """Reused float64 buffers for the arrays of training steps; at most one
+    is active per thread, and leaving the block drops every buffer.
+
+    Buffers are flat and kept by size, not shape: a request gets the
+    smallest free buffer that holds it, as a reshaped prefix view, so a
+    smaller trailing batch reuses the full batch's buffers. A buffer is free
+    when the workspace holds its only reference, so an array still viewing
+    it (a tape entry, a pending gradient, an output the caller kept) is
+    never overwritten. ``misses`` counts the buffers taken from numpy.
+    """
+
+    def __init__(self):
+        self.buffers: list[Array] = []  # ascending size
+        self.misses = 0
+
+    @staticmethod
+    def active() -> "Workspace | None":
+        return getattr(_LOCAL, "workspace", None)
+
+    def __enter__(self) -> "Workspace":
+        if Workspace.active() is not None:
+            raise RuntimeError("a workspace is already active in this thread")
+        _LOCAL.workspace = self
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        _LOCAL.workspace = None
+        self.buffers.clear()
+        return False
+
+    def take(self, shape: tuple[int, ...]) -> Array:
+        """A free buffer's prefix as an array of ``shape``: the smallest
+        one that holds it, if it is less than twice the size (a larger one
+        stays free for a larger request), else a new buffer."""
+        size = math.prod(shape)
+        for buf in self.buffers:
+            # max(..., 1): a zero-size request reuses a zero-size buffer
+            if size <= buf.size < max(2 * size, 1) and sys.getrefcount(buf) == _FREE_REFS:
+                return buf[:size].reshape(shape)
+        buf = np.empty(size)
+        self.misses += 1
+        bisect.insort(self.buffers, buf, key=len)
+        return buf[:size].reshape(shape)
+
+
+# What sys.getrefcount reads, in a loop like the one in Workspace.take, for
+# a buffer that only its list and the loop variable hold: interpreters
+# differ in whether the call's own argument counts.
+_FREE_REFS = next(sys.getrefcount(buf) for buf in [np.empty(0)])
+
+
+def _empty(shape: tuple[int, ...]) -> Array:
+    """An uninitialized float64 array of ``shape``: a buffer of the active
+    workspace, or a fresh array when none is active."""
+    workspace = Workspace.active()
+    return np.empty(shape) if workspace is None else workspace.take(shape)
+
+
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
     """Attach ``rule`` for ``output`` to the active tape, if recording."""
     tape = active_tape()
@@ -135,6 +203,10 @@ def backward(loss: Tensor) -> None:
     Each tape entry is popped and consumed exactly once, in reverse
     execution order, so an entry's buffers and the gradient at its output
     are freed as the walk passes it. Op outputs keep ``grad`` None.
+
+    A rule may hand one array to several inputs (``add`` does), so the
+    second gradient reaching a tensor is summed into a new array, which
+    the walk alone owns and adds any later gradient into in place.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -146,19 +218,24 @@ def backward(loss: Tensor) -> None:
 
     pending: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    owned: set[int] = set()  # keys of the sums the walk made
     entries = tape.entries
     while entries:
         entry = entries.pop()
         grad_out = pending.pop(id(entry.output), None)
         holders.pop(id(entry.output), None)
+        owned.discard(id(entry.output))
         if grad_out is None:
             continue
         for tensor, contrib in zip(entry.inputs, entry.rule(grad_out)):
             if contrib is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in pending:
-                pending[key] = pending[key] + contrib
+            if key in owned:
+                pending[key] += contrib
+            elif key in pending:
+                pending[key] = np.add(pending[key], contrib, out=_empty(tensor.shape))
+                owned.add(key)
             else:
                 pending[key] = contrib
                 holders[key] = tensor
@@ -175,11 +252,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; backward: dA = dC @ B^T, dB = A^T @ dC."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = _make_output(a.data @ b.data, a, b)
+    out = _make_output(np.matmul(a.data, b.data, out=_empty((a.shape[0], b.shape[1]))), a, b)
 
     def rule(g: Array):
         return (
-            g @ b.data.T if a.requires_grad else None,
+            np.matmul(g, b.data.T, out=_empty(a.shape)) if a.requires_grad else None,
             a.data.T @ g if b.requires_grad else None,
         )
 
@@ -243,12 +320,15 @@ class EdgeIndex:
 _EDGE_CHUNK = 1 << 15
 
 
-def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
+def edge_block_matmul(
+    values: Tensor, edges: EdgeIndex, z: Tensor, dense: Array | None = None
+) -> Tensor:
     """Apply I + A to each consecutive ``edges.n``-row block of ``z``, where
     A holds ``values`` on ``edges`` and zeros elsewhere. Row
     ``b * n + i`` of ``z`` is node ``i`` of sample ``b`` (the sample-major
     layout of a stacked batch), and node ``i`` reads from node ``j`` with
-    weight ``A[i, j]``.
+    weight ``A[i, j]``. ``dense`` is I + A as an n x n array, when the
+    caller already holds it.
 
     A sparse graph (see :attr:`EdgeIndex.sparse`) runs scipy CSR products
     per block, and the gradient of ``values`` is one dot product per edge
@@ -274,8 +354,10 @@ def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
                 y3[b] += m @ x3[b]
             return y3
     else:
-        a = edges.dense(values.data, self_loops=True)
-        apply = np.matmul
+        a = edges.dense(values.data, self_loops=True) if dense is None else dense
+
+        def apply(m, x3):
+            return np.matmul(m, x3, out=_empty(x3.shape))
     out = _make_output(apply(a, blocks).reshape(z.shape), values, z)
 
     def rule(g: Array):
@@ -365,7 +447,7 @@ def _sigmoid(x: Array, out: Array | None = None) -> Array:
 def _elu(y: Array) -> Array:
     # exp(y) - 1 on the negative branch (unit scale), identity elsewhere;
     # expm1 sees only min(y, 0), so a large positive entry cannot overflow
-    neg = np.minimum(y, 0.0, out=np.empty_like(y))
+    neg = np.minimum(y, 0.0, out=_empty(y.shape))
     np.expm1(neg, out=neg)
     np.maximum(y, 0.0, out=y)
     y += neg
@@ -374,7 +456,7 @@ def _elu(y: Array) -> Array:
 
 def _elu_grad(g: Array, y: Array) -> Array:
     # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below
-    d = np.minimum(y, 0.0, out=np.empty_like(y))
+    d = np.minimum(y, 0.0, out=_empty(y.shape))
     d += 1.0
     d *= g
     return d
@@ -444,10 +526,14 @@ def batchnorm_features(
     mode: str = "train",
     running: RunningStats | None = None,
     activation: str = "identity",
+    overwrite_input: bool = False,
 ) -> Tensor:
     """Standardize each feature column over the rows of ``z``, scale by
     ``gamma``, shift by ``beta``, then apply ``activation`` (one of the
-    kinds of :func:`unary_activation`), as one op.
+    kinds of :func:`unary_activation`), as one op. ``overwrite_input``
+    standardizes in ``z``'s own array, for an input that nothing reads
+    afterwards (no backward rule reads its op's output), which saves one
+    array of ``z``'s size.
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
@@ -475,13 +561,14 @@ def batchnorm_features(
     act, act_grad = _activation(activation)
 
     y = None
+    xhat = z.data if overwrite_input else _empty(z.shape)
     if mode == "train":
         if n < 2:
             raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
         mean = z.data.mean(axis=0)
-        xhat = np.subtract(z.data, mean)
+        np.subtract(z.data, mean, out=xhat)
         # np.var's steps on the deviations already at hand: same bits
-        y = np.square(xhat)
+        y = np.square(xhat, out=_empty(z.shape))
         var = y.sum(axis=0) / n
         if running is not None:
             m = BN_MOMENTUM
@@ -490,7 +577,7 @@ def batchnorm_features(
     else:
         if running is None:
             raise ConfigError("eval-mode batchnorm needs running statistics")
-        xhat = np.subtract(z.data, running.mean)
+        np.subtract(z.data, running.mean, out=xhat)
         var = running.var
 
     inv = 1.0 / np.sqrt(var + eps)
@@ -507,7 +594,7 @@ def batchnorm_features(
 
     def rule(g: Array):
         d = act_grad(g, y)
-        tmp = np.multiply(d, xhat)
+        tmp = np.multiply(d, xhat, out=_empty(d.shape))
         dgamma = tmp.sum(axis=0) if gamma.requires_grad else None
         dbeta = d.sum(axis=0) if beta.requires_grad else None
         if not z.requires_grad:
@@ -535,7 +622,7 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
     """Pool each graph of ``block_rows`` stacked rows of every (B * n, D_l)
     part into one row of the (B, P) output: each part's column means side
     by side, with ``"sum_and_mean"`` every part's column sums before them.
-    Backward repeats over the block rows each part's gradient at its means
+    Backward copies over the block rows each part's gradient at its means
     times 1/n, plus that at its sums."""
     if kind not in POOLINGS:
         raise ConfigError(f"pooling must be one of {POOLINGS}, got {kind!r}")
@@ -557,10 +644,14 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
         g_in = g[:, -bounds[-1] :] * (1.0 / n)
         if kind == "sum_and_mean":
             g_in += g[:, : bounds[-1]]
-        return tuple(
-            np.repeat(g_in[:, lo:hi], n, axis=0) if p.requires_grad else None
-            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])
-        )
+        grads = []
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            d = None
+            if p.requires_grad:  # each graph's gradient row on its n rows
+                d = _empty(p.shape)
+                d.reshape(batch, n, hi - lo)[...] = g_in[:, None, lo:hi]
+            grads.append(d)
+        return grads
 
     return record_op(out, tuple(parts), rule)
 

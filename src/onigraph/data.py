@@ -32,10 +32,19 @@ ONI_LON = (190.0, 240.0)
 ONI_CENTER_LATLON = (0.0, 215.0)
 
 MANIFEST_NAME = "manifest.json"
+
+
+def _grid_size(value) -> int:
+    # int() would truncate 8.9 and read "4" or true; none of them is a size
+    if type(value) is not int:
+        raise ValueError(f"a grid size must be a JSON integer, got {value!r}")
+    return value
+
+
 # the GridSet fields a manifest records, each with the type it is read back as
 MANIFEST_FIELDS = {
-    "n_lat": int, "n_lon": int, "lat0": float, "dlat": float, "lon0": float, "dlon": float,
-    "start_month": str, "n_time": int, "variables": list,
+    "n_lat": _grid_size, "n_lon": _grid_size, "lat0": float, "dlat": float, "lon0": float,
+    "dlon": float, "start_month": str, "n_time": _grid_size, "variables": list,
 }
 
 
@@ -125,7 +134,7 @@ def load_gridset(path: str | Path) -> GridSet:
             raise ValueError(f"start_month {fields['start_month']!r} is not YYYY-MM")
     except KeyError as exc:
         raise FormatError(f"manifest missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e999)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
     mask_bytes = _read_file(mask_path)

@@ -26,7 +26,7 @@ same graph into the dense I + A that centrality and exports read.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,17 @@ class ModelState:
     fixed_adjacency: Array | None = None
     seed: int = 0
     optimizer: ad.Sgd | None = None
+    # local mode: the edges and values of fixed_adjacency, derived here once
+    # and never checkpointed
+    local_edges: tuple[ad.EdgeIndex, Tensor] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.edge_mode == "local":
+            a = self.fixed_adjacency
+            edges = ad.EdgeIndex.from_flat(a.shape[0], np.flatnonzero(a))
+            self.local_edges = (edges, Tensor(a[edges.rows, edges.cols]))
 
     @property
     def node_count(self) -> int:
@@ -270,7 +281,10 @@ def gcn_layer(
         h = aggregate(ad.matmul(z, weight))
     else:
         h = ad.matmul(aggregate(z), weight)
-    out = ad.batchnorm_features(h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation)
+    # nothing reads h after its normalization, so it holds the standardized rows
+    out = ad.batchnorm_features(
+        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation, overwrite_input=True
+    )
     if use_residual:
         out = ad.add(out, z)
     return out
@@ -287,7 +301,8 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
     h = ad.batchnorm_features(
-        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, state.config.activation
+        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, state.config.activation,
+        overwrite_input=True,
     )
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
@@ -299,10 +314,9 @@ def model_edges(
     """The model's graph as off-diagonal edges and their values, the unit
     self-loops implicit: the structure learner's kept edges (scored at the
     frozen ``edges`` if given), or the nonzero off-diagonal entries of the
-    fixed local matrix in ablation mode."""
+    fixed local matrix in ablation mode, built with the state."""
     if state.edge_mode == "local":
-        local = ad.EdgeIndex.from_flat(state.node_count, np.flatnonzero(state.fixed_adjacency))
-        return local, Tensor(state.fixed_adjacency[local.rows, local.cols])
+        return state.local_edges
     return kept_edges(state.structure, edges)
 
 
@@ -333,9 +347,11 @@ def forward_batch(
             f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
         )
     edges, values = model_edges(state, edges)
+    # in ablation mode the fixed matrix is the I + A the dense kernel reads
+    dense = state.fixed_adjacency if state.edge_mode == "local" else None
 
     def aggregate(h):
-        return ad.edge_block_matmul(values, edges, h)
+        return ad.edge_block_matmul(values, edges, h, dense)
 
     z = x
     layer_outputs = []

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Sgd, Tape, Tensor, backward, mse_loss, sgd_nesterov_step
+from .autodiff import Sgd, Tape, Tensor, Workspace, backward, mse_loss, sgd_nesterov_step
 from .data import DatasetBundle, SampleSet, local_adjacency
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
@@ -136,6 +136,15 @@ def train(
     step. A state that already holds an optimizer record (one trained or
     loaded before) keeps its learning rate, momentum and weight decay and
     ignores those of ``cfg``.
+
+    The steps run in one ``autodiff.Workspace``, so each step reuses the
+    buffers of the step before, and with numpy's overflow and invalid-value
+    warnings off: a diverging step ends in the ``NumericError`` of its
+    first non-finite op output or loss, and prints nothing before it. The
+    workspace is dropped when ``train`` returns or raises. Kept longer, its
+    buffers would stay resident through evaluation, which sets the peak
+    memory of a run on a large grid: at N=1345, evaluating 47 windows holds
+    more than a training step at batch 8.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
@@ -148,22 +157,23 @@ def train(
     # no cut one sample before the end, so a single trailing sample joins
     # the batch before it
     cuts = range(cfg.batch_size, len(samples) - 1, cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(samples))
-        for batch_idx, ids in enumerate(np.split(order, cuts)):
-            x = Tensor(samples.inputs[ids].reshape(-1, width))
-            y = Tensor(samples.targets[ids])
-            with Tape():
-                pred = forward_batch(state, x, len(ids), mode="train")
-                loss = mse_loss(pred, y)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"non-finite training loss at epoch {epoch}, batch {batch_idx}: {value}"
-                    )
-                backward(loss)
-            sgd_nesterov_step(params, state.optimizer)
-            history.append((epoch, batch_idx, value))
+    with Workspace(), np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(samples))
+            for batch_idx, ids in enumerate(np.split(order, cuts)):
+                x = Tensor(samples.inputs[ids].reshape(-1, width))
+                y = Tensor(samples.targets[ids])
+                with Tape():
+                    pred = forward_batch(state, x, len(ids), mode="train")
+                    loss = mse_loss(pred, y)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"non-finite training loss at epoch {epoch}, batch {batch_idx}: {value}"
+                        )
+                    backward(loss)
+                sgd_nesterov_step(params, state.optimizer)
+                history.append((epoch, batch_idx, value))
     return state, history
 
 

@@ -411,6 +411,21 @@ def test_diverged_training_without_a_test_split_exits_3(synth_dir, tmp_path, cap
     assert out.exists()
 
 
+def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
+    # at this learning rate a batchnorm square and the loss overflow within
+    # ten epochs; no numpy warning may print before the one documented line
+    config = {
+        "model": {"layer_dims": [8, 8]},
+        "train": {"epochs": 10, "embed_dim": 8, "learning_rate": 100.0},
+    }
+    config = _write_config(tmp_path / "c.json", config)
+    out = tmp_path / "m.ckpt"
+    proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric failure: non-finite value produced by a tensor op\n"
+    assert proc.stdout == "" and not out.exists()
+
+
 def _one_variable_grid(synth_dir, path):
     grid = dat.load_gridset(synth_dir)
     dat.save_gridset(replace(grid, variables=["sst_anomaly"], data=grid.data[:, :1].copy()), path)
@@ -637,6 +652,7 @@ def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path)
     [
         ("n_lat", "1e999"),  # JSON reads it as inf, which no int holds
         ("n_time", "1e999"),
+        ("n_lat", "6.9"),  # int() would read it as the grid's 6 rows
         ("mask_file", '"mask.bin\\u0000"'),  # a NUL, which no file name holds
         ("data_file", '"data\\u0000.bin"'),
     ],

@@ -109,6 +109,18 @@ def test_bad_manifest_field_is_format_error(tmp_path, field, value):
         load_gridset(tmp_path / "g")
 
 
+@pytest.mark.parametrize("field, value, size", [("n_lat", 8.9, 8), ("n_lon", "4", 4), ("n_time", True, 1)])
+def test_grid_size_must_be_a_json_integer(tmp_path, field, value, size):
+    # int() of each value is the grid's own size, so the byte counts match
+    save_gridset(make_grid(**{field: size}), tmp_path / "g")
+    path = tmp_path / "g" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="a grid size must be a JSON integer"):
+        load_gridset(tmp_path / "g")
+
+
 @pytest.mark.parametrize("field", ["mask_file", "data_file"])
 def test_grid_file_naming_a_directory_is_format_error(tmp_path, field):
     save_gridset(make_grid(), tmp_path / "g")

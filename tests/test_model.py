@@ -7,6 +7,7 @@ from onigraph.autodiff import (
     RunningStats,
     Tape,
     Tensor,
+    edge_block_matmul,
     grad_check,
     matmul,
     mse_loss,
@@ -22,6 +23,7 @@ from onigraph.model import (
     gcn_layer,
     init_params,
     mlp_head,
+    model_adjacency,
     model_edges,
 )
 
@@ -351,3 +353,28 @@ def test_config_validation():
         GcnConfig(layer_dims=[])
     with pytest.raises(ConfigError):
         GcnConfig(layer_dims=[4], pooling="max")
+
+
+def test_local_graph_is_built_once_with_the_state(monkeypatch):
+    n = 6
+    rng = np.random.default_rng(37)
+    fixed = (rng.uniform(size=(n, n)) < 0.5).astype(float)
+    np.fill_diagonal(fixed, 1.0)
+    state = tiny_state(n=n, edge_mode="local", fixed_adjacency=fixed)
+    edges, values = model_edges(state)
+    np.testing.assert_array_equal(edges.dense(values.data, self_loops=True), fixed)
+    # the fixed matrix is the I + A that the dense kernel would scatter
+    z = Tensor(rng.normal(size=(2 * n, 3)))
+    scattered = edge_block_matmul(values, edges, z).data
+    assert edge_block_matmul(values, edges, z, fixed).data.tobytes() == scattered.tobytes()
+
+    def rebuilt(*args):
+        raise AssertionError("the local graph was rebuilt")
+
+    monkeypatch.setattr(type(edges), "from_flat", rebuilt)
+    assert model_edges(state)[0] is edges and model_edges(state)[1] is values
+    x = Tensor(rng.normal(size=(2 * n, state.config.input_width)))
+    with Tape():
+        forward_batch(state, x, 2, mode="train")
+    forward_batch(state, x, 2, mode="eval")
+    np.testing.assert_array_equal(model_adjacency(state).data, fixed)
