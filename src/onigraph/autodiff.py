@@ -14,8 +14,8 @@ which is how evaluation-mode inference avoids recording anything.
 Inside a ``with Workspace():`` block the ops write their step-sized
 arrays into reused buffers instead of fresh ones, with the same bits.
 ``training.train`` holds one for exactly the length of the call, so
-evaluation allocates as before and no step buffer stays resident after
-training, when a large grid's run reaches its peak memory.
+evaluation allocates its own arrays and no step buffer stays resident
+after training.
 """
 
 from __future__ import annotations
@@ -367,7 +367,13 @@ def edge_block_matmul(
             if sparse:
                 dv = _edge_dots(g3, blocks, edges)
             else:
-                dv = np.tensordot(g3, blocks, axes=([0, 2], [0, 2]))[edges.rows, edges.cols]
+                # the contiguous operands and the product of np.tensordot
+                # (same bits), in workspace buffers
+                g_rows = _empty((n, batch * width))
+                g_rows.reshape(n, batch, width)[...] = g3.transpose(1, 0, 2)
+                z_cols = _empty((batch * width, n))
+                z_cols.reshape(batch, width, n)[...] = blocks.transpose(0, 2, 1)
+                dv = np.dot(g_rows, z_cols, out=_empty((n, n)))[edges.rows, edges.cols]
         if z.requires_grad:
             dz = apply(a.T, g3).reshape(z.shape)
         return (dv, dz)

@@ -14,6 +14,16 @@ A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
 (batch * nodes) row axis.
 
+The forward pass has two parts. :func:`pooled_layers` runs the graph
+layers and the readout over a given graph (:func:`graph_aggregator` of
+:func:`model_edges`) and returns one pooled row per sample; :func:`mlp_head`
+maps those rows to predictions. :func:`forward_batch`, which training
+calls once per step, builds the graph and runs both parts over one batch.
+``training.predict_samples`` builds each member's graph once, runs the
+layers over blocks of samples and the head once over all pooled rows: in
+eval mode each sample's rows are normalized with the running statistics
+alone, so the blocks give the bits of one pass.
+
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
 nonzero off-diagonal entries of a fixed local matrix. Every layer
@@ -328,6 +338,54 @@ def model_adjacency(state: ModelState) -> Tensor:
     return Tensor(edges.dense(values.data, self_loops=True))
 
 
+def graph_aggregator(
+    state: ModelState, edges: ad.EdgeIndex, values: Tensor
+) -> Callable[[Tensor], Tensor]:
+    """The layers' aggregation over the graph ``edges``, ``values`` (from
+    :func:`model_edges`): I + A applied to each graph of stacked node rows.
+    The dense kernels read I + A as an n x n array: the fixed local matrix
+    in ablation mode, else the kept edges, scattered here once for every
+    layer call."""
+    dense = None
+    if state.edge_mode == "local":
+        dense = state.fixed_adjacency
+    elif not edges.sparse:
+        dense = edges.dense(values.data, self_loops=True)
+
+    def aggregate(h):
+        return ad.edge_block_matmul(values, edges, h, dense)
+
+    return aggregate
+
+
+def pooled_layers(
+    state: ModelState,
+    x: Tensor,
+    batch: int,
+    aggregate: Callable[[Tensor], Tensor],
+    mode: str = "train",
+) -> Tensor:
+    """The graph layers and the pooling readout: ``batch`` stacked samples,
+    (batch * N, w * D) rows, pooled to the (batch, P) head input.
+    ``aggregate`` is the graph (see :func:`graph_aggregator`)."""
+    cfg = state.config
+    n = state.node_count
+    if x.shape != (batch * n, cfg.input_width):
+        raise DimensionError(
+            f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
+        )
+    z = x
+    layer_outputs = []
+    for weight, norm in zip(state.gcn_weights, state.gcn_norms):
+        z = gcn_layer(
+            aggregate, z, weight, norm, cfg.activation,
+            cfg.use_residual and weight.shape[0] == weight.shape[1],
+            mode,
+        )
+        layer_outputs.append(z)
+    return ad.pool_blocks(layer_outputs if cfg.use_jumping_knowledge else [z], n, cfg.pooling)
+
+
 def forward_batch(
     state: ModelState,
     x: Tensor,
@@ -340,27 +398,5 @@ def forward_batch(
     recorded on the ambient tape so one backward reaches the network and
     the structure learner jointly. ``edges`` freezes the learned edge set
     (see :func:`model_edges`)."""
-    cfg = state.config
-    n = state.node_count
-    if x.shape != (batch * n, cfg.input_width):
-        raise DimensionError(
-            f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
-        )
-    edges, values = model_edges(state, edges)
-    # in ablation mode the fixed matrix is the I + A the dense kernel reads
-    dense = state.fixed_adjacency if state.edge_mode == "local" else None
-
-    def aggregate(h):
-        return ad.edge_block_matmul(values, edges, h, dense)
-
-    z = x
-    layer_outputs = []
-    for weight, norm in zip(state.gcn_weights, state.gcn_norms):
-        z = gcn_layer(
-            aggregate, z, weight, norm, cfg.activation,
-            cfg.use_residual and weight.shape[0] == weight.shape[1],
-            mode,
-        )
-        layer_outputs.append(z)
-    pooled = ad.pool_blocks(layer_outputs if cfg.use_jumping_knowledge else [z], n, cfg.pooling)
-    return mlp_head(state, pooled, mode)
+    aggregate = graph_aggregator(state, *model_edges(state, edges))
+    return mlp_head(state, pooled_layers(state, x, batch, aggregate, mode), mode)

@@ -1,0 +1,133 @@
+"""Prediction in sample blocks: each member's graph is built once, the graph
+layers run over blocks of whole samples within ``PREDICT_BLOCK_ROWS``
+stacked rows, and the MLP head once over every pooled row, with the bits of
+one ``forward_batch`` over all samples."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from onigraph import training
+from onigraph.autodiff import EdgeIndex, Tensor
+from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
+from onigraph.model import GcnConfig, forward_batch, init_params, model_edges
+from onigraph.training import TrainConfig, build_model, predict_samples, train
+
+
+def trained_members(edge_modes):
+    """One member per edge mode on a 6x6 grid plus the ONI node (N=37, dense
+    kernels), trained for two epochs so that the running statistics moved."""
+    grid, _ = synth_teleconnection_dataset(6, 6, 120, 1, seed=889)
+    bundle = prepare_dataset(grid, window=3, lead=1, train_fraction=0.75)
+    members = []
+    for k, mode in enumerate(edge_modes):
+        cfg = TrainConfig(seed=890 + k, epochs=2, batch_size=16, embed_dim=4)
+        state = build_model(bundle, GcnConfig(layer_dims=[8, 4]), cfg, edge_mode=mode)
+        train(state, bundle.train, cfg)
+        members.append(state)
+    return bundle, members
+
+
+@pytest.mark.parametrize("edge_modes", [("learned",), ("local",), ("learned", "local")])
+def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_modes, monkeypatch):
+    bundle, members = trained_members(edge_modes)
+    samples = bundle.test
+    n = members[0].node_count
+    x = Tensor(samples.inputs.reshape(-1, samples.inputs.shape[2]))
+    want = np.zeros(len(samples))
+    for member in members:
+        want += forward_batch(member, x, len(samples), mode="eval").data
+    want = (want / len(members)).tobytes()
+    assert len(samples) % 4 != 0  # blocks of 4 samples leave a shorter last one
+    for per_block in (1, 4, len(samples)):
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", per_block * n)
+        got = predict_samples(members if len(members) > 1 else members[0], samples)
+        assert got.tobytes() == want, per_block
+
+
+def test_each_member_graph_is_built_once_per_call(monkeypatch):
+    bundle, members = trained_members(("learned", "local"))
+    calls = {"model_edges": 0, "pooled_layers": 0, "dense": 0}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(training, "model_edges")
+    spy(training, "pooled_layers")
+    spy(EdgeIndex, "dense")
+    monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", members[0].node_count)  # one sample
+    predict_samples(members, bundle.test)
+    # the learned member's I + A is scattered once; the local one is its fixed matrix
+    assert calls == {"model_edges": 2, "pooled_layers": 2 * len(bundle.test), "dense": 1}
+
+
+@pytest.mark.parametrize("edge_mode", ["learned", "local"])
+def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows(edge_mode):
+    # N=1345 as on the 32x42 grid plus the ONI node, widths 32/16
+    n, widths = 1345, [32, 16]
+    rng = np.random.default_rng(6)
+    ring = np.eye(n) + np.roll(np.eye(n), 1, axis=1) if edge_mode == "local" else None
+    state = init_params(
+        GcnConfig(layer_dims=widths),
+        rng.normal(size=(n, 6)),
+        np.zeros((n, 2)),
+        seed=6,
+        edge_mode=edge_mode,
+        fixed_adjacency=ring,
+    )
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sample_set(k):
+        return SampleSet(
+            inputs=rng.normal(size=(k, n, 6)),
+            targets=rng.normal(size=k),
+            window_end=np.arange(k),
+            end_calendar_month=np.arange(k) % 12 + 1,
+            window=3,
+            lead=1,
+        )
+
+    graph = traced_peak(lambda: model_edges(state))
+    few, many = sample_set(12), sample_set(48)  # 2 and 8 blocks of 6 samples
+    peaks = [traced_peak(lambda: predict_samples(state, s)) for s in (few, many)]
+    # a block holds at most three (rows, width) arrays at once
+    block = 3 * training.PREDICT_BLOCK_ROWS * max(widths) * 8
+    assert max(peaks) < graph + block
+    assert peaks[1] - peaks[0] < training.PREDICT_BLOCK_ROWS * 8
+
+
+@pytest.mark.parametrize(
+    "edge_mode, max_edges, sha1",
+    [
+        ("learned", None, "0d6c5b9efaf3bc4a1ad845095137b54096040f69"),  # CSR kernels
+        ("learned", 2000, "5fedded76f6fa8b984065eb67391e8cc6e5832a5"),  # dense kernels
+        ("local", None, "d7ddaef3e4663f64619c4fd0c834d6f5ba65e22f"),
+    ],
+)
+def test_prediction_bits_over_several_blocks_are_pinned(edge_mode, max_edges, sha1):
+    # a 12x12 grid plus the ONI node (N=145), predicted over its 177 training windows
+    grid, _ = synth_teleconnection_dataset(12, 12, 240, 1, seed=877)
+    bundle = prepare_dataset(grid, window=3, lead=1, train_fraction=0.75)
+    cfg = TrainConfig(seed=883, epochs=2, batch_size=16, embed_dim=4, max_edges=max_edges)
+    state = build_model(bundle, GcnConfig(layer_dims=[8, 4]), cfg, edge_mode=edge_mode)
+    train(state, bundle.train, cfg)
+    per_block = training.PREDICT_BLOCK_ROWS // state.node_count
+    assert len(bundle.train) > 2 * per_block  # at least three blocks
+    assert model_edges(state)[0].sparse == (max_edges is None)
+    digest = hashlib.sha1(predict_samples(state, bundle.train).tobytes())
+    assert digest.hexdigest() == sha1

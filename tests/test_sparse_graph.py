@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import onigraph
-from onigraph import autodiff
+from onigraph import autodiff, training
 from onigraph.autodiff import (
     EdgeIndex,
     Tape,
@@ -292,13 +292,14 @@ def test_edge_path_matches_dense_path(case, monkeypatch):
     )
     # running statistics stay untouched by the eval-mode predictions
     running = [norm.running.copy() for norm in state.gcn_norms + [state.mlp_norm]]
+    monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", 2 * N)  # blocks of 2, 2 and 1 samples
     results = {}
     for kernel, share in KERNELS.items():
         for norm, saved in zip(state.gcn_norms + [state.mlp_norm], running):
             norm.running = saved.copy()
         monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
         pred, grads = forward_and_grads(state, x, y, frozen)
-        results[kernel] = pred, grads, predict_samples(state, samples, chunk=2)
+        results[kernel] = pred, grads, predict_samples(state, samples)
 
     (csr_pred, csr_grads, csr_samples), (dense_pred, dense_grads, dense_samples) = (
         results["csr"],
@@ -326,6 +327,24 @@ def test_dense_graphs_keep_the_dense_path():
     state.structure.max_edges = 4 * N  # 200 of 1600 entries, above N^2 / 16
     edges, _ = model_edges(state)
     assert edges.rows.size == 4 * N and not edges.sparse
+
+
+def test_a_dense_learned_graph_is_scattered_once_per_forward(monkeypatch):
+    state = sparse_state()
+    state.structure.max_edges = 4 * N  # the dense kernels
+    scatters = []
+    original = EdgeIndex.dense
+
+    def counted(self, values, self_loops=False):
+        scatters.append(self_loops)
+        return original(self, values, self_loops)
+
+    monkeypatch.setattr(EdgeIndex, "dense", counted)
+    x = Tensor(np.random.default_rng(5).normal(size=(2 * N, 4)))
+    for mode in ("train", "eval"):
+        scatters.clear()
+        forward_batch(state, x, 2, mode=mode)  # two layers
+        assert scatters == [True]
 
 
 def test_local_matrix_needs_unit_self_loops():

@@ -1,6 +1,7 @@
 """The training workspace: buffers reused across steps, never while held,
 with the bits of fresh arrays, and only for the length of ``train``."""
 
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -51,23 +52,37 @@ def test_desk_training_takes_new_buffers_only_in_the_first_step_of_each_batch_si
     edge_mode, monkeypatch
 ):
     bundle, cfg, state = desk_setup(edge_mode)
-    steps = []  # (batch size, the workspace, its misses before the step)
+    # (batch size, the workspace, its misses, traced bytes and their peak since
+    # the step before), at the start of each step
+    steps = []
 
     def counted(state, x, batch, **kwargs):
         ws = Workspace.active()
-        steps.append((batch, ws, ws.misses))
+        steps.append((batch, ws, ws.misses, *tracemalloc.get_traced_memory()))
+        tracemalloc.reset_peak()
         return forward_batch(state, x, batch, **kwargs)
 
     monkeypatch.setattr(training, "forward_batch", counted)
-    train(state, bundle.train, cfg)
-    sizes = [batch for batch, _, _ in steps]
+    tracemalloc.start()
+    try:
+        train(state, bundle.train, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [step[0] for step in steps]
     ws = steps[0][1]
-    assert all(w is ws for _, w, _ in steps)
+    assert all(step[1] is ws for step in steps)
     assert sizes[:3] == [64, 64, len(bundle.train) - 128]  # a smaller trailing batch
-    misses = np.diff([m for _, _, m in steps] + [ws.misses])
+    misses = np.diff([step[2] for step in steps] + [ws.misses])
     first = {sizes.index(b) for b in set(sizes)}
     assert misses[0] > 0
     assert [k for k, m in enumerate(misses) if m and k not in first] == []
+    # arrays taken from numpy outside the workspace are no misses: past the
+    # first step of its size, no step holds new arrays as large as one
+    # (batch * N, 16) layer output (the next batch's inputs are 6 wide)
+    fresh = np.subtract([step[4] for step in steps[1:]] + [peak], [step[3] for step in steps])
+    layer_output = cfg.batch_size * state.node_count * min(state.config.layer_dims) * 8
+    assert [k for k, b in enumerate(fresh) if b >= layer_output and k not in first] == []
 
 
 def test_arrays_that_escape_a_step_keep_their_values(monkeypatch):
