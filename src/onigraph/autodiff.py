@@ -177,6 +177,28 @@ def _empty(shape: tuple[int, ...]) -> Array:
     return np.empty(shape) if workspace is None else workspace.take(shape)
 
 
+# Column sums by np.einsum, which adds the rows in the order that
+# .sum(axis=0) does, so with the same bits, but in one inner loop over the
+# whole array where numpy's axis-0 reduce runs one per row of only D
+# columns. One BLAS thread on a 2-vCPU Xeon, .sum(axis=0) against einsum:
+# (4160, 32) 0.098 against 0.041 ms, (4160, 16) 0.085 against 0.026 ms,
+# (10760, 32) 0.28 against 0.13 ms, (10760, 16) 0.21 against 0.06 ms; the
+# product form also skips writing the (rows, D) product. The bits match at
+# every width of at least 2, but not at width 1, where numpy sums the one
+# contiguous column pairwise, nor on Fortran-order or transposed arrays:
+# those keep .sum.
+def _column_sums(a: Array, b: Array | None = None) -> Array:
+    """The sums over the rows (the second-to-last axis) of ``a``, or of
+    ``a * b``, for a (rows, D) or (B, rows, D) array: the bits of
+    ``a.sum(axis=-2)`` or ``(a * b).sum(axis=-2)``. The fast path needs
+    C-contiguous operands; any other layout takes numpy's reduce."""
+    if a.shape[-1] == 1 or not (a.flags.c_contiguous and (b is None or b.flags.c_contiguous)):
+        return (a if b is None else a * b).sum(axis=-2)
+    if b is None:
+        return np.einsum("...ij->...j", a)
+    return np.einsum("...ij,...ij->...j", a, b)
+
+
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
     """Attach ``rule`` for ``output`` to the active tape, if recording."""
     tape = active_tape()
@@ -566,16 +588,15 @@ def batchnorm_features(
         raise ConfigError(f"eps must be positive, got {eps}")
     act, act_grad = _activation(activation)
 
-    y = None
     xhat = z.data if overwrite_input else _empty(z.shape)
     if mode == "train":
         if n < 2:
             raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
-        mean = z.data.mean(axis=0)
+        # np.mean's and np.var's sums, with their bits (see _column_sums);
+        # the squares are summed as they are formed, never stored
+        mean = _column_sums(z.data) / n
         np.subtract(z.data, mean, out=xhat)
-        # np.var's steps on the deviations already at hand: same bits
-        y = np.square(xhat, out=_empty(z.shape))
-        var = y.sum(axis=0) / n
+        var = _column_sums(xhat, xhat) / n
         if running is not None:
             m = BN_MOMENTUM
             running.mean[...] = (1.0 - m) * running.mean + m * mean
@@ -591,7 +612,7 @@ def batchnorm_features(
     records = active_tape() is not None and (
         z.requires_grad or gamma.requires_grad or beta.requires_grad
     )
-    y = np.multiply(xhat, gamma.data, out=y if records else xhat)
+    y = np.multiply(xhat, gamma.data, out=_empty(z.shape) if records else xhat)
     y += beta.data
     out = _make_output(y, z, gamma, beta)
     act(y)
@@ -600,19 +621,18 @@ def batchnorm_features(
 
     def rule(g: Array):
         d = act_grad(g, y)
-        tmp = np.multiply(d, xhat, out=_empty(d.shape))
-        dgamma = tmp.sum(axis=0) if gamma.requires_grad else None
-        dbeta = d.sum(axis=0) if beta.requires_grad else None
+        dgamma = _column_sums(d, xhat) if gamma.requires_grad else None
+        dbeta = _column_sums(d) if beta.requires_grad else None
         if not z.requires_grad:
             return (None, dgamma, dbeta)
         d *= gamma.data  # dxhat
         if mode == "train":
             # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-            s1 = d.sum(axis=0)
-            s2 = np.multiply(d, xhat, out=tmp).sum(axis=0)
+            s1 = _column_sums(d)
+            s2 = _column_sums(d, xhat)
             d *= n
             d -= s1
-            d -= np.multiply(xhat, s2, out=tmp)
+            d -= np.multiply(xhat, s2, out=_empty(d.shape))
             d *= inv / n
         else:
             d *= inv
@@ -639,7 +659,7 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
     if n < 1 or shapes[0][0] % n != 0:
         raise DimensionError(f"pool_blocks rows {shapes[0][0]} not a multiple of {n}")
     batch = shapes[0][0] // n
-    sums = [p.data.reshape(batch, n, p.shape[1]).sum(axis=1) for p in parts]
+    sums = [_column_sums(p.data.reshape(batch, n, p.shape[1])) for p in parts]
     pooled = [s / n for s in sums]  # np.mean's bits
     if kind == "sum_and_mean":
         pooled = sums + pooled
@@ -703,7 +723,7 @@ def add_row_bias(z: Tensor, bias: Tensor) -> Tensor:
     def rule(g: Array):
         return (
             g if z.requires_grad else None,
-            g.sum(axis=0) if bias.requires_grad else None,
+            _column_sums(g) if bias.requires_grad else None,
         )
 
     return record_op(out, (z, bias), rule)
@@ -719,17 +739,14 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return record_op(out, (x,), rule)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _make_output(x.data.reshape(shape).copy(), x)
+def flatten(x: Tensor) -> Tensor:
+    """The entries of ``x`` in row-major order, as a vector."""
+    out = _make_output(x.data.reshape(-1).copy(), x)
 
     def rule(g: Array):
         return (g.reshape(x.shape),)
 
     return record_op(out, (x,), rule)
-
-
-def flatten(x: Tensor) -> Tensor:
-    return reshape(x, (x.data.size,))
 
 
 # ---------------------------------------------------------------------------

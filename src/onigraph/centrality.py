@@ -39,6 +39,8 @@ def eigenvector_centrality(
     a = np.asarray(adjacency, float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError("eigenvector centrality needs a finite matrix")
     if np.any(a < 0.0):
         raise NumericError("eigenvector centrality needs a non-negative matrix")
     n = a.shape[0]

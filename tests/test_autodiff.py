@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from onigraph.autodiff import (
     Sgd,
     Tape,
     Tensor,
+    Workspace,
     add,
     add_row_bias,
     backward,
@@ -30,10 +32,10 @@ from onigraph.autodiff import (
     mse_loss,
     pool_blocks,
     record_op,
-    reshape,
     scale,
     sgd_nesterov_step,
     unary_activation,
+    _column_sums,
     _sigmoid,
 )
 from onigraph.errors import ConfigError, DimensionError, NumericError
@@ -380,6 +382,73 @@ def test_elu_evaluates_expm1_on_the_negative_half_only():
     assert out[0, 1] == math.expm1(-1.0)
 
 
+# --- column sums: einsum with the bits of numpy's axis reduce ----------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5000),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_column_sums_keep_the_bits_of_numpy_sums(rows, width, batch, seed):
+    # if a numpy release changes einsum's summation order, this fails first
+    rng = np.random.default_rng(seed)
+    magnitude = np.exp(rng.uniform(-12.0, 12.0, size=(rows, width)))
+    a = rng.normal(size=(rows, width)) * magnitude
+    b = rng.normal(size=(rows, width))
+    assert _column_sums(a).tobytes() == a.sum(axis=0).tobytes()
+    assert _column_sums(a, a).tobytes() == np.square(a).sum(axis=0).tobytes()
+    assert _column_sums(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+    n = rows // batch
+    if n:
+        blocks = a[: batch * n].reshape(batch, n, width)
+        assert _column_sums(blocks).tobytes() == blocks.sum(axis=1).tobytes()
+    # other layouts take numpy's reduce, so they keep its bits too
+    f = np.asfortranarray(a)
+    assert _column_sums(f).tobytes() == f.sum(axis=0).tobytes()
+    assert _column_sums(a, f).tobytes() == (a * f).sum(axis=0).tobytes()
+    at = np.ascontiguousarray(a.T).T
+    assert _column_sums(at, b).tobytes() == (at * b).sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("workspace", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 16, 48])
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
+    kind, mode, overwrite, width, workspace
+):
+    # _reference_norm_act takes every column sum with np.mean, np.var or
+    # .sum(axis=0), as the op did before its sums went through einsum;
+    # 260 rows: enough that numpy sums a width-1 column pairwise
+    rng = np.random.default_rng(4417)
+    z0 = rng.normal(scale=3.0, size=(260, width)) + rng.normal(size=width)
+    gamma = t(rng.normal(loc=1.0, scale=0.3, size=width), grad=True)
+    beta = t(rng.normal(scale=0.5, size=width), grad=True)
+    running0 = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
+    g = rng.normal(size=z0.shape)
+    want_y, want_grads, want_running = _reference_norm_act(
+        z0, gamma.data, beta.data, 1e-5, mode, running0, kind, g
+    )
+    with Workspace() if workspace else nullcontext():
+        for _ in range(2):  # with a workspace: fresh buffers, then reused ones
+            z = t(z0.copy(), grad=True)
+            running = running0.copy()
+            with Tape() as tape:
+                out = batchnorm_features(
+                    z, gamma, beta, 1e-5, mode, running, kind, overwrite_input=overwrite
+                )
+                grads = tape.entries[-1].rule(g.copy())
+            assert out.data.tobytes() == want_y.tobytes()
+            for got, want in zip(grads, want_grads):
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip((running.mean, running.var), want_running):
+                assert got.tobytes() == want.tobytes()
+
+
 # --- pooling: per-block reductions of every part, side by side ---------------
 # With one row per block both kinds keep each row, so the pooled parts are
 # their column-wise concatenation.
@@ -638,7 +707,7 @@ def test_grad_check_composite_ops():
         h = batchnorm_features(h, gamma, beta, mode="train", running=running)
         h = unary_activation(h, "elu")
         pooled = pool_blocks([h, scale(h, -0.5)], 4, "mean")
-        return mse_loss(flatten(reshape(pooled, (1, 4))), t([0.1, 0.2, 0.3, 0.4]))
+        return mse_loss(flatten(pooled), t([0.1, 0.2, 0.3, 0.4]))
 
     assert grad_check(f, [w, gamma, beta, bias], step=1e-5) <= 1e-6
 

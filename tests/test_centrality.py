@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,16 @@ def test_equal_modulus_spectrum_raises_convergence_error():
 def test_negative_entries_rejected():
     with pytest.raises(NumericError):
         eigenvector_centrality(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected_before_iterating(bad):
+    # a positive 50 x 50 matrix converges at once; iterating over one bad
+    # entry instead runs out of iterations (ConvergenceError) and, for inf,
+    # warns of overflow
+    a = np.random.default_rng(9).random((50, 50)) + 0.1
+    a[17, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="finite"):
+            eigenvector_centrality(a)
