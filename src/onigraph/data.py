@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, FormatError
 
@@ -86,8 +87,8 @@ class GridSet:
     def lons(self) -> Array:
         return self.lon0 + self.dlon * np.arange(self.n_lon)
 
-    def calendar_month(self, t: int) -> int:
-        """Calendar month (1..12) of time index ``t``."""
+    def calendar_month(self, t: int | Array) -> int | Array:
+        """Calendar month (1..12) of time index ``t``, or of each index in an array."""
         start = int(self.start_month.split("-")[1])
         return (start - 1 + t) % 12 + 1
 
@@ -205,6 +206,12 @@ def oni_region_cells(grid: GridSet) -> Array:
     return cells
 
 
+def _grid_columns(grid: GridSet, nodes: NodeIndex) -> Array:
+    """Each grid node's index into a lat-major (n_lat * n_lon) flattened field."""
+    cells = nodes.cells[: nodes.grid_count]
+    return cells[:, 0] * grid.n_lon + cells[:, 1]
+
+
 def regional_means(grid: GridSet) -> Array:
     """(n_time, n_vars) unweighted spatial mean over ONI-region ocean cells."""
     cells = oni_region_cells(grid)
@@ -225,8 +232,8 @@ def compute_oni_series(grid: GridSet, k: int = 3) -> Array:
     spatial = regional_means(grid)[:, sst]
     half = k // 2
     oni = np.full(grid.n_time, np.nan)
-    for t in range(half, grid.n_time - half):
-        oni[t] = spatial[t - half : t + half + 1].mean()
+    if grid.n_time >= k:  # else no month has a full window
+        oni[half : grid.n_time - half] = sliding_window_view(spatial, k).mean(axis=1)
     return oni
 
 
@@ -271,28 +278,29 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     """
     if window < 1 or lead < 1:
         raise ConfigError(f"window and lead must be >= 1, got {window}, {lead}")
-    n_vars = len(grid.variables)
-    grid_nodes = nodes.grid_count
-    flat = grid.data.reshape(grid.n_time, n_vars, -1)
-    node_flat = nodes.cells[:grid_nodes, 0] * grid.n_lon + nodes.cells[:grid_nodes, 1]
-    monthly = np.empty((grid.n_time, nodes.count, n_vars))  # (T, N, D)
-    monthly[:, :grid_nodes] = flat[:, :, node_flat].transpose(0, 2, 1)
-    if nodes.has_oni_node:
-        monthly[:, -1] = regional_means(grid)
-
     oni = np.asarray(oni)
     ends = np.arange(window - 1, grid.n_time - lead)
     ends = ends[np.isfinite(oni[ends + lead])]
     if ends.size == 0:
         raise DataError("no sample window has a defined target")
-    inputs = np.empty((ends.size, nodes.count, window * n_vars))
-    for k in range(window):
-        inputs[:, :, k * n_vars : (k + 1) * n_vars] = monthly[ends - (window - 1 - k)]
+
+    # Node-major (N, T, D): one node's months are consecutive, so the w
+    # months of a window are one contiguous run of w * D values, already in
+    # the time-major column order, and every sample is one gather of runs.
+    n_vars = len(grid.variables)
+    grid_nodes = nodes.grid_count
+    monthly = np.empty((nodes.count, grid.n_time, n_vars))
+    flat = grid.data.reshape(grid.n_time, n_vars, -1)
+    monthly[:grid_nodes] = flat[:, :, _grid_columns(grid, nodes)].transpose(2, 0, 1)
+    if nodes.has_oni_node:
+        monthly[-1] = regional_means(grid)
+    runs = sliding_window_view(monthly.reshape(nodes.count, -1), window * n_vars, axis=1)
+    inputs = runs.transpose(1, 0, 2)[(ends - window + 1) * n_vars]  # (S, N, w * D)
     return SampleSet(
         inputs=inputs,
         targets=oni[ends + lead],
         window_end=ends,
-        end_calendar_month=np.asarray([grid.calendar_month(t) for t in ends]),
+        end_calendar_month=grid.calendar_month(ends),
         window=window,
         lead=lead,
     )
@@ -344,9 +352,8 @@ def build_static_features(
     n_vars = len(grid.variables)
     features = np.zeros((nodes.count, n_vars + 2))
     grid_nodes = nodes.grid_count
-    cells = nodes.cells[:grid_nodes]
-    means = grid.data[months][:, :, cells[:, 0], cells[:, 1]].mean(axis=0)  # (D, N)
-    features[:grid_nodes, :n_vars] = means.T
+    means = grid.data[months].reshape(months.size, n_vars, -1).mean(axis=0)  # (D, cells)
+    features[:grid_nodes, :n_vars] = means[:, _grid_columns(grid, nodes)].T
     features[:grid_nodes, n_vars] = nodes.latlon[:grid_nodes, 0] / 90.0
     features[:grid_nodes, n_vars + 1] = nodes.latlon[:grid_nodes, 1] / 180.0
     if nodes.has_oni_node:
@@ -511,10 +518,6 @@ def synth_teleconnection_dataset(
 
 @dataclass
 class DatasetBundle:
-    # nothing reads grid, but it keeps the grid alive with the samples: freeing
-    # its 5 MB lets glibc raise its mmap threshold, so later step arrays stay on
-    # the heap (wide_graph_train peak RSS 126 -> 140 MB; 2-vCPU x86-64, glibc 2.36)
-    grid: GridSet
     nodes: NodeIndex
     train: SampleSet
     test: SampleSet
@@ -547,4 +550,4 @@ def prepare_dataset(
         raise DataError("training split is empty")
     train_months = np.arange(0, int(train.window_end.max()) + 1)
     static = build_static_features(grid, nodes, train_months)
-    return DatasetBundle(grid=grid, nodes=nodes, train=train, test=test, static_features=static)
+    return DatasetBundle(nodes=nodes, train=train, test=test, static_features=static)

@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onigraph.data import (
+    KNOWN_VARIABLES,
     GridSet,
     build_samples,
     build_static_features,
@@ -609,3 +612,156 @@ def test_regional_means_shift(c):
     grid2 = make_grid(seed=13)
     grid2.data = grid2.data + c
     np.testing.assert_allclose(regional_means(grid2), base + c, atol=1e-9)
+
+
+# --- whole-array steps against their per-month references -------------------------
+
+
+def reference_oni(grid, k):
+    spatial = regional_means(grid)[:, grid.variables.index("sst_anomaly")]
+    half = k // 2
+    oni = np.full(grid.n_time, np.nan)
+    for t in range(half, grid.n_time - half):
+        oni[t] = spatial[t - half : t + half + 1].mean()
+    return oni
+
+
+def reference_samples(grid, nodes, window, lead, oni):
+    """(inputs, window ends, end calendar months), one window month at a time
+    from a time-major (T, N, D) node series."""
+    n_vars = len(grid.variables)
+    cells = nodes.cells[: nodes.grid_count]
+    monthly = np.empty((grid.n_time, nodes.count, n_vars))
+    monthly[:, : nodes.grid_count] = grid.data[:, :, cells[:, 0], cells[:, 1]].transpose(0, 2, 1)
+    if nodes.has_oni_node:
+        monthly[:, -1] = regional_means(grid)
+    ends = np.arange(window - 1, grid.n_time - lead)
+    ends = ends[np.isfinite(oni[ends + lead])]
+    if ends.size == 0:
+        raise DataError("no sample window has a defined target")
+    inputs = np.empty((ends.size, nodes.count, window * n_vars))
+    for k in range(window):
+        inputs[:, :, k * n_vars : (k + 1) * n_vars] = monthly[ends - (window - 1 - k)]
+    return inputs, ends, np.asarray([grid.calendar_month(t) for t in ends])
+
+
+def reference_static_means(grid, nodes, months):
+    cells = nodes.cells[: nodes.grid_count]
+    return grid.data[months][:, :, cells[:, 0], cells[:, 1]].mean(axis=0).T  # (N, D)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def land_grids(draw):
+    """A grid placed as the generator places it, with the ONI region in its
+    three equatorial rows and three easternmost columns, and random land
+    everywhere outside that region."""
+    n_lat, n_lon = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    n_time = draw(st.integers(1, 80))
+    variables = draw(
+        st.sampled_from(
+            [["sst_anomaly"], list(KNOWN_VARIABLES), list(reversed(KNOWN_VARIABLES))]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSet(
+        n_lat=n_lat,
+        n_lon=n_lon,
+        lat0=-5.0 * (n_lat // 2),
+        dlat=5.0,
+        lon0=190.0 - 5.0 * (n_lon - 3),
+        dlon=5.0,
+        start_month=f"2000-{draw(st.integers(1, 12)):02d}",
+        n_time=n_time,
+        variables=variables,
+        land_mask=rng.random((n_lat, n_lon)) < draw(st.floats(0.0, 0.9)),
+        # full float64 mantissas: float32 values would sum exactly in any order
+        data=rng.normal(size=(n_time, len(variables), n_lat, n_lon)),
+    )
+    region = oni_region_cells(replace(grid, land_mask=np.zeros_like(grid.land_mask)))
+    grid.land_mask[region[:, 0], region[:, 1]] = False
+    grid.data[:, :, grid.land_mask] = 0.0
+    return grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=land_grids(),
+    oni_node=st.booleans(),
+    window=st.integers(1, 4),
+    lead=st.integers(1, 6),
+    k=st.sampled_from(range(1, 32, 2)),
+    draw=st.data(),
+)
+def test_dataset_steps_keep_the_bits_of_their_per_month_references(
+    grid, oni_node, window, lead, k, draw
+):
+    oni = compute_oni_series(grid, k)
+    assert_same_bits(oni, reference_oni(grid, k))
+
+    nodes = land_filter_nodes(grid)
+    if oni_node:
+        nodes = extend_nodes_with_oni(nodes)
+    try:
+        inputs, ends, calendar = reference_samples(grid, nodes, window, lead, oni)
+    except DataError:
+        with pytest.raises(DataError):
+            build_samples(grid, nodes, window, lead, oni)
+    else:
+        samples = build_samples(grid, nodes, window, lead, oni)
+        assert samples.inputs.flags.c_contiguous
+        assert_same_bits(samples.inputs, inputs)
+        assert_same_bits(samples.window_end, ends)
+        assert_same_bits(samples.end_calendar_month, calendar)
+        assert_same_bits(samples.targets, oni[ends + lead])
+
+    # unsorted, gapped and repeated months
+    months = np.asarray(
+        draw.draw(st.lists(st.integers(0, grid.n_time - 1), min_size=1, max_size=160)), dtype=int
+    )
+    static = build_static_features(grid, nodes, months, standardize=False)
+    means = static[: nodes.grid_count, : len(grid.variables)]
+    expected = reference_static_means(grid, nodes, months)
+    if len(grid.variables) > 1:
+        assert_same_bits(means, expected)
+    else:
+        # with one variable the reference's gather leaves the months innermost
+        # in memory, and numpy sums them pairwise; the rewrite sums them in
+        # month order, as both do with two. Each order is within about
+        # (M - 1) eps / 2 of the exact sum relative to the sum of magnitudes,
+        # so twice M eps times the mean magnitude bounds the difference.
+        cells = nodes.cells[: nodes.grid_count]
+        magnitude = np.abs(grid.data[months, 0][:, cells[:, 0], cells[:, 1]]).mean(axis=0)
+        bound = 2 * months.size * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(means[:, 0] - expected[:, 0]) <= bound)
+
+
+def test_short_grids_keep_their_typed_errors():
+    grid = make_grid(n_time=4)
+    nodes = land_filter_nodes(grid)
+    # a grid shorter than the running mean has no ONI month
+    assert np.isnan(compute_oni_series(grid, k=5)).all()
+    with pytest.raises(DataError, match="no sample window"):
+        build_samples(grid, nodes, window=3, lead=2, oni=np.arange(4.0))
+    with pytest.raises(DataError, match="no sample window"):
+        build_samples(grid, nodes, window=1, lead=1, oni=compute_oni_series(grid, k=5))
+
+
+def test_build_samples_at_full_grid_size_holds_only_the_inputs_and_the_node_series():
+    # node-major series (N, T, D), then one gather into the inputs: no
+    # window-sized temporary on top of the two
+    grid, _ = synth_teleconnection_dataset(32, 42, 240, 2, seed=6007)
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
+    oni = compute_oni_series(grid)
+    tracemalloc.start()
+    try:
+        samples = build_samples(grid, nodes, window=3, lead=2, oni=oni)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    series_bytes = nodes.count * grid.n_time * len(grid.variables) * 8
+    assert peak < samples.inputs.nbytes + series_bytes + 2**20
