@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything differentiable in this package is built from the primitives in
-this module. A :class:`Tensor` wraps a rank-0/1/2 numpy array; operations
-executed inside a ``with Tape():`` block record their backward rules in
-execution order (define-by-run, so the tape is rebuilt on every forward
-pass), and :func:`backward` walks the tape once in reverse, freeing each
-entry as it goes, and accumulates gradients additively into ``Tensor.grad``
-of the leaf tensors (those no recorded op produced) only.
+this module, except the structure learner's edge scores: one op of their
+own, recorded through :func:`record_op` by ``structure.kept_edges``. A
+:class:`Tensor` wraps a rank-0/1/2 numpy array; operations executed inside
+a ``with Tape():`` block record their backward rules in execution order
+(define-by-run, so the tape is rebuilt on every forward pass), and
+:func:`backward` walks the tape once in reverse, freeing each entry as it
+goes, and accumulates gradients additively into ``Tensor.grad`` of the leaf
+tensors (those no recorded op produced) only.
 
 Outside a tape context the same functions run as plain forward numerics,
 which is how evaluation-mode inference avoids recording anything.
@@ -418,46 +420,6 @@ def _edge_dots(g3: Array, z3: Array, edges: EdgeIndex) -> Array:
     return out
 
 
-def edge_scores(
-    emb_from: Tensor, emb_to: Tensor, edges: EdgeIndex, gain: float, scores: Array
-) -> Tensor:
-    """The edge scores ``sigmoid(gain * emb_from @ emb_to^T)`` at the
-    entries ``edges``, as a differentiable vector. ``scores`` holds their
-    values, which the caller reads off its own dense pass; the op records
-    only their gradient, so the tape holds no N x N array.
-
-    Backward scatters the score gradient into one n x n matrix, CSR or
-    dense as :attr:`EdgeIndex.sparse` picks, and returns its products with
-    the two embeddings.
-    """
-    if emb_from.data.ndim != 2 or emb_from.shape != emb_to.shape or emb_from.shape[0] != edges.n:
-        raise DimensionError(
-            f"embeddings {emb_from.shape}/{emb_to.shape} do not fit {edges.n} nodes"
-        )
-    if scores.shape != edges.rows.shape:
-        raise DimensionError(f"{scores.shape} scores for {edges.rows.size} edges")
-    out = _make_output(scores, emb_from, emb_to)
-    sparse = edges.sparse
-
-    def rule(g: Array):
-        y = out.data
-        grad = g * y * (1.0 - y) * gain
-        if sparse:
-            grad = edges.csr(grad)
-            d_from = grad @ emb_to.data if emb_from.requires_grad else None
-            d_to = grad.T @ emb_from.data if emb_to.requires_grad else None
-        else:
-            # operands laid out as in the backward of the dense product
-            # E_from @ copy(E_to^T): BLAS rounds other layouts differently,
-            # and seeded training histories keep these bits
-            grad = edges.dense(grad)
-            d_from = grad @ emb_to.data.T.copy().T if emb_from.requires_grad else None
-            d_to = (emb_from.data.T @ grad).T if emb_to.requires_grad else None
-        return (d_from, d_to)
-
-    return record_op(out, (emb_from, emb_to), rule)
-
-
 def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e^-x) for x >= 0 and
     # e^x / (1 + e^x) below, with the same bits as evaluating each branch,
@@ -490,10 +452,10 @@ def _elu_grad(g: Array, y: Array) -> Array:
     return d
 
 
-# kind -> (forward that overwrites its argument and returns it, gradient at
-# the input from the gradient g at the output and the output y alone, as a
-# fresh array the caller may overwrite)
-_ACTIVATIONS = {
+# The activation kinds: kind -> (forward that overwrites its argument and
+# returns it, gradient at the input from the gradient g at the output and
+# the output y alone, as a fresh array the caller may overwrite)
+ACTIVATIONS = {
     "tanh": (
         lambda y: np.tanh(y, out=y),
         lambda g, y: g * (1.0 - y * y),
@@ -508,24 +470,6 @@ _ACTIVATIONS = {
         lambda g, y: g.copy(),
     ),
 }
-
-
-def _activation(kind: str):
-    try:
-        return _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}") from None
-
-
-def unary_activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise activation: tanh, sigmoid, elu, or identity."""
-    fwd, grad = _activation(kind)
-    out = _make_output(fwd(x.data.copy()), x)
-
-    def rule(g: Array):
-        return (grad(g, out.data),)
-
-    return record_op(out, (x,), rule)
 
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
@@ -557,11 +501,10 @@ def batchnorm_features(
     overwrite_input: bool = False,
 ) -> Tensor:
     """Standardize each feature column over the rows of ``z``, scale by
-    ``gamma``, shift by ``beta``, then apply ``activation`` (one of the
-    kinds of :func:`unary_activation`), as one op. ``overwrite_input``
-    standardizes in ``z``'s own array, for an input that nothing reads
-    afterwards (no backward rule reads its op's output), which saves one
-    array of ``z``'s size.
+    ``gamma``, shift by ``beta``, then apply ``activation`` (a kind of
+    ``ACTIVATIONS``), as one op. ``overwrite_input`` standardizes in ``z``'s
+    own array, for an input that nothing reads afterwards (no backward rule
+    reads its op's output), which saves one array of ``z``'s size.
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
@@ -586,7 +529,9 @@ def batchnorm_features(
         )
     if eps <= 0.0:
         raise ConfigError(f"eps must be positive, got {eps}")
-    act, act_grad = _activation(activation)
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    act, act_grad = ACTIVATIONS[activation]
 
     xhat = z.data if overwrite_input else _empty(z.shape)
     if mode == "train":
@@ -727,16 +672,6 @@ def add_row_bias(z: Tensor, bias: Tensor) -> Tensor:
         )
 
     return record_op(out, (z, bias), rule)
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a constant scalar."""
-    out = _make_output(x.data * factor, x)
-
-    def rule(g: Array):
-        return (g * factor,)
-
-    return record_op(out, (x,), rule)
 
 
 def flatten(x: Tensor) -> Tensor:

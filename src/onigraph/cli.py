@@ -25,7 +25,7 @@ import sys
 import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .exports import export_centrality_heatmap, export_forecast_timeseries
 from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency, model_edges
 from .training import (
     TrainConfig,
+    _typed,
     build_model,
     evaluate,
     load_checkpoint,
@@ -136,23 +137,6 @@ def _section_types() -> dict[str, dict]:
         "model": {k: v for k, v in model.items() if k not in MODEL_FACTS},
         "data": {k: data[k] for k in ("train_fraction", "oni_node", "smoothing_k")},
     }
-
-
-def _typed(value, hint, where: str):
-    """value as the annotated type: ints widen to float, nothing else converts."""
-    args = get_args(hint)
-    if get_origin(hint) is list:
-        if isinstance(value, list):
-            return [_typed(v, args[0], where) for v in value]
-    elif args:  # X | None
-        return None if value is None else _typed(value, args[0], where)
-    elif hint is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is hint:
-        return value
-    name = "finite float" if hint is float else hint.__name__ if type(hint) is type else str(hint)
-    raise ConfigError(f"{where} must be of type {name}, got {value!r}")
 
 
 def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, TrainConfig, dict]:

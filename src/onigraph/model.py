@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import POOLINGS, RunningStats, Tensor
+from .autodiff import ACTIVATIONS, POOLINGS, RunningStats, Tensor
 from .errors import ConfigError, DimensionError
 from .structure import StructureParams, kept_edges
 
@@ -69,6 +69,8 @@ class GcnConfig:
             raise ConfigError(f"layer_dims must be non-empty positive ints, got {self.layer_dims}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.window < 1 or self.features_per_node < 1 or self.lead_months < 1:
             raise ConfigError("window, features_per_node and lead_months must be >= 1")
         if self.mlp_hidden is not None and self.mlp_hidden < 1:

@@ -8,18 +8,19 @@ sparsification. Only the largest ``max_edges`` off-diagonal entries are
 kept (a budget on the total edge count, not per node), so informative
 nodes are free to accumulate many more connections than others.
 
-The graph has one form, built in :func:`kept_edges`: the list of kept
-edges and their scores. One dense pass off the tape computes every logit;
-only the kept scores are recorded, so neither the tape nor the gradient of
-the embedding maps holds an N x N array. Selection (:func:`top_edges`)
-ranks scores, but scores only a band of logits near the e-th largest
-off-diagonal logit, and finds that logit without copying the N² logits:
-a strided sample guesses a value safely below it, one pass collects the
-candidates at or above the guess, and a partition of the candidates gives
-it exactly. A guess that proves unsafe is retried once over every entry,
-so the result is always exact; graphs no larger than the sample are
-ranked in full. The sigmoid runs only where the logit reaches the
-threshold whose score lies a fixed relative margin below that logit's
+The graph has one form, built in :func:`kept_edges`: the list of kept edges
+and their scores, one op of this module's own on top of the two ``matmul``
+feature products, recorded through ``autodiff.record_op``. One dense pass
+computes every logit; only the kept scores are recorded, so neither the
+tape nor the gradient of the embedding maps holds an N x N array. Selection
+(:func:`top_edges`) ranks scores, but scores only a band of logits near the
+e-th largest off-diagonal logit, and finds that logit without copying the
+N² logits: a strided sample guesses a value safely below it, one pass
+collects the candidates at or above the guess, and a partition of the
+candidates gives it exactly. A guess that proves unsafe is retried once
+over every entry, so the result is always exact; graphs no larger than the
+sample are ranked in full. The sigmoid runs only where the logit reaches
+the threshold whose score lies a fixed relative margin below that logit's
 score. The margin is far wider than the sigmoid's rounding error, so no
 entry outside the band can score as high as the e-th score, and the band
 holds about e entries instead of N². The ascending flat indices of the
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import EdgeIndex, Tensor, _sigmoid, edge_scores, matmul, scale, unary_activation
+from . import autodiff
+from .autodiff import EdgeIndex, Tensor, _make_output, _sigmoid, matmul
 from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
@@ -71,8 +73,8 @@ class StructureParams:
                 f"embedding maps {self.w_from.shape}/{self.w_to.shape} do not fit "
                 f"feature width {d_in}"
             )
-        if self.feature_gain <= 0.0 or self.score_gain <= 0.0:
-            raise ConfigError("feature_gain and score_gain must be positive")
+        if not (0.0 < self.feature_gain < math.inf and 0.0 < self.score_gain < math.inf):
+            raise ConfigError("feature_gain and score_gain must be positive and finite")
         if not 0 <= self.max_edges <= n * (n - 1):
             raise ConfigError(
                 f"max_edges must lie in [0, {n * (n - 1)}], got {self.max_edges}"
@@ -81,10 +83,6 @@ class StructureParams:
     @property
     def node_count(self) -> int:
         return self.static_features.shape[0]
-
-
-def _embedding(params: StructureParams, w: Tensor) -> Tensor:
-    return unary_activation(scale(matmul(params.static_features, w), params.feature_gain), "tanh")
 
 
 # How far below the e-th score the band of scored logits reaches, as a
@@ -205,8 +203,9 @@ def kept_edges(
     a differentiable vector; self-loops are left implicit.
 
     Scores are sigmoid(score_gain * E_from @ E_to^T) with
-    E_* = tanh(feature_gain * static_features @ w_*). The logits are
-    computed densely off the tape, and :func:`top_edges` selects the kept
+    E_* = tanh(feature_gain * static_features @ w_*). The two feature
+    products are ``matmul`` ops; everything after them is one recorded op.
+    The logits are computed densely, and :func:`top_edges` selects the kept
     edges straight into the row-major edge list, scoring only its band of
     candidates. Recomputed from the current parameters on every call, so
     training sees a fresh graph each optimization step. Passing ``edges``
@@ -214,15 +213,46 @@ def kept_edges(
     logits, which keeps the forward pass differentiable at a frozen
     sparsity pattern (used by gradient checks, where re-selection would
     make finite differences meaningless).
+
+    Only the kept scores are recorded, so the tape holds no N x N array.
+    Backward scatters the score gradient into one n x n matrix, CSR or
+    dense as :attr:`~onigraph.autodiff.EdgeIndex.sparse` picks, and carries
+    its products with the two embeddings back through the tanh and
+    ``feature_gain`` to the feature products.
     """
-    emb_from = _embedding(params, params.w_from)
-    emb_to = _embedding(params, params.w_to)
+    if edges is not None and edges.n != params.node_count:
+        raise DimensionError(f"frozen edges of {edges.n} nodes for {params.node_count} nodes")
+    feature_gain, score_gain = params.feature_gain, params.score_gain
+    products = tuple(matmul(params.static_features, w) for w in (params.w_from, params.w_to))
+    pre = [product.data * feature_gain for product in products]
+    # checked before the tanh, which maps an overflow to a finite +-1
+    if not all(np.isfinite(x).all() for x in pre):
+        raise NumericError("structure embedding: feature_gain * static_features @ w overflows")
+    emb_from, emb_to = (np.tanh(x, out=x) for x in pre)
     # a contiguous copy of E_to^T: BLAS rounds the product with a transposed
     # view differently, and seeded training histories keep these bits
-    logits = emb_from.data @ emb_to.data.T.copy()
-    logits *= params.score_gain
+    logits = emb_from @ emb_to.T.copy()
+    logits *= score_gain
     if edges is None:
         edges, kept = top_edges(logits, params.max_edges)
     else:
         kept = _sigmoid(logits[edges.rows, edges.cols])
-    return edges, edge_scores(emb_from, emb_to, edges, params.score_gain, kept)
+    out = _make_output(kept, *products)
+    sparse = edges.sparse
+
+    def rule(g: Array):
+        grad = g * kept * (1.0 - kept) * score_gain
+        if sparse:
+            grad = edges.csr(grad)
+            d_from, d_to = grad @ emb_to, grad.T @ emb_from
+        else:
+            # operands laid out as in the backward of the dense product
+            # E_from @ copy(E_to^T): BLAS rounds other layouts differently,
+            # and seeded training histories keep these bits
+            grad = edges.dense(grad)
+            d_from, d_to = grad @ emb_to.T.copy().T, (emb_from.T @ grad).T
+        return [d * (1.0 - e * e) * feature_gain for d, e in ((d_from, emb_from), (d_to, emb_to))]
+
+    # through the module, where a wrapper patched in from outside (the
+    # benchmark's tracer) sees every recorded op
+    return edges, autodiff.record_op(out, products, rule)

@@ -32,9 +32,7 @@ from onigraph.autodiff import (
     mse_loss,
     pool_blocks,
     record_op,
-    scale,
     sgd_nesterov_step,
-    unary_activation,
     _column_sums,
     _sigmoid,
 )
@@ -104,29 +102,42 @@ def test_matmul_backward_rules():
 # --- activations ------------------------------------------------------------
 
 
+def activate(x, kind):
+    """batchnorm_features reduced to the activation ``kind``: eval mode with
+    running mean 0 and variance 1, an eps too small to move 1.0, unit scale
+    and a shift of -0.0. Every finite entry of the rank-2 ``x``, -0.0
+    included, reaches the activation unchanged, and its gradient passes
+    back unchanged."""
+    width = x.shape[1]
+    return batchnorm_features(
+        x, t(np.ones(width)), t(np.full(width, -0.0)), 1e-300, "eval",
+        RunningStats.initial(width), kind,
+    )
+
+
 def test_activation_fixed_points():
     x = t([[0.0]])
-    assert unary_activation(x, "tanh").data[0, 0] == 0.0
-    assert unary_activation(x, "sigmoid").data[0, 0] == 0.5
-    assert unary_activation(x, "elu").data[0, 0] == 0.0
+    assert activate(x, "tanh").data[0, 0] == 0.0
+    assert activate(x, "sigmoid").data[0, 0] == 0.5
+    assert activate(x, "elu").data[0, 0] == 0.0
 
 
 def test_elu_positive_branch_is_identity():
-    assert unary_activation(t([[2.0]]), "elu").data[0, 0] == 2.0
+    assert activate(t([[2.0]]), "elu").data[0, 0] == 2.0
 
 
 def test_activation_scalar_oracle_values():
-    assert unary_activation(t([[-1.0]]), "elu").data[0, 0] == pytest.approx(
+    assert activate(t([[-1.0]]), "elu").data[0, 0] == pytest.approx(
         math.exp(-1.0) - 1.0, abs=1e-12
     )
-    assert unary_activation(t([[1.0]]), "tanh").data[0, 0] == pytest.approx(
+    assert activate(t([[1.0]]), "tanh").data[0, 0] == pytest.approx(
         0.7615941559557649, abs=1e-12
     )
 
 
 def test_unknown_activation_rejected():
     with pytest.raises(ConfigError):
-        unary_activation(t([[0.0]]), "relu")
+        activate(t([[0.0]]), "relu")
 
 
 def _two_branch_sigmoid(x):
@@ -171,17 +182,19 @@ def test_sigmoid_of_a_gathered_subset_matches_the_dense_bits():
 
 def test_nonfinite_op_output_raises_numeric_error():
     with pytest.raises(NumericError), np.errstate(over="ignore"):
-        scale(t([1.0, 1e308]), 10.0)
+        matmul(t([[1.0, 1e308]]), t([[10.0], [10.0]]))
     with pytest.raises(NumericError):
         add(t([math.nan]), t([1.0]))
 
 
 def test_nonfinite_check_survives_optimized_mode():
     code = (
-        "from onigraph.autodiff import Tensor, scale\n"
+        "import numpy as np\n"
+        "from onigraph.autodiff import Tensor, matmul\n"
         "from onigraph.errors import NumericError\n"
         "try:\n"
-        "    scale(Tensor([1e308]), 10.0)\n"
+        "    with np.errstate(over='ignore'):\n"
+        "        matmul(Tensor([[1e308]]), Tensor([[10.0]]))\n"
         "except NumericError:\n"
         "    print('raised')\n"
     )
@@ -356,28 +369,38 @@ def test_fused_norm_act_rejects_unknown_activation():
 def test_elu_of_negative_zero_is_positive_zero():
     # the one signed-zero difference from where(x > 0, x, expm1(x)), which
     # gives -0.0; a zero-initialized shift never produces -0.0
-    out = unary_activation(t([[-0.0, 0.0]]), "elu").data
+    x = t([[-0.0, 0.0]])
+    assert activate(x, "identity").data.tobytes() == x.data.tobytes()  # -0.0 reaches the ELU
+    out = activate(x, "elu").data
     np.testing.assert_array_equal(out, [[0.0, 0.0]])
     assert not np.signbit(out).any()
 
 
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_activations_take_every_tensor_rank(kind):
+    # the activation table works on arrays of any rank; the fused op feeds
+    # it rank-2 rows
     fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    act, act_grad = autodiff.ACTIVATIONS[kind]
     for values in (-0.75, [0.5, -2.0], [[1.5, -0.25]]):
-        x = t(values, grad=True)
+        x = np.asarray(values)
         g = np.full(x.shape, 0.5)
-        with Tape() as tape:
-            out = unary_activation(x, kind)
-            (dx,) = tape.entries[-1].rule(g)
-        assert out.data.tobytes() == fwd(x.data).tobytes()
-        assert np.asarray(dx).tobytes() == bwd(g, x.data, out.data).tobytes()
+        y = act(x.copy())
+        assert y.tobytes() == fwd(x).tobytes()
+        assert np.asarray(act_grad(g, y)).tobytes() == bwd(g, x, y).tobytes()
+        if x.ndim == 2:
+            x = t(values, grad=True)
+            with Tape() as tape:
+                out = activate(x, kind)
+                (dx,) = tape.entries[-1].rule(g)[:1]
+            assert out.data.tobytes() == fwd(x.data).tobytes()
+            assert dx.tobytes() == bwd(g, x.data, out.data).tobytes()
 
 
 def test_elu_evaluates_expm1_on_the_negative_half_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = unary_activation(t([[800.0, -1.0]]), "elu").data
+        out = activate(t([[800.0, -1.0]]), "elu").data
     assert out[0, 0] == 800.0
     assert out[0, 1] == math.expm1(-1.0)
 
@@ -609,7 +632,7 @@ def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
     w = t([[1.5, -0.5]], grad=True)
     x = t([[2.0], [1.0]])
     with Tape() as tape:
-        hidden = unary_activation(matmul(w, x), "tanh")
+        hidden = activate(matmul(w, x), "tanh")
         loss = mse_loss(flatten(hidden), t([0.0]))
         backward(loss)
         assert tape.entries == []
@@ -622,7 +645,7 @@ def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
 def test_backward_requires_scalar():
     v = t([1.0, 2.0], grad=True)
     with Tape():
-        out = scale(v, 2.0)
+        out = add(v, v)
         with pytest.raises(DimensionError):
             backward(out)
 
@@ -658,7 +681,7 @@ def test_forward_backward_deterministic():
         w = t(np.arange(6.0).reshape(2, 3), grad=True)
         x = t(np.arange(12.0).reshape(3, 4) / 7.0)
         with Tape():
-            out = unary_activation(matmul(w, x), "tanh")
+            out = activate(matmul(w, x), "tanh")
             loss = mse_loss(flatten(out), t(np.zeros(8)))
             backward(loss)
         return out.data.tobytes(), w.grad.tobytes()
@@ -704,9 +727,8 @@ def test_grad_check_composite_ops():
     def f():
         h = matmul(x, w)
         h = add_row_bias(h, bias)
-        h = batchnorm_features(h, gamma, beta, mode="train", running=running)
-        h = unary_activation(h, "elu")
-        pooled = pool_blocks([h, scale(h, -0.5)], 4, "mean")
+        h = batchnorm_features(h, gamma, beta, mode="train", running=running, activation="elu")
+        pooled = pool_blocks([h, add(h, h)], 4, "mean")
         return mse_loss(flatten(pooled), t([0.1, 0.2, 0.3, 0.4]))
 
     assert grad_check(f, [w, gamma, beta, bias], step=1e-5) <= 1e-6

@@ -422,7 +422,9 @@ def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
     out = tmp_path / "m.ckpt"
     proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
     assert proc.returncode == 3
-    assert proc.stderr == "numeric failure: non-finite value produced by a tensor op\n"
+    assert proc.stderr == (
+        "numeric failure: non-finite value produced by a tensor op at epoch 4, batch 0\n"
+    )
     assert proc.stdout == "" and not out.exists()
 
 
@@ -611,7 +613,8 @@ def _edit_checkpoint_manifest(good, bad, edit):
 
 
 @pytest.mark.parametrize(
-    "corruption", ["truncated_checkpoint", "checkpoint_missing_key", "grid_missing_lat0"]
+    "corruption",
+    ["truncated_checkpoint", "checkpoint_missing_key", "fractional_max_edges", "grid_missing_lat0"],
 )
 def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_dir, tmp_path):
     ckpt, data = checkpoint, synth_dir
@@ -621,6 +624,9 @@ def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_d
     elif corruption == "checkpoint_missing_key":
         ckpt = tmp_path / "nokey.ckpt"
         _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m.pop("seed"))
+    elif corruption == "fractional_max_edges":
+        ckpt = tmp_path / "fraction.ckpt"
+        _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(max_edges=10.5))
     else:
         data = tmp_path / "grid"
         shutil.copytree(synth_dir, data)

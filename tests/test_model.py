@@ -353,6 +353,8 @@ def test_config_validation():
         GcnConfig(layer_dims=[])
     with pytest.raises(ConfigError):
         GcnConfig(layer_dims=[4], pooling="max")
+    with pytest.raises(ConfigError, match="relu"):
+        GcnConfig(layer_dims=[4], activation="relu")
 
 
 def test_local_graph_is_built_once_with_the_state(monkeypatch):

@@ -5,6 +5,7 @@ the lazy scipy import that keeps dense-only runs small."""
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +17,21 @@ from onigraph.autodiff import (
     EdgeIndex,
     Tape,
     Tensor,
+    Workspace,
+    _make_output,
+    _sigmoid,
     backward,
     edge_block_matmul,
     flatten,
     grad_check,
+    matmul,
     mse_loss,
+    record_op,
 )
 from onigraph.data import SampleSet
-from onigraph.errors import ConfigError, DimensionError
+from onigraph.errors import ConfigError, DimensionError, NumericError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
-from onigraph.structure import StructureParams, kept_edges
+from onigraph.structure import StructureParams, kept_edges, top_edges
 from onigraph.training import predict_samples
 
 # SPARSE_SHARE values that force one kernel at every density
@@ -237,6 +243,100 @@ def test_kept_edges_gradients_match_dense_scores(monkeypatch):
             backward(mse_loss(values, Tensor(weights[edges.rows, edges.cols])))
         np.testing.assert_allclose(p.w_from.grad, s.T @ d_from, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(p.w_to.grad, s.T @ d_to, rtol=1e-12, atol=1e-14)
+
+
+# The structure learner as separate ops, before they were folded into
+# kept_edges: matmul, scale, tanh, then the edge-score op, each recorded on
+# its own. The reference for the bits of the fold.
+
+
+def _old_scale(x, factor):
+    out = _make_output(x.data * factor, x)
+    return record_op(out, (x,), lambda g: (g * factor,))
+
+
+def _old_tanh(x):
+    out = _make_output(np.tanh(x.data.copy()), x)
+    return record_op(out, (x,), lambda g: (g * (1.0 - out.data * out.data),))
+
+
+def _old_edge_scores(emb_from, emb_to, edges, gain, scores):
+    out = _make_output(scores, emb_from, emb_to)
+    sparse = edges.sparse
+
+    def rule(g):
+        y = out.data
+        grad = g * y * (1.0 - y) * gain
+        if sparse:
+            grad = edges.csr(grad)
+            return (grad @ emb_to.data, grad.T @ emb_from.data)
+        grad = edges.dense(grad)
+        return (grad @ emb_to.data.T.copy().T, (emb_from.data.T @ grad).T)
+
+    return record_op(out, (emb_from, emb_to), rule)
+
+
+def old_kept_edges(p, edges=None):
+    emb_from, emb_to = (
+        _old_tanh(_old_scale(matmul(p.static_features, w), p.feature_gain))
+        for w in (p.w_from, p.w_to)
+    )
+    logits = emb_from.data @ emb_to.data.T.copy()
+    logits *= p.score_gain
+    if edges is None:
+        edges, kept = top_edges(logits, p.max_edges)
+    else:
+        kept = _sigmoid(logits[edges.rows, edges.cols])
+    return edges, _old_edge_scores(emb_from, emb_to, edges, p.score_gain, kept)
+
+
+@pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kept_edges_keep_the_bits_of_the_separate_ops(monkeypatch, kernel, workspace):
+    monkeypatch.setattr(autodiff, "SPARSE_SHARE", KERNELS[kernel])
+    rng = np.random.default_rng(8513)
+    p = structure_params(rng, n=N, d_in=6, d_emb=5, max_edges=3 * N)
+    p.feature_gain, p.score_gain = 0.7, 2.5
+    weights = rng.normal(size=(N, N))
+
+    def run(build, frozen):
+        p.w_from.zero_grad()
+        p.w_to.zero_grad()
+        with Workspace() if workspace else nullcontext(), Tape():
+            for _ in range(2):  # a second step reuses the first one's buffers
+                edges, values = build(p, frozen)
+                backward(mse_loss(values, Tensor(weights[edges.rows, edges.cols])))
+        return edges, values.data, p.w_from.grad, p.w_to.grad
+
+    for frozen in (None, random_edges(rng, N, share=0.3)):
+        (edges, *got), (want_edges, *want) = run(kept_edges, frozen), run(old_kept_edges, frozen)
+        np.testing.assert_array_equal(edges.rows, want_edges.rows)
+        np.testing.assert_array_equal(edges.cols, want_edges.cols)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_kept_edges_check_the_embedding_before_the_tanh():
+    # feature_gain * XW overflows although XW is finite; tanh would map the
+    # infinity to 1.0
+    p = StructureParams(
+        static_features=Tensor(np.full((3, 1), 1e308)),
+        w_from=Tensor([[1.0]], requires_grad=True),
+        w_to=Tensor([[-1.0]], requires_grad=True),
+        feature_gain=10.0,
+        max_edges=2,
+    )
+    assert np.isfinite(matmul(p.static_features, p.w_from).data).all()
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        kept_edges(p)
+
+
+def test_frozen_edges_of_another_node_count_rejected():
+    rng = np.random.default_rng(8514)
+    p = structure_params(rng, n=7)
+    for n in (6, 8):
+        with pytest.raises(DimensionError):
+            kept_edges(p, EdgeIndex.from_flat(n, np.array([1, n + 2])))
 
 
 # --- the model on both sides of the threshold --------------------------------------

@@ -578,5 +578,10 @@ def test_structure_gradients_with_frozen_mask():
 def test_invalid_params_rejected():
     with pytest.raises(ConfigError):
         make_params(feature_gain=0.0)
+    for gain in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            make_params(feature_gain=gain)
+        with pytest.raises(ConfigError):
+            make_params(score_gain=gain)
     with pytest.raises(ConfigError):
         make_params(n=3, max_edges=7)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -470,10 +471,18 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=2)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=10.5)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=True)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(feature_gain=math.nan)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(activation="relu")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(use_residual="no")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(model=[["pooling", "mean"]])),
     ],
     ids=[
         "truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape",
         "no_max_edges", "newer_version", "version_string", "no_version",
+        "fractional_max_edges", "bool_max_edges", "nan_feature_gain", "unknown_activation",
+        "string_residual", "model_not_an_object",
     ],
 )
 def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
