@@ -13,7 +13,8 @@ preset with the model section on top, the train section's window and
 lead_months, and the grid's variable count as features_per_node. --preset,
 --seed, --lead and ablation's --seeds win over the train section. evaluate
 and predict take the window, the lead and, unless data.oni_node is set, the
-ONI node from the first checkpoint.
+ONI node from the first checkpoint. Checkpoints and grid manifests must hold
+every field of their records, while config sections may omit keys.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .errors import ConfigError, DataError, FormatError, NumericError, UsageErro
 from .exports import export_centrality_heatmap, export_forecast_timeseries
 from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency, model_edges
 from .training import (
+    MODEL_FIELDS,
+    TRAIN_FIELDS,
     TrainConfig,
-    _typed,
     build_model,
     evaluate,
     load_checkpoint,
@@ -55,6 +56,12 @@ GRADCHECK_TOLERANCE = 1e-4
 
 # GcnConfig fields that describe the data, not the architecture
 MODEL_FACTS = ("window", "lead_months", "features_per_node")
+# the keys each config section takes, with their types
+CONFIG_SECTIONS = {
+    "train": TRAIN_FIELDS,
+    "model": {k: v for k, v in MODEL_FIELDS.items() if k not in MODEL_FACTS},
+    "data": dat.field_types(dat.prepare_dataset, drop=("grid", "window", "lead", "return")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     listing = "\n".join(
         textwrap.fill(", ".join(keys), 76, initial_indent=f"  {name:<7}", subsequent_indent=" " * 9)
-        for name, keys in _section_types().items()
+        for name, keys in CONFIG_SECTIONS.items()
     )
     parser = _Parser(
         prog="onigraph",
@@ -128,40 +135,20 @@ def _build_parser() -> _Parser:
 # configuration
 
 
-def _section_types() -> dict[str, dict]:
-    """The keys each config section takes, with their annotated types."""
-    model = get_type_hints(GcnConfig)
-    data = get_type_hints(dat.prepare_dataset)
-    return {
-        "train": get_type_hints(TrainConfig),
-        "model": {k: v for k, v in model.items() if k not in MODEL_FACTS},
-        "data": {k: data[k] for k in ("train_fraction", "oni_node", "smoothing_k")},
-    }
-
-
 def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, TrainConfig, dict]:
     """The model, training and data settings of a parsed config file, with
     ``flags`` (TrainConfig values, None where unset) over the train section.
     The data settings are keyword arguments of :func:`data.prepare_dataset`.
     Raises ConfigError for an unknown section or key, a model key that
     describes the data, or a value of another type."""
-    sections = _section_types()
-    if not isinstance(config, dict):
-        raise ConfigError(f"a config is a JSON object with sections {list(sections)}")
-    unknown = set(config) - set(sections)
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}; use {list(sections)}")
-    resolved = {}
-    for name, types in sections.items():
-        values = config.get(name, {})
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-        for key in values:
-            if name == "model" and key in MODEL_FACTS:
-                raise ConfigError(f"model.{key} describes the data, not the architecture")
-            if key not in types:
-                raise ConfigError(f"unknown config key {name}.{key}; {name} takes {list(types)}")
-        resolved[name] = {k: _typed(v, types[k], f"{name}.{k}") for k, v in values.items()}
+    config = dat.read_record(dict.fromkeys(CONFIG_SECTIONS, dict), config, "config", partial=True)
+    for key in MODEL_FACTS:
+        if key in config.get("model", {}):
+            raise ConfigError(f"model.{key} describes the data, not the architecture")
+    resolved = {
+        name: dat.read_record(types, config.get(name, {}), name, partial=True)
+        for name, types in CONFIG_SECTIONS.items()
+    }
 
     train_cfg = TrainConfig(**resolved["train"] | {k: v for k, v in flags.items() if v is not None})
     preset = model_config_from_preset(

@@ -15,8 +15,11 @@ container (e.g. when converting reanalysis archives such as SODA/GODAS).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,18 +38,46 @@ ONI_CENTER_LATLON = (0.0, 215.0)
 MANIFEST_NAME = "manifest.json"
 
 
-def _grid_size(value) -> int:
-    # int() would truncate 8.9 and read "4" or true; none of them is a size
-    if type(value) is not int:
-        raise ValueError(f"a grid size must be a JSON integer, got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# typed JSON records: config sections, checkpoint manifests, grid manifests
 
 
-# the GridSet fields a manifest records, each with the type it is read back as
-MANIFEST_FIELDS = {
-    "n_lat": _grid_size, "n_lon": _grid_size, "lat0": float, "dlat": float, "lon0": float,
-    "dlon": float, "start_month": str, "n_time": _grid_size, "variables": list,
-}
+def field_types(source, drop=()) -> dict:
+    """The annotated types of a class's fields or a function's parameters,
+    less ``drop``. Resolve each table once, at import: 0.17 ms a type."""
+    return {k: v for k, v in get_type_hints(source).items() if k not in drop}
+
+
+def _typed(value, hint, where: str):
+    """value as the annotated type: ints widen to float, floats must be
+    finite, a bool is never an int, and nothing else converts."""
+    if hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:  # never true of a generic hint, which falls through
+        return value
+    elif get_origin(hint) is list:
+        if isinstance(value, list):
+            return [_typed(v, get_args(hint)[0], where) for v in value]
+    elif get_args(hint):  # X | None
+        return None if value is None else _typed(value, get_args(hint)[0], where)
+    name = "finite float" if hint is float else hint.__name__ if type(hint) is type else str(hint)
+    raise ConfigError(f"{where} must be of type {name}, got {value!r}")
+
+
+def read_record(types: dict, values, where: str, partial: bool = False) -> dict:
+    """The JSON object ``values``, each value as its type in the table
+    ``types`` (:func:`_typed`). Every key must be in the table, and every
+    field of the table present unless ``partial``. Raises ConfigError."""
+    if type(values) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {type(values).__name__}")
+    unknown = sorted(values.keys() - types.keys())
+    if unknown:
+        raise ConfigError(f"unknown key {where}.{unknown[0]}; {where} takes {list(types)}")
+    missing = [] if partial else [k for k in types if k not in values]
+    if missing:
+        raise ConfigError(f"{where} is missing {missing}")
+    return {k: _typed(v, types[k], f"{where}.{k}") for k, v in values.items()}
 
 
 @dataclass
@@ -93,14 +124,18 @@ class GridSet:
         return (start - 1 + t) % 12 + 1
 
 
+# the fields of a grid manifest: the GridSet's, with the names of its two binaries
+GRID_FIELDS = {**field_types(GridSet, ("land_mask", "data")), "mask_file": str, "data_file": str}
+
+
 def save_gridset(grid: GridSet, path: str | Path) -> None:
     """Write the directory container: manifest.json, mask.bin (one 0/1 byte
     per cell, lat-major) and data.bin (little-endian float32,
     [time][variable][lat][lon] row-major)."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {name: getattr(grid, name) for name in MANIFEST_FIELDS}
-    manifest |= {"mask_file": "mask.bin", "data_file": "data.bin"}
+    files = {"mask_file": "mask.bin", "data_file": "data.bin"}
+    manifest = {k: files[k] if k in files else getattr(grid, k) for k in GRID_FIELDS}
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     (directory / manifest["mask_file"]).write_bytes(grid.land_mask.astype(np.uint8).tobytes())
     (directory / manifest["data_file"]).write_bytes(grid.data.astype("<f4").tobytes())
@@ -116,26 +151,21 @@ def _read_file(path: Path) -> bytes:
 def load_gridset(path: str | Path) -> GridSet:
     """Read the container back; the float32 payload is promoted to float64."""
     directory = Path(path)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FormatError(f"no {MANIFEST_NAME} in {directory}")
     try:
-        manifest = json.loads(_read_file(manifest_path).decode())
+        manifest = json.loads(_read_file(directory / MANIFEST_NAME).decode())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:
-        fields = {name: kind(manifest[name]) for name, kind in MANIFEST_FIELDS.items()}
-        mask_path = directory / manifest["mask_file"]
-        data_path = directory / manifest["data_file"]
+        fields = read_record(GRID_FIELDS, manifest, "manifest")
+        mask_path = directory / fields.pop("mask_file")
+        data_path = directory / fields.pop("data_file")
         n_lat, n_lon, n_time = fields["n_lat"], fields["n_lon"], fields["n_time"]
         year, month = fields["start_month"].split("-")
         if min(n_lat, n_lon, n_time) < 1:
             raise ValueError(f"grid sizes must be positive, got {n_lat}x{n_lon}x{n_time}")
         if not (year.isdigit() and 1 <= int(month) <= 12):
             raise ValueError(f"start_month {fields['start_month']!r} is not YYYY-MM")
-    except KeyError as exc:
-        raise FormatError(f"manifest missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
+    except (ConfigError, ValueError) as exc:
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
     mask_bytes = _read_file(mask_path)
@@ -447,12 +477,12 @@ def synth_teleconnection_dataset(
         raise ConfigError(f"need at least 40 months, got {n_months}")
     if lead < 1:
         raise ConfigError(f"lead must be >= 1, got {lead}")
-    if noise_sd < 0.0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if background_sd is None:
         background_sd = noise_sd
-    if background_sd < 0.0:
-        raise ConfigError(f"background_sd must be >= 0, got {background_sd}")
+    if not 0.0 <= background_sd < math.inf:
+        raise ConfigError(f"background_sd must be finite and >= 0, got {background_sd}")
 
     step = 5.0
     lat0 = -step * (n_lat // 2)

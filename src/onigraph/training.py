@@ -14,15 +14,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .autodiff import Sgd, Tape, Tensor, Workspace, backward, mse_loss, sgd_nesterov_step
-from .data import DatasetBundle, SampleSet, local_adjacency
+from .data import DatasetBundle, SampleSet, field_types, local_adjacency, read_record
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
     GcnConfig,
@@ -41,8 +39,6 @@ Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
 FORMAT_VERSION = 1
-# the StructureParams hyperparameters a checkpoint records, by field name
-STRUCTURE_KEYS = ("feature_gain", "score_gain", "max_edges")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
 # block's (rows, width) arrays stay a few MB. On a 2-vCPU Xeon with one
 # BLAS thread, predicting 44 windows of a 32/16-wide model at N=1345 took
@@ -91,6 +87,10 @@ class TrainConfig:
                 f"no preset {self.preset!r} to take weight decay from; set it explicitly"
             )
         return PRESETS[self.preset].weight_decay
+
+
+# the field types of a config file's train section
+TRAIN_FIELDS = field_types(TrainConfig)
 
 
 def model_config_from_preset(
@@ -321,29 +321,16 @@ def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -
 #
 # Single file: a 4-byte magic, an 8-byte little-endian manifest length, the
 # JSON manifest, then one blob of little-endian float64 values. The manifest
-# lists every tensor with its shape and byte offset into the blob and embeds
-# the model config, structure hyperparameters, and seed.
-
-
-# the field types of a checkpoint's sections, resolved once (0.26 ms a load)
-_SECTION_TYPES = {"model": get_type_hints(GcnConfig), "structure": get_type_hints(StructureParams)}
-
-
-def _typed(value, hint, where: str):
-    """value as the annotated type: ints widen to float, nothing else converts."""
-    args = get_args(hint)
-    if get_origin(hint) is list:
-        if isinstance(value, list):
-            return [_typed(v, args[0], where) for v in value]
-    elif args:  # X | None
-        return None if value is None else _typed(value, args[0], where)
-    elif hint is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is hint:
-        return value
-    name = "finite float" if hint is float else hint.__name__ if type(hint) is type else str(hint)
-    raise ConfigError(f"{where} must be of type {name}, got {value!r}")
+# holds exactly the fields of CHECKPOINT_FIELDS: the model config, structure
+# and optimizer hyperparameters (each with its own table), the edge mode, the
+# ONI node flag, the seed, and every tensor's shape and offset into the blob.
+CHECKPOINT_FIELDS = {
+    "format_version": int, "model": dict, "structure": dict, "edge_mode": str, "has_oni_node": bool,
+    "seed": int, "optimizer": dict | None, "tensors": list, "blob_bytes": int,
+}
+MODEL_FIELDS = field_types(GcnConfig)
+STRUCTURE_FIELDS = field_types(StructureParams, drop=("static_features", "w_from", "w_to"))
+OPTIMIZER_FIELDS = field_types(Sgd, drop=("velocity",))
 
 
 def _checkpoint_entries(state: ModelState) -> dict[str, Array]:
@@ -367,12 +354,11 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         blob.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     opt = None
     if state.optimizer is not None:
-        # the hyperparameters by field name; the velocities go to the blob
-        opt = {k: v for k, v in vars(state.optimizer).items() if k != "velocity"}
+        opt = {k: getattr(state.optimizer, k) for k in OPTIMIZER_FIELDS}
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": asdict(state.config),
-        "structure": {k: getattr(state.structure, k) for k in STRUCTURE_KEYS},
+        "structure": {k: getattr(state.structure, k) for k in STRUCTURE_FIELDS},
         "edge_mode": state.edge_mode,
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
@@ -410,6 +396,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
 def _decode_checkpoint(raw: bytes) -> ModelState:
     (manifest_len,) = struct.unpack("<Q", raw[4:12])
     manifest = json.loads(raw[12 : 12 + manifest_len].decode())
+    manifest = read_record(CHECKPOINT_FIELDS, manifest, "checkpoint")
     if manifest["format_version"] != FORMAT_VERSION:
         raise FormatError(
             f"checkpoint format version {manifest['format_version']!r}; "
@@ -439,16 +426,10 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         return arrays[name]
 
-    # The model and structure sections as their fields' annotated types, read
-    # as a config file's are; dict() of anything but an object raises.
-    model, structure = (
-        {k: _typed(v, hints[k], f"{name}.{k}") for k, v in dict(manifest[name]).items()}
-        for name, hints in _SECTION_TYPES.items()
-    )
     # Build the model the way training does, then fill every tensor that
     # save_checkpoint wrote, by the names the parameter and buffer tables emit.
     state = init_params(
-        GcnConfig(**model),
+        GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model")),
         grab("structure.static_features"),
         grab("node_latlon"),
         seed=manifest["seed"],
@@ -456,11 +437,10 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
         embed_dim=grab("structure.w_from").shape[1],
         edge_mode=manifest["edge_mode"],
         fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
-        **{k: structure[k] for k in STRUCTURE_KEYS},
+        **read_record(STRUCTURE_FIELDS, manifest["structure"], "structure"),
     )
-    opt = manifest["optimizer"]
-    if opt is not None:
-        # a missing or extra hyperparameter is a TypeError, a bad value a ConfigError
+    if manifest["optimizer"] is not None:
+        opt = read_record(OPTIMIZER_FIELDS, manifest["optimizer"], "optimizer")
         velocity = {name: np.zeros_like(t.data) for name, t in state.parameters()}
         state.optimizer = Sgd(**opt, velocity=velocity)
     for name, target in _checkpoint_entries(state).items():

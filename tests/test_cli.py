@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -18,10 +20,18 @@ from hypothesis import strategies as st
 
 import onigraph
 from onigraph import data as dat
-from onigraph.cli import _section_types, cli_dispatch, resolve_configs
-from onigraph.errors import ConfigError
+from onigraph.cli import CONFIG_SECTIONS, cli_dispatch, resolve_configs
+from onigraph.errors import ConfigError, FormatError
 from onigraph.model import GcnConfig, init_params
-from onigraph.training import CHECKPOINT_MAGIC, save_checkpoint
+from onigraph.training import (
+    CHECKPOINT_FIELDS,
+    CHECKPOINT_MAGIC,
+    MODEL_FIELDS,
+    OPTIMIZER_FIELDS,
+    STRUCTURE_FIELDS,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -272,13 +282,13 @@ def _write_config(path, config):
         ({"data": {"train_fraction": "x"}}, "data.train_fraction must be of type finite float"),
         ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be"),
         ({"model": {"layer_dims": [8, 8.0]}}, "model.layer_dims must be of type int"),
-        ({"structure": {"max_edges": 10}}, "unknown config sections ['structure']"),
-        ({"train": {"bogus": 1}}, "unknown config key train.bogus"),
+        ({"structure": {"max_edges": 10}}, "unknown key config.structure"),
+        ({"train": {"bogus": 1}}, "unknown key train.bogus"),
         ({"model": {"window": 3}}, "model.window describes the data"),
         ({"model": {"lead_months": 2}}, "model.lead_months describes the data"),
         ({"model": {"features_per_node": 1}}, "model.features_per_node describes the data"),
-        ({"data": []}, "config section 'data' must be a JSON object"),
-        ([], "a config is a JSON object"),
+        ({"data": []}, "config.data must be of type dict, got []"),
+        ([], "config must be a JSON object"),
         ({"train": {"embed_dim": -1}}, "embed_dim must be >= 1"),
         ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
         ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
@@ -480,7 +490,7 @@ def _holds(value, hint) -> bool:
     return type(value) is hint and (hint is not float or np.isfinite(value))
 
 
-_TYPES = _section_types()
+_TYPES = CONFIG_SECTIONS
 _KEYS = sorted({k for types in _TYPES.values() for k in types} | {"window", "bogus"})
 _VALUES = st.recursive(
     st.none()
@@ -612,31 +622,92 @@ def _edit_checkpoint_manifest(good, bad, edit):
     bad.write_bytes(header + payload + raw[12 + manifest_len :])
 
 
+# edits of a checkpoint manifest and of a grid manifest, each leaving one
+# value missing or of the wrong type
+_CHECKPOINT_EDITS = {
+    "checkpoint_missing_key": lambda m: m.pop("seed"),
+    "fractional_max_edges": lambda m: m["structure"].update(max_edges=10.5),
+    "model_without_activation": lambda m: m["model"].pop("activation"),
+    "model_without_residual": lambda m: m["model"].pop("use_residual"),
+    "string_oni_node": lambda m: m.update(has_oni_node="no"),
+    "bool_seed": lambda m: m.update(seed=True),
+    "bool_format_version": lambda m: m.update(format_version=True),
+    "float_blob_bytes": lambda m: m.update(blob_bytes=float(m["blob_bytes"])),
+    "bool_learning_rate": lambda m: m["optimizer"].update(learning_rate=True),
+    "bool_momentum": lambda m: m["optimizer"].update(momentum=False),
+}
+_GRID_EDITS = {
+    "grid_missing_lat0": lambda m: m.pop("lat0"),
+    "string_lat0": lambda m: m.update(lat0="4.0"),
+    "bool_lat0": lambda m: m.update(lat0=True),
+    "nan_dlat": lambda m: m.update(dlat=math.nan),
+    "infinite_lon0": lambda m: m.update(lon0=math.inf),
+    "string_variables": lambda m: m.update(variables="sst_anomaly"),
+}
+
+
 @pytest.mark.parametrize(
     "corruption",
-    ["truncated_checkpoint", "checkpoint_missing_key", "fractional_max_edges", "grid_missing_lat0"],
+    ["truncated_checkpoint", "grid_without_manifest", *_CHECKPOINT_EDITS, *_GRID_EDITS],
 )
 def test_corrupt_input_exits_2_without_traceback(corruption, checkpoint, synth_dir, tmp_path):
     ckpt, data = checkpoint, synth_dir
     if corruption == "truncated_checkpoint":
         ckpt = tmp_path / "short.ckpt"
         ckpt.write_bytes(checkpoint.read_bytes()[:8])
-    elif corruption == "checkpoint_missing_key":
-        ckpt = tmp_path / "nokey.ckpt"
-        _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m.pop("seed"))
-    elif corruption == "fractional_max_edges":
-        ckpt = tmp_path / "fraction.ckpt"
-        _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(max_edges=10.5))
+    elif corruption in _CHECKPOINT_EDITS:
+        ckpt = tmp_path / "edited.ckpt"
+        _edit_checkpoint_manifest(checkpoint, ckpt, _CHECKPOINT_EDITS[corruption])
     else:
         data = tmp_path / "grid"
         shutil.copytree(synth_dir, data)
-        manifest = json.loads((data / "manifest.json").read_text())
-        del manifest["lat0"]
-        (data / "manifest.json").write_text(json.dumps(manifest))
+        if corruption == "grid_without_manifest":
+            (data / "manifest.json").unlink()
+        else:
+            manifest = json.loads((data / "manifest.json").read_text())
+            _GRID_EDITS[corruption](manifest)
+            (data / "manifest.json").write_text(json.dumps(manifest))
     proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error:")
+
+
+_CHECKPOINT_RECORDS = {
+    "checkpoint": CHECKPOINT_FIELDS,
+    "model": MODEL_FIELDS,
+    "structure": STRUCTURE_FIELDS,
+    "optimizer": OPTIMIZER_FIELDS,
+}
+
+
+@pytest.mark.parametrize(
+    "record, key", [(name, key) for name, table in _CHECKPOINT_RECORDS.items() for key in table]
+)
+def test_checkpoint_without_any_one_field_exits_2(record, key, checkpoint, tmp_path, capsys):
+    def drop(manifest):
+        del (manifest if record == "checkpoint" else manifest[record])[key]
+
+    ckpt = tmp_path / "m.ckpt"
+    _edit_checkpoint_manifest(checkpoint, ckpt, drop)
+    with pytest.raises(FormatError, match=re.escape(f"{record} is missing ['{key}']")):
+        load_checkpoint(ckpt)
+    args = ["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")]
+    assert cli_dispatch(args) == 2
+    assert capsys.readouterr().err.startswith("data error: bad checkpoint")
+    assert not (tmp_path / "heat.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--background"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_data_rejects_a_non_finite_sd(flag, value, tmp_path, capsys):
+    # such a grid holds non-finite values, which every later command refuses
+    name = {"--noise": "noise_sd", "--background": "background_sd"}[flag]
+    out = tmp_path / "grid"
+    assert cli_dispatch(["synth-data", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {name} must be finite and >= 0, got {value}\n"
+    assert not out.exists()
 
 
 def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path):
@@ -659,6 +730,7 @@ def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path)
         ("n_lat", "1e999"),  # JSON reads it as inf, which no int holds
         ("n_time", "1e999"),
         ("n_lat", "6.9"),  # int() would read it as the grid's 6 rows
+        ("lat0", "1" + "0" * 400),  # an int past any float, which float() overflows on
         ("mask_file", '"mask.bin\\u0000"'),  # a NUL, which no file name holds
         ("data_file", '"data\\u0000.bin"'),
     ],

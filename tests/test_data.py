@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onigraph.data import (
+    GRID_FIELDS,
     KNOWN_VARIABLES,
     GridSet,
     build_samples,
@@ -98,6 +99,13 @@ def test_unknown_variable_rejected(tmp_path):
         ("mask_file", 5),
         ("start_month", "2000"),
         ("start_month", "2000-13"),
+        ("lat0", "4.0"),
+        ("lat0", True),
+        ("dlat", math.nan),
+        ("lon0", math.inf),
+        ("variables", "sst_anomaly"),
+        ("variables", ["sst_anomaly", 1]),
+        ("legend", "x"),
     ],
 )
 def test_bad_manifest_field_is_format_error(tmp_path, field, value):
@@ -120,8 +128,15 @@ def test_grid_size_must_be_a_json_integer(tmp_path, field, value, size):
     manifest = json.loads(path.read_text())
     manifest[field] = value
     path.write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="a grid size must be a JSON integer"):
+    with pytest.raises(FormatError, match=rf"manifest\.{field} must be of type int, got"):
         load_gridset(tmp_path / "g")
+
+
+def test_grid_manifest_holds_exactly_the_fields_its_reader_takes(tmp_path):
+    # a field added to save_gridset or to GRID_FIELDS alone fails here
+    save_gridset(make_grid(), tmp_path / "g")
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert manifest.keys() == GRID_FIELDS.keys()
 
 
 @pytest.mark.parametrize("field", ["mask_file", "data_file"])

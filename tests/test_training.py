@@ -477,12 +477,26 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(activation="relu")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(use_residual="no")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(model=[["pooling", "mean"]])),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("activation")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("use_residual")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(has_oni_node="no")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(seed=True)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=True)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(blob_bytes=float(m["blob_bytes"]))),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(optimizer=[])),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(notes="x")),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(dropout=0.1)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(tensors={})),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(edge_mode=None)),
     ],
     ids=[
         "truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape",
         "no_max_edges", "newer_version", "version_string", "no_version",
         "fractional_max_edges", "bool_max_edges", "nan_feature_gain", "unknown_activation",
-        "string_residual", "model_not_an_object",
+        "string_residual", "model_not_an_object", "no_activation", "no_residual",
+        "string_oni_node", "bool_seed", "bool_version", "float_blob_bytes",
+        "optimizer_not_an_object", "unknown_top_level_key", "unknown_model_key",
+        "tensors_not_a_list", "null_edge_mode",
     ],
 )
 def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
@@ -500,8 +514,14 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
         lambda opt: opt.update(momentum=1.5),
         lambda opt: opt.pop("weight_decay"),
         lambda opt: opt.update(nesterov=True),
+        lambda opt: opt.update(learning_rate=True),
+        lambda opt: opt.update(momentum=False),
+        lambda opt: opt.update(weight_decay="1e-4"),
     ],
-    ids=["momentum_out_of_range", "missing_key", "extra_key"],
+    ids=[
+        "momentum_out_of_range", "missing_key", "extra_key", "bool_learning_rate",
+        "bool_momentum", "string_weight_decay",
+    ],
 )
 def test_checkpoint_bad_optimizer_section_rejected(tmp_path, edit):
     path = tmp_path / "model.ckpt"
@@ -514,7 +534,21 @@ def test_checkpoint_bad_optimizer_section_rejected(tmp_path, edit):
 def test_checkpoint_records_every_structure_hyperparameter():
     tensors = {"static_features", "w_from", "w_to"}
     hyper = {f.name for f in fields(StructureParams)} - tensors
-    assert sorted(training.STRUCTURE_KEYS) == sorted(hyper)
+    assert sorted(training.STRUCTURE_FIELDS) == sorted(hyper)
+    assert sorted(training.OPTIMIZER_FIELDS) == sorted({f.name for f in fields(Sgd)} - {"velocity"})
+
+
+def test_checkpoint_writes_exactly_the_fields_its_reader_takes(tmp_path):
+    # a field added to the writer or to a reader table alone fails here
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("learned"), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[4:12])
+    manifest = json.loads(raw[12 : 12 + length])
+    assert manifest.keys() == training.CHECKPOINT_FIELDS.keys()
+    assert manifest["model"].keys() == training.MODEL_FIELDS.keys()
+    assert manifest["structure"].keys() == training.STRUCTURE_FIELDS.keys()
+    assert manifest["optimizer"].keys() == training.OPTIMIZER_FIELDS.keys()
 
 
 @pytest.fixture(scope="module")
