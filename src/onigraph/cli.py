@@ -141,14 +141,20 @@ def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, Train
     The data settings are keyword arguments of :func:`data.prepare_dataset`.
     Raises ConfigError for an unknown section or key, a model key that
     describes the data, or a value of another type."""
-    config = dat.read_record(dict.fromkeys(CONFIG_SECTIONS, dict), config, "config", partial=True)
-    for key in MODEL_FACTS:
-        if key in config.get("model", {}):
-            raise ConfigError(f"model.{key} describes the data, not the architecture")
-    resolved = {
-        name: dat.read_record(types, config.get(name, {}), name, partial=True)
-        for name, types in CONFIG_SECTIONS.items()
-    }
+    if type(config) is not dict:
+        raise ConfigError(f"a config is a JSON object with sections {list(CONFIG_SECTIONS)}")
+    if unknown := sorted(config.keys() - CONFIG_SECTIONS.keys()):
+        raise ConfigError(f"unknown config sections {unknown}; use {list(CONFIG_SECTIONS)}")
+    resolved = {}
+    for name, types in CONFIG_SECTIONS.items():
+        values = config.get(name, {})
+        if type(values) is not dict:
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        for key in sorted(values.keys() - types.keys()):
+            if name == "model" and key in MODEL_FACTS:
+                raise ConfigError(f"model.{key} describes the data, not the architecture")
+            raise ConfigError(f"unknown config key {name}.{key}; {name} takes {list(types)}")
+        resolved[name] = dat.read_record(types, values, name, partial=True)
 
     train_cfg = TrainConfig(**resolved["train"] | {k: v for k, v in flags.items() if v is not None})
     preset = model_config_from_preset(

@@ -71,11 +71,9 @@ def read_record(types: dict, values, where: str, partial: bool = False) -> dict:
     field of the table present unless ``partial``. Raises ConfigError."""
     if type(values) is not dict:
         raise ConfigError(f"{where} must be a JSON object, got {type(values).__name__}")
-    unknown = sorted(values.keys() - types.keys())
-    if unknown:
+    if unknown := sorted(values.keys() - types.keys()):
         raise ConfigError(f"unknown key {where}.{unknown[0]}; {where} takes {list(types)}")
-    missing = [] if partial else [k for k in types if k not in values]
-    if missing:
+    if missing := [k for k in types if k not in values and not partial]:
         raise ConfigError(f"{where} is missing {missing}")
     return {k: _typed(v, types[k], f"{where}.{k}") for k, v in values.items()}
 

@@ -352,9 +352,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     for name, arr in entries.items():
         tensors.append({"name": name, "shape": list(arr.shape), "offset": len(blob)})
         blob.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    opt = None
-    if state.optimizer is not None:
-        opt = {k: getattr(state.optimizer, k) for k in OPTIMIZER_FIELDS}
+    opt = state.optimizer and {k: getattr(state.optimizer, k) for k in OPTIMIZER_FIELDS}
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": asdict(state.config),

@@ -282,13 +282,13 @@ def _write_config(path, config):
         ({"data": {"train_fraction": "x"}}, "data.train_fraction must be of type finite float"),
         ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be"),
         ({"model": {"layer_dims": [8, 8.0]}}, "model.layer_dims must be of type int"),
-        ({"structure": {"max_edges": 10}}, "unknown key config.structure"),
-        ({"train": {"bogus": 1}}, "unknown key train.bogus"),
+        ({"structure": {"max_edges": 10}}, "unknown config sections ['structure']"),
+        ({"train": {"bogus": 1}}, "unknown config key train.bogus"),
         ({"model": {"window": 3}}, "model.window describes the data"),
         ({"model": {"lead_months": 2}}, "model.lead_months describes the data"),
         ({"model": {"features_per_node": 1}}, "model.features_per_node describes the data"),
-        ({"data": []}, "config.data must be of type dict, got []"),
-        ([], "config must be a JSON object"),
+        ({"data": []}, "config section 'data' must be a JSON object"),
+        ([], "a config is a JSON object"),
         ({"train": {"embed_dim": -1}}, "embed_dim must be >= 1"),
         ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
         ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
