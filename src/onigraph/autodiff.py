@@ -344,22 +344,20 @@ class EdgeIndex:
 _EDGE_CHUNK = 1 << 15
 
 
-def edge_block_matmul(
-    values: Tensor, edges: EdgeIndex, z: Tensor, dense: Array | None = None
-) -> Tensor:
+def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
     """Apply I + A to each consecutive ``edges.n``-row block of ``z``, where
     A holds ``values`` on ``edges`` and zeros elsewhere. Row
     ``b * n + i`` of ``z`` is node ``i`` of sample ``b`` (the sample-major
     layout of a stacked batch), and node ``i`` reads from node ``j`` with
-    weight ``A[i, j]``. ``dense`` is I + A as an n x n array, when the
-    caller already holds it.
+    weight ``A[i, j]``.
 
-    A sparse graph (see :attr:`EdgeIndex.sparse`) runs scipy CSR products
-    per block, and the gradient of ``values`` is one dot product per edge
-    over samples and features, gathered in chunks no larger than one
-    activation. A denser one runs BLAS products with I + A as an n x n
-    array, and the gradient of ``values`` is read off the gradient of that
-    array, one contraction over samples and features.
+    Each call builds its operator from ``values``. A sparse graph (see
+    :attr:`EdgeIndex.sparse`) runs scipy CSR products per block, and the
+    gradient of ``values`` is one dot product per edge over samples and
+    features, gathered in chunks no larger than one activation. A denser
+    one runs BLAS products with I + A scattered into an n x n array, and
+    the gradient of ``values`` is read off the gradient of that array, one
+    contraction over samples and features.
     """
     n = edges.n
     if values.shape != edges.rows.shape:
@@ -378,7 +376,7 @@ def edge_block_matmul(
                 y3[b] += m @ x3[b]
             return y3
     else:
-        a = edges.dense(values.data, self_loops=True) if dense is None else dense
+        a = edges.dense(values.data, self_loops=True)
 
         def apply(m, x3):
             return np.matmul(m, x3, out=_empty(x3.shape))

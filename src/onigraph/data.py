@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import stat
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -146,6 +147,21 @@ def _read_file(path: Path) -> bytes:
         raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _read_binary(path: Path, dtype: str, shape: tuple[int, ...]) -> Array:
+    """``shape`` values of ``dtype`` from ``path``, which must be a regular
+    file (never a device or a pipe) of exactly their size before it is read."""
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    try:
+        info = path.stat()
+        if not stat.S_ISREG(info.st_mode):
+            raise FormatError(f"cannot read {path}: not a regular file")
+        if info.st_size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, found {info.st_size}")
+        return np.fromfile(path, dtype).reshape(shape)
+    except (OSError, ValueError) as exc:  # no such file, no permission, a NUL in the name
+        raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_gridset(path: str | Path) -> GridSet:
     """Read the container back; the float32 payload is promoted to float64."""
     directory = Path(path)
@@ -155,8 +171,9 @@ def load_gridset(path: str | Path) -> GridSet:
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:
         fields = read_record(GRID_FIELDS, manifest, "manifest")
-        mask_path = directory / fields.pop("mask_file")
-        data_path = directory / fields.pop("data_file")
+        mask_name, data_name = fields.pop("mask_file"), fields.pop("data_file")
+        if any(Path(name).name != name for name in (mask_name, data_name)):
+            raise ValueError(f"{mask_name!r} and {data_name!r} must name files in the container")
         n_lat, n_lon, n_time = fields["n_lat"], fields["n_lon"], fields["n_time"]
         year, month = fields["start_month"].split("-")
         if min(n_lat, n_lon, n_time) < 1:
@@ -166,20 +183,9 @@ def load_gridset(path: str | Path) -> GridSet:
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
-    mask_bytes = _read_file(mask_path)
-    if len(mask_bytes) != n_lat * n_lon:
-        raise FormatError(
-            f"mask size mismatch: expected {n_lat * n_lon} bytes, found {len(mask_bytes)}"
-        )
-    data_bytes = _read_file(data_path)
     n_vars = len(fields["variables"])
-    expected = n_time * n_vars * n_lat * n_lon * 4
-    if len(data_bytes) != expected:
-        raise FormatError(
-            f"data size mismatch: expected {expected} bytes, found {len(data_bytes)}"
-        )
-    mask = np.frombuffer(mask_bytes, dtype=np.uint8).reshape(n_lat, n_lon).astype(bool)
-    data = np.frombuffer(data_bytes, "<f4").reshape(n_time, n_vars, n_lat, n_lon)
+    mask = _read_binary(directory / mask_name, "u1", (n_lat, n_lon)).astype(bool)
+    data = _read_binary(directory / data_name, "<f4", (n_time, n_vars, n_lat, n_lon))
     _require_finite(data, directory)  # before the cast, which warns on a signaling NaN
     return GridSet(**fields, land_mask=mask, data=data.astype(np.float64))
 
@@ -435,12 +441,8 @@ class SynthSpec:
 
     def min_separation_steps(self) -> int:
         """Smallest Chebyshev grid distance between driver and region cells."""
-        best = None
-        for dr, dc in self.driver_cells:
-            for rr, rc in self.region_cells:
-                d = max(abs(dr - rr), abs(dc - rc))
-                best = d if best is None else min(best, d)
-        return best
+        steps = np.abs(np.array(self.driver_cells)[:, None] - np.array(self.region_cells))
+        return int(steps.max(axis=2).min())
 
 
 def synth_teleconnection_dataset(
@@ -491,9 +493,12 @@ def synth_teleconnection_dataset(
     lat_in = (lats >= ONI_LAT[0]) & (lats <= ONI_LAT[1])
     lon_in = (lons >= ONI_LON[0]) & (lons <= ONI_LON[1])
     region = np.outer(lat_in, lon_in)
-    region_cells = [(int(r), int(c)) for r, c in np.argwhere(region)]
     # the 2x2 corner block; on 4 or more rows its row 0 lies south of the ONI band
-    driver_cells = [(r, c) for r in range(2) for c in range(2) if not region[r, c]]
+    driver = np.zeros_like(region)
+    driver[:2, :2] = ~region[:2, :2]
+    # each list in the row-major order in which a mask selects its cells
+    region_cells = [(int(r), int(c)) for r, c in np.argwhere(region)]
+    driver_cells = [(int(r), int(c)) for r, c in np.argwhere(driver)]
 
     rng = np.random.default_rng(seed)
     # latent signal with `lead` months of extra history; stationary sd ~ 1
@@ -504,15 +509,10 @@ def synth_teleconnection_dataset(
         s[i] = 0.8 * s[i - 1] + innovations[i - 1]
 
     sst = rng.normal(0.0, background_sd, (n_months, n_lat, n_lon))
-    region_rows = np.array([c[0] for c in region_cells])
-    region_cols = np.array([c[1] for c in region_cells])
-    driver_rows = np.array([c[0] for c in driver_cells])
-    driver_cols = np.array([c[1] for c in driver_cells])
     region_noise = rng.normal(0.0, noise_sd, (n_months, len(region_cells)))
     driver_noise = rng.normal(0.0, noise_sd, (n_months, len(driver_cells)))
-    for t in range(n_months):
-        sst[t, region_rows, region_cols] = s[t] + region_noise[t]
-        sst[t, driver_rows, driver_cols] = s[t + lead] + driver_noise[t]
+    sst[:, region] = s[:n_months, None] + region_noise
+    sst[:, driver] = s[lead:, None] + driver_noise
     heat = 0.5 * sst + rng.normal(0.0, noise_sd, sst.shape)
 
     data = np.stack([sst, heat], axis=1).astype(np.float32).astype(np.float64)

@@ -15,7 +15,7 @@ graph; normalization statistics are taken over the stacked
 (batch * nodes) row axis.
 
 The forward pass has two parts. :func:`pooled_layers` runs the graph
-layers and the readout over a given graph (:func:`graph_aggregator` of
+layers and the readout over a given graph (the edges and values of
 :func:`model_edges`) and returns one pooled row per sample; :func:`mlp_head`
 maps those rows to predictions. :func:`forward_batch`, which training
 calls once per step, builds the graph and runs both parts over one batch.
@@ -26,17 +26,17 @@ alone, so the blocks give the bits of one pass.
 
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
-nonzero off-diagonal entries of a fixed local matrix. Every layer
-aggregates over it with ``autodiff.edge_block_matmul``, which runs CSR
-products on a sparse graph and dense BLAS products otherwise; scipy is
-imported for sparse graphs only. :func:`model_adjacency` scatters the
-same graph into the dense I + A that centrality and exports read.
+nonzero off-diagonal entries of a fixed local matrix, held as edges from
+:func:`init_params` on. Every layer aggregates over it with
+``autodiff.edge_block_matmul``, which builds its operator on each call: a
+CSR matrix on a sparse graph, else the dense I + A for BLAS products;
+scipy is imported for sparse graphs only. :func:`model_adjacency` scatters
+the same graph into the dense I + A that centrality and exports read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,21 +126,14 @@ class ModelState:
     mlp_b2: Tensor
     node_latlon: Array  # (N, 2) degrees; NaN row for a non-geographic node
     has_oni_node: bool = False
-    edge_mode: str = "learned"  # "learned" | "local"
-    fixed_adjacency: Array | None = None
     seed: int = 0
     optimizer: ad.Sgd | None = None
-    # local mode: the edges and values of fixed_adjacency, derived here once
-    # and never checkpointed
-    local_edges: tuple[ad.EdgeIndex, Tensor] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # the fixed graph's edges and values in local mode; None in learned mode
+    local_edges: tuple[ad.EdgeIndex, Tensor] | None = None
 
-    def __post_init__(self):
-        if self.edge_mode == "local":
-            a = self.fixed_adjacency
-            edges = ad.EdgeIndex.from_flat(a.shape[0], np.flatnonzero(a))
-            self.local_edges = (edges, Tensor(a[edges.rows, edges.cols]))
+    @property
+    def edge_mode(self) -> str:
+        return "learned" if self.local_edges is None else "local"
 
     @property
     def node_count(self) -> int:
@@ -170,7 +163,8 @@ class ModelState:
 
     def buffers(self) -> list[tuple[str, Array]]:
         """Non-trainable arrays that still belong in a checkpoint; in local
-        mode the unused structure weights first and the fixed matrix last."""
+        mode the unused structure weights first and the fixed matrix, I + A
+        scattered from ``local_edges`` (:func:`model_adjacency`), last."""
         buffers: list[tuple[str, Array]] = []
         if self.edge_mode == "local":
             buffers.append(("structure.w_from", self.structure.w_from.data))
@@ -183,7 +177,7 @@ class ModelState:
         buffers.append(("mlp.running_mean", self.mlp_norm.running.mean))
         buffers.append(("mlp.running_var", self.mlp_norm.running.var))
         if self.edge_mode == "local":
-            buffers.append(("local_adjacency", self.fixed_adjacency))
+            buffers.append(("local_adjacency", model_adjacency(self).data))
         return buffers
 
 
@@ -215,11 +209,14 @@ def init_params(
         raise ConfigError(f"node_latlon shape {node_latlon.shape} does not match {n} nodes")
     if edge_mode not in ("learned", "local"):
         raise ConfigError(f"edge_mode must be 'learned' or 'local', got {edge_mode!r}")
+    local_edges = None
     if edge_mode == "local":
         if fixed_adjacency is None or fixed_adjacency.shape != (n, n):
             raise ConfigError("local edge mode needs a fixed (N, N) adjacency")
         if np.any(np.diag(fixed_adjacency) != 1.0):
             raise ConfigError("a fixed local adjacency needs ones on its diagonal (self-loops)")
+        edges = ad.EdgeIndex.from_flat(n, np.flatnonzero(fixed_adjacency))
+        local_edges = (edges, Tensor(fixed_adjacency[edges.rows, edges.cols]))
     if max_edges is None:
         max_edges = min(8 * n, n * (n - 1))
 
@@ -264,14 +261,13 @@ def init_params(
         mlp_b2=Tensor(np.zeros(1), requires_grad=True),
         node_latlon=node_latlon,
         has_oni_node=has_oni_node,
-        edge_mode=edge_mode,
-        fixed_adjacency=None if fixed_adjacency is None else np.asarray(fixed_adjacency, float),
         seed=seed,
+        local_edges=local_edges,
     )
 
 
 def gcn_layer(
-    aggregate: Callable[[Tensor], Tensor],
+    graph: tuple[ad.EdgeIndex, Tensor],
     z: Tensor,
     weight: Tensor,
     norm: NormParams,
@@ -279,20 +275,20 @@ def gcn_layer(
     use_residual: bool = False,
     mode: str = "train",
 ) -> Tensor:
-    """One graph convolution over stacked node rows: aggregate with
-    ``aggregate`` (a function of the (B * N, D) rows applying I + A per
+    """One graph convolution over stacked node rows: aggregate over
+    ``graph`` (the edges and values of :func:`model_edges`, I + A per
     graph), transform, normalize over features and activate in one fused
-    op, then add the input back when a residual is requested (widths must
-    match)."""
+    op, then add the input back when a residual is requested."""
     if use_residual and weight.shape[0] != weight.shape[1]:
         raise ConfigError(
             f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
         )
+    edges, values = graph
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
     if weight.shape[1] < weight.shape[0]:
-        h = aggregate(ad.matmul(z, weight))
+        h = ad.edge_block_matmul(values, edges, ad.matmul(z, weight))
     else:
-        h = ad.matmul(aggregate(z), weight)
+        h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, so it holds the standardized rows
     out = ad.batchnorm_features(
         h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation, overwrite_input=True
@@ -326,10 +322,8 @@ def model_edges(
     """The model's graph as off-diagonal edges and their values, the unit
     self-loops implicit: the structure learner's kept edges (scored at the
     frozen ``edges`` if given), or the nonzero off-diagonal entries of the
-    fixed local matrix in ablation mode, built with the state."""
-    if state.edge_mode == "local":
-        return state.local_edges
-    return kept_edges(state.structure, edges)
+    fixed local matrix in ablation mode, built by :func:`init_params`."""
+    return state.local_edges or kept_edges(state.structure, edges)
 
 
 def model_adjacency(state: ModelState) -> Tensor:
@@ -340,36 +334,16 @@ def model_adjacency(state: ModelState) -> Tensor:
     return Tensor(edges.dense(values.data, self_loops=True))
 
 
-def graph_aggregator(
-    state: ModelState, edges: ad.EdgeIndex, values: Tensor
-) -> Callable[[Tensor], Tensor]:
-    """The layers' aggregation over the graph ``edges``, ``values`` (from
-    :func:`model_edges`): I + A applied to each graph of stacked node rows.
-    The dense kernels read I + A as an n x n array: the fixed local matrix
-    in ablation mode, else the kept edges, scattered here once for every
-    layer call."""
-    dense = None
-    if state.edge_mode == "local":
-        dense = state.fixed_adjacency
-    elif not edges.sparse:
-        dense = edges.dense(values.data, self_loops=True)
-
-    def aggregate(h):
-        return ad.edge_block_matmul(values, edges, h, dense)
-
-    return aggregate
-
-
 def pooled_layers(
     state: ModelState,
     x: Tensor,
     batch: int,
-    aggregate: Callable[[Tensor], Tensor],
+    graph: tuple[ad.EdgeIndex, Tensor],
     mode: str = "train",
 ) -> Tensor:
     """The graph layers and the pooling readout: ``batch`` stacked samples,
-    (batch * N, w * D) rows, pooled to the (batch, P) head input.
-    ``aggregate`` is the graph (see :func:`graph_aggregator`)."""
+    (batch * N, w * D) rows, pooled to the (batch, P) head input, over
+    ``graph``, the edges and values of :func:`model_edges`."""
     cfg = state.config
     n = state.node_count
     if x.shape != (batch * n, cfg.input_width):
@@ -380,7 +354,7 @@ def pooled_layers(
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):
         z = gcn_layer(
-            aggregate, z, weight, norm, cfg.activation,
+            graph, z, weight, norm, cfg.activation,
             cfg.use_residual and weight.shape[0] == weight.shape[1],
             mode,
         )
@@ -400,5 +374,4 @@ def forward_batch(
     recorded on the ambient tape so one backward reaches the network and
     the structure learner jointly. ``edges`` freezes the learned edge set
     (see :func:`model_edges`)."""
-    aggregate = graph_aggregator(state, *model_edges(state, edges))
-    return mlp_head(state, pooled_layers(state, x, batch, aggregate, mode), mode)
+    return mlp_head(state, pooled_layers(state, x, batch, model_edges(state, edges), mode), mode)

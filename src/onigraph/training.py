@@ -15,6 +15,8 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from .model import (
     ModelState,
     PRESETS,
     forward_batch,
-    graph_aggregator,
     init_params,
     mlp_head,
     model_edges,
@@ -223,11 +224,11 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     window, input width and node set (ONI node and coordinates). The
     samples must have that window, lead, node count and input width.
 
-    Each member's graph is built once (:func:`model.model_edges`). The
-    graph layers and pooling run over blocks of whole samples of at most
-    ``PREDICT_BLOCK_ROWS`` stacked node rows, and the MLP head once over
-    every sample's pooled row, so the predictions have the bits of one
-    ``forward_batch`` over all samples."""
+    Each member's graph is built once (:func:`model.model_edges`), and each
+    layer call builds its operator from it. The graph layers and pooling
+    run over blocks of whole samples of at most ``PREDICT_BLOCK_ROWS``
+    stacked node rows, and the MLP head once over every sample's pooled
+    row, so the predictions have the bits of one ``forward_batch``."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
@@ -255,12 +256,12 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     per_block = max(1, PREDICT_BLOCK_ROWS // first.node_count)
     total = np.zeros(len(samples))
     for member in members:
-        aggregate = graph_aggregator(member, *model_edges(member))
+        graph = model_edges(member)
         parts = []
         for lo in range(0, len(samples), per_block):
             x = samples.inputs[lo : lo + per_block]
             rows = Tensor(x.reshape(-1, x.shape[2]))
-            parts.append(pooled_layers(member, rows, len(x), aggregate, mode="eval").data)
+            parts.append(pooled_layers(member, rows, len(x), graph, mode="eval").data)
         pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
         total += mlp_head(member, Tensor(pooled), mode="eval").data
     return total / len(members)
@@ -342,16 +343,23 @@ def _checkpoint_entries(state: ModelState) -> dict[str, Array]:
     return entries
 
 
+def _tensor_table(entries: dict[str, Array]) -> tuple[list[dict], int]:
+    """The manifest's ``tensors``, each entry's name, shape and byte offset
+    with the entries end to end, and its ``blob_bytes``, the bytes they fill."""
+    table, offset = [], 0
+    for name, arr in entries.items():
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    return table, offset
+
+
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
     """Write the checkpoint to a temporary file beside ``path``, then rename
     it over ``path``, so an interrupted write leaves any previous checkpoint
     there intact."""
     entries = _checkpoint_entries(state)
-    tensors = []
-    blob = bytearray()
-    for name, arr in entries.items():
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": len(blob)})
-        blob.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tensors, blob_bytes = _tensor_table(entries)
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in entries.values())
     opt = state.optimizer and {k: getattr(state.optimizer, k) for k in OPTIMIZER_FIELDS}
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -362,7 +370,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         "seed": state.seed,
         "optimizer": opt,
         "tensors": tensors,
-        "blob_bytes": len(blob),
+        "blob_bytes": blob_bytes,
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
     path = Path(path)
@@ -372,7 +380,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<Q", len(payload)))
             fh.write(payload)
-            fh.write(bytes(blob))
+            fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -401,31 +409,22 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
             f"this build reads version {FORMAT_VERSION}"
         )
     blob = raw[12 + manifest_len :]
-    if len(blob) != manifest["blob_bytes"]:
-        raise FormatError(
-            f"checkpoint blob mismatch: manifest says {manifest['blob_bytes']} bytes, "
-            f"found {len(blob)}"
-        )
 
     arrays: dict[str, Array] = {}
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
+        start, shape = entry["offset"], tuple(entry["shape"])
+        end = start + 8 * int(np.prod(shape))
         if end > len(blob):
             raise FormatError(f"tensor {entry['name']!r} overruns the checkpoint blob")
-        arrays[entry["name"]] = (
-            np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
-        )
+        arrays[entry["name"]] = np.frombuffer(blob[start:end], "<f8").reshape(shape).copy()
 
     def grab(name: str) -> Array:
         if name not in arrays:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         return arrays[name]
 
-    # Build the model the way training does, then fill every tensor that
-    # save_checkpoint wrote, by the names the parameter and buffer tables emit.
+    # Build the model the way training does, require the tensor table that
+    # save_checkpoint writes for it, then fill every tensor by that table.
     state = init_params(
         GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model")),
         grab("structure.static_features"),
@@ -441,11 +440,19 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
         opt = read_record(OPTIMIZER_FIELDS, manifest["optimizer"], "optimizer")
         velocity = {name: np.zeros_like(t.data) for name, t in state.parameters()}
         state.optimizer = Sgd(**opt, velocity=velocity)
-    for name, target in _checkpoint_entries(state).items():
-        value = grab(name)
-        if value.shape != target.shape:
-            raise FormatError(
-                f"checkpoint tensor {name!r} has shape {value.shape}, expected {target.shape}"
-            )
-        target[...] = value
+    entries = _checkpoint_entries(state)
+    table, blob_bytes = _tensor_table(entries)
+    # compared as JSON text, so that a true is not taken for the offset 1
+    text = partial(json.dumps, sort_keys=True)
+    if text(manifest["tensors"]) != text(table):
+        pairs = zip_longest(table, manifest["tensors"])
+        want, found = next((w, f) for w, f in pairs if text(w) != text(f))
+        raise FormatError(f"checkpoint tensor entry {found} where the model has {want}")
+    if not len(blob) == manifest["blob_bytes"] == blob_bytes:
+        raise FormatError(
+            f"checkpoint blob holds {len(blob)} bytes, its manifest says "
+            f"{manifest['blob_bytes']} and its tensors fill {blob_bytes}"
+        )
+    for name, target in entries.items():
+        target[...] = arrays[name]
     return state

@@ -733,6 +733,8 @@ def test_grid_file_naming_a_directory_exits_2(synth_dir, small_config, tmp_path)
         ("lat0", "1" + "0" * 400),  # an int past any float, which float() overflows on
         ("mask_file", '"mask.bin\\u0000"'),  # a NUL, which no file name holds
         ("data_file", '"data\\u0000.bin"'),
+        ("mask_file", '"/dev/null"'),  # a path, not a file name in the container
+        ("mask_file", '"../grid/mask.bin"'),  # a path that leaves the container and comes back
     ],
 )
 def test_malformed_grid_manifest_exits_2(field, value, synth_dir, small_config, tmp_path, capsys):

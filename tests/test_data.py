@@ -149,6 +149,30 @@ def test_grid_file_naming_a_directory_is_format_error(tmp_path, field):
         load_gridset(tmp_path / "g")
 
 
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_grid_reads_no_file_outside_its_container(tmp_path, outside):
+    save_gridset(make_grid(), tmp_path / "g")
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "m.bin").write_bytes((tmp_path / "g" / "mask.bin").read_bytes())
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    manifest["mask_file"] = {
+        "absolute": str(tmp_path / "elsewhere" / "m.bin"),
+        "parent": "../elsewhere/m.bin",
+    }[outside]
+    (tmp_path / "g" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="must name files in the container"):
+        load_gridset(tmp_path / "g")
+
+
+def test_grid_file_that_is_not_a_regular_file_is_format_error(tmp_path):
+    save_gridset(make_grid(), tmp_path / "g")
+    mask = tmp_path / "g" / "mask.bin"
+    mask.unlink()
+    mask.symlink_to("/dev/null")  # a device, which is never read
+    with pytest.raises(FormatError, match=f"cannot read {mask}: not a regular file"):
+        load_gridset(tmp_path / "g")
+
+
 @pytest.mark.parametrize("case", ["negative_sizes", "not_utf8"])
 def test_malformed_manifest_is_format_error(tmp_path, case):
     save_gridset(make_grid(), tmp_path / "g")

@@ -1,0 +1,60 @@
+"""Every cross-reference in the package's source resolves: each
+``:func:``, ``:class:`` and ``:attr:`` role, and each double-backquoted
+``module.name`` whose first part is a package module. A reference left
+behind by a rename or a deletion fails here, not in a later reader's
+search."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import onigraph
+
+# __main__ runs the command line when it is imported, and holds no reference
+SOURCES = sorted(p for p in Path(onigraph.__file__).parent.glob("*.py") if p.stem != "__main__")
+MODULES = {p.stem for p in SOURCES} - {"__init__"}
+ROLE = re.compile(r":(?:func|class|attr):`~?(?:onigraph\.)?([\w.]+)`")
+LITERAL = re.compile(r"``(\w+\.[\w.]+)``")
+_MISSING = object()
+
+
+def unresolved(module: str, text: str) -> list[str]:
+    """The references in ``text``, found in ``module``, that name nothing. A
+    dotted name whose first part is a package module is taken from that
+    module, any other from ``module``; a dataclass field counts as its
+    class's attribute."""
+    targets = ROLE.findall(text) + [
+        t for t in LITERAL.findall(text) if t.split(".")[0] in MODULES
+    ]
+    missing = []
+    for target in targets:
+        head, _, rest = target.partition(".")
+        owner, name = (head, rest) if head in MODULES and rest else (module, target)
+        obj = importlib.import_module("onigraph" if owner == "__init__" else f"onigraph.{owner}")
+        *path, last = name.split(".")
+        for part in path:
+            obj = getattr(obj, part, _MISSING)
+        if not (hasattr(obj, last) or last in getattr(obj, "__dataclass_fields__", {})):
+            missing.append(target)
+    return missing
+
+
+def test_every_module_is_checked():
+    assert MODULES >= {"autodiff", "model", "structure", "training", "data", "cli"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cross_reference_resolves(path):
+    missing = unresolved(path.stem, path.read_text())
+    assert not missing, f"{path.name} refers to names that do not exist: {missing}"
+
+
+def test_a_stale_reference_is_caught():
+    text = (
+        "over :func:`graph_aggregator` of :func:`model_edges`, with\n"
+        "``autodiff.edge_block_matmul``, ``autodiff.dense_aggregate``,\n"
+        ":attr:`~onigraph.autodiff.EdgeIndex.sparse`, :class:`ModelState` and ``edges.n``"
+    )
+    assert unresolved("model", text) == ["graph_aggregator", "autodiff.dense_aggregate"]

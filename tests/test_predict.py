@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from onigraph import training
-from onigraph.autodiff import EdgeIndex, Tensor
+from onigraph.autodiff import Tensor
 from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
 from onigraph.model import GcnConfig, forward_batch, init_params, model_edges
 from onigraph.training import TrainConfig, build_model, predict_samples, train
@@ -49,7 +49,7 @@ def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_mode
 
 def test_each_member_graph_is_built_once_per_call(monkeypatch):
     bundle, members = trained_members(("learned", "local"))
-    calls = {"model_edges": 0, "pooled_layers": 0, "dense": 0}
+    calls = {"model_edges": 0, "pooled_layers": 0}
 
     def spy(owner, name):
         original = getattr(owner, name)
@@ -62,11 +62,9 @@ def test_each_member_graph_is_built_once_per_call(monkeypatch):
 
     spy(training, "model_edges")
     spy(training, "pooled_layers")
-    spy(EdgeIndex, "dense")
     monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", members[0].node_count)  # one sample
     predict_samples(members, bundle.test)
-    # the learned member's I + A is scattered once; the local one is its fixed matrix
-    assert calls == {"model_edges": 2, "pooled_layers": 2 * len(bundle.test), "dense": 1}
+    assert calls == {"model_edges": 2, "pooled_layers": 2 * len(bundle.test)}
 
 
 @pytest.mark.parametrize("edge_mode", ["learned", "local"])

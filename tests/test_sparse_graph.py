@@ -419,7 +419,8 @@ def test_model_edges_describe_model_adjacency():
         state = sparse_state(mode)
         edges, values = model_edges(state)
         np.testing.assert_array_equal(dense(edges, values.data), model_adjacency(state).data)
-    np.testing.assert_array_equal(model_adjacency(state).data, state.fixed_adjacency)  # local
+    ring = np.eye(N) + np.roll(np.eye(N), 1, axis=1)  # the local matrix of sparse_state
+    np.testing.assert_array_equal(model_adjacency(state).data, ring)
 
 
 def test_dense_graphs_keep_the_dense_path():
@@ -427,24 +428,6 @@ def test_dense_graphs_keep_the_dense_path():
     state.structure.max_edges = 4 * N  # 200 of 1600 entries, above N^2 / 16
     edges, _ = model_edges(state)
     assert edges.rows.size == 4 * N and not edges.sparse
-
-
-def test_a_dense_learned_graph_is_scattered_once_per_forward(monkeypatch):
-    state = sparse_state()
-    state.structure.max_edges = 4 * N  # the dense kernels
-    scatters = []
-    original = EdgeIndex.dense
-
-    def counted(self, values, self_loops=False):
-        scatters.append(self_loops)
-        return original(self, values, self_loops)
-
-    monkeypatch.setattr(EdgeIndex, "dense", counted)
-    x = Tensor(np.random.default_rng(5).normal(size=(2 * N, 4)))
-    for mode in ("train", "eval"):
-        scatters.clear()
-        forward_batch(state, x, 2, mode=mode)  # two layers
-        assert scatters == [True]
 
 
 def test_local_matrix_needs_unit_self_loops():

@@ -488,6 +488,15 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(dropout=0.1)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(tensors={})),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(edge_mode=None)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][1].update(offset=True)),
+        lambda raw: _rewrite_manifest(
+            raw, lambda m: m["tensors"][1].update(offset=m["tensors"][0]["offset"])
+        ),
+        lambda raw: _rewrite_manifest(
+            raw, lambda m: m["tensors"].append(dict(m["tensors"][0], name="extra"))
+        ),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"].append(m["tensors"][0])),
+        lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"].reverse()),
     ],
     ids=[
         "truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape",
@@ -496,7 +505,8 @@ def _rewrite_manifest(raw, edit):
         "string_residual", "model_not_an_object", "no_activation", "no_residual",
         "string_oni_node", "bool_seed", "bool_version", "float_blob_bytes",
         "optimizer_not_an_object", "unknown_top_level_key", "unknown_model_key",
-        "tensors_not_a_list", "null_edge_mode",
+        "tensors_not_a_list", "null_edge_mode", "bool_offset", "shared_offset",
+        "extra_tensor", "duplicated_tensor", "reversed_tensors",
     ],
 )
 def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
