@@ -433,13 +433,14 @@ def _sigmoid(x: Array, out: Array | None = None) -> Array:
 
 
 def _elu(y: Array) -> Array:
-    # exp(y) - 1 on the negative branch (unit scale), identity elsewhere;
-    # expm1 sees only min(y, 0), so a large positive entry cannot overflow
+    # max(y, expm1(min(y, 0))): expm1 sees only min(y, 0), so a large
+    # positive entry cannot overflow. One max picks each branch exactly:
+    # above 0 the second operand is 0 < y, and at or below 0 it is
+    # expm1(y) >= y (e^x - 1 >= x). On a tie numpy returns the second
+    # operand, so -0.0 gives min(-0.0, 0.0) = +0.0 and max(-0.0, +0.0) = +0.0.
     neg = np.minimum(y, 0.0, out=_empty(y.shape))
     np.expm1(neg, out=neg)
-    np.maximum(y, 0.0, out=y)
-    y += neg
-    return y
+    return np.maximum(y, neg, out=y)
 
 
 def _elu_grad(g: Array, y: Array) -> Array:
@@ -452,7 +453,9 @@ def _elu_grad(g: Array, y: Array) -> Array:
 
 # The activation kinds: kind -> (forward that overwrites its argument and
 # returns it, gradient at the input from the gradient g at the output and
-# the output y alone, as a fresh array the caller may overwrite)
+# the output y alone, as a fresh array the caller may overwrite). Each
+# forward gives the bits of its textbook formula; the ELU's one max is
+# exact because expm1(x) >= x wherever it picks expm1 (see _elu).
 ACTIVATIONS = {
     "tanh": (
         lambda y: np.tanh(y, out=y),
@@ -500,7 +503,7 @@ def batchnorm_features(
 ) -> Tensor:
     """Standardize each feature column over the rows of ``z``, scale by
     ``gamma``, shift by ``beta``, then apply ``activation`` (a kind of
-    ``ACTIVATIONS``), as one op. ``overwrite_input`` standardizes in ``z``'s
+    ``ACTIVATIONS``), as one op. ``overwrite_input`` centers in ``z``'s
     own array, for an input that nothing reads afterwards (no backward rule
     reads its op's output), which saves one array of ``z``'s size.
 
@@ -508,13 +511,18 @@ def batchnorm_features(
     running statistics are updated in place; in eval mode the running
     statistics are used and nothing is mutated.
 
-    The forward pass holds the standardized input and the output (one
-    buffer when nothing is recorded), and checks finiteness before the
-    activation, which can map -inf to a finite value. Backward takes the
-    activation gradient from the output alone and runs the batchnorm
-    backward (Ioffe & Szegedy 2015) in place on it. Values and gradients
-    match separate batchnorm and activation ops bit for bit, except that
-    ELU maps -0.0 to +0.0; a shift that starts at zero never gives -0.0.
+    The forward pass keeps the centered input ``xc = z - mean`` and the
+    output ``y = xc * scale + beta``, one buffer when nothing is recorded,
+    with ``scale = gamma * inv`` and ``inv = 1 / sqrt(var + eps)`` per
+    column, and checks finiteness before the activation, which can map -inf
+    to a finite value. Backward takes the activation gradient ``d`` from the
+    output alone and, from two column sums ``dbeta = sum(d)`` and
+    ``sx = sum(d * xc)``, gives ``dgamma = sx * inv`` and, in place on
+    ``d``, the batchnorm backward (Ioffe & Szegedy 2015) ``dz = d * scale -
+    (scale / n) * dbeta - xc * (scale * inv**2 / n) * sx`` (train mode) or
+    ``d * scale`` (eval mode). Values and gradients match the textbook
+    formulas to rounding, except that ELU maps -0.0 to +0.0; a shift that
+    starts at zero never gives -0.0.
     """
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -531,15 +539,15 @@ def batchnorm_features(
         raise ConfigError(f"unknown activation {activation!r}")
     act, act_grad = ACTIVATIONS[activation]
 
-    xhat = z.data if overwrite_input else _empty(z.shape)
+    xc = z.data if overwrite_input else _empty(z.shape)
     if mode == "train":
         if n < 2:
             raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
         # np.mean's and np.var's sums, with their bits (see _column_sums);
         # the squares are summed as they are formed, never stored
         mean = _column_sums(z.data) / n
-        np.subtract(z.data, mean, out=xhat)
-        var = _column_sums(xhat, xhat) / n
+        np.subtract(z.data, mean, out=xc)
+        var = _column_sums(xc, xc) / n
         if running is not None:
             m = BN_MOMENTUM
             running.mean[...] = (1.0 - m) * running.mean + m * mean
@@ -547,15 +555,15 @@ def batchnorm_features(
     else:
         if running is None:
             raise ConfigError("eval-mode batchnorm needs running statistics")
-        np.subtract(z.data, running.mean, out=xhat)
+        np.subtract(z.data, running.mean, out=xc)
         var = running.var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    scale = gamma.data * inv
     records = active_tape() is not None and (
         z.requires_grad or gamma.requires_grad or beta.requires_grad
     )
-    y = np.multiply(xhat, gamma.data, out=_empty(z.shape) if records else xhat)
+    y = np.multiply(xc, scale, out=_empty(z.shape) if records else xc)
     y += beta.data
     out = _make_output(y, z, gamma, beta)
     act(y)
@@ -563,23 +571,14 @@ def batchnorm_features(
         return out
 
     def rule(g: Array):
+        # backward drops the gradient of any input that needs none
         d = act_grad(g, y)
-        dgamma = _column_sums(d, xhat) if gamma.requires_grad else None
-        dbeta = _column_sums(d) if beta.requires_grad else None
-        if not z.requires_grad:
-            return (None, dgamma, dbeta)
-        d *= gamma.data  # dxhat
+        dbeta, sx = _column_sums(d), _column_sums(d, xc)
+        d *= scale
         if mode == "train":
-            # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-            s1 = _column_sums(d)
-            s2 = _column_sums(d, xhat)
-            d *= n
-            d -= s1
-            d -= np.multiply(xhat, s2, out=_empty(d.shape))
-            d *= inv / n
-        else:
-            d *= inv
-        return (d, dgamma, dbeta)
+            d -= (scale / n) * dbeta
+            d -= np.multiply(xc, (scale * inv * inv / n) * sx, out=_empty(d.shape))
+        return (d, sx * inv, dbeta)
 
     return record_op(out, (z, gamma, beta), rule)
 

@@ -168,9 +168,9 @@ def _prepare(args, checkpoint=None, **flags) -> tuple[GcnConfig, TrainConfig, da
     checkpoint's model fixes the window, the lead and, unless data.oni_node
     is set, the ONI node."""
     try:
-        config = json.loads(Path(args.config).read_text()) if args.config else {}
-    except OSError as exc:
-        raise DataError(f"cannot read config file {args.config}: {exc}") from None
+        config = json.loads(dat.read_file(Path(args.config)).decode()) if args.config else {}
+    except FormatError as exc:  # missing, not a regular file, no permission
+        raise DataError(str(exc).replace("cannot read", "cannot read config file", 1)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"config file {args.config} is not valid JSON: {exc}") from exc
     grid = dat.load_gridset(args.data)

@@ -140,10 +140,14 @@ def save_gridset(grid: GridSet, path: str | Path) -> None:
     (directory / manifest["data_file"]).write_bytes(grid.data.astype("<f4").tobytes())
 
 
-def _read_file(path: Path) -> bytes:
+def read_file(path: Path) -> bytes:
+    """The bytes of ``path``, which must be a regular file: a pipe or a
+    device, whose read could block, is refused before it is opened."""
     try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            raise FormatError(f"cannot read {path}: not a regular file")
         return path.read_bytes()
-    except (OSError, ValueError) as exc:  # a directory, no permission, a NUL in the name
+    except (OSError, ValueError) as exc:  # no such file, no permission, a NUL in the name
         raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
@@ -166,7 +170,7 @@ def load_gridset(path: str | Path) -> GridSet:
     """Read the container back; the float32 payload is promoted to float64."""
     directory = Path(path)
     try:
-        manifest = json.loads(_read_file(directory / MANIFEST_NAME).decode())
+        manifest = json.loads(read_file(directory / MANIFEST_NAME).decode())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"bad manifest in {directory}: {exc}") from exc
     try:

@@ -289,7 +289,7 @@ def gcn_layer(
         h = ad.edge_block_matmul(values, edges, ad.matmul(z, weight))
     else:
         h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
-    # nothing reads h after its normalization, so it holds the standardized rows
+    # nothing reads h after its normalization, so it holds the centered rows
     out = ad.batchnorm_features(
         h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation, overwrite_input=True
     )

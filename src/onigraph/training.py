@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Sgd, Tape, Tensor, Workspace, backward, mse_loss, sgd_nesterov_step
-from .data import DatasetBundle, SampleSet, field_types, local_adjacency, read_record
+from .data import DatasetBundle, SampleSet, field_types, local_adjacency, read_file, read_record
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
     GcnConfig,
@@ -388,7 +388,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    raw = Path(path).read_bytes()
+    raw = read_file(Path(path))
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
     try:

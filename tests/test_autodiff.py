@@ -264,16 +264,41 @@ REFERENCE_ACTIVATIONS = {
 }
 
 
+def _batch_stats(z, mode, running):
+    """The mean and variance a call normalizes with, and the running
+    statistics after it."""
+    if mode == "eval":
+        return running.mean, running.var, (running.mean, running.var)
+    mean, var = z.mean(axis=0), z.var(axis=0)
+    m = BN_MOMENTUM
+    return mean, var, ((1.0 - m) * running.mean + m * mean, (1.0 - m) * running.var + m * var)
+
+
 def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
     """Output, (dz, dgamma, dbeta) and the running statistics after the
-    call, by the textbook batchnorm and activation formulas."""
+    call, in the op's folded order: one scale and shift per column, and a
+    backward from the two column sums of d and d * xc."""
     n = z.shape[0]
-    mean, var = (z.mean(axis=0), z.var(axis=0)) if mode == "train" else (running.mean, running.var)
-    new_mean, new_var = running.mean, running.var
+    mean, var, new_running = _batch_stats(z, mode, running)
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv
+    xc = z - mean
+    x = xc * scale + beta
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    y = fwd(x)
+    d = bwd(g, x, y)
+    dbeta, sx = d.sum(axis=0), (d * xc).sum(axis=0)
+    dz = d * scale
     if mode == "train":
-        m = BN_MOMENTUM
-        new_mean = (1.0 - m) * running.mean + m * mean
-        new_var = (1.0 - m) * running.var + m * var
+        dz = dz - (scale / n) * dbeta - xc * ((scale * inv * inv / n) * sx)
+    return y, (dz, sx * inv, dbeta), new_running
+
+
+def _textbook_norm_act(z, gamma, beta, eps, mode, running, kind, g):
+    """Output and (dz, dgamma, dbeta) by the textbook batchnorm and
+    activation formulas: standardize, then scale and shift."""
+    n = z.shape[0]
+    mean, var, _ = _batch_stats(z, mode, running)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (z - mean) * inv
     x = xhat * gamma + beta
@@ -285,7 +310,7 @@ def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
         dz = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
     else:
         dz = dxhat * inv
-    return y, (dz, (gx * xhat).sum(axis=0), gx.sum(axis=0)), (new_mean, new_var)
+    return y, (dz, (gx * xhat).sum(axis=0), gx.sum(axis=0))
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -405,6 +430,27 @@ def test_elu_evaluates_expm1_on_the_negative_half_only():
     assert out[0, 1] == math.expm1(-1.0)
 
 
+ELU_INPUTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e4, max_value=-745.0),  # expm1 rounds to -1.0
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and +-0
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ELU_INPUTS, min_size=1, max_size=40))
+def test_elu_keeps_the_bits_of_its_two_branch_formula(values):
+    # the one max in _elu is exact only while expm1(x) >= x for x <= 0; a
+    # libm whose expm1 breaks that fails here
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # expm1 of the discarded positive branch
+        want = np.where(x > 0.0, x, np.expm1(x))
+    want[x == 0.0] = 0.0  # -0.0 maps to +0.0
+    got = autodiff.ACTIVATIONS["elu"][0](x.copy())
+    assert got.tobytes() == want.tobytes()
+
+
 # --- column sums: einsum with the bits of numpy's axis reduce ----------------
 
 
@@ -445,7 +491,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
     kind, mode, overwrite, width, workspace
 ):
     # _reference_norm_act takes every column sum with np.mean, np.var or
-    # .sum(axis=0), as the op did before its sums went through einsum;
+    # .sum(axis=0), where the op takes them through einsum;
     # 260 rows: enough that numpy sums a width-1 column pairwise
     rng = np.random.default_rng(4417)
     z0 = rng.normal(scale=3.0, size=(260, width)) + rng.normal(size=width)
@@ -470,6 +516,29 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
                 assert got.tobytes() == want.tobytes()
             for got, want in zip((running.mean, running.var), want_running):
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 16, 48])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mode, width):
+    # the folded order rounds differently from standardize-then-scale; each
+    # array stays within 1e-12 of its largest magnitude (seed and bound
+    # fixed before measuring)
+    rng = np.random.default_rng(12611)
+    z = t(rng.normal(scale=3.0, size=(260, width)) + 5.0 * rng.normal(size=width), grad=True)
+    gamma = t(rng.normal(loc=1.0, scale=0.3, size=width), grad=True)
+    beta = t(rng.normal(scale=0.5, size=width), grad=True)
+    running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
+    g = rng.normal(size=z.shape)
+    want_y, want_grads = _textbook_norm_act(
+        z.data, gamma.data, beta.data, 1e-5, mode, running.copy(), kind, g
+    )
+    with Tape() as tape:
+        out = batchnorm_features(z, gamma, beta, 1e-5, mode, running, kind)
+        grads = tape.entries[-1].rule(g)
+    for got, want in zip((out.data, *grads), (want_y, *want_grads)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- pooling: per-block reductions of every part, side by side ---------------

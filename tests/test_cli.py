@@ -605,11 +605,31 @@ def test_ablation_prints_table(synth_dir, small_config, capsys):
     assert "learned" in out and "local" in out and "gap=" in out
 
 
-def _run_cli(args):
+def _run_cli(args, timeout=None):
     env = dict(os.environ, PYTHONPATH=str(Path(onigraph.__file__).parent.parent))
     return subprocess.run(
-        [sys.executable, "-m", "onigraph", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "onigraph", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("reads", ["grid manifest", "checkpoint", "config"])
+def test_a_pipe_in_place_of_a_file_exits_2_without_blocking(reads, synth_dir, tmp_path):
+    # opening a FIFO for reading blocks until a writer comes, so the CLI must
+    # refuse it unopened; the timeout fails a regression instead of hanging
+    grid = tmp_path / "grid"
+    shutil.copytree(synth_dir, grid)
+    fifo = {"grid manifest": grid / "manifest.json", "checkpoint": tmp_path / "m.ckpt",
+            "config": tmp_path / "c.json"}[reads]
+    fifo.unlink(missing_ok=True)
+    os.mkfifo(fifo)
+    train = ["train", "--data", str(grid), "--out", str(tmp_path / "out.ckpt")]
+    args = {"grid manifest": train, "config": [*train, "--config", str(fifo)],
+            "checkpoint": ["evaluate", "--checkpoint", str(fifo), "--data", str(grid)]}[reads]
+    proc = _run_cli(args, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    what = "config file " if reads == "config" else ""
+    assert proc.stderr == f"data error: cannot read {what}{fifo}: not a regular file\n"
 
 
 def _edit_checkpoint_manifest(good, bad, edit):
@@ -840,16 +860,16 @@ PINNED_OUTPUTS = {
     "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
     "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
-    "m.ckpt": "426218219a296459c36954e875f8b0863664525b",
-    "m.ckpt.loss.csv": "460738e493c2ac727bfd7d966b4b9e3b2b37e26d",
-    "eval.report.csv": "1d23350261badb6725df1e36bec2438818ec321a",
-    "eval.predictions.csv": "dfd6056e19bbed0a8a4daf51de6d3b6ead620be4",
-    "eval.series.csv": "dfd6056e19bbed0a8a4daf51de6d3b6ead620be4",
+    "m.ckpt": "af73b17c111fd99d836f335bbb3047c592641092",
+    "m.ckpt.loss.csv": "f70c19884fecce88bbc2e23b1eafa3586370b0af",
+    "eval.report.csv": "ad2095142733b410609a930f5b8beac407a06a77",
+    "eval.predictions.csv": "681968afc614adfaefc3ece977c87118bc50480b",
+    "eval.series.csv": "681968afc614adfaefc3ece977c87118bc50480b",
     "eval.series.svg": "ae673d535402710c6ed2feac2f84c1a03a0a874e",
-    "p.csv": "5f263111f97b5c1d65569e9c98b249d8bc93b42f",
-    "heat.csv": "fbb7701f3e721989a80d8dbe3e6905f3e13e03a8",
+    "p.csv": "374c24aa07edaded98d0e5378a66caaad99310ec",
+    "heat.csv": "9201f0d344531cf19cdd454c96d9803fd3e145d9",
     "heat.svg": "93fa589b0c84a5d1cf671a70cad634143b3b073a",
-    "ablation.csv": "d0d2873792a1ed54e7bd957d92e6a9c2021589a7",
+    "ablation.csv": "2d3bbf14809c660f81b81c28ec0b18cd01afdc02",
 }
 
 

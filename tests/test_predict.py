@@ -112,9 +112,9 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
 @pytest.mark.parametrize(
     "edge_mode, max_edges, sha1",
     [
-        ("learned", None, "0d6c5b9efaf3bc4a1ad845095137b54096040f69"),  # CSR kernels
-        ("learned", 2000, "5fedded76f6fa8b984065eb67391e8cc6e5832a5"),  # dense kernels
-        ("local", None, "d7ddaef3e4663f64619c4fd0c834d6f5ba65e22f"),
+        ("learned", None, "9d60f63397b66263c20e590239bba36540de4400"),  # CSR kernels
+        ("learned", 2000, "69561ad842e2efdbf2a25f523128e43fe0ac8023"),  # dense kernels
+        ("local", None, "db0dcf6b8bc374fa01bbf1fe02322b8cf9c08a31"),
     ],
 )
 def test_prediction_bits_over_several_blocks_are_pinned(edge_mode, max_edges, sha1):
