@@ -474,6 +474,7 @@ ACTIVATIONS = {
 
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+BN_EPS = 1e-5  # added to each column's variance before its square root
 
 
 @dataclass
@@ -495,7 +496,6 @@ def batchnorm_features(
     z: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    eps: float = 1e-5,
     mode: str = "train",
     running: RunningStats | None = None,
     activation: str = "identity",
@@ -513,7 +513,7 @@ def batchnorm_features(
 
     The forward pass keeps the centered input ``xc = z - mean`` and the
     output ``y = xc * scale + beta``, one buffer when nothing is recorded,
-    with ``scale = gamma * inv`` and ``inv = 1 / sqrt(var + eps)`` per
+    with ``scale = gamma * inv`` and ``inv = 1 / sqrt(var + BN_EPS)`` per
     column, and checks finiteness before the activation, which can map -inf
     to a finite value. Backward takes the activation gradient ``d`` from the
     output alone and, from two column sums ``dbeta = sum(d)`` and
@@ -533,8 +533,6 @@ def batchnorm_features(
         raise DimensionError(
             f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
-    if eps <= 0.0:
-        raise ConfigError(f"eps must be positive, got {eps}")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
     act, act_grad = ACTIVATIONS[activation]
@@ -558,7 +556,7 @@ def batchnorm_features(
         np.subtract(z.data, running.mean, out=xc)
         var = running.var
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv
     records = active_tape() is not None and (
         z.requires_grad or gamma.requires_grad or beta.requires_grad

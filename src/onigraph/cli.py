@@ -72,6 +72,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A seed from the command line: numpy seeds with non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     listing = "\n".join(
         textwrap.fill(", ".join(keys), 76, initial_indent=f"  {name:<7}", subsequent_indent=" " * 9)
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     flags = {
         "config": dict(help="JSON config file (sections: train, model, data)"),
-        "seed": dict(type=int, help="random seed"),
+        "seed": dict(type=_seed, help="random seed"),
         "lead": dict(type=int, help="forecast lead in months"),
         "data": dict(required=True, help="grid container directory"),
         "checkpoint": dict(action="append", required=True, help="model checkpoint file"),
@@ -320,9 +327,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablation(args) -> int:
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"--seeds must be comma-separated ints, got {args.seeds!r}") from None
+        seeds = [_seed(s.strip()) for s in args.seeds.split(",") if s.strip()]
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"--seeds must be comma-separated ints >= 0, got {args.seeds!r}") from None
     if not seeds:
         raise UsageError("--seeds is empty")
     model_cfg, train_cfg, bundle = _prepare(args, lead_months=args.lead)

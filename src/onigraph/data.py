@@ -481,6 +481,8 @@ def synth_teleconnection_dataset(
         raise ConfigError(f"need at least 40 months, got {n_months}")
     if lead < 1:
         raise ConfigError(f"lead must be >= 1, got {lead}")
+    if seed < 0:  # numpy seeds with non-negative integers only
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= noise_sd < math.inf:
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if background_sd is None:

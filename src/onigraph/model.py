@@ -47,8 +47,6 @@ from .structure import StructureParams, kept_edges
 
 Array = np.ndarray
 
-BN_EPS = 1e-5
-
 
 @dataclass
 class GcnConfig:
@@ -291,7 +289,7 @@ def gcn_layer(
         h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, so it holds the centered rows
     out = ad.batchnorm_features(
-        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, activation, overwrite_input=True
+        h, norm.gamma, norm.beta, mode, norm.running, activation, overwrite_input=True
     )
     if use_residual:
         out = ad.add(out, z)
@@ -309,7 +307,7 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
     h = ad.batchnorm_features(
-        h, norm.gamma, norm.beta, BN_EPS, mode, norm.running, state.config.activation,
+        h, norm.gamma, norm.beta, mode, norm.running, state.config.activation,
         overwrite_input=True,
     )
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)

@@ -12,20 +12,10 @@ The graph has one form, built in :func:`kept_edges`: the list of kept edges
 and their scores, one op of this module's own on top of the two ``matmul``
 feature products, recorded through ``autodiff.record_op``. One dense pass
 computes every logit; only the kept scores are recorded, so neither the
-tape nor the gradient of the embedding maps holds an N x N array. Selection
-(:func:`top_edges`) ranks scores, but scores only a band of logits near the
-e-th largest off-diagonal logit, and finds that logit without copying the
-N² logits: a strided sample guesses a value safely below it, one pass
-collects the candidates at or above the guess, and a partition of the
-candidates gives it exactly. A guess that proves unsafe is retried once
-over every entry, so the result is always exact; graphs no larger than the
-sample are ranked in full. The sigmoid runs only where the logit reaches
-the threshold whose score lies a fixed relative margin below that logit's
-score. The margin is far wider than the sigmoid's rounding error, so no
-entry outside the band can score as high as the e-th score, and the band
-holds about e entries instead of N². The ascending flat indices of the
-band's scores above the e-th score, then of its first ties, are the edge
-list. Ops on the graph pick a dense or a CSR kernel from its density
+tape nor the gradient of the embedding maps holds an N x N array. The
+sigmoid is strictly increasing, so selection (:func:`top_edges`) ranks
+logits, mostly without copying them, and scores only the kept entries. Ops
+on the graph pick a dense or a CSR kernel from its density
 (:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
@@ -55,7 +45,9 @@ class StructureParams:
                      and starves w_from / w_to of gradient; the default
                      1.0 keeps tanh in its responsive range.
     score_gain:      pre-sigmoid scale; larger values sharpen edge scores
-                     away from 0.5 without changing their order.
+                     away from 0.5. Selection ranks the logits, whose
+                     order a positive scale keeps, so the kept edges do
+                     not depend on it even where scores saturate at 1.0.
     max_edges:       budget on off-diagonal nonzeros after sparsification.
     """
 
@@ -85,35 +77,6 @@ class StructureParams:
         return self.static_features.shape[0]
 
 
-# How far below the e-th score the band of scored logits reaches, as a
-# share of that score. _sigmoid, the scalar score of the e-th logit and the
-# threshold's two logarithms each round within a few ulps (2^-52) of the
-# exact value; 2^-40 is thousands of ulps, so a logit below the threshold
-# scores strictly below the e-th score. Subnormal scores round to a fixed
-# step of 2^-1074 instead, and _BAND_FLOOR, 16 such steps, covers them.
-_BAND_MARGIN = 2.0**-40
-_BAND_FLOOR = 2.0**-1070
-
-
-def _band_threshold(x: float) -> float:
-    """The logit of the score ``_BAND_MARGIN`` below the score of logit
-    ``x`` (_sigmoid's formula, to within an ulp), less ``_BAND_FLOOR``."""
-    target = math.exp(min(x, 0.0)) / (1.0 + math.exp(-abs(x))) * (1.0 - _BAND_MARGIN) - _BAND_FLOOR
-    return math.log(target) - math.log1p(-target) if target > 0.0 else -math.inf
-
-
-def _cut(n: int, band: Array, logits: Array, e: int) -> tuple[EdgeIndex, Array]:
-    """The ``e`` top-scoring entries of a band: flat indices ``band``
-    (ascending) with ``logits``. Everything above the e-th largest score is
-    kept, and the remaining slots go to its ties in (row, col) order."""
-    scores = _sigmoid(logits)
-    kth = np.partition(scores, scores.size - e)[scores.size - e]
-    keep = scores > kth
-    ties = np.flatnonzero(scores == kth)
-    keep[ties[: e - np.count_nonzero(keep)]] = True
-    return EdgeIndex.from_flat(n, band[keep]), scores[keep]
-
-
 # Number of flat logits in the strided sample from which top_edges guesses
 # the e-th largest logit; graphs of at most this many entries (up to 90
 # nodes, every desk grid) are ranked in full. At N=1345 and e=8N (one BLAS
@@ -124,17 +87,9 @@ def _cut(n: int, band: Array, logits: Array, e: int) -> tuple[EdgeIndex, Array]:
 _SAMPLE_SIZE = 8192
 
 
-def _sampled_band(flat: Array, n: int, e: int) -> tuple[EdgeIndex, Array] | None:
-    """The selection of :func:`top_edges` from the candidates at or above a
-    guess taken from a strided sample, or None when the guess is unsafe:
-    fewer than ``e`` candidates, or a band reaching below the guess."""
-    stride = flat.size // _SAMPLE_SIZE
-    sample = flat[::stride].copy()
-    sample[np.arange(0, flat.size, stride) % (n + 1) == 0] = -np.inf  # no diagonal
-    # a guess about 2e entries down: the sample's estimate of the e-th
-    # largest logit sits at rank e * sample.size / flat.size
-    rank = min(2 * e * sample.size // flat.size + 8, sample.size)
-    lo = np.partition(sample, sample.size - rank)[sample.size - rank]
+def _candidates(flat: Array, n: int, lo: float) -> tuple[Array, Array]:
+    """Ascending flat indices of the off-diagonal logits at or above ``lo``,
+    and those logits; a NaN among them is rejected."""
     # ~(flat < lo) also collects every NaN, so none escapes the check below
     below = np.less(flat, lo)
     candidates = np.flatnonzero(np.logical_not(below, out=below))
@@ -142,77 +97,90 @@ def _sampled_band(flat: Array, n: int, e: int) -> tuple[EdgeIndex, Array] | None
     values = flat[candidates]
     if np.isnan(values).any():
         raise NumericError("edge logits contain NaN")
+    return candidates, values
+
+
+def _sampled_candidates(flat: Array, n: int, e: int) -> tuple[Array, Array, float] | None:
+    """The candidates of :func:`top_edges` at or above a guess taken from a
+    strided sample and the e-th largest logit among them, or None when
+    fewer than ``e`` candidates reach the guess."""
+    stride = flat.size // _SAMPLE_SIZE
+    sample = flat[::stride].copy()
+    sample[np.arange(0, flat.size, stride) % (n + 1) == 0] = -np.inf  # no diagonal
+    # a guess about 2e entries down: the sample's estimate of the e-th
+    # largest logit sits at rank e * sample.size / flat.size
+    rank = min(2 * e * sample.size // flat.size + 8, sample.size)
+    lo = np.partition(sample, sample.size - rank)[sample.size - rank]
+    candidates, values = _candidates(flat, n, lo)
     if values.size < e:
         return None
-    t = _band_threshold(float(np.partition(values, values.size - e)[values.size - e]))
-    if t < lo:
-        return None
-    band = values >= t
-    return _cut(n, candidates[band], values[band], e)
+    return candidates, values, np.partition(values, values.size - e)[values.size - e]
 
 
 def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
     """Edge list of the ``max_edges`` off-diagonal entries with the largest
-    scores ``sigmoid(logits)``, and those scores.
+    logits, and their scores ``sigmoid(logits)``.
 
-    Ties in score are broken toward the smallest (row, col) pair so the
-    selection is fully deterministic; distinct logits that round to one
-    score tie. The diagonal never competes for the budget; a budget above
-    the off-diagonal count keeps every off-diagonal entry. Infinite logits
+    Equal logits go to the smallest (row, col) pair, so the selection is
+    fully deterministic. The sigmoid is strictly increasing, so these are
+    the entries with the largest scores as well; only the kept entries are
+    scored. The diagonal never competes for the budget; a budget above the
+    off-diagonal count keeps every off-diagonal entry. Infinite logits
     rank like any other value; NaN logits have no rank and are rejected.
     ``logits`` itself is left unchanged.
-
-    The sigmoid runs only on the band of off-diagonal logits at or above
-    the logit whose score lies ``_BAND_MARGIN`` below the score of the
-    e-th largest logit. No logit below it can score as high as the e-th
-    score, so the band holds every kept entry and all of its ties.
 
     Above ``_SAMPLE_SIZE`` entries, a strided sample guesses a logit about
     2e entries down, one pass collects the off-diagonal candidates at or
     above it, and a partition of the candidates gives the e-th largest
-    logit and the band (:func:`_sampled_band`). With fewer than e
-    candidates, or a band reaching below the guess, the selection is
-    retried over every entry: one copy with the diagonal ranked last,
-    partitioned in place.
+    logit (:func:`_sampled_candidates`). With fewer than e candidates, and
+    on smaller graphs, the e-th largest logit comes from one copy of every
+    entry with the diagonal ranked last, partitioned in place, and the same
+    pass collects the candidates at or above it. The candidates above the
+    e-th largest logit are kept, and the remaining slots go to its first
+    ties in (row, col) order.
     """
     n = logits.shape[0]
     if max_edges < 0:
         raise ConfigError(f"edge budget must be non-negative, got {max_edges}")
     flat = logits.ravel()
     e = min(max_edges, n * (n - 1))
-    if e and flat.size > _SAMPLE_SIZE:
-        picked = _sampled_band(flat, n, e)
-        if picked is not None:
-            return picked
-    ranked = flat.copy()
-    ranked[:: n + 1] = -np.inf  # the diagonal ranks last and takes no slot
-    if np.isnan(ranked).any():
-        raise NumericError("edge logits contain NaN")
-    if e == 0:
-        return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0)
-    ranked.partition(ranked.size - e)
-    band = np.flatnonzero(flat >= _band_threshold(float(ranked[ranked.size - e])))
-    band = band[band % (n + 1) != 0]
-    return _cut(n, band, flat[band], e)
+    picked = _sampled_candidates(flat, n, e) if e and flat.size > _SAMPLE_SIZE else None
+    if picked is None:
+        ranked = flat.copy()
+        ranked[:: n + 1] = -np.inf  # the diagonal ranks last and takes no slot
+        if np.isnan(ranked.max()):  # max propagates NaN, with no N x N temporary
+            raise NumericError("edge logits contain NaN")
+        if e == 0:
+            return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0)
+        ranked.partition(ranked.size - e)
+        kth = ranked[ranked.size - e]
+        del ranked  # freed before the candidate pass
+        picked = (*_candidates(flat, n, kth), kth)
+    candidates, values, kth = picked
+    keep = values > kth
+    ties = np.flatnonzero(values == kth)
+    keep[ties[: e - np.count_nonzero(keep)]] = True
+    return EdgeIndex.from_flat(n, candidates[keep]), _sigmoid(values[keep])
 
 
 def kept_edges(
     params: StructureParams, edges: EdgeIndex | None = None
 ) -> tuple[EdgeIndex, Tensor]:
-    """The ``max_edges`` top-scoring off-diagonal edges and their scores as
-    a differentiable vector; self-loops are left implicit.
+    """The ``max_edges`` off-diagonal edges with the largest logits, and
+    their scores as a differentiable vector; self-loops are left implicit.
 
     Scores are sigmoid(score_gain * E_from @ E_to^T) with
     E_* = tanh(feature_gain * static_features @ w_*). The two feature
     products are ``matmul`` ops; everything after them is one recorded op.
     The logits are computed densely, and :func:`top_edges` selects the kept
-    edges straight into the row-major edge list, scoring only its band of
-    candidates. Recomputed from the current parameters on every call, so
+    edges straight into the row-major edge list by logit, scoring only the
+    kept entries. Recomputed from the current parameters on every call, so
     training sees a fresh graph each optimization step. Passing ``edges``
     skips selection and scores a fixed edge set, gathering only its
     logits, which keeps the forward pass differentiable at a frozen
     sparsity pattern (used by gradient checks, where re-selection would
-    make finite differences meaningless).
+    make finite differences meaningless). Either way the scores are
+    ``_sigmoid`` of the gathered logits, with the same bits.
 
     Only the kept scores are recorded, so the tape holds no N x N array.
     Backward scatters the score gradient into one n x n matrix, CSR or

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0 and momentum in [0, 1)")
         if self.lead_months < 1 or self.window < 1 or self.embed_dim < 1:
             raise ConfigError("lead_months, window and embed_dim must be >= 1")
+        if self.seed < 0:  # numpy seeds with non-negative integers only
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_weight_decay(self) -> float:
         if self.weight_decay is not None:
@@ -253,6 +255,8 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
             f"samples (window, lead, nodes, inputs per node) {found} do not fit "
             f"the model's {expected}"
         )
+    if not len(samples):
+        raise DataError("no samples to predict")
     per_block = max(1, PREDICT_BLOCK_ROWS // first.node_count)
     total = np.zeros(len(samples))
     for member in members:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import onigraph
 from onigraph import autodiff
 from onigraph.autodiff import (
+    BN_EPS,
     BN_MOMENTUM,
     EdgeIndex,
     RunningStats,
@@ -104,14 +105,14 @@ def test_matmul_backward_rules():
 
 def activate(x, kind):
     """batchnorm_features reduced to the activation ``kind``: eval mode with
-    running mean 0 and variance 1, an eps too small to move 1.0, unit scale
-    and a shift of -0.0. Every finite entry of the rank-2 ``x``, -0.0
-    included, reaches the activation unchanged, and its gradient passes
-    back unchanged."""
+    running mean 0 and variance 1 - BN_EPS, which BN_EPS brings back to
+    exactly 1.0, unit scale and a shift of -0.0. Every finite entry of the
+    rank-2 ``x``, -0.0 included, reaches the activation unchanged, and its
+    gradient passes back unchanged."""
     width = x.shape[1]
     return batchnorm_features(
-        x, t(np.ones(width)), t(np.full(width, -0.0)), 1e-300, "eval",
-        RunningStats.initial(width), kind,
+        x, t(np.ones(width)), t(np.full(width, -0.0)), "eval",
+        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)), kind,
     )
 
 
@@ -217,8 +218,9 @@ def test_batchnorm_constant_column_is_zero():
 
 def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
-    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), eps=1e-12)
-    np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-9)
+    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)))
+    unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
+    np.testing.assert_array_equal(out.data, [[-unit], [unit]])
 
 
 def test_batchnorm_zero_gamma_gives_beta():
@@ -243,7 +245,7 @@ def test_batchnorm_running_stats_update_and_eval():
     out = batchnorm_features(
         z, t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
     )
-    expected = (z.data - before[0]) / np.sqrt(before[1] + 1e-5)
+    expected = (z.data - before[0]) / np.sqrt(before[1] + BN_EPS)
     np.testing.assert_allclose(out.data, expected)
     np.testing.assert_array_equal(running.mean, before[0])
     np.testing.assert_array_equal(running.var, before[1])
@@ -274,13 +276,13 @@ def _batch_stats(z, mode, running):
     return mean, var, ((1.0 - m) * running.mean + m * mean, (1.0 - m) * running.var + m * var)
 
 
-def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
+def _reference_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output, (dz, dgamma, dbeta) and the running statistics after the
     call, in the op's folded order: one scale and shift per column, and a
     backward from the two column sums of d and d * xc."""
     n = z.shape[0]
     mean, var, new_running = _batch_stats(z, mode, running)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv
     xc = z - mean
     x = xc * scale + beta
@@ -294,12 +296,12 @@ def _reference_norm_act(z, gamma, beta, eps, mode, running, kind, g):
     return y, (dz, sx * inv, dbeta), new_running
 
 
-def _textbook_norm_act(z, gamma, beta, eps, mode, running, kind, g):
+def _textbook_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output and (dz, dgamma, dbeta) by the textbook batchnorm and
     activation formulas: standardize, then scale and shift."""
     n = z.shape[0]
     mean, var, _ = _batch_stats(z, mode, running)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (z - mean) * inv
     x = xhat * gamma + beta
     fwd, bwd = REFERENCE_ACTIVATIONS[kind]
@@ -324,10 +326,10 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z.data, gamma.data, beta.data, 1e-5, mode, running.copy(), kind, g
+        z.data, gamma.data, beta.data, mode, running.copy(), kind, g
     )
     with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, 1e-5, mode, running, kind)
+        out = batchnorm_features(z, gamma, beta, mode, running, kind)
         grads = tape.entries[-1].rule(g)
     assert out.data.tobytes() == want_y.tobytes()
     for got, want in zip(grads, want_grads):
@@ -336,8 +338,8 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
         assert got.tobytes() == want.tobytes()
     # nothing recorded: the single-buffer forward gives the same bits
     frozen = RunningStats(*want_running)
-    want_eval = _reference_norm_act(z.data, gamma.data, beta.data, 1e-5, "eval", frozen, kind, g)[0]
-    got_eval = batchnorm_features(z, gamma, beta, 1e-5, "eval", frozen, kind)
+    want_eval = _reference_norm_act(z.data, gamma.data, beta.data, "eval", frozen, kind, g)[0]
+    got_eval = batchnorm_features(z, gamma, beta, "eval", frozen, kind)
     assert got_eval.data.tobytes() == want_eval.tobytes()
 
 
@@ -500,7 +502,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
     running0 = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z0.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z0, gamma.data, beta.data, 1e-5, mode, running0, kind, g
+        z0, gamma.data, beta.data, mode, running0, kind, g
     )
     with Workspace() if workspace else nullcontext():
         for _ in range(2):  # with a workspace: fresh buffers, then reused ones
@@ -508,7 +510,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
             running = running0.copy()
             with Tape() as tape:
                 out = batchnorm_features(
-                    z, gamma, beta, 1e-5, mode, running, kind, overwrite_input=overwrite
+                    z, gamma, beta, mode, running, kind, overwrite_input=overwrite
                 )
                 grads = tape.entries[-1].rule(g.copy())
             assert out.data.tobytes() == want_y.tobytes()
@@ -532,10 +534,10 @@ def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mod
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads = _textbook_norm_act(
-        z.data, gamma.data, beta.data, 1e-5, mode, running.copy(), kind, g
+        z.data, gamma.data, beta.data, mode, running.copy(), kind, g
     )
     with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, 1e-5, mode, running, kind)
+        out = batchnorm_features(z, gamma, beta, mode, running, kind)
         grads = tape.entries[-1].rule(g)
     for got, want in zip((out.data, *grads), (want_y, *want_grads)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

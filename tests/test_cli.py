@@ -292,6 +292,7 @@ def _write_config(path, config):
         ({"train": {"embed_dim": -1}}, "embed_dim must be >= 1"),
         ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
         ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
+        ({"train": {"seed": -3}}, "seed must be >= 0"),
     ],
 )
 def test_config_mistakes_are_usage_errors(config, message, synth_dir, tmp_path, capsys):
@@ -632,6 +633,37 @@ def test_a_pipe_in_place_of_a_file_exits_2_without_blocking(reads, synth_dir, tm
     assert proc.stderr == f"data error: cannot read {what}{fifo}: not a regular file\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gradcheck", "--seed", "-100"],
+        ["train", "--seed", "-3"],
+        ["synth-data", "--seed", "-2"],
+        ["ablation", "--seeds", "-4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_negative_seed_is_a_usage_error_without_traceback(args, synth_dir, tmp_path):
+    out = tmp_path / "out"
+    rest = {"train": ["--data", str(synth_dir), "--out", str(out)],
+            "synth-data": ["--out", str(out)], "ablation": ["--data", str(synth_dir)]}
+    proc = _run_cli([*args, *rest.get(args[0], [])])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error:") and ">= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_predict_on_an_empty_split_exits_2_without_traceback(checkpoint, synth_dir, tmp_path):
+    config = _write_config(tmp_path / "c.json", {"data": {"train_fraction": 1.0}})
+    out = tmp_path / "p.csv"
+    proc = _run_cli(["predict", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                     "--config", config, "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _edit_checkpoint_manifest(good, bad, edit):
     raw = good.read_bytes()
     (manifest_len,) = struct.unpack("<Q", raw[4:12])
@@ -651,6 +683,7 @@ _CHECKPOINT_EDITS = {
     "model_without_residual": lambda m: m["model"].pop("use_residual"),
     "string_oni_node": lambda m: m.update(has_oni_node="no"),
     "bool_seed": lambda m: m.update(seed=True),
+    "negative_seed": lambda m: m.update(seed=-3),
     "bool_format_version": lambda m: m.update(format_version=True),
     "float_blob_bytes": lambda m: m.update(blob_bytes=float(m["blob_bytes"])),
     "bool_learning_rate": lambda m: m["optimizer"].update(learning_rate=True),

@@ -1,8 +1,9 @@
 """Every cross-reference in the package's source resolves: each
-``:func:``, ``:class:`` and ``:attr:`` role, and each double-backquoted
-``module.name`` whose first part is a package module. A reference left
-behind by a rename or a deletion fails here, not in a later reader's
-search."""
+``:func:``, ``:class:`` and ``:attr:`` role, each double-backquoted
+``module.name`` whose first part is a package module, and each
+double-backquoted bare ALL-CAPS name such as a module constant. A
+reference left behind by a rename or a deletion fails here, not in a later
+reader's search."""
 
 import importlib
 import re
@@ -17,17 +18,18 @@ SOURCES = sorted(p for p in Path(onigraph.__file__).parent.glob("*.py") if p.ste
 MODULES = {p.stem for p in SOURCES} - {"__init__"}
 ROLE = re.compile(r":(?:func|class|attr):`~?(?:onigraph\.)?([\w.]+)`")
 LITERAL = re.compile(r"``(\w+\.[\w.]+)``")
+CONSTANT = re.compile(r"``(_?[A-Z][A-Z0-9_]+)``")
 _MISSING = object()
 
 
 def unresolved(module: str, text: str) -> list[str]:
     """The references in ``text``, found in ``module``, that name nothing. A
     dotted name whose first part is a package module is taken from that
-    module, any other from ``module``; a dataclass field counts as its
-    class's attribute."""
+    module, any other from ``module``, as is a bare constant; a dataclass
+    field counts as its class's attribute."""
     targets = ROLE.findall(text) + [
         t for t in LITERAL.findall(text) if t.split(".")[0] in MODULES
-    ]
+    ] + CONSTANT.findall(text)
     missing = []
     for target in targets:
         head, _, rest = target.partition(".")
@@ -55,6 +57,7 @@ def test_a_stale_reference_is_caught():
     text = (
         "over :func:`graph_aggregator` of :func:`model_edges`, with\n"
         "``autodiff.edge_block_matmul``, ``autodiff.dense_aggregate``,\n"
-        ":attr:`~onigraph.autodiff.EdgeIndex.sparse`, :class:`ModelState` and ``edges.n``"
+        ":attr:`~onigraph.autodiff.EdgeIndex.sparse`, :class:`ModelState` and ``edges.n``,\n"
+        "``PRESETS`` and ``BN_EPS``, ``N`` x ``N``"
     )
-    assert unresolved("model", text) == ["graph_aggregator", "autodiff.dense_aggregate"]
+    assert unresolved("model", text) == ["graph_aggregator", "autodiff.dense_aggregate", "BN_EPS"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from onigraph.autodiff import (
+    BN_EPS,
     EdgeIndex,
     RunningStats,
     Tape,
@@ -15,7 +16,6 @@ from onigraph.autodiff import (
 )
 from onigraph.errors import ConfigError, DimensionError
 from onigraph.model import (
-    BN_EPS,
     GcnConfig,
     NormParams,
     PRESETS,

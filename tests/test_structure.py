@@ -171,7 +171,7 @@ def bruteforce_mask(scores, e):
 )
 def test_top_edges_matches_bruteforce_with_heavy_ties(case):
     scores, e = case
-    np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(_sigmoid(scores), e))
+    np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
 
 
 @pytest.mark.parametrize("extra", [0, 5])
@@ -199,7 +199,7 @@ def test_infinite_scores_are_ranked_exactly():
         ]
     )
     for e in range(4 * 3 + 1):
-        np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(_sigmoid(scores), e))
+        np.testing.assert_array_equal(top_mask(scores, e), bruteforce_mask(scores, e))
     # the infinite diagonal never takes a slot from the two infinite edges
     expected = np.zeros((4, 4), dtype=bool)
     expected[0, 3] = expected[2, 0] = True
@@ -240,12 +240,12 @@ def test_top_edges_indptr_holds_csr_row_pointers():
 
 def assert_selects_like_lexsort(logits, e):
     """The kept edges and their score bits are the first ``e`` off-diagonal
-    entries of a lexsort by descending score, then row, then column."""
+    entries of a lexsort by descending logit, then row, then column."""
     n = logits.shape[0]
     sig = _sigmoid(logits).ravel()
     rows, cols = np.divmod(np.arange(n * n), n)
     off = np.flatnonzero(rows != cols)
-    ranked = off[np.lexsort((cols[off], rows[off], -sig[off]))]
+    ranked = off[np.lexsort((cols[off], rows[off], -logits.ravel()[off]))]
     kept = np.sort(ranked[:e])
     edges, values = top_edges(logits, e)
     np.testing.assert_array_equal(edges.rows, kept // n)
@@ -283,14 +283,14 @@ def guesses(monkeypatch):
     """Whether each sampled guess held (True) or was retried over every
     entry (False)."""
     held = []
-    guess = structure._sampled_band
+    guess = structure._sampled_candidates
 
     def spy(*args):
         picked = guess(*args)
         held.append(picked is not None)
         return picked
 
-    monkeypatch.setattr(structure, "_sampled_band", spy)
+    monkeypatch.setattr(structure, "_sampled_candidates", spy)
     return held
 
 
@@ -317,11 +317,11 @@ def test_large_logits_only_at_sampled_positions_force_the_retry(n, guesses):
     # fewer candidates than the budget: only the large logits reach the guess
     e = picks.size + 3 * n
     assert_selects_like_lexsort(logits, e)
-    # one tied level: the e-th logit is the guess itself, so its band
-    # reaches below it
+    # one tied level: the e-th logit is the guess itself, and every sampled
+    # off-diagonal entry reaches it, so the guess holds
     flat[picks] = 10.0
     assert_selects_like_lexsort(logits, picks.size // 2)
-    assert guesses == [False, False]
+    assert guesses == [False, True]
 
 
 @pytest.mark.parametrize("n", STRIDED_N)
@@ -382,18 +382,18 @@ def test_strided_selection_leaves_logits_untouched(guesses):
     for e in (0, 7, 8 * n, n * (n - 1)):
         top_edges(logits, e)
         np.testing.assert_array_equal(logits, before)
-    logits.ravel()[sampled(n)] = 10.0  # a guess that needs the retry
+    logits.ravel()[sampled(n)] = 10.0  # the guess is a tied level, and holds
     before = logits.copy()
     top_edges(logits, 8 * n)
     np.testing.assert_array_equal(logits, before)
-    assert guesses[-1] is False
+    assert guesses[-1] is True
 
 
 def assert_selects_like_bruteforce(logits, e):
-    """The kept edges and their score bits are those of a sort over the
-    sigmoid of every logit."""
+    """The kept edges are those of a sort over every logit, and their score
+    bits those of the sigmoid of every logit."""
     scores = _sigmoid(logits)
-    flat = np.flatnonzero(bruteforce_mask(scores, e))
+    flat = np.flatnonzero(bruteforce_mask(logits, e))
     edges, values = top_edges(logits, e)
     np.testing.assert_array_equal(edges.rows.astype(np.intp) * logits.shape[0] + edges.cols, flat)
     np.testing.assert_array_equal(values.view(np.uint64), scores.ravel()[flat].view(np.uint64))
@@ -438,7 +438,14 @@ def test_subnormal_and_saturated_scores_tie_across_logits():
     scores = _sigmoid(logits)
     assert scores[0, 1] > scores[0, 2] == scores[1, 2] > scores[1, 3] == scores[2, 3] == 0.0
     assert scores[2, 0] == scores[2, 1] == scores[3, 0] == 1.0
+    # equal scores still rank by logit, not in (row, col) order
+    by_logit = [(2, 1), (3, 0), (2, 0), (0, 1), (3, 2), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3),
+                (3, 1), (2, 3)]
     for e in range(4 * 3 + 1):
+        expected = np.zeros((4, 4), dtype=bool)
+        for ij in by_logit[:e]:
+            expected[ij] = True
+        np.testing.assert_array_equal(top_mask(logits, e), expected)
         assert_selects_like_bruteforce(logits, e)
         assert_selects_like_bruteforce(logits[:, ::-1] - 3.0, e)
 
@@ -462,6 +469,25 @@ def test_kept_edges_at_full_grid_size_stays_below_one_and_a_half_logit_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+def test_forced_retry_at_full_grid_size_stays_below_one_and_a_quarter_logit_arrays(guesses):
+    # large logits only at the sampled positions leave fewer candidates than
+    # the budget; the retry's copy of the logits is freed before its
+    # candidate pass
+    n = 1345
+    rng = np.random.default_rng(24402)
+    logits = rng.random((n, n))
+    picks = sampled(n)
+    logits.ravel()[picks] = 10.0 + rng.random(picks.size)
+    tracemalloc.start()
+    try:
+        top_edges(logits, picks.size + 3 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert guesses == [False]
+    assert peak < 1.25 * n * n * 8
 
 
 # --- self-loops ---------------------------------------------------------------
@@ -524,13 +550,17 @@ def test_bidirectional_edges_possible():
 
 
 def test_kept_set_invariant_to_score_gain():
-    masks = []
-    for gain in (0.5, 2.0, 8.0):
-        p = make_params(n=8, seed=13, max_edges=20, score_gain=gain)
-        edges, _ = kept_edges(p)
-        masks.append(edges.dense(np.ones(edges.rows.size)))
-    np.testing.assert_array_equal(masks[0], masks[1])
-    np.testing.assert_array_equal(masks[1], masks[2])
+    # at n=30 and gain 60 every kept score saturates at 1.0, so only the
+    # logits can tell the kept edges apart
+    for n, max_edges, seed, gains in ((8, 20, 13, (0.5, 2.0, 8.0)), (30, 90, 24401, (1.0, 60.0))):
+        masks = []
+        for gain in gains:
+            p = make_params(n=n, seed=seed, max_edges=max_edges, score_gain=gain)
+            edges, values = kept_edges(p)
+            masks.append(edges.dense(np.ones(edges.rows.size)))
+        for mask in masks[1:]:
+            np.testing.assert_array_equal(masks[0], mask)
+    assert np.all(values.data == 1.0)  # the last run: n=30 at gain 60
 
 
 @settings(max_examples=40, deadline=None)
