@@ -15,12 +15,18 @@ lead_months, and the grid's variable count as features_per_node. --preset,
 and predict take the window, the lead and, unless data.oni_node is set, the
 ONI node from the first checkpoint. Checkpoints and grid manifests must hold
 every field of their records, while config sections may omit keys.
+
+ablation prints each seed's test r and RMSE with learned and local edges.
+Where --data holds the synth_spec.json of synth-data, each learned row adds
+the planted drivers' mean centrality rank R/N (1 = most central, n/a if it
+does not converge), and a last line counts the seeds with R <= N/10.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import textwrap
@@ -31,8 +37,8 @@ import numpy as np
 
 from . import data as dat
 from .autodiff import Tensor, grad_check, mse_loss
-from .centrality import eigenvector_centrality
-from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
+from .centrality import CentralityScores, eigenvector_centrality
+from .errors import ConfigError, ConvergenceError, DataError, FormatError, NumericError, UsageError
 from .exports import export_centrality_heatmap, export_forecast_timeseries
 from .model import GcnConfig, PRESETS, forward_batch, init_params, model_adjacency, model_edges
 from .training import (
@@ -216,7 +222,7 @@ def cmd_synth_data(args) -> int:
     )
     out = Path(args.out)
     dat.save_gridset(grid, out)
-    (out / "synth_spec.json").write_text(json.dumps(asdict(spec), indent=2) + "\n")
+    (out / dat.SPEC_NAME).write_text(json.dumps(asdict(spec), indent=2) + "\n")
     print(f"wrote {grid.n_lat}x{grid.n_lon} grid, {grid.n_time} months, to {out}")
     return 0
 
@@ -269,11 +275,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def graph_centrality(state) -> CentralityScores:
+    # node i reads from node j where A[i, j] > 0: the transpose of I + A
+    # ranks the nodes the graph reads from
+    return eigenvector_centrality(model_adjacency(state).data.T)
+
+
+def _driver_rank(state, drivers: np.ndarray) -> float:
+    """The mean centrality rank of the ``drivers`` nodes, 1 for the most
+    central, or NaN where power iteration does not converge."""
+    try:
+        scores = graph_centrality(state).scores
+    except ConvergenceError:
+        return math.nan
+    return float(np.argsort(np.argsort(-scores, kind="stable"))[drivers].mean() + 1)
+
+
 def cmd_centrality(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    # node i reads from node j where A[i, j] > 0: the transpose ranks the
-    # nodes the graph reads from
-    scores = eigenvector_centrality(model_adjacency(state).data.T)
+    scores = graph_centrality(state)
     nodes = dat.NodeIndex(
         latlon=state.node_latlon,
         cells=np.full((state.node_count, 2), -1, dtype=int),
@@ -333,8 +353,9 @@ def cmd_ablation(args) -> int:
     if not seeds:
         raise UsageError("--seeds is empty")
     model_cfg, train_cfg, bundle = _prepare(args, lead_months=args.lead)
+    drivers = dat.planted_driver_nodes(args.data, bundle.nodes)
 
-    rows = []
+    rows, ranks = [], []  # each learned row's driver rank, with a spec; None elsewhere
     for seed in seeds:
         cfg = replace(train_cfg, seed=seed)
         for edges in ("learned", "local"):
@@ -342,15 +363,24 @@ def cmd_ablation(args) -> int:
             train(state, bundle.train, cfg)
             report = evaluate(state, bundle.test)
             rows.append((edges, seed, report.r, report.rmse))
-    print(f"{'edges':<8} {'seed':>4} {'r':>8} {'rmse':>8}")
-    for edges, seed, r, rmse in rows:
-        print(f"{edges:<8} {seed:>4} {r:>8.4f} {rmse:>8.4f}")
+            ranked = drivers is not None and edges == "learned"
+            ranks.append(_driver_rank(state, drivers) if ranked else None)
+    n = bundle.nodes.count
+    print("edges    seed        r     rmse" + "  driver rank" * (drivers is not None))
+    for (edges, seed, r, rmse), rank in zip(rows, ranks):
+        line = f"{edges:<8} {seed:>4} {r:>8.4f} {rmse:>8.4f}"
+        if rank is not None:
+            line += f"  {'n/a' if math.isnan(rank) else f'{rank:.1f}/{n}':>11}"
+        print(line)
     mean_learned = float(np.mean([r for e, _, r, _ in rows if e == "learned"]))
     mean_local = float(np.mean([r for e, _, r, _ in rows if e == "local"]))
     print(
         f"mean learned r={mean_learned:.4f}  mean local r={mean_local:.4f}  "
         f"gap={mean_learned - mean_local:.4f}"
     )
+    if drivers is not None:  # NaN, no convergence, is in no decile
+        top = sum(rank is not None and rank <= n / 10 for rank in ranks)
+        print(f"planted drivers in the top decile of centrality on {top} of {len(seeds)} seeds")
     if args.out:
         write_csv(args.out, "edges,seed,r,rmse", rows)
     return 0

@@ -37,6 +37,8 @@ ONI_LON = (190.0, 240.0)
 ONI_CENTER_LATLON = (0.0, 215.0)
 
 MANIFEST_NAME = "manifest.json"
+# beside a synthetic grid, what its generator planted (:class:`SynthSpec`)
+SPEC_NAME = "synth_spec.json"
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +142,16 @@ def save_gridset(grid: GridSet, path: str | Path) -> None:
     (directory / manifest["data_file"]).write_bytes(grid.data.astype("<f4").tobytes())
 
 
-def read_file(path: Path) -> bytes:
-    """The bytes of ``path``, which must be a regular file: a pipe or a
-    device, whose read could block, is refused before it is opened."""
-    try:
-        if not stat.S_ISREG(path.stat().st_mode):
-            raise FormatError(f"cannot read {path}: not a regular file")
-        return path.read_bytes()
-    except (OSError, ValueError) as exc:  # no such file, no permission, a NUL in the name
-        raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def _read_binary(path: Path, dtype: str, shape: tuple[int, ...]) -> Array:
-    """``shape`` values of ``dtype`` from ``path``, which must be a regular
-    file (never a device or a pipe) of exactly their size before it is read."""
-    expected = math.prod(shape) * np.dtype(dtype).itemsize
+def read_file(path: Path, size: int | None = None) -> bytes:
+    """The bytes of ``path``, which must be a regular file of ``size`` bytes
+    if given: a pipe or a device, whose read could block, is never opened."""
     try:
         info = path.stat()
         if not stat.S_ISREG(info.st_mode):
             raise FormatError(f"cannot read {path}: not a regular file")
-        if info.st_size != expected:
-            raise FormatError(f"{path}: expected {expected} bytes, found {info.st_size}")
-        return np.fromfile(path, dtype).reshape(shape)
+        if size is not None and info.st_size != size:
+            raise FormatError(f"{path}: expected {size} bytes, found {info.st_size}")
+        return path.read_bytes()
     except (OSError, ValueError) as exc:  # no such file, no permission, a NUL in the name
         raise FormatError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
@@ -187,18 +177,15 @@ def load_gridset(path: str | Path) -> GridSet:
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
-    n_vars = len(fields["variables"])
-    mask = _read_binary(directory / mask_name, "u1", (n_lat, n_lon)).astype(bool)
-    data = _read_binary(directory / data_name, "<f4", (n_time, n_vars, n_lat, n_lon))
-    _require_finite(data, directory)  # before the cast, which warns on a signaling NaN
-    return GridSet(**fields, land_mask=mask, data=data.astype(np.float64))
-
-
-def _require_finite(data: Array, source) -> None:
-    # land cells hold 0.0, so a NaN or infinity is never valid data
-    if not np.all(np.isfinite(data)):
-        bad = int(np.count_nonzero(~np.isfinite(data)))
-        raise DataError(f"{source} holds {bad} non-finite grid value(s)")
+    shape = (n_time, len(fields["variables"]), n_lat, n_lon)
+    mask = np.frombuffer(read_file(directory / mask_name, n_lat * n_lon), "u1").astype(bool)
+    data = np.frombuffer(read_file(directory / data_name, 4 * math.prod(shape)), "<f4")
+    # land cells hold 0.0, so a NaN or infinity is never valid data; checked
+    # before the cast, which warns on a signaling NaN
+    if bad := int(np.count_nonzero(~np.isfinite(data))):
+        raise DataError(f"{directory} holds {bad} non-finite grid value(s)")
+    mask, data = mask.reshape(n_lat, n_lon), data.reshape(shape).astype(np.float64)
+    return GridSet(**fields, land_mask=mask, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +434,29 @@ class SynthSpec:
         """Smallest Chebyshev grid distance between driver and region cells."""
         steps = np.abs(np.array(self.driver_cells)[:, None] - np.array(self.region_cells))
         return int(steps.max(axis=2).min())
+
+
+# the fields of a spec file, whose cells are JSON [row, col] pairs
+SPEC_FIELDS = {
+    **field_types(SynthSpec), "driver_cells": list[list[int]], "region_cells": list[list[int]]
+}
+
+
+def planted_driver_nodes(path: str | Path, nodes: NodeIndex) -> Array | None:
+    """The nodes of the driver cells that the spec in the grid container
+    ``path`` names, or None if it holds no spec."""
+    file = Path(path) / SPEC_NAME
+    if not file.exists():
+        return None
+    try:
+        cells = read_record(SPEC_FIELDS, json.loads(read_file(file).decode()), "spec")
+    except (ConfigError, ValueError) as exc:  # mistyped, not UTF-8, or not JSON
+        raise FormatError(f"bad spec {file}: {exc}") from exc
+    index = {tuple(c): i for i, c in enumerate(nodes.cells[: nodes.grid_count].tolist())}
+    drivers = [index.get(tuple(c)) for c in cells["driver_cells"]]
+    if None in drivers or not drivers:
+        raise DataError(f"{file}: driver cells must be grid nodes, got {cells['driver_cells']}")
+    return np.array(drivers)
 
 
 def synth_teleconnection_dataset(

@@ -1,5 +1,8 @@
 """CSV and SVG exports: centrality heatmaps and forecast timeseries.
 
+:func:`export_centrality_heatmap` writes <path>.csv and <path>.svg;
+:func:`export_forecast_timeseries` writes <path>.svg only, since the
+series' values are the CSV that ``training.write_predictions_csv`` writes.
 SVG output is hand-rendered (no plotting dependency) so identical inputs
 produce byte-identical files.
 """
@@ -13,7 +16,7 @@ import numpy as np
 from .centrality import CentralityScores
 from .data import NodeIndex
 from .errors import DataError, DimensionError
-from .training import EvalReport, write_csv, write_predictions_csv
+from .training import EvalReport, write_csv
 
 Array = np.ndarray
 
@@ -29,10 +32,6 @@ def _ramp(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(round(255 * r), round(255 * g), round(255 * b))
 
 
-def _fmt(x: float) -> str:
-    return repr(round(float(x), 6))
-
-
 def export_centrality_heatmap(
     scores: CentralityScores | Array, nodes: NodeIndex, path: str | Path
 ) -> tuple[Path, Path]:
@@ -44,10 +43,8 @@ def export_centrality_heatmap(
         raise DimensionError(
             f"scores length {values.shape} does not match node count {nodes.count}"
         )
-    base = Path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = Path(str(base) + ".csv")
-    svg_path = Path(str(base) + ".svg")
+    csv_path, svg_path = (Path(f"{Path(path)}.{ext}") for ext in ("csv", "svg"))
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     grid_nodes = nodes.grid_count
     rows = [
@@ -85,21 +82,17 @@ def export_centrality_heatmap(
 
 
 def _polyline(xs: Array, ys: Array, color: str) -> str:
-    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    points = " ".join(f"{round(float(x), 6)!r},{round(float(y), 6)!r}" for x, y in zip(xs, ys))
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
 
 
-def export_forecast_timeseries(report: EvalReport, path: str | Path) -> tuple[Path, Path]:
-    """Write <path>.csv (index,target,prediction) and <path>.svg plotting
-    both series, with the correlation and RMSE in the chart title."""
+def export_forecast_timeseries(report: EvalReport, path: str | Path) -> Path:
+    """Write <path>.svg plotting the target and prediction series, with the
+    correlation and RMSE in the chart title. Returns its path."""
     if report.n == 0:
         raise DataError("cannot export an empty report")
-    base = Path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = Path(str(base) + ".csv")
-    svg_path = Path(str(base) + ".svg")
-
-    write_predictions_csv(report, csv_path)
+    svg_path = Path(f"{Path(path)}.svg")
+    svg_path.parent.mkdir(parents=True, exist_ok=True)
 
     both = np.concatenate([report.targets, report.predictions])
     lo, hi = float(both.min()), float(both.max())
@@ -132,4 +125,4 @@ def export_forecast_timeseries(report: EvalReport, path: str | Path) -> tuple[Pa
     ]
     parts.append("</svg>")
     svg_path.write_text("\n".join(parts) + "\n")
-    return csv_path, svg_path
+    return svg_path

@@ -427,10 +427,16 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         return arrays[name]
 
-    # Build the model the way training does, require the tensor table that
-    # save_checkpoint writes for it, then fill every tensor by that table.
+    # Refuse widths whose weights alone overrun the blob before init_params
+    # allocates them. Then build the model the way training does, require the
+    # tensor table that save_checkpoint writes for it, and fill every tensor.
+    config = GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model"))
+    dims, pooled = [config.input_width, *config.layer_dims], config.pooled_width
+    size = sum(a * b for a, b in zip(dims, dims[1:])) + (pooled + 1) * (config.mlp_hidden or pooled)
+    if 8 * size > len(blob):
+        raise FormatError(f"model needs {size} weights; the blob holds {len(blob) // 8} values")
     state = init_params(
-        GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model")),
+        config,
         grab("structure.static_features"),
         grab("node_latlon"),
         seed=manifest["seed"],

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onigraph
-from onigraph import data as dat
+from onigraph import cli, data as dat
 from onigraph.cli import CONFIG_SECTIONS, cli_dispatch, resolve_configs
-from onigraph.errors import ConfigError, FormatError
+from onigraph.errors import ConfigError, ConvergenceError, FormatError
 from onigraph.model import GcnConfig, init_params
 from onigraph.training import (
     CHECKPOINT_FIELDS,
@@ -606,6 +606,86 @@ def test_ablation_prints_table(synth_dir, small_config, capsys):
     assert "learned" in out and "local" in out and "gap=" in out
 
 
+def _ablation(grid, config, seeds="0,1"):
+    return ["ablation", "--config", str(config), "--data", str(grid), "--seeds", seeds]
+
+
+def test_ablation_ranks_the_planted_drivers(synth_dir, small_config, capsys):
+    assert cli_dispatch(_ablation(synth_dir, small_config)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    n = 6 * 6 + 1  # the grid's ocean cells and the ONI node
+    assert lines[0] == "edges    seed        r     rmse  driver rank"
+    rows = [line.split() for line in lines[1:5]]
+    assert [row[0] for row in rows] == ["learned", "local"] * 2
+    for row in rows[::2]:
+        rank, count = row[4].split("/")
+        assert 1.0 <= float(rank) <= n and count == str(n)
+    assert all(len(row) == 4 for row in rows[1::2])
+    top = re.fullmatch(r"planted drivers in the top decile of centrality on (\d) of 2 seeds", lines[6])
+    ranks = [float(row[4].split("/")[0]) for row in rows[::2]]
+    assert top and int(top[1]) == sum(rank <= n / 10 for rank in ranks)
+    assert len(lines) == 7
+
+
+def test_ablation_without_a_spec_prints_the_plain_table(synth_dir, small_config, tmp_path, capsys):
+    grid = tmp_path / "grid"
+    shutil.copytree(synth_dir, grid)
+    (grid / dat.SPEC_NAME).unlink()
+    outputs = []
+    for data in (synth_dir, grid):
+        assert cli_dispatch(_ablation(data, small_config)) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    ranked, plain = outputs
+    # the ranked table less its rank column and its closing count
+    assert plain == [line[:31] for line in ranked[:5]] + ranked[5:6]
+    assert plain[0] == "edges    seed        r     rmse"
+
+
+_SPEC_EDITS = {
+    "not_json": lambda spec: b"{",
+    "not_utf8": lambda spec: b"\xff",
+    "not_an_object": lambda spec: [],
+    "missing_field": lambda spec: {k: v for k, v in spec.items() if k != "seed"},
+    "mistyped_field": lambda spec: spec | {"lead": "1"},
+    "fractional_cell": lambda spec: spec | {"driver_cells": [[0, 0.5]]},
+    "cell_outside_the_grid": lambda spec: spec | {"driver_cells": [[0, 0], [6, 0]]},
+    "cell_of_three_indices": lambda spec: spec | {"driver_cells": [[0, 0, 0]]},
+    "no_driver_cell": lambda spec: spec | {"driver_cells": []},
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_SPEC_EDITS))
+def test_malformed_spec_exits_2_before_training(edit, synth_dir, small_config, tmp_path,
+                                                 monkeypatch, capsys):
+    grid = tmp_path / "grid"
+    shutil.copytree(synth_dir, grid)
+    path = grid / dat.SPEC_NAME
+    if edit == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        spec = _SPEC_EDITS[edit](json.loads(path.read_text()))
+        path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    assert cli_dispatch(_ablation(grid, small_config)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and str(path) in captured.err
+    assert captured.out == "" and trained == []
+
+
+def test_ablation_without_convergence_prints_n_a(synth_dir, small_config, monkeypatch, capsys):
+    def fail(matrix):
+        raise ConvergenceError("power iteration did not converge")
+
+    monkeypatch.setattr(cli, "eigenvector_centrality", fail)
+    assert cli_dispatch(_ablation(synth_dir, small_config, "0")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("learned ") and lines[1].endswith("          n/a")
+    assert lines[-1] == "planted drivers in the top decile of centrality on 0 of 1 seeds"
+
+
 def _run_cli(args, timeout=None):
     env = dict(os.environ, PYTHONPATH=str(Path(onigraph.__file__).parent.parent))
     return subprocess.run(
@@ -813,6 +893,18 @@ def test_checkpoint_shape_past_any_int_exits_2(checkpoint, tmp_path, capsys):
     assert not (tmp_path / "heat.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("layer_dims", [10**12, 6]), ("layer_dims", [10**7, 6]), ("mlp_hidden", 10**12)]
+)
+def test_checkpoint_declaring_huge_widths_exits_2(key, value, checkpoint, synth_dir, tmp_path):
+    # refused before the model is allocated: 10**7 wide would take gigabytes
+    ckpt = tmp_path / "huge.ckpt"
+    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["model"].update({key: value}))
+    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: model needs") and "Traceback" not in proc.stderr
+
+
 def test_train_out_naming_a_directory_exits_2(synth_dir, small_config, tmp_path):
     out = tmp_path / "models"
     out.mkdir()
@@ -897,7 +989,6 @@ PINNED_OUTPUTS = {
     "m.ckpt.loss.csv": "f70c19884fecce88bbc2e23b1eafa3586370b0af",
     "eval.report.csv": "ad2095142733b410609a930f5b8beac407a06a77",
     "eval.predictions.csv": "681968afc614adfaefc3ece977c87118bc50480b",
-    "eval.series.csv": "681968afc614adfaefc3ece977c87118bc50480b",
     "eval.series.svg": "ae673d535402710c6ed2feac2f84c1a03a0a874e",
     "p.csv": "374c24aa07edaded98d0e5378a66caaad99310ec",
     "heat.csv": "9201f0d344531cf19cdd454c96d9803fd3e145d9",

@@ -6,7 +6,7 @@ import pytest
 from onigraph.data import extend_nodes_with_oni, land_filter_nodes, synth_teleconnection_dataset
 from onigraph.errors import DimensionError
 from onigraph.exports import export_centrality_heatmap, export_forecast_timeseries
-from onigraph.training import EvalReport
+from onigraph.training import EvalReport, write_predictions_csv
 
 
 def sample_nodes():
@@ -72,10 +72,17 @@ def test_heatmap_length_mismatch_rejected(tmp_path):
         export_centrality_heatmap(np.ones(3), nodes, tmp_path / "h")
 
 
-def test_timeseries_csv_exact_values(tmp_path):
+def test_timeseries_writes_only_its_svg(tmp_path):
+    # the series' values are the predictions CSV that evaluate writes
+    svg_path = export_forecast_timeseries(sample_report(), tmp_path / "series")
+    assert svg_path == tmp_path / "series.svg"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.svg"]
+
+
+def test_predictions_csv_exact_values(tmp_path):
     report = sample_report()
-    csv_path, svg_path = export_forecast_timeseries(report, tmp_path / "series")
-    rows = csv_path.read_text().strip().splitlines()
+    write_predictions_csv(report, tmp_path / "predictions.csv")
+    rows = (tmp_path / "predictions.csv").read_text().strip().splitlines()
     assert rows[0] == "index,target,prediction"
     assert len(rows) - 1 == report.n
     i, target, pred = rows[3].split(",")
@@ -85,7 +92,7 @@ def test_timeseries_csv_exact_values(tmp_path):
 
 def test_timeseries_svg_wellformed_with_metrics_in_title(tmp_path):
     report = sample_report()
-    _, svg_path = export_forecast_timeseries(report, tmp_path / "series")
+    svg_path = export_forecast_timeseries(report, tmp_path / "series")
     root = ET.fromstring(svg_path.read_text())
     text = "".join(root.itertext())
     assert f"r={report.r:.4f}" in text

@@ -1,5 +1,5 @@
-"""Every name a source module imports is read in that module: an import
-left behind by a refactor fails here, not in a later reader's head."""
+"""Every name a source or test module imports is read in that module: an
+import left behind by a refactor fails here, not in a later reader's head."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,7 @@ import onigraph
 # the package's __init__ imports names to export them
 SOURCES = sorted(
     p for p in Path(onigraph.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -42,6 +42,7 @@ def read_names(tree: ast.Module) -> set[str]:
 
 def test_every_source_module_is_checked():
     assert {p.name for p in SOURCES} >= {"autodiff.py", "structure.py", "training.py", "cli.py"}
+    assert {p.name for p in SOURCES} >= {"test_cli.py", "test_exports.py", "test_imports.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
