@@ -575,7 +575,8 @@ def batchnorm_features(
         d *= scale
         if mode == "train":
             d -= (scale / n) * dbeta
-            d -= np.multiply(xc, (scale * inv * inv / n) * sx, out=_empty(d.shape))
+            # xc's last read, so its buffer takes the product
+            d -= np.multiply(xc, (scale * inv * inv / n) * sx, out=xc)
         return (d, sx * inv, dbeta)
 
     return record_op(out, (z, gamma, beta), rule)

@@ -20,7 +20,8 @@ import stat
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,8 +48,23 @@ SPEC_NAME = "synth_spec.json"
 
 def field_types(source, drop=()) -> dict:
     """The annotated types of a class's fields or a function's parameters,
-    less ``drop``. Resolve each table once, at import: 0.17 ms a type."""
-    return {k: v for k, v in get_type_hints(source).items() if k not in drop}
+    less ``drop``. Resolve each table once, at import: 0.17 ms a type.
+    Raises TypeError for a hint :func:`_typed` cannot check."""
+    types = {k: v for k, v in get_type_hints(source).items() if k not in drop}
+    if bad := [f"{k}: {v}" for k, v in types.items() if not _checkable(v)]:
+        raise TypeError(f"{source.__qualname__}: use a plain class, list[X] or X | None, not {bad}")
+    return types
+
+
+def _checkable(hint) -> bool:
+    """Whether :func:`_typed` checks ``hint``: a plain class, ``list[X]``, or
+    ``X | None`` with X one of those."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return len(args) == 1 and _checkable(args[0])
+    if get_origin(hint) in (Union, UnionType):
+        return len(args) == 2 and args[1] is type(None) and _checkable(args[0])
+    return type(hint) is type
 
 
 def _typed(value, hint, where: str):
@@ -270,11 +286,13 @@ def compute_oni_series(grid: GridSet, k: int = 3) -> Array:
 class SampleSet:
     """Node-feature windows paired with lead-h ONI targets.
 
-    ``inputs`` is one C-contiguous float64 array of shape (S, N, w * D):
-    sample s holds, for each of the N nodes, the D variables of months
-    [window_end[s] - w + 1, window_end[s]], time-major. A sample never sees
-    past its window end; its target is the ONI value at month
-    window_end + lead.
+    ``inputs`` is a read-only float64 array of shape (S, N, w * D): sample
+    s holds, for each of the N nodes, the D variables of months
+    [window_end[s] - w + 1, window_end[s]], time-major. Over consecutive
+    window ends it is a strided view of one node-major (N, T, D) series, so
+    each month is held once, not once per window that covers it; gather or
+    reshape it into a new array to compute on. A sample never sees past its
+    window end; its target is the ONI value at month window_end + lead.
     """
 
     inputs: Array  # (S, N, w * D)
@@ -299,7 +317,10 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     Input columns are time-major: the D per-variable values of the first
     window month, then the second, and so on (width w * D). Node rows
     follow ``nodes``; the aggregate ONI node, when present, carries the
-    ONI-region mean of each variable (:func:`regional_means`).
+    ONI-region mean of each variable (:func:`regional_means`). The inputs
+    are a view of one node series, and building them holds only that
+    series, unless an interior gap in the ONI leaves the window ends
+    non-consecutive: then they are a copy. Either way they are read-only.
     """
     if window < 1 or lead < 1:
         raise ConfigError(f"window and lead must be >= 1, got {window}, {lead}")
@@ -311,16 +332,23 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
 
     # Node-major (N, T, D): one node's months are consecutive, so the w
     # months of a window are one contiguous run of w * D values, already in
-    # the time-major column order, and every sample is one gather of runs.
+    # the time-major column order, and the windows are one strided view.
     n_vars = len(grid.variables)
-    grid_nodes = nodes.grid_count
     monthly = np.empty((nodes.count, grid.n_time, n_vars))
     flat = grid.data.reshape(grid.n_time, n_vars, -1)
-    monthly[:grid_nodes] = flat[:, :, _grid_columns(grid, nodes)].transpose(2, 0, 1)
+    grid_rows, cols = monthly[: nodes.grid_count], _grid_columns(grid, nodes)
+    # a block of nodes at a time, so that no temporary nears the series' size
+    block = max(1, 2**16 // (grid.n_time * n_vars))
+    for lo in range(0, len(cols), block):
+        grid_rows[lo : lo + block] = flat[:, :, cols[lo : lo + block]].transpose(2, 0, 1)
     if nodes.has_oni_node:
         monthly[-1] = regional_means(grid)
     runs = sliding_window_view(monthly.reshape(nodes.count, -1), window * n_vars, axis=1)
-    inputs = runs.transpose(1, 0, 2)[(ends - window + 1) * n_vars]  # (S, N, w * D)
+    starts = ends - window + 1
+    if ends[-1] - ends[0] == len(ends) - 1:  # consecutive: a slice, so a view
+        starts = slice(starts[0], starts[-1] + 1)
+    inputs = runs.transpose(1, 0, 2)[::n_vars][starts]  # (S, N, w * D)
+    inputs.flags.writeable = False  # as the view already is
     return SampleSet(
         inputs=inputs,
         targets=oni[ends + lead],
@@ -438,7 +466,9 @@ class SynthSpec:
 
 # the fields of a spec file, whose cells are JSON [row, col] pairs
 SPEC_FIELDS = {
-    **field_types(SynthSpec), "driver_cells": list[list[int]], "region_cells": list[list[int]]
+    "driver_cells": list[list[int]],
+    "region_cells": list[list[int]],
+    **field_types(SynthSpec, drop=("driver_cells", "region_cells")),
 }
 
 
@@ -529,9 +559,11 @@ def synth_teleconnection_dataset(
     driver_noise = rng.normal(0.0, noise_sd, (n_months, len(driver_cells)))
     sst[:, region] = s[:n_months, None] + region_noise
     sst[:, driver] = s[lead:, None] + driver_noise
-    heat = 0.5 * sst + rng.normal(0.0, noise_sd, sst.shape)
-
-    data = np.stack([sst, heat], axis=1).astype(np.float32).astype(np.float64)
+    # both fields rounded to float32, as a saved grid stores them, in one
+    # array that is widened once
+    fields = np.empty((n_months, 2, n_lat, n_lon), np.float32)
+    fields[:, 0] = sst
+    fields[:, 1] = 0.5 * sst + rng.normal(0.0, noise_sd, sst.shape)
     grid = GridSet(
         n_lat=n_lat,
         n_lon=n_lon,
@@ -543,7 +575,7 @@ def synth_teleconnection_dataset(
         n_time=n_months,
         variables=list(KNOWN_VARIABLES),
         land_mask=np.zeros((n_lat, n_lon), dtype=bool),
-        data=data,
+        data=fields.astype(np.float64),
     )
     spec = SynthSpec(
         driver_cells=driver_cells,
@@ -579,10 +611,11 @@ def prepare_dataset(
     """Grid -> nodes (plus the ONI node) -> labels -> windowed samples ->
     chronological split with an embargo (:func:`split_samples`).
 
-    The samples are built once, as one array over the final node set; the
-    train and test splits are views of it. Static features for the
-    connectivity learner are computed over the months covered by the
-    training split only.
+    The samples are built once over the final node set, as read-only views
+    of one node-major series (:func:`build_samples`), and the train and
+    test splits are views of them: every input month is held once. Static
+    features for the connectivity learner are computed over the months
+    covered by the training split only.
     """
     nodes = land_filter_nodes(grid)
     if oni_node:

@@ -162,8 +162,8 @@ def train(
     returns or raises, because nothing after training reads its buffers:
     evaluation runs outside any workspace, in blocks of
     ``PREDICT_BLOCK_ROWS`` rows. Kept, the buffers would stay resident for
-    nothing: 22 MB at N=1345 with widths 32/16 and batch 8, five times the
-    4.3 MB that one evaluation block peaks at.
+    nothing: 20.6 MB at N=1345 with widths 32/16 and batch 8, almost five
+    times the 4.3 MB that one evaluation block peaks at.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")

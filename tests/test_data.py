@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -13,10 +14,12 @@ from onigraph.data import (
     GRID_FIELDS,
     KNOWN_VARIABLES,
     GridSet,
+    SynthSpec,
     build_samples,
     build_static_features,
     compute_oni_series,
     extend_nodes_with_oni,
+    field_types,
     land_filter_nodes,
     load_gridset,
     local_adjacency,
@@ -339,6 +342,26 @@ def test_oni_even_window_rejected():
         compute_oni_series(make_grid(), k=2)
 
 
+# --- typed records ---------------------------------------------------------------
+
+
+class _TupleHint:
+    cells: tuple[int, int]
+
+
+class _DictHint:
+    sizes: dict[str, int]
+
+
+@pytest.mark.parametrize("source", [_TupleHint, _DictHint, SynthSpec])
+def test_a_table_with_a_hint_records_cannot_check_is_refused(source):
+    # read as X | None, tuple[int, int] would take 3 and null, and
+    # dict[str, int] the string "zz"; the spec's cells are list[tuple[int, int]]
+    with pytest.raises(TypeError, match="plain class, list"):
+        field_types(source)
+    assert field_types(source, drop=tuple(source.__annotations__)) == {}
+
+
 # --- samples ---------------------------------------------------------------------
 
 
@@ -359,6 +382,22 @@ def test_single_sample_case():
         samples.inputs[0], grid.data[0].reshape(2, -1).T
     )
     assert samples.targets[0] == 7.0
+
+
+def test_an_interior_gap_in_the_oni_drops_only_its_windows():
+    grid = make_grid(n_time=12, seed=5)
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
+    oni = np.arange(12.0)
+    oni[[0, 6, 7]] = np.nan  # targets of window ends 5 and 6 undefined
+    samples = build_samples(grid, nodes, window=3, lead=1, oni=oni)
+    inputs, ends, calendar = reference_samples(grid, nodes, 3, 1, oni)
+    assert ends.tolist() == [2, 3, 4, 7, 8, 9, 10]
+    assert_same_bits(samples.inputs, inputs)
+    assert_same_bits(samples.window_end, ends)
+    assert_same_bits(samples.end_calendar_month, calendar)
+    assert_same_bits(samples.targets, oni[ends + 1])
+    with pytest.raises(ValueError, match="read-only"):
+        samples.inputs[0, 0, 0] = 0.0
 
 
 def test_sample_count_matches_bruteforce():
@@ -478,7 +517,12 @@ def test_oni_node_extends_samples_and_static_features():
     assert nodes2.count == grid_nodes.count + 1
     assert nodes2.has_oni_node
     assert samples.inputs.shape == (len(samples), nodes2.count, 6)
-    assert samples.inputs.flags.c_contiguous and samples.inputs.dtype == np.float64
+    assert samples.inputs.dtype == np.float64
+    # a split views the one series, which nothing can write through
+    train, _ = split_samples(samples, 1.0, 1)
+    assert np.shares_memory(train.inputs, samples.inputs)
+    with pytest.raises(ValueError, match="read-only"):
+        train.inputs[0, 0, 0] = 0.0
     # grid rows are those of the samples without the ONI node
     plain = build_samples(grid, grid_nodes, 3, 1, oni)
     np.testing.assert_array_equal(samples.inputs[:, :-1], plain.inputs)
@@ -627,6 +671,20 @@ def test_synth_validation():
         synth_teleconnection_dataset(8, 8, 30, 1)
 
 
+@pytest.mark.parametrize(
+    "shape, seed, background_sd, sha1",
+    [
+        ((32, 42), 27301, None, "dae916944701e7b9fd4a9e788641ecb92d9ed682"),
+        ((8, 8), 27302, 1.0, "e4e8295bfbbe0d73a819ca3da8e5871a2e48e39f"),
+    ],
+)
+def test_synth_grid_bits_are_pinned(shape, seed, background_sd, sha1):
+    # the two benchmark shapes: 240 months, lead 2
+    grid, _ = synth_teleconnection_dataset(*shape, 240, 2, seed=seed, background_sd=background_sd)
+    assert grid.data.dtype == np.float64 and grid.data.flags.c_contiguous
+    assert hashlib.sha1(grid.data.tobytes()).hexdigest() == sha1
+
+
 # --- bundle ------------------------------------------------------------------------
 
 
@@ -641,6 +699,19 @@ def test_prepare_dataset_shapes():
     # static features only use training months
     max_train_month = int(bundle.train.window_end.max())
     assert max_train_month < int(bundle.test.window_end.min())
+
+
+def test_prepare_dataset_splits_view_one_read_only_series():
+    # a window longer than the embargo, so the first test window reads
+    # months that the last training window reads too
+    grid, _ = synth_teleconnection_dataset(6, 6, 80, 1, seed=7)
+    bundle = prepare_dataset(grid, window=6, lead=1, train_fraction=0.8)
+    train, test = bundle.train, bundle.test
+    assert test.window_end.min() - 6 < train.window_end.max()
+    assert np.shares_memory(train.inputs, test.inputs)
+    for part in (train, test):
+        with pytest.raises(ValueError, match="read-only"):
+            part.inputs[...] = 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -752,7 +823,8 @@ def test_dataset_steps_keep_the_bits_of_their_per_month_references(
             build_samples(grid, nodes, window, lead, oni)
     else:
         samples = build_samples(grid, nodes, window, lead, oni)
-        assert samples.inputs.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            samples.inputs[-1] = 0.0
         assert_same_bits(samples.inputs, inputs)
         assert_same_bits(samples.window_end, ends)
         assert_same_bits(samples.end_calendar_month, calendar)
@@ -791,8 +863,8 @@ def test_short_grids_keep_their_typed_errors():
 
 
 def test_build_samples_at_full_grid_size_holds_only_the_inputs_and_the_node_series():
-    # node-major series (N, T, D), then one gather into the inputs: no
-    # window-sized temporary on top of the two
+    # node-major series (N, T, D), gathered a block of nodes at a time, and
+    # the inputs a view of it: no window-sized array or temporary beside it
     grid, _ = synth_teleconnection_dataset(32, 42, 240, 2, seed=6007)
     nodes = extend_nodes_with_oni(land_filter_nodes(grid))
     oni = compute_oni_series(grid)
@@ -803,4 +875,5 @@ def test_build_samples_at_full_grid_size_holds_only_the_inputs_and_the_node_seri
     finally:
         tracemalloc.stop()
     series_bytes = nodes.count * grid.n_time * len(grid.variables) * 8
-    assert peak < samples.inputs.nbytes + series_bytes + 2**20
+    assert samples.inputs.nbytes > 2 * series_bytes  # each month in three windows
+    assert peak < series_bytes + 2**20

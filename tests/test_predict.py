@@ -5,6 +5,7 @@ one ``forward_batch`` over all samples."""
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,27 @@ def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_mode
         monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", per_block * n)
         got = predict_samples(members if len(members) > 1 else members[0], samples)
         assert got.tobytes() == want, per_block
+
+
+def test_a_one_sample_block_of_the_window_view_has_the_bits_of_a_batch(monkeypatch):
+    # a one-sample block reshapes to a strided view of the node series, not
+    # a copy; a batch over a contiguous copy of the windows is the reference
+    bundle, members = trained_members(("learned", "local"))
+    samples = bundle.test
+    want = predict_samples(members, replace(samples, inputs=samples.inputs.copy()))
+    rows = []
+    pooled_layers = training.pooled_layers
+
+    def spy(member, x, *args, **kwargs):
+        rows.append(x.data)
+        return pooled_layers(member, x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "pooled_layers", spy)
+    monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", members[0].node_count)
+    got = predict_samples(members, samples)
+    assert len(rows) == 2 * len(samples)
+    assert all(np.shares_memory(x, samples.inputs) for x in rows)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_each_member_graph_is_built_once_per_call(monkeypatch):

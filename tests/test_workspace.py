@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 from onigraph import model, training
-from onigraph.autodiff import Tape, Tensor, Workspace, add, backward, flatten, matmul, mse_loss
+from onigraph.autodiff import (
+    Tape,
+    Tensor,
+    Workspace,
+    add,
+    backward,
+    batchnorm_features,
+    flatten,
+    matmul,
+    mse_loss,
+)
 from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import NumericError
 from onigraph.model import GcnConfig, forward_batch
@@ -179,3 +189,28 @@ def test_a_gradient_handed_to_two_inputs_is_copied_before_a_second_write(workspa
     np.testing.assert_allclose(w2.grad, x.data.T @ g, rtol=1e-12)
     np.testing.assert_allclose(w3.grad, a.data.T @ g, rtol=1e-12)
     np.testing.assert_allclose(w1.grad, x.data.T @ (g + g @ w3.data.T), rtol=1e-12)
+
+
+@pytest.mark.parametrize("overwrite_input", [False, True])
+def test_a_train_mode_batchnorm_backward_takes_one_workspace_buffer(overwrite_input, monkeypatch):
+    # the ELU gradient's; the last product of the batchnorm backward goes
+    # into the buffer of the centered input, which nothing reads after it
+    rng = np.random.default_rng(27311)
+    z = Tensor(rng.normal(size=(40, 8)), requires_grad=True)
+    gamma, beta = (Tensor(rng.normal(size=8), requires_grad=True) for _ in range(2))
+    takes = []
+    take = Workspace.take
+
+    def counted(self, shape):
+        takes.append(shape)
+        return take(self, shape)
+
+    monkeypatch.setattr(Workspace, "take", counted)
+    with Workspace(), Tape() as tape:
+        out = batchnorm_features(
+            z, gamma, beta, "train", activation="elu", overwrite_input=overwrite_input
+        )
+        takes.clear()
+        grads = tape.entries[-1].rule(rng.normal(size=out.shape))
+    assert takes == [(40, 8)]
+    assert [g.shape for g in grads] == [(40, 8), (8,), (8,)]
