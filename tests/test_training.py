@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 from onigraph.autodiff import EdgeIndex, Sgd
 from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
-from onigraph.model import GcnConfig, init_params
+from onigraph.model import GcnConfig, init_params, model_edges
 from onigraph import training
 from onigraph.structure import StructureParams, kept_edges
 from onigraph.training import (
@@ -137,12 +137,31 @@ def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, jumping_knowl
     )
     cfg = TrainConfig(seed=2, epochs=3, batch_size=8, embed_dim=4, weight_decay=1e-4)
     state = build_model(bundle, model_cfg, cfg, edge_mode=edge_mode)
+    assert trained_digest(state, bundle, cfg) == sha1
+
+
+def trained_digest(state, bundle, cfg) -> str:
+    """The SHA-1 of the loss history of training ``state``, every trained
+    parameter and the test predictions."""
     _, history = train(state, bundle.train, cfg)
     digest = hashlib.sha1(np.array([v for _, _, v in history]).tobytes())
     for _, tensor in state.parameters():
         digest.update(tensor.data.tobytes())
     digest.update(predict_samples(state, bundle.test).tobytes())
-    assert digest.hexdigest() == sha1
+    return digest.hexdigest()
+
+
+def test_seeded_training_bits_in_the_csr_regime_are_pinned():
+    # an 8x8 grid plus the ONI node (N=65) with a budget of N edges: edges
+    # plus self-loops fill 3% of I + A, so aggregation and the structure
+    # backward run their CSR kernels
+    gridset, _ = synth_teleconnection_dataset(8, 8, 60, 1, seed=28101)
+    bundle = prepare_dataset(gridset, window=3, lead=1, train_fraction=0.75)
+    n = bundle.nodes.count
+    cfg = TrainConfig(seed=28102, epochs=3, batch_size=8, embed_dim=4, max_edges=n)
+    state = build_model(bundle, GcnConfig(layer_dims=[8, 8], pooling="sum_and_mean"), cfg)
+    assert model_edges(state)[0].sparse
+    assert trained_digest(state, bundle, cfg) == "50db238a9a90bf3898742a475b03e25f8ac4e194"
 
 
 def test_empty_sample_set_rejected():
