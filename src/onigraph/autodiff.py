@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -96,33 +95,27 @@ class Tape:
         self.entries: list[TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _tape_stack().pop()
+        _TAPES.pop()
         return False
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list[Tape]:
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = []
-        _LOCAL.tapes = stack
-    return stack
+# The open Tape blocks, innermost last, and the active Workspace. Module
+# state: the engine runs in one thread.
+_TAPES: list[Tape] = []
+_workspace: "Workspace | None" = None
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Workspace:
     """Reused float64 buffers for the arrays of training steps; at most one
-    is active per thread, and leaving the block drops every buffer.
+    is active at a time, and leaving the block drops every buffer.
 
     Buffers are flat and kept by size, not shape: a request gets the
     smallest free buffer that holds it, as a reshaped prefix view, so a
@@ -138,16 +131,18 @@ class Workspace:
 
     @staticmethod
     def active() -> "Workspace | None":
-        return getattr(_LOCAL, "workspace", None)
+        return _workspace
 
     def __enter__(self) -> "Workspace":
-        if Workspace.active() is not None:
-            raise RuntimeError("a workspace is already active in this thread")
-        _LOCAL.workspace = self
+        global _workspace
+        if _workspace is not None:
+            raise RuntimeError("a workspace is already active")
+        _workspace = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        _LOCAL.workspace = None
+        global _workspace
+        _workspace = None
         self.buffers.clear()
         return False
 
@@ -338,6 +333,12 @@ class EdgeIndex:
 
         return csr_array((values, self.cols, self.indptr), shape=(self.n, self.n))
 
+    def matrix(self, values: Array):
+        """The n x n matrix holding ``values`` on the edges and zeros
+        elsewhere, in the form that ops on this graph compute with: CSR if
+        :attr:`EdgeIndex.sparse`, else dense."""
+        return self.csr(values) if self.sparse else self.dense(values)
+
 
 # Elements per operand of one gathered chunk in the edge-value gradient:
 # small enough to stay in cache, and never more than one activation.
@@ -496,20 +497,19 @@ def batchnorm_features(
     z: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    mode: str = "train",
-    running: RunningStats | None = None,
+    mode: str,
+    running: RunningStats,
     activation: str = "identity",
-    overwrite_input: bool = False,
 ) -> Tensor:
-    """Standardize each feature column over the rows of ``z``, scale by
+    """Normalize each feature column over the rows of ``z``, scale by
     ``gamma``, shift by ``beta``, then apply ``activation`` (a kind of
-    ``ACTIVATIONS``), as one op. ``overwrite_input`` centers in ``z``'s
-    own array, for an input that nothing reads afterwards (no backward rule
-    reads its op's output), which saves one array of ``z``'s size.
+    ``ACTIVATIONS``), as one op. The input is centered in ``z``'s own
+    array, which saves one array of its size: nothing may read ``z`` after
+    this call (no backward rule reads its op's output).
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
-    statistics are used and nothing is mutated.
+    statistics are used and left unchanged.
 
     The forward pass keeps the centered input ``xc = z - mean`` and the
     output ``y = xc * scale + beta``, one buffer when nothing is recorded,
@@ -537,23 +537,20 @@ def batchnorm_features(
         raise ConfigError(f"unknown activation {activation!r}")
     act, act_grad = ACTIVATIONS[activation]
 
-    xc = z.data if overwrite_input else _empty(z.shape)
+    xc = z.data
     if mode == "train":
         if n < 2:
             raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
         # np.mean's and np.var's sums, with their bits (see _column_sums);
         # the squares are summed as they are formed, never stored
-        mean = _column_sums(z.data) / n
-        np.subtract(z.data, mean, out=xc)
+        mean = _column_sums(xc) / n
+        xc -= mean
         var = _column_sums(xc, xc) / n
-        if running is not None:
-            m = BN_MOMENTUM
-            running.mean[...] = (1.0 - m) * running.mean + m * mean
-            running.var[...] = (1.0 - m) * running.var + m * var
+        m = BN_MOMENTUM
+        running.mean[...] = (1.0 - m) * running.mean + m * mean
+        running.var[...] = (1.0 - m) * running.var + m * var
     else:
-        if running is None:
-            raise ConfigError("eval-mode batchnorm needs running statistics")
-        np.subtract(z.data, running.mean, out=xc)
+        xc -= running.mean
         var = running.var
 
     inv = 1.0 / np.sqrt(var + BN_EPS)

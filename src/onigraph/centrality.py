@@ -25,6 +25,10 @@ from .errors import ConvergenceError, DimensionError, NumericError
 Array = np.ndarray
 
 
+TOLERANCE = 1e-10  # the L2 step between iterates at which power iteration stops
+ITERATION_LIMIT = 10_000
+
+
 @dataclass
 class CentralityScores:
     scores: Array  # non-negative, unit L2 norm
@@ -33,9 +37,7 @@ class CentralityScores:
     iterations: int
 
 
-def eigenvector_centrality(
-    adjacency: Array, tol: float = 1e-10, max_iter: int = 10_000
-) -> CentralityScores:
+def eigenvector_centrality(adjacency: Array) -> CentralityScores:
     a = np.asarray(adjacency, float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got {a.shape}")
@@ -45,13 +47,13 @@ def eigenvector_centrality(
         raise NumericError("eigenvector centrality needs a non-negative matrix")
     n = a.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, ITERATION_LIMIT + 1):
         av = a @ v
         norm = np.linalg.norm(av)
         if norm == 0.0:
             raise NumericError("power iteration hit the zero vector; graph has no cycles")
         v_next = av / norm
-        if np.linalg.norm(v_next - v) < tol:
+        if np.linalg.norm(v_next - v) < TOLERANCE:
             v = v_next
             eigenvalue = float(v @ (a @ v))
             residual = float(np.linalg.norm(a @ v - eigenvalue * v))
@@ -59,6 +61,6 @@ def eigenvector_centrality(
         v = v_next
     residual = float(np.linalg.norm(a @ v - float(v @ (a @ v)) * v))
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {ITERATION_LIMIT} iterations "
         f"(final residual {residual:.3e}); the dominant eigenvalue may not be simple"
     )

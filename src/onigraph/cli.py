@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: synth-data, train, evaluate, predict, centrality, gradcheck,
-ablation. Exit codes: 0 success, 1 usage error or a closed standard
-output, 2 data or format error or a file that cannot be read or written,
-3 numeric failure.
+ablation. Exit codes: 0 success, 1 usage error, a closed standard output
+or memory that cannot be allocated (a config width too large for this
+machine), 2 data or format error or a file that cannot be read or
+written, 3 numeric failure.
 
 --config names a JSON object whose sections each set one record, with the
 keys listed below: train the fields of TrainConfig, model the architecture
@@ -294,12 +295,7 @@ def _driver_rank(state, drivers: np.ndarray) -> float:
 def cmd_centrality(args) -> int:
     state = load_checkpoint(args.checkpoint)
     scores = graph_centrality(state)
-    nodes = dat.NodeIndex(
-        latlon=state.node_latlon,
-        cells=np.full((state.node_count, 2), -1, dtype=int),
-        has_oni_node=state.has_oni_node,
-    )
-    csv_path, svg_path = export_centrality_heatmap(scores, nodes, args.out)
+    csv_path, svg_path = export_centrality_heatmap(scores.scores, state.node_latlon, args.out)
     print(
         f"eigenvalue {scores.eigenvalue:.5f}, residual {scores.residual:.2e}, "
         f"{scores.iterations} iterations"
@@ -418,6 +414,9 @@ def cli_dispatch(argv: list[str]) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # sizes from a config, such as its layer widths
+        print(f"usage error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

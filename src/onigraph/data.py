@@ -126,6 +126,8 @@ class GridSet:
         for name in self.variables:
             if name not in KNOWN_VARIABLES:
                 raise FormatError(f"unknown variable name {name!r}")
+            if self.variables.count(name) > 1:
+                raise FormatError(f"variable {name!r} is named more than once")
 
     @property
     def lats(self) -> Array:
@@ -388,17 +390,16 @@ def extend_nodes_with_oni(nodes: NodeIndex) -> NodeIndex:
     )
 
 
-def build_static_features(
-    grid: GridSet, nodes: NodeIndex, months: Array, standardize: bool = True
-) -> Array:
+def build_static_features(grid: GridSet, nodes: NodeIndex, months: Array) -> Array:
     """Per-node static descriptors for the connectivity learner:
     the temporal mean of each variable over the given (training) months,
     then latitude / 90 and longitude / 180. The ONI node, when present,
     uses the region means and the region's center coordinates.
 
-    Columns are standardized over nodes by default; the raw temporal means
-    of anomaly fields are tiny (anomalies average toward zero), which
-    starves the connectivity learner's gradients of scale."""
+    Each column is scaled over the nodes to mean 0 and standard deviation 1
+    (a constant column is only centered): the raw temporal means of anomaly
+    fields are tiny (anomalies average toward zero), which starves the
+    connectivity learner's gradients of scale."""
     months = np.asarray(months, dtype=int)
     if months.size == 0:
         raise DataError("static features need at least one month")
@@ -413,20 +414,22 @@ def build_static_features(
         features[-1, :n_vars] = regional_means(grid)[months].mean(axis=0)
         features[-1, n_vars] = ONI_CENTER_LATLON[0] / 90.0
         features[-1, n_vars + 1] = ONI_CENTER_LATLON[1] / 180.0
-    if standardize:
-        mu = features.mean(axis=0)
-        sd = features.std(axis=0)
-        features = (features - mu) / np.where(sd > 0.0, sd, 1.0)
-    return features
+    mu = features.mean(axis=0)
+    sd = features.std(axis=0)
+    return (features - mu) / np.where(sd > 0.0, sd, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # fixed local connectivity (ablation baseline)
 
 
-def local_adjacency(nodes: NodeIndex, radius_deg: float = 5.0) -> Array:
+# how far a local neighbor may lie in latitude and in longitude, in degrees
+LOCAL_REACH = 5.0
+
+
+def local_adjacency(nodes: NodeIndex) -> Array:
     """0/1 adjacency connecting each grid node to every node within
-    ``radius_deg`` in both latitude and longitude (one grid step on a
+    ``LOCAL_REACH`` in both latitude and longitude (one grid step on a
     5-degree grid, so interior nodes get 8 neighbors), with longitude
     measured around the 0/360 seam. Self-loops on the diagonal; the ONI
     node, having no location, keeps only its self-loop. Not learnable."""
@@ -436,7 +439,7 @@ def local_adjacency(nodes: NodeIndex, radius_deg: float = 5.0) -> Array:
     dlon = np.abs(lon[:, None] - lon[None, :])
     dlon = np.minimum(dlon, 360.0 - dlon)
     tol = 1e-9
-    near = (dlat <= radius_deg + tol) & (dlon <= radius_deg + tol)
+    near = (dlat <= LOCAL_REACH + tol) & (dlon <= LOCAL_REACH + tol)
     near &= ~np.isnan(dlat) & ~np.isnan(dlon)
     adjacency = near.astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage errors exit 1, data and format
 errors exit 2, numeric failures exit 3. Two ``OSError``s end a run too: a
 file the CLI cannot read or write exits 2, and a standard output closed by
 its reader (``onigraph train ... | head -1``) exits 1 without a traceback.
+A ``MemoryError``, such as a config's layer width too large to allocate,
+exits 1 as a usage error ("out of memory").
 """
 
 

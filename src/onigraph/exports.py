@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .centrality import CentralityScores
-from .data import NodeIndex
 from .errors import DataError, DimensionError
 from .training import EvalReport, write_csv
 
@@ -32,52 +30,54 @@ def _ramp(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(round(255 * r), round(255 * g), round(255 * b))
 
 
-def export_centrality_heatmap(
-    scores: CentralityScores | Array, nodes: NodeIndex, path: str | Path
-) -> tuple[Path, Path]:
-    """Write <path>.csv (lat,lon,centrality per grid node) and <path>.svg
-    (equirectangular cell raster; land cells and the ONI node are blank).
-    Returns both paths."""
-    values = scores.scores if isinstance(scores, CentralityScores) else np.asarray(scores, float)
-    if values.shape != (nodes.count,):
-        raise DimensionError(
-            f"scores length {values.shape} does not match node count {nodes.count}"
-        )
-    csv_path, svg_path = (Path(f"{Path(path)}.{ext}") for ext in ("csv", "svg"))
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-
-    grid_nodes = nodes.grid_count
-    rows = [
-        (round(float(lat), 6), round(float(lon), 6), v)
-        for (lat, lon), v in zip(nodes.latlon, values[:grid_nodes])
-    ]
-    write_csv(csv_path, "lat,lon,centrality", rows)
-
-    lats = np.unique(nodes.latlon[:grid_nodes, 0])
-    lons = np.unique(nodes.latlon[:grid_nodes, 1])
-    lat_pos = {v: i for i, v in enumerate(lats)}
-    lon_pos = {v: i for i, v in enumerate(lons)}
-    lo, hi = float(values[:grid_nodes].min()), float(values[:grid_nodes].max())
-    span = hi - lo
-
-    width, height = len(lons) * CELL_PX, len(lats) * CELL_PX
+def _write_svg(path: Path, width: int, height: int, background: str, body: list[str]) -> None:
+    """Every SVG the package writes: a ``width`` x ``height`` document
+    holding the ``body`` elements over a ``background`` fill."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#dddddd"/>',
+        f'<rect width="{width}" height="{height}" fill="{background}"/>',
+        *body,
+        "</svg>",
     ]
-    for i in range(grid_nodes):
-        lat, lon = nodes.latlon[i]
-        t = 0.5 if span == 0.0 else (float(values[i]) - lo) / span
+    path.write_text("\n".join(parts) + "\n")
+
+
+def export_centrality_heatmap(scores: Array, latlon: Array, path: str | Path) -> tuple[Path, Path]:
+    """Write <path>.csv (lat,lon,centrality per grid node) and <path>.svg
+    (equirectangular cell raster; land cells are blank) from one score per
+    node and the nodes' (N, 2) coordinates in degrees. A node whose
+    coordinates are NaN, as the ONI node's are, has no cell and is left
+    out of both. Returns both paths."""
+    values = np.asarray(scores, float)
+    if latlon.shape != (values.size, 2):
+        raise DimensionError(f"{values.shape} scores for node coordinates of shape {latlon.shape}")
+    csv_path, svg_path = (Path(f"{Path(path)}.{ext}") for ext in ("csv", "svg"))
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+
+    located = ~np.isnan(latlon).any(axis=1)
+    latlon, values = latlon[located], values[located]
+    rows = [(round(float(a), 6), round(float(b), 6), v) for (a, b), v in zip(latlon, values)]
+    write_csv(csv_path, "lat,lon,centrality", rows)
+
+    lats = np.unique(latlon[:, 0])
+    lons = np.unique(latlon[:, 1])
+    lat_pos = {v: i for i, v in enumerate(lats)}
+    lon_pos = {v: i for i, v in enumerate(lons)}
+    lo, hi = float(values.min()), float(values.max())
+    span = hi - lo
+
+    cells = []
+    for (lat, lon), value in zip(latlon, values):
+        t = 0.5 if span == 0.0 else (float(value) - lo) / span
         # row 0 at the top is the highest latitude
         y = (len(lats) - 1 - lat_pos[lat]) * CELL_PX
         x = lon_pos[lon] * CELL_PX
-        parts.append(
+        cells.append(
             f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" fill="{_ramp(t)}"/>'
         )
-    parts.append("</svg>")
-    svg_path.write_text("\n".join(parts) + "\n")
+    _write_svg(svg_path, len(lons) * CELL_PX, len(lats) * CELL_PX, "#dddddd", cells)
     return csv_path, svg_path
 
 
@@ -109,11 +109,7 @@ def export_forecast_timeseries(report: EvalReport, path: str | Path) -> Path:
         f"ONI forecast, lead {report.lead_months} mo: "
         f"r={report.r:.4f}, RMSE={report.rmse:.4f}, n={report.n}"
     )
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{CHART_W}" height="{CHART_H}" viewBox="0 0 {CHART_W} {CHART_H}">',
-        f'<rect width="{CHART_W}" height="{CHART_H}" fill="#ffffff"/>',
+    body = [
         f'<text x="{MARGIN}" y="{MARGIN - 16}" font-family="sans-serif" font-size="13">'
         f"{title}</text>",
         f'<line x1="{MARGIN}" y1="{CHART_H - MARGIN}" x2="{CHART_W - MARGIN}" '
@@ -123,6 +119,5 @@ def export_forecast_timeseries(report: EvalReport, path: str | Path) -> Path:
         _polyline(*to_xy(report.targets), "#1f6fb4"),
         _polyline(*to_xy(report.predictions), "#e06c00"),
     ]
-    parts.append("</svg>")
-    svg_path.write_text("\n".join(parts) + "\n")
+    _write_svg(svg_path, CHART_W, CHART_H, "#ffffff", body)
     return svg_path

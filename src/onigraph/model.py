@@ -288,9 +288,7 @@ def gcn_layer(
     else:
         h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, so it holds the centered rows
-    out = ad.batchnorm_features(
-        h, norm.gamma, norm.beta, mode, norm.running, activation, overwrite_input=True
-    )
+    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, activation)
     if use_residual:
         out = ad.add(out, z)
     return out
@@ -306,10 +304,7 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
         )
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
-    h = ad.batchnorm_features(
-        h, norm.gamma, norm.beta, mode, norm.running, state.config.activation,
-        overwrite_input=True,
-    )
+    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, state.config.activation)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 

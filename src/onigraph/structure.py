@@ -184,7 +184,7 @@ def kept_edges(
 
     Only the kept scores are recorded, so the tape holds no N x N array.
     Backward scatters the score gradient into one n x n matrix, CSR or
-    dense as :attr:`~onigraph.autodiff.EdgeIndex.sparse` picks, and carries
+    dense as :meth:`~onigraph.autodiff.EdgeIndex.matrix` picks, and carries
     its products with the two embeddings back through the tanh and
     ``feature_gain`` to the feature products.
     """
@@ -206,19 +206,14 @@ def kept_edges(
     else:
         kept = _sigmoid(logits[edges.rows, edges.cols])
     out = _make_output(kept, *products)
-    sparse = edges.sparse
 
     def rule(g: Array):
-        grad = g * kept * (1.0 - kept) * score_gain
-        if sparse:
-            grad = edges.csr(grad)
-            d_from, d_to = grad @ emb_to, grad.T @ emb_from
-        else:
-            # operands laid out as in the backward of the dense product
-            # E_from @ copy(E_to^T): BLAS rounds other layouts differently,
-            # and seeded training histories keep these bits
-            grad = edges.dense(grad)
-            d_from, d_to = grad @ emb_to.T.copy().T, (emb_from.T @ grad).T
+        grad = edges.matrix(g * kept * (1.0 - kept) * score_gain)
+        # operands laid out as in the backward of the dense product
+        # E_from @ copy(E_to^T): BLAS rounds other layouts differently, and
+        # seeded training histories keep these bits; the CSR products give
+        # the bits of grad @ E_to and grad^T @ E_from in these layouts too
+        d_from, d_to = grad @ emb_to.T.copy().T, (emb_from.T @ grad).T
         return [d * (1.0 - e * e) * feature_gain for d, e in ((d_from, emb_from), (d_to, emb_to))]
 
     # through the module, where a wrapper patched in from outside (the

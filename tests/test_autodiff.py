@@ -108,7 +108,8 @@ def activate(x, kind):
     running mean 0 and variance 1 - BN_EPS, which BN_EPS brings back to
     exactly 1.0, unit scale and a shift of -0.0. Every finite entry of the
     rank-2 ``x``, -0.0 included, reaches the activation unchanged, and its
-    gradient passes back unchanged."""
+    gradient passes back unchanged. The op centers ``x`` in its own array,
+    so each call takes an ``x`` that nothing reads afterwards."""
     width = x.shape[1]
     return batchnorm_features(
         x, t(np.ones(width)), t(np.full(width, -0.0)), "eval",
@@ -117,10 +118,9 @@ def activate(x, kind):
 
 
 def test_activation_fixed_points():
-    x = t([[0.0]])
-    assert activate(x, "tanh").data[0, 0] == 0.0
-    assert activate(x, "sigmoid").data[0, 0] == 0.5
-    assert activate(x, "elu").data[0, 0] == 0.0
+    assert activate(t([[0.0]]), "tanh").data[0, 0] == 0.0
+    assert activate(t([[0.0]]), "sigmoid").data[0, 0] == 0.5
+    assert activate(t([[0.0]]), "elu").data[0, 0] == 0.0
 
 
 def test_elu_positive_branch_is_identity():
@@ -210,15 +210,22 @@ def test_nonfinite_check_survives_optimized_mode():
 # --- batchnorm --------------------------------------------------------------
 
 
+def fresh(z):
+    """``z`` through one recorded op that copies it exactly (x + -0.0 is x
+    for every float): batchnorm_features centers its input's array in
+    place, so an input that a test reads or perturbs again goes in this way."""
+    return add(z, t(np.full(z.shape, -0.0)))
+
+
 def test_batchnorm_constant_column_is_zero():
     z = t(np.full((4, 2), 3.25))
-    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)))
+    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)), "train", RunningStats.initial(2))
     np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
 
 def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
-    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)))
+    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", RunningStats.initial(1))
     unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
     np.testing.assert_array_equal(out.data, [[-unit], [unit]])
 
@@ -226,26 +233,28 @@ def test_batchnorm_two_value_column():
 def test_batchnorm_zero_gamma_gives_beta():
     z = t(np.random.default_rng(1).normal(size=(5, 3)))
     beta = np.array([1.0, -2.0, 0.5])
-    out = batchnorm_features(z, t(np.zeros(3)), t(beta))
+    out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", RunningStats.initial(3))
     np.testing.assert_array_equal(out.data, np.broadcast_to(beta, (5, 3)))
 
 
 def test_batchnorm_single_row_train_rejected():
     with pytest.raises(NumericError):
-        batchnorm_features(t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)))
+        batchnorm_features(
+            t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), "train", RunningStats.initial(2)
+        )
 
 
 def test_batchnorm_running_stats_update_and_eval():
     running = RunningStats.initial(1)
-    z = t([[1.0], [3.0]])
-    batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), mode="train", running=running)
+    z = np.array([[1.0], [3.0]])
+    batchnorm_features(t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="train", running=running)
     assert running.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     assert running.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
     before = (running.mean.copy(), running.var.copy())
     out = batchnorm_features(
-        z, t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
+        t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
     )
-    expected = (z.data - before[0]) / np.sqrt(before[1] + BN_EPS)
+    expected = (z - before[0]) / np.sqrt(before[1] + BN_EPS)
     np.testing.assert_allclose(out.data, expected)
     np.testing.assert_array_equal(running.mean, before[0])
     np.testing.assert_array_equal(running.var, before[1])
@@ -320,13 +329,14 @@ def _textbook_norm_act(z, gamma, beta, mode, running, kind, g):
 def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     rng = np.random.default_rng(41)
     batch, nodes, width = 3, 37, 5  # stacked (B * N, D) rows
-    z = t(rng.normal(scale=2.0, size=(batch * nodes, width)) + 0.5, grad=True)
+    z0 = rng.normal(scale=2.0, size=(batch * nodes, width)) + 0.5
+    z = t(z0.copy(), grad=True)
     gamma = t(rng.normal(size=width), grad=True)
     beta = t(rng.normal(size=width), grad=True)
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z.data, gamma.data, beta.data, mode, running.copy(), kind, g
+        z0, gamma.data, beta.data, mode, running.copy(), kind, g
     )
     with Tape() as tape:
         out = batchnorm_features(z, gamma, beta, mode, running, kind)
@@ -338,8 +348,8 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
         assert got.tobytes() == want.tobytes()
     # nothing recorded: the single-buffer forward gives the same bits
     frozen = RunningStats(*want_running)
-    want_eval = _reference_norm_act(z.data, gamma.data, beta.data, "eval", frozen, kind, g)[0]
-    got_eval = batchnorm_features(z, gamma, beta, "eval", frozen, kind)
+    want_eval = _reference_norm_act(z0, gamma.data, beta.data, "eval", frozen, kind, g)[0]
+    got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen, kind)
     assert got_eval.data.tobytes() == want_eval.tobytes()
 
 
@@ -355,27 +365,27 @@ def test_grad_check_fused_norm_act(kind, mode):
 
     def f():
         # train mode reads no running statistics, so f stays deterministic
-        out = batchnorm_features(z, gamma, beta, mode=mode, running=running.copy(), activation=kind)
+        out = batchnorm_features(fresh(z), gamma, beta, mode, running.copy(), kind)
         return mse_loss(flatten(out), target)
 
     assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
 
 
-def test_fused_norm_act_eval_mutates_nothing():
+def test_fused_norm_act_eval_leaves_the_running_statistics():
     rng = np.random.default_rng(43)
     z = t(rng.normal(size=(12, 4)), grad=True)
     running = RunningStats(rng.normal(size=4), rng.random(4) + 0.5)
-    before = (z.data.copy(), running.mean.copy(), running.var.copy())
+    before = (running.mean.copy(), running.var.copy())
     gamma, beta = t(np.ones(4), grad=True), t(np.zeros(4), grad=True)
-    batchnorm_features(z, gamma, beta, mode="eval", running=running, activation="elu")
+    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running, activation="elu")
     with Tape():
         loss = mse_loss(
-            flatten(batchnorm_features(z, gamma, beta, mode="eval", running=running,
+            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running,
                                        activation="elu")),
             t(np.zeros(48)),
         )
         backward(loss)
-    for got, want in zip((z.data, running.mean, running.var), before):
+    for got, want in zip((running.mean, running.var), before):
         assert got.tobytes() == want.tobytes()
 
 
@@ -385,20 +395,22 @@ def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
     # -inf, which these activations would map to a finite value
     z = t([[1.0], [-1.0]])
     with pytest.raises(NumericError), np.errstate(over="ignore"):
-        batchnorm_features(z, t([1e308]), t([-1e308]), activation=kind)
+        batchnorm_features(z, t([1e308]), t([-1e308]), "train", RunningStats.initial(1), kind)
 
 
 def test_fused_norm_act_rejects_unknown_activation():
     with pytest.raises(ConfigError, match="relu"):
-        batchnorm_features(t(np.ones((2, 1))), t([1.0]), t([0.0]), activation="relu")
+        batchnorm_features(
+            t(np.ones((2, 1))), t([1.0]), t([0.0]), "train", RunningStats.initial(1), "relu"
+        )
 
 
 def test_elu_of_negative_zero_is_positive_zero():
     # the one signed-zero difference from where(x > 0, x, expm1(x)), which
     # gives -0.0; a zero-initialized shift never produces -0.0
-    x = t([[-0.0, 0.0]])
-    assert activate(x, "identity").data.tobytes() == x.data.tobytes()  # -0.0 reaches the ELU
-    out = activate(x, "elu").data
+    x = np.array([[-0.0, 0.0]])
+    assert activate(t(x), "identity").data.tobytes() == x.tobytes()  # -0.0 reaches the ELU
+    out = activate(t(x), "elu").data
     np.testing.assert_array_equal(out, [[0.0, 0.0]])
     assert not np.signbit(out).any()
 
@@ -486,12 +498,9 @@ def test_column_sums_keep_the_bits_of_numpy_sums(rows, width, batch, seed):
 
 @pytest.mark.parametrize("workspace", [False, True])
 @pytest.mark.parametrize("width", [1, 2, 16, 48])
-@pytest.mark.parametrize("overwrite", [False, True])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
-    kind, mode, overwrite, width, workspace
-):
+def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, width, workspace):
     # _reference_norm_act takes every column sum with np.mean, np.var or
     # .sum(axis=0), where the op takes them through einsum;
     # 260 rows: enough that numpy sums a width-1 column pairwise
@@ -509,9 +518,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(
             z = t(z0.copy(), grad=True)
             running = running0.copy()
             with Tape() as tape:
-                out = batchnorm_features(
-                    z, gamma, beta, mode, running, kind, overwrite_input=overwrite
-                )
+                out = batchnorm_features(z, gamma, beta, mode, running, kind)
                 grads = tape.entries[-1].rule(g.copy())
             assert out.data.tobytes() == want_y.tobytes()
             for got, want in zip(grads, want_grads):

@@ -734,6 +734,27 @@ def test_a_negative_seed_is_a_usage_error_without_traceback(args, synth_dir, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"model": {"layer_dims": [10**15]}},
+        {"model": {"mlp_hidden": 10**15}},
+        {"train": {"embed_dim": 10**15}},
+    ],
+    ids=["layer_dims", "mlp_hidden", "embed_dim"],
+)
+def test_a_width_too_large_to_allocate_is_a_usage_error(config, synth_dir, tmp_path):
+    # each width asks for more than 2**47 bytes, beyond any address space,
+    # so its allocation fails at once under any overcommit policy
+    out = tmp_path / "m.ckpt"
+    config = _write_config(tmp_path / "c.json", config)
+    proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error: out of memory:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_predict_on_an_empty_split_exits_2_without_traceback(checkpoint, synth_dir, tmp_path):
     config = _write_config(tmp_path / "c.json", {"data": {"train_fraction": 1.0}})
     out = tmp_path / "p.csv"
@@ -776,6 +797,7 @@ _GRID_EDITS = {
     "nan_dlat": lambda m: m.update(dlat=math.nan),
     "infinite_lon0": lambda m: m.update(lon0=math.inf),
     "string_variables": lambda m: m.update(variables="sst_anomaly"),
+    "repeated_variable": lambda m: m.update(variables=["sst_anomaly", "sst_anomaly"]),
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from onigraph.data import (
     GRID_FIELDS,
     KNOWN_VARIABLES,
+    ONI_CENTER_LATLON,
     GridSet,
     SynthSpec,
     build_samples,
@@ -565,19 +566,31 @@ def test_prepare_dataset_computes_region_means_once_per_use(monkeypatch):
 # --- static features ------------------------------------------------------------
 
 
+def standardized(raw):
+    """The columns of ``raw`` standardized over its rows, by the formula of
+    build_static_features."""
+    sd = raw.std(axis=0)
+    return (raw - raw.mean(axis=0)) / np.where(sd > 0.0, sd, 1.0)
+
+
 def test_static_features_composition():
     grid = make_grid(seed=9)
     nodes = land_filter_nodes(grid)
     months = np.arange(3)
-    static = build_static_features(grid, nodes, months, standardize=False)
-    cell = nodes.cells[5]
-    assert static[5, 0] == pytest.approx(grid.data[:3, 0, cell[0], cell[1]].mean())
-    assert static[5, 1] == pytest.approx(grid.data[:3, 1, cell[0], cell[1]].mean())
-    assert static[5, 2] == pytest.approx(nodes.latlon[5, 0] / 90.0)
-    assert static[5, 3] == pytest.approx(nodes.latlon[5, 1] / 180.0)
+    static = build_static_features(grid, nodes, months)
+    cells = nodes.cells
+    raw = np.column_stack(
+        [
+            grid.data[:3, 0, cells[:, 0], cells[:, 1]].mean(axis=0),
+            grid.data[:3, 1, cells[:, 0], cells[:, 1]].mean(axis=0),
+            nodes.latlon[:, 0] / 90.0,
+            nodes.latlon[:, 1] / 180.0,
+        ]
+    )
+    assert static[5] == pytest.approx(standardized(raw)[5])
 
 
-def test_static_features_standardized_by_default():
+def test_static_features_are_standardized():
     grid = make_grid(seed=9)
     nodes = land_filter_nodes(grid)
     static = build_static_features(grid, nodes, np.arange(3))
@@ -760,6 +773,20 @@ def reference_static_means(grid, nodes, months):
     return grid.data[months][:, :, cells[:, 0], cells[:, 1]].mean(axis=0).T  # (N, D)
 
 
+def reference_static_features(grid, nodes, months):
+    """The static features before standardizing: the reference means, then
+    latitude / 90 and longitude / 180, and the ONI node's region means and
+    center."""
+    n_vars = len(grid.variables)
+    raw = np.zeros((nodes.count, n_vars + 2))
+    raw[: nodes.grid_count, :n_vars] = reference_static_means(grid, nodes, months)
+    raw[: nodes.grid_count, n_vars:] = nodes.latlon[: nodes.grid_count] / [90.0, 180.0]
+    if nodes.has_oni_node:
+        raw[-1, :n_vars] = regional_means(grid)[months].mean(axis=0)
+        raw[-1, n_vars:] = np.divide(ONI_CENTER_LATLON, [90.0, 180.0])
+    return raw
+
+
 def assert_same_bits(got, expected):
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
@@ -834,21 +861,34 @@ def test_dataset_steps_keep_the_bits_of_their_per_month_references(
     months = np.asarray(
         draw.draw(st.lists(st.integers(0, grid.n_time - 1), min_size=1, max_size=160)), dtype=int
     )
-    static = build_static_features(grid, nodes, months, standardize=False)
-    means = static[: nodes.grid_count, : len(grid.variables)]
-    expected = reference_static_means(grid, nodes, months)
+    static = build_static_features(grid, nodes, months)
+    raw = reference_static_features(grid, nodes, months)
+    expected = standardized(raw)
     if len(grid.variables) > 1:
-        assert_same_bits(means, expected)
+        assert_same_bits(static, expected)
     else:
         # with one variable the reference's gather leaves the months innermost
         # in memory, and numpy sums them pairwise; the rewrite sums them in
         # month order, as both do with two. Each order is within about
         # (M - 1) eps / 2 of the exact sum relative to the sum of magnitudes,
         # so twice M eps times the mean magnitude bounds the difference.
+        eps = np.finfo(float).eps
         cells = nodes.cells[: nodes.grid_count]
         magnitude = np.abs(grid.data[months, 0][:, cells[:, 0], cells[:, 1]]).mean(axis=0)
-        bound = 2 * months.size * np.finfo(float).eps * magnitude
-        assert np.all(np.abs(means[:, 0] - expected[:, 0]) <= bound)
+        bound = (2 * months.size * eps * magnitude).max()
+        # Standardizing moves the column's mean and sd by at most that bound
+        # each, so a value s by at most (2 + |s|) bound / (sd - bound). Each
+        # side's mean and sd round within about n eps of their magnitudes,
+        # which moves s by about n eps (max |raw| / sd + 1 + |s|) more.
+        assert_same_bits(static[:, 1:], expected[:, 1:])
+        column, s, n = raw[:, 0], np.abs(expected[:, 0]), nodes.count
+        sd = column.std()
+        if sd > 0.0:
+            limit = (2 + s) * bound / (sd - bound)
+            limit += 4 * n * eps * (np.abs(column).max() / sd + 1 + s)
+            assert np.all(np.abs(static[:, 0] - expected[:, 0]) <= limit)
+        else:  # one node: centered to zero on both sides
+            assert_same_bits(static[:, 0], expected[:, 0])
 
 
 def test_short_grids_keep_their_typed_errors():

@@ -34,7 +34,7 @@ def sample_report(n=12):
 def test_heatmap_csv_rows_match_ocean_nodes(tmp_path):
     nodes = sample_nodes()
     scores = np.linspace(0.1, 1.0, nodes.count)
-    csv_path, svg_path = export_centrality_heatmap(scores, nodes, tmp_path / "heat")
+    csv_path, svg_path = export_centrality_heatmap(scores, nodes.latlon, tmp_path / "heat")
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "lat,lon,centrality"
     assert len(rows) - 1 == nodes.grid_count  # the ONI node has no cell
@@ -44,14 +44,14 @@ def test_heatmap_csv_rows_match_ocean_nodes(tmp_path):
 def test_heatmap_csv_values_parse_as_floats(tmp_path):
     nodes = sample_nodes()
     scores = np.linspace(0.1, 1.0, nodes.count)
-    csv_path, _ = export_centrality_heatmap(scores, nodes, tmp_path / "heat")
+    csv_path, _ = export_centrality_heatmap(scores, nodes.latlon, tmp_path / "heat")
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows[:, 2], scores[: nodes.grid_count])
 
 
 def test_heatmap_uniform_scores_single_color(tmp_path):
     nodes = sample_nodes()
-    _, svg_path = export_centrality_heatmap(np.full(nodes.count, 0.3), nodes, tmp_path / "h")
+    _, svg_path = export_centrality_heatmap(np.full(nodes.count, 0.3), nodes.latlon, tmp_path / "h")
     svg = svg_path.read_text()
     fills = {line.split('fill="')[1].split('"')[0] for line in svg.splitlines() if "<rect x=" in line}
     assert len(fills) == 1
@@ -60,8 +60,8 @@ def test_heatmap_uniform_scores_single_color(tmp_path):
 def test_heatmap_deterministic_bytes(tmp_path):
     nodes = sample_nodes()
     scores = np.linspace(0.0, 1.0, nodes.count)
-    export_centrality_heatmap(scores, nodes, tmp_path / "a")
-    export_centrality_heatmap(scores, nodes, tmp_path / "b")
+    export_centrality_heatmap(scores, nodes.latlon, tmp_path / "a")
+    export_centrality_heatmap(scores, nodes.latlon, tmp_path / "b")
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -69,7 +69,7 @@ def test_heatmap_deterministic_bytes(tmp_path):
 def test_heatmap_length_mismatch_rejected(tmp_path):
     nodes = sample_nodes()
     with pytest.raises(DimensionError):
-        export_centrality_heatmap(np.ones(3), nodes, tmp_path / "h")
+        export_centrality_heatmap(np.ones(3), nodes.latlon, tmp_path / "h")
 
 
 def test_timeseries_writes_only_its_svg(tmp_path):
