@@ -95,22 +95,22 @@ class Tape:
         self.entries: list[TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _TAPES.pop()
+        _tapes.pop()
         return False
 
 
 # The open Tape blocks, innermost last, and the active Workspace. Module
 # state: the engine runs in one thread.
-_TAPES: list[Tape] = []
+_tapes: list[Tape] = []
 _workspace: "Workspace | None" = None
 
 
 def active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
+    return _tapes[-1] if _tapes else None
 
 
 class Workspace:
