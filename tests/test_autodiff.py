@@ -498,14 +498,19 @@ def test_column_sums_keep_the_bits_of_numpy_sums(rows, width, batch, seed):
 
 @pytest.mark.parametrize("workspace", [False, True])
 @pytest.mark.parametrize("width", [1, 2, 16, 48])
+@pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, width, workspace):
+def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, order, width, workspace):
     # _reference_norm_act takes every column sum with np.mean, np.var or
     # .sum(axis=0), where the op takes them through einsum;
-    # 260 rows: enough that numpy sums a width-1 column pairwise
+    # 260 rows: enough that numpy sums a width-1 column pairwise. The op
+    # centers in its input's array, so the centered input keeps the input's
+    # layout: a Fortran-ordered one takes numpy's reduce in every column sum
+    # that reads it, and the reference takes its sums in that layout too.
     rng = np.random.default_rng(4417)
     z0 = rng.normal(scale=3.0, size=(260, width)) + rng.normal(size=width)
+    z0 = np.asarray(z0, order=order)
     gamma = t(rng.normal(loc=1.0, scale=0.3, size=width), grad=True)
     beta = t(rng.normal(scale=0.5, size=width), grad=True)
     running0 = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
@@ -515,7 +520,8 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, width, wo
     )
     with Workspace() if workspace else nullcontext():
         for _ in range(2):  # with a workspace: fresh buffers, then reused ones
-            z = t(z0.copy(), grad=True)
+            z = t(z0.copy(order="K"), grad=True)
+            assert z.data.flags[f"{order}_CONTIGUOUS"]
             running = running0.copy()
             with Tape() as tape:
                 out = batchnorm_features(z, gamma, beta, mode, running, kind)
