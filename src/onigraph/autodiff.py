@@ -77,7 +77,10 @@ class Tensor:
 
 
 # A backward rule maps the gradient at the op's output to per-input
-# gradient contributions (None for inputs that need no gradient).
+# gradient contributions (None for inputs that need no gradient). Each
+# array it returns belongs to the backward walk, which adds later gradients
+# into it in place: a new array, or the output's gradient for one input
+# only, sharing memory with no other returned array and no forward value.
 BackwardRule = Callable[[Array], Sequence[Array | None]]
 
 
@@ -223,9 +226,9 @@ def backward(loss: Tensor) -> None:
     execution order, so an entry's buffers and the gradient at its output
     are freed as the walk passes it. Op outputs keep ``grad`` None.
 
-    A rule may hand one array to several inputs (``add`` does), so the
-    second gradient reaching a tensor is summed into a new array, which
-    the walk alone owns and adds any later gradient into in place.
+    Every array a backward rule returns belongs to the walk (see
+    ``BackwardRule``), so the first gradient reaching a tensor is held as
+    it is, and each later one is added into it in place.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -235,31 +238,23 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad or not tape.entries:
         raise RuntimeError("loss was not produced by any recorded operation")
 
-    pending: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    owned: set[int] = set()  # keys of the sums the walk made
+    # id -> (tensor, its gradient so far); holding the tensor keeps its id
+    pending: dict[int, tuple[Tensor, Array]] = {id(loss): (loss, np.ones_like(loss.data))}
     entries = tape.entries
     while entries:
         entry = entries.pop()
-        grad_out = pending.pop(id(entry.output), None)
-        holders.pop(id(entry.output), None)
-        owned.discard(id(entry.output))
-        if grad_out is None:
+        held = pending.pop(id(entry.output), None)
+        if held is None:
             continue
-        for tensor, contrib in zip(entry.inputs, entry.rule(grad_out)):
+        for tensor, contrib in zip(entry.inputs, entry.rule(held[1])):
             if contrib is None or not tensor.requires_grad:
                 continue
-            key = id(tensor)
-            if key in owned:
-                pending[key] += contrib
-            elif key in pending:
-                pending[key] = np.add(pending[key], contrib, out=_empty(tensor.shape))
-                owned.add(key)
+            if id(tensor) in pending:
+                grad = pending[id(tensor)][1]
+                grad += contrib
             else:
-                pending[key] = contrib
-                holders[key] = tensor
-    for key, grad in pending.items():
-        tensor = holders[key]
+                pending[id(tensor)] = (tensor, contrib)
+    for tensor, grad in pending.values():
         tensor.grad = grad.copy() if tensor.grad is None else tensor.grad + grad
 
 
@@ -647,7 +642,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _make_output(a.data + b.data, a, b)
 
     def rule(g: Array):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        # b's is a copy, np.positive into a buffer (see BackwardRule)
+        g_b = np.positive(g, out=_empty(g.shape)) if b.requires_grad else None
+        return (g if a.requires_grad else None, g_b)
 
     return record_op(out, (a, b), rule)
 

@@ -309,6 +309,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed + 99)
     batch = 3
     worst = 0.0
+    defaults = TrainConfig()  # the structure learner's gains
     # a graph dense enough for the dense aggregation kernels, and one
     # sparse enough for the CSR kernels, each with one of the two poolings
     for n, max_edges, pooling in ((6, 18, "mean"), (40, 40, "sum_and_mean")):
@@ -319,6 +320,7 @@ def cmd_gradcheck(args) -> int:
             np.column_stack([rng.uniform(-60, 60, n), rng.uniform(0, 360, n)]),
             seed=seed,
             embed_dim=3,
+            feature_gain=defaults.feature_gain, score_gain=defaults.score_gain,
             max_edges=max_edges,
         )
         x = Tensor(rng.normal(size=(batch * n, config.input_width)))
@@ -326,7 +328,7 @@ def cmd_gradcheck(args) -> int:
         frozen, _ = model_edges(state)
 
         def f():
-            pred = forward_batch(state, x, batch, mode="train", edges=frozen)
+            pred = forward_batch(state, x, batch, edges=frozen)
             return mse_loss(pred, y)
 
         error = grad_check(f, [t for _, t in state.parameters()], step=1e-5)

@@ -461,11 +461,6 @@ class SynthSpec:
     noise_sd: float
     background_sd: float
 
-    def min_separation_steps(self) -> int:
-        """Smallest Chebyshev grid distance between driver and region cells."""
-        steps = np.abs(np.array(self.driver_cells)[:, None] - np.array(self.region_cells))
-        return int(steps.max(axis=2).min())
-
 
 # the fields of a spec file, whose cells are JSON [row, col] pairs
 SPEC_FIELDS = {
@@ -510,7 +505,9 @@ def synth_teleconnection_dataset(
     forecast target by the lead time), every other cell carries
     independent noise, and the heat-content field is 0.5 * SST plus noise.
     The grid is placed so the ONI region occupies three rows around the
-    equator and the three easternmost columns.
+    equator and the three easternmost columns of a 5-degree grid that fits
+    on the globe once: at most 37 rows stay within +-90 degrees, and at most
+    64 columns end short of wrapping into the ONI longitudes (read mod 360).
 
     background_sd sets the amplitude of the uninformative cells and
     defaults to noise_sd; raise it toward 1 to bury the driver signal in
@@ -518,8 +515,8 @@ def synth_teleconnection_dataset(
     ablation, where a local-neighborhood model must not be able to fish
     the distant driver out of the graph pooling).
     """
-    if n_lat < 4 or n_lon < 4:
-        raise ConfigError(f"grid must be at least 4x4, got {n_lat}x{n_lon}")
+    if not (4 <= n_lat <= 37 and 4 <= n_lon <= 64):
+        raise ConfigError(f"grid must be 4x4 to 37x64, got {n_lat}x{n_lon}")
     if n_months < 40:
         raise ConfigError(f"need at least 40 months, got {n_months}")
     if lead < 1:

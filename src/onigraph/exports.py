@@ -31,8 +31,8 @@ def _ramp(t: float) -> str:
 
 
 def _write_svg(path: Path, width: int, height: int, background: str, body: list[str]) -> None:
-    """Every SVG the package writes: a ``width`` x ``height`` document
-    holding the ``body`` elements over a ``background`` fill."""
+    """Every SVG the package writes, its directory made if missing: a
+    ``width`` x ``height`` document of ``body`` over a ``background`` fill."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -41,6 +41,7 @@ def _write_svg(path: Path, width: int, height: int, background: str, body: list[
         *body,
         "</svg>",
     ]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(parts) + "\n")
 
 
@@ -54,7 +55,6 @@ def export_centrality_heatmap(scores: Array, latlon: Array, path: str | Path) ->
     if latlon.shape != (values.size, 2):
         raise DimensionError(f"{values.shape} scores for node coordinates of shape {latlon.shape}")
     csv_path, svg_path = (Path(f"{Path(path)}.{ext}") for ext in ("csv", "svg"))
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     located = ~np.isnan(latlon).any(axis=1)
     latlon, values = latlon[located], values[located]
@@ -92,7 +92,6 @@ def export_forecast_timeseries(report: EvalReport, path: str | Path) -> Path:
     if report.n == 0:
         raise DataError("cannot export an empty report")
     svg_path = Path(f"{Path(path)}.svg")
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
 
     both = np.concatenate([report.targets, report.predictions])
     lo, hi = float(both.min()), float(both.max())

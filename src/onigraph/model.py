@@ -17,12 +17,12 @@ graph; normalization statistics are taken over the stacked
 The forward pass has two parts. :func:`pooled_layers` runs the graph
 layers and the readout over a given graph (the edges and values of
 :func:`model_edges`) and returns one pooled row per sample; :func:`mlp_head`
-maps those rows to predictions. :func:`forward_batch`, which training
-calls once per step, builds the graph and runs both parts over one batch.
-``training.predict_samples`` builds each member's graph once, runs the
-layers over blocks of samples and the head once over all pooled rows: in
-eval mode each sample's rows are normalized with the running statistics
-alone, so the blocks give the bits of one pass.
+maps those rows to predictions. :func:`forward_batch`, the training pass,
+builds the graph and runs both parts over one batch in train mode.
+``training.predict_samples``, the evaluation pass, builds each member's
+graph once, runs the layers over blocks of samples and the head once over
+all pooled rows: in eval mode each sample's rows are normalized with the
+running statistics alone, so the blocks give the bits of one pass.
 
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
@@ -189,17 +189,19 @@ def init_params(
     static_features: Array,
     node_latlon: Array,
     seed: int,
+    *,
     has_oni_node: bool = False,
-    embed_dim: int = 32,
-    feature_gain: float = 1.0,
-    score_gain: float = 2.0,
-    max_edges: int | None = None,
+    embed_dim: int,
+    feature_gain: float,
+    score_gain: float,
+    max_edges: int | None,
     edge_mode: str = "learned",
     fixed_adjacency: Array | None = None,
 ) -> ModelState:
     """Fresh model: Glorot-uniform weights from a seeded generator, unit
-    batchnorm scales, zero shifts and biases. An unset edge budget defaults
-    to eight times the node count."""
+    batchnorm scales, zero shifts and biases. The structure settings have
+    their defaults in ``training.TrainConfig``; an edge budget of None
+    becomes eight times the node count."""
     static_features = np.asarray(static_features, dtype=np.float64)
     node_latlon = np.asarray(node_latlon, dtype=np.float64)
     n, d_in = static_features.shape
@@ -356,15 +358,12 @@ def pooled_layers(
 
 
 def forward_batch(
-    state: ModelState,
-    x: Tensor,
-    batch: int,
-    mode: str = "train",
-    edges: ad.EdgeIndex | None = None,
+    state: ModelState, x: Tensor, batch: int, edges: ad.EdgeIndex | None = None
 ) -> Tensor:
-    """Predictions for ``batch`` stacked samples: (batch * N, w * D) input,
-    (batch,) output. In train mode the whole pass, graph included, is
-    recorded on the ambient tape so one backward reaches the network and
-    the structure learner jointly. ``edges`` freezes the learned edge set
-    (see :func:`model_edges`)."""
-    return mlp_head(state, pooled_layers(state, x, batch, model_edges(state, edges), mode), mode)
+    """The training pass: train-mode predictions for ``batch`` stacked
+    samples, (batch * N, w * D) input, (batch,) output. The whole pass,
+    graph included, is recorded on the ambient tape so one backward reaches
+    the network and the structure learner jointly. ``edges`` freezes the
+    learned edge set (see :func:`model_edges`)."""
+    pooled = pooled_layers(state, x, batch, model_edges(state, edges), "train")
+    return mlp_head(state, pooled, "train")

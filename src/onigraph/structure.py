@@ -42,7 +42,7 @@ class StructureParams:
                      receiver embeddings whose inner products score edges.
     feature_gain:    pre-tanh scale. Smaller values shrink the embeddings
                      toward zero, which flattens every score toward 0.5
-                     and starves w_from / w_to of gradient; the default
+                     and starves w_from / w_to of gradient; TrainConfig's
                      1.0 keeps tanh in its responsive range.
     score_gain:      pre-sigmoid scale; larger values sharpen edge scores
                      away from 0.5. Selection ranks the logits, whose
@@ -54,9 +54,9 @@ class StructureParams:
     static_features: Tensor
     w_from: Tensor
     w_to: Tensor
-    feature_gain: float = 1.0
-    score_gain: float = 2.0
-    max_edges: int = 0
+    feature_gain: float
+    score_gain: float
+    max_edges: int
 
     def __post_init__(self):
         n, d_in = self.static_features.shape

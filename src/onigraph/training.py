@@ -184,7 +184,7 @@ def train(
                     x = Tensor(samples.inputs[ids].reshape(-1, width))
                     y = Tensor(samples.targets[ids])
                     with Tape():
-                        pred = forward_batch(state, x, len(ids), mode="train")
+                        pred = forward_batch(state, x, len(ids))
                         loss = mse_loss(pred, y)
                         backward(loss)
                     sgd_nesterov_step(params, state.optimizer)
@@ -230,7 +230,8 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     layer call builds its operator from it. The graph layers and pooling
     run over blocks of whole samples of at most ``PREDICT_BLOCK_ROWS``
     stacked node rows, and the MLP head once over every sample's pooled
-    row, so the predictions have the bits of one ``forward_batch``."""
+    row, so the predictions have the bits of one eval-mode pass over every
+    sample."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
@@ -297,14 +298,15 @@ def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalRe
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:
-    """Every CSV the package writes: the header line, then one line per row.
-    Floats are written as ``repr(float(v))``, which reads back exactly;
-    anything else with ``str``."""
+    """Every CSV the package writes, its directory made if missing: the
+    header line, then one line per row. Floats are written as
+    ``repr(float(v))``, which reads back exactly; anything else with ``str``."""
 
     def cell(v) -> str:
         return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
     lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -360,7 +362,7 @@ def _tensor_table(entries: dict[str, Array]) -> tuple[list[dict], int]:
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
     """Write the checkpoint to a temporary file beside ``path``, then rename
     it over ``path``, so an interrupted write leaves any previous checkpoint
-    there intact."""
+    there intact. A missing directory is made first."""
     entries = _checkpoint_entries(state)
     tensors, blob_bytes = _tensor_table(entries)
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in entries.values())
@@ -378,6 +380,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

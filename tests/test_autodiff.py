@@ -1,9 +1,11 @@
+import ast
 import math
 import os
 import subprocess
 import sys
 import warnings
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from onigraph.autodiff import (
     _sigmoid,
 )
 from onigraph.errors import ConfigError, DimensionError, NumericError
+from onigraph.structure import StructureParams, kept_edges
 
 
 def t(values, grad=False):
@@ -771,6 +774,104 @@ def test_forward_backward_deterministic():
         return out.data.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+def _sparse_ring(n=40):
+    """Each node reads from the next: sparse enough for the CSR kernels."""
+    edges = EdgeIndex.from_flat(n, np.arange(n) * n + (np.arange(n) + 1) % n)
+    assert edges.sparse
+    return edges
+
+
+def _added_to_itself(r):
+    x = r(3, 2)
+    return add(x, x)
+
+
+def _norm_op(r, mode, activation):
+    return batchnorm_features(r(5, 3), r(3), r(3), mode, RunningStats.initial(3), activation)
+
+
+def _pool_op(r, kind):
+    return pool_blocks([r(6, 2), r(6, 3)], 3, kind)
+
+
+def _structure_op(r):
+    params = StructureParams(
+        static_features=r(6, 4), w_from=r(4, 3), w_to=r(4, 3),
+        feature_gain=1.0, score_gain=2.0, max_edges=12,
+    )
+    return kept_edges(params)[1]
+
+
+# (the recording function, a builder of one op whose every input needs a
+# gradient); every input is its own random tensor
+RULE_CASES = [
+    ("add", lambda r: add(r(3, 2), r(3, 2))),
+    ("add", _added_to_itself),
+    ("add_row_bias", lambda r: add_row_bias(r(3, 2), r(2))),
+    ("flatten", lambda r: flatten(r(3, 2))),
+    ("matmul", lambda r: matmul(r(3, 2), r(2, 4))),
+    ("mse_loss", lambda r: mse_loss(r(4), r(4))),
+    ("edge_block_matmul", lambda r: edge_block_matmul(r(12), full_graph(4), r(8, 3))),
+    ("edge_block_matmul", lambda r: edge_block_matmul(r(40), _sparse_ring(), r(80, 3))),
+    *(
+        ("batchnorm_features", partial(_norm_op, mode=mode, activation=activation))
+        for mode in ("train", "eval")
+        for activation in ("identity", "elu")
+    ),
+    *(("pool_blocks", partial(_pool_op, kind=kind)) for kind in ("mean", "sum_and_mean")),
+    ("kept_edges", _structure_op),
+]
+
+
+def test_the_rule_cases_cover_every_recording_function():
+    # by AST, so that a new op cannot skip the ownership test below
+    recording = set()
+    for path in Path(onigraph.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and "record_op" in ast.unparse(call.func)
+                for call in ast.walk(node)
+            ):
+                recording.add(node.name)
+    assert {name for name, _ in RULE_CASES} == recording
+
+
+@pytest.mark.parametrize("name, build", RULE_CASES, ids=[name for name, _ in RULE_CASES])
+def test_every_array_a_rule_returns_belongs_to_the_walk(name, build):
+    # backward adds later gradients into the first one a tensor receives,
+    # so no returned array may share memory with another or with a value
+    rng = np.random.default_rng(30)
+    with Tape() as tape:
+        out = build(lambda *shape: t(rng.normal(size=shape), grad=True))
+        entry = tape.entries[-1]
+        assert entry.output is out
+        grads = list(entry.rule(rng.normal(size=out.shape)))
+    assert len(grads) == len(entry.inputs) and all(g is not None for g in grads)
+    values = [out.data, *(x.data for x in entry.inputs)]
+    for i, g in enumerate(grads):
+        assert g.shape == entry.inputs[i].shape
+        for other in grads[i + 1 :] + values:
+            assert not np.shares_memory(g, other)
+
+
+def test_three_paths_sum_in_walk_order():
+    # 1 + 1e16 - 1e16 is 0 in one order and 1 in the other, so the bits
+    # show the order of the sum
+    c1, c2, c3 = np.array([0.1, 1.0]), np.array([0.2, 1e16]), np.array([0.3, -1e16])
+    x = t([1.0, 2.0], grad=True)
+
+    def path(c):
+        out = autodiff._make_output(x.data.copy(), x)
+        return record_op(out, (x,), lambda g: (c.copy(),))
+
+    with Tape():
+        outs = [path(c) for c in (c3, c2, c1)]  # the walk meets the last one first
+        total = autodiff._make_output(np.zeros(()), *outs)
+        backward(record_op(total, tuple(outs), lambda g: [np.ones(2) for _ in outs]))
+    assert x.grad.tobytes() == ((c1 + c2) + c3).tobytes()
+    assert x.grad.tobytes() != (c1 + (c2 + c3)).tobytes()
 
 
 # --- grad_check -------------------------------------------------------------

@@ -184,6 +184,37 @@ def test_centrality_writes_heatmap(checkpoint, tmp_path):
     assert (tmp_path / "heat.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "command, out, written",
+    [
+        ("train", "m.ckpt", ["m.ckpt", "m.ckpt.loss.csv"]),
+        ("evaluate", "run", ["run.predictions.csv", "run.report.csv", "run.series.svg"]),
+        ("predict", "p.csv", ["p.csv"]),
+        ("ablation", "a.csv", ["a.csv"]),
+        ("centrality", "c", ["c.csv", "c.svg"]),
+    ],
+)
+def test_every_command_writes_under_a_missing_directory(
+    command, out, written, checkpoint, synth_dir, small_config, tmp_path
+):
+    data, model = ["--data", str(synth_dir)], ["--checkpoint", str(checkpoint)]
+    flags = {
+        "train": ["--config", str(small_config), *data],
+        "evaluate": [*model, *data],
+        "predict": [*model, *data],
+        "ablation": ["--config", str(small_config), *data, "--seeds", "0"],
+        "centrality": model,
+    }[command]
+    missing = tmp_path / "new" / "dir"
+    assert cli_dispatch([command, *flags, "--out", str(missing / out)]) == 0
+    assert sorted(p.name for p in missing.iterdir()) == written
+
+
+def test_a_grid_that_does_not_fit_on_the_globe_is_a_usage_error(tmp_path, capsys):
+    assert cli_dispatch(["synth-data", "--out", str(tmp_path / "g"), "--lat", "38"]) == 1
+    assert "37x64" in capsys.readouterr().err and not (tmp_path / "g").exists()
+
+
 def hub_checkpoint(path, hub=4):
     """A local-mode model on a 3x3 grid whose fixed matrix makes every node
     read from ``hub`` with weight 1, and from each other node with 0.1."""
@@ -197,6 +228,10 @@ def hub_checkpoint(path, hub=4):
         np.zeros((n, 4)),
         latlon,
         seed=0,
+        embed_dim=32,
+        feature_gain=1.0,
+        score_gain=2.0,
+        max_edges=None,
         edge_mode="local",
         fixed_adjacency=fixed,
     )

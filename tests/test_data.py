@@ -673,7 +673,9 @@ def test_synth_background_uncorrelated():
 def test_synth_geometry_and_separation():
     grid, spec = synth_teleconnection_dataset(8, 8, 48, 1, seed=0)
     assert len(oni_region_cells(grid)) == 9  # 3 rows x 3 easternmost columns
-    assert spec.min_separation_steps() >= 4
+    # the smallest Chebyshev grid distance between a driver and a region cell
+    steps = np.abs(np.array(spec.driver_cells)[:, None] - np.array(spec.region_cells))
+    assert steps.max(axis=2).min() >= 4
     assert spec.driver_cells == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -682,6 +684,21 @@ def test_synth_validation():
         synth_teleconnection_dataset(3, 8, 48, 1)
     with pytest.raises(ConfigError):
         synth_teleconnection_dataset(8, 8, 30, 1)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (32, 42), (37, 64)])
+def test_synth_region_is_the_planted_one_up_to_the_largest_grid(shape):
+    grid, spec = synth_teleconnection_dataset(*shape, 40, 1, seed=99201)
+    assert [tuple(c) for c in oni_region_cells(grid).tolist()] == spec.region_cells
+    assert -90.0 <= grid.lats.min() and grid.lats.max() <= 90.0
+
+
+@pytest.mark.parametrize("shape", [(38, 8), (8, 65), (8, 72)])
+def test_synth_refuses_grids_that_do_not_fit_on_the_globe_once(shape):
+    # 38 rows reach past -90 degrees; from 65 columns on, the western edge
+    # wraps around into the ONI longitudes
+    with pytest.raises(ConfigError, match="37x64"):
+        synth_teleconnection_dataset(*shape, 40, 1, seed=99201)
 
 
 @pytest.mark.parametrize(

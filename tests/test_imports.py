@@ -1,11 +1,15 @@
 """Every name a source or test module imports is read in that module: an
 import left behind by a refactor fails here, not in a later reader's head.
-And the package imports nothing that an install of it would not bring."""
+Every name the package defines is read by the package or the benchmark,
+not by tests alone. And the package imports nothing that an install of it
+would not bring."""
 
 import ast
 import re
 import sys
 import tomllib
+from collections import defaultdict
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,71 @@ def test_every_imported_name_is_read(path):
 def test_an_unread_import_is_caught():
     tree = ast.parse("import json\nfrom .autodiff import Tensor, matmul\nmatmul(Tensor(1), 2)\n")
     assert sorted(set(imported_names(tree)) - read_names(tree)) == ["json"]
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The functions, classes, methods and module-level constants the module
+    defines, each with its definition; dunder methods, which Python calls
+    by itself, are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            methods = (m for m in node.body if isinstance(m, ast.FunctionDef))
+            found += [(m.name, m) for m in methods if not m.name.startswith("__")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def unread_definitions(tree: ast.Module, readers: list[ast.Module]) -> list[str]:
+    """The names ``tree`` defines that no module of ``readers`` reads, bare
+    or as an attribute, outside the name's own definition."""
+    reads = defaultdict(list)  # name -> (module, line) of each read
+    for reader in readers:
+        for node in ast.walk(reader):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads[name].append((reader, node.lineno))
+    return sorted(
+        name
+        for name, node in definitions(tree)
+        if all(r is tree and node.lineno <= line <= node.end_lineno for r, line in reads[name])
+    )
+
+
+@cache
+def shipped_modules() -> dict[Path, ast.Module]:
+    """The parsed modules of the package and of the benchmark, less tests
+    and the package's re-exports."""
+    benchmark = PACKAGE.parents[1] / "perfbench"
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += [p for p in benchmark.glob("*.py") if not p.name.startswith("test_")]
+    return {p: ast.parse(p.read_text()) for p in paths}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "__main__.py")),
+    ids=lambda p: p.name,
+)
+def test_every_defined_name_is_read_outside_tests(path):
+    modules = shipped_modules()
+    unread = unread_definitions(modules[path], list(modules.values()))
+    assert not unread, f"{path.name} defines names that only tests, if anything, read: {unread}"
+
+
+def test_a_name_read_only_inside_its_own_definition_is_caught():
+    tree = ast.parse(
+        "LIMIT = 3\nSPARE = 4\n"
+        "def walk(n):\n    return walk(n - 1) if n > LIMIT else n\n"
+        "class Box:\n    def __init__(self):\n        self.n = Box.size()\n"
+        "    def size():\n        return 1\n    def spare(self):\n        return self\n"
+    )
+    assert unread_definitions(tree, [tree]) == ["Box", "SPARE", "spare", "walk"]
+    assert unread_definitions(tree, [tree, ast.parse("walk(Box())")]) == ["SPARE", "spare"]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

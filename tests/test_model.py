@@ -25,6 +25,7 @@ from onigraph.model import (
     mlp_head,
     model_adjacency,
     model_edges,
+    pooled_layers,
 )
 
 
@@ -57,6 +58,8 @@ def tiny_state(
         latlon,
         seed=seed,
         embed_dim=embed_dim,
+        feature_gain=1.0,
+        score_gain=2.0,
         max_edges=min(3 * n, n * (n - 1)),
         **kwargs,
     )
@@ -79,7 +82,7 @@ def unit_norm(width):
 
 
 def predict_one(state, x):
-    return forward_batch(state, x, 1, mode="eval").item()
+    return mlp_head(state, pooled_layers(state, x, 1, model_edges(state), "eval"), "eval").item()
 
 
 def rand_input(state, batch=1, seed=5):
@@ -153,9 +156,11 @@ def test_jumping_knowledge_single_layer_identity():
     # with one layer, the readout of every layer is that of the last
     state = tiny_state(layer_dims=(4,), pooling="sum_and_mean", seed=2)
     x = rand_input(state, batch=3)
-    every_layer = forward_batch(state, x, 3, mode="eval").data
+    pooled = pooled_layers(state, x, 3, model_edges(state), "eval")
+    every_layer = mlp_head(state, pooled, "eval").data
     state.config.use_jumping_knowledge = False
-    np.testing.assert_array_equal(forward_batch(state, x, 3, mode="eval").data, every_layer)
+    pooled = pooled_layers(state, x, 3, model_edges(state), "eval")
+    np.testing.assert_array_equal(mlp_head(state, pooled, "eval").data, every_layer)
 
 
 def test_jumping_knowledge_width_and_order():
@@ -234,10 +239,10 @@ def test_forward_wiring_smoke_severed_input():
         w.data[...] = 0.0
     state.mlp_b2.data[...] = [0.7]
     with Tape():
-        out = forward_batch(state, rand_input(state, batch=3, seed=1), 3, mode="train")
+        out = forward_batch(state, rand_input(state, batch=3, seed=1), 3)
     np.testing.assert_allclose(out.data, np.full(3, 0.7), atol=1e-12)
     with Tape():
-        out2 = forward_batch(state, rand_input(state, batch=3, seed=2), 3, mode="train")
+        out2 = forward_batch(state, rand_input(state, batch=3, seed=2), 3)
     np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
 
@@ -267,7 +272,7 @@ def test_forward_gradients_end_to_end():
     frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, mode="train", edges=frozen)
+        pred = forward_batch(state, x, batch, edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]
@@ -283,7 +288,7 @@ def test_forward_gradients_through_narrowing_layer():
     frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, mode="train", edges=frozen)
+        pred = forward_batch(state, x, batch, edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]
@@ -379,6 +384,6 @@ def test_local_graph_is_built_once_with_the_state(monkeypatch):
     assert model_edges(state)[0] is edges and model_edges(state)[1] is values
     x = Tensor(rng.normal(size=(2 * n, state.config.input_width)))
     with Tape():
-        forward_batch(state, x, 2, mode="train")
-    forward_batch(state, x, 2, mode="eval")
+        forward_batch(state, x, 2)
+    mlp_head(state, pooled_layers(state, x, 2, model_edges(state), "eval"), "eval")
     np.testing.assert_array_equal(model_adjacency(state).data, fixed)

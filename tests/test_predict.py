@@ -1,7 +1,7 @@
 """Prediction in sample blocks: each member's graph is built once, the graph
 layers run over blocks of whole samples within ``PREDICT_BLOCK_ROWS``
 stacked rows, and the MLP head once over every pooled row, with the bits of
-one ``forward_batch`` over all samples."""
+one eval-mode pass over all samples."""
 
 import hashlib
 import tracemalloc
@@ -13,7 +13,7 @@ import pytest
 from onigraph import training
 from onigraph.autodiff import Tensor
 from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
-from onigraph.model import GcnConfig, forward_batch, init_params, model_edges
+from onigraph.model import GcnConfig, init_params, mlp_head, model_edges, pooled_layers
 from onigraph.training import TrainConfig, build_model, predict_samples, train
 
 
@@ -39,7 +39,8 @@ def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_mode
     x = Tensor(samples.inputs.reshape(-1, samples.inputs.shape[2]))
     want = np.zeros(len(samples))
     for member in members:
-        want += forward_batch(member, x, len(samples), mode="eval").data
+        graph = model_edges(member)
+        want += mlp_head(member, pooled_layers(member, x, len(samples), graph, "eval"), "eval").data
     want = (want / len(members)).tobytes()
     assert len(samples) % 4 != 0  # blocks of 4 samples leave a shorter last one
     for per_block in (1, 4, len(samples)):
@@ -100,6 +101,10 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
         rng.normal(size=(n, 6)),
         np.zeros((n, 2)),
         seed=6,
+        embed_dim=32,
+        feature_gain=1.0,
+        score_gain=2.0,
+        max_edges=None,
         edge_mode=edge_mode,
         fixed_adjacency=ring,
     )

@@ -58,6 +58,8 @@ def structure_params(rng, n=7, d_in=4, d_emb=3, max_edges=12):
         static_features=Tensor(rng.normal(size=(n, d_in))),
         w_from=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
         w_to=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
+        feature_gain=1.0,
+        score_gain=2.0,
         max_edges=max_edges,
     )
 
@@ -324,6 +326,7 @@ def test_kept_edges_check_the_embedding_before_the_tanh():
         w_from=Tensor([[1.0]], requires_grad=True),
         w_to=Tensor([[-1.0]], requires_grad=True),
         feature_gain=10.0,
+        score_gain=2.0,
         max_edges=2,
     )
     assert np.isfinite(matmul(p.static_features, p.w_from).data).all()
@@ -353,6 +356,8 @@ def sparse_state(edge_mode="learned", seed=3):
         np.column_stack([rng.uniform(-60, 60, N), rng.uniform(0, 360, N)]),
         seed=seed,
         embed_dim=3,
+        feature_gain=1.0,
+        score_gain=2.0,
         max_edges=N,
         edge_mode=edge_mode,
         fixed_adjacency=ring if edge_mode == "local" else None,
@@ -364,7 +369,7 @@ def forward_and_grads(state, x, y, edges):
     for _, t in params:
         t.zero_grad()
     with Tape():
-        pred = forward_batch(state, x, len(y.data), mode="train", edges=edges)
+        pred = forward_batch(state, x, len(y.data), edges=edges)
         backward(mse_loss(pred, y))
     grads = {name: t.grad.copy() for name, t in params}
     for _, t in params:
@@ -439,6 +444,10 @@ def test_local_matrix_needs_unit_self_loops():
             np.zeros((N, 4)),
             np.zeros((N, 2)),
             seed=0,
+            embed_dim=32,
+            feature_gain=1.0,
+            score_gain=2.0,
+            max_edges=None,
             edge_mode="local",
             fixed_adjacency=ring,
         )

@@ -22,14 +22,15 @@ from onigraph.model import GcnConfig, init_params, model_adjacency
 from onigraph.structure import _SAMPLE_SIZE, StructureParams, kept_edges, top_edges
 
 
-def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, **kw):
+def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, feature_gain=1.0, score_gain=2.0):
     rng = np.random.default_rng(seed)
     return StructureParams(
         static_features=Tensor(rng.normal(size=(n, d_in))),
         w_from=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
         w_to=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
+        feature_gain=feature_gain,
+        score_gain=score_gain,
         max_edges=n * (n - 1) if max_edges is None else max_edges,
-        **kw,
     )
 
 
@@ -541,6 +542,8 @@ def test_bidirectional_edges_possible():
         static_features=feats,
         w_from=Tensor(w.copy()),
         w_to=Tensor(w.copy()),
+        feature_gain=1.0,
+        score_gain=2.0,
         max_edges=2,
     )
     edges, _ = kept_edges(p)
@@ -578,6 +581,8 @@ def test_adjacency_invariants_random_params(n, budget_raw, seed):
         np.zeros((n, 2)),
         seed=seed,
         embed_dim=3,
+        feature_gain=1.0,
+        score_gain=2.0,
         max_edges=budget,
     )
     edges, values = kept_edges(state.structure)

@@ -357,7 +357,7 @@ def pinned_state(edge_mode):
     cfg = GcnConfig(layer_dims=[5, 3], pooling="sum_and_mean", window=2, lead_months=2)
     state = init_params(
         cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, feature_gain=0.5,
-        max_edges=10, edge_mode=edge_mode, fixed_adjacency=fixed,
+        score_gain=2.0, max_edges=10, edge_mode=edge_mode, fixed_adjacency=fixed,
     )
     for norm in state.gcn_norms + [state.mlp_norm]:
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)

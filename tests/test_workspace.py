@@ -156,7 +156,7 @@ def test_gradients_match_with_and_without_a_workspace():
     def gradients():
         running = [(n.running.mean.copy(), n.running.var.copy()) for n in state.gcn_norms]
         with Tape():
-            backward(mse_loss(forward_batch(state, x, len(ids), mode="train"), y))
+            backward(mse_loss(forward_batch(state, x, len(ids)), y))
         for n, (mean, var) in zip(state.gcn_norms, running):
             n.running.mean[...], n.running.var[...] = mean, var
         grads = {name: t.grad.tobytes() for name, t in state.parameters()}
