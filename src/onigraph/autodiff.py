@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
 
 Everything differentiable in this package is built from the primitives in
 this module, except the structure learner's edge scores: one op of their
@@ -12,6 +13,12 @@ tensors (those no recorded op produced) only.
 
 Outside a tape context the same functions run as plain forward numerics,
 which is how evaluation-mode inference avoids recording anything.
+
+Every op keeps its inputs' dtype: its output, the arrays its backward rule
+returns and the buffers it takes are of the one dtype of its operands, and
+operands of two dtypes raise ``TypeError``. The trained model computes in
+float32 (``data.prepare_dataset`` hands over float32 inputs); gradient
+checks build float64 tensors.
 
 Inside a ``with Workspace():`` block the ops write their step-sized
 arrays into reused buffers instead of fresh ones, with the same bits.
@@ -37,15 +44,28 @@ Array = np.ndarray
 _MODES = ("train", "eval")
 
 
-def _as_f64(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
+def _as_float(values) -> Array:
+    """``values`` as an array: float32 arrays as they are, anything else as
+    float64."""
+    arr = np.asarray(values)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim > 2:
         raise DimensionError(f"tensors are rank 0, 1 or 2, got shape {arr.shape}")
     return arr
 
 
+def _dtype(*arrays: Array) -> np.dtype:
+    """The one dtype of an op's operands; a mix of dtypes raises TypeError
+    instead of promoting."""
+    dtype = arrays[0].dtype
+    if any(a.dtype != dtype for a in arrays[1:]):
+        raise TypeError(f"operands mix dtypes {sorted({a.dtype.name for a in arrays})}")
+    return dtype
+
+
 class Tensor:
-    """Rank-0/1/2 float64 array, optionally tracked for gradients.
+    """Rank-0/1/2 float32 or float64 array, optionally tracked for gradients.
 
     ``grad`` accumulates across backward passes (gradients of a sum of
     losses equal the sum of gradients) until zeroed, which the optimizer
@@ -55,7 +75,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_f64(values)
+        self.data = _as_float(values)
         self.requires_grad = requires_grad
         self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
 
@@ -117,19 +137,20 @@ def active_tape() -> Tape | None:
 
 
 class Workspace:
-    """Reused float64 buffers for the arrays of training steps; at most one
-    is active at a time, and leaving the block drops every buffer.
+    """Reused buffers for the arrays of training steps; at most one is
+    active at a time, and leaving the block drops every buffer.
 
-    Buffers are flat and kept by size, not shape: a request gets the
-    smallest free buffer that holds it, as a reshaped prefix view, so a
-    smaller trailing batch reuses the full batch's buffers. A buffer is free
-    when the workspace holds its only reference, so an array still viewing
-    it (a tape entry, a pending gradient, an output the caller kept) is
-    never overwritten. ``misses`` counts the buffers taken from numpy.
+    Buffers are flat and kept per dtype by size, not shape: a request gets
+    the smallest free buffer of its dtype that holds it, as a reshaped
+    prefix view, so a smaller trailing batch reuses the full batch's
+    buffers. A buffer is free when the workspace holds its only reference,
+    so an array still viewing it (a tape entry, a pending gradient, an
+    output the caller kept) is never overwritten. ``misses`` counts the
+    buffers taken from numpy.
     """
 
     def __init__(self):
-        self.buffers: list[Array] = []  # ascending size
+        self.buffers: dict[np.dtype, list[Array]] = {}  # per dtype, ascending size
         self.misses = 0
 
     @staticmethod
@@ -149,18 +170,20 @@ class Workspace:
         self.buffers.clear()
         return False
 
-    def take(self, shape: tuple[int, ...]) -> Array:
-        """A free buffer's prefix as an array of ``shape``: the smallest
-        one that holds it, if it is less than twice the size (a larger one
-        stays free for a larger request), else a new buffer."""
+    def take(self, shape: tuple[int, ...], dtype) -> Array:
+        """A free buffer's prefix as a ``dtype`` array of ``shape``: the
+        smallest one of that dtype that holds it, if it is less than twice
+        the size (a larger one stays free for a larger request), else a new
+        buffer."""
         size = math.prod(shape)
-        for buf in self.buffers:
+        buffers = self.buffers.setdefault(np.dtype(dtype), [])
+        for buf in buffers:
             # max(..., 1): a zero-size request reuses a zero-size buffer
             if size <= buf.size < max(2 * size, 1) and sys.getrefcount(buf) == _FREE_REFS:
                 return buf[:size].reshape(shape)
-        buf = np.empty(size)
+        buf = np.empty(size, dtype)
         self.misses += 1
-        bisect.insort(self.buffers, buf, key=len)
+        bisect.insort(buffers, buf, key=len)
         return buf[:size].reshape(shape)
 
 
@@ -170,11 +193,11 @@ class Workspace:
 _FREE_REFS = next(sys.getrefcount(buf) for buf in [np.empty(0)])
 
 
-def _empty(shape: tuple[int, ...]) -> Array:
-    """An uninitialized float64 array of ``shape``: a buffer of the active
+def _empty(shape: tuple[int, ...], dtype) -> Array:
+    """An uninitialized ``dtype`` array of ``shape``: a buffer of the active
     workspace, or a fresh array when none is active."""
     workspace = Workspace.active()
-    return np.empty(shape) if workspace is None else workspace.take(shape)
+    return np.empty(shape, dtype) if workspace is None else workspace.take(shape, dtype)
 
 
 # Column sums by np.einsum, which adds the rows in the order that
@@ -266,11 +289,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; backward: dA = dC @ B^T, dB = A^T @ dC."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = _make_output(np.matmul(a.data, b.data, out=_empty((a.shape[0], b.shape[1]))), a, b)
+    dtype = _dtype(a.data, b.data)
+    out = _make_output(
+        np.matmul(a.data, b.data, out=_empty((a.shape[0], b.shape[1]), dtype)), a, b
+    )
 
     def rule(g: Array):
         return (
-            np.matmul(g, b.data.T, out=_empty(a.shape)) if a.requires_grad else None,
+            np.matmul(g, b.data.T, out=_empty(a.shape, dtype)) if a.requires_grad else None,
             a.data.T @ g if b.requires_grad else None,
         )
 
@@ -279,11 +305,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # Largest share of nonzero entries of I + A (edges plus self-loops) that
 # runs the CSR kernels; a denser graph runs the dense ones. Aggregation
-# forward plus backward at width 16, one BLAS thread on a 2-vCPU Xeon, CSR
-# against dense: N=1345, batch 8: 10 against 44 ms at 2%, 40 against 55 ms
-# at 6.25%, 68 against 42 ms at 14%; N=300, batch 8: 1.6 against 1.9 ms at
-# 6.25%, 3.6 against 2.2 ms at 14%. At desk size (N=65, 8N edges, 14%)
-# dense wins, 0.6 against 2.2 ms, and scipy is never imported.
+# forward plus backward in float32 at width 16, one BLAS thread on a 2-vCPU
+# Xeon, CSR against dense, three runs: N=1345, batch 8: 9-10 against 25-38
+# ms at 2%, 22-30 against 24-33 ms at 6.25%, 63-72 against 32-41 ms at 14%;
+# N=300, batch 8: 1.2-1.9 against 1.1-1.7 ms at 6.25%, 3.3-3.9 against
+# 1.4-1.9 ms at 14%. The kernels tie near 1/16, where no shipped graph lies:
+# the full grid's 8N edges fill 0.7%, and at desk size (N=65, 8N edges,
+# 14%) dense wins, 0.5-0.8 against 2.3-2.7 ms, and scipy is never imported.
 SPARSE_SHARE = 1 / 16
 
 
@@ -315,9 +343,11 @@ class EdgeIndex:
         return self.rows.size + self.n < SPARSE_SHARE * self.n * self.n
 
     def dense(self, values: Array, self_loops: bool = False) -> Array:
-        """The n x n array holding ``values`` on the edges, with ones on
-        the diagonal if ``self_loops``, and zeros elsewhere."""
-        a = np.eye(self.n) if self_loops else np.zeros((self.n, self.n))
+        """The n x n array of ``values``' dtype holding ``values`` on the
+        edges, with ones on the diagonal if ``self_loops``, and zeros
+        elsewhere."""
+        n, dtype = self.n, values.dtype
+        a = np.eye(n, dtype=dtype) if self_loops else np.zeros((n, n), dtype)
         a[self.rows, self.cols] = values
         return a
 
@@ -336,8 +366,12 @@ class EdgeIndex:
 
 
 # Elements per operand of one gathered chunk in the edge-value gradient:
-# small enough to stay in cache, and never more than one activation.
-_EDGE_CHUNK = 1 << 15
+# small enough to stay in cache, and never more than one activation. At
+# N=1345, batch 8 and 8N edges, one float32 gradient took 1.05-1.50 ms at
+# 1 << 16 (256 KB per operand) against 1.13-1.65 ms at 1 << 15 and 1.36-1.97
+# ms at 1 << 14 (width 16), and 1.9-2.4 ms at all three from 1 << 15 up
+# (width 32); float64 was fastest at 1 << 15, the same 256 KB.
+_EDGE_CHUNK = 1 << 16
 
 
 def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
@@ -361,6 +395,7 @@ def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
     if z.data.ndim != 2 or z.shape[0] % n != 0:
         raise DimensionError(f"edge_block_matmul rows {z.shape} not a multiple of {n}")
     batch, width = z.shape[0] // n, z.shape[1]
+    dtype = _dtype(values.data, z.data)
     blocks = z.data.reshape(batch, n, width)
     sparse = edges.sparse
     if sparse:
@@ -375,7 +410,7 @@ def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
         a = edges.dense(values.data, self_loops=True)
 
         def apply(m, x3):
-            return np.matmul(m, x3, out=_empty(x3.shape))
+            return np.matmul(m, x3, out=_empty(x3.shape, dtype))
     out = _make_output(apply(a, blocks).reshape(z.shape), values, z)
 
     def rule(g: Array):
@@ -387,11 +422,11 @@ def edge_block_matmul(values: Tensor, edges: EdgeIndex, z: Tensor) -> Tensor:
             else:
                 # the contiguous operands and the product of np.tensordot
                 # (same bits), in workspace buffers
-                g_rows = _empty((n, batch * width))
+                g_rows = _empty((n, batch * width), dtype)
                 g_rows.reshape(n, batch, width)[...] = g3.transpose(1, 0, 2)
-                z_cols = _empty((batch * width, n))
+                z_cols = _empty((batch * width, n), dtype)
                 z_cols.reshape(batch, width, n)[...] = blocks.transpose(0, 2, 1)
-                dv = np.dot(g_rows, z_cols, out=_empty((n, n)))[edges.rows, edges.cols]
+                dv = np.dot(g_rows, z_cols, out=_empty((n, n), dtype))[edges.rows, edges.cols]
         if z.requires_grad:
             dz = apply(a.T, g3).reshape(z.shape)
         return (dv, dz)
@@ -404,7 +439,7 @@ def _edge_dots(g3: Array, z3: Array, edges: EdgeIndex) -> Array:
     batch, n, width = g3.shape
     g_nodes = g3.transpose(1, 0, 2).reshape(n, batch * width)
     z_nodes = z3.transpose(1, 0, 2).reshape(n, batch * width)
-    out = np.empty(edges.rows.size)
+    out = np.empty(edges.rows.size, g3.dtype)
     step = min(n, max(1, _EDGE_CHUNK // (batch * width)))
     for lo in range(0, out.size, step):
         hi = lo + step
@@ -434,14 +469,14 @@ def _elu(y: Array) -> Array:
     # above 0 the second operand is 0 < y, and at or below 0 it is
     # expm1(y) >= y (e^x - 1 >= x). On a tie numpy returns the second
     # operand, so -0.0 gives min(-0.0, 0.0) = +0.0 and max(-0.0, +0.0) = +0.0.
-    neg = np.minimum(y, 0.0, out=_empty(y.shape))
+    neg = np.minimum(y, 0.0, out=_empty(y.shape, y.dtype))
     np.expm1(neg, out=neg)
     return np.maximum(y, neg, out=y)
 
 
 def _elu_grad(g: Array, y: Array) -> Array:
     # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below
-    d = np.minimum(y, 0.0, out=_empty(y.shape))
+    d = np.minimum(y, 0.0, out=_empty(y.shape, y.dtype))
     d += 1.0
     d *= g
     return d
@@ -481,11 +516,8 @@ class RunningStats:
     var: Array
 
     @classmethod
-    def initial(cls, width: int) -> "RunningStats":
-        return cls(np.zeros(width), np.ones(width))
-
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
+    def initial(cls, width: int, dtype) -> "RunningStats":
+        return cls(np.zeros(width, dtype), np.ones(width, dtype))
 
 
 def batchnorm_features(
@@ -531,6 +563,7 @@ def batchnorm_features(
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
     act, act_grad = ACTIVATIONS[activation]
+    dtype = _dtype(z.data, gamma.data, beta.data, running.mean, running.var)
 
     xc = z.data
     if mode == "train":
@@ -553,7 +586,7 @@ def batchnorm_features(
     records = active_tape() is not None and (
         z.requires_grad or gamma.requires_grad or beta.requires_grad
     )
-    y = np.multiply(xc, scale, out=_empty(z.shape) if records else xc)
+    y = np.multiply(xc, scale, out=_empty(z.shape, dtype) if records else xc)
     y += beta.data
     out = _make_output(y, z, gamma, beta)
     act(y)
@@ -592,6 +625,7 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
     if n < 1 or shapes[0][0] % n != 0:
         raise DimensionError(f"pool_blocks rows {shapes[0][0]} not a multiple of {n}")
     batch = shapes[0][0] // n
+    dtype = _dtype(*(p.data for p in parts))
     sums = [_column_sums(p.data.reshape(batch, n, p.shape[1])) for p in parts]
     pooled = [s / n for s in sums]  # np.mean's bits
     if kind == "sum_and_mean":
@@ -607,7 +641,7 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             d = None
             if p.requires_grad:  # each graph's gradient row on its n rows
-                d = _empty(p.shape)
+                d = _empty(p.shape, dtype)
                 d.reshape(batch, n, hi - lo)[...] = g_in[:, None, lo:hi]
             grads.append(d)
         return grads
@@ -622,6 +656,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     b = pred.shape[0]
     if b < 1:
         raise DimensionError("mse_loss needs at least one element")
+    _dtype(pred.data, target.data)
     diff = pred.data - target.data
     out = _make_output(np.asarray((diff @ diff) / b), pred, target)
 
@@ -639,11 +674,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    dtype = _dtype(a.data, b.data)
     out = _make_output(a.data + b.data, a, b)
 
     def rule(g: Array):
         # b's is a copy, np.positive into a buffer (see BackwardRule)
-        g_b = np.positive(g, out=_empty(g.shape)) if b.requires_grad else None
+        g_b = np.positive(g, out=_empty(g.shape, dtype)) if b.requires_grad else None
         return (g if a.requires_grad else None, g_b)
 
     return record_op(out, (a, b), rule)
@@ -653,6 +689,7 @@ def add_row_bias(z: Tensor, bias: Tensor) -> Tensor:
     """Add a length-D bias vector to every row of an (N, D) tensor."""
     if z.data.ndim != 2 or bias.data.ndim != 1 or z.shape[1] != bias.shape[0]:
         raise DimensionError(f"bias shape {bias.shape} does not fit rows of {z.shape}")
+    _dtype(z.data, bias.data)
     out = _make_output(z.data + bias.data, z, bias)
 
     def rule(g: Array):
@@ -711,8 +748,10 @@ def sgd_nesterov_step(params: Sequence[tuple[str, Tensor]], sgd: Sgd) -> None:
         if param.grad is None:
             raise NumericError(f"sgd_nesterov_step needs a populated gradient for {name!r}")
         velocity = sgd.velocity.get(name)
-        if velocity is None or velocity.shape != param.shape:
-            raise DimensionError(f"no velocity of shape {param.shape} for parameter {name!r}")
+        if velocity is None or velocity.shape != param.shape or velocity.dtype != param.data.dtype:
+            raise DimensionError(
+                f"no {param.data.dtype} velocity of shape {param.shape} for parameter {name!r}"
+            )
         g = param.grad + sgd.weight_decay * param.data
         v = sgd.momentum * velocity - sgd.learning_rate * g
         sgd.velocity[name] = v

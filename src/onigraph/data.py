@@ -102,7 +102,9 @@ class GridSet:
     """Monthly anomaly fields on a regular grid.
 
     data is float64 in memory, laid out [time][variable][lat][lon];
-    land cells (mask True) hold 0.0 in every variable and month.
+    land cells (mask True) hold 0.0 in every variable and month. The ONI
+    series and the static features are computed from it in float64; the
+    samples round it to the model's float32 (:func:`build_samples`).
     """
 
     n_lat: int
@@ -288,17 +290,19 @@ def compute_oni_series(grid: GridSet, k: int = 3) -> Array:
 class SampleSet:
     """Node-feature windows paired with lead-h ONI targets.
 
-    ``inputs`` is a read-only float64 array of shape (S, N, w * D): sample
+    ``inputs`` is a read-only float32 array of shape (S, N, w * D): sample
     s holds, for each of the N nodes, the D variables of months
     [window_end[s] - w + 1, window_end[s]], time-major. Over consecutive
     window ends it is a strided view of one node-major (N, T, D) series, so
     each month is held once, not once per window that covers it; gather or
     reshape it into a new array to compute on. A sample never sees past its
     window end; its target is the ONI value at month window_end + lead.
+    Inputs and targets are the model's float32, rounded once from the
+    float64 grid and ONI series.
     """
 
-    inputs: Array  # (S, N, w * D)
-    targets: Array  # (S,)
+    inputs: Array  # float32 (S, N, w * D)
+    targets: Array  # float32 (S,)
     window_end: Array  # (S,) month index of the last input month
     end_calendar_month: Array  # (S,) 1..12
     window: int
@@ -336,7 +340,7 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     # months of a window are one contiguous run of w * D values, already in
     # the time-major column order, and the windows are one strided view.
     n_vars = len(grid.variables)
-    monthly = np.empty((nodes.count, grid.n_time, n_vars))
+    monthly = np.empty((nodes.count, grid.n_time, n_vars), np.float32)
     flat = grid.data.reshape(grid.n_time, n_vars, -1)
     grid_rows, cols = monthly[: nodes.grid_count], _grid_columns(grid, nodes)
     # a block of nodes at a time, so that no temporary nears the series' size
@@ -353,7 +357,7 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     inputs.flags.writeable = False  # as the view already is
     return SampleSet(
         inputs=inputs,
-        targets=oni[ends + lead],
+        targets=oni[ends + lead].astype(np.float32),
         window_end=ends,
         end_calendar_month=grid.calendar_month(ends),
         window=window,
@@ -597,7 +601,7 @@ class DatasetBundle:
     nodes: NodeIndex
     train: SampleSet
     test: SampleSet
-    static_features: Array
+    static_features: Array  # float32 (N, d_in)
 
 
 def prepare_dataset(
@@ -610,6 +614,10 @@ def prepare_dataset(
 ) -> DatasetBundle:
     """Grid -> nodes (plus the ONI node) -> labels -> windowed samples ->
     chronological split with an embargo (:func:`split_samples`).
+
+    This is where the model's float32 begins: the samples' inputs and
+    targets and the static features are float32, each rounded once from
+    the float64 grid, ONI series and feature statistics.
 
     The samples are built once over the final node set, as read-only views
     of one node-major series (:func:`build_samples`), and the train and
@@ -626,5 +634,5 @@ def prepare_dataset(
     if len(train) == 0:
         raise DataError("training split is empty")
     train_months = np.arange(0, int(train.window_end.max()) + 1)
-    static = build_static_features(grid, nodes, train_months)
+    static = build_static_features(grid, nodes, train_months).astype(np.float32)
     return DatasetBundle(nodes=nodes, train=train, test=test, static_features=static)

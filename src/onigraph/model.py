@@ -179,11 +179,6 @@ class ModelState:
         return buffers
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Array:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_params(
     config: GcnConfig,
     static_features: Array,
@@ -199,12 +194,17 @@ def init_params(
     fixed_adjacency: Array | None = None,
 ) -> ModelState:
     """Fresh model: Glorot-uniform weights from a seeded generator, unit
-    batchnorm scales, zero shifts and biases. The structure settings have
-    their defaults in ``training.TrainConfig``; an edge budget of None
-    becomes eight times the node count."""
-    static_features = np.asarray(static_features, dtype=np.float64)
+    batchnorm scales, zero shifts and biases. Every parameter, running
+    statistic and fixed edge value takes the dtype of ``static_features``:
+    float32 as ``data.prepare_dataset`` hands them over, float64 for
+    anything else (see ``autodiff.Tensor``), from the same draws either
+    way. The structure settings have their defaults in
+    ``training.TrainConfig``; an edge budget of None becomes eight times the
+    node count."""
+    static = Tensor(static_features)
+    dtype = static.data.dtype
     node_latlon = np.asarray(node_latlon, dtype=np.float64)
-    n, d_in = static_features.shape
+    n, d_in = static.shape
     if node_latlon.shape != (n, 2):
         raise ConfigError(f"node_latlon shape {node_latlon.shape} does not match {n} nodes")
     if edge_mode not in ("learned", "local"):
@@ -216,15 +216,28 @@ def init_params(
         if np.any(np.diag(fixed_adjacency) != 1.0):
             raise ConfigError("a fixed local adjacency needs ones on its diagonal (self-loops)")
         edges = ad.EdgeIndex.from_flat(n, np.flatnonzero(fixed_adjacency))
-        local_edges = (edges, Tensor(fixed_adjacency[edges.rows, edges.cols]))
+        local_edges = (edges, Tensor(fixed_adjacency[edges.rows, edges.cols].astype(dtype)))
     if max_edges is None:
         max_edges = min(8 * n, n * (n - 1))
 
     rng = np.random.default_rng(seed)
+
+    def weights(fan_in: int, fan_out: int) -> Tensor:  # Glorot-uniform
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        draws = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return Tensor(draws.astype(dtype), requires_grad=True)
+
+    def norm(width: int) -> NormParams:
+        return NormParams(
+            gamma=Tensor(np.ones(width, dtype), requires_grad=True),
+            beta=Tensor(np.zeros(width, dtype), requires_grad=True),
+            running=RunningStats.initial(width, dtype),
+        )
+
     structure = StructureParams(
-        static_features=Tensor(static_features),
-        w_from=Tensor(_glorot(rng, d_in, embed_dim, (d_in, embed_dim)), requires_grad=True),
-        w_to=Tensor(_glorot(rng, d_in, embed_dim, (d_in, embed_dim)), requires_grad=True),
+        static_features=static,
+        w_from=weights(d_in, embed_dim),
+        w_to=weights(d_in, embed_dim),
         feature_gain=feature_gain,
         score_gain=score_gain,
         max_edges=max_edges,
@@ -233,14 +246,8 @@ def init_params(
     gcn_weights, gcn_norms = [], []
     width = config.input_width
     for dim in config.layer_dims:
-        gcn_weights.append(Tensor(_glorot(rng, width, dim, (width, dim)), requires_grad=True))
-        gcn_norms.append(
-            NormParams(
-                gamma=Tensor(np.ones(dim), requires_grad=True),
-                beta=Tensor(np.zeros(dim), requires_grad=True),
-                running=RunningStats.initial(dim),
-            )
-        )
+        gcn_weights.append(weights(width, dim))
+        gcn_norms.append(norm(dim))
         width = dim
 
     pooled = config.pooled_width
@@ -250,15 +257,11 @@ def init_params(
         structure=structure,
         gcn_weights=gcn_weights,
         gcn_norms=gcn_norms,
-        mlp_w1=Tensor(_glorot(rng, pooled, hidden, (pooled, hidden)), requires_grad=True),
-        mlp_b1=Tensor(np.zeros(hidden), requires_grad=True),
-        mlp_norm=NormParams(
-            gamma=Tensor(np.ones(hidden), requires_grad=True),
-            beta=Tensor(np.zeros(hidden), requires_grad=True),
-            running=RunningStats.initial(hidden),
-        ),
-        mlp_w2=Tensor(_glorot(rng, hidden, 1, (hidden, 1)), requires_grad=True),
-        mlp_b2=Tensor(np.zeros(1), requires_grad=True),
+        mlp_w1=weights(pooled, hidden),
+        mlp_b1=Tensor(np.zeros(hidden, dtype), requires_grad=True),
+        mlp_norm=norm(hidden),
+        mlp_w2=weights(hidden, 1),
+        mlp_b2=Tensor(np.zeros(1, dtype), requires_grad=True),
         node_latlon=node_latlon,
         has_oni_node=has_oni_node,
         seed=seed,
@@ -273,7 +276,8 @@ def gcn_layer(
     norm: NormParams,
     activation: str = "elu",
     use_residual: bool = False,
-    mode: str = "train",
+    *,
+    mode: str,
 ) -> Tensor:
     """One graph convolution over stacked node rows: aggregate over
     ``graph`` (the edges and values of :func:`model_edges`, I + A per
@@ -296,7 +300,7 @@ def gcn_layer(
     return out
 
 
-def mlp_head(state: ModelState, pooled: Tensor, mode: str = "eval") -> Tensor:
+def mlp_head(state: ModelState, pooled: Tensor, mode: str) -> Tensor:
     """Two affine layers with feature batchnorm and the configured
     activation in between, one fused op; the final affine has no
     activation."""
@@ -334,7 +338,7 @@ def pooled_layers(
     x: Tensor,
     batch: int,
     graph: tuple[ad.EdgeIndex, Tensor],
-    mode: str = "train",
+    mode: str,
 ) -> Tensor:
     """The graph layers and the pooling readout: ``batch`` stacked samples,
     (batch * N, w * D) rows, pooled to the (batch, P) head input, over
@@ -351,7 +355,7 @@ def pooled_layers(
         z = gcn_layer(
             graph, z, weight, norm, cfg.activation,
             cfg.use_residual and weight.shape[0] == weight.shape[1],
-            mode,
+            mode=mode,
         )
         layer_outputs.append(z)
     return ad.pool_blocks(layer_outputs if cfg.use_jumping_knowledge else [z], n, cfg.pooling)

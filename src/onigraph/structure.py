@@ -79,11 +79,12 @@ class StructureParams:
 
 # Number of flat logits in the strided sample from which top_edges guesses
 # the e-th largest logit; graphs of at most this many entries (up to 90
-# nodes, every desk grid) are ranked in full. At N=1345 and e=8N (one BLAS
-# thread, 2 vCPUs), a sample of 2048 partitions in 0.04 ms and leaves
-# 27,658 candidates to partition in 0.20 ms; 8192, 0.09 ms and 23,490 in
-# 0.16 ms; 32768, 0.33 ms and 22,764 in 0.08 ms. The candidate pass over
-# every logit, 1.5 ms, does not depend on it. Ranking in full took 6.0 ms.
+# nodes, every desk grid) are ranked in full. At N=1345 and e=8N in float32
+# (one BLAS thread, 2 vCPUs), a sample of 2048 is taken and partitioned in
+# 0.02 ms and leaves 29,639 candidates to partition in 0.04 ms; 8192, 0.06
+# ms and 23,829 in 0.03-0.04 ms; 32768, 0.30-0.32 ms and 19,556 in 0.03 ms.
+# The candidate pass over every logit, 1.2-1.5 ms, does not depend on it
+# beyond noise. Ranking in full took 2.7-3.7 ms.
 _SAMPLE_SIZE = 8192
 
 
@@ -151,7 +152,7 @@ def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
         if np.isnan(ranked.max()):  # max propagates NaN, with no N x N temporary
             raise NumericError("edge logits contain NaN")
         if e == 0:
-            return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0)
+            return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0, logits.dtype)
         ranked.partition(ranked.size - e)
         kth = ranked[ranked.size - e]
         del ranked  # freed before the candidate pass

@@ -39,13 +39,15 @@ from .structure import StructureParams
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
-FORMAT_VERSION = 1
+# version 1 stored float64 values; version 2 stores the model's float32
+FORMAT_VERSION = 2
+BLOB_DTYPE = np.dtype("<f4")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
 # block's (rows, width) arrays stay a few MB. On a 2-vCPU Xeon with one
-# BLAS thread, predicting 44 windows of a 32/16-wide model at N=1345 took
-# a median 72 to 76 ms at 2,690 to 16,384 rows, 80 ms at 1,345, 84 ms at
-# 32,768 and 95 ms in one pass over all 59,180 rows (the graph's 12 ms
-# included).
+# BLAS thread, predicting 44 windows of a 32/16-wide float32 model at
+# N=1345 took a median 20 to 29 ms at 8,192 to 32,768 rows, with no size
+# ahead of the others over three sweeps, 36 ms at 2,690, 42 ms at 1,345 and
+# 33 ms in one pass over all 59,180 rows (the graph's 5 ms included).
 PREDICT_BLOCK_ROWS = 8192
 
 
@@ -162,8 +164,8 @@ def train(
     returns or raises, because nothing after training reads its buffers:
     evaluation runs outside any workspace, in blocks of
     ``PREDICT_BLOCK_ROWS`` rows. Kept, the buffers would stay resident for
-    nothing: 20.6 MB at N=1345 with widths 32/16 and batch 8, almost five
-    times the 4.3 MB that one evaluation block peaks at.
+    nothing: 8.9 MB in float32 at N=1345 with widths 32/16 and batch 8,
+    four times the 2.2 MB that one evaluation block peaks at.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
@@ -220,7 +222,8 @@ def pearson_r(a: Array, b: Array) -> float:
 
 
 def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) -> Array:
-    """Evaluation-mode predictions; ensembles average member outputs.
+    """Evaluation-mode predictions in the members' dtype; ensembles average
+    member outputs.
 
     Members must forecast the same thing from the same inputs: equal lead,
     window, input width and node set (ONI node and coordinates). The
@@ -259,7 +262,7 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     if not len(samples):
         raise DataError("no samples to predict")
     per_block = max(1, PREDICT_BLOCK_ROWS // first.node_count)
-    total = np.zeros(len(samples))
+    total = 0.0  # then the members' dtype
     for member in members:
         graph = model_edges(member)
         parts = []
@@ -268,7 +271,7 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
             rows = Tensor(x.reshape(-1, x.shape[2]))
             parts.append(pooled_layers(member, rows, len(x), graph, mode="eval").data)
         pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        total += mlp_head(member, Tensor(pooled), mode="eval").data
+        total = total + mlp_head(member, Tensor(pooled), mode="eval").data
     return total / len(members)
 
 
@@ -327,10 +330,11 @@ def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -
 # checkpoints
 #
 # Single file: a 4-byte magic, an 8-byte little-endian manifest length, the
-# JSON manifest, then one blob of little-endian float64 values. The manifest
-# holds exactly the fields of CHECKPOINT_FIELDS: the model config, structure
-# and optimizer hyperparameters (each with its own table), the edge mode, the
-# ONI node flag, the seed, and every tensor's shape and offset into the blob.
+# JSON manifest, then one blob of little-endian float32 values (BLOB_DTYPE),
+# the dtype the loaded model computes in. The manifest holds exactly the
+# fields of CHECKPOINT_FIELDS: the model config, structure and optimizer
+# hyperparameters (each with its own table), the edge mode, the ONI node
+# flag, the seed, and every tensor's shape and offset into the blob.
 CHECKPOINT_FIELDS = {
     "format_version": int, "model": dict, "structure": dict, "edge_mode": str, "has_oni_node": bool,
     "seed": int, "optimizer": dict | None, "tensors": list, "blob_bytes": int,
@@ -355,17 +359,19 @@ def _tensor_table(entries: dict[str, Array]) -> tuple[list[dict], int]:
     table, offset = [], 0
     for name, arr in entries.items():
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 8 * arr.size
+        offset += BLOB_DTYPE.itemsize * arr.size
     return table, offset
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
     """Write the checkpoint to a temporary file beside ``path``, then rename
     it over ``path``, so an interrupted write leaves any previous checkpoint
-    there intact. A missing directory is made first."""
+    there intact. A missing directory is made first. Every tensor is
+    stored as float32, so a float64 model (one built from float64 static
+    features) is rounded."""
     entries = _checkpoint_entries(state)
     tensors, blob_bytes = _tensor_table(entries)
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in entries.values())
+    blob = b"".join(np.ascontiguousarray(a, dtype=BLOB_DTYPE).tobytes() for a in entries.values())
     opt = state.optimizer and {k: getattr(state.optimizer, k) for k in OPTIMIZER_FIELDS}
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -420,10 +426,11 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
     arrays: dict[str, Array] = {}
     for entry in manifest["tensors"]:
         start, shape = entry["offset"], tuple(entry["shape"])
-        end = start + 8 * int(np.prod(shape))
+        end = start + BLOB_DTYPE.itemsize * int(np.prod(shape))
         if end > len(blob):
             raise FormatError(f"tensor {entry['name']!r} overruns the checkpoint blob")
-        arrays[entry["name"]] = np.frombuffer(blob[start:end], "<f8").reshape(shape).copy()
+        values = np.frombuffer(blob[start:end], BLOB_DTYPE).reshape(shape)
+        arrays[entry["name"]] = values.astype(np.float32)
 
     def grab(name: str) -> Array:
         if name not in arrays:
@@ -436,8 +443,9 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
     config = GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model"))
     dims, pooled = [config.input_width, *config.layer_dims], config.pooled_width
     size = sum(a * b for a, b in zip(dims, dims[1:])) + (pooled + 1) * (config.mlp_hidden or pooled)
-    if 8 * size > len(blob):
-        raise FormatError(f"model needs {size} weights; the blob holds {len(blob) // 8} values")
+    if BLOB_DTYPE.itemsize * size > len(blob):
+        values = len(blob) // BLOB_DTYPE.itemsize
+        raise FormatError(f"model needs {size} weights; the blob holds {values} values")
     state = init_params(
         config,
         grab("structure.static_features"),

@@ -47,6 +47,16 @@ def t(values, grad=False):
     return Tensor(values, requires_grad=grad)
 
 
+def initial_stats(width):
+    """Float64 running statistics at their initial values."""
+    return RunningStats.initial(width, np.float64)
+
+
+def copied(running):
+    """Fresh running statistics holding the values of ``running``."""
+    return RunningStats(running.mean.copy(), running.var.copy())
+
+
 def full_graph(n):
     """Every off-diagonal edge of an n-node graph: dense enough for the
     dense kernel of edge_block_matmul."""
@@ -222,13 +232,13 @@ def fresh(z):
 
 def test_batchnorm_constant_column_is_zero():
     z = t(np.full((4, 2), 3.25))
-    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)), "train", RunningStats.initial(2))
+    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)), "train", initial_stats(2))
     np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
 
 def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
-    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", RunningStats.initial(1))
+    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", initial_stats(1))
     unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
     np.testing.assert_array_equal(out.data, [[-unit], [unit]])
 
@@ -236,19 +246,19 @@ def test_batchnorm_two_value_column():
 def test_batchnorm_zero_gamma_gives_beta():
     z = t(np.random.default_rng(1).normal(size=(5, 3)))
     beta = np.array([1.0, -2.0, 0.5])
-    out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", RunningStats.initial(3))
+    out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", initial_stats(3))
     np.testing.assert_array_equal(out.data, np.broadcast_to(beta, (5, 3)))
 
 
 def test_batchnorm_single_row_train_rejected():
     with pytest.raises(NumericError):
         batchnorm_features(
-            t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), "train", RunningStats.initial(2)
+            t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), "train", initial_stats(2)
         )
 
 
 def test_batchnorm_running_stats_update_and_eval():
-    running = RunningStats.initial(1)
+    running = initial_stats(1)
     z = np.array([[1.0], [3.0]])
     batchnorm_features(t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="train", running=running)
     assert running.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
@@ -339,7 +349,7 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z0, gamma.data, beta.data, mode, running.copy(), kind, g
+        z0, gamma.data, beta.data, mode, copied(running), kind, g
     )
     with Tape() as tape:
         out = batchnorm_features(z, gamma, beta, mode, running, kind)
@@ -368,7 +378,7 @@ def test_grad_check_fused_norm_act(kind, mode):
 
     def f():
         # train mode reads no running statistics, so f stays deterministic
-        out = batchnorm_features(fresh(z), gamma, beta, mode, running.copy(), kind)
+        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running), kind)
         return mse_loss(flatten(out), target)
 
     assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
@@ -398,13 +408,13 @@ def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
     # -inf, which these activations would map to a finite value
     z = t([[1.0], [-1.0]])
     with pytest.raises(NumericError), np.errstate(over="ignore"):
-        batchnorm_features(z, t([1e308]), t([-1e308]), "train", RunningStats.initial(1), kind)
+        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1), kind)
 
 
 def test_fused_norm_act_rejects_unknown_activation():
     with pytest.raises(ConfigError, match="relu"):
         batchnorm_features(
-            t(np.ones((2, 1))), t([1.0]), t([0.0]), "train", RunningStats.initial(1), "relu"
+            t(np.ones((2, 1))), t([1.0]), t([0.0]), "train", initial_stats(1), "relu"
         )
 
 
@@ -525,7 +535,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, order, wi
         for _ in range(2):  # with a workspace: fresh buffers, then reused ones
             z = t(z0.copy(order="K"), grad=True)
             assert z.data.flags[f"{order}_CONTIGUOUS"]
-            running = running0.copy()
+            running = copied(running0)
             with Tape() as tape:
                 out = batchnorm_features(z, gamma, beta, mode, running, kind)
                 grads = tape.entries[-1].rule(g.copy())
@@ -550,7 +560,7 @@ def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mod
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads = _textbook_norm_act(
-        z.data, gamma.data, beta.data, mode, running.copy(), kind, g
+        z.data, gamma.data, beta.data, mode, copied(running), kind, g
     )
     with Tape() as tape:
         out = batchnorm_features(z, gamma, beta, mode, running, kind)
@@ -789,7 +799,7 @@ def _added_to_itself(r):
 
 
 def _norm_op(r, mode, activation):
-    return batchnorm_features(r(5, 3), r(3), r(3), mode, RunningStats.initial(3), activation)
+    return batchnorm_features(r(5, 3), r(3), r(3), mode, initial_stats(3), activation)
 
 
 def _pool_op(r, kind):
@@ -907,7 +917,7 @@ def test_grad_check_composite_ops():
     beta = t(np.zeros(2), grad=True)
     bias = t(rng.normal(size=2), grad=True)
     x = t(rng.normal(size=(4, 3)))
-    running = RunningStats.initial(2)
+    running = initial_stats(2)
 
     def f():
         h = matmul(x, w)

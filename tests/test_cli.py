@@ -29,9 +29,12 @@ from onigraph.training import (
     MODEL_FIELDS,
     OPTIMIZER_FIELDS,
     STRUCTURE_FIELDS,
+    TrainConfig,
+    build_model,
     load_checkpoint,
     save_checkpoint,
 )
+from test_training import float64_bundle, version1_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +135,9 @@ def test_predict_writes_csv(checkpoint, synth_dir, tmp_path):
     assert len(lines) > 1
 
 
-def test_predict_all_is_train_then_test(checkpoint, synth_dir, tmp_path):
+def split_predictions(checkpoint, synth_dir, tmp_path):
+    """The predictions ``predict`` writes for the train, test and all splits."""
+
     def predictions(split):
         out = tmp_path / f"{split}.csv"
         code = cli_dispatch(
@@ -151,7 +156,27 @@ def test_predict_all_is_train_then_test(checkpoint, synth_dir, tmp_path):
 
     train, test, both = predictions("train"), predictions("test"), predictions("all")
     assert len(train) > 0 and len(test) > 0
-    np.testing.assert_allclose(both, np.concatenate([train, test]), rtol=1e-12, atol=0.0)
+    return both, np.concatenate([train, test])
+
+
+def test_predict_all_is_train_then_test(checkpoint, synth_dir, tmp_path, monkeypatch):
+    # in float64, whose rounding the bound is of: float64 inputs, and a
+    # fresh float64 model of the checkpoint's architecture in its place
+    config = load_checkpoint(checkpoint).config
+    grid = dat.load_gridset(synth_dir)
+    bundle = float64_bundle(grid, window=config.window, lead=config.lead_months)
+    state = build_model(bundle, config, TrainConfig(seed=7, embed_dim=8))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: state)
+    monkeypatch.setattr(dat, "prepare_dataset", float64_bundle)
+    both, train_then_test = split_predictions(checkpoint, synth_dir, tmp_path)
+    np.testing.assert_allclose(both, train_then_test, rtol=1e-12, atol=0.0)
+
+
+def test_predict_all_is_train_then_test_in_float32(checkpoint, synth_dir, tmp_path):
+    # the float64 bound above in float32 units: 1e-12 is 4,504 float64 ulps
+    both, train_then_test = split_predictions(checkpoint, synth_dir, tmp_path)
+    rtol = 1e-12 / np.finfo(np.float64).eps * np.finfo(np.float32).eps
+    np.testing.assert_allclose(both, train_then_test, rtol=rtol, atol=0.0)
 
 
 def test_ensemble_of_different_leads_is_usage_error(checkpoint, synth_dir, small_config, tmp_path):
@@ -424,9 +449,9 @@ def test_zero_epochs_print_no_training_mse(synth_dir, tmp_path, capsys):
     assert (tmp_path / "m.ckpt.loss.csv").read_text() == "epoch,batch,loss\n"
 
 
-def test_diverged_training_is_a_numeric_failure(synth_dir, tmp_path, capsys):
-    # at the default settings this seed's learned model diverges: its test
-    # predictions are finite but their squares overflow
+def test_diverged_training_is_a_numeric_failure(synth_dir, checkpoint, tmp_path, capsys):
+    # at the default settings this seed's learned model overflows in
+    # training, and train saves nothing
     out = tmp_path / "m.ckpt"
     args = ["train", "--data", str(synth_dir), "--lead", "2", "--seed", "7",
             "--edges", "learned", "--out", str(out)]
@@ -434,10 +459,22 @@ def test_diverged_training_is_a_numeric_failure(synth_dir, tmp_path, capsys):
         warnings.simplefilter("error")
         assert cli_dispatch(args) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("numeric failure:")
+    assert captured.err == (
+        "numeric failure: non-finite value produced by a tensor op at epoch 49, batch 0\n"
+    )
+    assert captured.out == "" and not out.exists()
+    # a diverged model whose test predictions are finite but whose squares
+    # overflow: the trained checkpoint with its output weights times 1e30
+    state = load_checkpoint(checkpoint)
+    state.mlp_w2.data *= np.float32(1e30)
+    save_checkpoint(state, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(["evaluate", "--checkpoint", str(out), "--data", str(synth_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: test skill is not finite")
     assert "rmse=inf" in captured.err
     assert captured.out == ""
-    assert out.exists()  # saved before the evaluation
 
 
 def test_diverged_training_without_a_test_split_exits_3(synth_dir, tmp_path, capsys):
@@ -469,7 +506,7 @@ def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
     proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
     assert proc.returncode == 3
     assert proc.stderr == (
-        "numeric failure: non-finite value produced by a tensor op at epoch 4, batch 0\n"
+        "numeric failure: non-finite value produced by a tensor op at epoch 3, batch 0\n"
     )
     assert proc.stdout == "" and not out.exists()
 
@@ -726,6 +763,22 @@ def _run_cli(args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "onigraph", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_evaluate_refuses_a_version1_checkpoint_with_exit_2(synth_dir, tmp_path):
+    # a float64 checkpoint as format version 1 wrote it, of a model that fits the grid
+    state = build_model(
+        dat.prepare_dataset(dat.load_gridset(synth_dir)),
+        GcnConfig(layer_dims=[4]),
+        TrainConfig(seed=7, embed_dim=4),
+    )
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(version1_checkpoint(state))
+    proc = _run_cli(["evaluate", "--checkpoint", str(old), "--data", str(synth_dir)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "data error: checkpoint format version 1; this build reads version 2\n"
     )
 
 
@@ -1042,15 +1095,15 @@ PINNED_OUTPUTS = {
     "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
     "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
-    "m.ckpt": "af73b17c111fd99d836f335bbb3047c592641092",
-    "m.ckpt.loss.csv": "f70c19884fecce88bbc2e23b1eafa3586370b0af",
-    "eval.report.csv": "ad2095142733b410609a930f5b8beac407a06a77",
-    "eval.predictions.csv": "681968afc614adfaefc3ece977c87118bc50480b",
-    "eval.series.svg": "ae673d535402710c6ed2feac2f84c1a03a0a874e",
-    "p.csv": "374c24aa07edaded98d0e5378a66caaad99310ec",
-    "heat.csv": "9201f0d344531cf19cdd454c96d9803fd3e145d9",
+    "m.ckpt": "b0653192cb3633fffd6900fb5ee56f1108d70145",
+    "m.ckpt.loss.csv": "8d87da324e6f462c315487348d57de5728ddec77",
+    "eval.report.csv": "233e734b609cba3ea1825ee84bd3c1eff4624341",
+    "eval.predictions.csv": "aab75b0a9123eecdfecfe2bc1d1974c3b36ba072",
+    "eval.series.svg": "58dad3ee269d7445102f4efe4b9d96316134102a",
+    "p.csv": "9b6e7ff9b72ef3ad22854c8c113c72cda7ff4389",
+    "heat.csv": "7691b41cfbc4b2fa8abd3572db2b58cbb56319f7",
     "heat.svg": "93fa589b0c84a5d1cf671a70cad634143b3b073a",
-    "ablation.csv": "2d3bbf14809c660f81b81c28ec0b18cd01afdc02",
+    "ablation.csv": "9872d1d351809e5f5659905974fe543bfc8a8655",
 }
 
 

@@ -393,10 +393,10 @@ def test_an_interior_gap_in_the_oni_drops_only_its_windows():
     samples = build_samples(grid, nodes, window=3, lead=1, oni=oni)
     inputs, ends, calendar = reference_samples(grid, nodes, 3, 1, oni)
     assert ends.tolist() == [2, 3, 4, 7, 8, 9, 10]
-    assert_same_bits(samples.inputs, inputs)
+    assert_same_bits(samples.inputs, inputs.astype(np.float32))
     assert_same_bits(samples.window_end, ends)
     assert_same_bits(samples.end_calendar_month, calendar)
-    assert_same_bits(samples.targets, oni[ends + 1])
+    assert_same_bits(samples.targets, oni[ends + 1].astype(np.float32))
     with pytest.raises(ValueError, match="read-only"):
         samples.inputs[0, 0, 0] = 0.0
 
@@ -453,8 +453,9 @@ def test_samples_match_per_window_reference():
                 if np.isfinite(oni[end + lead])
             ]
             assert samples.window_end.tolist() == [end for end, _ in expected]
-            np.testing.assert_array_equal(samples.inputs, np.stack([x for _, x in expected]))
-            np.testing.assert_array_equal(samples.targets, oni[samples.window_end + lead])
+            inputs = np.stack([x for _, x in expected]).astype(np.float32)
+            assert_same_bits(samples.inputs, inputs)
+            assert_same_bits(samples.targets, oni[samples.window_end + lead].astype(np.float32))
 
 
 def test_time_major_column_layout():
@@ -518,7 +519,7 @@ def test_oni_node_extends_samples_and_static_features():
     assert nodes2.count == grid_nodes.count + 1
     assert nodes2.has_oni_node
     assert samples.inputs.shape == (len(samples), nodes2.count, 6)
-    assert samples.inputs.dtype == np.float64
+    assert samples.inputs.dtype == np.float32
     # a split views the one series, which nothing can write through
     train, _ = split_samples(samples, 1.0, 1)
     assert np.shares_memory(train.inputs, samples.inputs)
@@ -537,7 +538,7 @@ def test_oni_node_row_holds_window_region_means():
     samples = build_samples(grid, nodes, 3, 2, np.arange(9.0))
     means = regional_means(grid)
     for x, end in zip(samples.inputs, samples.window_end):
-        np.testing.assert_array_equal(x[-1], means[end - 2 : end + 1].reshape(-1))
+        assert_same_bits(x[-1], means[end - 2 : end + 1].reshape(-1).astype(np.float32))
 
 
 def test_prepare_dataset_computes_region_means_once_per_use(monkeypatch):
@@ -869,10 +870,10 @@ def test_dataset_steps_keep_the_bits_of_their_per_month_references(
         samples = build_samples(grid, nodes, window, lead, oni)
         with pytest.raises(ValueError, match="read-only"):
             samples.inputs[-1] = 0.0
-        assert_same_bits(samples.inputs, inputs)
+        assert_same_bits(samples.inputs, inputs.astype(np.float32))
         assert_same_bits(samples.window_end, ends)
         assert_same_bits(samples.end_calendar_month, calendar)
-        assert_same_bits(samples.targets, oni[ends + lead])
+        assert_same_bits(samples.targets, oni[ends + lead].astype(np.float32))
 
     # unsorted, gapped and repeated months
     months = np.asarray(
@@ -931,6 +932,6 @@ def test_build_samples_at_full_grid_size_holds_only_the_inputs_and_the_node_seri
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    series_bytes = nodes.count * grid.n_time * len(grid.variables) * 8
+    series_bytes = nodes.count * grid.n_time * len(grid.variables) * samples.inputs.itemsize
     assert samples.inputs.nbytes > 2 * series_bytes  # each month in three windows
     assert peak < series_bytes + 2**20

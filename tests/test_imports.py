@@ -12,6 +12,7 @@ from collections import defaultdict
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onigraph
@@ -130,6 +131,83 @@ def test_a_name_read_only_inside_its_own_definition_is_caught():
     )
     assert unread_definitions(tree, [tree]) == ["Box", "SPARE", "spare", "walk"]
     assert unread_definitions(tree, [tree, ast.parse("walk(Box())")]) == ["SPARE", "spare"]
+
+
+# Reads are matched by bare name, whatever the type of what is read, so a
+# package method named like an np.ndarray attribute counts as read wherever
+# any array's attribute of that name is (``.copy()`` is read all over the
+# package). Each such method is listed here, as (class, method), with a
+# package function, "module.function", that reads that name on the class's
+# instances; the check below holds the table to the methods that exist.
+NDARRAY_NAMED = {
+    ("Tensor", "shape"): "autodiff.matmul",
+    ("Tensor", "item"): "training.train",
+    ("Workspace", "take"): "autodiff._empty",
+}
+
+
+def ndarray_named_methods(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """The (class, method) of each method the modules define, by module name,
+    whose name is also an np.ndarray attribute; dunder methods left out."""
+    attributes = set(dir(np.ndarray))
+    return {
+        (node.name, method.name)
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name in attributes
+        and not method.name.startswith("__")
+    }
+
+
+def unlisted_ndarray_named(modules: dict[str, ast.Module], listed: dict) -> list[str]:
+    """The methods named like an np.ndarray attribute that ``listed`` does not
+    pair with a function of ``modules`` reading that name, and the entries
+    of ``listed`` that name no such method."""
+    functions = {
+        f"{module}.{node.name}": node
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def reads(function: ast.AST | None, name: str) -> bool:
+        return function is not None and any(
+            isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(function)
+        )
+
+    found = ndarray_named_methods(modules)
+    unread = [m for m in found if m not in listed or not reads(functions.get(listed[m]), m[1])]
+    return sorted(f"{cls}.{name}" for cls, name in unread + [m for m in listed if m not in found])
+
+
+def test_every_method_named_like_an_array_attribute_is_listed_with_its_caller():
+    modules = {
+        p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
+    }
+    unlisted = unlisted_ndarray_named(modules, NDARRAY_NAMED)
+    assert not unlisted, f"list these with a package function that calls them: {unlisted}"
+
+
+def test_a_method_named_like_an_array_attribute_is_caught():
+    stats = ast.parse(
+        "class Stats:\n    def copy(self):\n        return Stats()\n"
+        "    def fill(self, v):\n        return self\n"
+        "def spread(s):\n    return s.copy()\n"
+        "def center(x):\n    return x.mean.copy()\n"
+    )
+    modules = {"stats": stats}
+    assert unlisted_ndarray_named(modules, {}) == ["Stats.copy", "Stats.fill"]
+    listed = {("Stats", "copy"): "stats.spread", ("Stats", "fill"): "stats.center"}
+    assert unlisted_ndarray_named(modules, listed) == ["Stats.fill"]  # center reads no .fill
+    listed[("Stats", "fill")] = "stats.spread"  # nor does spread
+    assert unlisted_ndarray_named(modules, listed) == ["Stats.fill"]
+    del listed[("Stats", "fill")]
+    listed[("Stats", "sort")] = "stats.spread"  # no such method
+    assert unlisted_ndarray_named(modules, listed) == ["Stats.fill", "Stats.sort"]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -78,7 +78,8 @@ UNIT_NORM_SCALE = 1 / np.sqrt(1 + BN_EPS)
 def unit_norm(width):
     """Eval-mode batchnorm with unit scale, zero shift, running mean 0 and
     variance 1: it only multiplies by UNIT_NORM_SCALE."""
-    return NormParams(Tensor(np.ones(width)), Tensor(np.zeros(width)), RunningStats.initial(width))
+    running = RunningStats.initial(width, np.float64)
+    return NormParams(Tensor(np.ones(width)), Tensor(np.zeros(width)), running)
 
 
 def predict_one(state, x):

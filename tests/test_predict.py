@@ -15,6 +15,7 @@ from onigraph.autodiff import Tensor
 from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
 from onigraph.model import GcnConfig, init_params, mlp_head, model_edges, pooled_layers
 from onigraph.training import TrainConfig, build_model, predict_samples, train
+from test_training import float64_bundle
 
 
 def trained_members(edge_modes):
@@ -37,7 +38,7 @@ def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_mode
     samples = bundle.test
     n = members[0].node_count
     x = Tensor(samples.inputs.reshape(-1, samples.inputs.shape[2]))
-    want = np.zeros(len(samples))
+    want = np.zeros(len(samples), np.float32)  # the members' dtype
     for member in members:
         graph = model_edges(member)
         want += mlp_head(member, pooled_layers(member, x, len(samples), graph, "eval"), "eval").data
@@ -145,14 +146,34 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
     ],
 )
 def test_prediction_bits_over_several_blocks_are_pinned(edge_mode, max_edges, sha1):
-    # a 12x12 grid plus the ONI node (N=145), predicted over its 177 training windows
+    # on float64 inputs, the gradient checks' dtype
+    assert several_block_digest(float64_bundle, edge_mode, max_edges) == sha1
+
+
+@pytest.mark.parametrize(
+    "edge_mode, max_edges, sha1",
+    [
+        ("learned", None, "033feb67235bb2ceee6debd55aca9f64f4f6b1b4"),
+        ("learned", 2000, "11a42dfeb7df68ede858a35b51a99bba32d2021d"),
+        ("local", None, "07881956dfc7ef3746a59bee518176caa8a49921"),
+    ],
+    ids=["learned_csr", "learned_dense", "local"],
+)
+def test_float32_prediction_bits_over_several_blocks_are_pinned(edge_mode, max_edges, sha1):
+    # the same predictions on the float32 inputs of prepare_dataset, as shipped
+    assert several_block_digest(prepare_dataset, edge_mode, max_edges) == sha1
+
+
+def several_block_digest(prepare, edge_mode, max_edges) -> str:
+    """The SHA-1 of the predictions of a briefly trained model over the 177
+    training windows of a 12x12 grid plus the ONI node (N=145), in blocks,
+    on the bundle that ``prepare`` makes of it."""
     grid, _ = synth_teleconnection_dataset(12, 12, 240, 1, seed=877)
-    bundle = prepare_dataset(grid, window=3, lead=1, train_fraction=0.75)
+    bundle = prepare(grid, window=3, lead=1, train_fraction=0.75)
     cfg = TrainConfig(seed=883, epochs=2, batch_size=16, embed_dim=4, max_edges=max_edges)
     state = build_model(bundle, GcnConfig(layer_dims=[8, 4]), cfg, edge_mode=edge_mode)
     train(state, bundle.train, cfg)
     per_block = training.PREDICT_BLOCK_ROWS // state.node_count
     assert len(bundle.train) > 2 * per_block  # at least three blocks
     assert model_edges(state)[0].sparse == (max_edges is None)
-    digest = hashlib.sha1(predict_samples(state, bundle.train).tobytes())
-    assert digest.hexdigest() == sha1
+    return hashlib.sha1(predict_samples(state, bundle.train).tobytes()).hexdigest()

@@ -15,6 +15,7 @@ import onigraph
 from onigraph import autodiff, training
 from onigraph.autodiff import (
     EdgeIndex,
+    RunningStats,
     Tape,
     Tensor,
     Workspace,
@@ -396,12 +397,15 @@ def test_edge_path_matches_dense_path(case, monkeypatch):
         lead=1,
     )
     # running statistics stay untouched by the eval-mode predictions
-    running = [norm.running.copy() for norm in state.gcn_norms + [state.mlp_norm]]
+    running = [
+        RunningStats(norm.running.mean.copy(), norm.running.var.copy())
+        for norm in state.gcn_norms + [state.mlp_norm]
+    ]
     monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", 2 * N)  # blocks of 2, 2 and 1 samples
     results = {}
     for kernel, share in KERNELS.items():
         for norm, saved in zip(state.gcn_norms + [state.mlp_norm], running):
-            norm.running = saved.copy()
+            norm.running = RunningStats(saved.mean.copy(), saved.var.copy())
         monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
         pred, grads = forward_and_grads(state, x, y, frozen)
         results[kernel] = pred, grads, predict_samples(state, samples)

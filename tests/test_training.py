@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from onigraph.autodiff import EdgeIndex, Sgd
-from onigraph.data import prepare_dataset, synth_teleconnection_dataset
+from onigraph.data import (
+    build_static_features,
+    compute_oni_series,
+    prepare_dataset,
+    regional_means,
+    synth_teleconnection_dataset,
+)
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
 from onigraph.model import GcnConfig, init_params, model_edges
 from onigraph import training
@@ -42,6 +48,27 @@ def tiny_setup(seed=0, lead=1, months=70, grid=(4, 4), dims=(16, 8), train_fract
     return bundle, cfg, model_cfg, state
 
 
+def float64_bundle(grid, **options):
+    """The bundle of ``prepare_dataset(grid, **options)`` in float64, with
+    the bits the float64 computation gives before the rounding to float32:
+    the grid rows of the inputs are exact in float32 (a synthetic grid is),
+    the ONI node's rows, the targets and the static features are not."""
+    bundle = prepare_dataset(grid, **options)
+    oni, means = compute_oni_series(grid), regional_means(grid)
+
+    def widen(samples):
+        inputs = samples.inputs.astype(np.float64)
+        if bundle.nodes.has_oni_node:
+            months = samples.window_end[:, None] + np.arange(1 - samples.window, 1)
+            inputs[:, -1] = means[months].reshape(inputs[:, -1].shape)
+        return replace(samples, inputs=inputs, targets=oni[samples.window_end + samples.lead])
+
+    months = np.arange(int(bundle.train.window_end.max()) + 1)
+    static = build_static_features(grid, bundle.nodes, months)
+    train, test = widen(bundle.train), widen(bundle.test)
+    return replace(bundle, train=train, test=test, static_features=static)
+
+
 def constant_output_model(value, seed=0):
     """Zero GCN weights with residuals off force the prediction to the
     final bias, giving a model with a known constant output."""
@@ -57,17 +84,33 @@ def constant_output_model(value, seed=0):
 # --- training loop -------------------------------------------------------------
 
 
-def test_zero_lr_leaves_parameters_and_loss_flat():
-    bundle, _, model_cfg, _ = tiny_setup()
+def zero_lr_losses(bundle, model_cfg):
+    """The loss history of four epochs at learning rate 0, each one batch
+    of every sample; the parameters must not move."""
     cfg = TrainConfig(learning_rate=0.0, momentum=0.0, epochs=4, batch_size=10_000, seed=1)
     state = build_model(bundle, model_cfg, cfg)
     before = {name: t.data.copy() for name, t in state.parameters()}
     _, history = train(state, bundle.train, cfg)
-    losses = [h[2] for h in history]
-    # reshuffling permutes the summation order, so equal only to rounding
-    np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
     for name, t in state.parameters():
         np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+    return [h[2] for h in history]
+
+
+def test_zero_lr_leaves_parameters_and_loss_flat():
+    gridset, _ = synth_teleconnection_dataset(4, 4, 70, 1, seed=0)
+    bundle = float64_bundle(gridset, window=3, lead=1, train_fraction=1.0)
+    _, _, model_cfg, _ = tiny_setup()
+    losses = zero_lr_losses(bundle, model_cfg)
+    # reshuffling permutes the summation order, so equal only to rounding
+    np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
+
+
+def test_zero_lr_leaves_parameters_and_loss_flat_in_float32():
+    # the float64 bound above in float32 units: 1e-12 is 4,504 float64 ulps
+    bundle, _, model_cfg, _ = tiny_setup()
+    losses = zero_lr_losses(bundle, model_cfg)
+    ulps = 1e-12 / np.finfo(np.float64).eps
+    np.testing.assert_allclose(losses, losses[0], rtol=ulps * np.finfo(np.float32).eps)
 
 
 def test_overfit_tiny_dataset():
@@ -129,15 +172,40 @@ def test_fixed_seed_reproduces_history_and_weights():
 )
 def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, jumping_knowledge, sha1):
     # a refactor of the forward or backward pass must keep these bits: the
-    # loss history, every trained parameter and the test predictions
+    # loss history, every trained parameter and the test predictions; on
+    # float64 inputs, the gradient checks' dtype
+    digest = seeded_digest(float64_bundle, dims, pooling, edge_mode, jumping_knowledge)
+    assert digest == sha1
+
+
+@pytest.mark.parametrize(
+    "dims, pooling, edge_mode, jumping_knowledge, sha1",
+    [
+        ((8, 8, 8), "sum_and_mean", "learned", True, "9aadafdacc2fe11e45e1f060eeb0b6d2233312e3"),
+        ((12, 6), "mean", "local", True, "662da11899131d4fc270048b05e55ceaddfa3a1d"),
+        ((8, 8), "sum_and_mean", "learned", False, "6ba35ea597be59f919ce9bb95fb8eb7394dd96b8"),
+    ],
+    ids=["residual", "local", "no_jumping_knowledge"],
+)
+def test_seeded_float32_training_bits_are_pinned(
+    dims, pooling, edge_mode, jumping_knowledge, sha1
+):
+    # the same runs on the float32 inputs of prepare_dataset, as shipped
+    digest = seeded_digest(prepare_dataset, dims, pooling, edge_mode, jumping_knowledge)
+    assert digest == sha1
+
+
+def seeded_digest(prepare, dims, pooling, edge_mode, jumping_knowledge) -> str:
+    """The :func:`trained_digest` of a short seeded training on the bundle
+    that ``prepare`` makes of a 4x4 grid."""
     gridset, _ = synth_teleconnection_dataset(4, 4, 44, 1, seed=3)
-    bundle = prepare_dataset(gridset, window=3, lead=1, train_fraction=0.75)
+    bundle = prepare(gridset, window=3, lead=1, train_fraction=0.75)
     model_cfg = GcnConfig(
         layer_dims=list(dims), pooling=pooling, use_jumping_knowledge=jumping_knowledge
     )
     cfg = TrainConfig(seed=2, epochs=3, batch_size=8, embed_dim=4, weight_decay=1e-4)
     state = build_model(bundle, model_cfg, cfg, edge_mode=edge_mode)
-    assert trained_digest(state, bundle, cfg) == sha1
+    return trained_digest(state, bundle, cfg)
 
 
 def trained_digest(state, bundle, cfg) -> str:
@@ -161,7 +229,7 @@ def test_seeded_training_bits_in_the_csr_regime_are_pinned():
     cfg = TrainConfig(seed=28102, epochs=3, batch_size=8, embed_dim=4, max_edges=n)
     state = build_model(bundle, GcnConfig(layer_dims=[8, 8], pooling="sum_and_mean"), cfg)
     assert model_edges(state)[0].sparse
-    assert trained_digest(state, bundle, cfg) == "50db238a9a90bf3898742a475b03e25f8ac4e194"
+    assert trained_digest(state, bundle, cfg) == "3638376dc93ec07bd5a3ff4976c64a9f9fb63e55"
 
 
 def test_empty_sample_set_rejected():
@@ -340,14 +408,14 @@ def test_training_resumes_from_a_checkpoint_exactly(tmp_path, edge_mode):
     assert predictions[0] == predictions[1]
 
 
-def pinned_state(edge_mode):
-    """A small model whose every checkpointed value comes from uniform draws
-    (no BLAS, so its bytes do not depend on the host): an ONI node with NaN
-    coordinates, non-default running statistics, and an optimizer record in
-    learned mode."""
+def pinned_state(edge_mode, dtype=np.float32):
+    """A small ``dtype`` model whose every checkpointed value comes from
+    uniform draws (no BLAS, so its bytes do not depend on the host): an ONI
+    node with NaN coordinates, non-default running statistics, and an
+    optimizer record in learned mode."""
     rng = np.random.default_rng(2024)
     n = 7
-    static = rng.uniform(-2.0, 2.0, (n, 4))
+    static = rng.uniform(-2.0, 2.0, (n, 4)).astype(dtype)
     latlon = np.column_stack([rng.uniform(-20.0, 20.0, n), rng.uniform(150.0, 260.0, n)])
     latlon[-1] = np.nan
     fixed = None
@@ -363,7 +431,10 @@ def pinned_state(edge_mode):
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
         norm.running.var[...] = rng.uniform(0.5, 2.0, norm.running.var.shape)
     if edge_mode == "learned":
-        velocity = {name: rng.uniform(-0.1, 0.1, t.shape) for name, t in state.parameters()}
+        velocity = {
+            name: rng.uniform(-0.1, 0.1, t.shape).astype(dtype)
+            for name, t in state.parameters()
+        }
         state.optimizer = Sgd(0.005, 0.9, 1e-4, velocity)
     return state
 
@@ -371,9 +442,10 @@ def pinned_state(edge_mode):
 @pytest.mark.parametrize(
     "edge_mode, sha1",
     [
-        ("learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
-        ("local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
+        ("learned", "30e721f4424b725a0521fd1a269b6236bd2b55a5"),
+        ("local", "2a8aa242cf14b6fbaf48fdd52d87457696723f62"),
     ],
+    ids=["learned", "local"],
 )
 def test_checkpoint_bytes_are_pinned(tmp_path, edge_mode, sha1):
     path = tmp_path / "model.ckpt"
@@ -382,6 +454,52 @@ def test_checkpoint_bytes_are_pinned(tmp_path, edge_mode, sha1):
     # what loads saves back to the same bytes
     save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def version1_checkpoint(state) -> bytes:
+    """The checkpoint of ``state`` as format version 1 wrote it: the
+    manifest of version 2 with offsets of 8 bytes per value, and a blob of
+    little-endian float64."""
+    entries = training._checkpoint_entries(state)
+    tensors, offset = [], 0
+    for name, arr in entries.items():
+        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    optimizer = state.optimizer and {
+        k: getattr(state.optimizer, k) for k in training.OPTIMIZER_FIELDS
+    }
+    manifest = {
+        "format_version": 1,
+        "model": asdict(state.config),
+        "structure": {k: getattr(state.structure, k) for k in training.STRUCTURE_FIELDS},
+        "edge_mode": state.edge_mode,
+        "has_oni_node": state.has_oni_node,
+        "seed": state.seed,
+        "optimizer": optimizer,
+        "tensors": tensors,
+        "blob_bytes": offset,
+    }
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in entries.values())
+    return training.CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob
+
+
+@pytest.mark.parametrize(
+    "edge_mode, sha1",
+    [
+        # the pins of version 1's test_checkpoint_bytes_are_pinned
+        ("learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
+        ("local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
+    ],
+    ids=["learned", "local"],
+)
+def test_a_version1_checkpoint_is_refused(tmp_path, edge_mode, sha1):
+    raw = version1_checkpoint(pinned_state(edge_mode, np.float64))
+    assert hashlib.sha1(raw).hexdigest() == sha1  # byte for byte as version 1 wrote it
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="format version 1; this build reads version 2"):
+        load_checkpoint(path)
 
 
 def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -487,7 +605,7 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].pop("max_edges")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=2)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=3)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=10.5)),

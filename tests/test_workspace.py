@@ -37,25 +37,31 @@ def desk_setup(edge_mode="learned", epochs=2):
 
 
 def test_take_reuses_only_free_buffers_by_size():
+    f32 = np.dtype(np.float32)
     with Workspace() as ws:
-        a = ws.take((4, 8))
-        b = ws.take((4, 8))  # a is held: a second buffer
+        a = ws.take((4, 8), f32)
+        b = ws.take((4, 8), f32)  # a is held: a second buffer
         assert ws.misses == 2 and not np.shares_memory(a, b)
         del a
-        c = ws.take((3, 8))  # a smaller shape fits the freed buffer
-        assert ws.misses == 2 and c.shape == (3, 8) and np.shares_memory(c, ws.buffers[0])
+        c = ws.take((3, 8), f32)  # a smaller shape fits the freed buffer
+        assert ws.misses == 2 and c.shape == (3, 8) and np.shares_memory(c, ws.buffers[f32][0])
         view = b.T
         del b
-        d = ws.take((4, 8))  # b's buffer is still viewed
+        d = ws.take((4, 8), f32)  # b's buffer is still viewed
         assert ws.misses == 3 and not np.shares_memory(d, view)
         del d
-        e = ws.take((1, 8))  # a free buffer twice the size or more stays free
+        e = ws.take((1, 8), f32)  # a free buffer twice the size or more stays free
         assert ws.misses == 4 and e.base.size == 8
+        del c
+        wide = ws.take((3, 8), np.float64)  # a free float32 buffer is not of its dtype
+        assert ws.misses == 5 and wide.dtype == np.float64
+        assert not any(np.shares_memory(wide, buf) for buf in ws.buffers[f32])
+        assert all(buf.dtype == dtype for dtype, bufs in ws.buffers.items() for buf in bufs)
         with pytest.raises(RuntimeError, match="already active"):
             with Workspace():
                 pass
         assert Workspace.active() is ws
-    assert Workspace.active() is None and ws.buffers == []
+    assert Workspace.active() is None and ws.buffers == {}
 
 
 @pytest.mark.parametrize("edge_mode", ["learned", "local"])
@@ -92,7 +98,8 @@ def test_desk_training_takes_new_buffers_only_in_the_first_step_of_each_batch_si
     # first step of its size, no step holds new arrays as large as one
     # (batch * N, 16) layer output (the next batch's inputs are 6 wide)
     fresh = np.subtract([step[4] for step in steps[1:]] + [peak], [step[3] for step in steps])
-    layer_output = cfg.batch_size * state.node_count * min(state.config.layer_dims) * 8
+    itemsize = state.mlp_w1.data.itemsize
+    layer_output = cfg.batch_size * state.node_count * min(state.config.layer_dims) * itemsize
     assert [k for k, b in enumerate(fresh) if b >= layer_output and k not in first] == []
 
 
@@ -201,13 +208,14 @@ def test_a_train_mode_batchnorm_backward_takes_one_workspace_buffer(monkeypatch)
     takes = []
     take = Workspace.take
 
-    def counted(self, shape):
+    def counted(self, shape, dtype):
         takes.append(shape)
-        return take(self, shape)
+        return take(self, shape, dtype)
 
     monkeypatch.setattr(Workspace, "take", counted)
     with Workspace(), Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, "train", RunningStats.initial(8), "elu")
+        running = RunningStats.initial(8, np.float64)
+        out = batchnorm_features(z, gamma, beta, "train", running, "elu")
         takes.clear()
         grads = tape.entries[-1].rule(rng.normal(size=out.shape))
     assert takes == [(40, 8)]
