@@ -330,7 +330,11 @@ class EdgeIndex:
     def from_flat(cls, n: int, flat: Array) -> "EdgeIndex":
         """The edges at ascending row-major indices ``i * n + j`` of an
         n x n array; indices on the diagonal are dropped."""
-        rows, cols = np.divmod(flat[flat % (n + 1) != 0], n)
+        rows = flat // n
+        cols = flat - rows * n
+        off = rows != cols
+        if not off.all():
+            rows, cols = rows[off], cols[off]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, rows.astype(np.int32), cols.astype(np.int32), indptr)

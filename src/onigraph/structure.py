@@ -11,12 +11,13 @@ nodes are free to accumulate many more connections than others.
 The graph has one form, built in :func:`kept_edges`: the list of kept edges
 and their scores, one op of this module's own on top of the two ``matmul``
 feature products, recorded through ``autodiff.record_op``. One dense pass
-computes every logit; only the kept scores are recorded, so neither the
-tape nor the gradient of the embedding maps holds an N x N array. The
-sigmoid is strictly increasing, so selection (:func:`top_edges`) ranks
-logits, mostly without copying them, and scores only the kept entries. Ops
-on the graph pick a dense or a CSR kernel from its density
-(:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
+computes every unscaled logit ``E_from @ E_to^T``; only the kept scores are
+recorded, so neither the tape nor the gradient of the embedding maps holds
+an N x N array. A positive ``score_gain`` and the sigmoid both keep the
+logits' order, so selection (:func:`top_edges`) ranks the unscaled logits,
+mostly without copying them, and the gain and the sigmoid apply to the
+kept logits only. Ops on the graph pick a dense or a CSR kernel from its
+density (:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class StructureParams:
                      and starves w_from / w_to of gradient; TrainConfig's
                      1.0 keeps tanh in its responsive range.
     score_gain:      pre-sigmoid scale; larger values sharpen edge scores
-                     away from 0.5. Selection ranks the logits, whose
-                     order a positive scale keeps, so the kept edges do
-                     not depend on it even where scores saturate at 1.0.
+                     away from 0.5. Selection ranks the unscaled logits
+                     and the gain scales only the kept ones, so the kept
+                     edges do not depend on it, even where scaling would
+                     round two logits to one value or overflow them.
     max_edges:       budget on off-diagonal nonzeros after sparsification.
     """
 
@@ -80,21 +82,53 @@ class StructureParams:
 # Number of flat logits in the strided sample from which top_edges guesses
 # the e-th largest logit; graphs of at most this many entries (up to 90
 # nodes, every desk grid) are ranked in full. At N=1345 and e=8N in float32
-# (one BLAS thread, 2 vCPUs), a sample of 2048 is taken and partitioned in
-# 0.02 ms and leaves 29,639 candidates to partition in 0.04 ms; 8192, 0.06
-# ms and 23,829 in 0.03-0.04 ms; 32768, 0.30-0.32 ms and 19,556 in 0.03 ms.
-# The candidate pass over every logit, 1.2-1.5 ms, does not depend on it
-# beyond noise. Ranking in full took 2.7-3.7 ms.
+# (the untrained learned model of a 32x42 grid, one BLAS thread, 2 vCPUs),
+# a sample of 2048 is taken and partitioned in 0.01-0.02 ms and leaves
+# 36,149 candidates to partition in 0.05-0.07 ms; 8192, 0.03 ms and 19,209
+# in 0.04 ms; 32768, 0.16-0.17 ms and 19,051 in 0.03-0.04 ms. The candidate
+# pass over every logit took 0.9-1.3 ms at 2048, 0.9-1.0 ms at 8192 and
+# 0.7-1.0 ms at 32768. Ranking in full took 3.0-4.0 ms.
 _SAMPLE_SIZE = 8192
+
+
+# Eight True bytes read as one word: a word of a boolean mask holds a False
+# exactly when it differs from this one, whatever the byte order.
+_TRUE_WORD = np.uint64(0x0101010101010101)
+# Candidate masks of at least this many entries are read a word at a time
+# (_false_positions), smaller ones byte by byte: there the word pass's dozen
+# extra numpy calls cost more than the bytes it skips. In float32 on 2
+# vCPUs, with the bound 16N entries down (8N when ranked in full), the word
+# pass took 24 us against 8 at N=65, 58 against 43 at N=200 and 86 against
+# 111 at N=300 (random embeddings), and 0.29 against 0.68 ms at N=1345 (the
+# untrained model of a 32x42 grid).
+_WORD_SCAN_SIZE = 1 << 16
+
+
+def _false_positions(mask: Array) -> Array:
+    """``np.flatnonzero(~mask)`` of a contiguous boolean vector, found eight
+    bytes at a time: only the words that hold a False are read byte by
+    byte, and the last ``mask.size % 8`` entries one by one."""
+    head = mask.size - mask.size % 8
+    words = mask[:head].view(np.uint64)
+    hit = np.flatnonzero(words != _TRUE_WORD)
+    at = np.flatnonzero(np.logical_not(words.take(hit).view(np.bool_)))
+    found = hit[at >> 3]  # then in place: fewer candidate-sized temporaries
+    found *= 8
+    found += at & 7
+    tail = np.flatnonzero(np.logical_not(mask[head:]))
+    return np.concatenate((found, tail + head)) if tail.size else found
 
 
 def _candidates(flat: Array, n: int, lo: float) -> tuple[Array, Array]:
     """Ascending flat indices of the off-diagonal logits at or above ``lo``,
     and those logits; a NaN among them is rejected."""
-    # ~(flat < lo) also collects every NaN, so none escapes the check below
+    # flat < lo is False at every NaN, so none escapes the check below
     below = np.less(flat, lo)
-    candidates = np.flatnonzero(np.logical_not(below, out=below))
-    candidates = candidates[candidates % (n + 1) != 0]
+    below[:: n + 1] = True  # the diagonal takes no slot
+    if below.size < _WORD_SCAN_SIZE:
+        candidates = np.flatnonzero(np.logical_not(below, out=below))
+    else:
+        candidates = _false_positions(below)
     values = flat[candidates]
     if np.isnan(values).any():
         raise NumericError("edge logits contain NaN")
@@ -107,7 +141,8 @@ def _sampled_candidates(flat: Array, n: int, e: int) -> tuple[Array, Array, floa
     fewer than ``e`` candidates reach the guess."""
     stride = flat.size // _SAMPLE_SIZE
     sample = flat[::stride].copy()
-    sample[np.arange(0, flat.size, stride) % (n + 1) == 0] = -np.inf  # no diagonal
+    # no diagonal: sample k sits on it when k * stride is a multiple of n + 1
+    sample[:: (n + 1) // math.gcd(stride, n + 1)] = -np.inf
     # a guess about 2e entries down: the sample's estimate of the e-th
     # largest logit sits at rank e * sample.size / flat.size
     rank = min(2 * e * sample.size // flat.size + 8, sample.size)
@@ -120,15 +155,13 @@ def _sampled_candidates(flat: Array, n: int, e: int) -> tuple[Array, Array, floa
 
 def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
     """Edge list of the ``max_edges`` off-diagonal entries with the largest
-    logits, and their scores ``sigmoid(logits)``.
+    logits, and those logits.
 
     Equal logits go to the smallest (row, col) pair, so the selection is
-    fully deterministic. The sigmoid is strictly increasing, so these are
-    the entries with the largest scores as well; only the kept entries are
-    scored. The diagonal never competes for the budget; a budget above the
-    off-diagonal count keeps every off-diagonal entry. Infinite logits
-    rank like any other value; NaN logits have no rank and are rejected.
-    ``logits`` itself is left unchanged.
+    fully deterministic. The diagonal never competes for the budget; a
+    budget above the off-diagonal count keeps every off-diagonal entry.
+    Infinite logits rank like any other value; NaN logits have no rank and
+    are rejected. ``logits`` itself is left unchanged.
 
     Above ``_SAMPLE_SIZE`` entries, a strided sample guesses a logit about
     2e entries down, one pass collects the off-diagonal candidates at or
@@ -136,9 +169,9 @@ def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
     logit (:func:`_sampled_candidates`). With fewer than e candidates, and
     on smaller graphs, the e-th largest logit comes from one copy of every
     entry with the diagonal ranked last, partitioned in place, and the same
-    pass collects the candidates at or above it. The candidates above the
-    e-th largest logit are kept, and the remaining slots go to its first
-    ties in (row, col) order.
+    pass collects the candidates at or above it. The candidates at or
+    above the e-th largest logit are kept, but for its last ties in (row,
+    col) order past the budget.
     """
     n = logits.shape[0]
     if max_edges < 0:
@@ -158,10 +191,12 @@ def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
         del ranked  # freed before the candidate pass
         picked = (*_candidates(flat, n, kth), kth)
     candidates, values, kth = picked
-    keep = values > kth
-    ties = np.flatnonzero(values == kth)
-    keep[ties[: e - np.count_nonzero(keep)]] = True
-    return EdgeIndex.from_flat(n, candidates[keep]), _sigmoid(values[keep])
+    keep = values >= kth
+    surplus = np.count_nonzero(keep) - e  # ties of kth past the budget
+    if surplus:
+        keep[np.flatnonzero(values == kth)[-surplus:]] = False
+    kept = np.flatnonzero(keep)
+    return EdgeIndex.from_flat(n, candidates[kept]), values[kept]
 
 
 def kept_edges(
@@ -173,15 +208,17 @@ def kept_edges(
     Scores are sigmoid(score_gain * E_from @ E_to^T) with
     E_* = tanh(feature_gain * static_features @ w_*). The two feature
     products are ``matmul`` ops; everything after them is one recorded op.
-    The logits are computed densely, and :func:`top_edges` selects the kept
-    edges straight into the row-major edge list by logit, scoring only the
-    kept entries. Recomputed from the current parameters on every call, so
+    The unscaled logits E_from @ E_to^T are computed densely, and
+    :func:`top_edges` selects the kept edges straight into the row-major
+    edge list by logit; ``score_gain`` and the sigmoid apply to the kept
+    logits only. Recomputed from the current parameters on every call, so
     training sees a fresh graph each optimization step. Passing ``edges``
     skips selection and scores a fixed edge set, gathering only its
     logits, which keeps the forward pass differentiable at a frozen
     sparsity pattern (used by gradient checks, where re-selection would
     make finite differences meaningless). Either way the scores are
-    ``_sigmoid`` of the gathered logits, with the same bits.
+    ``_sigmoid`` of the gathered logits times ``score_gain``, with the
+    same bits.
 
     Only the kept scores are recorded, so the tape holds no N x N array.
     Backward scatters the score gradient into one n x n matrix, CSR or
@@ -201,11 +238,11 @@ def kept_edges(
     # a contiguous copy of E_to^T: BLAS rounds the product with a transposed
     # view differently, and seeded training histories keep these bits
     logits = emb_from @ emb_to.T.copy()
-    logits *= score_gain
     if edges is None:
         edges, kept = top_edges(logits, params.max_edges)
     else:
-        kept = _sigmoid(logits[edges.rows, edges.cols])
+        kept = logits[edges.rows, edges.cols]
+    kept = _sigmoid(np.multiply(kept, score_gain, out=kept), out=kept)
     out = _make_output(kept, *products)
 
     def rule(g: Array):

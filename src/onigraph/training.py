@@ -12,6 +12,7 @@ after the configured number of epochs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -421,21 +422,23 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
             f"checkpoint format version {manifest['format_version']!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
-    blob = raw[12 + manifest_len :]
+    blob = memoryview(raw)[12 + manifest_len :]
 
+    # read-only views of the blob, copied only where init_params takes them
     arrays: dict[str, Array] = {}
     for entry in manifest["tensors"]:
         start, shape = entry["offset"], tuple(entry["shape"])
-        end = start + BLOB_DTYPE.itemsize * int(np.prod(shape))
-        if end > len(blob):
+        # math.prod is exact, where np.prod wraps 2**33 x 2**31 to 0
+        count = int(math.prod(shape))  # int(inf) raises OverflowError
+        if start + BLOB_DTYPE.itemsize * count > len(blob):
             raise FormatError(f"tensor {entry['name']!r} overruns the checkpoint blob")
-        values = np.frombuffer(blob[start:end], BLOB_DTYPE).reshape(shape)
-        arrays[entry["name"]] = values.astype(np.float32)
+        values = np.frombuffer(blob, BLOB_DTYPE, count, offset=start)
+        arrays[entry["name"]] = values.reshape(shape)
 
     def grab(name: str) -> Array:
         if name not in arrays:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-        return arrays[name]
+        return arrays[name].astype(np.float32)
 
     # Refuse widths whose weights alone overrun the blob before init_params
     # allocates them. Then build the model the way training does, require the

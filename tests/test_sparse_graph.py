@@ -285,11 +285,11 @@ def old_kept_edges(p, edges=None):
         for w in (p.w_from, p.w_to)
     )
     logits = emb_from.data @ emb_to.data.T.copy()
-    logits *= p.score_gain
     if edges is None:
         edges, kept = top_edges(logits, p.max_edges)
     else:
-        kept = _sigmoid(logits[edges.rows, edges.cols])
+        kept = logits[edges.rows, edges.cols]
+    kept = _sigmoid(kept * p.score_gain)
     return edges, _old_edge_scores(emb_from, emb_to, edges, p.score_gain, kept)
 
 

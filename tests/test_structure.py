@@ -1,9 +1,10 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onigraph.autodiff import (
@@ -18,8 +19,16 @@ from onigraph.autodiff import (
 )
 from onigraph.errors import ConfigError, NumericError
 from onigraph import structure
+from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.model import GcnConfig, init_params, model_adjacency
-from onigraph.structure import _SAMPLE_SIZE, StructureParams, kept_edges, top_edges
+from onigraph.structure import (
+    _SAMPLE_SIZE,
+    StructureParams,
+    _false_positions,
+    kept_edges,
+    top_edges,
+)
+from onigraph.training import TrainConfig, build_model
 
 
 def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, feature_gain=1.0, score_gain=2.0):
@@ -107,7 +116,7 @@ def test_keep_all_when_budget_covers_offdiagonal():
 def test_two_node_example_keeps_largest():
     logits = np.array([[0.9, 0.1], [0.4, 0.9]])
     edges, kept = top_edges(logits, 1)
-    np.testing.assert_array_equal(edges.dense(kept), [[0.0, 0.0], [_sigmoid(logits)[1, 0], 0.0]])
+    np.testing.assert_array_equal(edges.dense(kept), [[0.0, 0.0], [0.4, 0.0]])
     assert (edges.rows.tolist(), edges.cols.tolist()) == ([1], [0])
 
 
@@ -240,10 +249,9 @@ def test_top_edges_indptr_holds_csr_row_pointers():
 
 
 def assert_selects_like_lexsort(logits, e):
-    """The kept edges and their score bits are the first ``e`` off-diagonal
+    """The kept edges and their logit bits are the first ``e`` off-diagonal
     entries of a lexsort by descending logit, then row, then column."""
     n = logits.shape[0]
-    sig = _sigmoid(logits).ravel()
     rows, cols = np.divmod(np.arange(n * n), n)
     off = np.flatnonzero(rows != cols)
     ranked = off[np.lexsort((cols[off], rows[off], -logits.ravel()[off]))]
@@ -251,7 +259,7 @@ def assert_selects_like_lexsort(logits, e):
     edges, values = top_edges(logits, e)
     np.testing.assert_array_equal(edges.rows, kept // n)
     np.testing.assert_array_equal(edges.cols, kept % n)
-    np.testing.assert_array_equal(values.view(np.uint64), sig[kept].view(np.uint64))
+    np.testing.assert_array_equal(values.view(np.uint64), logits.ravel()[kept].view(np.uint64))
 
 
 def test_top_edges_at_full_grid_size_matches_lexsort():
@@ -364,6 +372,40 @@ def test_off_diagonal_nan_at_an_unsampled_position_rejected(guesses):
     assert guesses == []  # the sampled attempt raised, and a zero budget never samples
 
 
+@pytest.mark.parametrize("n", [6, 258], ids=["ranked_in_full", "word_scan"])
+def test_off_diagonal_nan_past_the_last_whole_word_rejected(n, guesses):
+    # n * n leaves 4 logits past the last whole 8-byte word of the
+    # candidate mask, and (n - 1, n - 2) is the last off-diagonal one
+    logits = np.random.default_rng(n).normal(size=(n, n))
+    logits[n - 1, n - 2] = math.nan
+    assert (n * n) % 8 == 4 and (n * n >= structure._WORD_SCAN_SIZE) == (n > 6)
+    with pytest.raises(NumericError):
+        top_edges(logits, 8 * n)
+    assert guesses == []  # the sampled attempt raised, if there was one
+
+
+_MASKED_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf, math.nan])
+_MASK_BOUNDS = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_MASKED_VALUES, max_size=100),
+    _MASK_BOUNDS,
+    st.sampled_from([np.float32, np.float64]),
+)
+@example([1.0] * 13 + [math.nan] * 7, math.inf, np.float64)  # NaN only past the last word
+@example([0.5] * 21, math.inf, np.float32)  # every entry below lo
+@example([-math.inf] * 21, -math.inf, np.float32)  # every entry at or above lo
+@example([math.inf, -1.0, math.nan, 0.0, 1.0], 0.5, np.float64)  # shorter than one word
+def test_candidate_extraction_matches_flatnonzero(values, lo, dtype):
+    flat = np.array(values, dtype=dtype)
+    got = _false_positions(np.less(flat, lo))
+    want = np.flatnonzero(~(flat < lo))
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_diagonal_nan_accepted_on_a_strided_sample(guesses):
     n = 150
     logits = np.random.default_rng(4).normal(size=(n, n))
@@ -391,13 +433,12 @@ def test_strided_selection_leaves_logits_untouched(guesses):
 
 
 def assert_selects_like_bruteforce(logits, e):
-    """The kept edges are those of a sort over every logit, and their score
-    bits those of the sigmoid of every logit."""
-    scores = _sigmoid(logits)
+    """The kept edges are those of a sort over every logit, and their
+    logits keep their bits."""
     flat = np.flatnonzero(bruteforce_mask(logits, e))
     edges, values = top_edges(logits, e)
     np.testing.assert_array_equal(edges.rows.astype(np.intp) * logits.shape[0] + edges.cols, flat)
-    np.testing.assert_array_equal(values.view(np.uint64), scores.ravel()[flat].view(np.uint64))
+    np.testing.assert_array_equal(values.view(np.uint64), logits.ravel()[flat].view(np.uint64))
 
 
 # logits whose scores saturate at 1.0 (x >= 37) or round to a few subnormal
@@ -564,6 +605,92 @@ def test_kept_set_invariant_to_score_gain():
         for mask in masks[1:]:
             np.testing.assert_array_equal(masks[0], mask)
     assert np.all(values.data == 1.0)  # the last run: n=30 at gain 60
+
+
+def tanh_preimage(t):
+    """A float32 ``w`` with ``np.tanh(w) == t``, stepped to from atanh(t)."""
+    w = np.float32(math.atanh(t))
+    for _ in range(16):
+        got = np.tanh(w)
+        if got == t:
+            return w
+        w = np.nextafter(w, np.float32(math.inf if got < t else -math.inf))
+    raise AssertionError(f"no float32 tanh preimage of {t!r}")
+
+
+def two_logit_params(low, high, gain):
+    """Float32 params of 4 nodes whose unscaled logits are ``low`` at (0, 1),
+    ``high`` at (2, 3) and 0 elsewhere, with a budget of one edge."""
+    # identity features, so E_* = tanh(w_*): receivers 1 and 3 embed as
+    # (1, 1, 0, 0) and (0, 0, 1, 1), tanh(20) being 1.0, and senders 0 and 2
+    # as two exact halves of their logit
+    half = np.float32(0.75)
+    w_from = np.zeros((4, 4), np.float32)
+    w_from[0, :2] = tanh_preimage(half), tanh_preimage(low - half)
+    w_from[2, 2:] = tanh_preimage(half), tanh_preimage(high - half)
+    w_to = np.zeros((4, 4), np.float32)
+    w_to[1, :2] = w_to[3, 2:] = 20.0
+    logits = np.tanh(w_from) @ np.tanh(w_to).T
+    assert (logits[0, 1], logits[2, 3]) == (low, high)
+    assert np.count_nonzero(logits) == 2
+    return StructureParams(
+        static_features=Tensor(np.eye(4, dtype=np.float32)),
+        w_from=Tensor(w_from),
+        w_to=Tensor(w_to),
+        feature_gain=1.0,
+        score_gain=gain,
+        max_edges=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "low, high, gain",
+    [
+        (1.5000002, 1.5000004, 1.5),
+        (1.5000002, 1.5000004, 3.0),
+        (1.5000011, 1.5000012, 0.9),
+        (1.5000002, 1.5000004, 3e38),  # both overflow to +inf
+    ],
+)
+def test_score_gain_cannot_round_the_kept_logit_into_a_tie(low, high, gain):
+    low, high = np.float32(low), np.float32(high)
+    with np.errstate(over="ignore"):
+        # scaled, the two logits would tie, and the tie go to (0, 1)
+        assert low < high and low * gain == high * gain
+        edges, values = kept_edges(two_logit_params(low, high, gain))
+        want = _sigmoid(np.array([high]) * gain)
+    assert (edges.rows.tolist(), edges.cols.tolist()) == ([2], [3])
+    assert values.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 120], ids=["ranked_in_full", "strided_sample"])
+def test_kept_set_of_float32_params_does_not_depend_on_score_gain(n, guesses):
+    rng = np.random.default_rng(30401 + n)
+    features, w_from, w_to = (
+        Tensor(rng.normal(size=shape).astype(np.float32)) for shape in ((n, 6), (6, 8), (6, 8))
+    )
+    kept = []
+    for gain in (0.9, 1.5, 2.0, 3.0, 60.0):
+        edges, _ = kept_edges(
+            StructureParams(features, w_from, w_to, 1.0, gain, max_edges=8 * n)
+        )
+        kept.append((edges.rows.tobytes(), edges.cols.tobytes()))
+    assert kept == kept[:1] * 5
+    assert guesses == ([True] * 5 if n * n > _SAMPLE_SIZE else [])
+
+
+def test_kept_edges_at_the_benchmark_size_are_pinned(guesses):
+    # the 32x42 grid plus the ONI node (N=1345) with the default budget of
+    # 8N, untrained: the strided-sample selection at the benchmark's size
+    grid, _ = synth_teleconnection_dataset(32, 42, 60, 1, seed=30201)
+    bundle = prepare_dataset(grid, window=3, lead=1, train_fraction=0.75)
+    state = build_model(bundle, GcnConfig(layer_dims=[32, 16]), TrainConfig(seed=30202))
+    edges, values = kept_edges(state.structure)
+    assert edges.rows.size == 8 * 1345 and guesses == [True]
+    digest = hashlib.sha1(edges.rows.tobytes())
+    digest.update(edges.cols.tobytes())
+    digest.update(values.data.tobytes())
+    assert digest.hexdigest() == "e33975d4eb9f56cf3373ac959834f3ac97c4991d"
 
 
 @settings(max_examples=40, deadline=None)

@@ -565,6 +565,19 @@ def test_checkpoint_tensor_of_wrong_shape_rejected(tmp_path, name, shape):
         load_checkpoint(path)
 
 
+def test_checkpoint_shape_past_the_blob_rejected_before_reading(tmp_path):
+    # 2**33 * 2**31 values: a product that wraps to 0 in int64 must still
+    # count as past the end of the blob
+    def widen(manifest):
+        manifest["tensors"][0]["shape"] = [2**33, 2**31]
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("learned"), path)
+    path.write_bytes(_rewrite_manifest(path.read_bytes(), widen))
+    with pytest.raises(FormatError, match="overruns the checkpoint blob"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_keeps_its_own_feature_gain(tmp_path):
     # a checkpoint made under another default gain must not pick up the current one
     bundle, _, model_cfg, _ = tiny_setup()
