@@ -15,7 +15,8 @@ lead_months, and the grid's variable count as features_per_node. --preset,
 --seed, --lead and ablation's --seeds win over the train section. evaluate
 and predict take the window, the lead and, unless data.oni_node is set, the
 ONI node from the first checkpoint. Checkpoints and grid manifests must hold
-every field of their records, while config sections may omit keys.
+every field of their records, nested ones included, while config sections
+may omit keys; an error names the field's path (checkpoint.tensors[3].offset).
 
 ablation prints each seed's test r and RMSE with learned and local edges.
 Where --data holds the synth_spec.json of synth-data, each learned row adds

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import stat
 import sys
 from dataclasses import dataclass, replace
@@ -43,7 +44,7 @@ SPEC_NAME = "synth_spec.json"
 
 
 # ---------------------------------------------------------------------------
-# typed JSON records: config sections, checkpoint manifests, grid manifests
+# typed JSON records: config sections, checkpoint manifests, grid manifests, specs
 
 
 def field_types(source, drop=()) -> dict:
@@ -69,31 +70,38 @@ def _checkable(hint) -> bool:
 
 def _typed(value, hint, where: str):
     """value as the annotated type: ints widen to float, floats must be
-    finite, a bool is never an int, and nothing else converts."""
+    finite, a bool is never an int, and nothing else converts. A field
+    table reads a record, and each record of a list is named by its index."""
     if hint is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-    elif type(value) is hint:  # never true of a generic hint, which falls through
+    elif type(value) is hint:  # never true of a generic hint or a table, which fall through
         return value
+    elif type(hint) is dict:
+        return read_record(hint, value, where)
     elif get_origin(hint) is list:
         if isinstance(value, list):
-            return [_typed(v, get_args(hint)[0], where) for v in value]
+            item = get_args(hint)[0]
+            if type(item) is dict:  # records are named by index, other items by their list
+                return [read_record(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+            return [_typed(v, item, where) for v in value]
     elif get_args(hint):  # X | None
         return None if value is None else _typed(value, get_args(hint)[0], where)
-    name = "finite float" if hint is float else hint.__name__ if type(hint) is type else str(hint)
+    name = "finite float" if hint is float else getattr(hint, "__name__", str(hint))
     raise ConfigError(f"{where} must be of type {name}, got {value!r}")
 
 
 def read_record(types: dict, values, where: str, partial: bool = False) -> dict:
     """The JSON object ``values``, each value as its type in the table
-    ``types`` (:func:`_typed`). Every key must be in the table, and every
-    field of the table present unless ``partial``. Raises ConfigError."""
+    ``types`` (:func:`_typed`), so that one call reads a file whole. Every
+    key must be in the table, and every field of the table present unless
+    ``partial``. Raises ConfigError naming the path of the field."""
     if type(values) is not dict:
         raise ConfigError(f"{where} must be a JSON object, got {type(values).__name__}")
-    if unknown := sorted(values.keys() - types.keys()):
-        raise ConfigError(f"unknown key {where}.{unknown[0]}; {where} takes {list(types)}")
-    if missing := [k for k in types if k not in values and not partial]:
-        raise ConfigError(f"{where} is missing {missing}")
+    if unknown := values.keys() - types.keys():
+        raise ConfigError(f"unknown key {min(unknown)!r} in {where}; {where} takes {list(types)}")
+    if len(values) < len(types) and not partial:
+        raise ConfigError(f"{where} is missing {[k for k in types if k not in values]}")
     return {k: _typed(v, types[k], f"{where}.{k}") for k, v in values.items()}
 
 
@@ -130,6 +138,9 @@ class GridSet:
                 raise FormatError(f"unknown variable name {name!r}")
             if self.variables.count(name) > 1:
                 raise FormatError(f"variable {name!r} is named more than once")
+        axes = (self.lat0, self.dlat, self.n_lat, 90), (self.lon0, self.dlon, self.n_lon, 360)
+        if not all(abs(a) <= b and abs(a + d * (n - 1)) <= b for a, d, n, b in axes):
+            raise FormatError("grid latitudes must lie within +-90 and longitudes within +-360")
 
     @property
     def lats(self) -> Array:
@@ -186,15 +197,16 @@ def load_gridset(path: str | Path) -> GridSet:
     try:
         fields = read_record(GRID_FIELDS, manifest, "manifest")
         mask_name, data_name = fields.pop("mask_file"), fields.pop("data_file")
-        if any(Path(name).name != name for name in (mask_name, data_name)):
-            raise ValueError(f"{mask_name!r} and {data_name!r} must name files in the container")
         n_lat, n_lon, n_time = fields["n_lat"], fields["n_lon"], fields["n_time"]
-        year, month = fields["start_month"].split("-")
+        if any(Path(name).name != name for name in (mask_name, data_name)):
+            raise ConfigError(f"manifest.mask_file {mask_name!r} and data_file {data_name!r} "
+                              "must name files in the container")
         if min(n_lat, n_lon, n_time) < 1:
-            raise ValueError(f"grid sizes must be positive, got {n_lat}x{n_lon}x{n_time}")
-        if not (year.isdigit() and 1 <= int(month) <= 12):
-            raise ValueError(f"start_month {fields['start_month']!r} is not YYYY-MM")
-    except (ConfigError, ValueError) as exc:
+            sizes = f"{n_lat}x{n_lon}x{n_time}"
+            raise ConfigError(f"manifest.n_lat, n_lon and n_time must be >= 1, got {sizes}")
+        if not re.fullmatch("[0-9]{4}-(0[1-9]|1[0-2])", month := fields["start_month"]):
+            raise ConfigError(f"manifest.start_month must be YYYY-MM, got {month!r}")
+    except ConfigError as exc:
         raise FormatError(f"bad manifest field in {directory}: {exc}") from exc
 
     shape = (n_time, len(fields["variables"]), n_lat, n_lon)
@@ -247,7 +259,7 @@ def oni_region_cells(grid: GridSet) -> Array:
     region = np.outer(lat_ok, lon_ok) & ~grid.land_mask
     cells = np.argwhere(region)
     if cells.size == 0:
-        raise DataError("no ocean cells inside the ONI region (5N-5S, 120-170W)")
+        raise DataError("the grid has no ocean cells inside the ONI region (5N-5S, 120-170W)")
     return cells
 
 
@@ -330,6 +342,9 @@ def build_samples(grid: GridSet, nodes: NodeIndex, window: int, lead: int, oni: 
     """
     if window < 1 or lead < 1:
         raise ConfigError(f"window and lead must be >= 1, got {window}, {lead}")
+    if window + lead > grid.n_time:  # no window's target month is in the grid
+        raise DataError(f"no sample window has a defined target: window {window} and "
+                        f"lead_months {lead} leave none of the grid's {grid.n_time} months")
     oni = np.asarray(oni)
     ends = np.arange(window - 1, grid.n_time - lead)
     ends = ends[np.isfinite(oni[ends + lead])]
@@ -442,9 +457,8 @@ def local_adjacency(nodes: NodeIndex) -> Array:
     dlat = np.abs(lat[:, None] - lat[None, :])
     dlon = np.abs(lon[:, None] - lon[None, :])
     dlon = np.minimum(dlon, 360.0 - dlon)
-    tol = 1e-9
+    tol = 1e-9  # a NaN distance, to or from the ONI node, is near nothing
     near = (dlat <= LOCAL_REACH + tol) & (dlon <= LOCAL_REACH + tol)
-    near &= ~np.isnan(dlat) & ~np.isnan(dlon)
     adjacency = near.astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
     return adjacency

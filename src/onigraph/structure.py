@@ -81,13 +81,7 @@ class StructureParams:
 
 # Number of flat logits in the strided sample from which top_edges guesses
 # the e-th largest logit; graphs of at most this many entries (up to 90
-# nodes, every desk grid) are ranked in full. At N=1345 and e=8N in float32
-# (the untrained learned model of a 32x42 grid, one BLAS thread, 2 vCPUs),
-# a sample of 2048 is taken and partitioned in 0.01-0.02 ms and leaves
-# 36,149 candidates to partition in 0.05-0.07 ms; 8192, 0.03 ms and 19,209
-# in 0.04 ms; 32768, 0.16-0.17 ms and 19,051 in 0.03-0.04 ms. The candidate
-# pass over every logit took 0.9-1.3 ms at 2048, 0.9-1.0 ms at 8192 and
-# 0.7-1.0 ms at 32768. Ranking in full took 3.0-4.0 ms.
+# nodes, every desk grid) are ranked in full. CHANGES.md has the timings.
 _SAMPLE_SIZE = 8192
 
 
@@ -96,11 +90,7 @@ _SAMPLE_SIZE = 8192
 _TRUE_WORD = np.uint64(0x0101010101010101)
 # Candidate masks of at least this many entries are read a word at a time
 # (_false_positions), smaller ones byte by byte: there the word pass's dozen
-# extra numpy calls cost more than the bytes it skips. In float32 on 2
-# vCPUs, with the bound 16N entries down (8N when ranked in full), the word
-# pass took 24 us against 8 at N=65, 58 against 43 at N=200 and 86 against
-# 111 at N=300 (random embeddings), and 0.29 against 0.68 ms at N=1345 (the
-# untrained model of a 32x42 grid).
+# extra numpy calls cost more than the bytes it skips (CHANGES.md).
 _WORD_SCAN_SIZE = 1 << 16
 
 
@@ -228,9 +218,10 @@ def kept_edges(
     """
     if edges is not None and edges.n != params.node_count:
         raise DimensionError(f"frozen edges of {edges.n} nodes for {params.node_count} nodes")
-    feature_gain, score_gain = params.feature_gain, params.score_gain
+    feature_gain = params.feature_gain
     products = tuple(matmul(params.static_features, w) for w in (params.w_from, params.w_to))
-    pre = [product.data * feature_gain for product in products]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = [product.data * feature_gain for product in products]
     # checked before the tanh, which maps an overflow to a finite +-1
     if not all(np.isfinite(x).all() for x in pre):
         raise NumericError("structure embedding: feature_gain * static_features @ w overflows")
@@ -242,11 +233,14 @@ def kept_edges(
         edges, kept = top_edges(logits, params.max_edges)
     else:
         kept = logits[edges.rows, edges.cols]
-    kept = _sigmoid(np.multiply(kept, score_gain, out=kept), out=kept)
+    # overflows saturate to 1 or 0; a kept logit of 0 keeps 0.5 at any gain
+    gain = min(params.score_gain, float(np.finfo(kept.dtype).max))
+    with np.errstate(over="ignore"):
+        kept = _sigmoid(np.multiply(kept, gain, out=kept), out=kept)
     out = _make_output(kept, *products)
 
     def rule(g: Array):
-        grad = edges.matrix(g * kept * (1.0 - kept) * score_gain)
+        grad = edges.matrix(g * kept * (1.0 - kept) * gain)
         # operands laid out as in the backward of the dense product
         # E_from @ copy(E_to^T): BLAS rounds other layouts differently, and
         # seeded training histories keep these bits; the CSR products give

@@ -16,7 +16,6 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 
@@ -44,11 +43,7 @@ CHECKPOINT_MAGIC = b"ONIG"
 FORMAT_VERSION = 2
 BLOB_DTYPE = np.dtype("<f4")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
-# block's (rows, width) arrays stay a few MB. On a 2-vCPU Xeon with one
-# BLAS thread, predicting 44 windows of a 32/16-wide float32 model at
-# N=1345 took a median 20 to 29 ms at 8,192 to 32,768 rows, with no size
-# ahead of the others over three sweeps, 36 ms at 2,690, 42 ms at 1,345 and
-# 33 ms in one pass over all 59,180 rows (the graph's 5 ms included).
+# block's (rows, width) arrays stay a few MB; CHANGES.md has the timings.
 PREDICT_BLOCK_ROWS = 8192
 
 
@@ -164,9 +159,7 @@ def train(
     prints nothing before it. The workspace is dropped when ``train``
     returns or raises, because nothing after training reads its buffers:
     evaluation runs outside any workspace, in blocks of
-    ``PREDICT_BLOCK_ROWS`` rows. Kept, the buffers would stay resident for
-    nothing: 8.9 MB in float32 at N=1345 with widths 32/16 and batch 8,
-    four times the 2.2 MB that one evaluation block peaks at.
+    ``PREDICT_BLOCK_ROWS`` rows that peak at a quarter of the pool's size.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
@@ -332,17 +325,19 @@ def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -
 #
 # Single file: a 4-byte magic, an 8-byte little-endian manifest length, the
 # JSON manifest, then one blob of little-endian float32 values (BLOB_DTYPE),
-# the dtype the loaded model computes in. The manifest holds exactly the
-# fields of CHECKPOINT_FIELDS: the model config, structure and optimizer
-# hyperparameters (each with its own table), the edge mode, the ONI node
-# flag, the seed, and every tensor's shape and offset into the blob.
-CHECKPOINT_FIELDS = {
-    "format_version": int, "model": dict, "structure": dict, "edge_mode": str, "has_oni_node": bool,
-    "seed": int, "optimizer": dict | None, "tensors": list, "blob_bytes": int,
-}
+# the dtype the loaded model computes in. The manifest is one record of
+# CHECKPOINT_FIELDS, read by data.read_record: nested tables hold the model
+# config, the structure hyperparameters and each tensor's name, shape and
+# byte offset, and the optimizer's, when present, is read with its own.
 MODEL_FIELDS = field_types(GcnConfig)
 STRUCTURE_FIELDS = field_types(StructureParams, drop=("static_features", "w_from", "w_to"))
 OPTIMIZER_FIELDS = field_types(Sgd, drop=("velocity",))
+TENSOR_FIELDS = {"name": str, "shape": list[int], "offset": int}
+CHECKPOINT_FIELDS = {
+    "format_version": int, "model": MODEL_FIELDS, "structure": STRUCTURE_FIELDS,
+    "edge_mode": str, "has_oni_node": bool, "seed": int, "optimizer": dict | None,
+    "tensors": list[TENSOR_FIELDS], "blob_bytes": int,
+}
 
 
 def _checkpoint_entries(state: ModelState) -> dict[str, Array]:
@@ -406,49 +401,48 @@ def load_checkpoint(path: str | Path) -> ModelState:
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
     try:
-        return _decode_checkpoint(raw)
-    except (struct.error, LookupError, TypeError, ValueError, OverflowError, ConfigError) as exc:
-        # truncated header, undecodable manifest, missing or mistyped field,
-        # a size past any int (1e999), or values the model cannot be built from
-        raise FormatError(f"bad checkpoint {path}: {exc!r}") from exc
+        (manifest_len,) = struct.unpack_from("<Q", raw, 4)
+        manifest = json.loads(raw[12 : 12 + manifest_len].decode())
+    except (struct.error, ValueError) as exc:  # a truncated header, not UTF-8, or not JSON
+        raise FormatError(f"bad checkpoint {path}: {exc}") from exc
+    try:
+        return _decode_checkpoint(manifest, memoryview(raw)[12 + manifest_len :])
+    except ConfigError as exc:  # a missing or mistyped field, or a value the model refuses
+        raise FormatError(f"bad checkpoint {path}: {exc}") from exc
 
 
-def _decode_checkpoint(raw: bytes) -> ModelState:
-    (manifest_len,) = struct.unpack("<Q", raw[4:12])
-    manifest = json.loads(raw[12 : 12 + manifest_len].decode())
+def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
+    """The model of a checkpoint's JSON ``manifest`` and its ``blob``."""
     manifest = read_record(CHECKPOINT_FIELDS, manifest, "checkpoint")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise FormatError(
-            f"checkpoint format version {manifest['format_version']!r}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
-    blob = memoryview(raw)[12 + manifest_len :]
+    if (version := manifest["format_version"]) != FORMAT_VERSION:
+        raise FormatError(f"checkpoint format version {version}; "
+                          f"this build reads version {FORMAT_VERSION}")
+    if manifest["seed"] < 0:  # numpy seeds with non-negative integers only
+        raise ConfigError(f"checkpoint.seed must be >= 0, got {manifest['seed']}")
+    stored = len(blob) // BLOB_DTYPE.itemsize
+    tensors = {entry["name"]: entry for entry in manifest["tensors"]}
 
-    # read-only views of the blob, copied only where init_params takes them
-    arrays: dict[str, Array] = {}
-    for entry in manifest["tensors"]:
-        start, shape = entry["offset"], tuple(entry["shape"])
-        # math.prod is exact, where np.prod wraps 2**33 x 2**31 to 0
-        count = int(math.prod(shape))  # int(inf) raises OverflowError
-        if start + BLOB_DTYPE.itemsize * count > len(blob):
-            raise FormatError(f"tensor {entry['name']!r} overruns the checkpoint blob")
-        values = np.frombuffer(blob, BLOB_DTYPE, count, offset=start)
-        arrays[entry["name"]] = values.reshape(shape)
-
-    def grab(name: str) -> Array:
-        if name not in arrays:
+    def grab(name: str) -> Array:  # a matrix that init_params takes, copied
+        if name not in tensors:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-        return arrays[name].astype(np.float32)
+        shape, start = tensors[name]["shape"], tensors[name]["offset"]
+        # math.prod is exact (np.prod wraps 2**33 x 2**31 to 0); no size passes the blob
+        if len(shape) != 2 or min(*shape, start) < 0 or max(shape) > stored or (
+            start + BLOB_DTYPE.itemsize * math.prod(shape) > len(blob)
+        ):
+            raise ConfigError(f"checkpoint tensor {name!r} of shape {shape} at offset {start} is "
+                              f"not a matrix, or overruns the checkpoint blob of {len(blob)} bytes")
+        view = np.frombuffer(blob, BLOB_DTYPE, math.prod(shape), start)
+        return view.reshape(shape).astype(np.float32)
 
     # Refuse widths whose weights alone overrun the blob before init_params
-    # allocates them. Then build the model the way training does, require the
-    # tensor table that save_checkpoint writes for it, and fill every tensor.
-    config = GcnConfig(**read_record(MODEL_FIELDS, manifest["model"], "model"))
+    # allocates them, build the model as training does, require the tensor
+    # table that save_checkpoint writes for it, and fill each tensor from it.
+    config = GcnConfig(**manifest["model"])
     dims, pooled = [config.input_width, *config.layer_dims], config.pooled_width
     size = sum(a * b for a, b in zip(dims, dims[1:])) + (pooled + 1) * (config.mlp_hidden or pooled)
-    if BLOB_DTYPE.itemsize * size > len(blob):
-        values = len(blob) // BLOB_DTYPE.itemsize
-        raise FormatError(f"model needs {size} weights; the blob holds {values} values")
+    if size > stored:
+        raise FormatError(f"model needs {size} weights; the blob holds {stored} values")
     state = init_params(
         config,
         grab("structure.static_features"),
@@ -458,25 +452,22 @@ def _decode_checkpoint(raw: bytes) -> ModelState:
         embed_dim=grab("structure.w_from").shape[1],
         edge_mode=manifest["edge_mode"],
         fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
-        **read_record(STRUCTURE_FIELDS, manifest["structure"], "structure"),
+        **manifest["structure"],
     )
     if manifest["optimizer"] is not None:
-        opt = read_record(OPTIMIZER_FIELDS, manifest["optimizer"], "optimizer")
+        opt = read_record(OPTIMIZER_FIELDS, manifest["optimizer"], "checkpoint.optimizer")
         velocity = {name: np.zeros_like(t.data) for name, t in state.parameters()}
         state.optimizer = Sgd(**opt, velocity=velocity)
     entries = _checkpoint_entries(state)
     table, blob_bytes = _tensor_table(entries)
-    # compared as JSON text, so that a true is not taken for the offset 1
-    text = partial(json.dumps, sort_keys=True)
-    if text(manifest["tensors"]) != text(table):
-        pairs = zip_longest(table, manifest["tensors"])
-        want, found = next((w, f) for w, f in pairs if text(w) != text(f))
-        raise FormatError(f"checkpoint tensor entry {found} where the model has {want}")
+    if manifest["tensors"] != table:
+        pairs = enumerate(zip_longest(table, manifest["tensors"]))
+        i, want, found = next((i, w, f) for i, (w, f) in pairs if w != f)
+        raise FormatError(f"checkpoint.tensors[{i}] is {found} where the model has {want}")
     if not len(blob) == manifest["blob_bytes"] == blob_bytes:
-        raise FormatError(
-            f"checkpoint blob holds {len(blob)} bytes, its manifest says "
-            f"{manifest['blob_bytes']} and its tensors fill {blob_bytes}"
-        )
-    for name, target in entries.items():
-        target[...] = arrays[name]
+        raise FormatError(f"checkpoint blob holds {len(blob)} bytes, its manifest says "
+                          f"{manifest['blob_bytes']} and its tensors fill {blob_bytes}")
+    for target, entry in zip(entries.values(), table):
+        view = np.frombuffer(blob, BLOB_DTYPE, target.size, entry["offset"])
+        target[...] = view.reshape(target.shape)
     return state

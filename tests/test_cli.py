@@ -23,6 +23,7 @@ from onigraph import cli, data as dat
 from onigraph.cli import CONFIG_SECTIONS, cli_dispatch, resolve_configs
 from onigraph.errors import ConfigError, ConvergenceError, FormatError
 from onigraph.model import GcnConfig, init_params
+from onigraph.structure import kept_edges
 from onigraph.training import (
     CHECKPOINT_FIELDS,
     CHECKPOINT_MAGIC,
@@ -877,6 +878,7 @@ _CHECKPOINT_EDITS = {
     "float_blob_bytes": lambda m: m.update(blob_bytes=float(m["blob_bytes"])),
     "bool_learning_rate": lambda m: m["optimizer"].update(learning_rate=True),
     "bool_momentum": lambda m: m["optimizer"].update(momentum=False),
+    "lead_past_any_int64": lambda m: m["model"].update(lead_months=10**30),
 }
 _GRID_EDITS = {
     "grid_missing_lat0": lambda m: m.pop("lat0"),
@@ -886,6 +888,7 @@ _GRID_EDITS = {
     "infinite_lon0": lambda m: m.update(lon0=math.inf),
     "string_variables": lambda m: m.update(variables="sst_anomaly"),
     "repeated_variable": lambda m: m.update(variables=["sst_anomaly", "sst_anomaly"]),
+    "overflowing_dlat": lambda m: m.update(dlat=1e308),
 }
 
 
@@ -999,8 +1002,55 @@ def test_checkpoint_shape_past_any_int_exits_2(checkpoint, tmp_path, capsys):
     args = ["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")]
     assert cli_dispatch(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: bad checkpoint") and "OverflowError" in err
+    assert err.startswith("data error: bad checkpoint") and "checkpoint.tensors[0].shape" in err
+    assert "Error" not in err  # the reader names the field, not an exception class
     assert not (tmp_path / "heat.csv").exists()
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("name", ["structure.static_features", "structure.w_from"])
+def test_checkpoint_matrix_of_another_rank_exits_2_naming_it(name, rank, checkpoint, tmp_path,
+                                                             capsys):
+    # as many values as the saved matrix, so the blob still parses
+    def reshape(manifest):
+        (entry,) = [t for t in manifest["tensors"] if t["name"] == name]
+        rows, cols = entry["shape"]
+        entry["shape"] = [rows * cols] if rank == 1 else [1, rows, cols]
+
+    ckpt = tmp_path / "m.ckpt"
+    _edit_checkpoint_manifest(checkpoint, ckpt, reshape)
+    args = ["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")]
+    assert cli_dispatch(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: bad checkpoint {ckpt}: ") and repr(name) in err
+    assert "Error" not in err
+    assert not (tmp_path / "heat.csv").exists()
+
+
+def test_a_feature_gain_that_overflows_is_a_numeric_failure(checkpoint, synth_dir, tmp_path):
+    ckpt = tmp_path / "gain.ckpt"
+    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(feature_gain=1e300))
+    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)])
+    assert proc.returncode == 3 and proc.stderr == (
+        "numeric failure: structure embedding: feature_gain * static_features @ w overflows\n"
+    )
+
+
+@pytest.mark.parametrize("gain", [3e38, 1e308])
+def test_a_score_gain_past_float32_evaluates_without_a_warning(gain, checkpoint, synth_dir,
+                                                               tmp_path):
+    # each kept score saturates to 0 or 1 (0.5 at a zero logit), and the kept
+    # edges are those of the trained gain
+    ckpt = tmp_path / "gain.ckpt"
+    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(score_gain=gain))
+    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    edges, scores = kept_edges(load_checkpoint(ckpt).structure)
+    trained, _ = kept_edges(load_checkpoint(checkpoint).structure)
+    assert scores.data.dtype == np.float32 and set(scores.data.tolist()) <= {0.0, 0.5, 1.0}
+    assert (edges.rows.tobytes(), edges.cols.tobytes()) == (
+        trained.rows.tobytes(), trained.cols.tobytes()
+    )
 
 
 @pytest.mark.parametrize(

@@ -663,6 +663,19 @@ def test_score_gain_cannot_round_the_kept_logit_into_a_tie(low, high, gain):
     assert values.data.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("gain", [3e38, 1e308])
+def test_a_gain_past_float32_saturates_the_scores_without_a_warning(gain):
+    # no errstate here: the test settings turn numpy's overflow warning into
+    # an error. Every off-diagonal edge is kept: the logit -0.125 at (0, 1)
+    # saturates to 0, 1.5 at (2, 3) to 1, and the zero logits keep 0.5
+    params = two_logit_params(np.float32(-0.125), np.float32(1.5), gain)
+    params.max_edges = 12
+    edges, scores = kept_edges(params)
+    want = np.full((4, 4), 0.5, np.float32)
+    want[0, 1], want[2, 3] = 0.0, 1.0
+    assert scores.data.tobytes() == want[edges.rows, edges.cols].tobytes()
+
+
 @pytest.mark.parametrize("n", [30, 120], ids=["ranked_in_full", "strided_sample"])
 def test_kept_set_of_float32_params_does_not_depend_on_score_gain(n, guesses):
     rng = np.random.default_rng(30401 + n)
