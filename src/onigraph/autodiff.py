@@ -20,6 +20,14 @@ operands of two dtypes raise ``TypeError``. The trained model computes in
 float32 (``data.prepare_dataset`` hands over float32 inputs); gradient
 checks build float64 tensors.
 
+Ops do not check their outputs: products, aggregation, bias and residual
+adds, pooling and flatten carry inf and NaN forward by IEEE rules.
+Finiteness is checked where such a value could vanish or would leave the
+model, each check raising ``NumericError``: in :func:`batchnorm_features`
+before the activation (ELU, tanh and sigmoid map +-inf to finite values),
+in ``structure.kept_edges`` before the embedding's tanh and on the edge
+logits, in :func:`mse_loss`, and on ``training.predict_samples``' output.
+
 Inside a ``with Workspace():`` block the ops write their step-sized
 arrays into reused buffers instead of fresh ones, with the same bits.
 ``training.train`` holds one for exactly the length of the call, so
@@ -231,8 +239,6 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], rule: BackwardRule) ->
 
 
 def _make_output(data: Array, *inputs: Tensor) -> Tensor:
-    if not np.all(np.isfinite(data)):
-        raise NumericError("non-finite value produced by a tensor op")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -592,6 +598,8 @@ def batchnorm_features(
     )
     y = np.multiply(xc, scale, out=_empty(z.shape, dtype) if records else xc)
     y += beta.data
+    if not np.all(np.isfinite(y)):
+        raise NumericError("non-finite value produced by a tensor op")
     out = _make_output(y, z, gamma, beta)
     act(y)
     if not records:
@@ -654,7 +662,8 @@ def pool_blocks(parts: Sequence[Tensor], block_rows: int, kind: str) -> Tensor:
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over two equal-length vectors; scalar output."""
+    """Mean squared error over two equal-length vectors; scalar output.
+    A non-finite loss raises ``NumericError``."""
     if pred.data.ndim != 1 or target.data.ndim != 1 or pred.shape != target.shape:
         raise DimensionError(f"mse_loss length mismatch: {pred.shape} vs {target.shape}")
     b = pred.shape[0]
@@ -663,6 +672,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     _dtype(pred.data, target.data)
     diff = pred.data - target.data
     out = _make_output(np.asarray((diff @ diff) / b), pred, target)
+    if not np.isfinite(out.data):
+        raise NumericError("non-finite value produced by a tensor op")
 
     def rule(g: Array):
         base = (2.0 / b) * diff * g

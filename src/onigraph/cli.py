@@ -165,10 +165,8 @@ def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, Train
         values = config.get(name, {})
         if type(values) is not dict:
             raise ConfigError(f"config section {name!r} must be a JSON object")
-        for key in sorted(values.keys() - types.keys()):
-            if name == "model" and key in MODEL_FACTS:
-                raise ConfigError(f"model.{key} describes the data, not the architecture")
-            raise ConfigError(f"unknown config key {name}.{key}; {name} takes {list(types)}")
+        if name == "model" and (facts := sorted(values.keys() & MODEL_FACTS)):
+            raise ConfigError(f"model.{facts[0]} describes the data, not the architecture")
         resolved[name] = dat.read_record(types, values, name, partial=True)
 
     train_cfg = TrainConfig(**resolved["train"] | {k: v for k, v in flags.items() if v is not None})
@@ -186,8 +184,8 @@ def _prepare(args, checkpoint=None, **flags) -> tuple[GcnConfig, TrainConfig, da
         config = json.loads(dat.read_file(Path(args.config)).decode()) if args.config else {}
     except FormatError as exc:  # missing, not a regular file, no permission
         raise DataError(str(exc).replace("cannot read", "cannot read config file", 1)) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSON, UTF-8 or an integer past Python's digit limit
+        raise FormatError(f"config file {args.config} is not readable JSON: {exc}") from exc
     grid = dat.load_gridset(args.data)
     model_cfg, train_cfg, opts = resolve_configs(config, len(grid.variables), **flags)
     if checkpoint is not None:

@@ -154,12 +154,14 @@ def train(
 
     The steps run in one ``autodiff.Workspace``, so each step reuses the
     buffers of the step before, and with numpy's overflow and invalid-value
-    warnings off: a diverging step ends in the ``NumericError`` of its first
-    non-finite op output or loss, with its epoch and batch appended, and
-    prints nothing before it. The workspace is dropped when ``train``
-    returns or raises, because nothing after training reads its buffers:
-    evaluation runs outside any workspace, in blocks of
-    ``PREDICT_BLOCK_ROWS`` rows that peak at a quarter of the pool's size.
+    warnings off: a diverging step ends, before its backward pass, in the
+    ``NumericError`` of the first finiteness check it fails (a normalized
+    pre-activation, the structure embedding or the loss; see ``autodiff``),
+    with its epoch and batch appended, and prints nothing before it. The
+    workspace is dropped when ``train`` returns or raises, because nothing
+    after training reads its buffers: evaluation runs outside any
+    workspace, in blocks of ``PREDICT_BLOCK_ROWS`` rows that peak at a
+    quarter of the pool's size.
     """
     if len(samples) < 2:
         raise DataError(f"cannot train on {len(samples)} sample(s); batch normalization needs 2")
@@ -228,7 +230,8 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     run over blocks of whole samples of at most ``PREDICT_BLOCK_ROWS``
     stacked node rows, and the MLP head once over every sample's pooled
     row, so the predictions have the bits of one eval-mode pass over every
-    sample."""
+    sample. Non-finite predictions raise ``NumericError``; numpy's overflow
+    and invalid-value warnings are off, so nothing prints before it."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
@@ -257,16 +260,20 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
         raise DataError("no samples to predict")
     per_block = max(1, PREDICT_BLOCK_ROWS // first.node_count)
     total = 0.0  # then the members' dtype
-    for member in members:
-        graph = model_edges(member)
-        parts = []
-        for lo in range(0, len(samples), per_block):
-            x = samples.inputs[lo : lo + per_block]
-            rows = Tensor(x.reshape(-1, x.shape[2]))
-            parts.append(pooled_layers(member, rows, len(x), graph, mode="eval").data)
-        pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        total = total + mlp_head(member, Tensor(pooled), mode="eval").data
-    return total / len(members)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for member in members:
+            graph = model_edges(member)
+            parts = []
+            for lo in range(0, len(samples), per_block):
+                x = samples.inputs[lo : lo + per_block]
+                rows = Tensor(x.reshape(-1, x.shape[2]))
+                parts.append(pooled_layers(member, rows, len(x), graph, mode="eval").data)
+            pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            total = total + mlp_head(member, Tensor(pooled), mode="eval").data
+        preds = total / len(members)
+    if not np.all(np.isfinite(preds)):
+        raise NumericError("predictions are not finite: the model diverged")
+    return preds
 
 
 def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalReport:
@@ -470,4 +477,11 @@ def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
     for target, entry in zip(entries.values(), table):
         view = np.frombuffer(blob, BLOB_DTYPE, target.size, entry["offset"])
         target[...] = view.reshape(target.shape)
+    # the ONI node is the one NaN row of node_latlon, and it is last
+    nan_rows = np.isnan(state.node_latlon).any(axis=1).tolist()
+    if nan_rows != [False] * (len(nan_rows) - 1) + [state.has_oni_node]:
+        raise FormatError(
+            f"checkpoint.has_oni_node is {json.dumps(state.has_oni_node)}, but node_latlon has "
+            f"NaN rows {[i for i, nan in enumerate(nan_rows) if nan]} of {len(nan_rows)}"
+        )
     return state

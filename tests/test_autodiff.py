@@ -195,20 +195,29 @@ def test_sigmoid_of_a_gathered_subset_matches_the_dense_bits():
 
 
 def test_nonfinite_op_output_raises_numeric_error():
-    with pytest.raises(NumericError), np.errstate(over="ignore"):
-        matmul(t([[1.0, 1e308]]), t([[10.0], [10.0]]))
+    # ops carry inf and NaN forward by IEEE rules; the loss, where they
+    # leave the model, raises
+    with np.errstate(over="ignore"):
+        product = matmul(t([[1.0, 1e308]]), t([[10.0], [10.0]]))
+    assert np.isposinf(product.data).all()
     with pytest.raises(NumericError):
-        add(t([math.nan]), t([1.0]))
+        mse_loss(flatten(product), t([0.0]))
+    total = add(t([math.nan]), t([1.0]))
+    assert np.isnan(total.data).all()
+    with pytest.raises(NumericError):
+        mse_loss(total, t([1.0]))
 
 
 def test_nonfinite_check_survives_optimized_mode():
     code = (
         "import numpy as np\n"
-        "from onigraph.autodiff import Tensor, matmul\n"
+        "from onigraph.autodiff import Tensor, flatten, matmul, mse_loss\n"
         "from onigraph.errors import NumericError\n"
+        "with np.errstate(over='ignore'):\n"
+        "    pred = flatten(matmul(Tensor([[1e308]]), Tensor([[10.0]])))\n"
+        "print('carried' if np.isposinf(pred.data).all() else 'checked')\n"
         "try:\n"
-        "    with np.errstate(over='ignore'):\n"
-        "        matmul(Tensor([[1e308]]), Tensor([[10.0]]))\n"
+        "    mse_loss(pred, Tensor([0.0]))\n"
         "except NumericError:\n"
         "    print('raised')\n"
     )
@@ -217,7 +226,7 @@ def test_nonfinite_check_survives_optimized_mode():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["carried", "raised"]
 
 
 # --- batchnorm --------------------------------------------------------------

@@ -344,7 +344,7 @@ def _write_config(path, config):
         ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be"),
         ({"model": {"layer_dims": [8, 8.0]}}, "model.layer_dims must be of type int"),
         ({"structure": {"max_edges": 10}}, "unknown config sections ['structure']"),
-        ({"train": {"bogus": 1}}, "unknown config key train.bogus"),
+        ({"train": {"bogus": 1}}, "unknown key 'bogus' in train"),
         ({"model": {"window": 3}}, "model.window describes the data"),
         ({"model": {"lead_months": 2}}, "model.lead_months describes the data"),
         ({"model": {"features_per_node": 1}}, "model.features_per_node describes the data"),
@@ -365,7 +365,7 @@ def test_config_mistakes_are_usage_errors(config, message, synth_dir, tmp_path, 
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "not_json"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "not_json", "long_int"])
 def test_unreadable_config_is_data_error(kind, synth_dir, tmp_path, capsys):
     path = tmp_path / "c.json"
     if kind == "directory":
@@ -374,6 +374,8 @@ def test_unreadable_config_is_data_error(kind, synth_dir, tmp_path, capsys):
         path.write_bytes(b"\xff\xfe{")
     elif kind == "not_json":
         path.write_text("{train:")
+    elif kind == "long_int":  # past Python's 4,300-digit limit for reading an int
+        path.write_text('{"train": {"epochs": ' + "1" * 5000 + "}}")
     args = ["train", "--config", str(path), "--data", str(synth_dir)]
     assert cli_dispatch([*args, "--out", str(tmp_path / "m.ckpt")]) == 2
     assert capsys.readouterr().err.startswith("data error:")
@@ -496,8 +498,8 @@ def test_diverged_training_without_a_test_split_exits_3(synth_dir, tmp_path, cap
 
 
 def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
-    # at this learning rate a batchnorm square and the loss overflow within
-    # ten epochs; no numpy warning may print before the one documented line
+    # at this learning rate the structure weights overflow within ten
+    # epochs; no numpy warning may print before the one documented line
     config = {
         "model": {"layer_dims": [8, 8]},
         "train": {"epochs": 10, "embed_dim": 8, "learning_rate": 100.0},
@@ -507,8 +509,47 @@ def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
     proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
     assert proc.returncode == 3
     assert proc.stderr == (
-        "numeric failure: non-finite value produced by a tensor op at epoch 3, batch 0\n"
+        "numeric failure: structure embedding: feature_gain * static_features @ w overflows"
+        " at epoch 3, batch 0\n"
     )
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def quiet_run(tmp_path_factory):
+    """A 4x4 grid of 48 months and a model trained on it for one epoch."""
+    d = tmp_path_factory.mktemp("quiet")
+    config = _write_config(d / "c.json", {"model": {"layer_dims": [4, 4]},
+                                          "train": {"epochs": 1, "embed_dim": 4}})
+    grid = ["synth-data", "--out", str(d / "grid"), "--lat", "4", "--lon", "4", "--months", "48"]
+    assert cli_dispatch([*grid, "--seed", "32201"]) == 0
+    train = ["train", "--config", config, "--data", str(d / "grid"), "--out", str(d / "m.ckpt")]
+    assert cli_dispatch([*train, "--seed", "32202"]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("mlp_w1", "non-finite value produced by a tensor op"),
+        ("mlp_w2", "predictions are not finite: the model diverged"),
+        ("gcn_weights", "non-finite value produced by a tensor op"),
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_non_finite_evaluation_prints_only_the_typed_error(quiet_run, tmp_path, weight, message,
+                                                          command):
+    # the weight times 3e38 overflows its product in the eval pass; no numpy
+    # warning may print before the one documented line
+    state = load_checkpoint(quiet_run / "m.ckpt")
+    tensor = getattr(state, weight)
+    (tensor[0] if weight == "gcn_weights" else tensor).data *= np.float32(3e38)
+    save_checkpoint(state, tmp_path / "m.ckpt")
+    args = [command, "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(quiet_run / "grid")]
+    out = tmp_path / "p.csv"
+    proc = _run_cli(args + (["--out", str(out)] if command == "predict" else []))
+    assert proc.returncode == 3
+    assert proc.stderr == f"numeric failure: {message}\n"
     assert proc.stdout == "" and not out.exists()
 
 

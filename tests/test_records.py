@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import onigraph
 from onigraph import data as dat
 from onigraph import errors
-from onigraph.cli import cli_dispatch
+from onigraph.cli import CONFIG_SECTIONS, cli_dispatch
 from onigraph.training import CHECKPOINT_FIELDS, CHECKPOINT_MAGIC, OPTIMIZER_FIELDS, TENSOR_FIELDS
 
 # the 4x4 grid of 48 months and the model trained on it that every change edits
@@ -79,6 +79,7 @@ CASES = [
     *(("grid", (key,)) for key in dat.GRID_FIELDS),
     *(("spec", (key,)) for key in dat.SPEC_FIELDS),
 ]
+CONFIG_CASES = [(name, key) for name, types in CONFIG_SECTIONS.items() for key in types]
 
 DELETE = object()
 # any JSON value: null, bools, negative and huge ints, non-integral, infinite
@@ -93,6 +94,9 @@ JSON_VALUES = st.sampled_from(EDGE_VALUES) | st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner),
     max_leaves=6,
 )
+# an int past the 4,300 digits Python reads, written into a config as it
+# stands; json.dumps cannot write it
+LONG_INT = "1" * 5000
 
 
 @st.composite
@@ -113,17 +117,10 @@ EXCEPTION_NAMES = {
 }
 
 
-@pytest.mark.parametrize(
-    "record, path", CASES, ids=[f"{r}:{'.'.join(map(str, p))}" for r, p in CASES]
-)
-@seed(31401)
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_one_changed_field_ends_in_a_typed_error_naming_it(record, path, data, originals, tmp_path):
+def _change_one_field(record, path, data, originals, tmp_path) -> tuple[int, str, Path]:
+    """Copy the originals, change or delete the field at ``path`` of one
+    record, and run the command that reads it: its exit code, standard
+    error and the changed file."""
     work = tmp_path / "work"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(originals, work)
@@ -131,8 +128,11 @@ def test_one_changed_field_ends_in_a_typed_error_naming_it(record, path, data, o
         file = work / "m.ckpt"
         manifest, blob = _split(file.read_bytes())
     else:
-        file = work / "grid" / (dat.MANIFEST_NAME if record == "grid" else dat.SPEC_NAME)
+        file = work / {"grid": f"grid/{dat.MANIFEST_NAME}", "spec": f"grid/{dat.SPEC_NAME}",
+                       "config": "c.json"}[record]
         manifest = json.loads(file.read_text())
+        if record == "config":  # every section, an empty one as if left out
+            manifest = {name: {} for name in CONFIG_SECTIONS} | manifest
     *parents, key = path
     holder = manifest
     for step in parents:
@@ -140,37 +140,73 @@ def test_one_changed_field_ends_in_a_typed_error_naming_it(record, path, data, o
     values = JSON_VALUES | st.just(DELETE)
     if key == "shape":
         values |= same_count(holder[key])
+    if record == "config":  # also under an unknown key, a newline in it
+        values |= st.just(LONG_INT)
+        key = data.draw(st.just(key) | st.just("x\ny") | st.text(max_size=4), label="key")
     value = data.draw(values, label=".".join(map(str, path)))
     if value is DELETE:
-        del holder[key]
+        holder.pop(key, None)
     else:
         holder[key] = value
     if record == "checkpoint":
         file.write_bytes(_join(manifest, blob))
         command = data.draw(st.sampled_from(["evaluate", "centrality"]), label="command")
     else:
-        file.write_text(json.dumps(manifest))
+        file.write_text(json.dumps(manifest).replace(f'"{LONG_INT}"', LONG_INT))
         command = "ablation" if record == "spec" else "evaluate"
     grid, ckpt = ["--data", work / "grid"], ["--checkpoint", work / "m.ckpt"]
+    config = ["--config", work / "c.json"] if record == "config" else []
     args = {
-        "evaluate": ["evaluate", *ckpt, *grid],
+        "evaluate": ["evaluate", *ckpt, *grid, *config],
         "centrality": ["centrality", *ckpt, "--out", work / "heat"],
         "ablation": ["ablation", "--config", work / "c.json", *grid, "--seeds", 0],
     }[command]
     code, err = _quiet(args)
+    if code:
+        prefix = {1: "usage error:", 2: "data error:", 3: "numeric failure:"}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not EXCEPTION_NAMES & set(re.findall(r"\w+", err)), err
+    return code, err, file
+
+
+MUTATION_SETTINGS = settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize(
+    "record, path", CASES, ids=[f"{r}:{'.'.join(map(str, p))}" for r, p in CASES]
+)
+@seed(31401)
+@MUTATION_SETTINGS
+@given(data=st.data())
+def test_one_changed_field_ends_in_a_typed_error_naming_it(record, path, data, originals, tmp_path):
+    code, err, file = _change_one_field(record, path, data, originals, tmp_path)
     # A well-typed value the model's numbers fail on exits 3: a feature gain
     # whose product with the features overflows float32, or an edge budget
     # too small for the graph to have one dominant eigenvector
     assert code in (0, 2, 3), err
-    if code:
-        prefix = "numeric failure:" if code == 3 else "data error:"
-        assert err.startswith(prefix) and err.count("\n") == 1, err
-        assert not EXCEPTION_NAMES & set(re.findall(r"\w+", err)), err
     if code == 2:
         names = {record, str(file), *(p for p in path if isinstance(p, str))}
         if record == "checkpoint":
             names |= {"model"}  # the record a checkpoint holds
         assert any(name in err for name in names), err
+
+
+@pytest.mark.parametrize("path", CONFIG_CASES, ids=[".".join(p) for p in CONFIG_CASES])
+@seed(32401)
+@MUTATION_SETTINGS
+@given(data=st.data())
+def test_one_changed_config_field_ends_in_a_typed_error_naming_it(path, data, originals, tmp_path):
+    # evaluate resolves the config without training, so a huge epochs cannot
+    # time out; a value the config reader refuses is a usage error
+    code, err, file = _change_one_field("config", path, data, originals, tmp_path)
+    assert code in (0, 1, 2), err
+    if code:
+        message = err.split(":", 1)[1]
+        assert any(name in message for name in ("config", str(file), *path)), err
 
 
 def test_an_unknown_key_is_named_in_quotes_on_one_line():

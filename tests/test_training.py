@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,47 @@ def test_seeded_training_bits_in_the_csr_regime_are_pinned():
     state = build_model(bundle, GcnConfig(layer_dims=[8, 8], pooling="sum_and_mean"), cfg)
     assert model_edges(state)[0].sparse
     assert trained_digest(state, bundle, cfg) == "3638376dc93ec07bd5a3ff4976c64a9f9fb63e55"
+
+
+# edge mode, grid side, pooling, and whether the graph is in the CSR regime
+# (a learned CSR graph takes an edge budget of N)
+PLANTED_CASES = [
+    ("learned", 4, "mean", False),
+    ("learned", 6, "sum_and_mean", True),
+    ("local", 4, "sum_and_mean", False),
+    ("local", 12, "mean", True),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "edge_mode, side, pooling, csr", PLANTED_CASES, ids=[f"{c[0]}-{c[1]}" for c in PLANTED_CASES]
+)
+def test_a_planted_non_finite_parameter_stops_the_first_step(edge_mode, side, pooling, csr, value):
+    # IEEE rules carry the planted value to a batchnorm pre-activation check,
+    # the structure embedding check or the loss within the first forward
+    # pass, so nothing is stepped and nothing warns
+    gridset, _ = synth_teleconnection_dataset(side, side, 48, 1, seed=32201)
+    bundle = prepare_dataset(gridset, window=3, lead=1)
+    budget = bundle.nodes.count if csr and edge_mode == "learned" else None
+    cfg = TrainConfig(seed=32202, batch_size=8, embed_dim=4, max_edges=budget)
+    model_cfg = GcnConfig(layer_dims=[8, 8], pooling=pooling)
+    assert model_cfg.use_residual
+    count = len(build_model(bundle, model_cfg, cfg, edge_mode).parameters())
+    for i in range(count):
+        state = build_model(bundle, model_cfg, cfg, edge_mode)
+        assert model_edges(state)[0].sparse == csr
+        params = state.parameters()
+        name, planted = params[i]
+        planted.data.flat[0] = value
+        before = [t.data.tobytes() for _, t in params]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                predict_samples(state, bundle.test)
+            with pytest.raises(NumericError, match="at epoch 0, batch 0$"):
+                train(state, bundle.train, cfg)
+        assert [t.data.tobytes() for _, t in params] == before, name
 
 
 def test_empty_sample_set_rejected():
@@ -666,6 +708,23 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path, corrupt):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("oni_node", [True, False])
+def test_checkpoint_has_oni_node_must_match_the_nan_row(tmp_path, oni_node):
+    # the ONI node is the one NaN row of node_latlon, and it is last
+    gridset, _ = synth_teleconnection_dataset(4, 4, 48, 1, seed=32201)
+    bundle = prepare_dataset(gridset, window=3, lead=1, oni_node=oni_node)
+    state = build_model(bundle, GcnConfig(layer_dims=[4]), TrainConfig(seed=32202, embed_dim=4))
+    assert np.isnan(state.node_latlon[-1]).all() == oni_node
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    raw = path.read_bytes()
+    path.write_bytes(_rewrite_manifest(raw, lambda m: m.update(has_oni_node=not oni_node)))
+    with pytest.raises(FormatError, match="checkpoint.has_oni_node"):
+        load_checkpoint(path)
+    path.write_bytes(raw)
+    assert load_checkpoint(path).has_oni_node == oni_node
 
 
 @pytest.mark.parametrize(
