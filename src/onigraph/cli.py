@@ -13,10 +13,13 @@ or key, or a value of another type, is a usage error. The model is the
 preset with the model section on top, the train section's window and
 lead_months, and the grid's variable count as features_per_node. --preset,
 --seed, --lead and ablation's --seeds win over the train section. evaluate
-and predict take the window, the lead and, unless data.oni_node is set, the
-ONI node from the first checkpoint. Checkpoints and grid manifests must hold
-every field of their records, nested ones included, while config sections
-may omit keys; an error names the field's path (checkpoint.tensors[3].offset).
+and predict take the window, the lead and the ONI node from the first
+checkpoint; a data.oni_node that differs from it is a usage error. The
+architecture's other choices are fixed: ELU activations, a residual in
+every layer of equal widths, and pooling of every layer. Checkpoints and
+grid manifests must hold every field of their records, nested ones
+included, while config sections may omit keys; an error names the field's
+path (checkpoint.tensors[3].offset).
 
 ablation prints each seed's test r and RMSE with learned and local edges.
 Where --data holds the synth_spec.json of synth-data, each learned row adds
@@ -178,8 +181,8 @@ def resolve_configs(config, n_variables: int, **flags) -> tuple[GcnConfig, Train
 
 def _prepare(args, checkpoint=None, **flags) -> tuple[GcnConfig, TrainConfig, dat.DatasetBundle]:
     """Resolve --config against the --data grid and prepare its samples. A
-    checkpoint's model fixes the window, the lead and, unless data.oni_node
-    is set, the ONI node."""
+    checkpoint's model fixes the window, the lead and the ONI node, which a
+    config's data.oni_node must not contradict."""
     try:
         config = json.loads(dat.read_file(Path(args.config)).decode()) if args.config else {}
     except FormatError as exc:  # missing, not a regular file, no permission
@@ -190,7 +193,11 @@ def _prepare(args, checkpoint=None, **flags) -> tuple[GcnConfig, TrainConfig, da
     model_cfg, train_cfg, opts = resolve_configs(config, len(grid.variables), **flags)
     if checkpoint is not None:
         model_cfg = checkpoint.config
-        opts = {"oni_node": checkpoint.has_oni_node, **opts}
+        if opts.setdefault("oni_node", checkpoint.has_oni_node) != checkpoint.has_oni_node:
+            raise ConfigError(
+                f"data.oni_node is {json.dumps(opts['oni_node'])}, but checkpoint "
+                f"{args.checkpoint[0]} has has_oni_node {json.dumps(checkpoint.has_oni_node)}"
+            )
     bundle = dat.prepare_dataset(grid, window=model_cfg.window, lead=model_cfg.lead_months, **opts)
     return model_cfg, train_cfg, bundle
 
@@ -308,7 +315,6 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed + 99)
     batch = 3
     worst = 0.0
-    defaults = TrainConfig()  # the structure learner's gains
     # a graph dense enough for the dense aggregation kernels, and one
     # sparse enough for the CSR kernels, each with one of the two poolings
     for n, max_edges, pooling in ((6, 18, "mean"), (40, 40, "sum_and_mean")):
@@ -319,7 +325,6 @@ def cmd_gradcheck(args) -> int:
             np.column_stack([rng.uniform(-60, 60, n), rng.uniform(0, 360, n)]),
             seed=seed,
             embed_dim=3,
-            feature_gain=defaults.feature_gain, score_gain=defaults.score_gain,
             max_edges=max_edges,
         )
         x = Tensor(rng.normal(size=(batch * n, config.input_width)))

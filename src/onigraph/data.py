@@ -279,10 +279,11 @@ def compute_oni_series(grid: GridSet, k: int = 3) -> Array:
     """Centered k-month running mean of the ONI-region SST-anomaly mean.
 
     Months without a full window are NaN (and later dropped from sample
-    construction). k must be odd.
+    construction). k must be odd; it is ``prepare_dataset``'s smoothing_k,
+    which a config's data section sets, and an error names it so.
     """
     if k < 1 or k % 2 == 0:
-        raise ConfigError(f"running-mean window must be an odd positive int, got {k}")
+        raise ConfigError(f"data.smoothing_k must be an odd positive int, got {k}")
     if "sst_anomaly" not in grid.variables:
         raise DataError("ONI needs the sst_anomaly variable")
     sst = grid.variables.index("sst_anomaly")

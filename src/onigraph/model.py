@@ -2,13 +2,12 @@
 
 Stacked graph convolutions over a learned (or fixed local) adjacency,
 batch normalization over the feature dimension in place of in-degree
-normalization followed by ELU activations, optional residual connections
-between equal-width layers, a jumping-knowledge readout that pools every
-layer's node rows per graph straight into the head input (one op,
-``autodiff.pool_blocks``), and a two-layer MLP head that emits one scalar.
-Normalization and activation run as one fused op,
-``autodiff.batchnorm_features`` with an ``activation``, in every layer and
-in the head.
+normalization followed by ELU activations, a residual connection in every
+layer whose input and output widths are equal, a jumping-knowledge readout
+that pools every layer's node rows per graph straight into the head input
+(one op, ``autodiff.pool_blocks``), and a two-layer MLP head that emits one
+scalar. Normalization and the ELU run as one fused op,
+``autodiff.batchnorm_features``, in every layer and in the head.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ACTIVATIONS, POOLINGS, RunningStats, Tensor
+from .autodiff import POOLINGS, RunningStats, Tensor
 from .errors import ConfigError, DimensionError
 from .structure import StructureParams, kept_edges
 
@@ -55,9 +54,6 @@ class GcnConfig:
     layer_dims: list[int]
     pooling: str = "mean"
     mlp_hidden: int | None = None  # None: same width as the pooled embedding
-    activation: str = "elu"
-    use_residual: bool = True
-    use_jumping_knowledge: bool = True
     window: int = 3  # months of input per sample
     features_per_node: int = 2  # SST anomaly + heat content anomaly
     lead_months: int = 1
@@ -67,8 +63,6 @@ class GcnConfig:
             raise ConfigError(f"layer_dims must be non-empty positive ints, got {self.layer_dims}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.window < 1 or self.features_per_node < 1 or self.lead_months < 1:
             raise ConfigError("window, features_per_node and lead_months must be >= 1")
         if self.mlp_hidden is not None and self.mlp_hidden < 1:
@@ -80,7 +74,7 @@ class GcnConfig:
 
     @property
     def pooled_width(self) -> int:
-        d = sum(self.layer_dims) if self.use_jumping_knowledge else self.layer_dims[-1]
+        d = sum(self.layer_dims)  # jumping knowledge: every layer is pooled
         return 2 * d if self.pooling == "sum_and_mean" else d
 
 
@@ -187,8 +181,6 @@ def init_params(
     *,
     has_oni_node: bool = False,
     embed_dim: int,
-    feature_gain: float,
-    score_gain: float,
     max_edges: int | None,
     edge_mode: str = "learned",
     fixed_adjacency: Array | None = None,
@@ -198,7 +190,7 @@ def init_params(
     statistic and fixed edge value takes the dtype of ``static_features``:
     float32 as ``data.prepare_dataset`` hands them over, float64 for
     anything else (see ``autodiff.Tensor``), from the same draws either
-    way. The structure settings have their defaults in
+    way. The embedding width and the edge budget have their defaults in
     ``training.TrainConfig``; an edge budget of None becomes eight times the
     node count."""
     static = Tensor(static_features)
@@ -238,8 +230,6 @@ def init_params(
         static_features=static,
         w_from=weights(d_in, embed_dim),
         w_to=weights(d_in, embed_dim),
-        feature_gain=feature_gain,
-        score_gain=score_gain,
         max_edges=max_edges,
     )
 
@@ -274,19 +264,13 @@ def gcn_layer(
     z: Tensor,
     weight: Tensor,
     norm: NormParams,
-    activation: str = "elu",
-    use_residual: bool = False,
     *,
     mode: str,
 ) -> Tensor:
     """One graph convolution over stacked node rows: aggregate over
     ``graph`` (the edges and values of :func:`model_edges`, I + A per
-    graph), transform, normalize over features and activate in one fused
-    op, then add the input back when a residual is requested."""
-    if use_residual and weight.shape[0] != weight.shape[1]:
-        raise ConfigError(
-            f"residual needs equal layer widths, got {weight.shape[0]} -> {weight.shape[1]}"
-        )
+    graph), transform, normalize over features and apply the ELU in one
+    fused op, then add the input back when ``weight`` is square."""
     edges, values = graph
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
     if weight.shape[1] < weight.shape[0]:
@@ -294,23 +278,22 @@ def gcn_layer(
     else:
         h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, so it holds the centered rows
-    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, activation)
-    if use_residual:
+    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
+    if weight.shape[0] == weight.shape[1]:
         out = ad.add(out, z)
     return out
 
 
 def mlp_head(state: ModelState, pooled: Tensor, mode: str) -> Tensor:
-    """Two affine layers with feature batchnorm and the configured
-    activation in between, one fused op; the final affine has no
-    activation."""
+    """Two affine layers with feature batchnorm and the ELU in between, one
+    fused op; the final affine has no activation."""
     if pooled.shape[1] != state.mlp_w1.shape[0]:
         raise DimensionError(
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
         )
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
-    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, state.config.activation)
+    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 
@@ -352,13 +335,9 @@ def pooled_layers(
     z = x
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):
-        z = gcn_layer(
-            graph, z, weight, norm, cfg.activation,
-            cfg.use_residual and weight.shape[0] == weight.shape[1],
-            mode=mode,
-        )
+        z = gcn_layer(graph, z, weight, norm, mode=mode)
         layer_outputs.append(z)
-    return ad.pool_blocks(layer_outputs if cfg.use_jumping_knowledge else [z], n, cfg.pooling)
+    return ad.pool_blocks(layer_outputs, n, cfg.pooling)
 
 
 def forward_batch(

@@ -13,10 +13,10 @@ and their scores, one op of this module's own on top of the two ``matmul``
 feature products, recorded through ``autodiff.record_op``. One dense pass
 computes every unscaled logit ``E_from @ E_to^T``; only the kept scores are
 recorded, so neither the tape nor the gradient of the embedding maps holds
-an N x N array. A positive ``score_gain`` and the sigmoid both keep the
-logits' order, so selection (:func:`top_edges`) ranks the unscaled logits,
-mostly without copying them, and the gain and the sigmoid apply to the
-kept logits only. Ops on the graph pick a dense or a CSR kernel from its
+an N x N array. The positive ``SCORE_GAIN`` and the sigmoid both keep
+the logits' order, so selection (:func:`top_edges`) ranks the unscaled
+logits, mostly without copying them, and the gain and the sigmoid apply to
+the kept logits only. Ops on the graph pick a dense or a CSR kernel from its
 density (:attr:`~onigraph.autodiff.EdgeIndex.sparse`).
 """
 
@@ -41,23 +41,15 @@ class StructureParams:
     static_features: (N, d_in) per-node descriptors, fixed during training.
     w_from / w_to:   (d_in, d_emb) learnable maps producing the sender and
                      receiver embeddings whose inner products score edges.
-    feature_gain:    pre-tanh scale. Smaller values shrink the embeddings
-                     toward zero, which flattens every score toward 0.5
-                     and starves w_from / w_to of gradient; TrainConfig's
-                     1.0 keeps tanh in its responsive range.
-    score_gain:      pre-sigmoid scale; larger values sharpen edge scores
-                     away from 0.5. Selection ranks the unscaled logits
-                     and the gain scales only the kept ones, so the kept
-                     edges do not depend on it, even where scaling would
-                     round two logits to one value or overflow them.
     max_edges:       budget on off-diagonal nonzeros after sparsification.
+
+    The tanh of each embedding and the pre-sigmoid ``SCORE_GAIN`` are
+    fixed (:func:`kept_edges`).
     """
 
     static_features: Tensor
     w_from: Tensor
     w_to: Tensor
-    feature_gain: float
-    score_gain: float
     max_edges: int
 
     def __post_init__(self):
@@ -67,8 +59,6 @@ class StructureParams:
                 f"embedding maps {self.w_from.shape}/{self.w_to.shape} do not fit "
                 f"feature width {d_in}"
             )
-        if not (0.0 < self.feature_gain < math.inf and 0.0 < self.score_gain < math.inf):
-            raise ConfigError("feature_gain and score_gain must be positive and finite")
         if not 0 <= self.max_edges <= n * (n - 1):
             raise ConfigError(
                 f"max_edges must lie in [0, {n * (n - 1)}], got {self.max_edges}"
@@ -78,6 +68,10 @@ class StructureParams:
     def node_count(self) -> int:
         return self.static_features.shape[0]
 
+
+# Pre-sigmoid scale of the kept logits: it sharpens the edge scores away
+# from 0.5, and as a power of two it scales each logit exactly.
+SCORE_GAIN = 2.0
 
 # Number of flat logits in the strided sample from which top_edges guesses
 # the e-th largest logit; graphs of at most this many entries (up to 90
@@ -195,37 +189,34 @@ def kept_edges(
     """The ``max_edges`` off-diagonal edges with the largest logits, and
     their scores as a differentiable vector; self-loops are left implicit.
 
-    Scores are sigmoid(score_gain * E_from @ E_to^T) with
-    E_* = tanh(feature_gain * static_features @ w_*). The two feature
-    products are ``matmul`` ops; everything after them is one recorded op.
-    The unscaled logits E_from @ E_to^T are computed densely, and
-    :func:`top_edges` selects the kept edges straight into the row-major
-    edge list by logit; ``score_gain`` and the sigmoid apply to the kept
-    logits only. Recomputed from the current parameters on every call, so
-    training sees a fresh graph each optimization step. Passing ``edges``
+    Scores are sigmoid(SCORE_GAIN * E_from @ E_to^T) with
+    E_* = tanh(static_features @ w_*). The two feature products are
+    ``matmul`` ops; everything after them is one recorded op. The unscaled
+    logits E_from @ E_to^T are computed densely, and :func:`top_edges`
+    selects the kept edges straight into the row-major edge list by logit;
+    ``SCORE_GAIN`` and the sigmoid apply to the kept logits only.
+    Recomputed from the current parameters on every call, so training sees
+    a fresh graph each optimization step. Passing ``edges``
     skips selection and scores a fixed edge set, gathering only its
     logits, which keeps the forward pass differentiable at a frozen
     sparsity pattern (used by gradient checks, where re-selection would
     make finite differences meaningless). Either way the scores are
-    ``_sigmoid`` of the gathered logits times ``score_gain``, with the
-    same bits.
+    ``_sigmoid`` of the gathered logits times ``SCORE_GAIN``, with the same
+    bits.
 
     Only the kept scores are recorded, so the tape holds no N x N array.
     Backward scatters the score gradient into one n x n matrix, CSR or
     dense as :meth:`~onigraph.autodiff.EdgeIndex.matrix` picks, and carries
-    its products with the two embeddings back through the tanh and
-    ``feature_gain`` to the feature products.
+    its products with the two embeddings back through the tanh to the
+    feature products.
     """
     if edges is not None and edges.n != params.node_count:
         raise DimensionError(f"frozen edges of {edges.n} nodes for {params.node_count} nodes")
-    feature_gain = params.feature_gain
     products = tuple(matmul(params.static_features, w) for w in (params.w_from, params.w_to))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = [product.data * feature_gain for product in products]
     # checked before the tanh, which maps an overflow to a finite +-1
-    if not all(np.isfinite(x).all() for x in pre):
-        raise NumericError("structure embedding: feature_gain * static_features @ w overflows")
-    emb_from, emb_to = (np.tanh(x, out=x) for x in pre)
+    if not all(np.isfinite(product.data).all() for product in products):
+        raise NumericError("structure embedding: static_features @ w overflows")
+    emb_from, emb_to = (np.tanh(product.data) for product in products)
     # a contiguous copy of E_to^T: BLAS rounds the product with a transposed
     # view differently, and seeded training histories keep these bits
     logits = emb_from @ emb_to.T.copy()
@@ -233,20 +224,17 @@ def kept_edges(
         edges, kept = top_edges(logits, params.max_edges)
     else:
         kept = logits[edges.rows, edges.cols]
-    # overflows saturate to 1 or 0; a kept logit of 0 keeps 0.5 at any gain
-    gain = min(params.score_gain, float(np.finfo(kept.dtype).max))
-    with np.errstate(over="ignore"):
-        kept = _sigmoid(np.multiply(kept, gain, out=kept), out=kept)
+    kept = _sigmoid(np.multiply(kept, SCORE_GAIN, out=kept), out=kept)
     out = _make_output(kept, *products)
 
     def rule(g: Array):
-        grad = edges.matrix(g * kept * (1.0 - kept) * gain)
+        grad = edges.matrix(g * kept * (1.0 - kept) * SCORE_GAIN)
         # operands laid out as in the backward of the dense product
         # E_from @ copy(E_to^T): BLAS rounds other layouts differently, and
         # seeded training histories keep these bits; the CSR products give
         # the bits of grad @ E_to and grad^T @ E_from in these layouts too
         d_from, d_to = grad @ emb_to.T.copy().T, (emb_from.T @ grad).T
-        return [d * (1.0 - e * e) * feature_gain for d, e in ((d_from, emb_from), (d_to, emb_to))]
+        return [d * (1.0 - e * e) for d, e in ((d_from, emb_from), (d_to, emb_to))]
 
     # through the module, where a wrapper patched in from outside (the
     # benchmark's tracer) sees every recorded op

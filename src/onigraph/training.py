@@ -39,8 +39,9 @@ from .structure import StructureParams
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
-# version 1 stored float64 values; version 2 stores the model's float32
-FORMAT_VERSION = 2
+# version 1 stored float64 values and version 2 the model's float32 with
+# five settings that are now constants; version 3 drops those settings
+FORMAT_VERSION = 3
 BLOB_DTYPE = np.dtype("<f4")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
 # block's (rows, width) arrays stay a few MB; CHANGES.md has the timings.
@@ -65,8 +66,6 @@ class TrainConfig:
     window: int = 3
     preset: str = "gcn2a"
     max_edges: int | None = None
-    feature_gain: float = 1.0
-    score_gain: float = 2.0
     embed_dim: int = 32
 
     def __post_init__(self):
@@ -130,8 +129,6 @@ def build_model(
         seed=train_cfg.seed,
         has_oni_node=bundle.nodes.has_oni_node,
         embed_dim=train_cfg.embed_dim,
-        feature_gain=train_cfg.feature_gain,
-        score_gain=train_cfg.score_gain,
         max_edges=train_cfg.max_edges,
         edge_mode=edge_mode,
         fixed_adjacency=fixed,
@@ -334,7 +331,7 @@ def write_history_csv(history: list[tuple[int, int, float]], path: str | Path) -
 # JSON manifest, then one blob of little-endian float32 values (BLOB_DTYPE),
 # the dtype the loaded model computes in. The manifest is one record of
 # CHECKPOINT_FIELDS, read by data.read_record: nested tables hold the model
-# config, the structure hyperparameters and each tensor's name, shape and
+# config, the structure's edge budget and each tensor's name, shape and
 # byte offset, and the optimizer's, when present, is read with its own.
 MODEL_FIELDS = field_types(GcnConfig)
 STRUCTURE_FIELDS = field_types(StructureParams, drop=("static_features", "w_from", "w_to"))
@@ -420,10 +417,12 @@ def load_checkpoint(path: str | Path) -> ModelState:
 
 def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
     """The model of a checkpoint's JSON ``manifest`` and its ``blob``."""
-    manifest = read_record(CHECKPOINT_FIELDS, manifest, "checkpoint")
-    if (version := manifest["format_version"]) != FORMAT_VERSION:
+    # the version before the fields, which differ between versions
+    version = manifest.get("format_version") if type(manifest) is dict else None
+    if type(version) is int and version != FORMAT_VERSION:
         raise FormatError(f"checkpoint format version {version}; "
                           f"this build reads version {FORMAT_VERSION}")
+    manifest = read_record(CHECKPOINT_FIELDS, manifest, "checkpoint")
     if manifest["seed"] < 0:  # numpy seeds with non-negative integers only
         raise ConfigError(f"checkpoint.seed must be >= 0, got {manifest['seed']}")
     stored = len(blob) // BLOB_DTYPE.itemsize

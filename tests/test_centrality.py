@@ -69,8 +69,6 @@ def test_learned_adjacency_centrality():
         static_features=Tensor(rng.normal(size=(12, 4))),
         w_from=Tensor(rng.normal(size=(4, 3))),
         w_to=Tensor(rng.normal(size=(4, 3))),
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=40,
     )
     edges, values = kept_edges(params)

@@ -23,7 +23,6 @@ from onigraph import cli, data as dat
 from onigraph.cli import CONFIG_SECTIONS, cli_dispatch, resolve_configs
 from onigraph.errors import ConfigError, ConvergenceError, FormatError
 from onigraph.model import GcnConfig, init_params
-from onigraph.structure import kept_edges
 from onigraph.training import (
     CHECKPOINT_FIELDS,
     CHECKPOINT_MAGIC,
@@ -35,7 +34,7 @@ from onigraph.training import (
     load_checkpoint,
     save_checkpoint,
 )
-from test_training import float64_bundle, version1_checkpoint
+from test_training import float64_bundle, old_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +254,6 @@ def hub_checkpoint(path, hub=4):
         latlon,
         seed=0,
         embed_dim=32,
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=None,
         edge_mode="local",
         fixed_adjacency=fixed,
@@ -354,6 +351,18 @@ def _write_config(path, config):
         ({"model": {"mlp_hidden": -1}}, "mlp_hidden must be None or >= 1"),
         ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
         ({"train": {"seed": -3}}, "seed must be >= 0"),
+        # the settings that are now constants
+        ({"model": {"activation": "elu"}}, "unknown key 'activation' in model"),
+        ({"model": {"use_residual": True}}, "unknown key 'use_residual' in model"),
+        (
+            {"model": {"use_jumping_knowledge": True}},
+            "unknown key 'use_jumping_knowledge' in model",
+        ),
+        ({"train": {"feature_gain": 1.0}}, "unknown key 'feature_gain' in train"),
+        ({"train": {"score_gain": 2.0}}, "unknown key 'score_gain' in train"),
+        ({"data": {"smoothing_k": 0}}, "data.smoothing_k must be an odd positive int, got 0"),
+        ({"data": {"smoothing_k": 2}}, "data.smoothing_k must be an odd positive int, got 2"),
+        ({"data": {"smoothing_k": 10**12}}, "data.smoothing_k must be an odd positive int"),
     ],
 )
 def test_config_mistakes_are_usage_errors(config, message, synth_dir, tmp_path, capsys):
@@ -410,12 +419,12 @@ def test_flags_a_command_does_not_read_are_refused(command, flag, capsys):
 
 
 def test_model_section_sets_the_architecture(synth_dir, tmp_path):
-    out = tmp_path / "tanh.ckpt"
-    config = {"model": {"activation": "tanh"}, "train": {"epochs": 1}}
+    out = tmp_path / "pooled.ckpt"
+    config = {"model": {"pooling": "sum_and_mean"}, "train": {"epochs": 1}}
     args = ["train", "--config", _write_config(tmp_path / "c.json", config)]
     assert cli_dispatch([*args, "--data", str(synth_dir), "--out", str(out)]) == 0
     model = _manifest(out)["model"]
-    assert model["activation"] == "tanh"
+    assert model["pooling"] == "sum_and_mean"
     assert model["layer_dims"] == [250, 100]  # gcn2a, the default preset
 
 
@@ -509,7 +518,7 @@ def test_non_finite_training_prints_only_the_typed_error(synth_dir, tmp_path):
     proc = _run_cli(["train", "--config", config, "--data", str(synth_dir), "--out", str(out)])
     assert proc.returncode == 3
     assert proc.stderr == (
-        "numeric failure: structure embedding: feature_gain * static_features @ w overflows"
+        "numeric failure: structure embedding: static_features @ w overflows"
         " at epoch 3, batch 0\n"
     )
     assert proc.stdout == "" and not out.exists()
@@ -809,19 +818,20 @@ def _run_cli(args, timeout=None):
 
 
 def test_evaluate_refuses_a_version1_checkpoint_with_exit_2(synth_dir, tmp_path):
-    # a float64 checkpoint as format version 1 wrote it, of a model that fits the grid
+    # checkpoints as format versions 1 and 2 wrote them, of a model that fits the grid
     state = build_model(
         dat.prepare_dataset(dat.load_gridset(synth_dir)),
         GcnConfig(layer_dims=[4]),
         TrainConfig(seed=7, embed_dim=4),
     )
     old = tmp_path / "old.ckpt"
-    old.write_bytes(version1_checkpoint(state))
-    proc = _run_cli(["evaluate", "--checkpoint", str(old), "--data", str(synth_dir)])
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        "data error: checkpoint format version 1; this build reads version 2\n"
-    )
+    for version in (1, 2):
+        old.write_bytes(old_checkpoint(state, version))
+        proc = _run_cli(["evaluate", "--checkpoint", str(old), "--data", str(synth_dir)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"data error: checkpoint format version {version}; this build reads version 3\n"
+        )
 
 
 @pytest.mark.parametrize("reads", ["grid manifest", "checkpoint", "config"])
@@ -895,6 +905,32 @@ def test_predict_on_an_empty_split_exits_2_without_traceback(checkpoint, synth_d
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_a_config_oni_node_that_contradicts_the_checkpoint_is_a_usage_error(
+    command, checkpoint, synth_dir, tmp_path, capsys
+):
+    # the checkpoint's model reads the ONI node; a config that agrees runs as
+    # one that leaves it out, and one that does not writes nothing
+    outputs = tmp_path / "outputs"
+    args = [command, "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+            "--out", str(outputs / "out")]
+
+    def run(oni_node=None):
+        shutil.rmtree(outputs, ignore_errors=True)
+        outputs.mkdir()
+        config = {} if oni_node is None else {"data": {"oni_node": oni_node}}
+        code = cli_dispatch([*args, "--config", _write_config(tmp_path / "c.json", config)])
+        written = sorted((p.name, p.read_bytes()) for p in outputs.iterdir())
+        return code, capsys.readouterr(), written
+
+    assert run(True) == run() and run()[0] == 0
+    code, captured, written = run(False)
+    assert (code, captured.out, written) == (1, "", [])
+    assert captured.err == (
+        f"usage error: data.oni_node is false, but checkpoint {checkpoint} has has_oni_node true\n"
+    )
+
+
 def _edit_checkpoint_manifest(good, bad, edit):
     raw = good.read_bytes()
     (manifest_len,) = struct.unpack("<Q", raw[4:12])
@@ -910,8 +946,6 @@ def _edit_checkpoint_manifest(good, bad, edit):
 _CHECKPOINT_EDITS = {
     "checkpoint_missing_key": lambda m: m.pop("seed"),
     "fractional_max_edges": lambda m: m["structure"].update(max_edges=10.5),
-    "model_without_activation": lambda m: m["model"].pop("activation"),
-    "model_without_residual": lambda m: m["model"].pop("use_residual"),
     "string_oni_node": lambda m: m.update(has_oni_node="no"),
     "bool_seed": lambda m: m.update(seed=True),
     "negative_seed": lambda m: m.update(seed=-3),
@@ -1068,32 +1102,6 @@ def test_checkpoint_matrix_of_another_rank_exits_2_naming_it(name, rank, checkpo
     assert not (tmp_path / "heat.csv").exists()
 
 
-def test_a_feature_gain_that_overflows_is_a_numeric_failure(checkpoint, synth_dir, tmp_path):
-    ckpt = tmp_path / "gain.ckpt"
-    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(feature_gain=1e300))
-    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)])
-    assert proc.returncode == 3 and proc.stderr == (
-        "numeric failure: structure embedding: feature_gain * static_features @ w overflows\n"
-    )
-
-
-@pytest.mark.parametrize("gain", [3e38, 1e308])
-def test_a_score_gain_past_float32_evaluates_without_a_warning(gain, checkpoint, synth_dir,
-                                                               tmp_path):
-    # each kept score saturates to 0 or 1 (0.5 at a zero logit), and the kept
-    # edges are those of the trained gain
-    ckpt = tmp_path / "gain.ckpt"
-    _edit_checkpoint_manifest(checkpoint, ckpt, lambda m: m["structure"].update(score_gain=gain))
-    proc = _run_cli(["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)])
-    assert proc.returncode == 0 and proc.stderr == ""
-    edges, scores = kept_edges(load_checkpoint(ckpt).structure)
-    trained, _ = kept_edges(load_checkpoint(checkpoint).structure)
-    assert scores.data.dtype == np.float32 and set(scores.data.tolist()) <= {0.0, 0.5, 1.0}
-    assert (edges.rows.tobytes(), edges.cols.tobytes()) == (
-        trained.rows.tobytes(), trained.cols.tobytes()
-    )
-
-
 @pytest.mark.parametrize(
     "key, value", [("layer_dims", [10**12, 6]), ("layer_dims", [10**7, 6]), ("mlp_hidden", 10**12)]
 )
@@ -1186,7 +1194,7 @@ PINNED_OUTPUTS = {
     "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
     "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
-    "m.ckpt": "b0653192cb3633fffd6900fb5ee56f1108d70145",
+    "m.ckpt": "b63fae340f0842cea97a0340af43b6087b23e532",  # format 3; the blob of format 2
     "m.ckpt.loss.csv": "8d87da324e6f462c315487348d57de5728ddec77",
     "eval.report.csv": "233e734b609cba3ea1825ee84bd3c1eff4624341",
     "eval.predictions.csv": "aab75b0a9123eecdfecfe2bc1d1974c3b36ba072",

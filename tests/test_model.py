@@ -37,7 +37,6 @@ def tiny_state(
     features=2,
     embed_dim=3,
     pooling="mean",
-    use_residual=True,
     static_features=None,
     **kwargs,
 ):
@@ -47,7 +46,6 @@ def tiny_state(
         pooling=pooling,
         window=window,
         features_per_node=features,
-        use_residual=use_residual,
     )
     if static_features is None:
         static_features = rng.normal(size=(n, 4))
@@ -58,8 +56,6 @@ def tiny_state(
         latlon,
         seed=seed,
         embed_dim=embed_dim,
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=min(3 * n, n * (n - 1)),
         **kwargs,
     )
@@ -95,73 +91,46 @@ def rand_input(state, batch=1, seed=5):
 # --- gcn layer ---------------------------------------------------------------
 
 
+# Positive inputs, weights and graphs keep every pre-activation positive,
+# where the ELU is the identity; a square weight adds the input back.
+
+
 def test_layer_identity_passthrough():
-    z = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
-    out = gcn_layer(
-        graph(np.eye(3)), z, Tensor(np.eye(3)), unit_norm(3), activation="identity", mode="eval"
-    )
-    np.testing.assert_array_equal(out.data, z.data * UNIT_NORM_SCALE)
+    z = Tensor(np.random.default_rng(0).random((3, 3)))
+    out = gcn_layer(graph(np.eye(3)), Tensor(z.data.copy()), Tensor(np.eye(3)), unit_norm(3),
+                    mode="eval")
+    np.testing.assert_array_equal(out.data, z.data * UNIT_NORM_SCALE + z.data)
 
 
 def test_layer_hand_aggregation():
     out = gcn_layer(
         graph([[1.0, 1.0], [0.0, 1.0]]),
         Tensor([[1.0], [2.0]]),
-        Tensor([[1.0]]),
-        unit_norm(1),
-        activation="identity",
+        Tensor([[1.0, 1.0]]),  # not square, so no residual
+        unit_norm(2),
         mode="eval",
     )
-    np.testing.assert_array_equal(out.data, np.array([[3.0], [2.0]]) * UNIT_NORM_SCALE)
+    np.testing.assert_array_equal(out.data, np.array([[3.0, 3.0], [2.0, 2.0]]) * UNIT_NORM_SCALE)
 
 
 def test_layer_elu_oracle():
     out = gcn_layer(
-        graph(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), unit_norm(1), "elu", mode="eval"
+        graph(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), unit_norm(1), mode="eval"
     )
-    # the norm scales the pre-activation
-    assert out.data[0, 0] == pytest.approx(math.exp(-1.0 * UNIT_NORM_SCALE) - 1.0, abs=1e-12)
-
-
-def test_layer_residual_width_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        gcn_layer(
-            graph(np.eye(2)),
-            Tensor(np.ones((2, 2))),
-            Tensor(np.ones((2, 3))),
-            unit_norm(3),
-            use_residual=True,
-            mode="eval",
-        )
+    # the norm scales the pre-activation, and the square weight adds the input
+    assert out.data[0, 0] == pytest.approx(math.exp(-1.0 * UNIT_NORM_SCALE) - 2.0, abs=1e-12)
 
 
 def test_layer_residual_identity_when_output_zero():
     state = tiny_state(n=3, layer_dims=(2, 2))
     z = Tensor(np.random.default_rng(1).normal(size=(3, 2)))
     out = gcn_layer(
-        graph(np.eye(3)),
-        z,
-        Tensor(np.zeros((2, 2))),
-        norm=state.gcn_norms[1],
-        activation="elu",
-        use_residual=True,
-        mode="train",
+        graph(np.eye(3)), z, Tensor(np.zeros((2, 2))), norm=state.gcn_norms[1], mode="train"
     )
     np.testing.assert_array_equal(out.data, z.data)
 
 
 # --- jumping knowledge / pooling ----------------------------------------------
-
-
-def test_jumping_knowledge_single_layer_identity():
-    # with one layer, the readout of every layer is that of the last
-    state = tiny_state(layer_dims=(4,), pooling="sum_and_mean", seed=2)
-    x = rand_input(state, batch=3)
-    pooled = pooled_layers(state, x, 3, model_edges(state), "eval")
-    every_layer = mlp_head(state, pooled, "eval").data
-    state.config.use_jumping_knowledge = False
-    pooled = pooled_layers(state, x, 3, model_edges(state), "eval")
-    np.testing.assert_array_equal(mlp_head(state, pooled, "eval").data, every_layer)
 
 
 def test_jumping_knowledge_width_and_order():
@@ -235,7 +204,8 @@ def test_forward_deterministic():
 
 
 def test_forward_wiring_smoke_severed_input():
-    state = tiny_state(n=5, use_residual=False, seed=8)
+    # no layer width equals its input width, so no residual carries the input
+    state = tiny_state(n=5, layer_dims=(3, 5), seed=8)
     for w in state.gcn_weights:
         w.data[...] = 0.0
     state.mlp_b2.data[...] = [0.7]
@@ -300,13 +270,12 @@ def test_layer_aggregation_order_does_not_change_values():
     rng = np.random.default_rng(14)
     a = rng.random((4, 4))
     np.fill_diagonal(a, 1.0)
-    z = rng.normal(size=(4, 5))
+    z = rng.random((4, 5))  # positive, so the ELU is the identity
     for width in (2, 5, 7):  # narrowing, equal and widening layers
-        w = rng.normal(size=(5, width))
-        out = gcn_layer(
-            graph(a), Tensor(z), Tensor(w), unit_norm(width), activation="identity", mode="eval"
-        )
-        np.testing.assert_allclose(out.data, a @ z @ w * UNIT_NORM_SCALE, rtol=1e-12, atol=1e-12)
+        w = rng.random((5, width))
+        out = gcn_layer(graph(a), Tensor(z.copy()), Tensor(w), unit_norm(width), mode="eval")
+        want = a @ z @ w * UNIT_NORM_SCALE + (z if width == 5 else 0.0)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_shape_mismatch_rejected():
@@ -361,8 +330,6 @@ def test_config_validation():
         GcnConfig(layer_dims=[])
     with pytest.raises(ConfigError):
         GcnConfig(layer_dims=[4], pooling="max")
-    with pytest.raises(ConfigError, match="relu"):
-        GcnConfig(layer_dims=[4], activation="relu")
 
 
 def test_local_graph_is_built_once_with_the_state(monkeypatch):

@@ -103,8 +103,6 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
         np.zeros((n, 2)),
         seed=6,
         embed_dim=32,
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=None,
         edge_mode=edge_mode,
         fixed_adjacency=ring,

@@ -184,8 +184,7 @@ MUTATION_SETTINGS = settings(
 @given(data=st.data())
 def test_one_changed_field_ends_in_a_typed_error_naming_it(record, path, data, originals, tmp_path):
     code, err, file = _change_one_field(record, path, data, originals, tmp_path)
-    # A well-typed value the model's numbers fail on exits 3: a feature gain
-    # whose product with the features overflows float32, or an edge budget
+    # A well-typed value the model's numbers fail on exits 3: an edge budget
     # too small for the graph to have one dominant eigenvector
     assert code in (0, 2, 3), err
     if code == 2:

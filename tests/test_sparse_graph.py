@@ -32,7 +32,7 @@ from onigraph.autodiff import (
 from onigraph.data import SampleSet
 from onigraph.errors import ConfigError, DimensionError, NumericError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
-from onigraph.structure import StructureParams, kept_edges, top_edges
+from onigraph.structure import SCORE_GAIN, StructureParams, kept_edges, top_edges
 from onigraph.training import predict_samples
 
 # SPARSE_SHARE values that force one kernel at every density
@@ -59,18 +59,16 @@ def structure_params(rng, n=7, d_in=4, d_emb=3, max_edges=12):
         static_features=Tensor(rng.normal(size=(n, d_in))),
         w_from=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
         w_to=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=max_edges,
     )
 
 
 def reference_scores(p):
-    """sigmoid(score_gain * E_from @ E_to^T), E_* = tanh(feature_gain * S @ w_*)."""
+    """sigmoid(SCORE_GAIN * E_from @ E_to^T), E_* = tanh(S @ w_*)."""
     s = p.static_features.data
-    e_from = np.tanh(p.feature_gain * s @ p.w_from.data)
-    e_to = np.tanh(p.feature_gain * s @ p.w_to.data)
-    return 1.0 / (1.0 + np.exp(-p.score_gain * e_from @ e_to.T))
+    e_from = np.tanh(s @ p.w_from.data)
+    e_to = np.tanh(s @ p.w_to.data)
+    return 1.0 / (1.0 + np.exp(-SCORE_GAIN * e_from @ e_to.T))
 
 
 # --- ops ---------------------------------------------------------------------
@@ -186,7 +184,6 @@ def test_edge_block_matmul_shape_errors():
 def test_edge_scores_equal_dense_scores_at_the_edges():
     rng = np.random.default_rng(24)
     p = structure_params(rng, n=6, max_edges=10)
-    p.score_gain = 2.0
     want = reference_scores(p)
     for edges in (None, random_edges(rng, 6, share=0.5)):
         edges, values = kept_edges(p, edges)
@@ -228,14 +225,14 @@ def test_kept_edges_gradients_match_dense_scores(monkeypatch):
     edges, values = kept_edges(p)
     # the chain rule by hand, over the dense scores with dropped entries at 0
     s = p.static_features.data
-    e_from = np.tanh(p.feature_gain * s @ p.w_from.data)
-    e_to = np.tanh(p.feature_gain * s @ p.w_to.data)
+    e_from = np.tanh(s @ p.w_from.data)
+    e_to = np.tanh(s @ p.w_to.data)
     y = reference_scores(p)
     dy = np.zeros((7, 7))
     dy[edges.rows, edges.cols] = 2.0 * (values.data - weights[edges.rows, edges.cols])
-    dlogits = dy / edges.rows.size * y * (1.0 - y) * p.score_gain
-    d_from = dlogits @ e_to * (1.0 - e_from**2) * p.feature_gain
-    d_to = dlogits.T @ e_from * (1.0 - e_to**2) * p.feature_gain
+    dlogits = dy / edges.rows.size * y * (1.0 - y) * SCORE_GAIN
+    d_from = dlogits @ e_to * (1.0 - e_from**2)
+    d_to = dlogits.T @ e_from * (1.0 - e_to**2)
 
     for share in KERNELS.values():
         monkeypatch.setattr(autodiff, "SPARSE_SHARE", share)
@@ -249,13 +246,8 @@ def test_kept_edges_gradients_match_dense_scores(monkeypatch):
 
 
 # The structure learner as separate ops, before they were folded into
-# kept_edges: matmul, scale, tanh, then the edge-score op, each recorded on
-# its own. The reference for the bits of the fold.
-
-
-def _old_scale(x, factor):
-    out = _make_output(x.data * factor, x)
-    return record_op(out, (x,), lambda g: (g * factor,))
+# kept_edges: matmul, tanh, then the edge-score op, each recorded on its own.
+# The reference for the bits of the fold.
 
 
 def _old_tanh(x):
@@ -280,17 +272,14 @@ def _old_edge_scores(emb_from, emb_to, edges, gain, scores):
 
 
 def old_kept_edges(p, edges=None):
-    emb_from, emb_to = (
-        _old_tanh(_old_scale(matmul(p.static_features, w), p.feature_gain))
-        for w in (p.w_from, p.w_to)
-    )
+    emb_from, emb_to = (_old_tanh(matmul(p.static_features, w)) for w in (p.w_from, p.w_to))
     logits = emb_from.data @ emb_to.data.T.copy()
     if edges is None:
         edges, kept = top_edges(logits, p.max_edges)
     else:
         kept = logits[edges.rows, edges.cols]
-    kept = _sigmoid(kept * p.score_gain)
-    return edges, _old_edge_scores(emb_from, emb_to, edges, p.score_gain, kept)
+    kept = _sigmoid(kept * SCORE_GAIN)
+    return edges, _old_edge_scores(emb_from, emb_to, edges, SCORE_GAIN, kept)
 
 
 @pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
@@ -299,7 +288,6 @@ def test_kept_edges_keep_the_bits_of_the_separate_ops(monkeypatch, kernel, works
     monkeypatch.setattr(autodiff, "SPARSE_SHARE", KERNELS[kernel])
     rng = np.random.default_rng(8513)
     p = structure_params(rng, n=N, d_in=6, d_emb=5, max_edges=3 * N)
-    p.feature_gain, p.score_gain = 0.7, 2.5
     weights = rng.normal(size=(N, N))
 
     def run(build, frozen):
@@ -320,19 +308,17 @@ def test_kept_edges_keep_the_bits_of_the_separate_ops(monkeypatch, kernel, works
 
 
 def test_kept_edges_check_the_embedding_before_the_tanh():
-    # feature_gain * XW overflows although XW is finite; tanh would map the
-    # infinity to 1.0
+    # XW overflows to +-inf, which tanh would map to +-1.0
     p = StructureParams(
         static_features=Tensor(np.full((3, 1), 1e308)),
-        w_from=Tensor([[1.0]], requires_grad=True),
+        w_from=Tensor([[10.0]], requires_grad=True),
         w_to=Tensor([[-1.0]], requires_grad=True),
-        feature_gain=10.0,
-        score_gain=2.0,
         max_edges=2,
     )
-    assert np.isfinite(matmul(p.static_features, p.w_from).data).all()
-    with pytest.raises(NumericError), np.errstate(over="ignore"):
-        kept_edges(p)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(matmul(p.static_features, p.w_from).data).all()
+        with pytest.raises(NumericError, match="static_features @ w overflows"):
+            kept_edges(p)
 
 
 def test_frozen_edges_of_another_node_count_rejected():
@@ -357,8 +343,6 @@ def sparse_state(edge_mode="learned", seed=3):
         np.column_stack([rng.uniform(-60, 60, N), rng.uniform(0, 360, N)]),
         seed=seed,
         embed_dim=3,
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=N,
         edge_mode=edge_mode,
         fixed_adjacency=ring if edge_mode == "local" else None,
@@ -449,8 +433,6 @@ def test_local_matrix_needs_unit_self_loops():
             np.zeros((N, 2)),
             seed=0,
             embed_dim=32,
-            feature_gain=1.0,
-            score_gain=2.0,
             max_edges=None,
             edge_mode="local",
             fixed_adjacency=ring,

@@ -23,6 +23,7 @@ from onigraph.data import prepare_dataset, synth_teleconnection_dataset
 from onigraph.model import GcnConfig, init_params, model_adjacency
 from onigraph.structure import (
     _SAMPLE_SIZE,
+    SCORE_GAIN,
     StructureParams,
     _false_positions,
     kept_edges,
@@ -31,14 +32,12 @@ from onigraph.structure import (
 from onigraph.training import TrainConfig, build_model
 
 
-def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None, feature_gain=1.0, score_gain=2.0):
+def make_params(n=5, d_in=4, d_emb=3, seed=0, max_edges=None):
     rng = np.random.default_rng(seed)
     return StructureParams(
         static_features=Tensor(rng.normal(size=(n, d_in))),
         w_from=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
         w_to=Tensor(rng.normal(size=(d_in, d_emb)), requires_grad=True),
-        feature_gain=feature_gain,
-        score_gain=score_gain,
         max_edges=n * (n - 1) if max_edges is None else max_edges,
     )
 
@@ -80,25 +79,14 @@ def test_scalar_score_oracle():
         static_features=Tensor([[1.0], [0.0], [-1.0]]),
         w_from=Tensor([[1.0]]),
         w_to=Tensor([[-1.0]]),
-        feature_gain=1.0,
-        score_gain=1.0,
         max_edges=6,
     )
     scores = all_scores(p)
     # sender embed tanh(x), receiver embed tanh(-x); entry (0, 2) pairs +1 with -(-1)
     raw = math.tanh(1.0) * math.tanh(1.0)
-    expected = 1.0 / (1.0 + math.exp(-raw))
+    expected = 1.0 / (1.0 + math.exp(-2.0 * raw))  # a score gain of 2
     assert scores[0, 2] == pytest.approx(expected, abs=1e-12)
-    assert scores[0, 2] == pytest.approx(0.641073, abs=1e-6)
-
-
-def test_score_gain_preserves_ordering():
-    base = make_params(seed=3, score_gain=1.0)
-    sharp = make_params(seed=3, score_gain=5.0)
-    lo = all_scores(base)
-    hi = all_scores(sharp)
-    assert not np.allclose(lo, hi)
-    assert np.array_equal(np.argsort(lo, axis=None), np.argsort(hi, axis=None))
+    assert scores[0, 2] == pytest.approx(0.761342, abs=1e-6)
 
 
 # --- sparsification ----------------------------------------------------------
@@ -493,7 +481,7 @@ def test_subnormal_and_saturated_scores_tie_across_logits():
 
 
 def test_band_scores_match_the_frozen_edge_gather():
-    p = make_params(n=30, seed=17, max_edges=90, score_gain=40.0)
+    p = make_params(n=30, seed=17, max_edges=90)
     edges, values = kept_edges(p)
     _, frozen = kept_edges(p, edges)
     np.testing.assert_array_equal(values.data.view(np.uint64), frozen.data.view(np.uint64))
@@ -583,8 +571,6 @@ def test_bidirectional_edges_possible():
         static_features=feats,
         w_from=Tensor(w.copy()),
         w_to=Tensor(w.copy()),
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=2,
     )
     edges, _ = kept_edges(p)
@@ -593,103 +579,23 @@ def test_bidirectional_edges_possible():
     assert (i1, j1) == (j2, i2)
 
 
-def test_kept_set_invariant_to_score_gain():
-    # at n=30 and gain 60 every kept score saturates at 1.0, so only the
-    # logits can tell the kept edges apart
-    for n, max_edges, seed, gains in ((8, 20, 13, (0.5, 2.0, 8.0)), (30, 90, 24401, (1.0, 60.0))):
-        masks = []
-        for gain in gains:
-            p = make_params(n=n, seed=seed, max_edges=max_edges, score_gain=gain)
-            edges, values = kept_edges(p)
-            masks.append(edges.dense(np.ones(edges.rows.size)))
-        for mask in masks[1:]:
-            np.testing.assert_array_equal(masks[0], mask)
-    assert np.all(values.data == 1.0)  # the last run: n=30 at gain 60
-
-
-def tanh_preimage(t):
-    """A float32 ``w`` with ``np.tanh(w) == t``, stepped to from atanh(t)."""
-    w = np.float32(math.atanh(t))
-    for _ in range(16):
-        got = np.tanh(w)
-        if got == t:
-            return w
-        w = np.nextafter(w, np.float32(math.inf if got < t else -math.inf))
-    raise AssertionError(f"no float32 tanh preimage of {t!r}")
-
-
-def two_logit_params(low, high, gain):
-    """Float32 params of 4 nodes whose unscaled logits are ``low`` at (0, 1),
-    ``high`` at (2, 3) and 0 elsewhere, with a budget of one edge."""
-    # identity features, so E_* = tanh(w_*): receivers 1 and 3 embed as
-    # (1, 1, 0, 0) and (0, 0, 1, 1), tanh(20) being 1.0, and senders 0 and 2
-    # as two exact halves of their logit
-    half = np.float32(0.75)
-    w_from = np.zeros((4, 4), np.float32)
-    w_from[0, :2] = tanh_preimage(half), tanh_preimage(low - half)
-    w_from[2, 2:] = tanh_preimage(half), tanh_preimage(high - half)
-    w_to = np.zeros((4, 4), np.float32)
-    w_to[1, :2] = w_to[3, 2:] = 20.0
-    logits = np.tanh(w_from) @ np.tanh(w_to).T
-    assert (logits[0, 1], logits[2, 3]) == (low, high)
-    assert np.count_nonzero(logits) == 2
-    return StructureParams(
-        static_features=Tensor(np.eye(4, dtype=np.float32)),
-        w_from=Tensor(w_from),
-        w_to=Tensor(w_to),
-        feature_gain=1.0,
-        score_gain=gain,
-        max_edges=1,
-    )
-
-
-@pytest.mark.parametrize(
-    "low, high, gain",
-    [
-        (1.5000002, 1.5000004, 1.5),
-        (1.5000002, 1.5000004, 3.0),
-        (1.5000011, 1.5000012, 0.9),
-        (1.5000002, 1.5000004, 3e38),  # both overflow to +inf
-    ],
-)
-def test_score_gain_cannot_round_the_kept_logit_into_a_tie(low, high, gain):
-    low, high = np.float32(low), np.float32(high)
-    with np.errstate(over="ignore"):
-        # scaled, the two logits would tie, and the tie go to (0, 1)
-        assert low < high and low * gain == high * gain
-        edges, values = kept_edges(two_logit_params(low, high, gain))
-        want = _sigmoid(np.array([high]) * gain)
-    assert (edges.rows.tolist(), edges.cols.tolist()) == ([2], [3])
-    assert values.data.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("gain", [3e38, 1e308])
-def test_a_gain_past_float32_saturates_the_scores_without_a_warning(gain):
-    # no errstate here: the test settings turn numpy's overflow warning into
-    # an error. Every off-diagonal edge is kept: the logit -0.125 at (0, 1)
-    # saturates to 0, 1.5 at (2, 3) to 1, and the zero logits keep 0.5
-    params = two_logit_params(np.float32(-0.125), np.float32(1.5), gain)
-    params.max_edges = 12
-    edges, scores = kept_edges(params)
-    want = np.full((4, 4), 0.5, np.float32)
-    want[0, 1], want[2, 3] = 0.0, 1.0
-    assert scores.data.tobytes() == want[edges.rows, edges.cols].tobytes()
-
-
 @pytest.mark.parametrize("n", [30, 120], ids=["ranked_in_full", "strided_sample"])
-def test_kept_set_of_float32_params_does_not_depend_on_score_gain(n, guesses):
+def test_kept_edges_rank_the_unscaled_logits(n, guesses):
+    # selection takes the top logits of E_from @ E_to^T, computed as
+    # kept_edges does, and only the kept ones are scaled and scored
     rng = np.random.default_rng(30401 + n)
     features, w_from, w_to = (
         Tensor(rng.normal(size=shape).astype(np.float32)) for shape in ((n, 6), (6, 8), (6, 8))
     )
-    kept = []
-    for gain in (0.9, 1.5, 2.0, 3.0, 60.0):
-        edges, _ = kept_edges(
-            StructureParams(features, w_from, w_to, 1.0, gain, max_edges=8 * n)
-        )
-        kept.append((edges.rows.tobytes(), edges.cols.tobytes()))
-    assert kept == kept[:1] * 5
-    assert guesses == ([True] * 5 if n * n > _SAMPLE_SIZE else [])
+    edges, scores = kept_edges(StructureParams(features, w_from, w_to, max_edges=8 * n))
+    emb_from, emb_to = (np.tanh(features.data @ w.data) for w in (w_from, w_to))
+    logits = emb_from @ emb_to.T.copy()
+    want, kept = top_edges(logits, 8 * n)
+    assert (edges.rows.tobytes(), edges.cols.tobytes()) == (
+        want.rows.tobytes(), want.cols.tobytes()
+    )
+    assert scores.data.tobytes() == _sigmoid(kept * np.float32(SCORE_GAIN)).tobytes()
+    assert guesses == ([True, True] if n * n > _SAMPLE_SIZE else [])
 
 
 def test_kept_edges_at_the_benchmark_size_are_pinned(guesses):
@@ -721,8 +627,6 @@ def test_adjacency_invariants_random_params(n, budget_raw, seed):
         np.zeros((n, 2)),
         seed=seed,
         embed_dim=3,
-        feature_gain=1.0,
-        score_gain=2.0,
         max_edges=budget,
     )
     edges, values = kept_edges(state.structure)
@@ -751,12 +655,5 @@ def test_structure_gradients_with_frozen_mask():
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ConfigError):
-        make_params(feature_gain=0.0)
-    for gain in (math.nan, math.inf):
-        with pytest.raises(ConfigError):
-            make_params(feature_gain=gain)
-        with pytest.raises(ConfigError):
-            make_params(score_gain=gain)
     with pytest.raises(ConfigError):
         make_params(n=3, max_edges=7)

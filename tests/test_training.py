@@ -71,10 +71,11 @@ def float64_bundle(grid, **options):
 
 
 def constant_output_model(value, seed=0):
-    """Zero GCN weights with residuals off force the prediction to the
-    final bias, giving a model with a known constant output."""
+    """Zero GCN weights in a layer that narrows its input, so without a
+    residual, force the prediction to the final bias, giving a model with a
+    known constant output."""
     bundle, cfg, _, _ = tiny_setup(seed=seed)
-    model_cfg = GcnConfig(layer_dims=[4], use_residual=False)
+    model_cfg = GcnConfig(layer_dims=[4])
     state = build_model(bundle, model_cfg, cfg)
     for w in state.gcn_weights:
         w.data[...] = 0.0
@@ -131,8 +132,8 @@ def test_overfit_tiny_dataset():
 
 
 def test_structure_learner_moves_at_default_gain():
-    # a pre-tanh gain that shrinks the embeddings leaves every score near 0.5
-    # and w_from / w_to without gradient, so "learned" edges never change
+    # w_from / w_to take gradient, so training moves the learned edges and
+    # their scores
     bundle, cfg, _, state = tiny_setup()
     structure = state.structure
     every = EdgeIndex.from_flat(state.node_count, np.arange(state.node_count**2))
@@ -163,47 +164,39 @@ def test_fixed_seed_reproduces_history_and_weights():
 
 
 @pytest.mark.parametrize(
-    "dims, pooling, edge_mode, jumping_knowledge, sha1",
+    "dims, pooling, edge_mode, sha1",
     [
         # three equal widths, so every layer after the first adds its input back
-        ((8, 8, 8), "sum_and_mean", "learned", True, "b09deab8a4e61ff632a7ec5b5a11ea63fbde007d"),
-        ((12, 6), "mean", "local", True, "0c26259d38585cec4aeb9a3440902be993b7cf99"),
-        ((8, 8), "sum_and_mean", "learned", False, "03de87701f8a9ca9e187769e86480a6398a3f372"),
+        ((8, 8, 8), "sum_and_mean", "learned", "b09deab8a4e61ff632a7ec5b5a11ea63fbde007d"),
+        ((12, 6), "mean", "local", "0c26259d38585cec4aeb9a3440902be993b7cf99"),
     ],
 )
-def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, jumping_knowledge, sha1):
+def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, sha1):
     # a refactor of the forward or backward pass must keep these bits: the
     # loss history, every trained parameter and the test predictions; on
     # float64 inputs, the gradient checks' dtype
-    digest = seeded_digest(float64_bundle, dims, pooling, edge_mode, jumping_knowledge)
-    assert digest == sha1
+    assert seeded_digest(float64_bundle, dims, pooling, edge_mode) == sha1
 
 
 @pytest.mark.parametrize(
-    "dims, pooling, edge_mode, jumping_knowledge, sha1",
+    "dims, pooling, edge_mode, sha1",
     [
-        ((8, 8, 8), "sum_and_mean", "learned", True, "9aadafdacc2fe11e45e1f060eeb0b6d2233312e3"),
-        ((12, 6), "mean", "local", True, "662da11899131d4fc270048b05e55ceaddfa3a1d"),
-        ((8, 8), "sum_and_mean", "learned", False, "6ba35ea597be59f919ce9bb95fb8eb7394dd96b8"),
+        ((8, 8, 8), "sum_and_mean", "learned", "9aadafdacc2fe11e45e1f060eeb0b6d2233312e3"),
+        ((12, 6), "mean", "local", "662da11899131d4fc270048b05e55ceaddfa3a1d"),
     ],
-    ids=["residual", "local", "no_jumping_knowledge"],
+    ids=["residual", "local"],
 )
-def test_seeded_float32_training_bits_are_pinned(
-    dims, pooling, edge_mode, jumping_knowledge, sha1
-):
+def test_seeded_float32_training_bits_are_pinned(dims, pooling, edge_mode, sha1):
     # the same runs on the float32 inputs of prepare_dataset, as shipped
-    digest = seeded_digest(prepare_dataset, dims, pooling, edge_mode, jumping_knowledge)
-    assert digest == sha1
+    assert seeded_digest(prepare_dataset, dims, pooling, edge_mode) == sha1
 
 
-def seeded_digest(prepare, dims, pooling, edge_mode, jumping_knowledge) -> str:
+def seeded_digest(prepare, dims, pooling, edge_mode) -> str:
     """The :func:`trained_digest` of a short seeded training on the bundle
     that ``prepare`` makes of a 4x4 grid."""
     gridset, _ = synth_teleconnection_dataset(4, 4, 44, 1, seed=3)
     bundle = prepare(gridset, window=3, lead=1, train_fraction=0.75)
-    model_cfg = GcnConfig(
-        layer_dims=list(dims), pooling=pooling, use_jumping_knowledge=jumping_knowledge
-    )
+    model_cfg = GcnConfig(layer_dims=list(dims), pooling=pooling)
     cfg = TrainConfig(seed=2, epochs=3, batch_size=8, embed_dim=4, weight_decay=1e-4)
     state = build_model(bundle, model_cfg, cfg, edge_mode=edge_mode)
     return trained_digest(state, bundle, cfg)
@@ -256,7 +249,6 @@ def test_a_planted_non_finite_parameter_stops_the_first_step(edge_mode, side, po
     budget = bundle.nodes.count if csr and edge_mode == "learned" else None
     cfg = TrainConfig(seed=32202, batch_size=8, embed_dim=4, max_edges=budget)
     model_cfg = GcnConfig(layer_dims=[8, 8], pooling=pooling)
-    assert model_cfg.use_residual
     count = len(build_model(bundle, model_cfg, cfg, edge_mode).parameters())
     for i in range(count):
         state = build_model(bundle, model_cfg, cfg, edge_mode)
@@ -466,8 +458,8 @@ def pinned_state(edge_mode, dtype=np.float32):
         np.fill_diagonal(fixed, 1.0)
     cfg = GcnConfig(layer_dims=[5, 3], pooling="sum_and_mean", window=2, lead_months=2)
     state = init_params(
-        cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, feature_gain=0.5,
-        score_gain=2.0, max_edges=10, edge_mode=edge_mode, fixed_adjacency=fixed,
+        cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, max_edges=10,
+        edge_mode=edge_mode, fixed_adjacency=fixed,
     )
     for norm in state.gcn_norms + [state.mlp_norm]:
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
@@ -484,8 +476,9 @@ def pinned_state(edge_mode, dtype=np.float32):
 @pytest.mark.parametrize(
     "edge_mode, sha1",
     [
-        ("learned", "30e721f4424b725a0521fd1a269b6236bd2b55a5"),
-        ("local", "2a8aa242cf14b6fbaf48fdd52d87457696723f62"),
+        # format 3: the blob of format 2 under a manifest without its five settings
+        ("learned", "c319ec437edfac45b6eb94d17a3b81aa81f86fbf"),
+        ("local", "f0d2fde1cee306ac5775e2d1e976df4ca2390dad"),
     ],
     ids=["learned", "local"],
 )
@@ -498,22 +491,26 @@ def test_checkpoint_bytes_are_pinned(tmp_path, edge_mode, sha1):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
-def version1_checkpoint(state) -> bytes:
-    """The checkpoint of ``state`` as format version 1 wrote it: the
-    manifest of version 2 with offsets of 8 bytes per value, and a blob of
-    little-endian float64."""
+def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
+    """The checkpoint of ``state`` as format ``version`` 1 or 2 wrote it:
+    the manifest with the settings those versions recorded, at the values
+    every shipped model had but the pre-tanh ``feature_gain``, and a blob
+    of little-endian float64 (version 1) or float32 (version 2)."""
+    dtype = np.dtype("<f8" if version == 1 else "<f4")
     entries = training._checkpoint_entries(state)
     tensors, offset = [], 0
     for name, arr in entries.items():
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 8 * arr.size
+        offset += dtype.itemsize * arr.size
     optimizer = state.optimizer and {
         k: getattr(state.optimizer, k) for k in training.OPTIMIZER_FIELDS
     }
+    settings = {"activation": "elu", "use_residual": True, "use_jumping_knowledge": True}
+    gains = {"feature_gain": feature_gain, "score_gain": 2.0}
     manifest = {
-        "format_version": 1,
-        "model": asdict(state.config),
-        "structure": {k: getattr(state.structure, k) for k in training.STRUCTURE_FIELDS},
+        "format_version": version,
+        "model": asdict(state.config) | settings,
+        "structure": {"max_edges": state.structure.max_edges} | gains,
         "edge_mode": state.edge_mode,
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
@@ -522,25 +519,29 @@ def version1_checkpoint(state) -> bytes:
         "blob_bytes": offset,
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in entries.values())
+    blob = b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes() for a in entries.values())
     return training.CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob
 
 
 @pytest.mark.parametrize(
-    "edge_mode, sha1",
+    "version, edge_mode, sha1",
     [
-        # the pins of version 1's test_checkpoint_bytes_are_pinned
-        ("learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
-        ("local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
+        # the pins of test_checkpoint_bytes_are_pinned in versions 1 and 2
+        (1, "learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
+        (1, "local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
+        (2, "learned", "30e721f4424b725a0521fd1a269b6236bd2b55a5"),
+        (2, "local", "2a8aa242cf14b6fbaf48fdd52d87457696723f62"),
     ],
-    ids=["learned", "local"],
+    ids=["learned", "local", "version2-learned", "version2-local"],
 )
-def test_a_version1_checkpoint_is_refused(tmp_path, edge_mode, sha1):
-    raw = version1_checkpoint(pinned_state(edge_mode, np.float64))
-    assert hashlib.sha1(raw).hexdigest() == sha1  # byte for byte as version 1 wrote it
+def test_a_version1_checkpoint_is_refused(tmp_path, version, edge_mode, sha1):
+    # pinned_state's models were saved with a feature gain of 0.5
+    state = pinned_state(edge_mode, np.float64 if version == 1 else np.float32)
+    raw = old_checkpoint(state, version, feature_gain=0.5)
+    assert hashlib.sha1(raw).hexdigest() == sha1  # byte for byte as that version wrote it
     path = tmp_path / "old.ckpt"
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="format version 1; this build reads version 2"):
+    with pytest.raises(FormatError, match=f"format version {version}; this build reads version 3"):
         load_checkpoint(path)
 
 
@@ -620,19 +621,6 @@ def test_checkpoint_shape_past_the_blob_rejected_before_reading(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_keeps_its_own_feature_gain(tmp_path):
-    # a checkpoint made under another default gain must not pick up the current one
-    bundle, _, model_cfg, _ = tiny_setup()
-    state = build_model(bundle, model_cfg, TrainConfig(embed_dim=8, feature_gain=0.1))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(state, path)
-    loaded = load_checkpoint(path)
-    assert loaded.structure.feature_gain == 0.1
-    np.testing.assert_array_equal(
-        predict_samples(loaded, bundle.train), predict_samples(state, bundle.train)
-    )
-
-
 def test_checkpoint_tampered_blob_rejected(tmp_path):
     bundle, _, _, state = tiny_setup()
     path = tmp_path / "model.ckpt"
@@ -660,17 +648,12 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].pop("max_edges")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=3)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=4)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=10.5)),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=True)),
-        lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(feature_gain=math.nan)),
-        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(activation="relu")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(use_residual="no")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(model=[["pooling", "mean"]])),
-        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("activation")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("use_residual")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(has_oni_node="no")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(seed=True)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=True)),
@@ -693,8 +676,7 @@ def _rewrite_manifest(raw, edit):
     ids=[
         "truncated_header", "no_manifest", "no_tensors", "no_layer_dims", "bad_shape",
         "no_max_edges", "newer_version", "version_string", "no_version",
-        "fractional_max_edges", "bool_max_edges", "nan_feature_gain", "unknown_activation",
-        "string_residual", "model_not_an_object", "no_activation", "no_residual",
+        "fractional_max_edges", "bool_max_edges", "model_not_an_object",
         "string_oni_node", "bool_seed", "bool_version", "float_blob_bytes",
         "optimizer_not_an_object", "unknown_top_level_key", "unknown_model_key",
         "tensors_not_a_list", "null_edge_mode", "bool_offset", "shared_offset",

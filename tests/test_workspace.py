@@ -154,7 +154,7 @@ def test_gradients_match_with_and_without_a_workspace():
     # gradient array to both inputs), and jumping knowledge reads every layer
     grid, _ = synth_teleconnection_dataset(4, 4, 44, 1, seed=23)
     bundle = prepare_dataset(grid, window=3, lead=1, train_fraction=1.0)
-    cfg = GcnConfig(layer_dims=[8, 8, 8], pooling="sum_and_mean", use_jumping_knowledge=True)
+    cfg = GcnConfig(layer_dims=[8, 8, 8], pooling="sum_and_mean")
     state = build_model(bundle, cfg, TrainConfig(seed=29, embed_dim=4))
     ids = np.arange(12)
     x = Tensor(bundle.train.inputs[ids].reshape(-1, bundle.train.inputs.shape[2]))
@@ -215,7 +215,7 @@ def test_a_train_mode_batchnorm_backward_takes_one_workspace_buffer(monkeypatch)
     monkeypatch.setattr(Workspace, "take", counted)
     with Workspace(), Tape() as tape:
         running = RunningStats.initial(8, np.float64)
-        out = batchnorm_features(z, gamma, beta, "train", running, "elu")
+        out = batchnorm_features(z, gamma, beta, "train", running)
         takes.clear()
         grads = tape.entries[-1].rule(rng.normal(size=out.shape))
     assert takes == [(40, 8)]
