@@ -24,8 +24,8 @@ Ops do not check their outputs: products, aggregation, bias and residual
 adds, pooling and flatten carry inf and NaN forward by IEEE rules.
 Finiteness is checked where such a value could vanish or would leave the
 model, each check raising ``NumericError``: in :func:`batchnorm_features`
-before the ELU (which maps -inf to the finite -1), in
-``structure.kept_edges`` before the embedding's tanh and on the edge
+before the activation (ELU, tanh and sigmoid map +-inf to finite values),
+in ``structure.kept_edges`` before the embedding's tanh and on the edge
 logits, in :func:`mse_loss`, and on ``training.predict_samples``' output.
 
 Inside a ``with Workspace():`` block the ops write their step-sized
@@ -474,24 +474,44 @@ def _sigmoid(x: Array, out: Array | None = None) -> Array:
 
 
 def _elu(y: Array) -> Array:
-    # the ELU of y in place, as max(y, expm1(min(y, 0))): expm1 sees only
-    # min(y, 0), so a large positive entry cannot overflow. One max picks
-    # each branch exactly: above 0 the second operand is 0 < y, and at or
-    # below 0 it is expm1(y) >= y (e^x - 1 >= x). On a tie numpy returns the
-    # second operand, so -0.0 gives min(-0.0, 0.0) = +0.0 and
-    # max(-0.0, +0.0) = +0.0.
+    # max(y, expm1(min(y, 0))): expm1 sees only min(y, 0), so a large
+    # positive entry cannot overflow. One max picks each branch exactly:
+    # above 0 the second operand is 0 < y, and at or below 0 it is
+    # expm1(y) >= y (e^x - 1 >= x). On a tie numpy returns the second
+    # operand, so -0.0 gives min(-0.0, 0.0) = +0.0 and max(-0.0, +0.0) = +0.0.
     neg = np.minimum(y, 0.0, out=_empty(y.shape, y.dtype))
     np.expm1(neg, out=neg)
     return np.maximum(y, neg, out=y)
 
 
 def _elu_grad(g: Array, y: Array) -> Array:
-    # the gradient at the input from g at the output y, in a fresh array;
     # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below
     d = np.minimum(y, 0.0, out=_empty(y.shape, y.dtype))
     d += 1.0
     d *= g
     return d
+
+
+# The activation kinds: kind -> (forward that overwrites its argument and
+# returns it, gradient at the input from the gradient g at the output and
+# the output y alone, as a fresh array the caller may overwrite). Each
+# forward gives the bits of its textbook formula; the ELU's one max is
+# exact because expm1(x) >= x wherever it picks expm1 (see _elu).
+ACTIVATIONS = {
+    "tanh": (
+        lambda y: np.tanh(y, out=y),
+        lambda g, y: g * (1.0 - y * y),
+    ),
+    "sigmoid": (
+        lambda y: _sigmoid(y, out=y),
+        lambda g, y: g * y * (1.0 - y),
+    ),
+    "elu": (_elu, _elu_grad),
+    "identity": (
+        lambda y: y,
+        lambda g, y: g.copy(),
+    ),
+}
 
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
@@ -516,12 +536,13 @@ def batchnorm_features(
     beta: Tensor,
     mode: str,
     running: RunningStats,
+    activation: str = "identity",
 ) -> Tensor:
     """Normalize each feature column over the rows of ``z``, scale by
-    ``gamma``, shift by ``beta``, then apply the ELU (:func:`_elu`), as one
-    op. The input is centered in ``z``'s own array, which saves one array
-    of its size: nothing may read ``z`` after this call (no backward rule
-    reads its op's output).
+    ``gamma``, shift by ``beta``, then apply ``activation`` (a kind of
+    ``ACTIVATIONS``), as one op. The input is centered in ``z``'s own
+    array, which saves one array of its size: nothing may read ``z`` after
+    this call (no backward rule reads its op's output).
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
@@ -530,9 +551,9 @@ def batchnorm_features(
     The forward pass keeps the centered input ``xc = z - mean`` and the
     output ``y = xc * scale + beta``, one buffer when nothing is recorded,
     with ``scale = gamma * inv`` and ``inv = 1 / sqrt(var + BN_EPS)`` per
-    column, and checks finiteness before the ELU, which maps -inf to a
-    finite value. Backward takes the ELU's gradient ``d`` from the output
-    alone and, from two column sums ``dbeta = sum(d)`` and
+    column, and checks finiteness before the activation, which can map -inf
+    to a finite value. Backward takes the activation gradient ``d`` from the
+    output alone and, from two column sums ``dbeta = sum(d)`` and
     ``sx = sum(d * xc)``, gives ``dgamma = sx * inv`` and, in place on
     ``d``, the batchnorm backward (Ioffe & Szegedy 2015) ``dz = d * scale -
     (scale / n) * dbeta - xc * (scale * inv**2 / n) * sx`` (train mode) or
@@ -549,6 +570,9 @@ def batchnorm_features(
         raise DimensionError(
             f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    act, act_grad = ACTIVATIONS[activation]
     dtype = _dtype(z.data, gamma.data, beta.data, running.mean, running.var)
 
     xc = z.data
@@ -577,13 +601,13 @@ def batchnorm_features(
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite value produced by a tensor op")
     out = _make_output(y, z, gamma, beta)
-    _elu(y)
+    act(y)
     if not records:
         return out
 
     def rule(g: Array):
         # backward drops the gradient of any input that needs none
-        d = _elu_grad(g, y)
+        d = act_grad(g, y)
         dbeta, sx = _column_sums(d), _column_sums(d, xc)
         d *= scale
         if mode == "train":

@@ -116,31 +116,42 @@ def test_matmul_backward_rules():
 # --- activations ------------------------------------------------------------
 
 
-def activate(x):
-    """batchnorm_features reduced to its ELU: eval mode with running mean 0
-    and variance 1 - BN_EPS, which BN_EPS brings back to exactly 1.0, unit
-    scale and a shift of -0.0. Every finite entry of the rank-2 ``x``, -0.0
-    included, reaches the ELU unchanged, and its gradient passes back
-    unchanged. The op centers ``x`` in its own array, so each call takes an
-    ``x`` that nothing reads afterwards."""
+def activate(x, kind):
+    """batchnorm_features reduced to the activation ``kind``: eval mode with
+    running mean 0 and variance 1 - BN_EPS, which BN_EPS brings back to
+    exactly 1.0, unit scale and a shift of -0.0. Every finite entry of the
+    rank-2 ``x``, -0.0 included, reaches the activation unchanged, and its
+    gradient passes back unchanged. The op centers ``x`` in its own array,
+    so each call takes an ``x`` that nothing reads afterwards."""
     width = x.shape[1]
     return batchnorm_features(
         x, t(np.ones(width)), t(np.full(width, -0.0)), "eval",
-        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)),
+        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)), kind,
     )
 
 
 def test_activation_fixed_points():
-    assert _sigmoid(np.array(0.0)) == 0.5  # the edge scores' activation
-    assert activate(t([[0.0]])).data[0, 0] == 0.0
+    assert activate(t([[0.0]]), "tanh").data[0, 0] == 0.0
+    assert activate(t([[0.0]]), "sigmoid").data[0, 0] == 0.5
+    assert activate(t([[0.0]]), "elu").data[0, 0] == 0.0
 
 
 def test_elu_positive_branch_is_identity():
-    assert activate(t([[2.0]])).data[0, 0] == 2.0
+    assert activate(t([[2.0]]), "elu").data[0, 0] == 2.0
 
 
 def test_activation_scalar_oracle_values():
-    assert activate(t([[-1.0]])).data[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
+    assert activate(t([[-1.0]]), "elu").data[0, 0] == pytest.approx(
+        math.exp(-1.0) - 1.0, abs=1e-12
+    )
+    assert activate(t([[1.0]]), "tanh").data[0, 0] == pytest.approx(
+        0.7615941559557649, abs=1e-12
+    )
+
+
+def test_unknown_activation_rejected():
+    with pytest.raises(ConfigError):
+        activate(t([[0.0]]), "relu")
 
 
 def _two_branch_sigmoid(x):
@@ -238,14 +249,14 @@ def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
     out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", initial_stats(1))
     unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
-    np.testing.assert_array_equal(out.data, [[np.expm1(-unit)], [unit]])
+    np.testing.assert_array_equal(out.data, [[-unit], [unit]])
 
 
 def test_batchnorm_zero_gamma_gives_beta():
     z = t(np.random.default_rng(1).normal(size=(5, 3)))
     beta = np.array([1.0, -2.0, 0.5])
     out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", initial_stats(3))
-    np.testing.assert_array_equal(out.data, np.broadcast_to(_reference_elu(beta), (5, 3)))
+    np.testing.assert_array_equal(out.data, np.broadcast_to(beta, (5, 3)))
 
 
 def test_batchnorm_single_row_train_rejected():
@@ -265,7 +276,7 @@ def test_batchnorm_running_stats_update_and_eval():
     out = batchnorm_features(
         t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
     )
-    expected = (z - before[0]) / np.sqrt(before[1] + BN_EPS)  # positive: the ELU keeps it
+    expected = (z - before[0]) / np.sqrt(before[1] + BN_EPS)
     np.testing.assert_allclose(out.data, expected)
     np.testing.assert_array_equal(running.mean, before[0])
     np.testing.assert_array_equal(running.var, before[1])
@@ -273,15 +284,17 @@ def test_batchnorm_running_stats_update_and_eval():
 
 # --- fused batchnorm + activation -------------------------------------------
 
+ACTIVATION_KINDS = ("elu", "tanh", "sigmoid", "identity")
 
-# the separate op the fused one replaced: the ELU of the pre-activation x,
-# and its gradient at x from the gradient g at the output y
-def _reference_elu(x):
-    return np.where(x > 0.0, x, np.expm1(x))
-
-
-def _reference_elu_grad(g, x, y):
-    return np.where(x > 0.0, g, g * (y + 1.0))
+# the separate ops the fused one replaced: forward of the pre-activation x,
+# and the gradient at x from the gradient g at the output y
+REFERENCE_ACTIVATIONS = {
+    "elu": (lambda x: np.where(x > 0.0, x, np.expm1(x)),
+            lambda g, x, y: np.where(x > 0.0, g, g * (y + 1.0))),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_two_branch_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "identity": (lambda x: x, lambda g, x, y: g),
+}
 
 
 def _batch_stats(z, mode, running):
@@ -294,7 +307,7 @@ def _batch_stats(z, mode, running):
     return mean, var, ((1.0 - m) * running.mean + m * mean, (1.0 - m) * running.var + m * var)
 
 
-def _reference_norm_act(z, gamma, beta, mode, running, g):
+def _reference_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output, (dz, dgamma, dbeta) and the running statistics after the
     call, in the op's folded order: one scale and shift per column, and a
     backward from the two column sums of d and d * xc."""
@@ -304,8 +317,9 @@ def _reference_norm_act(z, gamma, beta, mode, running, g):
     scale = gamma * inv
     xc = z - mean
     x = xc * scale + beta
-    y = _reference_elu(x)
-    d = _reference_elu_grad(g, x, y)
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    y = fwd(x)
+    d = bwd(g, x, y)
     dbeta, sx = d.sum(axis=0), (d * xc).sum(axis=0)
     dz = d * scale
     if mode == "train":
@@ -313,7 +327,7 @@ def _reference_norm_act(z, gamma, beta, mode, running, g):
     return y, (dz, sx * inv, dbeta), new_running
 
 
-def _textbook_norm_act(z, gamma, beta, mode, running, g):
+def _textbook_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output and (dz, dgamma, dbeta) by the textbook batchnorm and
     activation formulas: standardize, then scale and shift."""
     n = z.shape[0]
@@ -321,8 +335,9 @@ def _textbook_norm_act(z, gamma, beta, mode, running, g):
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (z - mean) * inv
     x = xhat * gamma + beta
-    y = _reference_elu(x)
-    gx = _reference_elu_grad(g, x, y)
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    y = fwd(x)
+    gx = bwd(g, x, y)
     dxhat = gx * gamma
     if mode == "train":
         dz = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
@@ -332,7 +347,8 @@ def _textbook_norm_act(z, gamma, beta, mode, running, g):
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_fused_norm_act_is_bit_identical_to_reference_formulas(mode):
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     rng = np.random.default_rng(41)
     batch, nodes, width = 3, 37, 5  # stacked (B * N, D) rows
     z0 = rng.normal(scale=2.0, size=(batch * nodes, width)) + 0.5
@@ -342,10 +358,10 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(mode):
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z0, gamma.data, beta.data, mode, copied(running), g
+        z0, gamma.data, beta.data, mode, copied(running), kind, g
     )
     with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running)
+        out = batchnorm_features(z, gamma, beta, mode, running, kind)
         grads = tape.entries[-1].rule(g)
     assert out.data.tobytes() == want_y.tobytes()
     for got, want in zip(grads, want_grads):
@@ -354,13 +370,14 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(mode):
         assert got.tobytes() == want.tobytes()
     # nothing recorded: the single-buffer forward gives the same bits
     frozen = RunningStats(*want_running)
-    want_eval = _reference_norm_act(z0, gamma.data, beta.data, "eval", frozen, g)[0]
-    got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen)
+    want_eval = _reference_norm_act(z0, gamma.data, beta.data, "eval", frozen, kind, g)[0]
+    got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen, kind)
     assert got_eval.data.tobytes() == want_eval.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_grad_check_fused_norm_act(mode):
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_grad_check_fused_norm_act(kind, mode):
     rng = np.random.default_rng(42)
     z = t(rng.normal(size=(6, 3)), grad=True)
     gamma = t(rng.normal(loc=1.0, scale=0.3, size=3), grad=True)
@@ -370,7 +387,7 @@ def test_grad_check_fused_norm_act(mode):
 
     def f():
         # train mode reads no running statistics, so f stays deterministic
-        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running))
+        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running), kind)
         return mse_loss(flatten(out), target)
 
     assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
@@ -382,10 +399,11 @@ def test_fused_norm_act_eval_leaves_the_running_statistics():
     running = RunningStats(rng.normal(size=4), rng.random(4) + 0.5)
     before = (running.mean.copy(), running.var.copy())
     gamma, beta = t(np.ones(4), grad=True), t(np.zeros(4), grad=True)
-    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)
+    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running, activation="elu")
     with Tape():
         loss = mse_loss(
-            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)),
+            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running,
+                                       activation="elu")),
             t(np.zeros(48)),
         )
         backward(loss)
@@ -393,47 +411,57 @@ def test_fused_norm_act_eval_leaves_the_running_statistics():
         assert got.tobytes() == want.tobytes()
 
 
-def test_fused_norm_act_checks_finiteness_before_the_activation():
+@pytest.mark.parametrize("kind", ["elu", "tanh", "sigmoid"])
+def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
     # xhat is about -1 on the second row, so the shifted value overflows to
-    # -inf, which the ELU would map to -1
+    # -inf, which these activations would map to a finite value
     z = t([[1.0], [-1.0]])
     with pytest.raises(NumericError), np.errstate(over="ignore"):
-        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1))
+        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1), kind)
+
+
+def test_fused_norm_act_rejects_unknown_activation():
+    with pytest.raises(ConfigError, match="relu"):
+        batchnorm_features(
+            t(np.ones((2, 1))), t([1.0]), t([0.0]), "train", initial_stats(1), "relu"
+        )
 
 
 def test_elu_of_negative_zero_is_positive_zero():
     # the one signed-zero difference from where(x > 0, x, expm1(x)), which
     # gives -0.0; a zero-initialized shift never produces -0.0
     x = np.array([[-0.0, 0.0]])
-    # activate's normalization, x - 0.0 times 1.0 plus -0.0, keeps -0.0
-    assert ((x - 0.0) * 1.0 + -0.0).tobytes() == x.tobytes()
-    out = activate(t(x)).data
+    assert activate(t(x), "identity").data.tobytes() == x.tobytes()  # -0.0 reaches the ELU
+    out = activate(t(x), "elu").data
     np.testing.assert_array_equal(out, [[0.0, 0.0]])
     assert not np.signbit(out).any()
 
 
-def test_activations_take_every_tensor_rank():
-    # the ELU and its gradient work on arrays of any rank; the fused op
-    # feeds them rank-2 rows
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_activations_take_every_tensor_rank(kind):
+    # the activation table works on arrays of any rank; the fused op feeds
+    # it rank-2 rows
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    act, act_grad = autodiff.ACTIVATIONS[kind]
     for values in (-0.75, [0.5, -2.0], [[1.5, -0.25]]):
         x = np.asarray(values)
         g = np.full(x.shape, 0.5)
-        y = autodiff._elu(x.copy())
-        assert y.tobytes() == _reference_elu(x).tobytes()
-        assert autodiff._elu_grad(g, y).tobytes() == _reference_elu_grad(g, x, y).tobytes()
+        y = act(x.copy())
+        assert y.tobytes() == fwd(x).tobytes()
+        assert np.asarray(act_grad(g, y)).tobytes() == bwd(g, x, y).tobytes()
         if x.ndim == 2:
             x = t(values, grad=True)
             with Tape() as tape:
-                out = activate(x)
+                out = activate(x, kind)
                 (dx,) = tape.entries[-1].rule(g)[:1]
-            assert out.data.tobytes() == _reference_elu(x.data).tobytes()
-            assert dx.tobytes() == _reference_elu_grad(g, x.data, out.data).tobytes()
+            assert out.data.tobytes() == fwd(x.data).tobytes()
+            assert dx.tobytes() == bwd(g, x.data, out.data).tobytes()
 
 
 def test_elu_evaluates_expm1_on_the_negative_half_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = activate(t([[800.0, -1.0]])).data
+        out = activate(t([[800.0, -1.0]]), "elu").data
     assert out[0, 0] == 800.0
     assert out[0, 1] == math.expm1(-1.0)
 
@@ -455,7 +483,7 @@ def test_elu_keeps_the_bits_of_its_two_branch_formula(values):
     with np.errstate(over="ignore"):  # expm1 of the discarded positive branch
         want = np.where(x > 0.0, x, np.expm1(x))
     want[x == 0.0] = 0.0  # -0.0 maps to +0.0
-    got = autodiff._elu(x.copy())
+    got = autodiff.ACTIVATIONS["elu"][0](x.copy())
     assert got.tobytes() == want.tobytes()
 
 
@@ -494,7 +522,8 @@ def test_column_sums_keep_the_bits_of_numpy_sums(rows, width, batch, seed):
 @pytest.mark.parametrize("width", [1, 2, 16, 48])
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(mode, order, width, workspace):
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, order, width, workspace):
     # _reference_norm_act takes every column sum with np.mean, np.var or
     # .sum(axis=0), where the op takes them through einsum;
     # 260 rows: enough that numpy sums a width-1 column pairwise. The op
@@ -509,7 +538,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(mode, order, width, w
     running0 = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z0.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z0, gamma.data, beta.data, mode, running0, g
+        z0, gamma.data, beta.data, mode, running0, kind, g
     )
     with Workspace() if workspace else nullcontext():
         for _ in range(2):  # with a workspace: fresh buffers, then reused ones
@@ -517,7 +546,7 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(mode, order, width, w
             assert z.data.flags[f"{order}_CONTIGUOUS"]
             running = copied(running0)
             with Tape() as tape:
-                out = batchnorm_features(z, gamma, beta, mode, running)
+                out = batchnorm_features(z, gamma, beta, mode, running, kind)
                 grads = tape.entries[-1].rule(g.copy())
             assert out.data.tobytes() == want_y.tobytes()
             for got, want in zip(grads, want_grads):
@@ -528,7 +557,8 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(mode, order, width, w
 
 @pytest.mark.parametrize("width", [1, 2, 16, 48])
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(mode, width):
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mode, width):
     # the folded order rounds differently from standardize-then-scale; each
     # array stays within 1e-12 of its largest magnitude (seed and bound
     # fixed before measuring)
@@ -539,10 +569,10 @@ def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(mode, wid
     running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
     g = rng.normal(size=z.shape)
     want_y, want_grads = _textbook_norm_act(
-        z.data, gamma.data, beta.data, mode, copied(running), g
+        z.data, gamma.data, beta.data, mode, copied(running), kind, g
     )
     with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running)
+        out = batchnorm_features(z, gamma, beta, mode, running, kind)
         grads = tape.entries[-1].rule(g)
     for got, want in zip((out.data, *grads), (want_y, *want_grads)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -705,16 +735,16 @@ def test_backward_two_paths_gradients_sum():
 
 
 def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
-    w = t([[-1.5, 0.5]], grad=True)
+    w = t([[1.5, -0.5]], grad=True)
     x = t([[2.0], [1.0]])
     with Tape() as tape:
-        hidden = activate(matmul(w, x))
+        hidden = activate(matmul(w, x), "tanh")
         loss = mse_loss(flatten(hidden), t([0.0]))
         backward(loss)
         assert tape.entries == []
     assert hidden.grad is None and loss.grad is None
-    y = math.expm1(-2.5)  # the ELU below 0, with slope y + 1
-    want = np.array([[2.0, 1.0]]) * (2.0 * y * (y + 1.0))
+    y = math.tanh(2.5)
+    want = np.array([[2.0, 1.0]]) * (2.0 * y * (1.0 - y * y))
     np.testing.assert_allclose(w.grad, want, rtol=1e-14)
 
 
@@ -757,7 +787,7 @@ def test_forward_backward_deterministic():
         w = t(np.arange(6.0).reshape(2, 3), grad=True)
         x = t(np.arange(12.0).reshape(3, 4) / 7.0)
         with Tape():
-            out = activate(matmul(w, x))
+            out = activate(matmul(w, x), "tanh")
             loss = mse_loss(flatten(out), t(np.zeros(8)))
             backward(loss)
         return out.data.tobytes(), w.grad.tobytes()
@@ -777,8 +807,8 @@ def _added_to_itself(r):
     return add(x, x)
 
 
-def _norm_op(r, mode):
-    return batchnorm_features(r(5, 3), r(3), r(3), mode, initial_stats(3))
+def _norm_op(r, mode, activation):
+    return batchnorm_features(r(5, 3), r(3), r(3), mode, initial_stats(3), activation)
 
 
 def _pool_op(r, kind):
@@ -804,7 +834,11 @@ RULE_CASES = [
     ("mse_loss", lambda r: mse_loss(r(4), r(4))),
     ("edge_block_matmul", lambda r: edge_block_matmul(r(12), full_graph(4), r(8, 3))),
     ("edge_block_matmul", lambda r: edge_block_matmul(r(40), _sparse_ring(), r(80, 3))),
-    *(("batchnorm_features", partial(_norm_op, mode=mode)) for mode in ("train", "eval")),
+    *(
+        ("batchnorm_features", partial(_norm_op, mode=mode, activation=activation))
+        for mode in ("train", "eval")
+        for activation in ("identity", "elu")
+    ),
     *(("pool_blocks", partial(_pool_op, kind=kind)) for kind in ("mean", "sum_and_mean")),
     ("kept_edges", _structure_op),
 ]
@@ -897,7 +931,7 @@ def test_grad_check_composite_ops():
     def f():
         h = matmul(x, w)
         h = add_row_bias(h, bias)
-        h = batchnorm_features(h, gamma, beta, mode="train", running=running)
+        h = batchnorm_features(h, gamma, beta, mode="train", running=running, activation="elu")
         pooled = pool_blocks([h, add(h, h)], 4, "mean")
         return mse_loss(flatten(pooled), t([0.1, 0.2, 0.3, 0.4]))
 
