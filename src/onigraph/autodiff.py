@@ -24,9 +24,9 @@ Ops do not check their outputs: products, aggregation, bias and residual
 adds, pooling and flatten carry inf and NaN forward by IEEE rules.
 Finiteness is checked where such a value could vanish or would leave the
 model, each check raising ``NumericError``: in :func:`batchnorm_features`
-before the activation (ELU, tanh and sigmoid map +-inf to finite values),
-in ``structure.kept_edges`` before the embedding's tanh and on the edge
-logits, in :func:`mse_loss`, and on ``training.predict_samples``' output.
+before its ELU (which maps -inf to -1), in ``structure.kept_edges`` before
+the embedding's tanh and on the edge logits, in :func:`mse_loss`, and on
+``training.predict_samples``' output.
 
 Inside a ``with Workspace():`` block the ops write their step-sized
 arrays into reused buffers instead of fresh ones, with the same bits.
@@ -485,33 +485,12 @@ def _elu(y: Array) -> Array:
 
 
 def _elu_grad(g: Array, y: Array) -> Array:
-    # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below
+    # y > 0 exactly where the input was: slope 1 there, y + 1 = e^x below;
+    # from the output alone, into a fresh array that the caller may overwrite
     d = np.minimum(y, 0.0, out=_empty(y.shape, y.dtype))
     d += 1.0
     d *= g
     return d
-
-
-# The activation kinds: kind -> (forward that overwrites its argument and
-# returns it, gradient at the input from the gradient g at the output and
-# the output y alone, as a fresh array the caller may overwrite). Each
-# forward gives the bits of its textbook formula; the ELU's one max is
-# exact because expm1(x) >= x wherever it picks expm1 (see _elu).
-ACTIVATIONS = {
-    "tanh": (
-        lambda y: np.tanh(y, out=y),
-        lambda g, y: g * (1.0 - y * y),
-    ),
-    "sigmoid": (
-        lambda y: _sigmoid(y, out=y),
-        lambda g, y: g * y * (1.0 - y),
-    ),
-    "elu": (_elu, _elu_grad),
-    "identity": (
-        lambda y: y,
-        lambda g, y: g.copy(),
-    ),
-}
 
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
@@ -536,13 +515,12 @@ def batchnorm_features(
     beta: Tensor,
     mode: str,
     running: RunningStats,
-    activation: str = "identity",
 ) -> Tensor:
     """Normalize each feature column over the rows of ``z``, scale by
-    ``gamma``, shift by ``beta``, then apply ``activation`` (a kind of
-    ``ACTIVATIONS``), as one op. The input is centered in ``z``'s own
-    array, which saves one array of its size: nothing may read ``z`` after
-    this call (no backward rule reads its op's output).
+    ``gamma``, shift by ``beta``, then apply the ELU, as one op. The input
+    is centered in ``z``'s own array, which saves one array of its size:
+    nothing may read ``z`` after this call (no backward rule reads its op's
+    output).
 
     In train mode the batch mean and population variance are used and the
     running statistics are updated in place; in eval mode the running
@@ -551,15 +529,15 @@ def batchnorm_features(
     The forward pass keeps the centered input ``xc = z - mean`` and the
     output ``y = xc * scale + beta``, one buffer when nothing is recorded,
     with ``scale = gamma * inv`` and ``inv = 1 / sqrt(var + BN_EPS)`` per
-    column, and checks finiteness before the activation, which can map -inf
-    to a finite value. Backward takes the activation gradient ``d`` from the
-    output alone and, from two column sums ``dbeta = sum(d)`` and
-    ``sx = sum(d * xc)``, gives ``dgamma = sx * inv`` and, in place on
-    ``d``, the batchnorm backward (Ioffe & Szegedy 2015) ``dz = d * scale -
-    (scale / n) * dbeta - xc * (scale * inv**2 / n) * sx`` (train mode) or
-    ``d * scale`` (eval mode). Values and gradients match the textbook
-    formulas to rounding, except that ELU maps -0.0 to +0.0; a shift that
-    starts at zero never gives -0.0.
+    column, and checks finiteness before the ELU, which maps -inf to -1.
+    Backward takes the ELU's gradient ``d`` from the output alone and, from
+    two column sums ``dbeta = sum(d)`` and ``sx = sum(d * xc)``, gives
+    ``dgamma = sx * inv`` and, in place on ``d``, the batchnorm backward
+    (Ioffe & Szegedy 2015) ``dz = d * scale - (scale / n) * dbeta - xc *
+    (scale * inv**2 / n) * sx`` (train mode) or ``d * scale`` (eval mode).
+    Values and gradients match the textbook formulas to rounding, except
+    that ELU maps -0.0 to +0.0; a shift that starts at zero never gives
+    -0.0.
     """
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -570,9 +548,6 @@ def batchnorm_features(
         raise DimensionError(
             f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
-    act, act_grad = ACTIVATIONS[activation]
     dtype = _dtype(z.data, gamma.data, beta.data, running.mean, running.var)
 
     xc = z.data
@@ -601,13 +576,13 @@ def batchnorm_features(
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite value produced by a tensor op")
     out = _make_output(y, z, gamma, beta)
-    act(y)
+    _elu(y)
     if not records:
         return out
 
     def rule(g: Array):
         # backward drops the gradient of any input that needs none
-        d = act_grad(g, y)
+        d = _elu_grad(g, y)
         dbeta, sx = _column_sums(d), _column_sums(d, xc)
         d *= scale
         if mode == "train":

@@ -7,8 +7,7 @@ layer whose input and output widths are equal, a jumping-knowledge readout
 that pools every layer's node rows per graph straight into the head input
 (one op, ``autodiff.pool_blocks``), and a two-layer MLP head that emits one
 scalar. Normalization and the ELU run as one fused op,
-``autodiff.batchnorm_features`` with activation ``"elu"``, in every layer
-and in the head.
+``autodiff.batchnorm_features``, in every layer and in the head.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -279,7 +278,7 @@ def gcn_layer(
     else:
         h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, so it holds the centered rows
-    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, "elu")
+    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
     if weight.shape[0] == weight.shape[1]:
         out = ad.add(out, z)
     return out
@@ -294,7 +293,7 @@ def mlp_head(state: ModelState, pooled: Tensor, mode: str) -> Tensor:
         )
     h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
-    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running, "elu")
+    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 

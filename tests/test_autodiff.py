@@ -7,6 +7,7 @@ import warnings
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def test_matmul_backward_rules():
 # --- activations ------------------------------------------------------------
 
 
-def activate(x, kind):
-    """batchnorm_features reduced to the activation ``kind``: eval mode with
+def activate(x):
+    """batchnorm_features reduced to its activation: eval mode with
     running mean 0 and variance 1 - BN_EPS, which BN_EPS brings back to
     exactly 1.0, unit scale and a shift of -0.0. Every finite entry of the
     rank-2 ``x``, -0.0 included, reaches the activation unchanged, and its
@@ -126,32 +127,23 @@ def activate(x, kind):
     width = x.shape[1]
     return batchnorm_features(
         x, t(np.ones(width)), t(np.full(width, -0.0)), "eval",
-        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)), kind,
+        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)),
     )
 
 
 def test_activation_fixed_points():
-    assert activate(t([[0.0]]), "tanh").data[0, 0] == 0.0
-    assert activate(t([[0.0]]), "sigmoid").data[0, 0] == 0.5
-    assert activate(t([[0.0]]), "elu").data[0, 0] == 0.0
+    assert activate(t([[0.0]])).data[0, 0] == 0.0
+    assert _sigmoid(np.zeros(1))[0] == 0.5
 
 
 def test_elu_positive_branch_is_identity():
-    assert activate(t([[2.0]]), "elu").data[0, 0] == 2.0
+    assert activate(t([[2.0]])).data[0, 0] == 2.0
 
 
 def test_activation_scalar_oracle_values():
-    assert activate(t([[-1.0]]), "elu").data[0, 0] == pytest.approx(
+    assert activate(t([[-1.0]])).data[0, 0] == pytest.approx(
         math.exp(-1.0) - 1.0, abs=1e-12
     )
-    assert activate(t([[1.0]]), "tanh").data[0, 0] == pytest.approx(
-        0.7615941559557649, abs=1e-12
-    )
-
-
-def test_unknown_activation_rejected():
-    with pytest.raises(ConfigError):
-        activate(t([[0.0]]), "relu")
 
 
 def _two_branch_sigmoid(x):
@@ -249,12 +241,12 @@ def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
     out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", initial_stats(1))
     unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
-    np.testing.assert_array_equal(out.data, [[-unit], [unit]])
+    np.testing.assert_array_equal(out.data, [[np.expm1(-unit)], [unit]])
 
 
 def test_batchnorm_zero_gamma_gives_beta():
     z = t(np.random.default_rng(1).normal(size=(5, 3)))
-    beta = np.array([1.0, -2.0, 0.5])
+    beta = np.array([1.0, 2.0, 0.5])  # positive: the ELU passes it unchanged
     out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", initial_stats(3))
     np.testing.assert_array_equal(out.data, np.broadcast_to(beta, (5, 3)))
 
@@ -276,15 +268,36 @@ def test_batchnorm_running_stats_update_and_eval():
     out = batchnorm_features(
         t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
     )
-    expected = (z - before[0]) / np.sqrt(before[1] + BN_EPS)
-    np.testing.assert_allclose(out.data, expected)
+    x = (z - before[0]) / np.sqrt(before[1] + BN_EPS)
+    np.testing.assert_allclose(out.data, np.where(x > 0.0, x, np.expm1(x)))
     np.testing.assert_array_equal(running.mean, before[0])
     np.testing.assert_array_equal(running.var, before[1])
 
 
 # --- fused batchnorm + activation -------------------------------------------
 
-ACTIVATION_KINDS = ("elu", "tanh", "sigmoid", "identity")
+# The op's normalization and backward read its activation only through
+# _elu, in place on the shifted values, and _elu_grad, a fresh gradient
+# from the output alone. The tests below also check them with tanh, the
+# sigmoid and the identity swapped in for the ELU: curved on both sides of
+# zero, where the ELU is the identity above it, or no activation at all.
+SWAPPED_ACTIVATIONS = {
+    "tanh": (lambda y: np.tanh(y, out=y), lambda g, y: g * (1.0 - y * y)),
+    "sigmoid": (lambda y: _sigmoid(y, out=y), lambda g, y: g * y * (1.0 - y)),
+    "identity": (lambda y: y, lambda g, y: g.copy()),
+}
+ACTIVATION_KINDS = ("elu", *SWAPPED_ACTIVATIONS)
+
+
+def activation(kind):
+    """A context in which batchnorm_features applies ``kind``: its own ELU,
+    or another swapped in. The backward rule reads the swap when it runs,
+    so the context holds the backward too."""
+    if kind == "elu":
+        return nullcontext()
+    fwd, grad = SWAPPED_ACTIVATIONS[kind]
+    return mock.patch.multiple(autodiff, _elu=fwd, _elu_grad=grad)
+
 
 # the separate ops the fused one replaced: forward of the pre-activation x,
 # and the gradient at x from the gradient g at the output y
@@ -360,8 +373,8 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     want_y, want_grads, want_running = _reference_norm_act(
         z0, gamma.data, beta.data, mode, copied(running), kind, g
     )
-    with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running, kind)
+    with activation(kind), Tape() as tape:
+        out = batchnorm_features(z, gamma, beta, mode, running)
         grads = tape.entries[-1].rule(g)
     assert out.data.tobytes() == want_y.tobytes()
     for got, want in zip(grads, want_grads):
@@ -371,7 +384,8 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     # nothing recorded: the single-buffer forward gives the same bits
     frozen = RunningStats(*want_running)
     want_eval = _reference_norm_act(z0, gamma.data, beta.data, "eval", frozen, kind, g)[0]
-    got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen, kind)
+    with activation(kind):
+        got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen)
     assert got_eval.data.tobytes() == want_eval.tobytes()
 
 
@@ -387,10 +401,11 @@ def test_grad_check_fused_norm_act(kind, mode):
 
     def f():
         # train mode reads no running statistics, so f stays deterministic
-        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running), kind)
+        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running))
         return mse_loss(flatten(out), target)
 
-    assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
+    with activation(kind):
+        assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
 
 
 def test_fused_norm_act_eval_leaves_the_running_statistics():
@@ -399,11 +414,10 @@ def test_fused_norm_act_eval_leaves_the_running_statistics():
     running = RunningStats(rng.normal(size=4), rng.random(4) + 0.5)
     before = (running.mean.copy(), running.var.copy())
     gamma, beta = t(np.ones(4), grad=True), t(np.zeros(4), grad=True)
-    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running, activation="elu")
+    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)
     with Tape():
         loss = mse_loss(
-            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running,
-                                       activation="elu")),
+            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)),
             t(np.zeros(48)),
         )
         backward(loss)
@@ -416,33 +430,27 @@ def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
     # xhat is about -1 on the second row, so the shifted value overflows to
     # -inf, which these activations would map to a finite value
     z = t([[1.0], [-1.0]])
-    with pytest.raises(NumericError), np.errstate(over="ignore"):
-        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1), kind)
-
-
-def test_fused_norm_act_rejects_unknown_activation():
-    with pytest.raises(ConfigError, match="relu"):
-        batchnorm_features(
-            t(np.ones((2, 1))), t([1.0]), t([0.0]), "train", initial_stats(1), "relu"
-        )
+    with activation(kind), pytest.raises(NumericError), np.errstate(over="ignore"):
+        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1))
 
 
 def test_elu_of_negative_zero_is_positive_zero():
     # the one signed-zero difference from where(x > 0, x, expm1(x)), which
     # gives -0.0; a zero-initialized shift never produces -0.0
     x = np.array([[-0.0, 0.0]])
-    assert activate(t(x), "identity").data.tobytes() == x.tobytes()  # -0.0 reaches the ELU
-    out = activate(t(x), "elu").data
+    with activation("identity"):
+        assert activate(t(x)).data.tobytes() == x.tobytes()  # -0.0 reaches the ELU
+    out = activate(t(x)).data
     np.testing.assert_array_equal(out, [[0.0, 0.0]])
     assert not np.signbit(out).any()
 
 
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_activations_take_every_tensor_rank(kind):
-    # the activation table works on arrays of any rank; the fused op feeds
-    # it rank-2 rows
+    # the activation and its gradient work on arrays of any rank; the fused
+    # op feeds them rank-2 rows
     fwd, bwd = REFERENCE_ACTIVATIONS[kind]
-    act, act_grad = autodiff.ACTIVATIONS[kind]
+    act, act_grad = SWAPPED_ACTIVATIONS.get(kind, (autodiff._elu, autodiff._elu_grad))
     for values in (-0.75, [0.5, -2.0], [[1.5, -0.25]]):
         x = np.asarray(values)
         g = np.full(x.shape, 0.5)
@@ -451,8 +459,8 @@ def test_activations_take_every_tensor_rank(kind):
         assert np.asarray(act_grad(g, y)).tobytes() == bwd(g, x, y).tobytes()
         if x.ndim == 2:
             x = t(values, grad=True)
-            with Tape() as tape:
-                out = activate(x, kind)
+            with activation(kind), Tape() as tape:
+                out = activate(x)
                 (dx,) = tape.entries[-1].rule(g)[:1]
             assert out.data.tobytes() == fwd(x.data).tobytes()
             assert dx.tobytes() == bwd(g, x.data, out.data).tobytes()
@@ -461,7 +469,7 @@ def test_activations_take_every_tensor_rank(kind):
 def test_elu_evaluates_expm1_on_the_negative_half_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = activate(t([[800.0, -1.0]]), "elu").data
+        out = activate(t([[800.0, -1.0]])).data
     assert out[0, 0] == 800.0
     assert out[0, 1] == math.expm1(-1.0)
 
@@ -483,7 +491,7 @@ def test_elu_keeps_the_bits_of_its_two_branch_formula(values):
     with np.errstate(over="ignore"):  # expm1 of the discarded positive branch
         want = np.where(x > 0.0, x, np.expm1(x))
     want[x == 0.0] = 0.0  # -0.0 maps to +0.0
-    got = autodiff.ACTIVATIONS["elu"][0](x.copy())
+    got = autodiff._elu(x.copy())
     assert got.tobytes() == want.tobytes()
 
 
@@ -545,8 +553,8 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, order, wi
             z = t(z0.copy(order="K"), grad=True)
             assert z.data.flags[f"{order}_CONTIGUOUS"]
             running = copied(running0)
-            with Tape() as tape:
-                out = batchnorm_features(z, gamma, beta, mode, running, kind)
+            with activation(kind), Tape() as tape:
+                out = batchnorm_features(z, gamma, beta, mode, running)
                 grads = tape.entries[-1].rule(g.copy())
             assert out.data.tobytes() == want_y.tobytes()
             for got, want in zip(grads, want_grads):
@@ -571,8 +579,8 @@ def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mod
     want_y, want_grads = _textbook_norm_act(
         z.data, gamma.data, beta.data, mode, copied(running), kind, g
     )
-    with Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running, kind)
+    with activation(kind), Tape() as tape:
+        out = batchnorm_features(z, gamma, beta, mode, running)
         grads = tape.entries[-1].rule(g)
     for got, want in zip((out.data, *grads), (want_y, *want_grads)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -736,15 +744,15 @@ def test_backward_two_paths_gradients_sum():
 
 def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
     w = t([[1.5, -0.5]], grad=True)
-    x = t([[2.0], [1.0]])
+    x = t([[-2.0], [1.0]])
     with Tape() as tape:
-        hidden = activate(matmul(w, x), "tanh")
+        hidden = activate(matmul(w, x))
         loss = mse_loss(flatten(hidden), t([0.0]))
         backward(loss)
         assert tape.entries == []
     assert hidden.grad is None and loss.grad is None
-    y = math.tanh(2.5)
-    want = np.array([[2.0, 1.0]]) * (2.0 * y * (1.0 - y * y))
+    y = math.expm1(-3.5)  # the ELU's negative branch, slope y + 1
+    want = np.array([[-2.0, 1.0]]) * (2.0 * y * (y + 1.0))
     np.testing.assert_allclose(w.grad, want, rtol=1e-14)
 
 
@@ -787,7 +795,7 @@ def test_forward_backward_deterministic():
         w = t(np.arange(6.0).reshape(2, 3), grad=True)
         x = t(np.arange(12.0).reshape(3, 4) / 7.0)
         with Tape():
-            out = activate(matmul(w, x), "tanh")
+            out = activate(matmul(w, x))
             loss = mse_loss(flatten(out), t(np.zeros(8)))
             backward(loss)
         return out.data.tobytes(), w.grad.tobytes()
@@ -807,8 +815,10 @@ def _added_to_itself(r):
     return add(x, x)
 
 
-def _norm_op(r, mode, activation):
-    return batchnorm_features(r(5, 3), r(3), r(3), mode, initial_stats(3), activation)
+def _norm_op(r, mode, dtype):
+    # float32 is the model's working dtype, float64 the gradient checks'
+    z, gamma, beta = (t(r(*s).data.astype(dtype), grad=True) for s in [(5, 3), (3,), (3,)])
+    return batchnorm_features(z, gamma, beta, mode, RunningStats.initial(3, dtype))
 
 
 def _pool_op(r, kind):
@@ -835,9 +845,9 @@ RULE_CASES = [
     ("edge_block_matmul", lambda r: edge_block_matmul(r(12), full_graph(4), r(8, 3))),
     ("edge_block_matmul", lambda r: edge_block_matmul(r(40), _sparse_ring(), r(80, 3))),
     *(
-        ("batchnorm_features", partial(_norm_op, mode=mode, activation=activation))
+        ("batchnorm_features", partial(_norm_op, mode=mode, dtype=dtype))
         for mode in ("train", "eval")
-        for activation in ("identity", "elu")
+        for dtype in (np.float32, np.float64)
     ),
     *(("pool_blocks", partial(_pool_op, kind=kind)) for kind in ("mean", "sum_and_mean")),
     ("kept_edges", _structure_op),
@@ -931,7 +941,7 @@ def test_grad_check_composite_ops():
     def f():
         h = matmul(x, w)
         h = add_row_bias(h, bias)
-        h = batchnorm_features(h, gamma, beta, mode="train", running=running, activation="elu")
+        h = batchnorm_features(h, gamma, beta, mode="train", running=running)
         pooled = pool_blocks([h, add(h, h)], 4, "mean")
         return mse_loss(flatten(pooled), t([0.1, 0.2, 0.3, 0.4]))
 
