@@ -12,7 +12,7 @@ from .data import (
     compute_oni_series,
     land_filter_nodes,
     load_gridset,
-    local_adjacency,
+    local_edges,
     prepare_dataset,
     save_gridset,
     synth_teleconnection_dataset,

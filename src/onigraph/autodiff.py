@@ -208,16 +208,8 @@ def _empty(shape: tuple[int, ...], dtype) -> Array:
     return np.empty(shape, dtype) if workspace is None else workspace.take(shape, dtype)
 
 
-# Column sums by np.einsum, which adds the rows in the order that
-# .sum(axis=0) does, so with the same bits, but in one inner loop over the
-# whole array where numpy's axis-0 reduce runs one per row of only D
-# columns. One BLAS thread on a 2-vCPU Xeon, .sum(axis=0) against einsum:
-# (4160, 32) 0.098 against 0.041 ms, (4160, 16) 0.085 against 0.026 ms,
-# (10760, 32) 0.28 against 0.13 ms, (10760, 16) 0.21 against 0.06 ms; the
-# product form also skips writing the (rows, D) product. The bits match at
-# every width of at least 2, but not at width 1, where numpy sums the one
-# contiguous column pairwise, nor on Fortran-order or transposed arrays:
-# those keep .sum.
+# np.einsum adds the rows in .sum(axis=0)'s order, in one faster loop (CHANGES.md);
+# at width 1 numpy sums the one column pairwise, so that and other layouts keep .sum.
 def _column_sums(a: Array, b: Array | None = None) -> Array:
     """The sums over the rows (the second-to-last axis) of ``a``, or of
     ``a * b``, for a (rows, D) or (B, rows, D) array: the bits of
@@ -309,15 +301,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), rule)
 
 
-# Largest share of nonzero entries of I + A (edges plus self-loops) that
-# runs the CSR kernels; a denser graph runs the dense ones. Aggregation
-# forward plus backward in float32 at width 16, one BLAS thread on a 2-vCPU
-# Xeon, CSR against dense, three runs: N=1345, batch 8: 9-10 against 25-38
-# ms at 2%, 22-30 against 24-33 ms at 6.25%, 63-72 against 32-41 ms at 14%;
-# N=300, batch 8: 1.2-1.9 against 1.1-1.7 ms at 6.25%, 3.3-3.9 against
-# 1.4-1.9 ms at 14%. The kernels tie near 1/16, where no shipped graph lies:
-# the full grid's 8N edges fill 0.7%, and at desk size (N=65, 8N edges,
-# 14%) dense wins, 0.5-0.8 against 2.3-2.7 ms, and scipy is never imported.
+# Densest share of I + A (edges plus self-loops) that runs the CSR kernels,
+# where they tie with the dense ones; CHANGES.md has the timings.
 SPARSE_SHARE = 1 / 16
 
 
@@ -376,11 +361,7 @@ class EdgeIndex:
 
 
 # Elements per operand of one gathered chunk in the edge-value gradient:
-# small enough to stay in cache, and never more than one activation. At
-# N=1345, batch 8 and 8N edges, one float32 gradient took 1.05-1.50 ms at
-# 1 << 16 (256 KB per operand) against 1.13-1.65 ms at 1 << 15 and 1.36-1.97
-# ms at 1 << 14 (width 16), and 1.9-2.4 ms at all three from 1 << 15 up
-# (width 32); float64 was fastest at 1 << 15, the same 256 KB.
+# small enough to stay in cache (CHANGES.md), and never more than one activation.
 _EDGE_CHUNK = 1 << 16
 
 

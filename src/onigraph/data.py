@@ -4,7 +4,7 @@ A :class:`GridSet` holds monthly SST and heat-content anomaly fields on a
 regular lat/lon grid with a land mask, stored on disk as a small directory
 container (JSON manifest + raw little-endian binaries). On top of it sit
 node enumeration, ONI label computation, window/lead sample construction,
-the aggregate ONI node, the fixed local adjacency used by the connectivity
+the aggregate ONI node, the fixed local edges used by the connectivity
 ablation, and a synthetic teleconnection generator for desk-scale
 experiments.
 
@@ -447,12 +447,13 @@ def build_static_features(grid: GridSet, nodes: NodeIndex, months: Array) -> Arr
 LOCAL_REACH = 5.0
 
 
-def local_adjacency(nodes: NodeIndex) -> Array:
-    """0/1 adjacency connecting each grid node to every node within
-    ``LOCAL_REACH`` in both latitude and longitude (one grid step on a
-    5-degree grid, so interior nodes get 8 neighbors), with longitude
-    measured around the 0/360 seam. Self-loops on the diagonal; the ONI
-    node, having no location, keeps only its self-loop. Not learnable."""
+def local_edges(nodes: NodeIndex) -> Array:
+    """Ascending row-major flat indices ``i * N + j`` of the pairs of
+    distinct nodes within ``LOCAL_REACH`` in both latitude and longitude
+    (one grid step on a 5-degree grid, so interior nodes get 8 neighbors),
+    with longitude measured around the 0/360 seam. The edges have unit
+    weight and the self-loops are implicit; the ONI node, having no
+    location, has no edge. Not learnable."""
     lat = nodes.latlon[:, 0]
     lon = np.mod(nodes.latlon[:, 1], 360.0)
     dlat = np.abs(lat[:, None] - lat[None, :])
@@ -460,9 +461,8 @@ def local_adjacency(nodes: NodeIndex) -> Array:
     dlon = np.minimum(dlon, 360.0 - dlon)
     tol = 1e-9  # a NaN distance, to or from the ONI node, is near nothing
     near = (dlat <= LOCAL_REACH + tol) & (dlon <= LOCAL_REACH + tol)
-    adjacency = near.astype(np.float64)
-    np.fill_diagonal(adjacency, 1.0)
-    return adjacency
+    np.fill_diagonal(near, False)
+    return np.flatnonzero(near)
 
 
 # ---------------------------------------------------------------------------

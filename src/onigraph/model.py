@@ -25,8 +25,9 @@ running statistics alone, so the blocks give the bits of one pass.
 
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
-nonzero off-diagonal entries of a fixed local matrix, held as edges from
-:func:`init_params` on. Every layer aggregates over it with
+fixed local edges (``data.local_edges``), held as an ``EdgeIndex`` from
+:func:`init_params` on and stored as edge rows in a checkpoint
+(:meth:`ModelState.buffers`). Every layer aggregates over it with
 ``autodiff.edge_block_matmul``, which builds its operator on each call: a
 CSR matrix on a sparse graph, else the dense I + A for BLAS products;
 scipy is imported for sparse graphs only. :func:`model_adjacency` scatters
@@ -124,17 +125,13 @@ class ModelState:
     local_edges: tuple[ad.EdgeIndex, Tensor] | None = None
 
     @property
-    def edge_mode(self) -> str:
-        return "learned" if self.local_edges is None else "local"
-
-    @property
     def node_count(self) -> int:
         return self.structure.static_features.shape[0]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in a stable order."""
         params: list[tuple[str, Tensor]] = []
-        if self.edge_mode == "learned":
+        if self.local_edges is None:
             params.append(("structure.w_from", self.structure.w_from))
             params.append(("structure.w_to", self.structure.w_to))
         for i, (w, norm) in enumerate(zip(self.gcn_weights, self.gcn_norms)):
@@ -155,21 +152,21 @@ class ModelState:
 
     def buffers(self) -> list[tuple[str, Array]]:
         """Non-trainable arrays that still belong in a checkpoint; in local
-        mode the unused structure weights first and the fixed matrix, I + A
-        scattered from ``local_edges`` (:func:`model_adjacency`), last."""
-        buffers: list[tuple[str, Array]] = []
-        if self.edge_mode == "local":
-            buffers.append(("structure.w_from", self.structure.w_from.data))
-            buffers.append(("structure.w_to", self.structure.w_to.data))
-        buffers.append(("structure.static_features", self.structure.static_features.data))
-        buffers.append(("node_latlon", self.node_latlon))
+        mode the fixed graph last, one (row, col, value) row per edge of
+        ``local_edges`` (float32 holds node indices exactly below 2**24),
+        and not the structure weights, which a local model never reads."""
+        buffers = [
+            ("structure.static_features", self.structure.static_features.data),
+            ("node_latlon", self.node_latlon),
+        ]
         for i, norm in enumerate(self.gcn_norms):
             buffers.append((f"gcn.{i}.running_mean", norm.running.mean))
             buffers.append((f"gcn.{i}.running_var", norm.running.var))
         buffers.append(("mlp.running_mean", self.mlp_norm.running.mean))
         buffers.append(("mlp.running_var", self.mlp_norm.running.var))
-        if self.edge_mode == "local":
-            buffers.append(("local_adjacency", model_adjacency(self).data))
+        if self.local_edges is not None:
+            edges, values = self.local_edges
+            buffers.append(("local_edges", np.column_stack((edges.rows, edges.cols, values.data))))
         return buffers
 
 
@@ -182,8 +179,7 @@ def init_params(
     has_oni_node: bool = False,
     embed_dim: int,
     max_edges: int | None,
-    edge_mode: str = "learned",
-    fixed_adjacency: Array | None = None,
+    local_edges: tuple[Array, Array] | None = None,
 ) -> ModelState:
     """Fresh model: Glorot-uniform weights from a seeded generator, unit
     batchnorm scales, zero shifts and biases. Every parameter, running
@@ -192,23 +188,26 @@ def init_params(
     anything else (see ``autodiff.Tensor``), from the same draws either
     way. The embedding width and the edge budget have their defaults in
     ``training.TrainConfig``; an edge budget of None becomes eight times the
-    node count."""
+    node count.
+
+    ``local_edges`` makes a local model: ascending off-diagonal flat
+    indices ``i * N + j`` below N**2 (``data.local_edges``) and one value
+    each, self-loops implicit; None makes a learned model. The structure
+    weights are drawn in both modes, so later draws do not depend on the mode."""
     static = Tensor(static_features)
     dtype = static.data.dtype
     node_latlon = np.asarray(node_latlon, dtype=np.float64)
     n, d_in = static.shape
     if node_latlon.shape != (n, 2):
         raise ConfigError(f"node_latlon shape {node_latlon.shape} does not match {n} nodes")
-    if edge_mode not in ("learned", "local"):
-        raise ConfigError(f"edge_mode must be 'learned' or 'local', got {edge_mode!r}")
-    local_edges = None
-    if edge_mode == "local":
-        if fixed_adjacency is None or fixed_adjacency.shape != (n, n):
-            raise ConfigError("local edge mode needs a fixed (N, N) adjacency")
-        if np.any(np.diag(fixed_adjacency) != 1.0):
-            raise ConfigError("a fixed local adjacency needs ones on its diagonal (self-loops)")
-        edges = ad.EdgeIndex.from_flat(n, np.flatnonzero(fixed_adjacency))
-        local_edges = (edges, Tensor(fixed_adjacency[edges.rows, edges.cols].astype(dtype)))
+    if local_edges is not None:
+        flat, values = (np.asarray(a) for a in local_edges)
+        if not (flat.dtype.kind in "iu" and flat.ndim == 1 and values.shape == flat.shape
+                and np.all(flat[1:] > flat[:-1]) and np.all((flat >= 0) & (flat < n * n))
+                and np.all(flat // n != flat % n)):
+            raise ConfigError(f"local_edges must be ascending off-diagonal flat indices below "
+                              f"{n}**2, one value each")
+        local_edges = (ad.EdgeIndex.from_flat(n, flat), Tensor(values.astype(dtype)))
     if max_edges is None:
         max_edges = min(8 * n, n * (n - 1))
 
@@ -303,8 +302,8 @@ def model_edges(
 ) -> tuple[ad.EdgeIndex, Tensor]:
     """The model's graph as off-diagonal edges and their values, the unit
     self-loops implicit: the structure learner's kept edges (scored at the
-    frozen ``edges`` if given), or the nonzero off-diagonal entries of the
-    fixed local matrix in ablation mode, built by :func:`init_params`."""
+    frozen ``edges`` if given), or the fixed local edges in ablation mode,
+    built by :func:`init_params`."""
     return state.local_edges or kept_edges(state.structure, edges)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Sgd, Tape, Tensor, Workspace, backward, mse_loss, sgd_nesterov_step
-from .data import DatasetBundle, SampleSet, field_types, local_adjacency, read_file, read_record
+from .data import DatasetBundle, SampleSet, field_types, local_edges, read_file, read_record
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import (
     GcnConfig,
@@ -39,9 +39,9 @@ from .structure import StructureParams
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
-# version 1 stored float64 values and version 2 the model's float32 with
-# five settings that are now constants; version 3 drops those settings
-FORMAT_VERSION = 3
+# version 1 stored float64, 2 float32 with five settings now constant, 3 dropped
+# them, and 4 stores a local model's graph as edge rows, not a dense matrix
+FORMAT_VERSION = 4
 BLOB_DTYPE = np.dtype("<f4")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
 # block's (rows, width) arrays stay a few MB; CHANGES.md has the timings.
@@ -120,8 +120,10 @@ def build_model(
     train_cfg: TrainConfig,
     edge_mode: str = "learned",
 ) -> ModelState:
-    """Initialize a model against a prepared dataset."""
-    fixed = local_adjacency(bundle.nodes) if edge_mode == "local" else None
+    """Initialize a model against a prepared dataset, on learned or local edges."""
+    if edge_mode not in ("learned", "local"):
+        raise ConfigError(f"edge_mode must be 'learned' or 'local', got {edge_mode!r}")
+    flat = local_edges(bundle.nodes) if edge_mode == "local" else None
     return init_params(
         model_cfg,
         bundle.static_features,
@@ -130,8 +132,7 @@ def build_model(
         has_oni_node=bundle.nodes.has_oni_node,
         embed_dim=train_cfg.embed_dim,
         max_edges=train_cfg.max_edges,
-        edge_mode=edge_mode,
-        fixed_adjacency=fixed,
+        local_edges=None if flat is None else (flat, np.ones(flat.size)),
     )
 
 
@@ -339,7 +340,7 @@ OPTIMIZER_FIELDS = field_types(Sgd, drop=("velocity",))
 TENSOR_FIELDS = {"name": str, "shape": list[int], "offset": int}
 CHECKPOINT_FIELDS = {
     "format_version": int, "model": MODEL_FIELDS, "structure": STRUCTURE_FIELDS,
-    "edge_mode": str, "has_oni_node": bool, "seed": int, "optimizer": dict | None,
+    "has_oni_node": bool, "seed": int, "optimizer": dict | None,
     "tensors": list[TENSOR_FIELDS], "blob_bytes": int,
 }
 
@@ -377,7 +378,6 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "model": asdict(state.config),
         "structure": {k: getattr(state.structure, k) for k in STRUCTURE_FIELDS},
-        "edge_mode": state.edge_mode,
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
         "optimizer": opt,
@@ -449,15 +449,23 @@ def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
     size = sum(a * b for a, b in zip(dims, dims[1:])) + (pooled + 1) * (config.mlp_hidden or pooled)
     if size > stored:
         raise FormatError(f"model needs {size} weights; the blob holds {stored} values")
+    static, local = grab("structure.static_features"), None
+    if "local_edges" in tensors:  # a local model, which stores no structure weights
+        rows, n = grab("local_edges"), static.shape[0]
+        ends = rows[:, :2]
+        if rows.shape[1] != 3 or not np.all((ends >= 0) & (ends < n) & (ends == np.floor(ends))):
+            raise ConfigError(f"checkpoint tensor 'local_edges' must hold (row, col, value) rows "
+                              f"whose row and col are node indices below {n}")
+        i, j = ends.astype(np.int64).T
+        local = (i * n + j, rows[:, 2])
     state = init_params(
         config,
-        grab("structure.static_features"),
+        static,
         grab("node_latlon"),
         seed=manifest["seed"],
         has_oni_node=manifest["has_oni_node"],
-        embed_dim=grab("structure.w_from").shape[1],
-        edge_mode=manifest["edge_mode"],
-        fixed_adjacency=grab("local_adjacency") if manifest["edge_mode"] == "local" else None,
+        embed_dim=1 if local else grab("structure.w_from").shape[1],
+        local_edges=local,
         **manifest["structure"],
     )
     if manifest["optimizer"] is not None:
@@ -483,4 +491,12 @@ def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
             f"checkpoint.has_oni_node is {json.dumps(state.has_oni_node)}, but node_latlon has "
             f"NaN rows {[i for i, nan in enumerate(nan_rows) if nan]} of {len(nan_rows)}"
         )
+    finite = np.isfinite(np.frombuffer(blob, BLOB_DTYPE))
+    if state.has_oni_node:  # its NaN row, the last of node_latlon, is checked above
+        end = tensors["node_latlon"]["offset"] // BLOB_DTYPE.itemsize + state.node_latlon.size
+        finite[end - 2 : end] = True
+    if not finite.all():
+        at = BLOB_DTYPE.itemsize * int(np.argmin(finite))
+        name = next(e["name"] for e in reversed(table) if e["offset"] <= at)
+        raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
     return state

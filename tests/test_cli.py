@@ -34,7 +34,9 @@ from onigraph.training import (
     load_checkpoint,
     save_checkpoint,
 )
-from test_training import float64_bundle, old_checkpoint
+from test_training import (
+    EDGE_ROW_CASES, bad_edge_rows, float64_bundle, off_diagonal, old_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +257,7 @@ def hub_checkpoint(path, hub=4):
         seed=0,
         embed_dim=32,
         max_edges=None,
-        edge_mode="local",
-        fixed_adjacency=fixed,
+        local_edges=off_diagonal(fixed),
     )
     save_checkpoint(state, path)
     return latlon[hub]
@@ -271,21 +272,35 @@ def test_centrality_ranks_the_node_every_node_reads_from_first(tmp_path):
     np.testing.assert_array_equal(rows[np.argmax(rows[:, 2]), :2], hub)
 
 
-def test_local_checkpoint_without_unit_diagonal_exits_2(tmp_path):
+@pytest.mark.parametrize("case", EDGE_ROW_CASES)
+def test_a_bad_local_edge_row_exits_2_naming_it(tmp_path, case, capsys):
     ckpt = tmp_path / "hub.ckpt"
     hub_checkpoint(ckpt)
-    raw = bytearray(ckpt.read_bytes())
-    (manifest_len,) = struct.unpack("<Q", raw[4:12])
-    manifest = json.loads(raw[12 : 12 + manifest_len])
-    (entry,) = [t for t in manifest["tensors"] if t["name"] == "local_adjacency"]
-    start = 12 + manifest_len + entry["offset"]  # entry (0, 0)
-    raw[start : start + 8] = struct.pack("<d", 0.5)
+    ckpt.write_bytes(bad_edge_rows(ckpt.read_bytes(), case))
+    assert cli_dispatch(["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "h")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "local_edges" in err
+    assert "Error" not in err  # the reader names the tensor, not an exception class
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_a_non_finite_checkpoint_value_exits_2_naming_its_tensor(checkpoint, synth_dir, tmp_path):
+    # a NaN weight used to load, and then evaluate exited 3 and centrality 0
+    raw = bytearray(checkpoint.read_bytes())
+    (length,) = struct.unpack("<Q", raw[4:12])
+    (entry,) = [t for t in json.loads(raw[12 : 12 + length])["tensors"] if t["name"] == "mlp.w2"]
+    start = 12 + length + entry["offset"]
+    raw[start : start + 4] = np.float32(np.nan).tobytes()
+    ckpt = tmp_path / "nan.ckpt"
     ckpt.write_bytes(bytes(raw))
-    proc = _run_cli(["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")])
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("data error:")
-    assert "diagonal" in proc.stderr
+    for argv in (
+        ["evaluate", "--checkpoint", str(ckpt), "--data", str(synth_dir)],
+        ["centrality", "--checkpoint", str(ckpt), "--out", str(tmp_path / "heat")],
+    ):
+        proc = _run_cli(argv)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert proc.stderr == "data error: checkpoint tensor 'mlp.w2' holds a non-finite value\n"
+    assert not (tmp_path / "heat.csv").exists()
 
 
 def test_gradcheck_passes():
@@ -818,19 +833,19 @@ def _run_cli(args, timeout=None):
 
 
 def test_evaluate_refuses_a_version1_checkpoint_with_exit_2(synth_dir, tmp_path):
-    # checkpoints as format versions 1 and 2 wrote them, of a model that fits the grid
+    # checkpoints as format versions 1, 2 and 3 wrote them, of a model that fits the grid
     state = build_model(
         dat.prepare_dataset(dat.load_gridset(synth_dir)),
         GcnConfig(layer_dims=[4]),
         TrainConfig(seed=7, embed_dim=4),
     )
     old = tmp_path / "old.ckpt"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old.write_bytes(old_checkpoint(state, version))
         proc = _run_cli(["evaluate", "--checkpoint", str(old), "--data", str(synth_dir)])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == (
-            f"data error: checkpoint format version {version}; this build reads version 3\n"
+            f"data error: checkpoint format version {version}; this build reads version 4\n"
         )
 
 
@@ -1194,7 +1209,7 @@ PINNED_OUTPUTS = {
     "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
     "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
-    "m.ckpt": "b63fae340f0842cea97a0340af43b6087b23e532",  # format 3; the blob of format 2
+    "m.ckpt": "e4a13f63ea0a00b51671b623eff4980a38aa3dd6",  # format 4; the blob of format 2
     "m.ckpt.loss.csv": "8d87da324e6f462c315487348d57de5728ddec77",
     "eval.report.csv": "233e734b609cba3ea1825ee84bd3c1eff4624341",
     "eval.predictions.csv": "aab75b0a9123eecdfecfe2bc1d1974c3b36ba072",

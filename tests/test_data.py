@@ -23,7 +23,7 @@ from onigraph.data import (
     field_types,
     land_filter_nodes,
     load_gridset,
-    local_adjacency,
+    local_edges,
     oni_region_cells,
     prepare_dataset,
     regional_means,
@@ -602,34 +602,44 @@ def test_static_features_are_standardized():
 # --- local adjacency -------------------------------------------------------------
 
 
+def local_pairs(nodes):
+    """The (row, col) node pairs of ``local_edges``, checked to be ascending
+    flat indices off the diagonal: the self-loops are implicit."""
+    flat = local_edges(nodes)
+    assert flat.ndim == 1 and np.all(np.diff(flat) > 0)
+    rows, cols = np.divmod(flat, nodes.count)
+    assert np.all(rows != cols) and rows.max() < nodes.count
+    return rows, cols
+
+
 def test_local_adjacency_interior_eight_neighbors():
     grid = make_grid(5, 5, lat0=-10.0, lon0=165.0)
-    nodes = land_filter_nodes(grid)
-    adj = local_adjacency(nodes)
+    rows, cols = local_pairs(land_filter_nodes(grid))
     center = 2 * 5 + 2
-    assert adj[center].sum() == 9  # 8 neighbors + self-loop
-    np.testing.assert_array_equal(adj, adj.T)
+    assert np.count_nonzero(rows == center) == 8
+    assert set(zip(rows.tolist(), cols.tolist())) == set(zip(cols.tolist(), rows.tolist()))
 
 
 def test_local_adjacency_corner_without_wrap():
     grid = make_grid(3, 4, lat0=0.0, lon0=165.0)
-    adj = local_adjacency(land_filter_nodes(grid))
-    assert adj[0].sum() == 4  # 3 neighbors + self-loop
+    rows, _ = local_pairs(land_filter_nodes(grid))
+    assert np.count_nonzero(rows == 0) == 3
 
 
 def test_local_adjacency_corner_with_wrap():
     grid = make_grid(3, 72, lat0=0.0, lon0=0.0)  # full 360-degree band
-    nodes = land_filter_nodes(grid)
-    adj = local_adjacency(nodes)
-    assert adj[0].sum() == 6  # 5 neighbors (wrapping past the seam) + self-loop
-    degrees = adj.sum(axis=1) - 1.0
-    assert degrees.max() <= 8.0
+    rows, cols = local_pairs(land_filter_nodes(grid))
+    assert np.count_nonzero(rows == 0) == 5  # wrapping past the seam
+    assert set(cols[rows == 0].tolist()) == {1, 71, 72, 73, 143}
+    assert np.bincount(rows).max() <= 8
 
 
 def test_local_adjacency_oni_node_isolated():
     nodes = extend_nodes_with_oni(land_filter_nodes(make_grid()))
-    adj = local_adjacency(nodes)
-    assert adj[-1].sum() == 1.0 and adj[:, -1].sum() == 1.0
+    rows, cols = local_pairs(nodes)
+    oni = nodes.count - 1
+    assert not np.any(rows == oni) and not np.any(cols == oni)
+    assert np.array_equal(np.unique(rows), np.arange(oni))  # every grid node has an edge
 
 
 # --- synthetic dataset -----------------------------------------------------------

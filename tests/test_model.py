@@ -27,6 +27,7 @@ from onigraph.model import (
     model_edges,
     pooled_layers,
 )
+from test_training import off_diagonal
 
 
 def tiny_state(
@@ -337,7 +338,7 @@ def test_local_graph_is_built_once_with_the_state(monkeypatch):
     rng = np.random.default_rng(37)
     fixed = (rng.uniform(size=(n, n)) < 0.5).astype(float)
     np.fill_diagonal(fixed, 1.0)
-    state = tiny_state(n=n, edge_mode="local", fixed_adjacency=fixed)
+    state = tiny_state(n=n, local_edges=off_diagonal(fixed))
     edges, values = model_edges(state)
     np.testing.assert_array_equal(edges.dense(values.data, self_loops=True), fixed)
     # the fixed matrix is the I + A that the dense kernel scatters

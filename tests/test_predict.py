@@ -15,7 +15,7 @@ from onigraph.autodiff import Tensor
 from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
 from onigraph.model import GcnConfig, init_params, mlp_head, model_edges, pooled_layers
 from onigraph.training import TrainConfig, build_model, predict_samples, train
-from test_training import float64_bundle
+from test_training import float64_bundle, off_diagonal
 
 
 def trained_members(edge_modes):
@@ -96,7 +96,7 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
     # N=1345 as on the 32x42 grid plus the ONI node, widths 32/16
     n, widths = 1345, [32, 16]
     rng = np.random.default_rng(6)
-    ring = np.eye(n) + np.roll(np.eye(n), 1, axis=1) if edge_mode == "local" else None
+    ring = off_diagonal(np.eye(n) + np.roll(np.eye(n), 1, axis=1)) if edge_mode == "local" else None
     state = init_params(
         GcnConfig(layer_dims=widths),
         rng.normal(size=(n, 6)),
@@ -104,8 +104,7 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
         seed=6,
         embed_dim=32,
         max_edges=None,
-        edge_mode=edge_mode,
-        fixed_adjacency=ring,
+        local_edges=ring,
     )
 
     def traced_peak(fn):

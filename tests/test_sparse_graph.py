@@ -34,6 +34,7 @@ from onigraph.errors import ConfigError, DimensionError, NumericError
 from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
 from onigraph.structure import SCORE_GAIN, StructureParams, kept_edges, top_edges
 from onigraph.training import predict_samples
+from test_training import off_diagonal
 
 # SPARSE_SHARE values that force one kernel at every density
 KERNELS = {"csr": 2.0, "dense": 0.0}
@@ -344,8 +345,7 @@ def sparse_state(edge_mode="learned", seed=3):
         seed=seed,
         embed_dim=3,
         max_edges=N,
-        edge_mode=edge_mode,
-        fixed_adjacency=ring if edge_mode == "local" else None,
+        local_edges=off_diagonal(ring) if edge_mode == "local" else None,
     )
 
 
@@ -423,10 +423,26 @@ def test_dense_graphs_keep_the_dense_path():
     assert edges.rows.size == 4 * N and not edges.sparse
 
 
-def test_local_matrix_needs_unit_self_loops():
-    ring = np.eye(N) + np.roll(np.eye(N), 1, axis=1)
-    ring[0, 0] = 0.5
-    with pytest.raises(ConfigError, match="diagonal"):
+@pytest.mark.parametrize(
+    "flat, values",
+    [
+        # each breaks one rule of the edges (0, 1), (1, 2) and (2, 0)
+        ([1, N + 1, 2 * N], np.ones(3)),  # (1, 1) is on the diagonal
+        ([1, N + 2, N + 2], np.ones(3)),  # repeated
+        ([N + 2, 1, 2 * N], np.ones(3)),  # descending
+        ([1, N * N], np.ones(2)),  # past the last entry
+        ([-1, 1], np.ones(2)),
+        (np.array([1.0, N + 2.0]), np.ones(2)),  # not integers
+        ([1, N + 2], np.ones(3)),  # a value too many
+        ([[1, N + 2]], np.ones((1, 2))),  # not a list
+    ],
+    ids=[
+        "diagonal", "repeated", "descending", "past_n_squared", "negative", "float_indices",
+        "extra_value", "two_dimensional",
+    ],
+)
+def test_local_edges_must_be_ascending_off_diagonal_flat_indices(flat, values):
+    with pytest.raises(ConfigError, match="local_edges must be ascending off-diagonal"):
         init_params(
             GcnConfig(layer_dims=[6, 3], window=2, features_per_node=2),
             np.zeros((N, 4)),
@@ -434,8 +450,7 @@ def test_local_matrix_needs_unit_self_loops():
             seed=0,
             embed_dim=32,
             max_edges=None,
-            edge_mode="local",
-            fixed_adjacency=ring,
+            local_edges=(np.asarray(flat), values),
         )
 
 

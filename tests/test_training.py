@@ -20,7 +20,7 @@ from onigraph.data import (
     synth_teleconnection_dataset,
 )
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
-from onigraph.model import GcnConfig, init_params, model_edges
+from onigraph.model import GcnConfig, init_params, model_adjacency, model_edges
 from onigraph import training
 from onigraph.structure import StructureParams, kept_edges
 from onigraph.training import (
@@ -442,6 +442,13 @@ def test_training_resumes_from_a_checkpoint_exactly(tmp_path, edge_mode):
     assert predictions[0] == predictions[1]
 
 
+def off_diagonal(matrix):
+    """The ascending flat indices and values of a matrix's nonzero
+    off-diagonal entries: the form ``init_params`` takes a fixed graph in."""
+    flat = np.flatnonzero(matrix - np.diag(np.diag(matrix)))
+    return flat, matrix.flat[flat]
+
+
 def pinned_state(edge_mode, dtype=np.float32):
     """A small ``dtype`` model whose every checkpointed value comes from
     uniform draws (no BLAS, so its bytes do not depend on the host): an ONI
@@ -452,14 +459,13 @@ def pinned_state(edge_mode, dtype=np.float32):
     static = rng.uniform(-2.0, 2.0, (n, 4)).astype(dtype)
     latlon = np.column_stack([rng.uniform(-20.0, 20.0, n), rng.uniform(150.0, 260.0, n)])
     latlon[-1] = np.nan
-    fixed = None
+    local = None
     if edge_mode == "local":
-        fixed = (rng.uniform(size=(n, n)) < 0.4).astype(float)
-        np.fill_diagonal(fixed, 1.0)
+        local = off_diagonal((rng.uniform(size=(n, n)) < 0.4).astype(float))
     cfg = GcnConfig(layer_dims=[5, 3], pooling="sum_and_mean", window=2, lead_months=2)
     state = init_params(
         cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, max_edges=10,
-        edge_mode=edge_mode, fixed_adjacency=fixed,
+        local_edges=local,
     )
     for norm in state.gcn_norms + [state.mlp_norm]:
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
@@ -476,9 +482,10 @@ def pinned_state(edge_mode, dtype=np.float32):
 @pytest.mark.parametrize(
     "edge_mode, sha1",
     [
-        # format 3: the blob of format 2 under a manifest without its five settings
-        ("learned", "c319ec437edfac45b6eb94d17a3b81aa81f86fbf"),
-        ("local", "f0d2fde1cee306ac5775e2d1e976df4ca2390dad"),
+        # format 4: format 3 without the manifest's edge_mode, and a local model
+        # stores its edge rows in place of the dense matrix and the structure maps
+        ("learned", "24aaf2cf8e4c2d43f9b7740f621198659608253a"),
+        ("local", "6781543eeaed1eadf0d22b16735fac610060c51e"),
     ],
     ids=["learned", "local"],
 )
@@ -491,13 +498,38 @@ def test_checkpoint_bytes_are_pinned(tmp_path, edge_mode, sha1):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_a_full_grid_local_checkpoint_is_under_a_megabyte_and_saves_back_its_bytes(tmp_path):
+    # the paper's 32x42 grid, N = 1345: edge rows in place of the dense N x N
+    # matrix of format 3, whose checkpoint was 7.9 MB
+    gridset, _ = synth_teleconnection_dataset(32, 42, 40, 1, seed=36051)
+    bundle = prepare_dataset(gridset, window=3, lead=1)
+    assert bundle.nodes.count == 1345
+    for mode in ("learned", "local"):
+        state = build_model(bundle, model_config_from_preset("gcn2a"), TrainConfig(seed=36052), mode)
+        path, again = tmp_path / f"{mode}.ckpt", tmp_path / f"{mode}.again.ckpt"
+        save_checkpoint(state, path)
+        save_checkpoint(load_checkpoint(path), again)
+        assert again.read_bytes() == path.read_bytes(), mode
+    assert (tmp_path / "local.ckpt").stat().st_size < 1_000_000
+
+
 def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
-    """The checkpoint of ``state`` as format ``version`` 1 or 2 wrote it:
-    the manifest with the settings those versions recorded, at the values
-    every shipped model had but the pre-tanh ``feature_gain``, and a blob
-    of little-endian float64 (version 1) or float32 (version 2)."""
+    """The checkpoint of ``state`` as format ``version`` 1, 2 or 3 wrote it:
+    a manifest with the edge mode, and in versions 1 and 2 the settings
+    those versions recorded, at the values every shipped model had but the
+    pre-tanh ``feature_gain``; a local model's unused structure maps before
+    its other buffers and its dense I + A last; and a blob of little-endian
+    float64 (version 1) or float32 (versions 2 and 3)."""
     dtype = np.dtype("<f8" if version == 1 else "<f4")
-    entries = training._checkpoint_entries(state)
+    local = state.local_edges is not None
+    entries = {name: t.data for name, t in state.parameters()}
+    if local:
+        entries |= {f"structure.{w}": getattr(state.structure, w).data for w in ("w_from", "w_to")}
+    entries |= {name: a for name, a in state.buffers() if name != "local_edges"}
+    if local:
+        entries["local_adjacency"] = model_adjacency(state).data
+    if state.optimizer is not None:
+        entries |= {f"opt.{k}.velocity": v for k, v in state.optimizer.velocity.items()}
     tensors, offset = [], 0
     for name, arr in entries.items():
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
@@ -507,11 +539,13 @@ def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
     }
     settings = {"activation": "elu", "use_residual": True, "use_jumping_knowledge": True}
     gains = {"feature_gain": feature_gain, "score_gain": 2.0}
+    if version == 3:
+        settings, gains = {}, {}
     manifest = {
         "format_version": version,
         "model": asdict(state.config) | settings,
         "structure": {"max_edges": state.structure.max_edges} | gains,
-        "edge_mode": state.edge_mode,
+        "edge_mode": "local" if local else "learned",
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
         "optimizer": optimizer,
@@ -526,22 +560,27 @@ def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
 @pytest.mark.parametrize(
     "version, edge_mode, sha1",
     [
-        # the pins of test_checkpoint_bytes_are_pinned in versions 1 and 2
+        # the pins of test_checkpoint_bytes_are_pinned in versions 1, 2 and 3
         (1, "learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
         (1, "local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
         (2, "learned", "30e721f4424b725a0521fd1a269b6236bd2b55a5"),
         (2, "local", "2a8aa242cf14b6fbaf48fdd52d87457696723f62"),
+        (3, "learned", "c319ec437edfac45b6eb94d17a3b81aa81f86fbf"),
+        (3, "local", "f0d2fde1cee306ac5775e2d1e976df4ca2390dad"),
     ],
-    ids=["learned", "local", "version2-learned", "version2-local"],
+    ids=[
+        "learned", "local", "version2-learned", "version2-local", "version3-learned",
+        "version3-local",
+    ],
 )
 def test_a_version1_checkpoint_is_refused(tmp_path, version, edge_mode, sha1):
-    # pinned_state's models were saved with a feature gain of 0.5
+    # pinned_state's models were saved with a feature gain of 0.5 (format 3 has no gain)
     state = pinned_state(edge_mode, np.float64 if version == 1 else np.float32)
     raw = old_checkpoint(state, version, feature_gain=0.5)
     assert hashlib.sha1(raw).hexdigest() == sha1  # byte for byte as that version wrote it
     path = tmp_path / "old.ckpt"
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match=f"format version {version}; this build reads version 3"):
+    with pytest.raises(FormatError, match=f"format version {version}; this build reads version 4"):
         load_checkpoint(path)
 
 
@@ -576,14 +615,88 @@ def test_interrupted_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypa
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):
+    # without its edge rows a local checkpoint reads as a learned one, which
+    # must hold the structure weights that a local one does not store
     path = tmp_path / "model.ckpt"
     save_checkpoint(pinned_state("local"), path)
     raw = _rewrite_manifest(
         path.read_bytes(),
-        lambda m: m.update(tensors=[t for t in m["tensors"] if t["name"] != "local_adjacency"]),
+        lambda m: m.update(tensors=[t for t in m["tensors"] if t["name"] != "local_edges"]),
     )
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="local_adjacency"):
+    with pytest.raises(FormatError, match="missing tensor 'structure.w_from'"):
+        load_checkpoint(path)
+
+
+EDGE_ROW_CASES = [
+    "index_past_n", "negative_index", "fractional_index", "nan_index", "diagonal_pair",
+    "repeated_pair", "descending_pair", "infinite_value", "nan_value", "two_columns",
+]
+
+
+def bad_edge_rows(raw, case):
+    """The bytes of the local checkpoint ``raw`` with one edit of ``case``
+    to its ``local_edges`` rows, made at the edge (1, 0), which has an edge
+    (0, j) before it and (1, 2) after it: each edit breaks one rule alone."""
+    (length,) = struct.unpack("<Q", raw[4:12])
+    tensors = {t["name"]: t for t in json.loads(raw[12 : 12 + length])["tensors"]}
+    shape, n = tensors["local_edges"]["shape"], tensors["node_latlon"]["shape"][0]
+    if case == "two_columns":  # the first 2E values read as E rows of two
+
+        def narrow(manifest):
+            for t in manifest["tensors"]:
+                if t["name"] == "local_edges":
+                    t["shape"] = [shape[0], 2]
+
+        return _rewrite_manifest(raw, narrow)
+    start = 12 + length + tensors["local_edges"]["offset"]
+    rows = np.frombuffer(raw, "<f4", math.prod(shape), start).reshape(shape).copy()
+    (k,) = np.flatnonzero((rows[:, 0] == 1) & (rows[:, 1] == 0))
+    assert rows[k - 1, 0] == 0 and rows[k + 1, :2].tolist() == [1, 2]
+    edits = {
+        "index_past_n": (1, n), "negative_index": (1, -1), "fractional_index": (1, 0.5),
+        "nan_index": (0, np.nan), "diagonal_pair": (1, 1), "infinite_value": (2, np.inf),
+        "nan_value": (2, np.nan),
+    }
+    if case in edits:
+        column, value = edits[case]
+        rows[k, column] = value
+    elif case == "repeated_pair":
+        rows[k, :2] = rows[k - 1, :2]
+    else:  # descending_pair
+        rows[[k, k + 1]] = rows[[k + 1, k]]
+    return raw[:start] + rows.tobytes() + raw[start + rows.nbytes :]
+
+
+@pytest.mark.parametrize("case", EDGE_ROW_CASES)
+def test_a_bad_local_edge_row_is_refused_naming_it(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("local"), path)
+    path.write_bytes(bad_edge_rows(path.read_bytes(), case))
+    with pytest.raises(FormatError, match="local_edges"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "name, at",
+    [("mlp.w2", 0), ("gcn.0.running_var", 2), ("structure.w_from", 5), ("node_latlon", 1)],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_checkpoint_value_is_refused_naming_its_tensor(tmp_path, name, at, value):
+    # node_latlon's value 1 is the second coordinate of a grid node, not the
+    # ONI node; a NaN there is a second NaN row, which the has_oni_node check names
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(pinned_state("learned"), path)
+    raw = bytearray(path.read_bytes())
+    (length,) = struct.unpack("<Q", raw[4:12])
+    (entry,) = [t for t in json.loads(raw[12 : 12 + length])["tensors"] if t["name"] == name]
+    start = 12 + length + entry["offset"] + 4 * at
+    raw[start : start + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    match = f"tensor '{name}' holds a non-finite value"
+    if name == "node_latlon" and np.isnan(value):
+        match = r"node_latlon has NaN rows \[0, 6\] of 7"
+    with pytest.raises(FormatError, match=match):
         load_checkpoint(path)
 
 
@@ -648,7 +761,7 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].pop("max_edges")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=4)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=5)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=10.5)),
@@ -662,6 +775,7 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(notes="x")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(dropout=0.1)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(tensors={})),
+        # format 3's edge_mode, a key that format 4 does not have
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(edge_mode=None)),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][1].update(offset=True)),
         lambda raw: _rewrite_manifest(
