@@ -23,9 +23,10 @@ checks build float64 tensors.
 Ops do not check their outputs: products, aggregation, bias and residual
 adds, pooling and flatten carry inf and NaN forward by IEEE rules.
 Finiteness is checked where such a value could vanish or would leave the
-model, each check raising ``NumericError``: in :func:`batchnorm_features`
-before its ELU (which maps -inf to -1), in ``structure.kept_edges`` before
-the embedding's tanh and on the edge logits, in :func:`mse_loss`, and on
+model, each check raising ``NumericError``: before the ELU, which maps -inf
+to -1, in :func:`batchnorm_features` (training) and :func:`shift_elu`
+(evaluation), in ``structure.kept_edges`` before the embedding's tanh and
+on the edge logits, in :func:`mse_loss`, and on
 ``training.predict_samples``' output.
 
 Inside a ``with Workspace():`` block the ops write their step-sized
@@ -48,8 +49,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
-
-_MODES = ("train", "eval")
 
 
 def _as_float(values) -> Array:
@@ -494,18 +493,16 @@ def batchnorm_features(
     z: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    mode: str,
     running: RunningStats,
 ) -> Tensor:
-    """Normalize each feature column over the rows of ``z``, scale by
-    ``gamma``, shift by ``beta``, then apply the ELU, as one op. The input
-    is centered in ``z``'s own array, which saves one array of its size:
-    nothing may read ``z`` after this call (no backward rule reads its op's
-    output).
-
-    In train mode the batch mean and population variance are used and the
-    running statistics are updated in place; in eval mode the running
-    statistics are used and left unchanged.
+    """The training pass's normalization: normalize each feature column
+    over the rows of ``z`` with the batch mean and population variance,
+    scale by ``gamma``, shift by ``beta``, then apply the ELU, as one op,
+    and update the running statistics in place. Evaluation folds the
+    running statistics into the weights instead (``model.NormParams`` and
+    :func:`shift_elu`). The input is centered in ``z``'s own array, which
+    saves one array of its size: nothing may read ``z`` after this call (no
+    backward rule reads its op's output).
 
     The forward pass keeps the centered input ``xc = z - mean`` and the
     output ``y = xc * scale + beta``, one buffer when nothing is recorded,
@@ -515,13 +512,10 @@ def batchnorm_features(
     two column sums ``dbeta = sum(d)`` and ``sx = sum(d * xc)``, gives
     ``dgamma = sx * inv`` and, in place on ``d``, the batchnorm backward
     (Ioffe & Szegedy 2015) ``dz = d * scale - (scale / n) * dbeta - xc *
-    (scale * inv**2 / n) * sx`` (train mode) or ``d * scale`` (eval mode).
-    Values and gradients match the textbook formulas to rounding, except
-    that ELU maps -0.0 to +0.0; a shift that starts at zero never gives
-    -0.0.
+    (scale * inv**2 / n) * sx``. Values and gradients match the textbook
+    formulas to rounding, except that ELU maps -0.0 to +0.0; a shift that
+    starts at zero never gives -0.0.
     """
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     if z.data.ndim != 2:
         raise DimensionError(f"batchnorm input must be rank 2, got {z.shape}")
     n, width = z.shape
@@ -530,22 +524,18 @@ def batchnorm_features(
             f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
     dtype = _dtype(z.data, gamma.data, beta.data, running.mean, running.var)
+    if n < 2:
+        raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
 
+    # np.mean's and np.var's sums, with their bits (see _column_sums); the
+    # squares are summed as they are formed, never stored
     xc = z.data
-    if mode == "train":
-        if n < 2:
-            raise NumericError(f"batch variance undefined for {n} row(s) in train mode")
-        # np.mean's and np.var's sums, with their bits (see _column_sums);
-        # the squares are summed as they are formed, never stored
-        mean = _column_sums(xc) / n
-        xc -= mean
-        var = _column_sums(xc, xc) / n
-        m = BN_MOMENTUM
-        running.mean[...] = (1.0 - m) * running.mean + m * mean
-        running.var[...] = (1.0 - m) * running.var + m * var
-    else:
-        xc -= running.mean
-        var = running.var
+    mean = _column_sums(xc) / n
+    xc -= mean
+    var = _column_sums(xc, xc) / n
+    m = BN_MOMENTUM
+    running.mean[...] = (1.0 - m) * running.mean + m * mean
+    running.var[...] = (1.0 - m) * running.var + m * var
 
     inv = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv
@@ -566,13 +556,31 @@ def batchnorm_features(
         d = _elu_grad(g, y)
         dbeta, sx = _column_sums(d), _column_sums(d, xc)
         d *= scale
-        if mode == "train":
-            d -= (scale / n) * dbeta
-            # xc's last read, so its buffer takes the product
-            d -= np.multiply(xc, (scale * inv * inv / n) * sx, out=xc)
+        d -= (scale / n) * dbeta
+        # xc's last read, so its buffer takes the product
+        d -= np.multiply(xc, (scale * inv * inv / n) * sx, out=xc)
         return (d, sx * inv, dbeta)
 
     return record_op(out, (z, gamma, beta), rule)
+
+
+def shift_elu(h: Tensor, shift: Array) -> Tensor:
+    """``ELU(h + shift)``, ``shift`` added to every row, in ``h``'s own
+    array: evaluation's normalization, whose per-column scale is folded
+    into the weight before it (``model.NormParams.folded``). Nothing may
+    read ``h`` after this call. Finiteness is checked before the ELU, which
+    maps -inf to -1. It records nothing, so it raises ``RuntimeError``
+    under an open ``Tape``, where a gradient would be lost."""
+    if active_tape() is not None:
+        raise RuntimeError("shift_elu records no gradient; evaluate outside any Tape")
+    if h.data.ndim != 2 or shift.shape != (h.shape[1],):
+        raise DimensionError(f"shift of shape {shift.shape} does not fit rows of {h.shape}")
+    _dtype(h.data, shift)
+    y = h.data
+    y += shift
+    if not np.all(np.isfinite(y)):
+        raise NumericError("non-finite value produced by a tensor op")
+    return _make_output(_elu(y))
 
 
 POOLINGS = ("mean", "sum_and_mean")
@@ -744,8 +752,7 @@ def grad_check(
 
     Returns the maximum relative error
     ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
-    ``f`` must be deterministic (run batch normalization in a mode whose
-    output does not depend on call history).
+    ``f`` must be deterministic.
     """
     if step <= 0.0:
         raise ConfigError(f"step must be positive, got {step}")

@@ -49,7 +49,7 @@ SPEC_NAME = "synth_spec.json"
 
 def field_types(source, drop=()) -> dict:
     """The annotated types of a class's fields or a function's parameters,
-    less ``drop``. Resolve each table once, at import: 0.17 ms a type.
+    less ``drop``. Resolve each table once, at import.
     Raises TypeError for a hint :func:`_typed` cannot check."""
     types = {k: v for k, v in get_type_hints(source).items() if k not in drop}
     if bad := [f"{k}: {v}" for k, v in types.items() if not _checkable(v)]:
@@ -445,6 +445,9 @@ def build_static_features(grid: GridSet, nodes: NodeIndex, months: Array) -> Arr
 
 # how far a local neighbor may lie in latitude and in longitude, in degrees
 LOCAL_REACH = 5.0
+# rows of node pairs that local_edges compares at once, so that its
+# temporaries stay a few (rows, N) arrays however large N is
+_LOCAL_ROWS = 128
 
 
 def local_edges(nodes: NodeIndex) -> Array:
@@ -453,16 +456,22 @@ def local_edges(nodes: NodeIndex) -> Array:
     (one grid step on a 5-degree grid, so interior nodes get 8 neighbors),
     with longitude measured around the 0/360 seam. The edges have unit
     weight and the self-loops are implicit; the ONI node, having no
-    location, has no edge. Not learnable."""
+    location, has no edge. Not learnable. The pairs are compared in blocks
+    of ``_LOCAL_ROWS`` rows."""
+    n = nodes.count
     lat = nodes.latlon[:, 0]
     lon = np.mod(nodes.latlon[:, 1], 360.0)
-    dlat = np.abs(lat[:, None] - lat[None, :])
-    dlon = np.abs(lon[:, None] - lon[None, :])
-    dlon = np.minimum(dlon, 360.0 - dlon)
     tol = 1e-9  # a NaN distance, to or from the ONI node, is near nothing
-    near = (dlat <= LOCAL_REACH + tol) & (dlon <= LOCAL_REACH + tol)
-    np.fill_diagonal(near, False)
-    return np.flatnonzero(near)
+    parts = []
+    for lo in range(0, n, _LOCAL_ROWS):
+        rows = np.arange(lo, min(lo + _LOCAL_ROWS, n))
+        dlat = np.abs(lat[rows, None] - lat[None, :])
+        dlon = np.abs(lon[rows, None] - lon[None, :])
+        dlon = np.minimum(dlon, 360.0 - dlon)
+        near = (dlat <= LOCAL_REACH + tol) & (dlon <= LOCAL_REACH + tol)
+        near[rows - lo, rows] = False
+        parts.append(np.flatnonzero(near) + lo * n)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ normalization followed by ELU activations, a residual connection in every
 layer whose input and output widths are equal, a jumping-knowledge readout
 that pools every layer's node rows per graph straight into the head input
 (one op, ``autodiff.pool_blocks``), and a two-layer MLP head that emits one
-scalar. Normalization and the ELU run as one fused op,
-``autodiff.batchnorm_features``, in every layer and in the head.
+scalar. In training, normalization and the ELU run as one fused op,
+``autodiff.batchnorm_features``, in every layer and in the head; in
+evaluation the running statistics fold into the weight before it
+(:meth:`NormParams.folded`) and ``autodiff.shift_elu`` adds the shift.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -20,8 +22,8 @@ maps those rows to predictions. :func:`forward_batch`, the training pass,
 builds the graph and runs both parts over one batch in train mode.
 ``training.predict_samples``, the evaluation pass, builds each member's
 graph once, runs the layers over blocks of samples and the head once over
-all pooled rows: in eval mode each sample's rows are normalized with the
-running statistics alone, so the blocks give the bits of one pass.
+all pooled rows: in eval mode each sample's rows go through fixed folded
+weights and shifts alone, so the blocks give the bits of one pass.
 
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
@@ -99,9 +101,31 @@ PRESETS: dict[str, Preset] = {
 
 @dataclass
 class NormParams:
+    """One normalization's learned scale and shift and its running
+    statistics."""
+
     gamma: Tensor
     beta: Tensor
     running: RunningStats
+
+    def folded(self) -> tuple[Array, Array]:
+        """(scale, shift) of the per-column map ``h * scale + shift`` that
+        the normalization is with its running statistics: ``scale = gamma /
+        sqrt(running_var + BN_EPS)`` with the bits of
+        ``autodiff.batchnorm_features``' scale, ``shift = beta -
+        running_mean * scale``. The one place they are applied."""
+        scale = self.gamma.data * (1.0 / np.sqrt(self.running.var + ad.BN_EPS))
+        return scale, self.beta.data - self.running.mean * scale
+
+
+_MODES = ("train", "eval")
+
+
+def _fold(norm: NormParams, mode: str) -> tuple[Array, Array] | None:
+    """``norm.folded()`` in eval mode, None in train mode."""
+    if mode not in _MODES:
+        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    return norm.folded() if mode == "eval" else None
 
 
 @dataclass
@@ -268,31 +292,46 @@ def gcn_layer(
 ) -> Tensor:
     """One graph convolution over stacked node rows: aggregate over
     ``graph`` (the edges and values of :func:`model_edges`, I + A per
-    graph), transform, normalize over features and apply the ELU in one
-    fused op, then add the input back when ``weight`` is square."""
+    graph), transform, normalize over features and apply the ELU, then add
+    the input back when ``weight`` is square. Eval mode scales the weight's
+    columns by :meth:`NormParams.folded` (aggregation mixes rows only, so
+    the scale commutes with it) and ``autodiff.shift_elu`` adds the shift."""
     edges, values = graph
+    fold = _fold(norm, mode)
+    w = weight if fold is None else Tensor(weight.data * fold[0])
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
-    if weight.shape[1] < weight.shape[0]:
-        h = ad.edge_block_matmul(values, edges, ad.matmul(z, weight))
+    if w.shape[1] < w.shape[0]:
+        h = ad.edge_block_matmul(values, edges, ad.matmul(z, w))
     else:
-        h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
-    # nothing reads h after its normalization, so it holds the centered rows
-    out = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
+        h = ad.matmul(ad.edge_block_matmul(values, edges, z), w)
+    # nothing reads h after its normalization, which works in h's own array
+    if fold is None:
+        out = ad.batchnorm_features(h, norm.gamma, norm.beta, norm.running)
+    else:
+        out = ad.shift_elu(h, fold[1])
     if weight.shape[0] == weight.shape[1]:
         out = ad.add(out, z)
     return out
 
 
 def mlp_head(state: ModelState, pooled: Tensor, mode: str) -> Tensor:
-    """Two affine layers with feature batchnorm and the ELU in between, one
-    fused op; the final affine has no activation."""
+    """Two affine layers with feature batchnorm and the ELU in between; the
+    final affine has no activation. In eval mode the folded normalization
+    scales ``mlp_w1``'s columns and takes ``mlp_b1`` into its shift, as in
+    :func:`gcn_layer`."""
     if pooled.shape[1] != state.mlp_w1.shape[0]:
         raise DimensionError(
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
         )
-    h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
     norm = state.mlp_norm
-    h = ad.batchnorm_features(h, norm.gamma, norm.beta, mode, norm.running)
+    fold = _fold(norm, mode)
+    if fold is None:
+        h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
+        h = ad.batchnorm_features(h, norm.gamma, norm.beta, norm.running)
+    else:
+        scale, shift = fold
+        h = ad.matmul(pooled, Tensor(state.mlp_w1.data * scale))
+        h = ad.shift_elu(h, state.mlp_b1.data * scale + shift)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 

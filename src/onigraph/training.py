@@ -224,12 +224,14 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     samples must have that window, lead, node count and input width.
 
     Each member's graph is built once (:func:`model.model_edges`), and each
-    layer call builds its operator from it. The graph layers and pooling
-    run over blocks of whole samples of at most ``PREDICT_BLOCK_ROWS``
-    stacked node rows, and the MLP head once over every sample's pooled
-    row, so the predictions have the bits of one eval-mode pass over every
-    sample. Non-finite predictions raise ``NumericError``; numpy's overflow
-    and invalid-value warnings are off, so nothing prints before it."""
+    layer call builds its operator from it. Eval mode normalizes with fixed
+    folded weights and shifts (``model.NormParams.folded``), so the graph
+    layers and pooling run over blocks of whole samples of at most
+    ``PREDICT_BLOCK_ROWS`` stacked node rows, and the MLP head once over
+    every sample's pooled row, with the bits of one eval-mode pass over
+    every sample. Non-finite values raise ``NumericError``; numpy's overflow
+    and invalid-value warnings are off, so nothing prints before it. Under
+    an open ``autodiff.Tape`` it raises ``RuntimeError``."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")

@@ -37,10 +37,12 @@ from onigraph.autodiff import (
     pool_blocks,
     record_op,
     sgd_nesterov_step,
+    shift_elu,
     _column_sums,
     _sigmoid,
 )
 from onigraph.errors import ConfigError, DimensionError, NumericError
+from onigraph.model import NormParams
 from onigraph.structure import StructureParams, kept_edges
 
 
@@ -118,17 +120,11 @@ def test_matmul_backward_rules():
 
 
 def activate(x):
-    """batchnorm_features reduced to its activation: eval mode with
-    running mean 0 and variance 1 - BN_EPS, which BN_EPS brings back to
-    exactly 1.0, unit scale and a shift of -0.0. Every finite entry of the
-    rank-2 ``x``, -0.0 included, reaches the activation unchanged, and its
-    gradient passes back unchanged. The op centers ``x`` in its own array,
-    so each call takes an ``x`` that nothing reads afterwards."""
-    width = x.shape[1]
-    return batchnorm_features(
-        x, t(np.ones(width)), t(np.full(width, -0.0)), "eval",
-        RunningStats(np.zeros(width), np.full(width, 1.0 - BN_EPS)),
-    )
+    """Evaluation's normalize+ELU reduced to its activation: shift_elu with
+    a shift of -0.0, so every finite entry of the rank-2 ``x``, -0.0
+    included, reaches the activation unchanged. It works in ``x``'s own
+    array, so each call takes an ``x`` that nothing reads afterwards."""
+    return shift_elu(x, np.full(x.shape[1], -0.0))
 
 
 def test_activation_fixed_points():
@@ -233,13 +229,13 @@ def fresh(z):
 
 def test_batchnorm_constant_column_is_zero():
     z = t(np.full((4, 2), 3.25))
-    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)), "train", initial_stats(2))
+    out = batchnorm_features(z, t(np.ones(2)), t(np.zeros(2)), initial_stats(2))
     np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
 
 def test_batchnorm_two_value_column():
     z = t([[1.0], [3.0]])
-    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), "train", initial_stats(1))
+    out = batchnorm_features(z, t(np.ones(1)), t(np.zeros(1)), initial_stats(1))
     unit = 1 / np.sqrt(1 + BN_EPS)  # variance 1
     np.testing.assert_array_equal(out.data, [[np.expm1(-unit)], [unit]])
 
@@ -247,27 +243,23 @@ def test_batchnorm_two_value_column():
 def test_batchnorm_zero_gamma_gives_beta():
     z = t(np.random.default_rng(1).normal(size=(5, 3)))
     beta = np.array([1.0, 2.0, 0.5])  # positive: the ELU passes it unchanged
-    out = batchnorm_features(z, t(np.zeros(3)), t(beta), "train", initial_stats(3))
+    out = batchnorm_features(z, t(np.zeros(3)), t(beta), initial_stats(3))
     np.testing.assert_array_equal(out.data, np.broadcast_to(beta, (5, 3)))
 
 
 def test_batchnorm_single_row_train_rejected():
     with pytest.raises(NumericError):
-        batchnorm_features(
-            t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), "train", initial_stats(2)
-        )
+        batchnorm_features(t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), initial_stats(2))
 
 
 def test_batchnorm_running_stats_update_and_eval():
     running = initial_stats(1)
     z = np.array([[1.0], [3.0]])
-    batchnorm_features(t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="train", running=running)
+    batchnorm_features(t(z.copy()), t(np.ones(1)), t(np.zeros(1)), running)
     assert running.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     assert running.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
     before = (running.mean.copy(), running.var.copy())
-    out = batchnorm_features(
-        t(z.copy()), t(np.ones(1)), t(np.zeros(1)), mode="eval", running=running
-    )
+    out = norm_act(t(z.copy()), t(np.ones(1)), t(np.zeros(1)), "eval", running)
     x = (z - before[0]) / np.sqrt(before[1] + BN_EPS)
     np.testing.assert_allclose(out.data, np.where(x > 0.0, x, np.expm1(x)))
     np.testing.assert_array_equal(running.mean, before[0])
@@ -276,11 +268,14 @@ def test_batchnorm_running_stats_update_and_eval():
 
 # --- fused batchnorm + activation -------------------------------------------
 
-# The op's normalization and backward read its activation only through
-# _elu, in place on the shifted values, and _elu_grad, a fresh gradient
-# from the output alone. The tests below also check them with tanh, the
-# sigmoid and the identity swapped in for the ELU: curved on both sides of
-# zero, where the ELU is the identity above it, or no activation at all.
+# The training op's normalization and backward, and evaluation's shift_elu,
+# read their activation only through _elu, in place on the shifted values,
+# and _elu_grad, a fresh gradient from the output alone. The tests below
+# also check them with tanh, the sigmoid and the identity swapped in for the
+# ELU: curved on both sides of zero, where the ELU is the identity above
+# it, or no activation at all. Each runs in two modes: "train", the op with
+# batch statistics, and "eval", the running statistics folded into a
+# column scale and a shift (model.NormParams.folded, then shift_elu).
 SWAPPED_ACTIVATIONS = {
     "tanh": (lambda y: np.tanh(y, out=y), lambda g, y: g * (1.0 - y * y)),
     "sigmoid": (lambda y: _sigmoid(y, out=y), lambda g, y: g * y * (1.0 - y)),
@@ -290,13 +285,33 @@ ACTIVATION_KINDS = ("elu", *SWAPPED_ACTIVATIONS)
 
 
 def activation(kind):
-    """A context in which batchnorm_features applies ``kind``: its own ELU,
-    or another swapped in. The backward rule reads the swap when it runs,
-    so the context holds the backward too."""
+    """A context in which batchnorm_features and shift_elu apply ``kind``:
+    the ELU, or another swapped in. The backward rule reads the swap when
+    it runs, so the context holds the backward too."""
     if kind == "elu":
         return nullcontext()
     fwd, grad = SWAPPED_ACTIVATIONS[kind]
     return mock.patch.multiple(autodiff, _elu=fwd, _elu_grad=grad)
+
+
+def norm_act(z, gamma, beta, mode, running):
+    """Normalize+activate in ``mode``: the training op, which centers ``z``
+    in its own array and updates ``running``, or evaluation's fold of
+    ``running`` into a column scale of ``z`` and a shift."""
+    if mode == "train":
+        return batchnorm_features(z, gamma, beta, running)
+    scale, shift = NormParams(gamma, beta, running).folded()
+    return shift_elu(t(z.data * scale), shift)
+
+
+def run_norm_act(z, gamma, beta, mode, running, g):
+    """:func:`norm_act`'s output and the gradients (dz, dgamma, dbeta) its
+    rule gives for the output gradient ``g``; evaluation records none."""
+    if mode == "eval":
+        return norm_act(z, gamma, beta, mode, running), ()
+    with Tape() as tape:
+        out = norm_act(z, gamma, beta, mode, running)
+        return out, tape.entries[-1].rule(g)
 
 
 # the separate ops the fused one replaced: forward of the pre-activation x,
@@ -322,27 +337,29 @@ def _batch_stats(z, mode, running):
 
 def _reference_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output, (dz, dgamma, dbeta) and the running statistics after the
-    call, in the op's folded order: one scale and shift per column, and a
-    backward from the two column sums of d and d * xc."""
+    call, in the folded order: one scale and shift per column, and in train
+    mode a backward from the two column sums of d and d * xc; eval mode
+    applies the scale before the shift and has no gradients."""
     n = z.shape[0]
     mean, var, new_running = _batch_stats(z, mode, running)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv
+    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
+    if mode == "eval":
+        return fwd(z * scale + (beta - mean * scale)), (), new_running
     xc = z - mean
     x = xc * scale + beta
-    fwd, bwd = REFERENCE_ACTIVATIONS[kind]
     y = fwd(x)
     d = bwd(g, x, y)
     dbeta, sx = d.sum(axis=0), (d * xc).sum(axis=0)
-    dz = d * scale
-    if mode == "train":
-        dz = dz - (scale / n) * dbeta - xc * ((scale * inv * inv / n) * sx)
+    dz = d * scale - (scale / n) * dbeta - xc * ((scale * inv * inv / n) * sx)
     return y, (dz, sx * inv, dbeta), new_running
 
 
 def _textbook_norm_act(z, gamma, beta, mode, running, kind, g):
     """Output and (dz, dgamma, dbeta) by the textbook batchnorm and
-    activation formulas: standardize, then scale and shift."""
+    activation formulas: standardize, then scale and shift; eval mode has
+    no gradients."""
     n = z.shape[0]
     mean, var, _ = _batch_stats(z, mode, running)
     inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -350,12 +367,11 @@ def _textbook_norm_act(z, gamma, beta, mode, running, kind, g):
     x = xhat * gamma + beta
     fwd, bwd = REFERENCE_ACTIVATIONS[kind]
     y = fwd(x)
+    if mode == "eval":
+        return y, ()
     gx = bwd(g, x, y)
     dxhat = gx * gamma
-    if mode == "train":
-        dz = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-    else:
-        dz = dxhat * inv
+    dz = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
     return y, (dz, (gx * xhat).sum(axis=0), gx.sum(axis=0))
 
 
@@ -365,28 +381,23 @@ def test_fused_norm_act_is_bit_identical_to_reference_formulas(kind, mode):
     rng = np.random.default_rng(41)
     batch, nodes, width = 3, 37, 5  # stacked (B * N, D) rows
     z0 = rng.normal(scale=2.0, size=(batch * nodes, width)) + 0.5
-    z = t(z0.copy(), grad=True)
     gamma = t(rng.normal(size=width), grad=True)
     beta = t(rng.normal(size=width), grad=True)
-    running = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
-    g = rng.normal(size=z.shape)
+    running0 = RunningStats(rng.normal(size=width), rng.random(width) + 0.5)
+    g = rng.normal(size=z0.shape)
     want_y, want_grads, want_running = _reference_norm_act(
-        z0, gamma.data, beta.data, mode, copied(running), kind, g
+        z0, gamma.data, beta.data, mode, copied(running0), kind, g
     )
-    with activation(kind), Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running)
-        grads = tape.entries[-1].rule(g)
-    assert out.data.tobytes() == want_y.tobytes()
-    for got, want in zip(grads, want_grads):
+    running = copied(running0)
+    with activation(kind):
+        out, grads = run_norm_act(t(z0.copy(), grad=True), gamma, beta, mode, running, g)
+        # nothing recorded: the single-buffer forward gives the same bits
+        unrecorded = norm_act(t(z0.copy()), gamma, beta, mode, copied(running0))
+    assert len(grads) == len(want_grads)
+    for got, want in zip((out.data, unrecorded.data, *grads), (want_y, want_y, *want_grads)):
         assert got.tobytes() == want.tobytes()
     for got, want in zip((running.mean, running.var), want_running):
         assert got.tobytes() == want.tobytes()
-    # nothing recorded: the single-buffer forward gives the same bits
-    frozen = RunningStats(*want_running)
-    want_eval = _reference_norm_act(z0, gamma.data, beta.data, "eval", frozen, kind, g)[0]
-    with activation(kind):
-        got_eval = batchnorm_features(t(z0.copy()), gamma, beta, "eval", frozen)
-    assert got_eval.data.tobytes() == want_eval.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -401,27 +412,28 @@ def test_grad_check_fused_norm_act(kind, mode):
 
     def f():
         # train mode reads no running statistics, so f stays deterministic
-        out = batchnorm_features(fresh(z), gamma, beta, mode, copied(running))
+        out = norm_act(fresh(z), gamma, beta, mode, copied(running))
         return mse_loss(flatten(out), target)
 
     with activation(kind):
-        assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
+        if mode == "train":
+            assert grad_check(f, [z, gamma, beta], step=1e-6) <= 1e-6
+        else:  # evaluation records no gradient, so it refuses to run under a Tape
+            with pytest.raises(RuntimeError, match="no gradient"):
+                grad_check(f, [z, gamma, beta], step=1e-6)
 
 
 def test_fused_norm_act_eval_leaves_the_running_statistics():
     rng = np.random.default_rng(43)
-    z = t(rng.normal(size=(12, 4)), grad=True)
+    z = t(rng.normal(size=(12, 4)))
     running = RunningStats(rng.normal(size=4), rng.random(4) + 0.5)
-    before = (running.mean.copy(), running.var.copy())
-    gamma, beta = t(np.ones(4), grad=True), t(np.zeros(4), grad=True)
-    batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)
-    with Tape():
-        loss = mse_loss(
-            flatten(batchnorm_features(fresh(z), gamma, beta, mode="eval", running=running)),
-            t(np.zeros(48)),
-        )
-        backward(loss)
-    for got, want in zip((running.mean, running.var), before):
+    gamma, beta = t(rng.normal(size=4), grad=True), t(rng.normal(size=4), grad=True)
+    held = (running.mean, running.var, gamma.data, beta.data)
+    before = [a.copy() for a in held]
+    norm_act(z, gamma, beta, "eval", running)
+    with Tape(), pytest.raises(RuntimeError):
+        norm_act(z, gamma, beta, "eval", running)
+    for got, want in zip(held, before):
         assert got.tobytes() == want.tobytes()
 
 
@@ -431,7 +443,7 @@ def test_fused_norm_act_checks_finiteness_before_the_activation(kind):
     # -inf, which these activations would map to a finite value
     z = t([[1.0], [-1.0]])
     with activation(kind), pytest.raises(NumericError), np.errstate(over="ignore"):
-        batchnorm_features(z, t([1e308]), t([-1e308]), "train", initial_stats(1))
+        batchnorm_features(z, t([1e308]), t([-1e308]), initial_stats(1))
 
 
 def test_elu_of_negative_zero_is_positive_zero():
@@ -458,12 +470,9 @@ def test_activations_take_every_tensor_rank(kind):
         assert y.tobytes() == fwd(x).tobytes()
         assert np.asarray(act_grad(g, y)).tobytes() == bwd(g, x, y).tobytes()
         if x.ndim == 2:
-            x = t(values, grad=True)
-            with activation(kind), Tape() as tape:
-                out = activate(x)
-                (dx,) = tape.entries[-1].rule(g)[:1]
-            assert out.data.tobytes() == fwd(x.data).tobytes()
-            assert dx.tobytes() == bwd(g, x.data, out.data).tobytes()
+            with activation(kind):
+                out = activate(t(values))
+            assert out.data.tobytes() == fwd(x).tobytes()
 
 
 def test_elu_evaluates_expm1_on_the_negative_half_only():
@@ -553,10 +562,10 @@ def test_fused_norm_act_keeps_the_bits_of_numpy_reductions(kind, mode, order, wi
             z = t(z0.copy(order="K"), grad=True)
             assert z.data.flags[f"{order}_CONTIGUOUS"]
             running = copied(running0)
-            with activation(kind), Tape() as tape:
-                out = batchnorm_features(z, gamma, beta, mode, running)
-                grads = tape.entries[-1].rule(g.copy())
+            with activation(kind):
+                out, grads = run_norm_act(z, gamma, beta, mode, running, g.copy())
             assert out.data.tobytes() == want_y.tobytes()
+            assert len(grads) == len(want_grads)
             for got, want in zip(grads, want_grads):
                 assert got.tobytes() == want.tobytes()
             for got, want in zip((running.mean, running.var), want_running):
@@ -579,9 +588,9 @@ def test_fused_norm_act_stays_within_rounding_of_the_textbook_formulas(kind, mod
     want_y, want_grads = _textbook_norm_act(
         z.data, gamma.data, beta.data, mode, copied(running), kind, g
     )
-    with activation(kind), Tape() as tape:
-        out = batchnorm_features(z, gamma, beta, mode, running)
-        grads = tape.entries[-1].rule(g)
+    with activation(kind):
+        out, grads = run_norm_act(z, gamma, beta, mode, running, g)
+    assert len(grads) == len(want_grads)
     for got, want in zip((out.data, *grads), (want_y, *want_grads)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -746,14 +755,12 @@ def test_backward_stores_leaf_gradients_only_and_empties_the_tape():
     w = t([[1.5, -0.5]], grad=True)
     x = t([[-2.0], [1.0]])
     with Tape() as tape:
-        hidden = activate(matmul(w, x))
+        hidden = add_row_bias(matmul(w, x), t([0.5]))  # -3.5 + 0.5
         loss = mse_loss(flatten(hidden), t([0.0]))
         backward(loss)
         assert tape.entries == []
     assert hidden.grad is None and loss.grad is None
-    y = math.expm1(-3.5)  # the ELU's negative branch, slope y + 1
-    want = np.array([[-2.0, 1.0]]) * (2.0 * y * (y + 1.0))
-    np.testing.assert_allclose(w.grad, want, rtol=1e-14)
+    np.testing.assert_array_equal(w.grad, np.array([[-2.0, 1.0]]) * (2.0 * -3.0))
 
 
 def test_backward_requires_scalar():
@@ -795,7 +802,7 @@ def test_forward_backward_deterministic():
         w = t(np.arange(6.0).reshape(2, 3), grad=True)
         x = t(np.arange(12.0).reshape(3, 4) / 7.0)
         with Tape():
-            out = activate(matmul(w, x))
+            out = batchnorm_features(matmul(w, x), t(np.ones(4)), t(np.zeros(4)), initial_stats(4))
             loss = mse_loss(flatten(out), t(np.zeros(8)))
             backward(loss)
         return out.data.tobytes(), w.grad.tobytes()
@@ -815,10 +822,10 @@ def _added_to_itself(r):
     return add(x, x)
 
 
-def _norm_op(r, mode, dtype):
+def _norm_op(r, dtype):
     # float32 is the model's working dtype, float64 the gradient checks'
     z, gamma, beta = (t(r(*s).data.astype(dtype), grad=True) for s in [(5, 3), (3,), (3,)])
-    return batchnorm_features(z, gamma, beta, mode, RunningStats.initial(3, dtype))
+    return batchnorm_features(z, gamma, beta, RunningStats.initial(3, dtype))
 
 
 def _pool_op(r, kind):
@@ -844,11 +851,7 @@ RULE_CASES = [
     ("mse_loss", lambda r: mse_loss(r(4), r(4))),
     ("edge_block_matmul", lambda r: edge_block_matmul(r(12), full_graph(4), r(8, 3))),
     ("edge_block_matmul", lambda r: edge_block_matmul(r(40), _sparse_ring(), r(80, 3))),
-    *(
-        ("batchnorm_features", partial(_norm_op, mode=mode, dtype=dtype))
-        for mode in ("train", "eval")
-        for dtype in (np.float32, np.float64)
-    ),
+    *(("batchnorm_features", partial(_norm_op, dtype=dtype)) for dtype in (np.float32, np.float64)),
     *(("pool_blocks", partial(_pool_op, kind=kind)) for kind in ("mean", "sum_and_mean")),
     ("kept_edges", _structure_op),
 ]
@@ -941,7 +944,7 @@ def test_grad_check_composite_ops():
     def f():
         h = matmul(x, w)
         h = add_row_bias(h, bias)
-        h = batchnorm_features(h, gamma, beta, mode="train", running=running)
+        h = batchnorm_features(h, gamma, beta, running)
         pooled = pool_blocks([h, add(h, h)], 4, "mean")
         return mse_loss(flatten(pooled), t([0.1, 0.2, 0.3, 0.4]))
 

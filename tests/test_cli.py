@@ -1211,13 +1211,13 @@ PINNED_OUTPUTS = {
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
     "m.ckpt": "e4a13f63ea0a00b51671b623eff4980a38aa3dd6",  # format 4; the blob of format 2
     "m.ckpt.loss.csv": "8d87da324e6f462c315487348d57de5728ddec77",
-    "eval.report.csv": "233e734b609cba3ea1825ee84bd3c1eff4624341",
-    "eval.predictions.csv": "aab75b0a9123eecdfecfe2bc1d1974c3b36ba072",
-    "eval.series.svg": "58dad3ee269d7445102f4efe4b9d96316134102a",
-    "p.csv": "9b6e7ff9b72ef3ad22854c8c113c72cda7ff4389",
+    "eval.report.csv": "713670596da8eac1a05cd22417c9de68191e4466",
+    "eval.predictions.csv": "948ea49c09b19c3b33cc56542fbe2eaa4a4fbb41",
+    "eval.series.svg": "b490f2bfe2f17e92f462bee0e2d20d1bb59833d4",
+    "p.csv": "cfc4a0fe971243e8e43c66a77d8d08c82a5520bd",
     "heat.csv": "7691b41cfbc4b2fa8abd3572db2b58cbb56319f7",
     "heat.svg": "93fa589b0c84a5d1cf671a70cad634143b3b073a",
-    "ablation.csv": "9872d1d351809e5f5659905974fe543bfc8a8655",
+    "ablation.csv": "5f219d7b0a9b2ca1b594e592add477fc47cdfe6b",
 }
 
 

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onigraph import data as data_module
 from onigraph.data import (
     GRID_FIELDS,
     KNOWN_VARIABLES,
+    LOCAL_REACH,
     ONI_CENTER_LATLON,
     GridSet,
     SynthSpec,
@@ -640,6 +642,54 @@ def test_local_adjacency_oni_node_isolated():
     oni = nodes.count - 1
     assert not np.any(rows == oni) and not np.any(cols == oni)
     assert np.array_equal(np.unique(rows), np.arange(oni))  # every grid node has an edge
+
+
+def whole_matrix_local_edges(nodes):
+    """The predicate of ``local_edges`` over the whole N x N matrix at once,
+    the form it had before it compared row blocks: the reference."""
+    lat = nodes.latlon[:, 0]
+    lon = np.mod(nodes.latlon[:, 1], 360.0)
+    dlat = np.abs(lat[:, None] - lat[None, :])
+    dlon = np.abs(lon[:, None] - lon[None, :])
+    dlon = np.minimum(dlon, 360.0 - dlon)
+    near = (dlat <= LOCAL_REACH + 1e-9) & (dlon <= LOCAL_REACH + 1e-9)
+    np.fill_diagonal(near, False)
+    return np.flatnonzero(near)
+
+
+@pytest.mark.parametrize("seed", [37621, 37622, 37623])
+def test_local_edges_in_row_blocks_equal_the_whole_matrix_formula(seed):
+    # a grid band across the 0/360 seam with land cut out, plus the ONI
+    # node, in at least three row blocks; then the same cells with every
+    # coordinate moved by up to 2e-9 degrees, across the comparison's 1e-9
+    # tolerance
+    rng = np.random.default_rng(seed)
+    n_lat, n_lon = rng.integers(16, 25), rng.integers(24, 37)
+    grid = make_grid(n_lat, n_lon, n_time=1, lat0=-60.0, lon0=rng.uniform(-60.0, -10.0))
+    grid.land_mask[...] = rng.random((n_lat, n_lon)) < 0.3
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
+    assert grid.lons.min() < 0.0 < grid.lons.max()  # 0 and 360 are one meridian
+    assert nodes.count > 2 * data_module._LOCAL_ROWS
+    jittered = replace(nodes, latlon=nodes.latlon + rng.uniform(-2e-9, 2e-9, nodes.latlon.shape))
+    for case in (nodes, jittered):
+        got, want = local_edges(case), whole_matrix_local_edges(case)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_local_edges_at_full_grid_size_stay_below_ten_megabytes():
+    # N=1345, the 32x42 grid plus the ONI node; the whole N x N matrix took
+    # over 50 MB
+    grid = make_grid(32, 42, n_time=1, lat0=-77.5, lon0=0.0, seed=37631)
+    nodes = extend_nodes_with_oni(land_filter_nodes(grid))
+    assert nodes.count == 1345
+    tracemalloc.start()
+    try:
+        flat = local_edges(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.tobytes() == whole_matrix_local_edges(nodes).tobytes()
+    assert peak < 10_000_000
 
 
 # --- synthetic dataset -----------------------------------------------------------

@@ -3,10 +3,17 @@
 ``module.name`` whose first part is a package module, and each
 double-backquoted bare ALL-CAPS name such as a module constant. A
 reference left behind by a rename or a deletion fails here, not in a later
-reader's search."""
+reader's search.
 
+The comments and docstrings quote no measurement, such as a timing or a
+size in MB: measurements go stale when re-measured, and belong in
+``CHANGES.md`` and ``ROADMAP.md``."""
+
+import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -61,3 +68,43 @@ def test_a_stale_reference_is_caught():
         "``PRESETS`` and ``BN_EPS``, ``N`` x ``N``"
     )
     assert unresolved("model", text) == ["graph_aggregator", "autodiff.dense_aggregate", "BN_EPS"]
+
+
+# a number followed by a unit of time, memory or speed
+MEASUREMENT = re.compile(r"(?<![\w.])\d[\d,.]*\s?(?:ms|µs|MB|GB|GFLOP/s)(?![A-Za-z])")
+
+
+def measurements(source: str) -> list[tuple[int, str]]:
+    """The measurements quoted in the comments and docstrings of a module's
+    ``source``, each with the line its comment or docstring starts on."""
+    prose = [
+        (token.start[0], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if (doc := ast.get_docstring(node, clean=False)) is not None:
+                prose.append((node.body[0].lineno, doc))
+    return [(line, m.group()) for line, text in sorted(prose) for m in MEASUREMENT.finditer(text)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(onigraph.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_measurement_is_quoted_in_the_source(path):
+    found = measurements(path.read_text())
+    assert not found, f"{path.name} quotes measurements, which belong in CHANGES.md: {found}"
+
+
+def test_a_quoted_measurement_is_caught():
+    source = (
+        '"""Resolve each table once: 0.17 ms a type."""\n'
+        "# 5.5 MB at N=1345, 1,024 GB, 68 GFLOP/s\n"
+        "x = '3 ms'  # 12µs\n"
+        "def f():\n"
+        '    """Sums the items of 16 MBit words in 2 passes; ms and MB alone."""\n'
+    )
+    assert [m for _, m in measurements(source)] == [
+        "0.17 ms", "5.5 MB", "1,024 GB", "68 GFLOP/s", "12µs",
+    ]

@@ -158,7 +158,7 @@ MIXED = {
         _d(2), EdgeIndex.from_flat(2, np.arange(4)), _f(4, 3)
     ),
     "batchnorm_features": lambda: batchnorm_features(
-        _f(4, 3), _f(3), _f(3), "train", RunningStats.initial(3, np.float64)
+        _f(4, 3), _f(3), _f(3), RunningStats.initial(3, np.float64)
     ),
     "pool_blocks": lambda: pool_blocks([_f(4, 2), _d(4, 3)], 2, "mean"),
 }

@@ -356,3 +356,137 @@ def test_local_graph_is_built_once_with_the_state(monkeypatch):
         forward_batch(state, x, 2)
     mlp_head(state, pooled_layers(state, x, 2, model_edges(state), "eval"), "eval")
     np.testing.assert_array_equal(model_adjacency(state).data, fixed)
+
+
+# --- evaluation: the running statistics folded into the weights ---------------
+# Eval mode scales a layer's weight columns by gamma / sqrt(running_var + eps)
+# and adds beta - running_mean * scale after the product; the textbook form
+# below normalizes the product itself. Seeds fixed before the tests ran.
+
+FOLD_LAYERS = {  # (input width, output width): which side aggregates
+    "transform_first": (6, 3),  # narrowing: A(ZW)
+    "aggregate_first": (3, 6),  # widening: (AZ)W
+    "residual": (4, 4),  # square: (AZ)W, plus the input
+}
+# a few float32 ulps per unit of the magnitudes that the fold's shift cancels
+FLOAT32_FOLD_ULPS = 4
+
+
+def elu64(x):
+    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def fold_norm(rng, h, dtype):
+    """A normalization whose running statistics lie near the column
+    statistics of the float64 pre-activations ``h``, so that normalized
+    values are of order one, with learned scale and shift."""
+    std = h.std(axis=0)
+    return NormParams(
+        Tensor(rng.normal(1.0, 0.3, h.shape[1]).astype(dtype)),
+        Tensor(rng.normal(0.0, 0.5, h.shape[1]).astype(dtype)),
+        RunningStats(
+            (h.mean(axis=0) + 0.3 * std * rng.normal(size=h.shape[1])).astype(dtype),
+            (h.var(axis=0) * rng.uniform(0.5, 2.0, h.shape[1])).astype(dtype),
+        ),
+    )
+
+
+def textbook(h, norm):
+    """ELU(((h - mean) / sqrt(var + eps)) * gamma + beta) in float64, and
+    |mean * s|, the magnitude that the fold's shift cancels, with the scale
+    s = gamma / sqrt(var + eps)."""
+    gamma, beta, mean, var = (
+        a.astype(np.float64) for a in (norm.gamma.data, norm.beta.data, norm.running.mean,
+                                        norm.running.var)
+    )
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    return elu64((h - mean) * inv * gamma + beta), np.abs(mean * inv * gamma), inv * gamma
+
+
+def assert_fold_matches(got, want, magnitude, dtype):
+    """float64 to rtol 1e-12; float32 within FLOAT32_FOLD_ULPS of
+    ``magnitude``: |running_mean * s| + |y|, plus the magnitude of every
+    product that the output sums, each of which rounds."""
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    else:
+        bound = FLOAT32_FOLD_ULPS * np.finfo(np.float32).eps * magnitude
+        assert np.all(np.abs(got.astype(np.float64) - want) <= bound)
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0], ids=["centered", "mean_100_sd"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("layer", sorted(FOLD_LAYERS))
+def test_eval_layer_matches_the_textbook_normalization(layer, dtype, offset):
+    rng = np.random.default_rng(37611)
+    n, batch = 7, 3
+    d_in, d_out = FOLD_LAYERS[layer]
+    # every node reads from two others with the same weights, so every row
+    # of I + A sums to 1.9 and a constant input shifts every row alike
+    a = np.eye(n) + 0.6 * np.roll(np.eye(n), 1, axis=1) + 0.3 * np.roll(np.eye(n), 3, axis=1)
+    w = rng.uniform(-1.0, 1.0, (d_in, d_out)).astype(dtype).astype(np.float64)
+    z = rng.normal(size=(batch * n, d_in))
+
+    def pre(z, w=w):  # the layer's product in float64
+        return (a @ z.reshape(batch, n, d_in)).reshape(-1, d_in) @ w
+
+    if offset:  # a constant input large enough that |mean| >= offset * sd
+        per_unit = pre(np.ones_like(z)).mean(axis=0)
+        z += 2.0 * offset * np.max(pre(z).std(axis=0) / np.abs(per_unit))
+    z = z.astype(dtype).astype(np.float64)
+    h = pre(z)
+    norm = fold_norm(rng, h, dtype)
+    assert np.all(np.abs(norm.running.mean) >= offset * np.sqrt(norm.running.var))
+    edges, values = graph(a)
+    got = gcn_layer(
+        (edges, Tensor(values.data.astype(dtype))), Tensor(z.astype(dtype)),
+        Tensor(w.astype(dtype)), norm, mode="eval",
+    ).data
+    assert got.dtype == dtype
+    act, shifted, scale = textbook(h, norm)
+    residual = z if d_in == d_out else 0.0
+    want = act + residual
+    products = pre(np.abs(z), np.abs(w)) * np.abs(scale)  # the products' rounding
+    assert_fold_matches(got, want, shifted + products + np.abs(act) + np.abs(residual), dtype)
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0], ids=["centered", "mean_100_sd"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_eval_head_matches_the_textbook_normalization(dtype, offset):
+    rng = np.random.default_rng(37612)
+    state = tiny_state(n=5, layer_dims=(3, 4), static_features=np.ones((5, 4), dtype))
+    w1, b1, w2, b2 = (state.mlp_w1, state.mlp_b1, state.mlp_w2, state.mlp_b2)
+    for p in (w1, b1, w2, b2):
+        p.data[...] = rng.uniform(-1.0, 1.0, p.shape)
+    pooled = rng.normal(size=(9, w1.shape[0]))
+    if offset:
+        h = pooled @ w1.data.astype(np.float64)
+        pooled += 2.0 * offset * np.max(h.std(axis=0) / np.abs(w1.data.sum(axis=0)))
+    pooled = pooled.astype(dtype).astype(np.float64)
+    h = pooled @ w1.data.astype(np.float64) + b1.data
+    state.mlp_norm = fold_norm(rng, h, dtype)
+    running = state.mlp_norm.running
+    assert np.all(np.abs(running.mean) >= offset * np.sqrt(running.var))
+    got = mlp_head(state, Tensor(pooled.astype(dtype)), mode="eval").data
+    assert got.dtype == dtype
+    hidden, shifted, scale = textbook(h, state.mlp_norm)
+    w2_64 = w2.data.astype(np.float64)
+    want = (hidden @ w2_64)[:, 0] + b2.data[0]
+    # the hidden rows' error, the shift taking b1 in, and the rounding of
+    # the last product, summed through |w2|
+    products = np.abs(pooled) @ np.abs(w1.data.astype(np.float64)) * np.abs(scale)
+    magnitude = (shifted + np.abs(b1.data * scale) + products + 2.0 * np.abs(hidden)) @ np.abs(
+        w2_64
+    )[:, 0]
+    assert_fold_matches(got, want, magnitude + np.abs(b2.data[0]), dtype)
+
+
+def test_an_unknown_mode_is_a_config_error():
+    state = tiny_state()
+    x = rand_input(state)
+    graph_ = model_edges(state)
+    with pytest.raises(ConfigError, match="mode"):
+        pooled_layers(state, x, 1, graph_, "inference")
+    pooled = pooled_layers(state, x, 1, graph_, "eval")
+    with pytest.raises(ConfigError, match="mode"):
+        mlp_head(state, pooled, "Eval")

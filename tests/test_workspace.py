@@ -215,7 +215,7 @@ def test_a_train_mode_batchnorm_backward_takes_one_workspace_buffer(monkeypatch)
     monkeypatch.setattr(Workspace, "take", counted)
     with Workspace(), Tape() as tape:
         running = RunningStats.initial(8, np.float64)
-        out = batchnorm_features(z, gamma, beta, "train", running)
+        out = batchnorm_features(z, gamma, beta, running)
         takes.clear()
         grads = tape.entries[-1].rule(rng.normal(size=out.shape))
     assert takes == [(40, 8)]
