@@ -12,7 +12,7 @@ goes, and accumulates gradients additively into ``Tensor.grad`` of the leaf
 tensors (those no recorded op produced) only.
 
 Outside a tape context the same functions run as plain forward numerics,
-which is how evaluation-mode inference avoids recording anything.
+which is how evaluation avoids recording anything.
 
 Every op keeps its inputs' dtype: its output, the arrays its backward rule
 returns and the buffers it takes are of the one dtype of its operands, and
@@ -24,10 +24,10 @@ Ops do not check their outputs: products, aggregation, bias and residual
 adds, pooling and flatten carry inf and NaN forward by IEEE rules.
 Finiteness is checked where such a value could vanish or would leave the
 model, each check raising ``NumericError``: before the ELU, which maps -inf
-to -1, in :func:`batchnorm_features` (training) and :func:`shift_elu`
-(evaluation), in ``structure.kept_edges`` before the embedding's tanh and
-on the edge logits, in :func:`mse_loss`, and on
-``training.predict_samples``' output.
+to -1, in :func:`batchnorm_features` (training) and :func:`shift_elu` (the
+``model.folded`` copy that evaluation runs), in ``structure.kept_edges``
+before the embedding's tanh and on the edge logits, in :func:`mse_loss`,
+and on ``training.predict_samples``' output.
 
 Inside a ``with Workspace():`` block the ops write their step-sized
 arrays into reused buffers instead of fresh ones, with the same bits.
@@ -499,7 +499,7 @@ def batchnorm_features(
     over the rows of ``z`` with the batch mean and population variance,
     scale by ``gamma``, shift by ``beta``, then apply the ELU, as one op,
     and update the running statistics in place. Evaluation folds the
-    running statistics into the weights instead (``model.NormParams`` and
+    running statistics into the weights instead (``model.folded`` and
     :func:`shift_elu`). The input is centered in ``z``'s own array, which
     saves one array of its size: nothing may read ``z`` after this call (no
     backward rule reads its op's output).
@@ -567,10 +567,10 @@ def batchnorm_features(
 def shift_elu(h: Tensor, shift: Array) -> Tensor:
     """``ELU(h + shift)``, ``shift`` added to every row, in ``h``'s own
     array: evaluation's normalization, whose per-column scale is folded
-    into the weight before it (``model.NormParams.folded``). Nothing may
-    read ``h`` after this call. Finiteness is checked before the ELU, which
-    maps -inf to -1. It records nothing, so it raises ``RuntimeError``
-    under an open ``Tape``, where a gradient would be lost."""
+    into the weight before it (``model.folded``). Nothing may read ``h``
+    after this call. Finiteness is checked before the ELU, which maps -inf
+    to -1. It records nothing, so it raises ``RuntimeError`` under an open
+    ``Tape``, where a gradient would be lost."""
     if active_tape() is not None:
         raise RuntimeError("shift_elu records no gradient; evaluate outside any Tape")
     if h.data.ndim != 2 or shift.shape != (h.shape[1],):

@@ -335,7 +335,7 @@ def cmd_gradcheck(args) -> int:
         frozen, _ = model_edges(state)
 
         def f():
-            pred = forward_batch(state, x, batch, edges=frozen)
+            pred = forward_batch(state, x, edges=frozen)
             return mse_loss(pred, y)
 
         error = grad_check(f, [t for _, t in state.parameters()], step=1e-5)

@@ -229,13 +229,16 @@ class NodeIndex:
     """Ocean cells enumerated lat-major, lon-minor, optionally followed by
     one aggregate ONI node (NaN coordinates, cell index -1)."""
 
-    latlon: Array  # (N, 2) degrees
+    latlon: Array  # (N, 2) degrees; NaN for the ONI node
     cells: Array  # (N, 2) int (lat index, lon index); (-1, -1) for the ONI node
-    has_oni_node: bool = False
 
     @property
     def count(self) -> int:
         return self.latlon.shape[0]
+
+    @property
+    def has_oni_node(self) -> bool:  # its coordinates are NaN, and it is last
+        return bool(np.isnan(self.latlon[-1]).any())
 
     @property
     def grid_count(self) -> int:
@@ -248,7 +251,7 @@ def land_filter_nodes(grid: GridSet) -> NodeIndex:
     if cells.size == 0:
         raise DataError("grid is all land; the graph would be empty")
     latlon = np.column_stack([grid.lats[cells[:, 0]], grid.lons[cells[:, 1]]])
-    return NodeIndex(latlon=latlon, cells=cells, has_oni_node=False)
+    return NodeIndex(latlon=latlon, cells=cells)
 
 
 def oni_region_cells(grid: GridSet) -> Array:
@@ -406,7 +409,6 @@ def extend_nodes_with_oni(nodes: NodeIndex) -> NodeIndex:
     return NodeIndex(
         latlon=np.vstack([nodes.latlon, [[np.nan, np.nan]]]),
         cells=np.vstack([nodes.cells, [[-1, -1]]]),
-        has_oni_node=True,
     )
 
 

@@ -6,10 +6,8 @@ normalization followed by ELU activations, a residual connection in every
 layer whose input and output widths are equal, a jumping-knowledge readout
 that pools every layer's node rows per graph straight into the head input
 (one op, ``autodiff.pool_blocks``), and a two-layer MLP head that emits one
-scalar. In training, normalization and the ELU run as one fused op,
-``autodiff.batchnorm_features``, in every layer and in the head; in
-evaluation the running statistics fold into the weight before it
-(:meth:`NormParams.folded`) and ``autodiff.shift_elu`` adds the shift.
+scalar. Each normalization is a :class:`NormParams`, which runs the fused
+normalize+ELU op ``autodiff.batchnorm_features`` on batch statistics.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -19,11 +17,10 @@ The forward pass has two parts. :func:`pooled_layers` runs the graph
 layers and the readout over a given graph (the edges and values of
 :func:`model_edges`) and returns one pooled row per sample; :func:`mlp_head`
 maps those rows to predictions. :func:`forward_batch`, the training pass,
-builds the graph and runs both parts over one batch in train mode.
-``training.predict_samples``, the evaluation pass, builds each member's
-graph once, runs the layers over blocks of samples and the head once over
-all pooled rows: in eval mode each sample's rows go through fixed folded
-weights and shifts alone, so the blocks give the bits of one pass.
+builds the graph and runs both parts over one batch. Evaluation
+(``training.predict_samples``) runs them on :func:`folded`, a copy whose
+running statistics are folded into the weights, where each sample's rows
+go through fixed weights and shifts alone.
 
 The graph is an edge list with implicit unit self-loops
 (:func:`model_edges`): the kept edges of the structure learner, or the
@@ -33,12 +30,12 @@ fixed local edges (``data.local_edges``), held as an ``EdgeIndex`` from
 ``autodiff.edge_block_matmul``, which builds its operator on each call: a
 CSR matrix on a sparse graph, else the dense I + A for BLAS products;
 scipy is imported for sparse graphs only. :func:`model_adjacency` scatters
-the same graph into the dense I + A that centrality and exports read.
+the same graph into the dense I + A that ``cli.graph_centrality`` reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,19 +110,24 @@ class NormParams:
         the normalization is with its running statistics: ``scale = gamma /
         sqrt(running_var + BN_EPS)`` with the bits of
         ``autodiff.batchnorm_features``' scale, ``shift = beta -
-        running_mean * scale``. The one place they are applied."""
+        running_mean * scale``. :func:`folded` applies them."""
         scale = self.gamma.data * (1.0 / np.sqrt(self.running.var + ad.BN_EPS))
         return scale, self.beta.data - self.running.mean * scale
 
+    def __call__(self, h: Tensor) -> Tensor:
+        """``autodiff.batchnorm_features``: batch statistics, then the ELU."""
+        return ad.batchnorm_features(h, self.gamma, self.beta, self.running)
 
-_MODES = ("train", "eval")
 
+@dataclass(frozen=True)
+class Shift:
+    """A :func:`folded` copy's normalization, its scale in the weight before
+    it: ``autodiff.shift_elu`` adds ``shift`` and applies the ELU."""
 
-def _fold(norm: NormParams, mode: str) -> tuple[Array, Array] | None:
-    """``norm.folded()`` in eval mode, None in train mode."""
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    return norm.folded() if mode == "eval" else None
+    shift: Array
+
+    def __call__(self, h: Tensor) -> Tensor:
+        return ad.shift_elu(h, self.shift)
 
 
 @dataclass
@@ -135,14 +137,13 @@ class ModelState:
     config: GcnConfig
     structure: StructureParams
     gcn_weights: list[Tensor]
-    gcn_norms: list[NormParams]
+    gcn_norms: list[NormParams | Shift]  # Shift in a folded copy only
     mlp_w1: Tensor
     mlp_b1: Tensor
-    mlp_norm: NormParams
+    mlp_norm: NormParams | Shift
     mlp_w2: Tensor
     mlp_b2: Tensor
     node_latlon: Array  # (N, 2) degrees; NaN row for a non-geographic node
-    has_oni_node: bool = False
     seed: int = 0
     optimizer: ad.Sgd | None = None
     # the fixed graph's edges and values in local mode; None in learned mode
@@ -151,6 +152,10 @@ class ModelState:
     @property
     def node_count(self) -> int:
         return self.structure.static_features.shape[0]
+
+    @property
+    def has_oni_node(self) -> bool:  # its coordinates are NaN, and it is last
+        return bool(np.isnan(self.node_latlon[-1]).any())
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in a stable order."""
@@ -200,7 +205,6 @@ def init_params(
     node_latlon: Array,
     seed: int,
     *,
-    has_oni_node: bool = False,
     embed_dim: int,
     max_edges: int | None,
     local_edges: tuple[Array, Array] | None = None,
@@ -276,64 +280,65 @@ def init_params(
         mlp_w2=weights(hidden, 1),
         mlp_b2=Tensor(np.zeros(1, dtype), requires_grad=True),
         node_latlon=node_latlon,
-        has_oni_node=has_oni_node,
         seed=seed,
         local_edges=local_edges,
     )
 
 
 def gcn_layer(
-    graph: tuple[ad.EdgeIndex, Tensor],
-    z: Tensor,
-    weight: Tensor,
-    norm: NormParams,
-    *,
-    mode: str,
+    graph: tuple[ad.EdgeIndex, Tensor], z: Tensor, weight: Tensor, norm: NormParams | Shift
 ) -> Tensor:
     """One graph convolution over stacked node rows: aggregate over
     ``graph`` (the edges and values of :func:`model_edges`, I + A per
-    graph), transform, normalize over features and apply the ELU, then add
-    the input back when ``weight`` is square. Eval mode scales the weight's
-    columns by :meth:`NormParams.folded` (aggregation mixes rows only, so
-    the scale commutes with it) and ``autodiff.shift_elu`` adds the shift."""
+    graph), transform, normalize over features and apply the ELU with
+    ``norm``, then add the input back when ``weight`` is square. In a
+    :func:`folded` copy the weight's columns carry the normalization's
+    scale (aggregation mixes rows only, so the scale commutes with it) and
+    ``norm`` is the :class:`Shift`."""
     edges, values = graph
-    fold = _fold(norm, mode)
-    w = weight if fold is None else Tensor(weight.data * fold[0])
     # A(ZW) = (AZ)W: aggregate over the graph at the narrower of the two widths
-    if w.shape[1] < w.shape[0]:
-        h = ad.edge_block_matmul(values, edges, ad.matmul(z, w))
+    if weight.shape[1] < weight.shape[0]:
+        h = ad.edge_block_matmul(values, edges, ad.matmul(z, weight))
     else:
-        h = ad.matmul(ad.edge_block_matmul(values, edges, z), w)
+        h = ad.matmul(ad.edge_block_matmul(values, edges, z), weight)
     # nothing reads h after its normalization, which works in h's own array
-    if fold is None:
-        out = ad.batchnorm_features(h, norm.gamma, norm.beta, norm.running)
-    else:
-        out = ad.shift_elu(h, fold[1])
+    out = norm(h)
     if weight.shape[0] == weight.shape[1]:
         out = ad.add(out, z)
     return out
 
 
-def mlp_head(state: ModelState, pooled: Tensor, mode: str) -> Tensor:
+def mlp_head(state: ModelState, pooled: Tensor) -> Tensor:
     """Two affine layers with feature batchnorm and the ELU in between; the
-    final affine has no activation. In eval mode the folded normalization
-    scales ``mlp_w1``'s columns and takes ``mlp_b1`` into its shift, as in
-    :func:`gcn_layer`."""
+    final affine has no activation. In a :func:`folded` copy ``mlp_b1`` is
+    zero, its value taken into the :class:`Shift`."""
     if pooled.shape[1] != state.mlp_w1.shape[0]:
         raise DimensionError(
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
         )
-    norm = state.mlp_norm
-    fold = _fold(norm, mode)
-    if fold is None:
-        h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
-        h = ad.batchnorm_features(h, norm.gamma, norm.beta, norm.running)
-    else:
-        scale, shift = fold
-        h = ad.matmul(pooled, Tensor(state.mlp_w1.data * scale))
-        h = ad.shift_elu(h, state.mlp_b1.data * scale + shift)
+    h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
+    h = state.mlp_norm(h)
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
+
+
+def folded(state: ModelState) -> ModelState:
+    """The copy of ``state`` that evaluation runs, and the one place the
+    running statistics are applied: each weight before a normalization
+    times that normalization's scale (:meth:`NormParams.folded`), each
+    normalization replaced by the :class:`Shift` of its shift, and
+    ``mlp_b1 * scale`` moved into the head's shift, so the copy's ``mlp_b1``
+    is zero. ``state`` is left as it was; the copy shares its graph."""
+    folds = [norm.folded() for norm in state.gcn_norms]
+    scale, shift = state.mlp_norm.folded()
+    return replace(
+        state,
+        gcn_weights=[Tensor(w.data * s) for w, (s, _) in zip(state.gcn_weights, folds)],
+        gcn_norms=[Shift(b) for _, b in folds],
+        mlp_w1=Tensor(state.mlp_w1.data * scale),
+        mlp_b1=Tensor(np.zeros_like(state.mlp_b1.data)),
+        mlp_norm=Shift(state.mlp_b1.data * scale + shift),
+    )
 
 
 def model_edges(
@@ -349,42 +354,34 @@ def model_edges(
 def model_adjacency(state: ModelState) -> Tensor:
     """The model's graph as the dense (N, N) matrix I + A, a constant
     scattered from :func:`model_edges`: node i reads from node j where
-    ``A[i, j] > 0``. Exports and centrality read this form."""
+    ``A[i, j] > 0``. ``cli.graph_centrality`` reads this form."""
     edges, values = model_edges(state)
     return Tensor(edges.dense(values.data, self_loops=True))
 
 
-def pooled_layers(
-    state: ModelState,
-    x: Tensor,
-    batch: int,
-    graph: tuple[ad.EdgeIndex, Tensor],
-    mode: str,
-) -> Tensor:
-    """The graph layers and the pooling readout: ``batch`` stacked samples,
-    (batch * N, w * D) rows, pooled to the (batch, P) head input, over
-    ``graph``, the edges and values of :func:`model_edges`."""
+def pooled_layers(state: ModelState, x: Tensor, graph: tuple[ad.EdgeIndex, Tensor]) -> Tensor:
+    """The graph layers and the pooling readout over ``graph``, the edges
+    and values of :func:`model_edges`: B stacked samples, (B * N, w * D)
+    rows, pooled to the (B, P) head input. A row count that is not a
+    multiple of N raises ``DimensionError``."""
     cfg = state.config
     n = state.node_count
-    if x.shape != (batch * n, cfg.input_width):
+    if x.data.ndim != 2 or x.shape[0] % n or x.shape[1] != cfg.input_width:
         raise DimensionError(
-            f"input shape {x.shape} does not match {batch} x ({n}, {cfg.input_width})"
+            f"input shape {x.shape} is not samples of ({n}, {cfg.input_width}) stacked rows"
         )
     z = x
     layer_outputs = []
     for weight, norm in zip(state.gcn_weights, state.gcn_norms):
-        z = gcn_layer(graph, z, weight, norm, mode=mode)
+        z = gcn_layer(graph, z, weight, norm)
         layer_outputs.append(z)
     return ad.pool_blocks(layer_outputs, n, cfg.pooling)
 
 
-def forward_batch(
-    state: ModelState, x: Tensor, batch: int, edges: ad.EdgeIndex | None = None
-) -> Tensor:
-    """The training pass: train-mode predictions for ``batch`` stacked
-    samples, (batch * N, w * D) input, (batch,) output. The whole pass,
+def forward_batch(state: ModelState, x: Tensor, edges: ad.EdgeIndex | None = None) -> Tensor:
+    """The training pass: predictions for B stacked samples, (B * N, w * D)
+    input, (B,) output, normalized with batch statistics. The whole pass,
     graph included, is recorded on the ambient tape so one backward reaches
     the network and the structure learner jointly. ``edges`` freezes the
     learned edge set (see :func:`model_edges`)."""
-    pooled = pooled_layers(state, x, batch, model_edges(state, edges), "train")
-    return mlp_head(state, pooled, "train")
+    return mlp_head(state, pooled_layers(state, x, model_edges(state, edges)))

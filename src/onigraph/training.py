@@ -28,6 +28,7 @@ from .model import (
     GcnConfig,
     ModelState,
     PRESETS,
+    folded,
     forward_batch,
     init_params,
     mlp_head,
@@ -129,7 +130,6 @@ def build_model(
         bundle.static_features,
         bundle.nodes.latlon,
         seed=train_cfg.seed,
-        has_oni_node=bundle.nodes.has_oni_node,
         embed_dim=train_cfg.embed_dim,
         max_edges=train_cfg.max_edges,
         local_edges=None if flat is None else (flat, np.ones(flat.size)),
@@ -180,7 +180,7 @@ def train(
                     x = Tensor(samples.inputs[ids].reshape(-1, width))
                     y = Tensor(samples.targets[ids])
                     with Tape():
-                        pred = forward_batch(state, x, len(ids))
+                        pred = forward_batch(state, x)
                         loss = mse_loss(pred, y)
                         backward(loss)
                     sgd_nesterov_step(params, state.optimizer)
@@ -216,22 +216,22 @@ def pearson_r(a: Array, b: Array) -> float:
 
 
 def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) -> Array:
-    """Evaluation-mode predictions in the members' dtype; ensembles average
+    """Evaluation predictions in the members' dtype; ensembles average
     member outputs.
 
     Members must forecast the same thing from the same inputs: equal lead,
-    window, input width and node set (ONI node and coordinates). The
-    samples must have that window, lead, node count and input width.
+    window, input width and node set (coordinates, whose NaN last row is
+    the ONI node). The samples must have that window, lead, node count and
+    input width.
 
-    Each member's graph is built once (:func:`model.model_edges`), and each
-    layer call builds its operator from it. Eval mode normalizes with fixed
-    folded weights and shifts (``model.NormParams.folded``), so the graph
-    layers and pooling run over blocks of whole samples of at most
-    ``PREDICT_BLOCK_ROWS`` stacked node rows, and the MLP head once over
-    every sample's pooled row, with the bits of one eval-mode pass over
-    every sample. Non-finite values raise ``NumericError``; numpy's overflow
-    and invalid-value warnings are off, so nothing prints before it. Under
-    an open ``autodiff.Tape`` it raises ``RuntimeError``."""
+    Each member is folded once (:func:`model.folded`) and its graph built
+    once (:func:`model.model_edges`). The graph layers and pooling run over
+    blocks of whole samples of at most ``PREDICT_BLOCK_ROWS`` stacked node
+    rows, and the MLP head once over every sample's pooled row, with the
+    bits of one pass of the folded copy over every sample. Non-finite values
+    raise ``NumericError``; numpy's overflow and invalid-value warnings are
+    off, so nothing prints before it. Under an open ``autodiff.Tape`` it
+    raises ``RuntimeError``."""
     members = model if isinstance(model, list) else [model]
     if not members:
         raise ConfigError("ensemble is empty")
@@ -241,7 +241,6 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
             m.config.lead_months != first.config.lead_months
             or m.config.window != first.config.window
             or m.config.input_width != first.config.input_width
-            or m.has_oni_node != first.has_oni_node
             or m.node_count != first.node_count
             or not np.array_equal(m.node_latlon, first.node_latlon, equal_nan=True)
         ):
@@ -262,14 +261,14 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
     total = 0.0  # then the members' dtype
     with np.errstate(over="ignore", invalid="ignore"):
         for member in members:
-            graph = model_edges(member)
+            graph, copy = model_edges(member), folded(member)
             parts = []
             for lo in range(0, len(samples), per_block):
                 x = samples.inputs[lo : lo + per_block]
                 rows = Tensor(x.reshape(-1, x.shape[2]))
-                parts.append(pooled_layers(member, rows, len(x), graph, mode="eval").data)
+                parts.append(pooled_layers(copy, rows, graph).data)
             pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            total = total + mlp_head(member, Tensor(pooled), mode="eval").data
+            total = total + mlp_head(copy, Tensor(pooled)).data
         preds = total / len(members)
     if not np.all(np.isfinite(preds)):
         raise NumericError("predictions are not finite: the model diverged")
@@ -277,10 +276,9 @@ def predict_samples(model: ModelState | list[ModelState], samples: SampleSet) ->
 
 
 def evaluate(model: ModelState | list[ModelState], samples: SampleSet) -> EvalReport:
-    """Correlation skill (Pearson r) and RMSE over all samples, in
-    evaluation mode (frozen normalization statistics, nothing mutated).
-    Predictions so large that either overflows (a diverged model) raise
-    ``NumericError``."""
+    """Correlation skill (Pearson r) and RMSE over the predictions of
+    :func:`predict_samples` (nothing mutated). Predictions so large that
+    either overflows (a diverged model) raise ``NumericError``."""
     if len(samples) < 2:
         raise DataError(f"correlation undefined for {len(samples)} sample(s)")
     preds = predict_samples(model, samples)
@@ -465,7 +463,6 @@ def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
         static,
         grab("node_latlon"),
         seed=manifest["seed"],
-        has_oni_node=manifest["has_oni_node"],
         embed_dim=1 if local else grab("structure.w_from").shape[1],
         local_edges=local,
         **manifest["structure"],
@@ -487,14 +484,15 @@ def _decode_checkpoint(manifest, blob: memoryview) -> ModelState:
         view = np.frombuffer(blob, BLOB_DTYPE, target.size, entry["offset"])
         target[...] = view.reshape(target.shape)
     # the ONI node is the one NaN row of node_latlon, and it is last
+    oni_node = manifest["has_oni_node"]
     nan_rows = np.isnan(state.node_latlon).any(axis=1).tolist()
-    if nan_rows != [False] * (len(nan_rows) - 1) + [state.has_oni_node]:
+    if nan_rows != [False] * (len(nan_rows) - 1) + [oni_node]:
         raise FormatError(
-            f"checkpoint.has_oni_node is {json.dumps(state.has_oni_node)}, but node_latlon has "
+            f"checkpoint.has_oni_node is {json.dumps(oni_node)}, but node_latlon has "
             f"NaN rows {[i for i, nan in enumerate(nan_rows) if nan]} of {len(nan_rows)}"
         )
     finite = np.isfinite(np.frombuffer(blob, BLOB_DTYPE))
-    if state.has_oni_node:  # its NaN row, the last of node_latlon, is checked above
+    if oni_node:  # its NaN row, the last of node_latlon, is checked above
         end = tensors["node_latlon"]["offset"] // BLOB_DTYPE.itemsize + state.node_latlon.size
         finite[end - 2 : end] = True
     if not finite.all():

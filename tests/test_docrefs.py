@@ -1,5 +1,5 @@
 """Every cross-reference in the package's source resolves: each
-``:func:``, ``:class:`` and ``:attr:`` role, each double-backquoted
+``:func:``, ``:class:``, ``:attr:`` and ``:meth:`` role, each double-backquoted
 ``module.name`` whose first part is a package module, and each
 double-backquoted bare ALL-CAPS name such as a module constant. A
 reference left behind by a rename or a deletion fails here, not in a later
@@ -23,7 +23,7 @@ import onigraph
 # __main__ runs the command line when it is imported, and holds no reference
 SOURCES = sorted(p for p in Path(onigraph.__file__).parent.glob("*.py") if p.stem != "__main__")
 MODULES = {p.stem for p in SOURCES} - {"__init__"}
-ROLE = re.compile(r":(?:func|class|attr):`~?(?:onigraph\.)?([\w.]+)`")
+ROLE = re.compile(r":(?:func|class|attr|meth):`~?(?:onigraph\.)?([\w.]+)`")
 LITERAL = re.compile(r"``(\w+\.[\w.]+)``")
 CONSTANT = re.compile(r"``(_?[A-Z][A-Z0-9_]+)``")
 _MISSING = object()
@@ -65,9 +65,12 @@ def test_a_stale_reference_is_caught():
         "over :func:`graph_aggregator` of :func:`model_edges`, with\n"
         "``autodiff.edge_block_matmul``, ``autodiff.dense_aggregate``,\n"
         ":attr:`~onigraph.autodiff.EdgeIndex.sparse`, :class:`ModelState` and ``edges.n``,\n"
+        ":meth:`NormParams.folded`, :meth:`NormParams.unfolded`,\n"
         "``PRESETS`` and ``BN_EPS``, ``N`` x ``N``"
     )
-    assert unresolved("model", text) == ["graph_aggregator", "autodiff.dense_aggregate", "BN_EPS"]
+    assert unresolved("model", text) == [
+        "graph_aggregator", "NormParams.unfolded", "autodiff.dense_aggregate", "BN_EPS"
+    ]
 
 
 # a number followed by a unit of time, memory or speed

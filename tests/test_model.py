@@ -19,6 +19,8 @@ from onigraph.model import (
     GcnConfig,
     NormParams,
     PRESETS,
+    Shift,
+    folded,
     forward_batch,
     gcn_layer,
     init_params,
@@ -73,14 +75,22 @@ UNIT_NORM_SCALE = 1 / np.sqrt(1 + BN_EPS)
 
 
 def unit_norm(width):
-    """Eval-mode batchnorm with unit scale, zero shift, running mean 0 and
-    variance 1: it only multiplies by UNIT_NORM_SCALE."""
+    """Batchnorm with unit scale, zero shift, running mean 0 and variance 1:
+    in evaluation it only multiplies by UNIT_NORM_SCALE."""
     running = RunningStats.initial(width, np.float64)
     return NormParams(Tensor(np.ones(width)), Tensor(np.zeros(width)), running)
 
 
+def eval_layer(graph_, z, weight, norm):
+    """``gcn_layer`` as a folded copy runs it: ``weight`` scaled by the
+    running statistics' scale, and their shift."""
+    scale, shift = norm.folded()
+    return gcn_layer(graph_, z, Tensor(weight.data * scale), Shift(shift))
+
+
 def predict_one(state, x):
-    return mlp_head(state, pooled_layers(state, x, 1, model_edges(state), "eval"), "eval").item()
+    copy = folded(state)
+    return mlp_head(copy, pooled_layers(copy, x, model_edges(state))).item()
 
 
 def rand_input(state, batch=1, seed=5):
@@ -98,26 +108,22 @@ def rand_input(state, batch=1, seed=5):
 
 def test_layer_identity_passthrough():
     z = Tensor(np.random.default_rng(0).random((3, 3)))
-    out = gcn_layer(graph(np.eye(3)), Tensor(z.data.copy()), Tensor(np.eye(3)), unit_norm(3),
-                    mode="eval")
+    out = eval_layer(graph(np.eye(3)), Tensor(z.data.copy()), Tensor(np.eye(3)), unit_norm(3))
     np.testing.assert_array_equal(out.data, z.data * UNIT_NORM_SCALE + z.data)
 
 
 def test_layer_hand_aggregation():
-    out = gcn_layer(
+    out = eval_layer(
         graph([[1.0, 1.0], [0.0, 1.0]]),
         Tensor([[1.0], [2.0]]),
         Tensor([[1.0, 1.0]]),  # not square, so no residual
         unit_norm(2),
-        mode="eval",
     )
     np.testing.assert_array_equal(out.data, np.array([[3.0, 3.0], [2.0, 2.0]]) * UNIT_NORM_SCALE)
 
 
 def test_layer_elu_oracle():
-    out = gcn_layer(
-        graph(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), unit_norm(1), mode="eval"
-    )
+    out = eval_layer(graph(np.eye(1)), Tensor([[-1.0]]), Tensor([[1.0]]), unit_norm(1))
     # the norm scales the pre-activation, and the square weight adds the input
     assert out.data[0, 0] == pytest.approx(math.exp(-1.0 * UNIT_NORM_SCALE) - 2.0, abs=1e-12)
 
@@ -125,9 +131,7 @@ def test_layer_elu_oracle():
 def test_layer_residual_identity_when_output_zero():
     state = tiny_state(n=3, layer_dims=(2, 2))
     z = Tensor(np.random.default_rng(1).normal(size=(3, 2)))
-    out = gcn_layer(
-        graph(np.eye(3)), z, Tensor(np.zeros((2, 2))), norm=state.gcn_norms[1], mode="train"
-    )
+    out = gcn_layer(graph(np.eye(3)), z, Tensor(np.zeros((2, 2))), norm=state.gcn_norms[1])
     np.testing.assert_array_equal(out.data, z.data)
 
 
@@ -170,7 +174,7 @@ def test_mlp_zero_weights_give_zero():
     state = tiny_state()
     for t in (state.mlp_w1, state.mlp_b1, state.mlp_w2, state.mlp_b2):
         t.data[...] = 0.0
-    out = mlp_head(state, Tensor(np.ones((1, state.config.pooled_width))), mode="eval")
+    out = mlp_head(folded(state), Tensor(np.ones((1, state.config.pooled_width))))
     assert out.data[0] == 0.0
 
 
@@ -181,7 +185,7 @@ def test_mlp_single_path_hand_value():
     state.mlp_w2.data[...] = [[3.0]]
     state.mlp_b2.data[...] = [-1.0]
     g = 0.8
-    out = mlp_head(state, Tensor([[g]]), mode="eval")
+    out = mlp_head(folded(state), Tensor([[g]]))
     hidden = (2.0 * g + 0.5) / math.sqrt(1.0 + 1e-5)  # eval stats: mean 0, var 1
     expected = 3.0 * hidden - 1.0  # positive, so ELU is identity
     assert out.data[0] == pytest.approx(expected, abs=1e-12)
@@ -189,7 +193,7 @@ def test_mlp_single_path_hand_value():
 
 def test_mlp_output_scalar_shape():
     state = tiny_state()
-    out = mlp_head(state, Tensor(np.zeros((1, state.config.pooled_width))), mode="eval")
+    out = mlp_head(folded(state), Tensor(np.zeros((1, state.config.pooled_width))))
     assert out.shape == (1,)
 
 
@@ -211,10 +215,10 @@ def test_forward_wiring_smoke_severed_input():
         w.data[...] = 0.0
     state.mlp_b2.data[...] = [0.7]
     with Tape():
-        out = forward_batch(state, rand_input(state, batch=3, seed=1), 3)
+        out = forward_batch(state, rand_input(state, batch=3, seed=1))
     np.testing.assert_allclose(out.data, np.full(3, 0.7), atol=1e-12)
     with Tape():
-        out2 = forward_batch(state, rand_input(state, batch=3, seed=2), 3)
+        out2 = forward_batch(state, rand_input(state, batch=3, seed=2))
     np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
 
@@ -244,7 +248,7 @@ def test_forward_gradients_end_to_end():
     frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, edges=frozen)
+        pred = forward_batch(state, x, edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]
@@ -260,7 +264,7 @@ def test_forward_gradients_through_narrowing_layer():
     frozen, _ = model_edges(state)
 
     def f():
-        pred = forward_batch(state, x, batch, edges=frozen)
+        pred = forward_batch(state, x, edges=frozen)
         return mse_loss(pred, targets)
 
     params = [t for _, t in state.parameters()]
@@ -274,7 +278,7 @@ def test_layer_aggregation_order_does_not_change_values():
     z = rng.random((4, 5))  # positive, so the ELU is the identity
     for width in (2, 5, 7):  # narrowing, equal and widening layers
         w = rng.random((5, width))
-        out = gcn_layer(graph(a), Tensor(z.copy()), Tensor(w), unit_norm(width), mode="eval")
+        out = eval_layer(graph(a), Tensor(z.copy()), Tensor(w), unit_norm(width))
         want = a @ z @ w * UNIT_NORM_SCALE + (z if width == 5 else 0.0)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
@@ -282,7 +286,18 @@ def test_layer_aggregation_order_does_not_change_values():
 def test_forward_shape_mismatch_rejected():
     state = tiny_state()
     with pytest.raises(DimensionError):
-        forward_batch(state, Tensor(np.zeros((5, 4))), 1)
+        forward_batch(state, Tensor(np.zeros((5, 4))))
+
+
+@pytest.mark.parametrize("rows", [5, 7, 13], ids=lambda r: f"{r}_rows")
+def test_pooled_layers_rejects_a_row_count_not_a_multiple_of_n(rows):
+    state = tiny_state(n=6, seed=38411)
+    rng = np.random.default_rng(38412)
+    graph_ = model_edges(state)
+    with pytest.raises(DimensionError, match="stacked rows"):
+        pooled_layers(state, Tensor(rng.normal(size=(rows, state.config.input_width))), graph_)
+    x = Tensor(rng.normal(size=(12, state.config.input_width)))  # two samples
+    assert pooled_layers(state, x, graph_).shape == (2, state.config.pooled_width)
 
 
 # --- init ------------------------------------------------------------------------
@@ -353,15 +368,16 @@ def test_local_graph_is_built_once_with_the_state(monkeypatch):
     assert model_edges(state)[0] is edges and model_edges(state)[1] is values
     x = Tensor(rng.normal(size=(2 * n, state.config.input_width)))
     with Tape():
-        forward_batch(state, x, 2)
-    mlp_head(state, pooled_layers(state, x, 2, model_edges(state), "eval"), "eval")
+        forward_batch(state, x)
+    copy = folded(state)
+    mlp_head(copy, pooled_layers(copy, x, model_edges(state)))
     np.testing.assert_array_equal(model_adjacency(state).data, fixed)
 
 
 # --- evaluation: the running statistics folded into the weights ---------------
-# Eval mode scales a layer's weight columns by gamma / sqrt(running_var + eps)
-# and adds beta - running_mean * scale after the product; the textbook form
-# below normalizes the product itself. Seeds fixed before the tests ran.
+# A folded copy scales a layer's weight columns by gamma / sqrt(running_var +
+# eps) and adds beta - running_mean * scale after the product; the textbook
+# form below normalizes the product itself. Seeds fixed before the tests ran.
 
 FOLD_LAYERS = {  # (input width, output width): which side aggregates
     "transform_first": (6, 3),  # narrowing: A(ZW)
@@ -438,9 +454,13 @@ def test_eval_layer_matches_the_textbook_normalization(layer, dtype, offset):
     norm = fold_norm(rng, h, dtype)
     assert np.all(np.abs(norm.running.mean) >= offset * np.sqrt(norm.running.var))
     edges, values = graph(a)
+    state = tiny_state(n=n, layer_dims=(d_out,), window=d_in, features=1,
+                       static_features=np.ones((n, 4), dtype))
+    state.gcn_weights[0], state.gcn_norms[0] = Tensor(w.astype(dtype)), norm
+    copy = folded(state)
     got = gcn_layer(
         (edges, Tensor(values.data.astype(dtype))), Tensor(z.astype(dtype)),
-        Tensor(w.astype(dtype)), norm, mode="eval",
+        copy.gcn_weights[0], copy.gcn_norms[0],
     ).data
     assert got.dtype == dtype
     act, shifted, scale = textbook(h, norm)
@@ -467,7 +487,7 @@ def test_eval_head_matches_the_textbook_normalization(dtype, offset):
     state.mlp_norm = fold_norm(rng, h, dtype)
     running = state.mlp_norm.running
     assert np.all(np.abs(running.mean) >= offset * np.sqrt(running.var))
-    got = mlp_head(state, Tensor(pooled.astype(dtype)), mode="eval").data
+    got = mlp_head(folded(state), Tensor(pooled.astype(dtype))).data
     assert got.dtype == dtype
     hidden, shifted, scale = textbook(h, state.mlp_norm)
     w2_64 = w2.data.astype(np.float64)
@@ -481,12 +501,25 @@ def test_eval_head_matches_the_textbook_normalization(dtype, offset):
     assert_fold_matches(got, want, magnitude + np.abs(b2.data[0]), dtype)
 
 
-def test_an_unknown_mode_is_a_config_error():
-    state = tiny_state()
-    x = rand_input(state)
-    graph_ = model_edges(state)
-    with pytest.raises(ConfigError, match="mode"):
-        pooled_layers(state, x, 1, graph_, "inference")
-    pooled = pooled_layers(state, x, 1, graph_, "eval")
-    with pytest.raises(ConfigError, match="mode"):
-        mlp_head(state, pooled, "Eval")
+@pytest.mark.parametrize("edge_mode", ["learned", "local"])
+def test_folded_leaves_every_parameter_and_running_statistic(edge_mode):
+    rng = np.random.default_rng(38421)
+    local = off_diagonal(np.eye(6, k=1) + np.eye(6, k=-1)) if edge_mode == "local" else None
+    state = tiny_state(n=6, layer_dims=(4, 4, 3), seed=38422, local_edges=local)
+    for _, t in state.parameters():
+        t.data[...] = rng.normal(size=t.shape)
+    for norm in [*state.gcn_norms, state.mlp_norm]:
+        norm.running.mean[...] = rng.normal(size=norm.running.mean.shape)
+        norm.running.var[...] = rng.uniform(0.5, 2.0, norm.running.var.shape)
+
+    def snapshot():
+        return [(name, t.data.tobytes()) for name, t in state.parameters()] + [
+            (name, array.tobytes()) for name, array in state.buffers()
+        ]
+
+    before = snapshot()
+    copy = folded(state)
+    assert snapshot() == before
+    assert all(isinstance(norm, Shift) for norm in [*copy.gcn_norms, copy.mlp_norm])
+    assert not np.any(copy.mlp_b1.data)
+    assert copy.local_edges is state.local_edges and copy.structure is state.structure

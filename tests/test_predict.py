@@ -1,7 +1,7 @@
-"""Prediction in sample blocks: each member's graph is built once, the graph
-layers run over blocks of whole samples within ``PREDICT_BLOCK_ROWS``
-stacked rows, and the MLP head once over every pooled row, with the bits of
-one eval-mode pass over all samples."""
+"""Prediction in sample blocks: each member is folded once and its graph
+built once, the graph layers run over blocks of whole samples within
+``PREDICT_BLOCK_ROWS`` stacked rows, and the MLP head once over every pooled
+row, with the bits of one pass of the folded copy over all samples."""
 
 import hashlib
 import math
@@ -16,7 +16,7 @@ from onigraph import training
 from onigraph.autodiff import Tape, Tensor
 from onigraph.errors import NumericError
 from onigraph.data import SampleSet, prepare_dataset, synth_teleconnection_dataset
-from onigraph.model import GcnConfig, init_params, mlp_head, model_edges, pooled_layers
+from onigraph.model import GcnConfig, folded, init_params, mlp_head, model_edges, pooled_layers
 from onigraph.training import TrainConfig, build_model, predict_samples, train
 from test_training import float64_bundle, off_diagonal
 
@@ -43,8 +43,8 @@ def test_predictions_have_the_bits_of_one_pass_whatever_the_block_size(edge_mode
     x = Tensor(samples.inputs.reshape(-1, samples.inputs.shape[2]))
     want = np.zeros(len(samples), np.float32)  # the members' dtype
     for member in members:
-        graph = model_edges(member)
-        want += mlp_head(member, pooled_layers(member, x, len(samples), graph, "eval"), "eval").data
+        copy = folded(member)
+        want += mlp_head(copy, pooled_layers(copy, x, model_edges(member))).data
     want = (want / len(members)).tobytes()
     assert len(samples) % 4 != 0  # blocks of 4 samples leave a shorter last one
     for per_block in (1, 4, len(samples)):
@@ -92,6 +92,24 @@ def test_each_member_graph_is_built_once_per_call(monkeypatch):
     monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", members[0].node_count)  # one sample
     predict_samples(members, bundle.test)
     assert calls == {"model_edges": 2, "pooled_layers": 2 * len(bundle.test)}
+
+
+def test_each_member_is_folded_once_per_call(monkeypatch):
+    bundle, members = trained_members(("learned", "local"))
+    seen = []
+    original = training.folded
+
+    def counted(member):
+        seen.append(member)
+        return original(member)
+
+    monkeypatch.setattr(training, "folded", counted)
+    monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", members[0].node_count)  # one sample
+    want = predict_samples(members, bundle.test)
+    assert [id(m) for m in seen] == [id(m) for m in members]
+    got = predict_samples(members, bundle.test)
+    assert [id(m) for m in seen] == [id(m) for m in members] * 2
+    assert got.tobytes() == want.tobytes()
 
 
 def test_prediction_leaves_every_parameter_and_running_statistic():

@@ -354,7 +354,7 @@ def forward_and_grads(state, x, y, edges):
     for _, t in params:
         t.zero_grad()
     with Tape():
-        pred = forward_batch(state, x, len(y.data), edges=edges)
+        pred = forward_batch(state, x, edges=edges)
         backward(mse_loss(pred, y))
     grads = {name: t.grad.copy() for name, t in params}
     for _, t in params:

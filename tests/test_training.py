@@ -390,7 +390,8 @@ def test_ensemble_empty_rejected():
         lambda s: setattr(s.config, "lead_months", 2),
         # same input width (6 x 1 against 3 x 2 columns), other window
         lambda s: (setattr(s.config, "window", 6), setattr(s.config, "features_per_node", 1)),
-        lambda s: setattr(s, "has_oni_node", False),
+        # a finite last row of node_latlon: no ONI node
+        lambda s: s.node_latlon.__setitem__(-1, 0.0),
         lambda s: s.node_latlon.__setitem__((0, 1), s.node_latlon[0, 1] + 5.0),
     ],
     ids=["lead", "window", "oni_node", "node_latlon"],
@@ -472,7 +473,7 @@ def pinned_state(edge_mode, dtype=np.float32):
         local = off_diagonal((rng.uniform(size=(n, n)) < 0.4).astype(float))
     cfg = GcnConfig(layer_dims=[5, 3], pooling="sum_and_mean", window=2, lead_months=2)
     state = init_params(
-        cfg, static, latlon, seed=5, has_oni_node=True, embed_dim=3, max_edges=10,
+        cfg, static, latlon, seed=5, embed_dim=3, max_edges=10,
         local_edges=local,
     )
     for norm in state.gcn_norms + [state.mlp_norm]:
@@ -829,6 +830,26 @@ def test_checkpoint_has_oni_node_must_match_the_nan_row(tmp_path, oni_node):
         load_checkpoint(path)
     path.write_bytes(raw)
     assert load_checkpoint(path).has_oni_node == oni_node
+
+
+@pytest.mark.parametrize("oni_node", [True, False])
+def test_has_oni_node_is_read_off_the_last_coordinate_row(tmp_path, oni_node):
+    gridset, _ = synth_teleconnection_dataset(4, 4, 48, 1, seed=38431)
+    bundle = prepare_dataset(gridset, window=3, lead=1, oni_node=oni_node)
+    state = build_model(bundle, GcnConfig(layer_dims=[4]), TrainConfig(seed=38432, embed_dim=4))
+    save_checkpoint(state, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for latlon, flag in [
+        (bundle.nodes.latlon, bundle.nodes.has_oni_node),
+        (state.node_latlon, state.has_oni_node),
+        (loaded.node_latlon, loaded.has_oni_node),
+    ]:
+        assert flag is oni_node
+        assert np.isnan(latlon[-1]).all() == oni_node
+        assert not np.isnan(latlon[:-1]).any()
+    raw = (tmp_path / "model.ckpt").read_bytes()
+    (length,) = struct.unpack("<Q", raw[4:12])
+    assert json.loads(raw[12 : 12 + length])["has_oni_node"] is oni_node
 
 
 @pytest.mark.parametrize(

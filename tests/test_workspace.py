@@ -73,11 +73,12 @@ def test_desk_training_takes_new_buffers_only_in_the_first_step_of_each_batch_si
     # the step before), at the start of each step
     steps = []
 
-    def counted(state, x, batch, **kwargs):
+    def counted(state, x, **kwargs):
         ws = Workspace.active()
+        batch = x.shape[0] // state.node_count
         steps.append((batch, ws, ws.misses, *tracemalloc.get_traced_memory()))
         tracemalloc.reset_peak()
-        return forward_batch(state, x, batch, **kwargs)
+        return forward_batch(state, x, **kwargs)
 
     monkeypatch.setattr(training, "forward_batch", counted)
     tracemalloc.start()
@@ -163,7 +164,7 @@ def test_gradients_match_with_and_without_a_workspace():
     def gradients():
         running = [(n.running.mean.copy(), n.running.var.copy()) for n in state.gcn_norms]
         with Tape():
-            backward(mse_loss(forward_batch(state, x, len(ids)), y))
+            backward(mse_loss(forward_batch(state, x), y))
         for n, (mean, var) in zip(state.gcn_norms, running):
             n.running.mean[...], n.running.var[...] = mean, var
         grads = {name: t.grad.tobytes() for name, t in state.parameters()}
