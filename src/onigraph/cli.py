@@ -19,7 +19,7 @@ architecture's other choices are fixed: ELU activations, a residual in
 every layer of equal widths, and pooling of every layer. Checkpoints and
 grid manifests must hold every field of their records, nested ones
 included, while config sections may omit keys; an error names the field's
-path (checkpoint.tensors[3].offset). Checkpoints are format 4, which
+path (checkpoint.tensors[3].offset). Checkpoints are format 5, which
 stores a local model's graph as (row, col, value) edge rows; an older
 format, or a stored value that is not finite (bar the ONI node's NaN
 coordinates), exits 2 naming the tensor or the version.

@@ -50,13 +50,15 @@ def export_centrality_heatmap(scores: Array, latlon: Array, path: str | Path) ->
     (equirectangular cell raster; land cells are blank) from one score per
     node and the nodes' (N, 2) coordinates in degrees. A node whose
     coordinates are NaN, as the ONI node's are, has no cell and is left
-    out of both. Returns both paths."""
+    out of both, a ``DataError`` if none is left. Returns both paths."""
     values = np.asarray(scores, float)
     if latlon.shape != (values.size, 2):
         raise DimensionError(f"{values.shape} scores for node coordinates of shape {latlon.shape}")
     csv_path, svg_path = (Path(f"{Path(path)}.{ext}") for ext in ("csv", "svg"))
 
     located = ~np.isnan(latlon).any(axis=1)
+    if not located.any():
+        raise DataError(f"none of the {values.size} nodes has coordinates for a heatmap cell")
     latlon, values = latlon[located], values[located]
     rows = [(round(float(a), 6), round(float(b), 6), v) for (a, b), v in zip(latlon, values)]
     write_csv(csv_path, "lat,lon,centrality", rows)

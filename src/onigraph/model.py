@@ -6,8 +6,10 @@ normalization followed by ELU activations, a residual connection in every
 layer whose input and output widths are equal, a jumping-knowledge readout
 that pools every layer's node rows per graph straight into the head input
 (one op, ``autodiff.pool_blocks``), and a two-layer MLP head that emits one
-scalar. Each normalization is a :class:`NormParams`, which runs the fused
-normalize+ELU op ``autodiff.batchnorm_features`` on batch statistics.
+scalar; its first layer has no bias, which the batch mean subtracted after
+it would cancel (Ioffe & Szegedy 2015, section 3.2). Each normalization is
+a :class:`NormParams`, which runs the fused normalize+ELU op
+``autodiff.batchnorm_features`` on batch statistics.
 
 A batch of samples is processed as independent graph passes sharing one
 graph; normalization statistics are taken over the stacked
@@ -139,7 +141,6 @@ class ModelState:
     gcn_weights: list[Tensor]
     gcn_norms: list[NormParams | Shift]  # Shift in a folded copy only
     mlp_w1: Tensor
-    mlp_b1: Tensor
     mlp_norm: NormParams | Shift
     mlp_w2: Tensor
     mlp_b2: Tensor
@@ -170,7 +171,6 @@ class ModelState:
         params.extend(
             [
                 ("mlp.w1", self.mlp_w1),
-                ("mlp.b1", self.mlp_b1),
                 ("mlp.gamma", self.mlp_norm.gamma),
                 ("mlp.beta", self.mlp_norm.beta),
                 ("mlp.w2", self.mlp_w2),
@@ -275,7 +275,6 @@ def init_params(
         gcn_weights=gcn_weights,
         gcn_norms=gcn_norms,
         mlp_w1=weights(pooled, hidden),
-        mlp_b1=Tensor(np.zeros(hidden, dtype), requires_grad=True),
         mlp_norm=norm(hidden),
         mlp_w2=weights(hidden, 1),
         mlp_b2=Tensor(np.zeros(1, dtype), requires_grad=True),
@@ -309,15 +308,13 @@ def gcn_layer(
 
 
 def mlp_head(state: ModelState, pooled: Tensor) -> Tensor:
-    """Two affine layers with feature batchnorm and the ELU in between; the
-    final affine has no activation. In a :func:`folded` copy ``mlp_b1`` is
-    zero, its value taken into the :class:`Shift`."""
+    """A linear layer, feature batchnorm and the ELU, then an affine layer
+    with no activation."""
     if pooled.shape[1] != state.mlp_w1.shape[0]:
         raise DimensionError(
             f"pooled width {pooled.shape[1]} does not match head input {state.mlp_w1.shape[0]}"
         )
-    h = ad.add_row_bias(ad.matmul(pooled, state.mlp_w1), state.mlp_b1)
-    h = state.mlp_norm(h)
+    h = state.mlp_norm(ad.matmul(pooled, state.mlp_w1))
     out = ad.add_row_bias(ad.matmul(h, state.mlp_w2), state.mlp_b2)
     return ad.flatten(out)
 
@@ -325,10 +322,9 @@ def mlp_head(state: ModelState, pooled: Tensor) -> Tensor:
 def folded(state: ModelState) -> ModelState:
     """The copy of ``state`` that evaluation runs, and the one place the
     running statistics are applied: each weight before a normalization
-    times that normalization's scale (:meth:`NormParams.folded`), each
-    normalization replaced by the :class:`Shift` of its shift, and
-    ``mlp_b1 * scale`` moved into the head's shift, so the copy's ``mlp_b1``
-    is zero. ``state`` is left as it was; the copy shares its graph."""
+    times that normalization's scale (:meth:`NormParams.folded`) and each
+    normalization replaced by the :class:`Shift` of its shift. ``state`` is
+    left as it was; the copy shares its graph."""
     folds = [norm.folded() for norm in state.gcn_norms]
     scale, shift = state.mlp_norm.folded()
     return replace(
@@ -336,8 +332,7 @@ def folded(state: ModelState) -> ModelState:
         gcn_weights=[Tensor(w.data * s) for w, (s, _) in zip(state.gcn_weights, folds)],
         gcn_norms=[Shift(b) for _, b in folds],
         mlp_w1=Tensor(state.mlp_w1.data * scale),
-        mlp_b1=Tensor(np.zeros_like(state.mlp_b1.data)),
-        mlp_norm=Shift(state.mlp_b1.data * scale + shift),
+        mlp_norm=Shift(shift),
     )
 
 

@@ -41,8 +41,9 @@ Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"ONIG"
 # version 1 stored float64, 2 float32 with five settings now constant, 3 dropped
-# them, and 4 stores a local model's graph as edge rows, not a dense matrix
-FORMAT_VERSION = 4
+# them, 4 stores a local model's graph as edge rows, not a dense matrix, and 5
+# drops the head bias that batch normalization cancels
+FORMAT_VERSION = 5
 BLOB_DTYPE = np.dtype("<f4")
 # Stacked node rows per block of samples in ``predict_samples``, so that a
 # block's (rows, width) arrays stay a few MB; CHANGES.md has the timings.

@@ -284,6 +284,19 @@ def test_a_bad_local_edge_row_exits_2_naming_it(tmp_path, case, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
+def test_centrality_of_a_checkpoint_with_no_located_node_exits_2(tmp_path, capsys):
+    # its one node is the ONI node, whose NaN coordinates place no heatmap cell
+    state = init_params(GcnConfig(layer_dims=[4]), np.ones((1, 4), np.float32),
+                        [[math.nan, math.nan]], seed=1, embed_dim=2, max_edges=None)
+    save_checkpoint(state, tmp_path / "oni.ckpt")
+    args = ["--checkpoint", str(tmp_path / "oni.ckpt"), "--out", str(tmp_path / "heat")]
+    assert cli_dispatch(["centrality", *args]) == 2
+    assert capsys.readouterr() == (
+        "", "data error: none of the 1 nodes has coordinates for a heatmap cell\n"
+    )
+    assert not (tmp_path / "heat.csv").exists()
+
+
 def test_a_non_finite_checkpoint_value_exits_2_naming_its_tensor(checkpoint, synth_dir, tmp_path):
     # a NaN weight used to load, and then evaluate exited 3 and centrality 0
     raw = bytearray(checkpoint.read_bytes())
@@ -833,19 +846,19 @@ def _run_cli(args, timeout=None):
 
 
 def test_evaluate_refuses_a_version1_checkpoint_with_exit_2(synth_dir, tmp_path):
-    # checkpoints as format versions 1, 2 and 3 wrote them, of a model that fits the grid
+    # checkpoints as format versions 1 to 4 wrote them, of a model that fits the grid
     state = build_model(
         dat.prepare_dataset(dat.load_gridset(synth_dir)),
         GcnConfig(layer_dims=[4]),
         TrainConfig(seed=7, embed_dim=4),
     )
     old = tmp_path / "old.ckpt"
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         old.write_bytes(old_checkpoint(state, version))
         proc = _run_cli(["evaluate", "--checkpoint", str(old), "--data", str(synth_dir)])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == (
-            f"data error: checkpoint format version {version}; this build reads version 4\n"
+            f"data error: checkpoint format version {version}; this build reads version 5\n"
         )
 
 
@@ -1209,7 +1222,7 @@ PINNED_OUTPUTS = {
     "grid/mask.bin": "3b575420ceea4203152041be00dc80519d1532b5",
     "grid/data.bin": "9b6df40af3515bb13d1f165a86052f87eccac4e4",
     "grid/synth_spec.json": "73a45a6612be36f9311d46b0a123cc66ee15ccbf",
-    "m.ckpt": "e4a13f63ea0a00b51671b623eff4980a38aa3dd6",  # format 4; the blob of format 2
+    "m.ckpt": "bd8d4705b5f4746ef414a7e45363cce4060160b7",  # format 5; the blob of format 2
     "m.ckpt.loss.csv": "8d87da324e6f462c315487348d57de5728ddec77",
     "eval.report.csv": "713670596da8eac1a05cd22417c9de68191e4466",
     "eval.predictions.csv": "948ea49c09b19c3b33cc56542fbe2eaa4a4fbb41",
@@ -1217,7 +1230,7 @@ PINNED_OUTPUTS = {
     "p.csv": "cfc4a0fe971243e8e43c66a77d8d08c82a5520bd",
     "heat.csv": "7691b41cfbc4b2fa8abd3572db2b58cbb56319f7",
     "heat.svg": "93fa589b0c84a5d1cf671a70cad634143b3b073a",
-    "ablation.csv": "5f219d7b0a9b2ca1b594e592add477fc47cdfe6b",
+    "ablation.csv": "f4e02436057ad7f2ad08e5c3e224dc8029c11dcd",
 }
 
 

@@ -172,7 +172,7 @@ def test_pool_sum_and_mean_hand_value():
 
 def test_mlp_zero_weights_give_zero():
     state = tiny_state()
-    for t in (state.mlp_w1, state.mlp_b1, state.mlp_w2, state.mlp_b2):
+    for t in (state.mlp_w1, state.mlp_w2, state.mlp_b2):
         t.data[...] = 0.0
     out = mlp_head(folded(state), Tensor(np.ones((1, state.config.pooled_width))))
     assert out.data[0] == 0.0
@@ -181,12 +181,11 @@ def test_mlp_zero_weights_give_zero():
 def test_mlp_single_path_hand_value():
     state = tiny_state(n=4, layer_dims=(1,), window=1, features=1)
     state.mlp_w1.data[...] = [[2.0]]
-    state.mlp_b1.data[...] = [0.5]
     state.mlp_w2.data[...] = [[3.0]]
     state.mlp_b2.data[...] = [-1.0]
     g = 0.8
     out = mlp_head(folded(state), Tensor([[g]]))
-    hidden = (2.0 * g + 0.5) / math.sqrt(1.0 + 1e-5)  # eval stats: mean 0, var 1
+    hidden = 2.0 * g / math.sqrt(1.0 + 1e-5)  # eval stats: mean 0, var 1
     expected = 3.0 * hidden - 1.0  # positive, so ELU is identity
     assert out.data[0] == pytest.approx(expected, abs=1e-12)
 
@@ -475,15 +474,15 @@ def test_eval_layer_matches_the_textbook_normalization(layer, dtype, offset):
 def test_eval_head_matches_the_textbook_normalization(dtype, offset):
     rng = np.random.default_rng(37612)
     state = tiny_state(n=5, layer_dims=(3, 4), static_features=np.ones((5, 4), dtype))
-    w1, b1, w2, b2 = (state.mlp_w1, state.mlp_b1, state.mlp_w2, state.mlp_b2)
-    for p in (w1, b1, w2, b2):
+    w1, w2, b2 = (state.mlp_w1, state.mlp_w2, state.mlp_b2)
+    for p in (w1, w2, b2):
         p.data[...] = rng.uniform(-1.0, 1.0, p.shape)
     pooled = rng.normal(size=(9, w1.shape[0]))
     if offset:
         h = pooled @ w1.data.astype(np.float64)
         pooled += 2.0 * offset * np.max(h.std(axis=0) / np.abs(w1.data.sum(axis=0)))
     pooled = pooled.astype(dtype).astype(np.float64)
-    h = pooled @ w1.data.astype(np.float64) + b1.data
+    h = pooled @ w1.data.astype(np.float64)
     state.mlp_norm = fold_norm(rng, h, dtype)
     running = state.mlp_norm.running
     assert np.all(np.abs(running.mean) >= offset * np.sqrt(running.var))
@@ -492,12 +491,9 @@ def test_eval_head_matches_the_textbook_normalization(dtype, offset):
     hidden, shifted, scale = textbook(h, state.mlp_norm)
     w2_64 = w2.data.astype(np.float64)
     want = (hidden @ w2_64)[:, 0] + b2.data[0]
-    # the hidden rows' error, the shift taking b1 in, and the rounding of
-    # the last product, summed through |w2|
+    # the hidden rows' error and the rounding of the last product, summed through |w2|
     products = np.abs(pooled) @ np.abs(w1.data.astype(np.float64)) * np.abs(scale)
-    magnitude = (shifted + np.abs(b1.data * scale) + products + 2.0 * np.abs(hidden)) @ np.abs(
-        w2_64
-    )[:, 0]
+    magnitude = (shifted + products + 2.0 * np.abs(hidden)) @ np.abs(w2_64)[:, 0]
     assert_fold_matches(got, want, magnitude + np.abs(b2.data[0]), dtype)
 
 
@@ -521,5 +517,4 @@ def test_folded_leaves_every_parameter_and_running_statistic(edge_mode):
     copy = folded(state)
     assert snapshot() == before
     assert all(isinstance(norm, Shift) for norm in [*copy.gcn_norms, copy.mlp_norm])
-    assert not np.any(copy.mlp_b1.data)
     assert copy.local_edges is state.local_edges and copy.structure is state.structure

@@ -200,9 +200,9 @@ def test_prediction_memory_at_full_grid_size_is_set_by_the_block_not_the_windows
 @pytest.mark.parametrize(
     "edge_mode, max_edges, sha1",
     [
-        ("learned", None, "95229cae72ec4ba6304d0a365d973bdbbd1015a8"),  # CSR kernels
-        ("learned", 2000, "87759788148645fb0a3b65eb55b8e392b0cf1ba3"),  # dense kernels
-        ("local", None, "82652b0a02df1074880a09abe4b5c033954ddd78"),
+        ("learned", None, "232511138b192a0a6153a457fd356578d5b1eaba"),  # CSR kernels
+        ("learned", 2000, "5420f5fa945a6b20ce1b397e0e20057e09d56adf"),  # dense kernels
+        ("local", None, "b9e80cf0cda14125a75223edffdc9aae5e82f1de"),
     ],
     ids=["learned_csr", "learned_dense", "local"],
 )
@@ -214,9 +214,9 @@ def test_prediction_bits_over_several_blocks_are_pinned(edge_mode, max_edges, sh
 @pytest.mark.parametrize(
     "edge_mode, max_edges, sha1",
     [
-        ("learned", None, "1c0053419a99804de82a8237e1963f2462a43f74"),
-        ("learned", 2000, "36d8c43415338f54e46844ee90881b71b37035bd"),
-        ("local", None, "29418dd5901597542aeb30ccf78cb39efca93b4c"),
+        ("learned", None, "e968506c176cfc5252217adc345b74c125d16719"),
+        ("learned", 2000, "505ad0f0742d4037994df08380662de61e917562"),
+        ("local", None, "bb4ef71cbc48a2fcbb8198aef133d164235fd3b0"),
     ],
     ids=["learned_csr", "learned_dense", "local"],
 )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dataclasses import asdict, fields, replace
 
-from onigraph.autodiff import EdgeIndex, Sgd
+from onigraph.autodiff import EdgeIndex, Sgd, Tape, Tensor, backward, mse_loss
 from onigraph.data import (
     build_static_features,
     compute_oni_series,
@@ -20,7 +20,7 @@ from onigraph.data import (
     synth_teleconnection_dataset,
 )
 from onigraph.errors import ConfigError, DataError, FormatError, NumericError
-from onigraph.model import GcnConfig, init_params, model_adjacency, model_edges
+from onigraph.model import GcnConfig, forward_batch, init_params, model_adjacency, model_edges
 from onigraph import training
 from onigraph.structure import StructureParams, kept_edges
 from onigraph.training import (
@@ -163,16 +163,33 @@ def test_fixed_seed_reproduces_history_and_weights():
         np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name], err_msg=name)
 
 
+@pytest.mark.parametrize("edge_mode", ["learned", "local"])
+def test_every_parameter_gets_a_gradient_that_can_move_it(edge_mode):
+    # a bias added right before a batch normalization is cancelled by its
+    # mean subtraction, so its gradient is rounding alone (1e-17 against 1e-2)
+    gridset, _ = synth_teleconnection_dataset(4, 4, 48, 1, seed=39961)
+    bundle = float64_bundle(gridset, window=3, lead=1)
+    cfg = TrainConfig(seed=39962, embed_dim=4)
+    state = build_model(bundle, GcnConfig(layer_dims=[8, 8]), cfg, edge_mode)
+    samples = bundle.train
+    x = Tensor(samples.inputs[:8].reshape(-1, samples.inputs.shape[2]))
+    with Tape():
+        backward(mse_loss(forward_batch(state, x), Tensor(samples.targets[:8])))
+    peaks = {name: float(np.abs(t.grad).max()) for name, t in state.parameters()}
+    floor = 1e-8 * max(peaks.values())
+    assert {name: peak for name, peak in peaks.items() if peak <= floor} == {}
+
+
 # Each pin is two SHA-1s (see trained_digests): the training's, which the
 # eval pass cannot move, and the test predictions'.
 @pytest.mark.parametrize(
     "dims, pooling, edge_mode, sha1s",
     [
         # three equal widths, so every layer after the first adds its input back
-        ((8, 8, 8), "sum_and_mean", "learned", ("2140e16d0bc602290b57b922c506bab2e7e6f451",
+        ((8, 8, 8), "sum_and_mean", "learned", ("7e6791401b3e1095ca4e1c64217aedc78e08eaa7",
                                                 "7722b2928daba003e87f43e6656ecae8339b3cf9")),
-        ((12, 6), "mean", "local", ("12fe851eb525ed3c6d36fcaf80319626a2dc738c",
-                                    "031dd433b1b1cd2e33c8a13766e4fff8b04ce9e0")),
+        ((12, 6), "mean", "local", ("48cd2641ae011e338ed24b4b512d544e1f53ced0",
+                                    "d27d5a8d7e56dc1419530088d052bcbb26260ac7")),
     ],
     ids=["residual", "local"],
 )
@@ -186,10 +203,10 @@ def test_seeded_training_bits_are_pinned(dims, pooling, edge_mode, sha1s):
 @pytest.mark.parametrize(
     "dims, pooling, edge_mode, sha1s",
     [
-        ((8, 8, 8), "sum_and_mean", "learned", ("e930d6389bb44be686d6e842da4d789b777fd44b",
+        ((8, 8, 8), "sum_and_mean", "learned", ("ca777f525a03ac0d61fa4bdb8d30ccc729525dfb",
                                                 "ca8f73c6fb3150eabf87ea92de5d49e0071d7f24")),
-        ((12, 6), "mean", "local", ("4760297b171c53819ab464f230ae3552affcad80",
-                                    "9c76cd5bdcdeb53df08b5f3b6b6bd75eed219659")),
+        ((12, 6), "mean", "local", ("3782eb59da1b7a2914c02b299f42e14ee70dbb7f",
+                                    "bf6e05535cd8da2829c6f6d7205a4c7aaf8c2577")),
     ],
     ids=["residual", "local"],
 )
@@ -230,8 +247,8 @@ def test_seeded_training_bits_in_the_csr_regime_are_pinned():
     cfg = TrainConfig(seed=28102, epochs=3, batch_size=8, embed_dim=4, max_edges=n)
     state = build_model(bundle, GcnConfig(layer_dims=[8, 8], pooling="sum_and_mean"), cfg)
     assert model_edges(state)[0].sparse
-    assert trained_digests(state, bundle, cfg) == ("b16f053cbc5a68feecbfcbddc76b52b40e117ade",
-                                                   "423d50c823859b0466025faf2ae4348e78930076")
+    assert trained_digests(state, bundle, cfg) == ("8d1be04513adadc7d5e50d7f36585f492bd4daf1",
+                                                   "c4f91312cb61487b9e6e5b58a9190e2b02b2be9f")
 
 
 # edge mode, grid side, pooling, and whether the graph is in the CSR regime
@@ -458,11 +475,14 @@ def off_diagonal(matrix):
     return flat, matrix.flat[flat]
 
 
-def pinned_state(edge_mode, dtype=np.float32):
+def pinned_state(edge_mode, dtype=np.float32, head_bias=False):
     """A small ``dtype`` model whose every checkpointed value comes from
     uniform draws (no BLAS, so its bytes do not depend on the host): an ONI
     node with NaN coordinates, non-default running statistics, and an
-    optimizer record in learned mode."""
+    optimizer record in learned mode. The velocities are drawn in the
+    parameter order of formats 1 to 4, with one for their head bias
+    ``mlp.b1`` after ``mlp.w1``, so each keeps its value across formats;
+    ``head_bias`` keeps that one in the record for :func:`old_checkpoint`."""
     rng = np.random.default_rng(2024)
     n = 7
     static = rng.uniform(-2.0, 2.0, (n, 4)).astype(dtype)
@@ -480,10 +500,12 @@ def pinned_state(edge_mode, dtype=np.float32):
         norm.running.mean[...] = rng.uniform(-1.0, 1.0, norm.running.mean.shape)
         norm.running.var[...] = rng.uniform(0.5, 2.0, norm.running.var.shape)
     if edge_mode == "learned":
-        velocity = {
-            name: rng.uniform(-0.1, 0.1, t.shape).astype(dtype)
-            for name, t in state.parameters()
-        }
+        shapes = [(name, t.shape) for name, t in state.parameters()]
+        after_w1 = 1 + [name for name, _ in shapes].index("mlp.w1")
+        shapes.insert(after_w1, ("mlp.b1", state.mlp_w1.shape[1:]))
+        velocity = {name: rng.uniform(-0.1, 0.1, shape).astype(dtype) for name, shape in shapes}
+        if not head_bias:
+            del velocity["mlp.b1"]
         state.optimizer = Sgd(0.005, 0.9, 1e-4, velocity)
     return state
 
@@ -491,10 +513,9 @@ def pinned_state(edge_mode, dtype=np.float32):
 @pytest.mark.parametrize(
     "edge_mode, sha1",
     [
-        # format 4: format 3 without the manifest's edge_mode, and a local model
-        # stores its edge rows in place of the dense matrix and the structure maps
-        ("learned", "24aaf2cf8e4c2d43f9b7740f621198659608253a"),
-        ("local", "6781543eeaed1eadf0d22b16735fac610060c51e"),
+        # format 5: format 4 without the head bias mlp.b1 and its velocity
+        ("learned", "ec492926107758fa12eb6f5b1d9babb0376b0f0c"),
+        ("local", "e8356f4aaee4dac4f04672b16ecdef354c8136fd"),
     ],
     ids=["learned", "local"],
 )
@@ -523,19 +544,27 @@ def test_a_full_grid_local_checkpoint_is_under_a_megabyte_and_saves_back_its_byt
 
 
 def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
-    """The checkpoint of ``state`` as format ``version`` 1, 2 or 3 wrote it:
-    a manifest with the edge mode, and in versions 1 and 2 the settings
-    those versions recorded, at the values every shipped model had but the
-    pre-tanh ``feature_gain``; a local model's unused structure maps before
-    its other buffers and its dense I + A last; and a blob of little-endian
-    float64 (version 1) or float32 (versions 2 and 3)."""
+    """The checkpoint of ``state`` as format ``version`` 1, 2, 3 or 4 wrote
+    it: a zero head bias ``mlp.b1`` after ``mlp.w1``, its velocity where
+    the optimizer record has one (``pinned_state(..., head_bias=True)``);
+    in versions 1 to 3 a manifest with the edge mode, and a local model's
+    unused structure maps before its other buffers and its dense I + A in
+    place of its edge rows; in versions 1 and 2 the settings those versions
+    recorded, at the values every shipped model had but the pre-tanh
+    ``feature_gain``; and a blob of little-endian float64 (version 1) or
+    float32 (versions 2 to 4)."""
     dtype = np.dtype("<f8" if version == 1 else "<f4")
     local = state.local_edges is not None
-    entries = {name: t.data for name, t in state.parameters()}
-    if local:
+    dense = local and version < 4
+    entries = {}
+    for name, t in state.parameters():
+        entries[name] = t.data
+        if name == "mlp.w1":
+            entries["mlp.b1"] = np.zeros(t.shape[1])
+    if dense:
         entries |= {f"structure.{w}": getattr(state.structure, w).data for w in ("w_from", "w_to")}
-    entries |= {name: a for name, a in state.buffers() if name != "local_edges"}
-    if local:
+    entries |= {name: a for name, a in state.buffers() if not (dense and name == "local_edges")}
+    if dense:
         entries["local_adjacency"] = model_adjacency(state).data
     if state.optimizer is not None:
         entries |= {f"opt.{k}.velocity": v for k, v in state.optimizer.velocity.items()}
@@ -548,19 +577,20 @@ def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
     }
     settings = {"activation": "elu", "use_residual": True, "use_jumping_knowledge": True}
     gains = {"feature_gain": feature_gain, "score_gain": 2.0}
-    if version == 3:
+    if version >= 3:
         settings, gains = {}, {}
     manifest = {
         "format_version": version,
         "model": asdict(state.config) | settings,
         "structure": {"max_edges": state.structure.max_edges} | gains,
-        "edge_mode": "local" if local else "learned",
         "has_oni_node": state.has_oni_node,
         "seed": state.seed,
         "optimizer": optimizer,
         "tensors": tensors,
         "blob_bytes": offset,
     }
+    if version < 4:
+        manifest["edge_mode"] = "local" if local else "learned"
     payload = json.dumps(manifest, sort_keys=True).encode()
     blob = b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes() for a in entries.values())
     return training.CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob
@@ -569,27 +599,29 @@ def old_checkpoint(state, version, feature_gain=1.0) -> bytes:
 @pytest.mark.parametrize(
     "version, edge_mode, sha1",
     [
-        # the pins of test_checkpoint_bytes_are_pinned in versions 1, 2 and 3
+        # the pins of test_checkpoint_bytes_are_pinned in versions 1 to 4
         (1, "learned", "e0f2a3bdc6dd87e9ec1173e1fa163339fe4e18ef"),
         (1, "local", "ce42deb9dda890376eb069d641b04ca7b5c8a7ac"),
         (2, "learned", "30e721f4424b725a0521fd1a269b6236bd2b55a5"),
         (2, "local", "2a8aa242cf14b6fbaf48fdd52d87457696723f62"),
         (3, "learned", "c319ec437edfac45b6eb94d17a3b81aa81f86fbf"),
         (3, "local", "f0d2fde1cee306ac5775e2d1e976df4ca2390dad"),
+        (4, "learned", "24aaf2cf8e4c2d43f9b7740f621198659608253a"),
+        (4, "local", "6781543eeaed1eadf0d22b16735fac610060c51e"),
     ],
     ids=[
         "learned", "local", "version2-learned", "version2-local", "version3-learned",
-        "version3-local",
+        "version3-local", "version4-learned", "version4-local",
     ],
 )
 def test_a_version1_checkpoint_is_refused(tmp_path, version, edge_mode, sha1):
-    # pinned_state's models were saved with a feature gain of 0.5 (format 3 has no gain)
-    state = pinned_state(edge_mode, np.float64 if version == 1 else np.float32)
+    # pinned_state's models were saved with a feature gain of 0.5 (formats 3 and 4 have no gain)
+    state = pinned_state(edge_mode, np.float64 if version == 1 else np.float32, head_bias=True)
     raw = old_checkpoint(state, version, feature_gain=0.5)
     assert hashlib.sha1(raw).hexdigest() == sha1  # byte for byte as that version wrote it
     path = tmp_path / "old.ckpt"
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match=f"format version {version}; this build reads version 4"):
+    with pytest.raises(FormatError, match=f"format version {version}; this build reads version 5"):
         load_checkpoint(path)
 
 
@@ -770,7 +802,7 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].pop("layer_dims")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][0].update(shape="wide")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].pop("max_edges")),
-        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=5)),
+        lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version=6)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(format_version="1")),
         lambda raw: _rewrite_manifest(raw, lambda m: m.pop("format_version")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["structure"].update(max_edges=10.5)),
@@ -784,7 +816,7 @@ def _rewrite_manifest(raw, edit):
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(notes="x")),
         lambda raw: _rewrite_manifest(raw, lambda m: m["model"].update(dropout=0.1)),
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(tensors={})),
-        # format 3's edge_mode, a key that format 4 does not have
+        # format 3's edge_mode, a key that later formats do not have
         lambda raw: _rewrite_manifest(raw, lambda m: m.update(edge_mode=None)),
         lambda raw: _rewrite_manifest(raw, lambda m: m["tensors"][1].update(offset=True)),
         lambda raw: _rewrite_manifest(
