@@ -254,13 +254,13 @@ def cmd_train(args) -> int:
             np.mean([v for e, _, v in history if e == k]) for k in (0, train_cfg.epochs - 1)
         )
         line += f": final train MSE {final:.5f}"
-    if len(bundle.test) >= 2:
-        report = evaluate(state, bundle.test)
-        line += f"; test r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"
     if history and final > 1e6 * first:
         raise NumericError(
             f"training diverged: last epoch's mean loss {final:.3g}, first epoch's {first:.3g}"
         )
+    if len(bundle.test) >= 2:
+        report = evaluate(state, bundle.test)
+        line += f"; test r={report.r:.4f} rmse={report.rmse:.4f} n={report.n}"
     print(line)
     print(f"checkpoint: {args.out}")
     return 0

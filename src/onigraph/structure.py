@@ -73,9 +73,10 @@ class StructureParams:
 # from 0.5, and as a power of two it scales each logit exactly.
 SCORE_GAIN = 2.0
 
-# Number of flat logits in the strided sample from which top_edges guesses
-# the e-th largest logit; graphs of at most this many entries (up to 90
-# nodes, every desk grid) are ranked in full. CHANGES.md has the timings.
+# top_edges guesses the e-th largest logit from every
+# (flat.size // _SAMPLE_SIZE)-th logit; graphs of fewer than twice this
+# many entries (up to 127 nodes, every desk grid) sample every entry, which
+# ranks them all. CHANGES.md has the timings.
 _SAMPLE_SIZE = 8192
 
 
@@ -119,18 +120,22 @@ def _candidates(flat: Array, n: int, lo: float) -> tuple[Array, Array]:
     return candidates, values
 
 
-def _sampled_candidates(flat: Array, n: int, e: int) -> tuple[Array, Array, float] | None:
-    """The candidates of :func:`top_edges` at or above a guess taken from a
-    strided sample and the e-th largest logit among them, or None when
-    fewer than ``e`` candidates reach the guess."""
-    stride = flat.size // _SAMPLE_SIZE
+def _sampled_candidates(
+    flat: Array, n: int, e: int, stride: int
+) -> tuple[Array, Array, float] | None:
+    """The candidates of :func:`top_edges` at or above a guess taken from
+    every ``stride``-th logit and the e-th largest logit among them, or None
+    when fewer than ``e`` candidates reach the guess. At stride 1 the
+    guess ranks every entry, so it cannot miss."""
     sample = flat[::stride].copy()
     # no diagonal: sample k sits on it when k * stride is a multiple of n + 1
     sample[:: (n + 1) // math.gcd(stride, n + 1)] = -np.inf
     # a guess about 2e entries down: the sample's estimate of the e-th
     # largest logit sits at rank e * sample.size / flat.size
     rank = min(2 * e * sample.size // flat.size + 8, sample.size)
-    lo = np.partition(sample, sample.size - rank)[sample.size - rank]
+    sample.partition(sample.size - rank)
+    lo = sample[sample.size - rank]
+    del sample  # freed before the candidate pass
     candidates, values = _candidates(flat, n, lo)
     if values.size < e:
         return None
@@ -147,33 +152,25 @@ def top_edges(logits: Array, max_edges: int) -> tuple[EdgeIndex, Array]:
     Infinite logits rank like any other value; NaN logits have no rank and
     are rejected. ``logits`` itself is left unchanged.
 
-    Above ``_SAMPLE_SIZE`` entries, a strided sample guesses a logit about
-    2e entries down, one pass collects the off-diagonal candidates at or
-    above it, and a partition of the candidates gives the e-th largest
-    logit (:func:`_sampled_candidates`). With fewer than e candidates, and
-    on smaller graphs, the e-th largest logit comes from one copy of every
-    entry with the diagonal ranked last, partitioned in place, and the same
-    pass collects the candidates at or above it. The candidates at or
-    above the e-th largest logit are kept, but for its last ties in (row,
-    col) order past the budget.
+    A sample of every ``flat.size // _SAMPLE_SIZE``-th entry (every entry on
+    smaller graphs) guesses a logit about 2e entries down, one pass collects
+    the off-diagonal candidates at or above it, and a partition of the
+    candidates gives the e-th largest logit (:func:`_sampled_candidates`).
+    With fewer than e candidates, the same steps run again at stride 1.
+    The candidates at or above the e-th largest logit are kept, but for its
+    last ties in (row, col) order past the budget.
     """
     n = logits.shape[0]
     if max_edges < 0:
         raise ConfigError(f"edge budget must be non-negative, got {max_edges}")
     flat = logits.ravel()
     e = min(max_edges, n * (n - 1))
-    picked = _sampled_candidates(flat, n, e) if e and flat.size > _SAMPLE_SIZE else None
+    if e == 0:
+        _candidates(flat, n, np.inf)  # rejects an off-diagonal NaN
+        return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0, logits.dtype)
+    picked = _sampled_candidates(flat, n, e, max(1, flat.size // _SAMPLE_SIZE))
     if picked is None:
-        ranked = flat.copy()
-        ranked[:: n + 1] = -np.inf  # the diagonal ranks last and takes no slot
-        if np.isnan(ranked.max()):  # max propagates NaN, with no N x N temporary
-            raise NumericError("edge logits contain NaN")
-        if e == 0:
-            return EdgeIndex.from_flat(n, np.zeros(0, dtype=np.intp)), np.zeros(0, logits.dtype)
-        ranked.partition(ranked.size - e)
-        kth = ranked[ranked.size - e]
-        del ranked  # freed before the candidate pass
-        picked = (*_candidates(flat, n, kth), kth)
+        picked = _sampled_candidates(flat, n, e, 1)
     candidates, values, kth = picked
     keep = values >= kth
     surplus = np.count_nonzero(keep) - e  # ties of kth past the budget
